@@ -71,11 +71,12 @@ from .linalg import (
     hermitian_product,
     real_metric,
 )
-from .projective import canonicalize, sphere_geodesic
-from .ruled import (
+from .projective import canonical_rows, sphere_geodesic
+from .ruled import (  # noqa: F401  (rhs_lift: perfbench/selftest.py traces this binding)
     classify_generating_curve,
-    leaf_coordinate_grid,
+    leaf_coordinate_axes,
     rhs_lift,
+    rhs_lift_grid,
     transport_basis,
 )
 
@@ -382,6 +383,20 @@ def cmd_classify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _slice_rows(sig, iso, tv: float, s_values, coords, lifts) -> list:
+    """Export rows of one ruling slice t, in (s, c) order: s, t, the leaf
+    coordinates, then the (re, im) pairs of the canonical representative."""
+    reps = canonical_rows(sig, lifts @ iso.entries.T)
+    leaf_dim = coords.shape[1]
+    table = np.empty(reps.shape[:2] + (2 + leaf_dim + 2 * reps.shape[-1],))
+    table[..., 0] = s_values[:, None]
+    table[..., 1] = tv
+    table[..., 2 : 2 + leaf_dim] = coords
+    table[..., 2 + leaf_dim :: 2] = reps.real
+    table[..., 3 + leaf_dim :: 2] = reps.imag
+    return table.reshape(-1, table.shape[-1]).tolist()
+
+
 def cmd_sample(args) -> int:
     try:
         cfg = _config_from_args(args)
@@ -398,39 +413,23 @@ def cmd_sample(args) -> int:
             seed = gamma_seed(example_spec(1).sig, args.seed_r)
         spec = example_spec(ex, seed_z=seed)
         par = transport_basis(example_integral_curve(spec).curve, s0=0.0)
-    except (_PRECONDITION_ERRORS, DomainError) as exc:
+        s_values, coords = leaf_coordinate_axes(
+            par, cfg.grid_s, cfg.grid_leaf, radius=cfg.leaf_radius
+        )
+        lifts = rhs_lift_grid(par, s_values, coords)
+    except _PRECONDITION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 
-    grid = leaf_coordinate_grid(
-        par, cfg.grid_s, cfg.grid_leaf, radius=cfg.leaf_radius
-    )
-    coords_set = []
-    seen = set()
-    for _, c in grid:
-        key = tuple(np.round(c, 12))
-        if key not in seen:
-            seen.add(key)
-            coords_set.append(c)
-    s_values = sorted({s for s, _ in grid})
     t_values = np.linspace(spec.t_range[0], spec.t_range[1], cfg.grid_t)
-
     rows = []
-    for tv in t_values:
-        iso = ruling_isometry(spec, float(tv))
-        for s in s_values:
-            for c in coords_set:
-                lift = iso.apply(rhs_lift(par, s, c))
-                rep = canonicalize(par.sig, lift).rep
-                row = [s, float(tv)] + [float(x) for x in c]
-                for entry in rep:
-                    row.extend([float(np.real(entry)), float(np.imag(entry))])
-                rows.append(row)
+    for tv in t_values.tolist():
+        rows.extend(_slice_rows(par.sig, ruling_isometry(spec, tv), tv, s_values, coords, lifts))
 
-    dim = par.sig.ambient_dim
+    leaf_dim, dim = par.leaf_dim, par.sig.ambient_dim
     header = (
         ["s", "t"]
-        + [f"c{k + 1}" for k in range(par.leaf_dim)]
+        + [f"c{k + 1}" for k in range(leaf_dim)]
         + [x for k in range(dim) for x in (f"re_z{k + 1}", f"im_z{k + 1}")]
     )
     if cfg.fmt == "csv":

@@ -142,35 +142,20 @@ def _validate_seed(example_id: int, sig: Signature, z: np.ndarray):
 
 def example_map(spec: ExampleSpec, t: float, z=None) -> np.ndarray:
     """Closed-form sphere lift of the family at ruling parameter t."""
-    sig = spec.sig
-    n = sig.n
     z = spec.seed_z if z is None else np.asarray(z, dtype=complex)
-    _validate_seed(spec.example_id, sig, z)
-    out = np.zeros(n + 1, dtype=complex)
-    if spec.example_id == 1:
-        out[: n - 1] = z[: n - 1]
-        out[n - 1] = np.cos(t) * z[n - 1]
-        out[n] = np.sin(t) * z[n - 1]
-    elif spec.example_id == 2:
-        out[0] = np.cosh(t) * z[0]
-        out[1:n] = z[1:n]
-        out[n] = np.sinh(t) * z[0]
-    elif spec.example_id == 3:
-        out[0] = np.sinh(t) * z[n - 1]
-        out[1:n] = z[: n - 1]
-        out[n] = np.cosh(t) * z[n - 1]
-    else:
-        out[0] = np.sin(t) * z[0]
-        out[1] = np.cos(t) * z[0]
-        out[2:] = z[1:n]
-    return out
+    _validate_seed(spec.example_id, spec.sig, z)
+    return _slice_map(spec, t, z)
 
 
 def example_leaf_tangent(spec: ExampleSpec, t: float, x) -> np.ndarray:
     """Differential of the slice map in a seed-sphere tangent direction."""
-    sig = spec.sig
-    n = sig.n
-    x = np.asarray(x, dtype=complex)
+    return _slice_map(spec, t, np.asarray(x, dtype=complex))
+
+
+def _slice_map(spec: ExampleSpec, t: float, x: np.ndarray) -> np.ndarray:
+    """The slice map at ruling parameter t; it is linear in x, so it is its
+    own differential. Callers validate seed points."""
+    n = spec.sig.n
     out = np.zeros(n + 1, dtype=complex)
     if spec.example_id == 1:
         out[: n - 1] = x[: n - 1]
@@ -329,7 +314,7 @@ def example_integral_curve(
     eps1 = 1.0 if spec.example_id in (1, 2) else -1.0
 
     def lift(s: float) -> np.ndarray:
-        return example_map(spec, t0 + s / mod, z)
+        return _slice_map(spec, t0 + s / mod, z)
 
     curve = sampled_curve_from_fn(sig, lift, s_lo, s_hi, step)
 
@@ -376,7 +361,7 @@ def example_integral_curve(
 
     case, kind, kappa1, eps2, ff = _predict(spec.example_id, u, eps1)
     if case is MinimalCase.CASE_C_NON_FRENET:
-        still = example_map(spec, 0.0, z)
+        still = _slice_map(spec, 0.0, z)
         others = np.delete(np.abs(still), _ruling_slots(spec))
         if float(np.max(others)) < 1e-6:
             case = MinimalCase.CASE_A_GEODESIC

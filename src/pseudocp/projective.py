@@ -159,11 +159,48 @@ def sphere_geodesic(sig: Signature, q, v, t: float) -> np.ndarray:
     return np.cosh(w * t) * qv + np.sinh(w * t) * vv / w
 
 
+def sphere_geodesic_rows(sig: Signature, q, v) -> np.ndarray:
+    """``sphere_geodesic`` at t = 1 over stacked rows (q broadcasts against v).
+
+    Each row takes the same trigonometric / hyperbolic / affine branch as
+    the scalar function, by the same relative lightlike threshold.
+    """
+    q = np.asarray(q, dtype=complex)
+    v = np.asarray(v, dtype=complex)
+    g = linalg.gdot_rows(sig.signs, v, v)
+    eunorm2 = np.sum(np.abs(v) ** 2, axis=-1)
+    light = np.abs(g) <= LIGHT_TOL * eunorm2  # also catches v = 0
+    w = np.where(light, 1.0, np.sqrt(np.abs(g)))
+    cos = np.where(light, 1.0, np.where(g > 0, np.cos(w), np.cosh(w)))
+    sin = np.where(light, 1.0, np.where(g > 0, np.sin(w), np.sinh(w)))
+    return cos[..., None] * q + sin[..., None] * v / w[..., None]
+
+
+def canonical_rows(sig: Signature, z) -> np.ndarray:
+    """``canonicalize`` over stacked rows: unit representatives whose
+    largest-modulus entry is real positive, ties to the lowest index."""
+    z = np.asarray(z, dtype=complex)
+    g = linalg.gdot_rows(sig.signs, z, z)
+    if np.any(g <= 0.0):
+        raise NotProjectablePoint(f"g(z,z) = {float(np.min(g)):.3e} is not positive")
+    rep = z / np.sqrt(g)[..., None]
+    mod = np.abs(rep)
+    j = np.argmax(mod, axis=-1)[..., None]
+    zj = np.take_along_axis(rep, j, axis=-1)
+    return rep * (np.conj(zj) / np.take_along_axis(mod, j, axis=-1))
+
+
 def exp_map(x: ProjectivePoint, v: ProjectiveTangent, t: float = 1.0) -> ProjectivePoint:
-    """Exponential map of the quotient via the horizontal sphere geodesic."""
+    """Exponential map of the quotient via the horizontal sphere geodesic.
+
+    The geodesic of a unit point with a horizontal velocity stays on the
+    sphere, so only the canonical phase is applied: renormalizing by
+    sqrt(g(z,z)) would cancel catastrophically at strongly boosted points.
+    """
     if not v.at.close_to(x, BASE_POINT_TOL):
         raise BasePointError("tangent is not based at the given point")
-    return canonicalize(x.sig, sphere_geodesic(x.sig, x.rep, v.vec, t))
+    z = sphere_geodesic(x.sig, x.rep, v.vec, t)
+    return ProjectivePoint(x.sig, z * canonical_phase(z))
 
 
 def log_in_leaf(x: ProjectivePoint, y: ProjectivePoint) -> ProjectiveTangent:

@@ -3,10 +3,13 @@
 A parametrization carries a unit base curve and a basis of the orthogonal
 complement of span{velocity, J velocity} transported along it by the ODE
 that keeps the covariant derivative inside that span (gluing the hyperplane
-leaves along the curve without rotations). Evaluation composes the
-transported frame with the exponential map; the shape operator is measured
-by first order differentiation of a locally extended unit normal with
-Richardson extrapolation.
+leaves along the curve without rotations). The ODE is linear in the frame:
+the curve states come from one array pass over the half-step grid, and each
+RK4 step is a precomputed real propagator matrix. Evaluation composes the
+transported frame with the exponential map, one point at a time
+(``rhs_lift``) or over a whole grid in one batch (``rhs_lift_grid``); the
+shape operator is measured by first order differentiation of a locally
+extended unit normal with Richardson extrapolation.
 """
 
 from __future__ import annotations
@@ -22,8 +25,6 @@ from .curves import (
     CurveClass,
     SampledCurve,
     case_c_verify,
-    fd_derivative,
-    fd_second_derivative,
     frenet_apparatus,
     horizontal_lift,
     is_totally_real_circle,
@@ -36,6 +37,7 @@ from .errors import (
     EmptyGridError,
     FrameError,
     ImmersionError,
+    SamplingError,
 )
 from .frames import orthonormalize_real_metric
 from .isometries import IndefiniteUnitaryMatrix, frame_to_isometry
@@ -53,6 +55,7 @@ from .projective import (
     canonicalize,
     random_horizontal_unit,
     sphere_geodesic,
+    sphere_geodesic_rows,
     tangent_from_lift,
 )
 
@@ -83,41 +86,61 @@ class MinimalCase(Enum):
 # ---------------------------------------------------------------------------
 
 
-class _CurveSystem:
-    """Smooth evaluators for a sampled curve: lift, velocity, acceleration."""
+class _CurveLift:
+    """Smooth lift of a sampled curve: its closed form, else a cubic spline."""
 
     def __init__(self, curve: SampledCurve):
-        self.sig = curve.sig
-        self.signs = curve.sig.signs
-        self.eps1 = curve.eps1
-        self.h = curve.step
-        if curve.lift_fn is not None:
-            self.lift = curve.lift_fn
-        else:
-            spline = CubicSpline(curve.params, curve.lifts, axis=0)
-            self.lift = lambda s: np.asarray(spline(s), dtype=complex)
-        self._cache: dict[float, tuple] = {}
+        self.fn = curve.lift_fn
+        self.spline = None
+        if self.fn is None:
+            self.spline = CubicSpline(curve.params, curve.lifts, axis=0)
 
-    def state(self, s: float):
-        """Lift q, horizontal velocity dq, and horizontal acceleration f at s."""
-        key = round(float(s), 12)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        q = self.lift(s)
-        dq = fd_derivative(self.lift, s, self.h)
-        d2q = fd_second_derivative(self.lift, s, self.h)
-        g = lambda a, b: real_metric(self.sig, a, b)
-        iq = 1j * q
-        dq = dq - g(dq, q) * q
-        dq = dq - g(dq, iq) * iq
-        f = d2q - g(d2q, q) * q
-        f = f - g(f, iq) * iq
-        out = (q, dq, f)
-        if len(self._cache) > 20000:
-            self._cache.clear()
-        self._cache[key] = out
-        return out
+    def __call__(self, s: float) -> np.ndarray:
+        if self.fn is not None:
+            return self.fn(s)
+        return np.asarray(self.spline(s), dtype=complex)
+
+    def rows(self, s: np.ndarray) -> np.ndarray:
+        """Lifts at an array of parameters, stacked on the leading axis."""
+        if self.fn is not None:
+            return np.array([self.fn(x) for x in s], dtype=complex)
+        return np.asarray(self.spline(s), dtype=complex)
+
+
+#: half-step rows beyond each end of the curve reached by the stencils
+_STENCIL_PAD = 4
+
+
+def _curve_states(curve: SampledCurve, lift: _CurveLift):
+    """Lift q, horizontal velocity dq and horizontal acceleration f on the
+    half-step grid of the curve: row 2i at sample i, row 2i+1 halfway to
+    sample i+1 (the RK4 midpoints).
+
+    The derivatives are the five-point stencils of ``fd_derivative`` and
+    ``fd_second_derivative`` with step h = ``curve.step``. Their points
+    s +- h and s +- 2h lie on the same half-step grid, so the lift is
+    evaluated once at each of the 2m + 7 grid points.
+    """
+    h = curve.step
+    rows = 2 * len(curve) - 1
+    pad = _STENCIL_PAD
+    s = curve.params[0] + 0.5 * h * np.arange(-pad, rows + pad)
+    lifts = lift.rows(s)
+
+    def at(offset: int) -> np.ndarray:
+        return lifts[pad + offset : pad + offset + rows]
+
+    q = at(0)
+    dq = (-at(4) + 8.0 * at(2) - 8.0 * at(-2) + at(-4)) / (12.0 * h)
+    d2q = (-at(4) + 16.0 * at(2) - 30.0 * q + 16.0 * at(-2) - at(-4)) / (12.0 * h * h)
+    signs = curve.sig.signs
+    iq = 1j * q
+
+    def horizontal(x: np.ndarray) -> np.ndarray:
+        x = x - gdot_rows(signs, x, q)[:, None] * q
+        return x - gdot_rows(signs, x, iq)[:, None] * iq
+
+    return q, horizontal(dq), horizontal(d2q)
 
 
 @dataclass(frozen=True)
@@ -131,7 +154,8 @@ class RHSParametrization:
     frame_signs: np.ndarray
     frame_samples: np.ndarray  # (m, k, d)
     frame_derivs: np.ndarray  # (m, k, d)
-    system: _CurveSystem = field(repr=False)
+    velocity: np.ndarray  # (m, d) horizontal velocity of the base curve
+    lift: _CurveLift = field(repr=False)
 
     @property
     def sig(self) -> Signature:
@@ -145,14 +169,25 @@ class RHSParametrization:
         return float(self.base.params[0]), float(self.base.params[-1])
 
     def alpha_lift(self, s: float) -> np.ndarray:
-        return self.system.lift(s)
+        return self.lift(s)
 
     def frame_at(self, s: float) -> np.ndarray:
         """Cubic Hermite interpolation of the transported frame."""
         grid = self.base.params
         i = int(np.clip(np.searchsorted(grid, s) - 1, 0, grid.shape[0] - 2))
         h = grid[i + 1] - grid[i]
-        tau = (s - grid[i]) / h
+        return self._hermite(i, h, (s - grid[i]) / h)
+
+    def frames_at(self, s: np.ndarray) -> np.ndarray:
+        """``frame_at`` over an array of base parameters, stacked (S, k, d)."""
+        grid = self.base.params
+        s = np.asarray(s, dtype=float)
+        i = np.clip(np.searchsorted(grid, s) - 1, 0, grid.shape[0] - 2)
+        h = (grid[i + 1] - grid[i])[:, None, None]
+        return self._hermite(i, h, (s - grid[i])[:, None, None] / h)
+
+    def _hermite(self, i, h, tau) -> np.ndarray:
+        """Hermite cubic on the sample interval(s) i of width h at offset tau."""
         h00 = (1.0 + 2.0 * tau) * (1.0 - tau) ** 2
         h10 = tau * (1.0 - tau) ** 2
         h01 = tau * tau * (3.0 - 2.0 * tau)
@@ -174,32 +209,27 @@ class RHSParametrization:
 
     def orthogonality_defect(self) -> tuple[float, float]:
         """Worst defects of the frame against velocity and J velocity."""
-        worst_v, worst_jv = 0.0, 0.0
         signs = self.sig.signs
-        for i, s in enumerate(self.base.params):
-            _, dq, _ = self.system.state(float(s))
-            zrows = self.frame_samples[i]
-            worst_v = max(worst_v, float(np.max(np.abs(gdot_rows(signs, zrows, dq)))))
-            worst_jv = max(
-                worst_jv, float(np.max(np.abs(gdot_rows(signs, zrows, 1j * dq))))
-            )
-        return worst_v, worst_jv
+        dq = self.velocity[:, None, :]
+        z = self.frame_samples
+        return (
+            float(np.max(np.abs(gdot_rows(signs, z, dq)))),
+            float(np.max(np.abs(gdot_rows(signs, z, 1j * dq)))),
+        )
 
 
-def default_initial_basis(curve: SampledCurve, s0: float = 0.0):
-    """g-orthonormal basis of (span{velocity, J velocity})^perp at s0.
+def default_initial_basis(sig: Signature, q: np.ndarray, dq: np.ndarray):
+    """g-orthonormal basis of (span{dq, J dq})^perp at the lift q.
 
     Free columns of the frame completion at (q, velocity) give complex
     vectors w; the pairs (w, iw) then span the complement over the reals.
     """
-    system = _CurveSystem(curve)
-    q, dq, _ = system.state(s0)
-    g = real_metric(curve.sig, dq, dq)
-    iso = frame_to_isometry(curve.sig, q, dq / np.sqrt(abs(g)))
-    n, p = curve.sig.n, curve.sig.p
+    g = real_metric(sig, dq, dq)
+    iso = frame_to_isometry(sig, q, dq / np.sqrt(abs(g)))
+    n, p = sig.n, sig.p
     used = {n - 1, n if g > 0 else 0}
     basis, signs = [], []
-    for col in range(curve.sig.ambient_dim):
+    for col in range(sig.ambient_dim):
         if col in used:
             continue
         w = iso.entries[:, col]
@@ -207,6 +237,57 @@ def default_initial_basis(curve: SampledCurve, s0: float = 0.0):
         basis.extend([w, 1j * w])
         signs.extend([sgn, sgn])
     return np.array(basis), np.array(signs)
+
+
+def _transport_generators(sig: Signature, eps1: float, q, dq, f) -> np.ndarray:
+    """Real matrices A with rhs(z) = z A on realified rows, one per state.
+
+    Rows are realified by viewing complex128 as interleaved (re, im) pairs.
+    The transport right-hand side
+    -eps1 (g(z,f) dq + g(z,Jf) J dq) - g(z,dq) q - g(z,J dq) J q
+    is real-linear in each row z, and g(z, a) = real(z) . real(signs a), so
+    A is a sum of four outer products.
+    """
+    jdq = 1j * dq
+    paired = sig.signs * np.stack([f, 1j * f, dq, jdq], axis=1)
+    images = np.stack([-eps1 * dq, -eps1 * jdq, -q, -1j * q], axis=1)
+    return np.einsum("nti,ntj->nij", paired.view(float), images.view(float))
+
+
+def _rk4_propagators(a1, a2, a4, h) -> np.ndarray:
+    """Matrices P with x(s + h) = x(s) P for one classical RK4 step of x' = x A.
+
+    a1, a2, a4 hold A(s), A(s + h/2), A(s + h), batched over the leading
+    axis with the signed steps h. Substituting the stages k_j = x B_j gives
+    P = I + h/6 (B1 + 2 B2 + 2 B3 + B4).
+    """
+    hh = np.asarray(h, dtype=float)[:, None, None]
+    b2 = a2 + 0.5 * hh * (a1 @ a2)
+    b3 = a2 + 0.5 * hh * (b2 @ a2)
+    b4 = a4 + hh * (b3 @ a4)
+    return np.eye(a1.shape[-1]) + hh / 6.0 * (a1 + 2.0 * b2 + 2.0 * b3 + b4)
+
+
+#: RK4 steps whose propagators are formed in one batch (bounds temporaries)
+_STEP_BLOCK = 128
+
+
+def _rk4_chain(sig: Signature, eps1: float, states, steps, x, dx) -> None:
+    """Fill x[1:] by RK4 steps from x[0], and dx with the right-hand sides.
+
+    ``states`` holds (q, dq, f) on the half-step grid from the first sample
+    on, ``steps`` the signed step to each next sample, and x, dx the frames
+    realified as (re, im) pairs (possibly reversed views). Propagators are
+    formed a block of steps at a time, so each step is one matrix product.
+    """
+    n = steps.shape[0]
+    for lo in range(0, max(n, 1), _STEP_BLOCK):
+        hi = min(lo + _STEP_BLOCK, n)
+        a = _transport_generators(sig, eps1, *(v[2 * lo : 2 * hi + 1] for v in states))
+        prop = _rk4_propagators(a[0:-1:2], a[1::2], a[2::2], steps[lo:hi])
+        for i in range(lo, hi):
+            x[i + 1] = x[i] @ prop[i - lo]
+        dx[lo : hi + 1] = x[lo : hi + 1] @ a[0::2]
 
 
 def transport_basis(
@@ -219,76 +300,57 @@ def transport_basis(
     The covariant derivative of each transported vector is forced into
     span{velocity, J velocity}; on lifts this becomes an explicit linear ODE
     whose solution keeps the frame orthogonal to the velocity, its rotation
-    by J, the position and the fiber direction.
+    by J, the position and the fiber direction. The curve states come from
+    one pass over the half-step grid and each RK4 step is a precomputed
+    real propagator matrix, so the integration is a chain of small products.
     """
     sig = curve.sig
-    system = _CurveSystem(curve)
-    char = causal_character(sig, system.state(s0)[1])
+    grid = curve.params
+    # _curve_states places the half-step grid at params[0] + k * step / 2
+    if np.max(np.abs(np.diff(grid) - curve.step), initial=0.0) > 1e-6 * abs(curve.step):
+        raise SamplingError("transport needs params spaced uniformly by the curve step")
+    lift = _CurveLift(curve)
+    q, dq, f = _curve_states(curve, lift)
+    i0 = int(np.argmin(np.abs(grid - s0)))
+    char = causal_character(sig, dq[2 * i0])
     if char in (CausalCharacter.LIGHTLIKE, CausalCharacter.ZERO):
         raise CausalCharacterError("base curve velocity must not be lightlike")
     eps1 = curve.eps1
 
     if initial_basis is None:
-        basis, signs = default_initial_basis(curve, s0)
+        basis, signs = default_initial_basis(sig, q[2 * i0], dq[2 * i0])
     else:
         basis = np.asarray(initial_basis, dtype=complex)
-        q, dq, _ = system.state(s0)
         gram = np.real(np.einsum("kd,ld,d->kl", basis, np.conj(basis), sig.signs))
         diag = np.diag(gram)
         if np.max(np.abs(np.abs(diag) - 1.0)) > 1e-8:
             raise FrameError("initial basis is not unit")
         if np.max(np.abs(gram - np.diag(diag))) > 1e-8:
             raise FrameError("initial basis is not orthogonal")
-        for row in basis:
-            for w in (dq, 1j * dq, q, 1j * q):
-                if abs(real_metric(sig, row, w)) > 1e-8:
-                    raise FrameError("initial basis does not span the leaf complement")
+        q0, dq0 = q[2 * i0], dq[2 * i0]
+        for w in (dq0, 1j * dq0, q0, 1j * q0):
+            if np.max(np.abs(gdot_rows(sig.signs, basis, w))) > 1e-8:
+                raise FrameError("initial basis does not span the leaf complement")
         signs = diag.copy()
 
-    grid = curve.params
-    i0 = int(np.argmin(np.abs(grid - s0)))
     if abs(float(grid[i0]) - s0) > 1e-9:
         raise FrameError("s0 must coincide with a sample of the base curve")
 
-    signs_vec = sig.signs
-
-    def rhs(s: float, z: np.ndarray) -> np.ndarray:
-        q, dq, f = system.state(s)
-        jf = 1j * f
-        jdq = 1j * dq
-        w = -eps1 * (
-            gdot_rows(signs_vec, z, f)[:, None] * dq
-            + gdot_rows(signs_vec, z, jf)[:, None] * jdq
-        )
-        return (
-            w
-            - gdot_rows(signs_vec, z, dq)[:, None] * q
-            - gdot_rows(signs_vec, z, jdq)[:, None] * (1j * q)
-        )
-
-    m, k, d = grid.shape[0], basis.shape[0], sig.ambient_dim
-    samples = np.empty((m, k, d), dtype=complex)
-    derivs = np.empty((m, k, d), dtype=complex)
-    samples[i0] = basis
-    derivs[i0] = rhs(float(grid[i0]), basis)
-
-    def rk4_step(s: float, z: np.ndarray, h: float) -> np.ndarray:
-        k1 = rhs(s, z)
-        k2 = rhs(s + 0.5 * h, z + 0.5 * h * k1)
-        k3 = rhs(s + 0.5 * h, z + 0.5 * h * k2)
-        k4 = rhs(s + h, z + h * k3)
-        return z + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-
-    z = basis.copy()
-    for i in range(i0, m - 1):
-        z = rk4_step(float(grid[i]), z, float(grid[i + 1] - grid[i]))
-        samples[i + 1] = z
-        derivs[i + 1] = rhs(float(grid[i + 1]), z)
-    z = basis.copy()
-    for i in range(i0, 0, -1):
-        z = rk4_step(float(grid[i]), z, float(grid[i - 1] - grid[i]))
-        samples[i - 1] = z
-        derivs[i - 1] = rhs(float(grid[i - 1]), z)
+    frames = np.empty((grid.shape[0],) + basis.shape, dtype=complex)
+    derivs = np.empty_like(frames)
+    frames[i0] = basis
+    x, dx = frames.view(float), derivs.view(float)
+    steps = np.diff(grid)
+    # forward from i0, then backward as a forward chain over reversed views
+    _rk4_chain(sig, eps1, (q[2 * i0 :], dq[2 * i0 :], f[2 * i0 :]), steps[i0:], x[i0:], dx[i0:])
+    _rk4_chain(
+        sig,
+        eps1,
+        (q[2 * i0 :: -1], dq[2 * i0 :: -1], f[2 * i0 :: -1]),
+        -steps[:i0][::-1],
+        x[i0::-1],
+        dx[i0::-1],
+    )
 
     leaf_index = sig.p if eps1 > 0 else sig.p - 1
     return RHSParametrization(
@@ -297,9 +359,10 @@ def transport_basis(
         eps1=eps1,
         leaf_index=leaf_index,
         frame_signs=np.asarray(signs, dtype=float),
-        frame_samples=samples,
+        frame_samples=frames,
         frame_derivs=derivs,
-        system=system,
+        velocity=dq[0::2],
+        lift=lift,
     )
 
 
@@ -320,6 +383,26 @@ def rhs_lift(par: RHSParametrization, s: float, coords) -> np.ndarray:
         raise ChartError("base parameter outside the curve range")
     v = coords @ par.frame_at(s)
     return sphere_geodesic(par.sig, par.alpha_lift(s), v, 1.0)
+
+
+def rhs_lift_grid(par: RHSParametrization, s_values, coords) -> np.ndarray:
+    """``rhs_lift`` at every pair of base parameter and leaf coordinates.
+
+    Entry [i, j] of the (S, L, d) result is the lift at s_values[i] and
+    coords[j]. The whole grid is checked against the chart before any
+    point is evaluated.
+    """
+    s_values = np.asarray(s_values, dtype=float)
+    coords = np.asarray(coords, dtype=float)
+    if coords.ndim != 2 or coords.shape[1] != par.leaf_dim:
+        raise ChartError(f"expected rows of {par.leaf_dim} leaf coordinates")
+    if np.any(np.sqrt(np.sum(coords**2, axis=1)) >= CHART_RADIUS):
+        raise ChartError("leaf coordinates outside the chart radius")
+    lo, hi = par.s_range()
+    if np.any((s_values < lo - 1e-12) | (s_values > hi + 1e-12)):
+        raise ChartError("base parameter outside the curve range")
+    v = np.einsum("lk,skd->sld", coords, par.frames_at(s_values))
+    return sphere_geodesic_rows(par.sig, par.lift.rows(s_values)[:, None, :], v)
 
 
 def rhs_evaluate(par: RHSParametrization, s: float, coords) -> ProjectivePoint:
@@ -954,6 +1037,26 @@ def classify_minimal_ruled(
     return classify_generating_curve(curve, xi_defect=defect)
 
 
+def leaf_coordinate_axes(
+    par: RHSParametrization,
+    s_count: int,
+    leaf_count: int,
+    radius: float = 0.25,
+    seed: int = 3,
+    margin: float = 0.05,
+):
+    """Base parameters (S,) and leaf coordinate rows (L, k) of the
+    deterministic grid inside the chart of a parametrization."""
+    lo, hi = par.s_range()
+    s_values = np.linspace(lo + margin, hi - margin, s_count)
+    rng = np.random.default_rng(seed)
+    coords = np.empty((leaf_count, par.leaf_dim))
+    for j in range(leaf_count):
+        c = rng.standard_normal(par.leaf_dim)
+        coords[j] = c / np.sqrt(np.sum(c**2)) * radius * (0.4 + 0.6 * (j + 1) / leaf_count)
+    return s_values, coords
+
+
 def leaf_coordinate_grid(
     par: RHSParametrization,
     s_count: int,
@@ -963,12 +1066,5 @@ def leaf_coordinate_grid(
     margin: float = 0.05,
 ):
     """Deterministic (s, coords) grid inside the chart of a parametrization."""
-    lo, hi = par.s_range()
-    s_values = np.linspace(lo + margin, hi - margin, s_count)
-    rng = np.random.default_rng(seed)
-    coords = []
-    for j in range(leaf_count):
-        c = rng.standard_normal(par.leaf_dim)
-        c = c / np.sqrt(np.sum(c**2)) * radius * (0.4 + 0.6 * (j + 1) / leaf_count)
-        coords.append(c)
+    s_values, coords = leaf_coordinate_axes(par, s_count, leaf_count, radius, seed, margin)
     return [(float(s), c) for s in s_values for c in coords]

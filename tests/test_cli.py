@@ -208,6 +208,22 @@ class TestConfig:
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 1 + 2 * 2 * 2
 
+    def test_out_of_chart_leaf_radius_is_a_precondition(self, tmp_path, monkeypatch, capsys):
+        """A leaf radius beyond the chart exits 3 and writes nothing."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"leaf_radius": 2.0}))
+        monkeypatch.setenv("PSEUDOCP_CONFIG", str(cfg))
+        out = tmp_path / "cloud.csv"
+        assert run_cli("sample", "1", "--grid", "2x2x2", "--out", str(out)) == 3
+        assert "chart" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_seed_parameter_is_a_precondition(self, tmp_path, capsys):
+        """seed_r = 0 empties family one's open slot: exit 3, not a crash."""
+        out = tmp_path / "cloud.csv"
+        assert run_cli("sample", "1", "--seed-r", "0", "--grid", "2x2x2", "--out", str(out)) == 3
+        assert "open-slot" in capsys.readouterr().err
+
     def test_invalid_config_rejected(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"grid_s": 1}))

@@ -8,6 +8,7 @@ from pseudocp.errors import BasePointError, LogMapError, NotProjectablePoint
 from pseudocp.linalg import CausalCharacter, Signature, jmul, real_metric
 from pseudocp.projective import (
     ProjectiveTangent,
+    canonical_rows,
     canonicalize,
     curvature_tensor,
     exp_map,
@@ -17,6 +18,7 @@ from pseudocp.projective import (
     random_horizontal_unit,
     random_sphere_point,
     sphere_geodesic,
+    sphere_geodesic_rows,
     tangent_from_lift,
 )
 
@@ -205,6 +207,34 @@ class TestExpLog:
         v = tangent_from_lift(SIG, q, null)
         out = log_in_leaf(x, exp_map(x, v, 1.0))
         assert np.max(np.abs(out.vec - v.vec)) < 1e-9
+
+
+class TestRowForms:
+    """Batched geodesics and canonical representatives against the scalar ones."""
+
+    def test_geodesic_rows_take_every_branch(self, rng):
+        q = random_sphere_point(SIG, rng)
+        space = random_horizontal_unit(SIG, q, rng, CausalCharacter.SPACELIKE)
+        time = random_horizontal_unit(SIG, q, rng, CausalCharacter.TIMELIKE)
+        time = time - real_metric(SIG, time, space) * space
+        light = space + time / np.sqrt(-real_metric(SIG, time, time))
+        assert abs(real_metric(SIG, light, light)) < 1e-12
+        vs = np.array([0.7 * space, 1.3 * time, light, np.zeros(4, dtype=complex)])
+        got = sphere_geodesic_rows(SIG, q, vs)
+        for v, row in zip(vs, got):
+            assert np.max(np.abs(row - sphere_geodesic(SIG, q, v, 1.0))) < 1e-14
+
+    def test_canonical_rows_match_canonicalize(self, rng):
+        zs = [random_sphere_point(SIG, rng) * (1.0 + k) * np.exp(0.3j * k) for k in range(6)]
+        zs.append(np.array([0.0, 2.0j, -2.0, 1.0]))  # equal moduli: lowest index wins
+        zs = np.array(zs)
+        got = canonical_rows(SIG, zs.reshape(7, 1, 4))
+        for z, row in zip(zs, got[:, 0]):
+            assert np.max(np.abs(row - canonicalize(SIG, z).rep)) < 1e-14
+
+    def test_canonical_rows_reject_non_spacelike(self):
+        with pytest.raises(NotProjectablePoint):
+            canonical_rows(SIG, np.array([_e(3), _e(0)]))
 
 
 class TestCurvatureTensor:

@@ -110,7 +110,7 @@ class TestEvaluation:
         """At the anchor, evaluation fills the hyperplane leaf there."""
         par = family1_par
         q0 = par.base.lift_fn(0.0)
-        vel = par.system.state(0.0)[1]
+        vel = par.velocity[int(np.argmin(np.abs(par.base.params)))]
         x0 = canonicalize(SIG, q0)
         eta = tangent_from_lift(SIG, q0, vel)
         leaf = complex_hyperplane_leaf(x0, eta)
