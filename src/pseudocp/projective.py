@@ -119,15 +119,6 @@ def horizontal_project(sig: Signature, q, x) -> np.ndarray:
     return xv - real_metric(sig, xv, iq) * iq
 
 
-def horizontal_part(sig: Signature, q, x) -> np.ndarray:
-    """Remove both the position and fiber components of an ambient vector."""
-    qv = as_ambient(sig, q)
-    xv = np.asarray(x, dtype=complex)
-    xv = xv - linalg.gdot_rows(sig.signs, xv, qv)[..., None] * qv
-    iq = jmul(qv)
-    return xv - linalg.gdot_rows(sig.signs, xv, iq)[..., None] * iq
-
-
 def tangent_from_lift(sig: Signature, lift, vec) -> ProjectiveTangent:
     """Attach a horizontal vector given at an arbitrary representative.
 

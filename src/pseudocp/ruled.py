@@ -7,14 +7,20 @@ leaves along the curve without rotations). The ODE is linear in the frame:
 the curve states come from one array pass over the half-step grid, and each
 RK4 step is a precomputed real propagator matrix. Evaluation composes the
 transported frame with the exponential map, one point at a time
-(``rhs_lift``) or over a whole grid in one batch (``rhs_lift_grid``); the
-shape operator is measured by first order differentiation of a locally
-extended unit normal with Richardson extrapolation.
+(``rhs_lift``) or over a whole grid in one batch (``rhs_lift_grid``).
+
+Almost contact frames come from one batched kernel, ``hypersurface_frames``:
+for a stack of patch parameters it evaluates every lift of every
+central-difference stencil in one patch call (``lifts_at``), then aligns
+phases, projects to the horizontal space and takes both SVDs as stacked
+array operations. The shape operator differentiates the locally extended
+unit normal with Richardson extrapolation; the four normals of each
+direction, for all directions of a point, are one kernel call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -385,6 +391,18 @@ def rhs_lift(par: RHSParametrization, s: float, coords) -> np.ndarray:
     return sphere_geodesic(par.sig, par.alpha_lift(s), v, 1.0)
 
 
+def _check_chart(par: RHSParametrization, s_values: np.ndarray, coords: np.ndarray) -> None:
+    """Raise ChartError unless every base parameter and leaf coordinate row
+    lies inside the chart of the parametrization."""
+    if coords.ndim != 2 or coords.shape[1] != par.leaf_dim:
+        raise ChartError(f"expected rows of {par.leaf_dim} leaf coordinates")
+    if np.any(np.sqrt(np.sum(coords**2, axis=1)) >= CHART_RADIUS):
+        raise ChartError("leaf coordinates outside the chart radius")
+    lo, hi = par.s_range()
+    if np.any((s_values < lo - 1e-12) | (s_values > hi + 1e-12)):
+        raise ChartError("base parameter outside the curve range")
+
+
 def rhs_lift_grid(par: RHSParametrization, s_values, coords) -> np.ndarray:
     """``rhs_lift`` at every pair of base parameter and leaf coordinates.
 
@@ -394,13 +412,7 @@ def rhs_lift_grid(par: RHSParametrization, s_values, coords) -> np.ndarray:
     """
     s_values = np.asarray(s_values, dtype=float)
     coords = np.asarray(coords, dtype=float)
-    if coords.ndim != 2 or coords.shape[1] != par.leaf_dim:
-        raise ChartError(f"expected rows of {par.leaf_dim} leaf coordinates")
-    if np.any(np.sqrt(np.sum(coords**2, axis=1)) >= CHART_RADIUS):
-        raise ChartError("leaf coordinates outside the chart radius")
-    lo, hi = par.s_range()
-    if np.any((s_values < lo - 1e-12) | (s_values > hi + 1e-12)):
-        raise ChartError("base parameter outside the curve range")
+    _check_chart(par, s_values, coords)
     v = np.einsum("lk,skd->sld", coords, par.frames_at(s_values))
     return sphere_geodesic_rows(par.sig, par.lift.rows(s_values)[:, None, :], v)
 
@@ -421,6 +433,22 @@ class RHSPatch:
     def lift_at(self, u: np.ndarray) -> np.ndarray:
         return rhs_lift(self.par, float(u[0]), u[1:])
 
+    def lifts_at(self, rows: np.ndarray) -> np.ndarray:
+        """``lift_at`` over stacked parameter rows (M, 1 + k).
+
+        All rows are checked against the chart first. The Hermite frame and
+        the base lift are evaluated once per distinct s (a frame stencil
+        moves s in only three of its rows), the geodesics in one batch.
+        Stacked matrix products keep each row equal to ``lift_at``.
+        """
+        rows = np.asarray(rows, dtype=float)
+        par = self.par
+        s, coords = rows[:, 0], rows[:, 1:]
+        _check_chart(par, s, coords)
+        s_distinct, inverse = np.unique(s, return_inverse=True)
+        v = np.matmul(coords[:, None, :], par.frames_at(s_distinct)[inverse])[:, 0]
+        return sphere_geodesic_rows(par.sig, par.lift.rows(s_distinct)[inverse], v)
+
 
 class TransformedPatch:
     """A patch moved by a holomorphic isometry (used for ruling translates)."""
@@ -433,6 +461,10 @@ class TransformedPatch:
 
     def lift_at(self, u: np.ndarray) -> np.ndarray:
         return self.iso.apply(self.inner.lift_at(u))
+
+    def lifts_at(self, rows: np.ndarray) -> np.ndarray:
+        """``lift_at`` over stacked parameter rows, each row equal to it."""
+        return np.matmul(self.iso.entries, _patch_lifts(self.inner, rows)[:, :, None])[:, :, 0]
 
 
 class GeodesicSpherePatch:
@@ -457,50 +489,42 @@ class GeodesicSpherePatch:
         self.dirs = np.array(dirs)
 
     def lift_at(self, u: np.ndarray) -> np.ndarray:
-        w = self.v0 + u @ self.dirs
-        g = real_metric(self.sig, w, w)
-        w = w / np.sqrt(g)
+        return self.lifts_at(np.asarray(u, dtype=float)[None])[0]
+
+    def lifts_at(self, rows: np.ndarray) -> np.ndarray:
+        """``lift_at`` over stacked parameter rows; the stacked product
+        keeps each row independent of the batch size."""
+        w = self.v0 + np.matmul(np.asarray(rows, dtype=float)[:, None, :], self.dirs)[:, 0]
+        w = w / np.sqrt(gdot_rows(self.sig.signs, w, w))[:, None]
         return np.cos(self.radius) * self.q0 + np.sin(self.radius) * w
 
 
-def _phase_factor(signs: np.ndarray, w: np.ndarray, ref: np.ndarray) -> complex:
-    """Unit phase making the indefinite product of w with ref real positive.
+def _patch_lifts(patch, rows: np.ndarray) -> np.ndarray:
+    """Lifts of a patch at stacked parameter rows: its ``lifts_at`` when it
+    has one, else ``lift_at`` row by row (black-box patches)."""
+    lifts_at = getattr(patch, "lifts_at", None)
+    if lifts_at is not None:
+        return lifts_at(rows)
+    return np.array([patch.lift_at(u) for u in rows], dtype=complex)
+
+
+def _phase_factor(signs: np.ndarray, w: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Unit phases making the indefinite products of w with ref real
+    positive, 1 where a product vanishes; broadcasts over leading axes.
 
     Aligning nearby lifts with the indefinite product (not the Euclidean one)
     turns parameter lines into horizontal curves to first order, so finite
     differences of horizontal fields need no vertical correction.
     """
-    a = complex(np.sum(signs * w * np.conj(ref)))
-    if abs(a) < 1e-12:
-        return 1.0 + 0.0j
-    return np.conj(a) / abs(a)
-
-
-def _align_phase(signs: np.ndarray, w: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    return w * _phase_factor(signs, w, ref)
+    a = np.sum(signs * w * np.conj(ref), axis=-1)
+    # rounds like abs() of a Python complex; np.abs can differ by an ulp
+    mod = np.hypot(a.real, a.imag)
+    small = mod < 1e-12
+    return np.where(small, 1.0 + 0.0j, np.conj(a) / np.where(small, 1.0, mod))
 
 
 def _realify(z: np.ndarray) -> np.ndarray:
     return np.concatenate([np.real(z), np.imag(z)], axis=-1)
-
-
-def patch_tangent_frame(patch, u: np.ndarray, h: float = TANGENT_FD_STEP):
-    """Lift and horizontal tangent vectors of the patch at parameters u."""
-    u = np.asarray(u, dtype=float)
-    w0 = patch.lift_at(u)
-    signs = patch.sig.signs
-    rows = []
-    for j in range(u.shape[0]):
-        du = np.zeros_like(u)
-        du[j] = h
-        wp = _align_phase(signs, patch.lift_at(u + du), w0)
-        wm = _align_phase(signs, patch.lift_at(u - du), w0)
-        rows.append((wp - wm) / (2.0 * h))
-    t = np.array(rows)
-    t = t - gdot_rows(signs, t, w0)[:, None] * w0
-    iw0 = 1j * w0
-    t = t - gdot_rows(signs, t, iw0)[:, None] * iw0
-    return w0, t
 
 
 @dataclass(frozen=True)
@@ -524,8 +548,9 @@ class AlmostContactFrame:
         return 1j * np.asarray(x, dtype=complex) - self.epsilon * self.eta(x) * self.normal
 
     def tangent_coords(self, x: np.ndarray) -> np.ndarray:
-        a, *_ = np.linalg.lstsq(_realify(self.tangents).T, _realify(x), rcond=None)
-        return a
+        """Coordinates in the tangents of a vector (d,) or of each row (m, d)."""
+        a, *_ = np.linalg.lstsq(_realify(self.tangents).T, _realify(x).T, rcond=None)
+        return a.T
 
     def random_tangent(self, rng: np.random.Generator) -> np.ndarray:
         coeff = rng.standard_normal(self.tangents.shape[0])
@@ -539,73 +564,119 @@ class AlmostContactFrame:
         return tangent_from_lift(self.sig, self.lift, self.normal)
 
 
+@dataclass(frozen=True)
+class FrameStack:
+    """Almost contact frames at stacked patch parameters, row i at rows[i]."""
+
+    sig: Signature
+    lift: np.ndarray  # (N, d)
+    tangents: np.ndarray  # (N, P, d)
+    normal: np.ndarray  # (N, d)
+    epsilon: np.ndarray  # (N,)
+
+    @property
+    def xi(self) -> np.ndarray:
+        return -1j * self.normal
+
+    def row(self, i: int) -> AlmostContactFrame:
+        return AlmostContactFrame(
+            sig=self.sig,
+            lift=self.lift[i],
+            tangents=self.tangents[i],
+            normal=self.normal[i],
+            epsilon=float(self.epsilon[i]),
+        )
+
+
 def _fix_sign(v: np.ndarray) -> np.ndarray:
-    j = int(np.argmax(np.abs(v)))
-    piv = v[j]
-    if np.real(piv) < 0 or (np.real(piv) == 0 and np.imag(piv) < 0):
-        return -v
-    return v
+    """Rows of v with their largest-modulus entry in the closed right half
+    plane (positive imaginary part on its boundary)."""
+    piv = np.take_along_axis(v, np.argmax(np.abs(v), axis=-1)[:, None], axis=-1)[:, 0]
+    flip = (np.real(piv) < 0) | ((np.real(piv) == 0) & (np.imag(piv) < 0))
+    return np.where(flip[:, None], -v, v)
 
 
-def hypersurface_frame(
+def hypersurface_frames(
     patch,
-    u: np.ndarray,
+    rows: np.ndarray,
     h: float = TANGENT_FD_STEP,
-    sign_ref: Optional[np.ndarray] = None,
-) -> AlmostContactFrame:
-    """Numeric unit normal and almost contact data of the patch at u.
+    ref: Optional[AlmostContactFrame] = None,
+) -> FrameStack:
+    """Numeric unit normals and almost contact data at stacked parameters.
 
-    The normal is the g-orthogonal complement of the tangent space inside
-    the horizontal space, found as the null vector of the metric pairing.
-    ``sign_ref`` resolves the normal's sign against a nearby reference.
+    Each row u of the (N, P) array gets the stencil u, u + h e_j, u - h e_j
+    (j < P), and all (2P + 1) N lifts come from one patch call. The tangents
+    are central differences of the stencil lifts phase-aligned to the lift
+    at u, made horizontal. The normal is the g-orthogonal complement of the
+    tangent space inside the horizontal space, found as the null vector of
+    the metric pairing; its largest entry fixes its sign. With ``ref`` the
+    lift, tangents and normal are then phase-aligned to the reference lift
+    and the normal's sign is taken against the reference normal.
+
+    A rank-deficient row raises ImmersionError, a singular pairing or a
+    lightlike normal DegenerateHypersurfaceError; with several bad rows the
+    first one decides.
     """
     sig = patch.sig
-    w0, t = patch_tangent_frame(patch, u, h)
+    signs = sig.signs
+    dim = sig.ambient_dim
+    rows = np.asarray(rows, dtype=float)
+    count, p = rows.shape
+    steps = h * np.eye(p)
+    stencil = np.concatenate([rows[:, None], rows[:, None] + steps, rows[:, None] - steps], axis=1)
+    w = _patch_lifts(patch, stencil.reshape(-1, p)).reshape(count, 2 * p + 1, dim)
+    w0 = w[:, :1]
+    moved = w[:, 1:] * _phase_factor(signs, w[:, 1:], w0)[..., None]
+    t = (moved[:, :p] - moved[:, p:]) / (2.0 * h)
+    t = t - gdot_rows(signs, t, w0)[..., None] * w0
+    iw0 = 1j * w0
+    t = t - gdot_rows(signs, t, iw0)[..., None] * iw0
+    w0 = w0[:, 0]
+
     treal = _realify(t)
     svals = np.linalg.svd(treal, compute_uv=False)
-    if svals[-1] <= 1e-8 * max(1.0, svals[0]):
-        raise ImmersionError("parametrization is rank deficient here")
-    srep = np.concatenate([sig.signs, sig.signs])
-    constraints = np.vstack([_realify(w0)[None, :], _realify(1j * w0)[None, :], treal])
-    weighted = constraints * srep
-    _, sv, vh = np.linalg.svd(weighted)
-    if sv[-1] <= 1e-8 * max(1.0, sv[0]):
-        raise DegenerateHypersurfaceError("metric pairing is singular here")
-    nu_real = vh[-1]
-    nu = nu_real[: sig.ambient_dim] + 1j * nu_real[sig.ambient_dim :]
-    gn = real_metric(sig, nu, nu)
-    if abs(gn) <= LIGHT_TOL * float(np.sum(np.abs(nu) ** 2)):
+    rank_deficient = svals[:, -1] <= 1e-8 * np.maximum(1.0, svals[:, 0])
+    srep = np.concatenate([signs, signs])
+    constraints = np.concatenate([_realify(w0)[:, None], _realify(1j * w0)[:, None], treal], axis=1)
+    _, sv, vh = np.linalg.svd(constraints * srep)
+    singular = sv[:, -1] <= 1e-8 * np.maximum(1.0, sv[:, 0])
+    nu = vh[:, -1, :dim] + 1j * vh[:, -1, dim:]
+    gn = gdot_rows(signs, nu, nu)
+    lightlike = np.abs(gn) <= LIGHT_TOL * np.sum(np.abs(nu) ** 2, axis=-1)
+    bad = rank_deficient | singular | lightlike
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        if rank_deficient[i]:
+            raise ImmersionError("parametrization is rank deficient here")
+        if singular[i]:
+            raise DegenerateHypersurfaceError("metric pairing is singular here")
         raise DegenerateHypersurfaceError("normal is lightlike: degenerate point")
-    nu = nu / np.sqrt(abs(gn))
-    eps = 1.0 if gn > 0 else -1.0
-    if sign_ref is not None:
-        if float(np.real(np.sum(nu * np.conj(sign_ref)))) < 0:
-            nu = -nu
-    else:
-        nu = _fix_sign(nu)
-    return AlmostContactFrame(sig=sig, lift=w0, tangents=t, normal=nu, epsilon=eps)
+    nu = _fix_sign(nu / np.sqrt(np.abs(gn))[:, None])
+    if ref is not None:
+        ph = _phase_factor(signs, w0, ref.lift)[:, None]
+        w0, t, nu = w0 * ph, t * ph[..., None], nu * ph
+        flip = np.real(np.sum(nu * np.conj(ref.normal), axis=-1)) < 0
+        nu = np.where(flip[:, None], -nu, nu)
+    return FrameStack(sig=sig, lift=w0, tangents=t, normal=nu, epsilon=np.where(gn > 0, 1.0, -1.0))
+
+
+def hypersurface_frame(patch, u: np.ndarray, h: float = TANGENT_FD_STEP) -> AlmostContactFrame:
+    """Numeric unit normal and almost contact data of the patch at u: the
+    one-row case of ``hypersurface_frames``."""
+    return hypersurface_frames(patch, np.asarray(u, dtype=float)[None], h).row(0)
 
 
 def _aligned_frame(patch, u, ref: AlmostContactFrame) -> AlmostContactFrame:
     """Frame at u with phase and normal sign aligned to a reference frame."""
-    fr = hypersurface_frame(patch, u)
-    ph = _phase_factor(fr.sig.signs, fr.lift, ref.lift)
-    nu = fr.normal * ph
-    if float(np.real(np.sum(nu * np.conj(ref.normal)))) < 0:
-        nu = -nu
-    return AlmostContactFrame(
-        sig=fr.sig,
-        lift=fr.lift * ph,
-        tangents=fr.tangents * ph,
-        normal=nu,
-        epsilon=fr.epsilon,
-    )
+    return hypersurface_frames(patch, np.asarray(u, dtype=float)[None], ref=ref).row(0)
 
 
 def _covariant_from_difference(sig, dvec, w0):
-    out = dvec - real_metric(sig, dvec, w0) * w0
+    """Horizontal part at the lift w0 of a difference quotient (d,) or of
+    each row (m, d)."""
+    out = dvec - gdot_rows(sig.signs, dvec, w0)[..., None] * w0
     iw0 = 1j * w0
-    return out - real_metric(sig, out, iw0) * iw0
+    return out - gdot_rows(sig.signs, out, iw0)[..., None] * iw0
 
 
 def weingarten_apply(
@@ -615,27 +686,27 @@ def weingarten_apply(
     x: np.ndarray,
     h: float = SHAPE_FD_STEP,
 ) -> np.ndarray:
-    """Shape operator applied to a tangent vector, A X = -(derivative of N).
+    """Shape operator applied to a tangent vector (d,), or to each row of a
+    stack (m, d): A X = -(derivative of N).
 
     The unit normal is extended along the coordinate line with parameter
     velocity matching X; two central differences at steps h and h/2 are
-    combined by Richardson extrapolation.
+    combined by Richardson extrapolation. The four normals of every vector
+    come from one ``hypersurface_frames`` call.
     """
-    a = frame0.tangent_coords(x)
-
-    def normal_at(delta: float) -> np.ndarray:
-        fr = _aligned_frame(patch, u + delta * a, frame0)
-        return fr.normal
-
-    def estimate(hh: float) -> np.ndarray:
-        return (normal_at(hh) - normal_at(-hh)) / (2.0 * hh)
-
-    d1 = estimate(h)
-    d2 = estimate(0.5 * h)
+    sig = patch.sig
+    x = np.asarray(x, dtype=complex)
+    a = frame0.tangent_coords(x.reshape(-1, x.shape[-1]))
+    offsets = np.array([h, -h, 0.5 * h, -0.5 * h])[:, None, None] * a
+    nu = hypersurface_frames(patch, (u + offsets).reshape(-1, a.shape[1]), ref=frame0).normal
+    nu = nu.reshape(4, a.shape[0], -1)
+    hh = 0.5 * h
+    d1 = (nu[0] - nu[1]) / (2.0 * h)
+    d2 = (nu[2] - nu[3]) / (2.0 * hh)
     dn = (4.0 * d2 - d1) / 3.0
-    ax = -_covariant_from_difference(patch.sig, dn, frame0.lift)
-    ax = ax - frame0.epsilon * real_metric(patch.sig, ax, frame0.normal) * frame0.normal
-    return ax
+    ax = -_covariant_from_difference(sig, dn, frame0.lift)
+    ax = ax - frame0.epsilon * gdot_rows(sig.signs, ax, frame0.normal)[:, None] * frame0.normal
+    return ax.reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -699,15 +770,9 @@ def shape_operator_at(patch, u: np.ndarray, h: float = SHAPE_FD_STEP) -> ShapeRe
     uchar = causal_character(sig, uvec, NUMERIC_LIGHT_TOL)
     pin = uvec if uchar in (CausalCharacter.SPACELIKE, CausalCharacter.TIMELIKE) else None
     basis, bsigns = adapted_basis(frame, first=pin)
-    images = [axi]
-    for b in basis[1:]:
-        images.append(weingarten_apply(patch, frame, u, b, h))
-    images = np.array(images)
+    images = np.concatenate([axi[None], weingarten_apply(patch, frame, u, basis[1:], h)])
     k = basis.shape[0]
-    bil = np.empty((k, k))
-    for i in range(k):
-        for j in range(k):
-            bil[i, j] = real_metric(sig, images[j], basis[i])
+    bil = gdot_rows(sig.signs, images[None, :, :], basis[:, None, :])
     matrix = bsigns[:, None] * bil
     dd = float(np.max(np.abs(bil[1:, 1:]))) if k > 1 else 0.0
     sv = np.linalg.svd(matrix, compute_uv=False)
@@ -759,24 +824,20 @@ def codazzi_residual(patch, u: np.ndarray, rng: np.random.Generator, h: float = 
 
     def tangential(v):
         v = _covariant_from_difference(sig, v, frame.lift)
-        return v - frame.epsilon * real_metric(sig, v, frame.normal) * frame.normal
+        return v - frame.epsilon * gdot_rows(sig.signs, v, frame.normal)[..., None] * frame.normal
 
-    def a_of_field(uu, coeffs):
-        fr = _aligned_frame(patch, uu, frame)
-        vec = coeffs @ fr.tangents
-        return weingarten_apply(patch, fr, uu, vec), vec
-
-    def nabla_pair(dir_coeffs, field_coeffs):
-        ap, vp = a_of_field(u + h * dir_coeffs, field_coeffs)
-        am, vm = a_of_field(u - h * dir_coeffs, field_coeffs)
-        d_a = tangential((ap - am) / (2.0 * h))
-        d_v = tangential((vp - vm) / (2.0 * h))
-        return d_a, d_v
-
-    da_y, dy = nabla_pair(ax_dir, ay_dir)
-    da_x, dx = nabla_pair(ay_dir, ax_dir)
-    cov_x_ay = da_y - weingarten_apply(patch, frame, u, dy)
-    cov_y_ax = da_x - weingarten_apply(patch, frame, u, dx)
+    # the field Y moved along X (rows 0, 1) and the field X along Y (rows 2, 3)
+    centers = np.array([u + h * ax_dir, u - h * ax_dir, u + h * ay_dir, u - h * ay_dir])
+    fields = np.array([ay_dir, ay_dir, ax_dir, ax_dir])
+    moved = hypersurface_frames(patch, centers, ref=frame)
+    vecs = np.einsum("mp,mpd->md", fields, moved.tangents)
+    images = np.array(
+        [weingarten_apply(patch, moved.row(i), centers[i], vecs[i]) for i in range(4)]
+    )
+    d_a = tangential((images[0::2] - images[1::2]) / (2.0 * h))
+    d_v = tangential((vecs[0::2] - vecs[1::2]) / (2.0 * h))
+    cov = d_a - weingarten_apply(patch, frame, u, d_v)
+    cov_x_ay, cov_y_ax = cov
     rhs = (
         frame.eta(x) * frame.phi(y)
         - frame.eta(y) * frame.phi(x)
@@ -799,9 +860,8 @@ def structure_field_identity(
     frame = hypersurface_frame(patch, u)
     x = frame.random_tangent(rng)
     a = frame.tangent_coords(x)
-    frp = _aligned_frame(patch, u + h * a, frame)
-    frm = _aligned_frame(patch, u - h * a, frame)
-    dxi = (frp.xi - frm.xi) / (2.0 * h)
+    moved = hypersurface_frames(patch, np.array([u + h * a, u - h * a]), ref=frame)
+    dxi = (moved.xi[0] - moved.xi[1]) / (2.0 * h)
     nxi = _covariant_from_difference(patch.sig, dxi, frame.lift)
     nxi = nxi - frame.epsilon * real_metric(patch.sig, nxi, frame.normal) * frame.normal
     ax = weingarten_apply(patch, frame, u, x)
@@ -918,20 +978,14 @@ def regenerate_integral_curve(
     u0 = np.zeros(patch.n_params)
     u0[0] = par.s0
     frame0 = hypersurface_frame(patch, u0)
-    xi_ref = frame0.xi
-    if real_metric(sig, xi_ref, frame0.tangents[0]) * par.eps1 < 0:
-        xi_ref = -xi_ref
-    state = {"lift": frame0.lift, "xi": xi_ref}
+    if real_metric(sig, frame0.xi, frame0.tangents[0]) * par.eps1 < 0:
+        frame0 = replace(frame0, normal=-frame0.normal)
+    state = {"ref": frame0}
 
     def velocity(uu: np.ndarray) -> np.ndarray:
-        fr = hypersurface_frame(patch, uu)
-        ph = _phase_factor(sig.signs, fr.lift, state["lift"])
-        xi = fr.xi * ph
-        if float(np.real(np.sum(xi * np.conj(state["xi"])))) < 0:
-            xi = -xi
-        state["lift"], state["xi"] = fr.lift * ph, xi
-        a, *_ = np.linalg.lstsq(_realify(fr.tangents * ph).T, _realify(xi), rcond=None)
-        return a
+        fr = _aligned_frame(patch, uu, state["ref"])
+        state["ref"] = fr
+        return fr.tangent_coords(fr.xi)
 
     count = int(round(half_span / step))
     params = step * np.arange(-count, count + 1) + 0.0
@@ -940,7 +994,7 @@ def regenerate_integral_curve(
 
     for direction in (+1, -1):
         u = u0.copy()
-        state["lift"], state["xi"] = frame0.lift, xi_ref
+        state["ref"] = frame0
         for i in range(count):
             hstep = direction * step
             k1 = velocity(u)
@@ -950,23 +1004,16 @@ def regenerate_integral_curve(
             u = u + hstep * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
             upath[count + direction * (i + 1)] = u
 
-    reps = np.array([patch.lift_at(u) for u in upath])
+    reps = patch.lifts_at(upath)
     curve = horizontal_lift(sig, reps, reps[count], params=params, anchor=count)
 
-    defect = 0.0
-    stride = max(1, params.shape[0] // 30)
-    state["lift"], state["xi"] = frame0.lift, xi_ref
-    for idx in range(4, params.shape[0] - 4, stride):
-        fr = hypersurface_frame(patch, upath[idx])
-        ph = _phase_factor(sig.signs, fr.lift, curve.lifts[idx])
-        xi = fr.xi * ph
-        vel = curve.velocity[idx]
-        vel = vel / np.sqrt(abs(real_metric(sig, vel, vel)))
-        gap = min(
-            float(np.max(np.abs(vel - xi))), float(np.max(np.abs(vel + xi)))
-        )
-        defect = max(defect, gap)
-    return curve, defect
+    idx = np.arange(4, params.shape[0] - 4, max(1, params.shape[0] // 30))
+    frames = hypersurface_frames(patch, upath[idx])
+    xi = frames.xi * _phase_factor(sig.signs, frames.lift, curve.lifts[idx])[:, None]
+    vel = curve.velocity[idx]
+    vel = vel / np.sqrt(np.abs(gdot_rows(sig.signs, vel, vel)))[:, None]
+    gap = np.minimum(np.max(np.abs(vel - xi), axis=1), np.max(np.abs(vel + xi), axis=1))
+    return curve, float(np.max(gap))
 
 
 _SURFACE_BY_SIGNS = {

@@ -208,6 +208,20 @@ class TestConfig:
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 1 + 2 * 2 * 2
 
+    def test_retired_keys_are_ignored(self, tmp_path, monkeypatch, capsys):
+        """A config file that still holds the retired sphere_tol and ode_tol
+        keys loads and runs: unknown keys are ignored."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps(
+                {"sphere_tol": 1e-10, "ode_tol": 1e-3, "grid_s": 2, "grid_t": 2, "grid_leaf": 2, "fmt": "csv"}
+            )
+        )
+        monkeypatch.setenv("PSEUDOCP_CONFIG", str(cfg))
+        out = tmp_path / "cloud.csv"
+        assert run_cli("sample", "1", "--out", str(out)) == 0
+        assert len(out.read_text().strip().split("\n")) == 1 + 2 * 2 * 2
+
     def test_out_of_chart_leaf_radius_is_a_precondition(self, tmp_path, monkeypatch, capsys):
         """A leaf radius beyond the chart exits 3 and writes nothing."""
         cfg = tmp_path / "cfg.json"
