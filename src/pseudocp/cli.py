@@ -1,7 +1,8 @@
 """Command line front end: verify families, classify curves, export points.
 
-Exit codes: 0 pass, 1 verification failure, 2 usage or parse error,
-3 precondition violation (lightlike data, bad signature), 4 I/O failure.
+Exit codes: 0 pass, 1 verification failure, 2 usage or parse error (a bad
+``--signature`` included), 3 precondition violation (lightlike data, a seed
+outside its family's domain), 4 I/O failure.
 
 Curve files for ``classify`` are JSON objects::
 

@@ -70,7 +70,12 @@ def _default_seed(example_id: int, sig: Signature) -> np.ndarray:
 
 
 def gamma_seed(sig: Signature, r: float) -> np.ndarray:
-    """Family-1 seed curve (1, 0, ..., 0, sqrt2 cos r, sqrt2 sin r)."""
+    """Family-1 seed curve (1, 0, ..., 0, sqrt2 cos r, sqrt2 sin r).
+
+    Raises DomainError for a non-finite r, which has no seed point.
+    """
+    if not np.isfinite(r):
+        raise DomainError(f"seed parameter r must be finite, got {r!r}")
     z = np.zeros(sig.n, dtype=complex)
     z[0] = 1.0
     z[sig.n - 2] = np.sqrt(2.0) * np.cos(r)

@@ -5,37 +5,209 @@ Hermitian product, with timelike columns (square norm -1) occupying the
 first p slots and spacelike columns (+1) the rest. Completion uses modified
 Gram-Schmidt with pivoting on |g(v,v)| and perturbed restarts, so near-null
 pivots cannot destabilize the normalization.
+
+Completion is stacked: ``complete_unitary_frames`` runs the pivoted
+Gram-Schmidt of many rows (the same fixed slots, different columns) as array
+operations, with per-row pivots and slot counters, and reruns only the rows
+that need a restart. ``complete_unitary_frame`` is its one-row case. A row's
+frame does not depend on the other rows of the stack, and the perturbation of
+each restart is the one a one-row call draws, so stacking changes no result.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import FrameError
-from .linalg import Signature, hermitian_product, real_metric
+from .errors import DimensionError, FrameError
+from .linalg import Signature, as_ambient, gdot_rows, real_metric
 
 #: a pivot with |g(u,u)| below this (relative to the Euclidean norm) triggers a restart
 PIVOT_TOL = 1e-10
 _MAX_RESTARTS = 8
 
 
-def _validate_fixed(sig: Signature, fixed: dict[int, np.ndarray], tol: float = 1e-8):
-    dim = sig.ambient_dim
+class FirstFailure:
+    """The first row of a stack that fails a check, and its error.
+
+    Callers run the checks in the order a one-row call runs them. Each check
+    only looks at the rows before the first failure so far (``rows``), so
+    the error kept is the one a row-by-row loop would raise first.
+    """
+
+    def __init__(self, count: int):
+        self.rows = count
+        self.error = None
+
+    def check(self, bad, make_error) -> None:
+        """Record the first row flagged by ``bad`` (one flag, or one per
+        row); ``make_error(i)`` builds the error of row i."""
+        bad = np.asarray(bad, dtype=bool)
+        bad = np.full(self.rows, bool(bad)) if bad.ndim == 0 else bad[: self.rows]
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            self.fail(i, make_error(i))
+
+    def fail(self, row: int, error: Exception) -> None:
+        if row < self.rows:
+            self.rows, self.error = row, error
+
+    def raise_first(self) -> None:
+        if self.error is not None:
+            raise self.error
+
+
+def _validate_fixed(sig: Signature, fixed: dict[int, np.ndarray], found: FirstFailure, tol: float = 1e-8):
+    """Check the fixed columns of every row, ``fixed`` mapping slot -> (N, d):
+    per slot in sorted order its range, then its square norm; then every
+    pair for g_C-orthogonality."""
     items = sorted(fixed.items())
     for slot, vec in items:
-        if not 0 <= slot < dim:
-            raise FrameError(f"slot {slot} out of range")
+        found.check(not 0 <= slot < sig.ambient_dim, lambda i: FrameError(f"slot {slot} out of range"))
         want = -1.0 if slot < sig.p else 1.0
-        g = hermitian_product(sig, vec, vec)
-        if abs(g - want) > tol:
-            raise FrameError(
-                f"fixed column for slot {slot} has g(v,v) = {g:.3e}, expected {want:+.0f}"
-            )
+        g = _hermitian_rows(sig.signs, vec[: found.rows], vec[: found.rows])
+        found.check(
+            np.hypot(g.real - want, g.imag) > tol,
+            lambda i: FrameError(
+                f"fixed column for slot {slot} has g(v,v) = {complex(g[i]):.3e}, expected {want:+.0f}"
+            ),
+        )
     for i, (_, a) in enumerate(items):
         for _, b in items[i + 1 :]:
-            g = hermitian_product(sig, a, b)
-            if abs(g) > tol:
-                raise FrameError("fixed columns are not mutually g_C-orthogonal")
+            g = _hermitian_rows(sig.signs, a[: found.rows], b[: found.rows])
+            found.check(
+                np.hypot(g.real, g.imag) > tol,
+                lambda i: FrameError("fixed columns are not mutually g_C-orthogonal"),
+            )
+
+
+def _hermitian_rows(signs: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Row-wise ``hermitian_product``; broadcasts over leading axes."""
+    return np.sum(signs * z * np.conj(w), axis=-1)
+
+
+def _pivot_steps(sig: Signature, fixed: dict[int, np.ndarray], start: np.ndarray, count: int, det_slot):
+    """One completion attempt for ``count`` rows: the candidates ``start``
+    made orthogonal to the fixed columns, then pivoted Gram-Schmidt on
+    |g(c,c)|.
+
+    Returns the frames (count, d, d) and which rows succeeded. A row fails
+    when no candidate is eligible for a remaining slot or its determinant
+    is off the unit circle.
+    """
+    dim = sig.ambient_dim
+    signs = sig.signs
+    mats = np.empty((count, dim, dim), dtype=complex)
+    cand = np.repeat(start[None], count, axis=0)  # row k of cand[i] is candidate k
+    for slot, v in fixed.items():
+        mats[:, :, slot] = v
+        hp = _hermitian_rows(signs, cand, v[:, None, :])
+        cand = cand - (signs[slot] * hp)[..., None] * v[:, None, :]
+    minus = [c for c in range(sig.p) if c not in fixed]
+    plus = [c for c in range(sig.p, dim) if c not in fixed]
+    slot_of = (np.array(minus + [-1]), np.array(plus + [-1]))
+    live = np.arange(count)  # rows whose pivots have all been found so far
+    used = np.zeros((count, dim), dtype=bool)
+    taken = np.zeros((2, count), dtype=int)  # timelike, spacelike slots filled
+    for _ in range(len(minus) + len(plus)):
+        e2 = np.sum(np.abs(cand) ** 2, axis=-1)
+        g = gdot_rows(signs, cand, cand)
+        eligible = (
+            ~used
+            & (e2 >= 1e-20)
+            & (np.abs(g) > PIVOT_TOL * e2)
+            & ((g >= 0) | (taken[0] < len(minus))[:, None])
+            & ((g <= 0) | (taken[1] < len(plus))[:, None])
+        )
+        score = np.where(eligible, np.abs(g), 0.0)
+        best = np.argmax(score, axis=1)  # lowest index on ties, like a strict > scan
+        rows = np.arange(len(live))
+        has_pivot = score[rows, best] > 0
+        if not np.all(has_pivot):
+            live, cand, used = live[has_pivot], cand[has_pivot], used[has_pivot]
+            taken, best, g = taken[:, has_pivot], best[has_pivot], g[has_pivot]
+            rows = np.arange(len(live))
+        gu = g[rows, best]
+        u = cand[rows, best] / np.sqrt(np.abs(gu))[:, None]
+        side = (gu > 0).astype(int)
+        mats[live, :, np.choose(side, (slot_of[0][taken[0]], slot_of[1][taken[1]]))] = u
+        taken[side, rows] += 1
+        used[rows, best] = True
+        hp = _hermitian_rows(signs, cand, u[:, None, :])
+        cand = cand - (np.where(side == 1, 1.0, -1.0)[:, None] * hp)[..., None] * u[:, None, :]
+    det = np.linalg.det(mats[live])
+    on_circle = ~(np.abs(np.hypot(det.real, det.imag) - 1.0) > 1e-9)
+    live, det = live[on_circle], det[on_circle]
+    if det_slot is not None:
+        mats[live, :, det_slot] = mats[live, :, det_slot] / det[:, None]
+    ok = np.zeros(count, dtype=bool)
+    ok[live] = True
+    return mats, ok
+
+
+def complete_leading_frames(
+    sig: Signature,
+    fixed: dict[int, np.ndarray],
+    found: FirstFailure,
+    det_slot: int | None = None,
+) -> np.ndarray:
+    """``complete_unitary_frames`` without the raise: the frames of the rows
+    before the first failing row, which ``found`` (made for all N rows)
+    records with its error.
+
+    For callers that run further checks per row and must raise the error of
+    the first failing row of them all.
+    """
+    dim = sig.ambient_dim
+    fixed = {slot: np.asarray(v, dtype=complex) for slot, v in fixed.items()}
+    count = len(next(iter(fixed.values()))) if fixed else 1
+    for v in fixed.values():
+        if v.shape != (count, dim):
+            raise DimensionError(f"expected fixed columns of shape {(count, dim)}, got {v.shape}")
+    _validate_fixed(sig, fixed, found)
+    fixed = {slot: v[: found.rows] for slot, v in fixed.items()}
+    free = [c for c in range(dim) if c not in fixed]
+    if det_slot is None:
+        det_slot = max(free) if free else None
+    mats = np.empty((found.rows, dim, dim), dtype=complex)
+    todo = np.arange(found.rows)
+    start = np.eye(dim, dtype=complex)
+    rng = np.random.default_rng(0)
+    for attempt in range(_MAX_RESTARTS):
+        if todo.size == 0:
+            break
+        if attempt > 0:
+            # one perturbation per attempt for every row, drawn as a one-row call draws it
+            noise = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            start = np.eye(dim, dtype=complex) + 1e-3 * noise
+        rows = {slot: v[todo] for slot, v in fixed.items()}
+        got, ok = _pivot_steps(sig, rows, start, todo.size, det_slot)
+        mats[todo[ok]] = got[ok]
+        todo = todo[~ok]
+    if todo.size:
+        found.fail(int(todo[0]), FrameError("frame completion failed: degenerate complement"))
+    return mats[: found.rows]
+
+
+def complete_unitary_frames(
+    sig: Signature,
+    fixed: dict[int, np.ndarray],
+    det_slot: int | None = None,
+) -> np.ndarray:
+    """Complete stacked fixed columns to full frames with determinant one.
+
+    ``fixed`` maps slot -> (N, d), the same slots for every row; the result
+    is (N, d, d). Free slots are filled from the standard basis by modified
+    Gram-Schmidt with pivoting on |g(c,c)|, run on all rows as stacked array
+    operations; a row whose pivot degenerates is rerun with perturbed
+    candidates, the same perturbation per attempt for every row. The column
+    of largest free index absorbs a unit phase so the determinant is
+    exactly one, which generalizes flipping the sign of one column. The
+    first bad row in row order decides the FrameError raised.
+    """
+    found = FirstFailure(len(next(iter(fixed.values()))) if fixed else 1)
+    mats = complete_leading_frames(sig, fixed, found, det_slot)
+    found.raise_first()
+    return mats
 
 
 def complete_unitary_frame(
@@ -43,76 +215,9 @@ def complete_unitary_frame(
     fixed: dict[int, np.ndarray],
     det_slot: int | None = None,
 ) -> np.ndarray:
-    """Complete fixed columns to a full frame with determinant one.
-
-    Free slots are filled deterministically from the standard basis; the
-    column of largest free index absorbs a unit phase so the determinant is
-    exactly one, which generalizes flipping the sign of one column.
-    """
-    _validate_fixed(sig, fixed)
-    dim = sig.ambient_dim
-    signs = sig.signs
-    free = [c for c in range(dim) if c not in fixed]
-    if det_slot is None:
-        det_slot = max(free) if free else None
-    rng = np.random.default_rng(0)
-
-    for attempt in range(_MAX_RESTARTS):
-        cols: dict[int, np.ndarray] = {
-            slot: np.asarray(v, dtype=complex) for slot, v in fixed.items()
-        }
-        candidates = [np.eye(dim, dtype=complex)[k] for k in range(dim)]
-        if attempt > 0:
-            noise = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            candidates = [c + 1e-3 * noise[k] for k, c in enumerate(candidates)]
-        for slot, v in cols.items():
-            sgn = signs[slot]
-            candidates = [
-                c - sgn * complex(hermitian_product(sig, c, v)) * v for c in candidates
-            ]
-        free_minus = [c for c in range(sig.p) if c not in cols]
-        free_plus = [c for c in range(sig.p, dim) if c not in cols]
-
-        while free_minus or free_plus:
-            best = None
-            best_g = 0.0
-            for idx, c in enumerate(candidates):
-                e2 = float(np.sum(np.abs(c) ** 2))
-                if e2 < 1e-20:
-                    continue
-                g = real_metric(sig, c, c)
-                if abs(g) <= PIVOT_TOL * e2:
-                    continue
-                if g < 0 and not free_minus:
-                    continue
-                if g > 0 and not free_plus:
-                    continue
-                if abs(g) > best_g:
-                    best_g = abs(g)
-                    best = idx
-            if best is None:
-                break
-            u = candidates.pop(best)
-            g = real_metric(sig, u, u)
-            u = u / np.sqrt(abs(g))
-            sgn = 1.0 if g > 0 else -1.0
-            slot = free_plus.pop(0) if sgn > 0 else free_minus.pop(0)
-            cols[slot] = u
-            candidates = [
-                c - sgn * complex(hermitian_product(sig, c, u)) * u for c in candidates
-            ]
-        if free_minus or free_plus:
-            continue
-
-        mat = np.column_stack([cols[c] for c in range(dim)])
-        det = np.linalg.det(mat)
-        if abs(abs(det) - 1.0) > 1e-9:
-            continue
-        if det_slot is not None:
-            mat[:, det_slot] = mat[:, det_slot] / det
-        return mat
-
-    raise FrameError("frame completion failed: degenerate complement")
+    """One frame: the one-row case of ``complete_unitary_frames``."""
+    rows = {slot: as_ambient(sig, v)[None] for slot, v in fixed.items()}
+    return complete_unitary_frames(sig, rows, det_slot)[0]
 
 
 def orthonormalize_real_metric(

@@ -14,15 +14,21 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import CausalCharacterError, FrameError, PlaneError, PlaneIndexError
-from .frames import complete_unitary_frame, orthonormalize_real_metric
+from .errors import CausalCharacterError, FrameError, PlaneError, PlaneIndexError, SpherePointError
+from .frames import (
+    FirstFailure,
+    complete_leading_frames,
+    complete_unitary_frame,
+    orthonormalize_real_metric,
+)
 from .linalg import (
     CausalCharacter,
     Signature,
     as_ambient,
     causal_character,
+    causal_characters,
     check_sphere_point,
-    hermitian_product,
+    gdot_rows,
     jmul,
     metric_signs,
     real_metric,
@@ -88,27 +94,57 @@ class IndefiniteUnitaryMatrix:
 
 def frame_to_isometry(sig: Signature, q, eta_hat) -> IndefiniteUnitaryMatrix:
     """Frame completion sending the standard base point to q and the marked
-    direction to eta_hat.
+    direction to eta_hat: the one-row case of ``frame_to_isometries``."""
+    return frame_to_isometries(sig, as_ambient(sig, q)[None], as_ambient(sig, eta_hat)[None])[0]
 
-    The sphere point q lands in column n-1; a spacelike eta_hat lands in the
+
+def frame_to_isometries(sig: Signature, q, eta_hat) -> list[IndefiniteUnitaryMatrix]:
+    """Frame completions sending the standard base point to each row of q
+    (N, d) and the marked direction to the same row of eta_hat (N, d).
+
+    The sphere point lands in column n-1; a spacelike eta_hat lands in the
     last column and a timelike one in column 0, matching the causal type of
-    each column slot. Lightlike eta_hat is rejected.
+    each column slot. Lightlike eta_hat is rejected. The rows of each causal
+    type are completed in one stacked call. Each row runs the checks of a
+    one-row call in its order, and the first row that fails decides the
+    error raised.
     """
-    qv = check_sphere_point(sig, q, tol=1e-8)
-    ev = as_ambient(sig, eta_hat)
-    char = causal_character(sig, ev)
-    if char in (CausalCharacter.LIGHTLIKE, CausalCharacter.ZERO):
-        raise CausalCharacterError("marked direction must be spacelike or timelike")
-    g = real_metric(sig, ev, ev)
-    ev = ev / np.sqrt(abs(g))
-    if abs(hermitian_product(sig, ev, qv)) > 1e-8:
-        raise FrameError("marked direction is not horizontal at q")
-    fixed = {sig.n - 1: qv}
-    if char is CausalCharacter.SPACELIKE:
-        fixed[sig.n] = ev
-    else:
-        fixed[0] = ev
-    return IndefiniteUnitaryMatrix(sig, complete_unitary_frame(sig, fixed))
+    q = np.asarray(q, dtype=complex)
+    ev = np.asarray(eta_hat, dtype=complex)
+    found = FirstFailure(len(q))
+
+    def sphere_error(i):
+        try:
+            check_sphere_point(sig, q[i], tol=1e-8)
+        except SpherePointError as exc:
+            return exc
+
+    found.check(np.abs(gdot_rows(sig.signs, q, q) - 1.0) > 1e-8, sphere_error)
+    chars = causal_characters(sig, ev[: found.rows])
+    found.check(
+        [c in (CausalCharacter.LIGHTLIKE, CausalCharacter.ZERO) for c in chars],
+        lambda i: CausalCharacterError("marked direction must be spacelike or timelike"),
+    )
+    q, ev = q[: found.rows], ev[: found.rows]
+    ev = ev / np.sqrt(np.abs(gdot_rows(sig.signs, ev, ev)))[:, None]
+    hp = np.sum(sig.signs * ev * np.conj(q), axis=-1)
+    found.check(
+        np.hypot(hp.real, hp.imag) > 1e-8,
+        lambda i: FrameError("marked direction is not horizontal at q"),
+    )
+    spacelike = np.array([c is CausalCharacter.SPACELIKE for c in chars[: found.rows]], dtype=bool)
+    mats = np.empty((found.rows, sig.ambient_dim, sig.ambient_dim), dtype=complex)
+    for rows, slot in ((np.flatnonzero(spacelike), sig.n), (np.flatnonzero(~spacelike), 0)):
+        if rows.size == 0:
+            continue
+        group = FirstFailure(len(rows))
+        done = complete_leading_frames(sig, {sig.n - 1: q[rows], slot: ev[rows]}, group)
+        mats[rows[: len(done)]] = done
+        if group.error is not None:
+            found.fail(int(rows[group.rows]), group.error)
+    out = [IndefiniteUnitaryMatrix(sig, m) for m in mats[: found.rows]]
+    found.raise_first()
+    return out
 
 
 def _random_model_point(signs: np.ndarray, rng: np.random.Generator, complex_model: bool):

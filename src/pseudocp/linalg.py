@@ -114,22 +114,44 @@ def causal_character(sig: Signature, v, tol: float = LIGHT_TOL) -> CausalCharact
     Zero means the Euclidean norm is below ``tol``; lightlike means
     |g(v,v)| <= tol * ||v||_E^2, a scale-invariant test.
     """
-    vv = as_ambient(sig, v)
-    eunorm2 = float(np.sum(np.abs(vv) ** 2))
-    if np.sqrt(eunorm2) <= tol:
-        return CausalCharacter.ZERO
-    g = real_metric(sig, vv, vv)
-    if abs(g) <= tol * eunorm2:
-        return CausalCharacter.LIGHTLIKE
-    return CausalCharacter.SPACELIKE if g > 0 else CausalCharacter.TIMELIKE
+    return causal_characters(sig, as_ambient(sig, v)[None], tol)[0]
+
+
+def causal_characters(sig: Signature, v, tol: float = LIGHT_TOL) -> list[CausalCharacter]:
+    """``causal_character`` of each row of v (N, d)."""
+    v = np.asarray(v, dtype=complex)
+    eunorm2 = np.sum(np.abs(v) ** 2, axis=-1)
+    g = gdot_rows(sig.signs, v, v)
+    code = np.where(
+        np.sqrt(eunorm2) <= tol,
+        0,
+        np.where(np.abs(g) <= tol * eunorm2, 1, np.where(g > 0, 2, 3)),
+    )
+    return [_CHARACTER_BY_CODE[c] for c in code.tolist()]
+
+
+_CHARACTER_BY_CODE = (
+    CausalCharacter.ZERO,
+    CausalCharacter.LIGHTLIKE,
+    CausalCharacter.SPACELIKE,
+    CausalCharacter.TIMELIKE,
+)
 
 
 def check_sphere_point(sig: Signature, q, tol: float = SPHERE_TOL) -> np.ndarray:
     """Return ``q`` as an ambient vector, raising unless g(q,q) = 1 within tol."""
-    qv = as_ambient(sig, q)
-    residual = abs(real_metric(sig, qv, qv) - 1.0)
-    if residual > tol:
-        raise SpherePointError(f"|g(q,q) - 1| = {residual:.3e} exceeds {tol:.1e}")
+    return check_sphere_rows(sig, as_ambient(sig, q)[None], tol)[0]
+
+
+def check_sphere_rows(sig: Signature, q, tol: float = SPHERE_TOL) -> np.ndarray:
+    """``check_sphere_point`` over stacked rows (N, d); the first row off
+    the sphere raises."""
+    qv = np.asarray(q, dtype=complex)
+    residual = np.abs(gdot_rows(sig.signs, qv, qv) - 1.0)
+    bad = residual > tol
+    if np.any(bad):
+        r = float(residual[int(np.argmax(bad))])
+        raise SpherePointError(f"|g(q,q) - 1| = {r:.3e} exceeds {tol:.1e}")
     return qv
 
 

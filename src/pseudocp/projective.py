@@ -18,6 +18,7 @@ from .errors import (
     LogMapError,
     NotProjectablePoint,
 )
+from .frames import complete_unitary_frames
 from .linalg import (
     LIGHT_TOL,
     SPHERE_TOL,
@@ -26,6 +27,7 @@ from .linalg import (
     as_ambient,
     causal_character,
     check_sphere_point,
+    check_sphere_rows,
     hermitian_product,
     jmul,
     real_metric,
@@ -85,11 +87,17 @@ def canonical_phase(z: np.ndarray):
     Ties break toward the lowest index, so equality testing of canonical
     representatives is componentwise.
     """
-    j = int(np.argmax(np.abs(z)))
-    zj = z[j]
-    if abs(zj) == 0.0:
-        return 1.0 + 0.0j
-    return np.conj(zj) / abs(zj)
+    return canonical_phases(np.asarray(z)[None])[0]
+
+
+def canonical_phases(z: np.ndarray) -> np.ndarray:
+    """``canonical_phase`` of each row of z (N, d); 1 for a zero row."""
+    j = np.argmax(np.abs(z), axis=-1)[:, None]
+    zj = np.take_along_axis(z, j, axis=-1)[:, 0]
+    # rounds like abs() of a complex scalar; np.abs can differ by an ulp
+    mod = np.hypot(zj.real, zj.imag)
+    zero = mod == 0.0
+    return np.where(zero, 1.0 + 0.0j, np.conj(zj) / np.where(zero, 1.0, mod))
 
 
 def canonicalize(sig: Signature, z, tol: float = SPHERE_TOL) -> ProjectivePoint:
@@ -232,27 +240,37 @@ def curvature_tensor(
     y_t: ProjectiveTangent,
     z_t: ProjectiveTangent,
 ) -> ProjectiveTangent:
-    """Curvature tensor of the quotient applied to horizontal lifts.
-
-    Evaluates g(Y,Z)X - g(X,Z)Y + g(JY,Z)JX - g(JX,Z)JY + 2g(X,JY)JZ, the
-    constant holomorphic sectional curvature 4 tensor, with J acting as
-    multiplication by i inside the horizontal space.
-    """
+    """Curvature tensor of the quotient applied to horizontal lifts: the
+    one-row case of ``curvature_tensor_rows``."""
     base = x_t.at
     for other in (y_t, z_t):
         if not other.at.close_to(base, BASE_POINT_TOL):
             raise BasePointError("curvature tensor arguments at different points")
-    u, v, w = x_t.vec, y_t.vec, z_t.vec
+    out = curvature_tensor_rows(sig, x_t.vec[None], y_t.vec[None], z_t.vec[None])[0]
+    return ProjectiveTangent(base, out)
+
+
+def curvature_tensor_rows(sig: Signature, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """R(X, Y)Z for stacked horizontal lifts (N, d) at common base points.
+
+    Evaluates g(Y,Z)X - g(X,Z)Y + g(JY,Z)JX - g(JX,Z)JY + 2g(X,JY)JZ, the
+    constant holomorphic sectional curvature 4 tensor, with J acting as
+    multiplication by i inside the horizontal space. Row i of the inputs
+    must share a base point; the caller guarantees it.
+    """
+    signs = sig.signs
     ju, jv, jw = jmul(u), jmul(v), jmul(w)
-    g = lambda a, b: real_metric(sig, a, b)
-    out = (
+
+    def g(a, b):
+        return linalg.gdot_rows(signs, a, b)[:, None]
+
+    return (
         g(v, w) * u
         - g(u, w) * v
         + g(jv, w) * ju
         - g(ju, w) * jv
-        + 2.0 * g(u, jv) * jw
+        + (2.0 * g(u, jv)) * jw
     )
-    return ProjectiveTangent(base, out)
 
 
 # ---------------------------------------------------------------------------
@@ -277,15 +295,54 @@ def random_horizontal(sig: Signature, q, rng: np.random.Generator) -> np.ndarray
     return z - complex(hermitian_product(sig, z, qv)) * qv
 
 
-def horizontal_unitary_basis(sig: Signature, q) -> tuple[np.ndarray, np.ndarray]:
-    """Complex g_C-orthonormal basis of the horizontal space at q, with signs."""
-    from .frames import complete_unitary_frame
+def horizontal_unitary_bases(sig: Signature, q) -> tuple[np.ndarray, np.ndarray]:
+    """Complex g_C-orthonormal bases (N, n, d) of the horizontal spaces at
+    the sphere points q (N, d), with their common signs.
 
-    qv = check_sphere_point(sig, q, tol=1e-8)
-    mat = complete_unitary_frame(sig, {sig.n - 1: qv})
+    All frames come from one stacked completion with q in slot n-1.
+    """
+    qv = check_sphere_rows(sig, q, tol=1e-8)
+    mats = complete_unitary_frames(sig, {sig.n - 1: qv})
     cols = [c for c in range(sig.ambient_dim) if c != sig.n - 1]
-    signs = np.array([-1.0 if c < sig.p else 1.0 for c in cols])
-    return mat[:, cols].T, signs
+    return mats[:, :, cols].transpose(0, 2, 1), horizontal_signs(sig)
+
+
+def horizontal_signs(sig: Signature) -> np.ndarray:
+    """Signs of every horizontal unitary basis: the frame columns other than
+    the spacelike slot n-1, so -1 on the first p."""
+    return np.array([-1.0 if c < sig.p else 1.0 for c in range(sig.ambient_dim) if c != sig.n - 1])
+
+
+def horizontal_unitary_basis(sig: Signature, q) -> tuple[np.ndarray, np.ndarray]:
+    """Complex g_C-orthonormal basis of the horizontal space at q, with
+    signs: the one-row case of ``horizontal_unitary_bases``."""
+    bases, signs = horizontal_unitary_bases(sig, as_ambient(sig, q)[None])
+    return bases[0], signs
+
+
+def horizontal_coefficients(
+    signs: np.ndarray,
+    rng: np.random.Generator,
+    character: CausalCharacter = CausalCharacter.SPACELIKE,
+) -> tuple[np.ndarray, float]:
+    """Coefficients over a horizontal basis with these signs, drawn until
+    the combination has the wanted causal character, and its square norm g.
+
+    The draws depend on the signs alone, not on the basis, so a caller can
+    draw first and complete many bases at once.
+    """
+    want = 1.0 if character is CausalCharacter.SPACELIKE else -1.0
+    while True:
+        coeff = rng.standard_normal(len(signs)) + 1j * rng.standard_normal(len(signs))
+        g = float(np.sum(signs * np.abs(coeff) ** 2))
+        if want * g > 0.05 * float(np.sum(np.abs(coeff) ** 2)):
+            return coeff, g
+
+
+def horizontal_units(bases: np.ndarray, coeffs: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Unit horizontal vectors (N, d) from bases (N, n, d) and drawn
+    coefficients (N, n) with their square norms g (N,)."""
+    return np.matmul(coeffs[:, None, :], bases)[:, 0] / np.sqrt(np.abs(g))[:, None]
 
 
 def random_horizontal_unit(
@@ -300,9 +357,5 @@ def random_horizontal_unit(
     acceptance probability does not degrade for boosted base points.
     """
     basis, signs = horizontal_unitary_basis(sig, q)
-    want = 1.0 if character is CausalCharacter.SPACELIKE else -1.0
-    while True:
-        coeff = rng.standard_normal(len(signs)) + 1j * rng.standard_normal(len(signs))
-        g = float(np.sum(signs * np.abs(coeff) ** 2))
-        if want * g > 0.05 * float(np.sum(np.abs(coeff) ** 2)):
-            return (coeff @ basis) / np.sqrt(abs(g))
+    coeff, g = horizontal_coefficients(signs, rng, character)
+    return horizontal_units(basis[None], coeff[None], np.array([g]))[0]

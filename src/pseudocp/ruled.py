@@ -600,7 +600,7 @@ def hypersurface_frames(
     patch,
     rows: np.ndarray,
     h: float = TANGENT_FD_STEP,
-    ref: Optional[AlmostContactFrame] = None,
+    ref: Optional[AlmostContactFrame | FrameStack] = None,
 ) -> FrameStack:
     """Numeric unit normals and almost contact data at stacked parameters.
 
@@ -611,7 +611,8 @@ def hypersurface_frames(
     tangent space inside the horizontal space, found as the null vector of
     the metric pairing; its largest entry fixes its sign. With ``ref`` the
     lift, tangents and normal are then phase-aligned to the reference lift
-    and the normal's sign is taken against the reference normal.
+    and the normal's sign is taken against the reference normal; a
+    ``FrameStack`` reference holds one reference frame per row.
 
     A rank-deficient row raises ImmersionError, a singular pairing or a
     lightlike normal DegenerateHypersurfaceError; with several bad rows the
@@ -664,11 +665,6 @@ def hypersurface_frame(patch, u: np.ndarray, h: float = TANGENT_FD_STEP) -> Almo
     """Numeric unit normal and almost contact data of the patch at u: the
     one-row case of ``hypersurface_frames``."""
     return hypersurface_frames(patch, np.asarray(u, dtype=float)[None], h).row(0)
-
-
-def _aligned_frame(patch, u, ref: AlmostContactFrame) -> AlmostContactFrame:
-    """Frame at u with phase and normal sign aligned to a reference frame."""
-    return hypersurface_frames(patch, np.asarray(u, dtype=float)[None], ref=ref).row(0)
 
 
 def _covariant_from_difference(sig, dvec, w0):
@@ -968,6 +964,13 @@ def regenerate_integral_curve(
     returned curve is re-lifted horizontally and the worst defect between
     its unit velocity and the measured structure field is reported. Sign and
     phase continuity of xi along the path is kept through a moving reference.
+
+    The +step and -step chains are independent, so they advance together as
+    a two-row stack: each RK4 stage is one ``hypersurface_frames`` call whose
+    row i is aligned to the previous frame of chain i. Each row equals the
+    frame a chain of its own would get, so the path does not change; with a
+    bad point on both chains, the error of the earlier stage (the +step
+    chain's on a tie) is raised.
     """
     patch = RHSPatch(par)
     sig = par.sig
@@ -980,29 +983,38 @@ def regenerate_integral_curve(
     frame0 = hypersurface_frame(patch, u0)
     if real_metric(sig, frame0.xi, frame0.tangents[0]) * par.eps1 < 0:
         frame0 = replace(frame0, normal=-frame0.normal)
-    state = {"ref": frame0}
+    chains = 2
+    state = {
+        "ref": FrameStack(
+            sig=sig,
+            lift=np.repeat(frame0.lift[None], chains, axis=0),
+            tangents=np.repeat(frame0.tangents[None], chains, axis=0),
+            normal=np.repeat(frame0.normal[None], chains, axis=0),
+            epsilon=np.full(chains, frame0.epsilon),
+        )
+    }
 
     def velocity(uu: np.ndarray) -> np.ndarray:
-        fr = _aligned_frame(patch, uu, state["ref"])
-        state["ref"] = fr
-        return fr.tangent_coords(fr.xi)
+        frames = hypersurface_frames(patch, uu, ref=state["ref"])
+        state["ref"] = frames
+        # one least-squares solve per row keeps each row's rounding
+        return np.array([fr.tangent_coords(fr.xi) for fr in map(frames.row, range(chains))])
 
     count = int(round(half_span / step))
     params = step * np.arange(-count, count + 1) + 0.0
     upath = np.empty((params.shape[0], patch.n_params))
     upath[count] = u0
 
-    for direction in (+1, -1):
-        u = u0.copy()
-        state["ref"] = frame0
-        for i in range(count):
-            hstep = direction * step
-            k1 = velocity(u)
-            k2 = velocity(u + 0.5 * hstep * k1)
-            k3 = velocity(u + 0.5 * hstep * k2)
-            k4 = velocity(u + hstep * k3)
-            u = u + hstep * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-            upath[count + direction * (i + 1)] = u
+    direction = np.array([1, -1])
+    hstep = (direction * step)[:, None]
+    u = np.repeat(u0[None], chains, axis=0)
+    for i in range(count):
+        k1 = velocity(u)
+        k2 = velocity(u + 0.5 * hstep * k1)
+        k3 = velocity(u + 0.5 * hstep * k2)
+        k4 = velocity(u + hstep * k3)
+        u = u + hstep * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+        upath[count + direction * (i + 1)] = u
 
     reps = patch.lifts_at(upath)
     curve = horizontal_lift(sig, reps, reps[count], params=params, anchor=count)

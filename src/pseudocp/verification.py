@@ -2,6 +2,13 @@
 
 Each suite returns identity lines (name, residual, tolerance) so reports can
 be assembled uniformly; residuals are worst cases over seeded random draws.
+
+The two frame suites draw their points and coefficients one at a time, in
+the order of the generator stream of ``random_sphere_point`` and
+``random_horizontal_unit``, then complete every horizontal basis (and, for
+the isometries, every frame of one causal type) in one stacked call and
+evaluate the curvature tensor row-wise. The draws, and so the residuals,
+are those of the point-by-point loop.
 """
 
 from __future__ import annotations
@@ -16,18 +23,41 @@ from .examples import (
     example_integral_curve,
     example_spec,
 )
-from .isometries import frame_to_isometry
-from .linalg import CausalCharacter, Signature, metric_signs, real_metric
+from .isometries import frame_to_isometries
+from .linalg import CausalCharacter, Signature, gdot_rows, jmul, metric_signs, real_metric
 from .projective import (
-    ProjectiveTangent,
-    curvature_tensor,
-    random_horizontal_unit,
+    canonical_phases,
+    curvature_tensor_rows,
+    horizontal_coefficients,
+    horizontal_signs,
+    horizontal_unitary_bases,
+    horizontal_units,
     random_sphere_point,
-    tangent_from_lift,
 )
 from .ruled import RHSPatch, hypersurface_frame, transport_basis
 
 ACCEPTANCE_SIGNATURES = (Signature(2, 1), Signature(3, 1), Signature(3, 2), Signature(4, 2))
+
+
+def _horizontal_draws(sig: Signature, count: int, rng: np.random.Generator):
+    """``count`` sphere points and unit horizontal vectors there, spacelike
+    at even and timelike at odd k.
+
+    The draws are those of ``random_sphere_point`` followed by
+    ``random_horizontal_unit``, one k after another, so the stream of the
+    generator is unchanged; the horizontal bases of all points are then
+    completed in one stacked call.
+    """
+    q = np.empty((count, sig.ambient_dim), dtype=complex)
+    coeffs = np.empty((count, sig.n), dtype=complex)
+    g = np.empty(count)
+    signs = horizontal_signs(sig)
+    for k in range(count):
+        q[k] = random_sphere_point(sig, rng)
+        character = CausalCharacter.SPACELIKE if k % 2 == 0 else CausalCharacter.TIMELIKE
+        coeffs[k], g[k] = horizontal_coefficients(signs, rng, character)
+    bases, _ = horizontal_unitary_bases(sig, q)
+    return q, horizontal_units(bases, coeffs, g)
 
 
 def curvature_lines(
@@ -40,19 +70,13 @@ def curvature_lines(
     rng = np.random.default_rng(seed)
     lines = []
     for sig in signatures:
-        worst = 0.0
-        for k in range(count):
-            q = random_sphere_point(sig, rng)
-            character = (
-                CausalCharacter.SPACELIKE if k % 2 == 0 else CausalCharacter.TIMELIKE
-            )
-            xv = random_horizontal_unit(sig, q, rng, character)
-            x = tangent_from_lift(sig, q, xv)
-            jx = ProjectiveTangent(x.at, 1j * x.vec)
-            r = curvature_tensor(sig, x, jx, jx)
-            gx = real_metric(sig, x.vec, x.vec)
-            value = real_metric(sig, r.vec, x.vec) / (gx * gx)
-            worst = max(worst, abs(value - 4.0))
+        q, xv = _horizontal_draws(sig, count, rng)
+        x = xv * canonical_phases(q)[:, None]  # the tangents at the canonical representatives
+        jx = jmul(x)
+        r = curvature_tensor_rows(sig, x, jx, jx)
+        gx = gdot_rows(sig.signs, x, x)
+        value = gdot_rows(sig.signs, r, x) / (gx * gx)
+        worst = float(np.max(np.abs(value - 4.0), initial=0.0))
         lines.append(
             IdentityLine(f"holomorphic_curvature_n{sig.n}_p{sig.p}", worst, tol)
         )
@@ -70,13 +94,9 @@ def unitary_frame_lines(
     eye = np.diag(metric_signs(sig.p, sig.ambient_dim))
     form_worst = 0.0
     det_worst = 0.0
-    for k in range(count):
-        q = random_sphere_point(sig, rng)
-        character = (
-            CausalCharacter.SPACELIKE if k % 2 == 0 else CausalCharacter.TIMELIKE
-        )
-        eta = random_horizontal_unit(sig, q, rng, character)
-        m = frame_to_isometry(sig, q, eta).entries
+    q, eta = _horizontal_draws(sig, count, rng)
+    for iso in frame_to_isometries(sig, q, eta):
+        m = iso.entries
         form_worst = max(
             form_worst, float(np.max(np.abs(m.conj().T @ eye @ m - eye)))
         )

@@ -61,6 +61,11 @@ class TestUsageErrors:
     def test_missing_subcommand(self, capsys):
         assert run_cli() == 2
 
+    def test_bad_signature(self, capsys):
+        """p = n is not a signature: a usage error, not a precondition."""
+        assert run_cli("verify", "1", "--signature", "3,4") == 2
+        assert "bad signature" in capsys.readouterr().err
+
 
 class TestClassify:
     def test_geodesic_file(self, tmp_path, capsys):
@@ -237,6 +242,16 @@ class TestConfig:
         out = tmp_path / "cloud.csv"
         assert run_cli("sample", "1", "--seed-r", "0", "--grid", "2x2x2", "--out", str(out)) == 3
         assert "open-slot" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "sample"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_seed_parameter_is_a_precondition(self, tmp_path, capsys, command, value):
+        """A non-finite seed_r has no seed point: exit 3 with that reason."""
+        argv = [command, "1", "--seed-r", value, "--grid", "2x2x2"]
+        if command == "sample":
+            argv += ["--out", str(tmp_path / "cloud.csv")]
+        assert run_cli(*argv) == 3
+        assert "must be finite" in capsys.readouterr().err
 
     def test_invalid_config_rejected(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "cfg.json"

@@ -193,7 +193,7 @@ class TestAlmostContact:
     def test_phi_covariant_derivative_identity(self, family1_par, rng):
         """The derivative of phi trades the shape image against the
         structure covector: (nabla_X phi)Y = eps g(Y,xi) AX - eps g(AX,Y) xi."""
-        from pseudocp.ruled import _aligned_frame, _covariant_from_difference
+        from pseudocp.ruled import _covariant_from_difference, hypersurface_frames
 
         patch = RHSPatch(family1_par)
         u = np.array([0.07, 0.04, -0.06, 0.03, 0.08])
@@ -209,7 +209,7 @@ class TestAlmostContact:
             return v - fr.epsilon * real_metric(SIG, v, fr.normal) * fr.normal
 
         def field_values(uu):
-            f2 = _aligned_frame(patch, uu, fr)
+            f2 = hypersurface_frames(patch, uu[None], ref=fr).row(0)
             yv = y_coeff @ f2.tangents
             return f2.phi(yv), yv
 
