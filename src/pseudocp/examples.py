@@ -1,10 +1,13 @@
 """Built-in ruled hypersurface families with closed-form structure data.
 
 Each family sweeps a totally geodesic hyperplane slice with a one-parameter
-isometry group acting on two ambient slots (a rotation or a boost). The
-structure field, unit normal, its shape image and the acceleration of the
-structure flow all have closed forms, so the families double as exact
-oracles for the generic numeric pipeline.
+isometry group acting on two ambient slots: a rotation when the two slots
+have the same metric sign, a boost when they differ. A family is one row of
+``FAMILIES``: where the slice sits among the ambient slots, the ruling slot
+it fills and the one it leaves empty, the signatures it allows and its
+default seed. The structure field, unit normal, its shape image and the
+acceleration of the structure flow all follow from the 2x2 ruling block, so
+the families double as exact oracles for the generic numeric pipeline.
 
 Family 1 rotates the last two slots (spacelike structure field); family 2
 boosts the first and last slots (spacelike); family 3 boosts around a seed
@@ -34,39 +37,55 @@ from .ruled import (
     transport_basis,
 )
 
-EXAMPLE_IDS = (1, 2, 3, 4)
 
-#: default desk-scale signatures honoring each family's constraints
-DEFAULT_SIGNATURES = {
-    1: Signature(3, 1),
-    2: Signature(4, 1),
-    3: Signature(3, 2),
-    4: Signature(3, 2),
+@dataclass(frozen=True)
+class Family:
+    """One family as data.
+
+    The slice puts seed slot k at ambient slot k + ``offset``. The ruling
+    block acts on the ambient slots ``filled`` (which the slice fills) and
+    ``empty`` (which it leaves at zero); both are signed indices, negative
+    ones counting from the end. ``limits`` is (least n, least p, least
+    n - p). ``seed`` maps signed seed slots to the default seed's entries.
+    """
+
+    signature: Signature
+    offset: int
+    filled: int
+    empty: int
+    limits: tuple
+    seed: dict
+
+    def default_seed(self, n: int) -> np.ndarray:
+        z = np.zeros(n, dtype=complex)
+        for slot, value in self.seed.items():
+            z[slot] = value
+        return z
+
+
+_SQRT_7_16 = np.sqrt(2.0 - 1.25**2)
+
+#: the built-in families; a default signature honors each row's limits.
+#: Family 2's seed has |z_1| = 1 and distinct moduli to keep canonical
+#: phases stable; family 1's is ``gamma_seed`` at r = pi/8.
+FAMILIES = {
+    1: Family(
+        Signature(3, 1), 0, -2, -1, (3, 1, 2),
+        {0: 1.0, -2: np.sqrt(2.0) * np.cos(np.pi / 8), -1: np.sqrt(2.0) * np.sin(np.pi / 8)},
+    ),
+    2: Family(Signature(4, 1), 0, 0, -1, (4, 1, 2), {0: 1.0, 1: 1.25, 2: _SQRT_7_16}),
+    3: Family(Signature(3, 2), 1, -1, 0, (3, 2, 1), {0: 0.5, 1: 1.0, -1: 0.5}),
+    4: Family(Signature(3, 2), 1, 1, 0, (3, 2, 1), {0: 1.0, 1: 1.25, -1: _SQRT_7_16}),
 }
 
+EXAMPLE_IDS = tuple(FAMILIES)
 
-def _default_seed(example_id: int, sig: Signature) -> np.ndarray:
-    n = sig.n
-    z = np.zeros(n, dtype=complex)
-    if example_id == 1:
-        return gamma_seed(sig, np.pi / 8)
-    if example_id == 2:
-        # |z_1| = 1 seed, distinct moduli to keep canonical phases stable
-        z[0] = 1.0
-        z[1] = 1.25
-        z[2] = np.sqrt(2.0 - 1.25**2)
-        return z
-    if example_id == 3:
-        z[0] = 0.5
-        z[1] = 1.0
-        z[n - 1] = 0.5
-        return z
-    if example_id == 4:
-        z[0] = 1.0
-        z[1] = 1.25
-        z[n - 1] = np.sqrt(2.0 - 1.25**2)
-        return z
-    raise DomainError(f"unknown example id {example_id}")
+
+def _family(example_id: int) -> Family:
+    fam = FAMILIES.get(example_id)
+    if fam is None:
+        raise DomainError(f"unknown example id {example_id}")
+    return fam
 
 
 def gamma_seed(sig: Signature, r: float) -> np.ndarray:
@@ -83,61 +102,86 @@ def gamma_seed(sig: Signature, r: float) -> np.ndarray:
     return z
 
 
+class _Ruling:
+    """A family row resolved at one signature, once per ExampleSpec.
+
+    The slice at t carries the seed entry z_omega to (cos t, sin t) z_omega
+    on the (filled, empty) slots, with hyperbolic functions for a boost.
+    ``nu`` and ``eps1`` are the metric signs of those slots; the block's
+    generator B has B^2 = ``sigma``: -1 for a rotation (equal signs), +1 for
+    a boost.
+    """
+
+    def __init__(self, fam: Family, sig: Signature):
+        n = sig.n
+        self.n = n
+        self.offset = fam.offset
+        self.filled = fam.filled % (n + 1)
+        self.empty = fam.empty % (n + 1)
+        self.omega = self.filled - fam.offset
+        self.seed_signs = metric_signs(sig.p - fam.offset, n)
+        self.nu = float(sig.signs[self.filled])
+        self.eps1 = float(sig.signs[self.empty])
+        self.sigma = -self.nu * self.eps1
+        self.cos, self.sin = (np.cosh, np.sinh) if self.sigma > 0 else (np.cos, np.sin)
+
+    def validate(self, z: np.ndarray):
+        g = float(np.real(np.sum(self.seed_signs * z * np.conj(z))))
+        if abs(g - 1.0) > 1e-10:
+            raise DomainError(f"seed is not on its sphere: g(z,z) = {g!r}")
+        if abs(z[self.omega]) < 1e-12:
+            raise DomainError("seed violates the family's open-slot condition")
+
+    def slice_map(self, t: float, x: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.n + 1, dtype=complex)
+        out[self.offset : self.offset + self.n] = x
+        xw = x[self.omega]
+        out[self.filled] = self.cos(t) * xw
+        out[self.empty] = self.sin(t) * xw
+        return out
+
+
 @dataclass(frozen=True)
 class ExampleSpec:
-    """One family instance: signature, seed point and parameter windows."""
+    """One family instance: signature, seed point and parameter windows.
+
+    ``seed_z=None`` takes the family's default seed.
+    """
 
     example_id: int
     sig: Signature
-    seed_z: np.ndarray
+    seed_z: Optional[np.ndarray]
     t0: float = 0.0
     t_range: tuple = (-0.4, 0.4)
     s_range: tuple = (-0.5, 0.5)
+    ruling: _Ruling = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.example_id not in EXAMPLE_IDS:
-            raise DomainError(f"unknown example id {self.example_id}")
+        fam = _family(self.example_id)
         n, p = self.sig.n, self.sig.p
-        limits = {
-            1: (n >= 3 and 1 <= p <= n - 2, "needs n >= 3 and 1 <= p <= n-2"),
-            2: (n >= 4 and 1 <= p <= n - 2, "needs n >= 4 and 1 <= p <= n-2"),
-            3: (n >= 3 and 2 <= p <= n - 1, "needs n >= 3 and 2 <= p <= n-1"),
-            4: (n >= 3 and 2 <= p <= n - 1, "needs n >= 3 and 2 <= p <= n-1"),
-        }
-        ok, msg = limits[self.example_id]
-        if not ok:
-            raise DomainError(f"example {self.example_id} {msg}; got (n={n}, p={p})")
-        z = np.asarray(self.seed_z, dtype=complex)
+        n_min, p_min, gap = fam.limits
+        if not (n >= n_min and p_min <= p <= n - gap):
+            raise DomainError(
+                f"example {self.example_id} needs n >= {n_min} and {p_min} <= p <= n-{gap}; "
+                f"got (n={n}, p={p})"
+            )
+        z = fam.default_seed(n) if self.seed_z is None else np.asarray(self.seed_z, dtype=complex)
         if z.shape != (n,):
             raise DomainError(f"seed must have {n} entries")
-        _validate_seed(self.example_id, self.sig, z)
+        ruling = _Ruling(fam, self.sig)
+        ruling.validate(z)
         z.setflags(write=False)
         object.__setattr__(self, "seed_z", z)
+        object.__setattr__(self, "ruling", ruling)
 
 
 def example_spec(example_id: int, sig: Optional[Signature] = None, seed_z=None, **kw) -> ExampleSpec:
-    sig = sig or DEFAULT_SIGNATURES[example_id]
-    if seed_z is None:
-        seed_z = _default_seed(example_id, sig)
-    return ExampleSpec(example_id, sig, np.asarray(seed_z, dtype=complex), **kw)
+    return ExampleSpec(example_id, sig or _family(example_id).signature, seed_z, **kw)
 
 
 def seed_sphere_index(example_id: int, sig: Signature) -> int:
     """Index (timelike slot count) of the seed sphere the family slices."""
-    return sig.p if example_id in (1, 2) else sig.p - 1
-
-
-def _omega_slot(example_id: int, sig: Signature) -> int:
-    return sig.n - 1 if example_id in (1, 3) else 0
-
-
-def _validate_seed(example_id: int, sig: Signature, z: np.ndarray):
-    signs = metric_signs(seed_sphere_index(example_id, sig), sig.n)
-    g = float(np.real(np.sum(signs * z * np.conj(z))))
-    if abs(g - 1.0) > 1e-10:
-        raise DomainError(f"seed is not on its sphere: g(z,z) = {g!r}")
-    if abs(z[_omega_slot(example_id, sig)]) < 1e-12:
-        raise DomainError("seed violates the family's open-slot condition")
+    return sig.p - _family(example_id).offset
 
 
 # ---------------------------------------------------------------------------
@@ -148,60 +192,29 @@ def _validate_seed(example_id: int, sig: Signature, z: np.ndarray):
 def example_map(spec: ExampleSpec, t: float, z=None) -> np.ndarray:
     """Closed-form sphere lift of the family at ruling parameter t."""
     z = spec.seed_z if z is None else np.asarray(z, dtype=complex)
-    _validate_seed(spec.example_id, spec.sig, z)
-    return _slice_map(spec, t, z)
+    spec.ruling.validate(z)
+    return spec.ruling.slice_map(t, z)
 
 
 def example_leaf_tangent(spec: ExampleSpec, t: float, x) -> np.ndarray:
-    """Differential of the slice map in a seed-sphere tangent direction."""
-    return _slice_map(spec, t, np.asarray(x, dtype=complex))
+    """Differential of the slice map in a seed-sphere tangent direction.
 
-
-def _slice_map(spec: ExampleSpec, t: float, x: np.ndarray) -> np.ndarray:
-    """The slice map at ruling parameter t; it is linear in x, so it is its
-    own differential. Callers validate seed points."""
-    n = spec.sig.n
-    out = np.zeros(n + 1, dtype=complex)
-    if spec.example_id == 1:
-        out[: n - 1] = x[: n - 1]
-        out[n - 1] = np.cos(t) * x[n - 1]
-        out[n] = np.sin(t) * x[n - 1]
-    elif spec.example_id == 2:
-        out[0] = np.cosh(t) * x[0]
-        out[1:n] = x[1:n]
-        out[n] = np.sinh(t) * x[0]
-    elif spec.example_id == 3:
-        out[0] = np.sinh(t) * x[n - 1]
-        out[1:n] = x[: n - 1]
-        out[n] = np.cosh(t) * x[n - 1]
-    else:
-        out[0] = np.sin(t) * x[0]
-        out[1] = np.cos(t) * x[0]
-        out[2:] = x[1:n]
-    return out
+    The slice map is linear in the seed point, so it is its own differential.
+    """
+    return spec.ruling.slice_map(t, np.asarray(x, dtype=complex))
 
 
 def ruling_isometry(spec: ExampleSpec, t: float) -> IndefiniteUnitaryMatrix:
     """The one-parameter isometry group element moving slice t=0 to slice t."""
-    sig = spec.sig
-    n = sig.n
-    m = np.eye(n + 1, dtype=complex)
-    if spec.example_id == 1:
-        m[n - 1, n - 1] = np.cos(t)
-        m[n - 1, n] = -np.sin(t)
-        m[n, n - 1] = np.sin(t)
-        m[n, n] = np.cos(t)
-    elif spec.example_id in (2, 3):
-        m[0, 0] = np.cosh(t)
-        m[0, n] = np.sinh(t)
-        m[n, 0] = np.sinh(t)
-        m[n, n] = np.cosh(t)
-    else:
-        m[0, 0] = np.cos(t)
-        m[0, 1] = np.sin(t)
-        m[1, 0] = -np.sin(t)
-        m[1, 1] = np.cos(t)
-    return IndefiniteUnitaryMatrix(sig, m)
+    r = spec.ruling
+    f, e = r.filled, r.empty
+    c, s = r.cos(t), r.sin(t)
+    m = np.eye(r.n + 1, dtype=complex)
+    m[f, f] = c
+    m[e, e] = c
+    m[e, f] = s
+    m[f, e] = r.sigma * s
+    return IndefiniteUnitaryMatrix(spec.sig, m)
 
 
 @dataclass(frozen=True)
@@ -215,47 +228,29 @@ class ExampleFields:
 
 
 def example_fields(spec: ExampleSpec, t: float, z=None) -> ExampleFields:
-    """Structure field, unit normal (i times it) and its shape image."""
-    sig = spec.sig
-    n = sig.n
+    """Structure field, unit normal (i times it) and its shape image.
+
+    The structure field is the t-derivative of the slice, (sigma sin t,
+    cos t) z_omega / |z_omega| on the ruling slots. The shape image is
+    -sigma i (cos t, sin t) z_omega / |z_omega|^2: the ruling isometry
+    moves both from slice 0, as it moves the hypersurface onto itself.
+    """
+    r = spec.ruling
     z = spec.seed_z if z is None else np.asarray(z, dtype=complex)
-    _validate_seed(spec.example_id, sig, z)
-    out = np.zeros(n + 1, dtype=complex)
-    axi = np.zeros(n + 1, dtype=complex)
-    if spec.example_id == 1:
-        zl = z[n - 1]
-        u = abs(zl) ** 2
-        out[n - 1] = -np.sin(t) * zl
-        out[n] = np.cos(t) * zl
-        axi[n - 1] = 1j * np.cos(t) * zl / u
-        axi[n] = 1j * np.sin(t) * zl / u
-        eps = 1.0
-    elif spec.example_id == 2:
-        zl = z[0]
-        u = abs(zl) ** 2
-        out[0] = np.sinh(t) * zl
-        out[n] = np.cosh(t) * zl
-        axi[0] = -1j * np.cosh(t) * zl / u
-        axi[n] = -1j * np.sinh(t) * zl / u
-        eps = 1.0
-    elif spec.example_id == 3:
-        zl = z[n - 1]
-        u = abs(zl) ** 2
-        out[0] = np.cosh(t) * zl
-        out[n] = np.sinh(t) * zl
-        axi[0] = -1j * np.sinh(t) * zl / u
-        axi[n] = -1j * np.cosh(t) * zl / u
-        eps = -1.0
-    else:
-        zl = z[0]
-        u = abs(zl) ** 2
-        out[0] = np.cos(t) * zl
-        out[1] = -np.sin(t) * zl
-        axi[0] = -1j * np.sin(t) * zl / u
-        axi[1] = 1j * np.cos(t) * zl / u
-        eps = -1.0
-    xi = out / abs(zl)
-    return ExampleFields(xi_hat=xi, n_hat=1j * xi, a_xi_hat=axi, epsilon=eps)
+    r.validate(z)
+    f, e = r.filled, r.empty
+    zw = z[r.omega]
+    u = abs(zw) ** 2
+    c, s = r.cos(t), r.sin(t)
+    out = np.zeros(r.n + 1, dtype=complex)
+    axi = np.zeros(r.n + 1, dtype=complex)
+    out[f] = r.sigma * s * zw
+    out[e] = c * zw
+    k = -r.sigma * 1j
+    axi[f] = k * c * zw / u
+    axi[e] = k * s * zw / u
+    xi = out / abs(zw)
+    return ExampleFields(xi_hat=xi, n_hat=1j * xi, a_xi_hat=axi, epsilon=r.eps1)
 
 
 @dataclass(frozen=True)
@@ -273,26 +268,20 @@ class IntegralCurveData:
     frenet_f2: Optional[Callable[[float], np.ndarray]] = field(repr=False, default=None)
 
 
-def _predict(example_id: int, modulus_sq: float, eps1: float):
-    """Case, model kind, kappa1 and eps2 from the family's seed modulus.
+def _predict(ff: float, eps1: float):
+    """Case, model kind, kappa1 and eps2 from the acceleration square ff.
 
     The boundary threshold matches the relative lightlike band of the
     numeric pipeline, so predictions agree with what the classifier can
     resolve for seeds that sit on the transition within round-off.
     """
-    u = modulus_sq
-    if example_id in (1, 3):
-        ff = 1.0 / u - 1.0
-        if abs(ff) < 1e-8:
-            return MinimalCase.CASE_C_NON_FRENET, None, None, None, ff
-        if ff > 0:
-            kind = "rp2" if eps1 > 0 else "s2_1"
-            return MinimalCase.CASE_B_TOTALLY_REAL_CIRCLE, kind, np.sqrt(ff), 1.0, ff
-        kind = "s2_1" if eps1 > 0 else "h2_2"
-        return MinimalCase.CASE_B_TOTALLY_REAL_CIRCLE, kind, np.sqrt(-ff), -1.0, ff
-    ff = -1.0 - 1.0 / u
+    if abs(ff) < 1e-8:
+        return MinimalCase.CASE_C_NON_FRENET, None, None, None
+    if ff > 0:
+        kind = "rp2" if eps1 > 0 else "s2_1"
+        return MinimalCase.CASE_B_TOTALLY_REAL_CIRCLE, kind, np.sqrt(ff), 1.0
     kind = "s2_1" if eps1 > 0 else "h2_2"
-    return MinimalCase.CASE_B_TOTALLY_REAL_CIRCLE, kind, np.sqrt(-ff), -1.0, ff
+    return MinimalCase.CASE_B_TOTALLY_REAL_CIRCLE, kind, np.sqrt(-ff), -1.0
 
 
 def example_integral_curve(
@@ -305,69 +294,41 @@ def example_integral_curve(
     """Integral curve of the structure field through (t, z), with closed forms.
 
     The returned acceleration is the second covariant derivative of the flow
-    on the sphere; its constant square norm decides the case split. For a
-    geodesic seed the case collapses to the trivial one downstream.
+    on the sphere, eps1 times the point plus its second t-derivative over
+    |z_omega|^2; its constant square norm, nu/|z_omega|^2 - 1 with nu the
+    filled slot's sign, decides the case split. Where it vanishes, a seed
+    whose slice lies in the ruling slots alone gives a geodesic, case a.
     """
-    sig = spec.sig
+    r = spec.ruling
     t0 = spec.t0 if t is None else t
     z = spec.seed_z if z is None else np.asarray(z, dtype=complex)
-    _validate_seed(spec.example_id, sig, z)
+    r.validate(z)
     s_lo, s_hi = spec.s_range if s_range is None else s_range
-    slot = _omega_slot(spec.example_id, sig)
-    mod = abs(z[slot])
+    zw = z[r.omega]
+    mod = abs(zw)
     u = mod * mod
-    eps1 = 1.0 if spec.example_id in (1, 2) else -1.0
+    eps1 = r.eps1
 
     def lift(s: float) -> np.ndarray:
-        return _slice_map(spec, t0 + s / mod, z)
+        return r.slice_map(t0 + s / mod, z)
 
-    curve = sampled_curve_from_fn(sig, lift, s_lo, s_hi, step)
+    curve = sampled_curve_from_fn(spec.sig, lift, s_lo, s_hi, step)
 
-    n = sig.n
-    if spec.example_id == 1:
+    f, e = r.filled, r.empty
+    coef = eps1 + r.sigma / u
 
-        def accel(s: float) -> np.ndarray:
-            tau = t0 + s / mod
-            out = np.zeros(n + 1, dtype=complex)
-            out[: n - 1] = z[: n - 1]
-            out[n - 1] = (1.0 - 1.0 / u) * np.cos(tau) * z[n - 1]
-            out[n] = (1.0 - 1.0 / u) * np.sin(tau) * z[n - 1]
-            return out
+    def accel(s: float) -> np.ndarray:
+        tau = t0 + s / mod
+        out = np.zeros(r.n + 1, dtype=complex)
+        out[r.offset : r.offset + r.n] = eps1 * z
+        out[f] = coef * r.cos(tau) * zw
+        out[e] = coef * r.sin(tau) * zw
+        return out
 
-    elif spec.example_id == 2:
-
-        def accel(s: float) -> np.ndarray:
-            tau = t0 + s / mod
-            out = np.zeros(n + 1, dtype=complex)
-            out[0] = (1.0 + 1.0 / u) * np.cosh(tau) * z[0]
-            out[1:n] = z[1:n]
-            out[n] = (1.0 + 1.0 / u) * np.sinh(tau) * z[0]
-            return out
-
-    elif spec.example_id == 3:
-
-        def accel(s: float) -> np.ndarray:
-            tau = t0 + s / mod
-            out = np.zeros(n + 1, dtype=complex)
-            out[0] = (1.0 / u - 1.0) * np.sinh(tau) * z[n - 1]
-            out[1:n] = -z[: n - 1]
-            out[n] = (1.0 / u - 1.0) * np.cosh(tau) * z[n - 1]
-            return out
-
-    else:
-
-        def accel(s: float) -> np.ndarray:
-            tau = t0 + s / mod
-            out = np.zeros(n + 1, dtype=complex)
-            out[0] = -(1.0 / u + 1.0) * np.sin(tau) * z[0]
-            out[1] = -(1.0 / u + 1.0) * np.cos(tau) * z[0]
-            out[2:] = -z[1:n]
-            return out
-
-    case, kind, kappa1, eps2, ff = _predict(spec.example_id, u, eps1)
+    ff = r.nu / u - 1.0
+    case, kind, kappa1, eps2 = _predict(ff, eps1)
     if case is MinimalCase.CASE_C_NON_FRENET:
-        still = _slice_map(spec, 0.0, z)
-        others = np.delete(np.abs(still), _ruling_slots(spec))
+        others = np.delete(np.abs(r.slice_map(0.0, z)), [f, e])
         if float(np.max(others)) < 1e-6:
             case = MinimalCase.CASE_A_GEODESIC
         else:
@@ -390,16 +351,6 @@ def example_integral_curve(
         eps2=eps2,
         frenet_f2=f2_fn,
     )
-
-
-def _ruling_slots(spec: ExampleSpec) -> list[int]:
-    """Ambient slots whose entries vary with the ruling parameter."""
-    n = spec.sig.n
-    if spec.example_id == 1:
-        return [n - 1, n]
-    if spec.example_id in (2, 3):
-        return [0, n]
-    return [0, 1]
 
 
 # ---------------------------------------------------------------------------

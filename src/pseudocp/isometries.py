@@ -38,6 +38,7 @@ from .projective import (
     ProjectiveTangent,
     canonicalize,
     canonical_phase,
+    quadric_geodesic,
     tangent_from_lift,
 )
 
@@ -159,19 +160,6 @@ def _random_model_point(signs: np.ndarray, rng: np.random.Generator, complex_mod
             return z / np.sqrt(g)
 
 
-def _quadric_geodesic(signs: np.ndarray, q: np.ndarray, v: np.ndarray, t: float):
-    """Geodesic of a unit quadric {g(x,x)=1} in a flat signature space."""
-    g = float(np.real(np.sum(signs * v * np.conj(v))))
-    e2 = float(np.sum(np.abs(v) ** 2))
-    if e2 == 0.0 or abs(g) <= 1e-12 * e2:
-        return q + t * v
-    if g > 0:
-        w = np.sqrt(g)
-        return np.cos(w * t) * q + np.sin(w * t) * v / w
-    w = np.sqrt(-g)
-    return np.cosh(w * t) * q + np.sinh(w * t) * v / w
-
-
 @dataclass(frozen=True)
 class TotallyGeodesicLeaf:
     """A totally geodesic submanifold realized as isometry(model slice).
@@ -228,7 +216,7 @@ class TotallyGeodesicLeaf:
 
     def model_geodesic(self, m0, mv, t: float) -> np.ndarray:
         """Ambient lift of the model geodesic through (m0, mv) at time t."""
-        return self.embed_model(_quadric_geodesic(self.model_signs, m0, mv, t))
+        return self.embed_model(quadric_geodesic(self.model_signs, m0, mv, t))
 
     def membership_residual(self, point: ProjectivePoint) -> float:
         """How far a point is from lying on this leaf (phase invariant)."""

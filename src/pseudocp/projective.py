@@ -140,22 +140,26 @@ def tangent_from_lift(sig: Signature, lift, vec) -> ProjectiveTangent:
 
 
 def sphere_geodesic(sig: Signature, q, v, t: float) -> np.ndarray:
-    """Closed-form geodesic of the pseudo-sphere from q with velocity v.
+    """Closed-form geodesic of the pseudo-sphere from q with velocity v."""
+    return quadric_geodesic(sig.signs, as_ambient(sig, q), as_ambient(sig, v), t)
+
+
+def quadric_geodesic(signs: np.ndarray, q: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
+    """Geodesic of the unit quadric {g(x,x) = 1} of the flat space whose
+    metric has the diagonal ``signs``, from q with velocity v.
 
     Trigonometric for spacelike v, hyperbolic for timelike v, affine for
     lightlike v; the case split uses the relative lightlike threshold.
     """
-    qv = as_ambient(sig, q)
-    vv = as_ambient(sig, v)
-    g = real_metric(sig, vv, vv)
-    eunorm2 = float(np.sum(np.abs(vv) ** 2))
+    g = float(linalg.gdot_rows(signs, v, v))
+    eunorm2 = float(np.sum(np.abs(v) ** 2))
     if eunorm2 == 0.0 or abs(g) <= LIGHT_TOL * eunorm2:
-        return qv + t * vv
+        return q + t * v
     if g > 0:
         w = np.sqrt(g)
-        return np.cos(w * t) * qv + np.sin(w * t) * vv / w
+        return np.cos(w * t) * q + np.sin(w * t) * v / w
     w = np.sqrt(-g)
-    return np.cosh(w * t) * qv + np.sinh(w * t) * vv / w
+    return np.cosh(w * t) * q + np.sinh(w * t) * v / w
 
 
 def sphere_geodesic_rows(sig: Signature, q, v) -> np.ndarray:

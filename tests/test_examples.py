@@ -16,7 +16,13 @@ from pseudocp.examples import (
     seed_sphere_index,
 )
 from pseudocp.linalg import Signature, jmul, metric_signs, real_metric
-from pseudocp.ruled import MinimalCase
+from pseudocp.ruled import (
+    MinimalCase,
+    RHSPatch,
+    TransformedPatch,
+    structure_shape_values,
+    transport_basis,
+)
 
 
 def _random_seed_tangent(spec, rng):
@@ -123,6 +129,34 @@ class TestExampleFields:
         for t in (-0.4, 0.0, 0.33):
             fields = example_fields(spec, t)
             assert abs(real_metric(spec.sig, fields.a_xi_hat, fields.xi_hat)) < 1e-12
+
+    @pytest.mark.parametrize("ex", EXAMPLE_IDS)
+    def test_shape_image_moves_with_the_ruling(self, ex):
+        """The ruling isometry maps the hypersurface onto itself, so it
+        carries the shape image at slice 0 to the one at slice t."""
+        spec = example_spec(ex)
+        a0 = example_fields(spec, 0.0).a_xi_hat
+        for t in (-0.4, 0.17, 0.33):
+            moved = ruling_isometry(spec, t).entries @ a0
+            assert np.max(np.abs(example_fields(spec, t).a_xi_hat - moved)) < 1e-12
+
+    @pytest.mark.parametrize("ex", EXAMPLE_IDS)
+    def test_numeric_shape_image_on_a_moved_slice(self, ex):
+        """The generic pipeline's shape image on the slice t = 0.33 matches
+        the closed form there, up to sign, within the cross check's bound."""
+        spec = example_spec(ex)
+        t = 0.33
+        sig = spec.sig
+        par = transport_basis(example_integral_curve(spec).curve, s0=0.0)
+        patch = TransformedPatch(ruling_isometry(spec, t), RHSPatch(par))
+        mu, uvec, frame = structure_shape_values(patch, np.zeros(patch.n_params))
+        psi = example_map(spec, t)
+        closed = example_fields(spec, t).a_xi_hat
+        closed = closed - real_metric(sig, closed, 1j * psi) * (1j * psi)
+        ph = np.sum(frame.lift * np.conj(psi))
+        numeric = (frame.epsilon * mu * frame.xi + uvec) * (np.conj(ph) / abs(ph))
+        gap = min(np.max(np.abs(numeric - closed)), np.max(np.abs(numeric + closed)))
+        assert gap < 1e-5
 
 
 class TestIntegralCurves:
