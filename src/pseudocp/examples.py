@@ -165,7 +165,7 @@ class ExampleSpec:
                 f"example {self.example_id} needs n >= {n_min} and {p_min} <= p <= n-{gap}; "
                 f"got (n={n}, p={p})"
             )
-        z = fam.default_seed(n) if self.seed_z is None else np.asarray(self.seed_z, dtype=complex)
+        z = fam.default_seed(n) if self.seed_z is None else np.array(self.seed_z, dtype=complex)
         if z.shape != (n,):
             raise DomainError(f"seed must have {n} entries")
         ruling = _Ruling(fam, self.sig)

@@ -16,11 +16,15 @@ phases, projects to the horizontal space and takes both SVDs as stacked
 array operations. The shape operator differentiates the locally extended
 unit normal with Richardson extrapolation; the four normals of each
 direction, for all directions of a point, are one kernel call.
+
+The classifier checks that the structure field is tangent to the base line
+(leaf coordinate 0) at unit parameter speed, so that the base curve is its
+integral curve, then sorts that curve into the three minimal cases.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -28,6 +32,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .curves import (
+    CURVE_TOL,
     CurveClass,
     SampledCurve,
     case_c_verify,
@@ -578,6 +583,11 @@ class FrameStack:
     def xi(self) -> np.ndarray:
         return -1j * self.normal
 
+    def tangent_coords(self, x: np.ndarray) -> np.ndarray:
+        """Coordinates (N, P) of each row of x (N, d) in that row's tangents."""
+        basis = np.swapaxes(_realify(self.tangents), 1, 2)
+        return np.matmul(np.linalg.pinv(basis), _realify(x)[:, :, None])[:, :, 0]
+
     def row(self, i: int) -> AlmostContactFrame:
         return AlmostContactFrame(
             sig=self.sig,
@@ -953,6 +963,11 @@ class ClassificationReport:
     detail: dict
 
 
+#: base-line rows per ``hypersurface_frames`` call in the integral-curve
+#: check; fixed blocks keep the stencil arrays, and so peak memory, small
+_LINE_BLOCK = 64
+
+
 def regenerate_integral_curve(
     par: RHSParametrization,
     half_span: float = 0.35,
@@ -960,17 +975,21 @@ def regenerate_integral_curve(
 ) -> tuple[SampledCurve, float]:
     """Re-derive the integral curve of the structure field from the patch.
 
-    Solves alpha' = xi in parameter space by RK4, starting at (s0, 0); the
-    returned curve is re-lifted horizontally and the worst defect between
-    its unit velocity and the measured structure field is reported. Sign and
-    phase continuity of xi along the path is kept through a moving reference.
+    The leaves are glued along the base curve, so at leaf coordinate 0 the
+    structure field should be +-alpha'. This is checked at every sample
+    u_k = (s0 + k step, 0, ..., 0), k = -count..count: the tangent
+    coordinates of xi must be (+-1, 0, ..., 0), so xi is tangent to the base
+    line at unit parameter speed. By uniqueness of ODE solutions the integral
+    curve of xi through (s0, 0) is then the base line itself, and its lifts
+    are the patch lifts at the samples; no integration is needed. The lifts
+    are used as they are when they are horizontal (to ``CURVE_TOL``), as for
+    every closed-form family; otherwise they are re-lifted by
+    ``horizontal_lift``. The frames come from ``hypersurface_frames`` in
+    fixed blocks of ``_LINE_BLOCK`` rows.
 
-    The +step and -step chains are independent, so they advance together as
-    a two-row stack: each RK4 stage is one ``hypersurface_frames`` call whose
-    row i is aligned to the previous frame of chain i. Each row equals the
-    frame a chain of its own would get, so the path does not change; with a
-    bad point on both chains, the error of the earlier stage (the +step
-    chain's on a tie) is raised.
+    The reported defect is the worse of the tangency defect and the gap
+    between the curve's unit velocity and the measured structure field at
+    about 30 interior samples.
     """
     patch = RHSPatch(par)
     sig = par.sig
@@ -978,54 +997,30 @@ def regenerate_integral_curve(
     half_span = min(half_span, par.s0 - lo - 5 * step, hi - par.s0 - 5 * step)
     if half_span <= 10 * step:
         raise ClassificationError("base curve range too small to regenerate")
-    u0 = np.zeros(patch.n_params)
-    u0[0] = par.s0
-    frame0 = hypersurface_frame(patch, u0)
-    if real_metric(sig, frame0.xi, frame0.tangents[0]) * par.eps1 < 0:
-        frame0 = replace(frame0, normal=-frame0.normal)
-    chains = 2
-    state = {
-        "ref": FrameStack(
-            sig=sig,
-            lift=np.repeat(frame0.lift[None], chains, axis=0),
-            tangents=np.repeat(frame0.tangents[None], chains, axis=0),
-            normal=np.repeat(frame0.normal[None], chains, axis=0),
-            epsilon=np.full(chains, frame0.epsilon),
-        )
-    }
-
-    def velocity(uu: np.ndarray) -> np.ndarray:
-        frames = hypersurface_frames(patch, uu, ref=state["ref"])
-        state["ref"] = frames
-        # one least-squares solve per row keeps each row's rounding
-        return np.array([fr.tangent_coords(fr.xi) for fr in map(frames.row, range(chains))])
-
     count = int(round(half_span / step))
     params = step * np.arange(-count, count + 1) + 0.0
-    upath = np.empty((params.shape[0], patch.n_params))
-    upath[count] = u0
+    rows = np.zeros((params.shape[0], patch.n_params))
+    rows[:, 0] = par.s0 + params
 
-    direction = np.array([1, -1])
-    hstep = (direction * step)[:, None]
-    u = np.repeat(u0[None], chains, axis=0)
-    for i in range(count):
-        k1 = velocity(u)
-        k2 = velocity(u + 0.5 * hstep * k1)
-        k3 = velocity(u + 0.5 * hstep * k2)
-        k4 = velocity(u + hstep * k3)
-        u = u + hstep * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-        upath[count + direction * (i + 1)] = u
+    blocks = [
+        hypersurface_frames(patch, rows[i : i + _LINE_BLOCK])
+        for i in range(0, rows.shape[0], _LINE_BLOCK)
+    ]
+    lifts = np.concatenate([fr.lift for fr in blocks])
+    xi = np.concatenate([fr.xi for fr in blocks])
+    a = np.concatenate([fr.tangent_coords(fr.xi) for fr in blocks])
+    tangency = max(np.max(np.abs(a[:, 1:]), initial=0.0), np.max(np.abs(np.abs(a[:, 0]) - 1.0)))
 
-    reps = patch.lifts_at(upath)
-    curve = horizontal_lift(sig, reps, reps[count], params=params, anchor=count)
+    curve = SampledCurve(sig, params, lifts, step)
+    if curve.horizontality_defect() > CURVE_TOL:
+        curve = horizontal_lift(sig, lifts, lifts[count], params=params, anchor=count)
 
     idx = np.arange(4, params.shape[0] - 4, max(1, params.shape[0] // 30))
-    frames = hypersurface_frames(patch, upath[idx])
-    xi = frames.xi * _phase_factor(sig.signs, frames.lift, curve.lifts[idx])[:, None]
+    xi = xi[idx] * _phase_factor(sig.signs, lifts[idx], curve.lifts[idx])[:, None]
     vel = curve.velocity[idx]
     vel = vel / np.sqrt(np.abs(gdot_rows(sig.signs, vel, vel)))[:, None]
     gap = np.minimum(np.max(np.abs(vel - xi), axis=1), np.max(np.abs(vel + xi), axis=1))
-    return curve, float(np.max(gap))
+    return curve, float(max(np.max(gap), tangency))
 
 
 _SURFACE_BY_SIGNS = {
@@ -1084,9 +1079,9 @@ def classify_minimal_ruled(
 ) -> ClassificationReport:
     """Decide which of the three minimal cases the base curve realizes.
 
-    The integral curve of the structure field is regenerated from the
-    parametrization (closing the loop on the constructor's input), checked
-    against the measured structure field, then classified.
+    The integral curve of the structure field is re-derived from the
+    parametrization (``regenerate_integral_curve``: the base line, once xi
+    is checked tangent to it at unit speed), then classified.
     """
     curve, defect = regenerate_integral_curve(par, half_span=half_span)
     if defect > xi_tol:

@@ -77,6 +77,14 @@ class TestExampleMap:
         with pytest.raises(DomainError):
             example_spec(4, sig=Signature(3, 1))  # families 3, 4 need p >= 2
 
+    def test_seed_array_is_copied(self):
+        z = gamma_seed(Signature(3, 1), 0.3)
+        spec = example_spec(1, seed_z=z)
+        assert z.flags.writeable
+        assert not spec.seed_z.flags.writeable
+        z[0] = 0.0
+        assert spec.seed_z[0] == 1.0
+
 
 class TestRulingIsometry:
     @pytest.mark.parametrize("ex", EXAMPLE_IDS)

@@ -6,6 +6,7 @@ import pytest
 from pseudocp.curves import covariant_derivative, sampled_curve_from_fn
 from pseudocp.errors import (
     ChartError,
+    ClassificationError,
     EmptyGridError,
     FrameError,
 )
@@ -32,6 +33,7 @@ from pseudocp.ruled import (
     hypersurface_frame,
     leaf_coordinate_grid,
     minimality,
+    regenerate_integral_curve,
     rhs_evaluate,
     rhs_lift,
     shape_operator,
@@ -424,3 +426,38 @@ class TestClassification:
         assert report.case is MinimalCase.CASE_B_TOTALLY_REAL_CIRCLE
         assert report.kind == "h2_2"
         assert report.eps1 == -1.0
+
+    @pytest.mark.parametrize("sig", [Signature(3, 1), Signature(4, 2)], ids=str)
+    @pytest.mark.parametrize("r,kind", [(0.775, "rp2"), (0.78, "rp2"), (0.79125, "s2_1")])
+    def test_family_one_near_the_case_c_transition(self, sig, r, kind):
+        """Small kappa1 near seed_r = pi/4 still classifies as a circle."""
+        data = example_integral_curve(example_spec(1, sig=sig, seed_z=gamma_seed(sig, r)))
+        report = classify_minimal_ruled(transport_basis(data.curve, s0=0.0))
+        assert report.case is MinimalCase.CASE_B_TOTALLY_REAL_CIRCLE
+        assert report.kind == kind
+        assert report.kappa1 == pytest.approx(np.sqrt(abs(data.accel_square)), abs=1e-6)
+
+    def test_base_curve_off_unit_speed_is_not_an_integral_curve(self):
+        """At speed 1.01 xi has base-line coordinate 1/1.01, not +-1."""
+        fn = example_integral_curve(example_spec(2)).curve.lift_fn
+        sig = example_spec(2).sig
+        curve = sampled_curve_from_fn(sig, lambda s: fn(1.01 * s), -0.495, 0.495, 1e-3)
+        par = transport_basis(curve, s0=0.0)
+        with pytest.raises(ClassificationError, match="not an integral curve"):
+            classify_minimal_ruled(par)
+
+    def test_non_horizontal_base_lifts_are_re_lifted(self):
+        """A base curve held by phase-rotated lifts regenerates horizontally."""
+        data = example_integral_curve(example_spec(2))
+        fn = data.curve.lift_fn
+        curve = sampled_curve_from_fn(
+            data.curve.sig, lambda s: np.exp(0.7j * s) * fn(s), -0.5, 0.5, 1e-3
+        )
+        assert curve.horizontality_defect() > 0.5
+        par = transport_basis(curve, s0=0.0)
+        regenerated, defect = regenerate_integral_curve(par)
+        assert regenerated.horizontality_defect() < 1e-9
+        assert defect < 1e-6
+        report = classify_minimal_ruled(par)
+        assert (report.case, report.kind) == (data.predicted_case, data.kind)
+        assert report.kappa1 == pytest.approx(data.kappa1, abs=1e-6)

@@ -5,9 +5,12 @@ The references are the scalar bodies: frame completion one row at a time
 (list candidates, a strict ``>`` pivot scan, restarts drawn from a fresh
 ``default_rng(0)``), the one-point horizontal basis, horizontal unit and
 frame isometry, the curvature tensor of Python floats, the two seeded
-suites drawing and completing point by point, and the RK4 regeneration
-running the +step chain to its end before the -step chain. The arithmetic
-is unchanged, so every comparison asks for equality.
+suites drawing and completing point by point. The arithmetic is unchanged,
+so those comparisons ask for equality.
+
+The RK4 regeneration (the +step chain to its end, then the -step chain) is
+kept as the oracle of the base-line check that replaced it: its path must be
+the base line, and the lifts and classification must agree to tolerance.
 """
 
 from dataclasses import replace
@@ -15,8 +18,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pseudocp.errors import CausalCharacterError, FrameError, SpherePointError
-from pseudocp.examples import example_integral_curve, example_spec
+from pseudocp.errors import (
+    CausalCharacterError,
+    ClassificationError,
+    FrameError,
+    SpherePointError,
+)
+from pseudocp.examples import example_integral_curve, example_spec, gamma_seed
 from pseudocp.frames import PIVOT_TOL, complete_unitary_frame, complete_unitary_frames
 from pseudocp.isometries import IndefiniteUnitaryMatrix, frame_to_isometries, frame_to_isometry
 from pseudocp.linalg import (
@@ -40,6 +48,7 @@ from pseudocp.projective import (
 from pseudocp.ruled import (
     RHSPatch,
     _phase_factor,
+    classify_generating_curve,
     hypersurface_frame,
     hypersurface_frames,
     horizontal_lift,
@@ -202,7 +211,8 @@ def _ref_unitary_frame_lines(sig, count, seed=1):
 
 
 def _ref_regenerate(par, half_span=0.35, step=2e-3):
-    """The +step chain to its end, then the -step chain, one frame per stage."""
+    """The +step chain to its end, then the -step chain, one frame per stage;
+    returns the re-lifted curve, its xi defect and the RK4 parameter path."""
     patch = RHSPatch(par)
     sig = par.sig
     lo, hi = par.s_range()
@@ -242,7 +252,7 @@ def _ref_regenerate(par, half_span=0.35, step=2e-3):
     vel = curve.velocity[idx]
     vel = vel / np.sqrt(np.abs(gdot_rows(sig.signs, vel, vel)))[:, None]
     gap = np.minimum(np.max(np.abs(vel - xi), axis=1), np.max(np.abs(vel + xi), axis=1))
-    return curve, float(np.max(gap))
+    return curve, float(np.max(gap)), upath
 
 
 # ---------------------------------------------------------------------------
@@ -408,11 +418,35 @@ def test_unitary_frame_lines_match_scalar_loop():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("example_id", [1, 2, 3, 4])
-def test_regeneration_matches_sequential_chains(example_id):
-    par = transport_basis(example_integral_curve(example_spec(example_id)).curve, s0=0.0)
-    curve, defect = regenerate_integral_curve(par)
-    want_curve, want_defect = _ref_regenerate(par)
-    assert defect == want_defect
-    assert np.array_equal(curve.lifts, want_curve.lifts)
+@pytest.mark.parametrize(
+    "example_id,seed_r",
+    [(1, None), (2, None), (3, None), (4, None), (1, 0.76), (1, 0.79)],
+    ids=["1", "2", "3", "4", "1-r0.76", "1-r0.79"],
+)
+def test_regeneration_is_the_oracles_base_line(example_id, seed_r):
+    sig = example_spec(example_id).sig
+    seed = None if seed_r is None else gamma_seed(sig, seed_r)
+    data = example_integral_curve(example_spec(example_id, sig, seed))
+    par = transport_basis(data.curve, s0=0.0)
+    step = 2e-3
+    want_curve, _, upath = _ref_regenerate(par, step=step)
+    # the RK4 path through (s0, 0) is the base line at unit parameter speed
+    assert np.max(np.abs(upath[:, 1:])) <= 1e-10
+    assert np.max(np.abs(np.abs(np.diff(upath[:, 0])) - step)) <= 1e-10
+
+    curve, defect = regenerate_integral_curve(par, step=step)
+    assert defect < 1e-6
     assert np.array_equal(curve.params, want_curve.params)
+    assert np.max(np.abs(curve.lifts - want_curve.lifts)) <= 1e-8
+
+    report = classify_generating_curve(curve)
+    assert report.case is data.predicted_case
+    assert report.kind == data.kind
+    assert abs(report.kappa1 - np.sqrt(abs(data.accel_square))) <= 1e-10
+    try:
+        want = classify_generating_curve(want_curve)
+    except ClassificationError:
+        # the re-lifted oracle curve misses its Frenet gates near pi/4
+        assert seed_r == 0.79
+    else:
+        assert (want.case, want.kind) == (report.case, report.kind)
