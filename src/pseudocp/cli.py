@@ -42,7 +42,7 @@ from .curves import (
     case_c1_curve,
     case_c2_curve,
     model_circle_curve,
-    sampled_curve_from_fn,
+    sample_params,
 )
 from .errors import (
     CausalCharacterError,
@@ -107,28 +107,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--out", default=None, help="write the report to this path")
-        p.add_argument("--format", default=None, choices=("json", "csv"))
-        p.add_argument("--tol-light", type=float, default=None)
-        p.add_argument("--verify-tol", type=float, default=None)
-        p.add_argument("--grid", default=None, help="grid densities, e.g. 5x5x4")
-
+    # each subcommand takes only the flags it reads
     pv = sub.add_parser("verify", help="run the identity suites")
     pv.add_argument("target", help="example id 1-4 or 'all'")
     pv.add_argument("--seed-r", type=float, default=None,
                     help="seed parameter for family 1's distinguished curve")
     pv.add_argument("--signature", default=None, help="override signature, e.g. 3,1")
-    common(pv)
+    pv.add_argument("--verify-tol", type=float, default=None)
 
     pc = sub.add_parser("classify", help="classify a generating curve file")
     pc.add_argument("curve_file")
-    common(pc)
 
     ps = sub.add_parser("sample", help="export a hypersurface point cloud")
     ps.add_argument("example_id", help="example id 1-4")
     ps.add_argument("--seed-r", type=float, default=None)
-    common(ps)
+    ps.add_argument("--format", default=None, choices=("json", "csv"))
+
+    for p in (pv, pc, ps):
+        p.add_argument("--out", default=None, help="write the report to this path")
+    for p in (pv, ps):
+        p.add_argument("--grid", default=None, help="grid densities, e.g. 5x5x4")
     return parser
 
 
@@ -144,7 +142,6 @@ def _parse_grid(text: str):
 
 def _config_from_args(args) -> RunConfig:
     overrides = {
-        "tau_light": getattr(args, "tol_light", None),
         "verify_tol": getattr(args, "verify_tol", None),
         "out_path": getattr(args, "out", None),
         "fmt": getattr(args, "format", None),
@@ -296,8 +293,9 @@ def _curve_from_file(doc: dict) -> SampledCurve:
         if char in (CausalCharacter.LIGHTLIKE, CausalCharacter.ZERO):
             raise CausalCharacterError("geodesic velocity must not be lightlike")
         v = v / np.sqrt(abs(real_metric(sig, v, v)))
+        params = sample_params(s_lo, s_hi, step)
         fn = lambda s: sphere_geodesic(sig, q, v, s)
-        return sampled_curve_from_fn(sig, fn, s_lo, s_hi, step)
+        return SampledCurve(sig, params, fn(params), step, fn)
     if family in ("case_c1", "case_c2"):
         builder = case_c1_curve if family == "case_c1" else case_c2_curve
         crv = builder(
@@ -349,7 +347,7 @@ def cmd_classify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    char = causal_character(curve.sig, curve.velocity[len(curve) // 2], cfg.tau_light)
+    char = causal_character(curve.sig, curve.velocity[len(curve) // 2])
     if char in (CausalCharacter.LIGHTLIKE, CausalCharacter.ZERO):
         print("error: curve velocity is lightlike", file=sys.stderr)
         return EXIT_PRECONDITION

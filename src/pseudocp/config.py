@@ -15,7 +15,6 @@ CONFIG_ENV = "PSEUDOCP_CONFIG"
 
 @dataclass
 class RunConfig:
-    tau_light: float = 1e-8
     verify_tol: float = 1e-4
     grid_s: int = 5
     grid_t: int = 5
@@ -25,7 +24,7 @@ class RunConfig:
     fmt: str = "json"
 
     def validate(self) -> None:
-        for name in ("tau_light", "verify_tol", "leaf_radius"):
+        for name in ("verify_tol", "leaf_radius"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         for name in ("grid_s", "grid_t", "grid_leaf"):

@@ -9,7 +9,7 @@ projection, which realizes the quotient connection on lifts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from typing import Callable, Optional
@@ -27,9 +27,12 @@ from .linalg import (
     jmul,
     real_metric,
 )
+from .projective import horizontal_rows
 
 #: horizontality / unit-speed defect accepted on sampled curves
 CURVE_TOL = 1e-6
+#: sup norm below which a Frenet stage remainder counts as vanishing
+FRENET_TOL = 1e-5
 #: rows lost to less accurate one-sided stencils per differentiation stage
 EDGE_MARGIN = 4
 
@@ -92,7 +95,11 @@ def fd_second_derivative(fn: Callable[[float], np.ndarray], s: float, h: float =
 
 @dataclass(frozen=True)
 class SampledCurve:
-    """Uniformly sampled curve held by phase-coherent horizontal lifts."""
+    """Uniformly sampled curve held by phase-coherent horizontal lifts.
+
+    Every stencil assumes samples spaced by ``step``: params that are not,
+    to a relative 1e-6, raise SamplingError.
+    """
 
     sig: Signature
     params: np.ndarray
@@ -105,6 +112,8 @@ class SampledCurve:
         lifts = np.asarray(self.lifts, dtype=complex)
         if lifts.shape != (params.shape[0], self.sig.ambient_dim):
             raise SamplingError("lift array does not match params and signature")
+        if np.max(np.abs(np.diff(params) - self.step), initial=0.0) > 1e-6 * abs(self.step):
+            raise SamplingError("params are not spaced uniformly by the curve step")
         params.setflags(write=False)
         lifts.setflags(write=False)
         object.__setattr__(self, "params", params)
@@ -116,11 +125,7 @@ class SampledCurve:
     @cached_property
     def velocity(self) -> np.ndarray:
         """Per-sample horizontal velocity vectors (sphere tangential part)."""
-        signs = self.sig.signs
-        v = deriv_rows(self.lifts, self.step)
-        v = v - gdot_rows(signs, v, self.lifts)[:, None] * self.lifts
-        fiber = 1j * self.lifts
-        return v - gdot_rows(signs, v, fiber)[:, None] * fiber
+        return horizontal_rows(self.sig.signs, self.lifts, deriv_rows(self.lifts, self.step))
 
     @cached_property
     def eps1(self) -> float:
@@ -145,6 +150,11 @@ class SampledCurve:
         )
 
 
+def sample_params(s_min: float, s_max: float, step: float) -> np.ndarray:
+    """Uniform grid from s_min by step, its last sample nearest s_max."""
+    return s_min + step * np.arange(int(round((s_max - s_min) / step)) + 1)
+
+
 def sampled_curve_from_fn(
     sig: Signature,
     fn: Callable[[float], np.ndarray],
@@ -152,8 +162,7 @@ def sampled_curve_from_fn(
     s_max: float,
     step: float,
 ) -> SampledCurve:
-    count = int(round((s_max - s_min) / step)) + 1
-    params = s_min + step * np.arange(count)
+    params = sample_params(s_min, s_max, step)
     lifts = np.array([fn(s) for s in params], dtype=complex)
     return SampledCurve(sig, params, lifts, step, fn)
 
@@ -177,11 +186,7 @@ def covariant_derivative(curve: SampledCurve, field_rows: np.ndarray) -> np.ndar
     rows = np.asarray(field_rows, dtype=complex)
     if rows.shape != curve.lifts.shape:
         raise SamplingError("field shape does not match the curve")
-    signs = curve.sig.signs
-    d = deriv_rows(rows, curve.step)
-    d = d - gdot_rows(signs, d, curve.lifts)[:, None] * curve.lifts
-    fiber = 1j * curve.lifts
-    return d - gdot_rows(signs, d, fiber)[:, None] * fiber
+    return horizontal_rows(curve.sig.signs, curve.lifts, deriv_rows(rows, curve.step))
 
 
 # ---------------------------------------------------------------------------
@@ -201,20 +206,16 @@ class FrenetResult:
     detail: dict
 
 
-def frenet_apparatus(
-    curve: SampledCurve,
-    max_order: Optional[int] = None,
-    tol: float = 1e-5,
-) -> FrenetResult:
+def frenet_apparatus(curve: SampledCurve) -> FrenetResult:
     """Iteratively build the orthonormal frame fields along a unit curve.
 
     Each stage differentiates the last frame field, removes the back term,
     and normalizes the remainder into the next frame vector. Iteration stops
-    at a vanishing remainder (the order is reached) or at a lightlike one,
-    which is the non-Frenet case when the remainder is parallel.
+    at a vanishing remainder (the order is reached; order one is the
+    geodesic, order two possibly the totally real circle), at a lightlike
+    one, which is the non-Frenet case when the remainder is parallel, or
+    at the full order 2n.
     """
-    if max_order is None:
-        max_order = 2 * curve.sig.n
     defect = curve.speed_defect()
     if defect > CURVE_TOL:
         raise SpeedError(f"unit speed defect {defect:.3e} exceeds {CURVE_TOL:.1e}")
@@ -234,15 +235,13 @@ def frenet_apparatus(
         stage += 1
         core = _interior(d, stage)
         rnorm = float(np.max(np.sqrt(np.sum(np.abs(core) ** 2, axis=-1))))
-        if rnorm <= tol:
-            order = len(frames)
-            if order == 1:
-                cls = CurveClass.GEODESIC
-            elif order == 2:
-                cls = _maybe_circle(curve, frames, curv, stage)
-            else:
-                cls = CurveClass.OTHER
-            return FrenetResult(order, frames, curv, eps, cls, {"residual": rnorm})
+        if rnorm <= FRENET_TOL:
+            fr = FrenetResult(len(frames), frames, curv, eps, CurveClass.OTHER, {"residual": rnorm})
+            if fr.order == 1:
+                return replace(fr, classification=CurveClass.GEODESIC)
+            if is_totally_real_circle(fr, curve)[0]:
+                return replace(fr, classification=CurveClass.TOTALLY_REAL_CIRCLE)
+            return fr
         g = gdot_rows(signs_vec, d, d)
         gcore = _interior(g, stage)
         ecore = np.sum(np.abs(core) ** 2, axis=-1)
@@ -253,7 +252,7 @@ def frenet_apparatus(
                     np.max(np.sqrt(np.sum(np.abs(_interior(dd, stage + 1)) ** 2, axis=-1)))
                 )
                 cls = (
-                    CurveClass.CASE_C_NON_FRENET if par <= 10 * tol else CurveClass.OTHER
+                    CurveClass.CASE_C_NON_FRENET if par <= 10 * FRENET_TOL else CurveClass.OTHER
                 )
                 return FrenetResult(
                     1, frames, curv, eps, cls, {"lightlike_parallel_defect": par}
@@ -270,26 +269,15 @@ def frenet_apparatus(
         frames.append(sgn * d / kappa[:, None])
         curv.append(kappa)
         eps.append(sgn)
-        if len(frames) >= max_order:
-            order = len(frames)
-            cls = CurveClass.OTHER
-            if order == 2:
-                cls = _maybe_circle(curve, frames, curv, stage)
-            return FrenetResult(order, frames, curv, eps, cls, {"max_order": True})
-
-
-def _maybe_circle(curve, frames, curv, stage) -> CurveClass:
-    k = _interior(curv[0], stage)
-    spread = float(np.std(k) / np.mean(k))
-    tau = gdot_rows(curve.sig.signs, frames[0], jmul(frames[1]))
-    tau_max = float(np.max(np.abs(_interior(tau, stage))))
-    if spread <= 1e-4 and tau_max <= CURVE_TOL:
-        return CurveClass.TOTALLY_REAL_CIRCLE
-    return CurveClass.OTHER
+        if len(frames) >= 2 * curve.sig.n:
+            return FrenetResult(
+                len(frames), frames, curv, eps, CurveClass.OTHER, {"max_order": True}
+            )
 
 
 def is_totally_real_circle(fr: FrenetResult, curve: SampledCurve):
-    """Order 2, constant curvature, and vanishing holomorphic torsion."""
+    """Order 2, constant curvature, and vanishing holomorphic torsion, away
+    from the rows the three differentiation stages of order 2 reach."""
     report = {"order": fr.order}
     if fr.order != 2:
         return False, report
@@ -303,8 +291,9 @@ def is_totally_real_circle(fr: FrenetResult, curve: SampledCurve):
     return ok, report
 
 
-def case_c_verify(curve: SampledCurve, tol: float = CURVE_TOL):
-    """Check the non-Frenet system: lightlike, parallel, totally real F2."""
+def case_c_verify(curve: SampledCurve):
+    """Check the non-Frenet system: lightlike, parallel, totally real F2,
+    each to ``CURVE_TOL``."""
     signs = curve.sig.signs
     g1 = gdot_rows(signs, curve.velocity, curve.velocity)
     f1 = curve.velocity / np.sqrt(np.abs(g1))[:, None]
@@ -324,13 +313,7 @@ def case_c_verify(curve: SampledCurve, tol: float = CURVE_TOL):
         "g(F1,F2)": g12,
         "g(F1,JF2)": gj12,
     }
-    ok = (
-        nonzero > 10 * tol
-        and gf2 <= tol
-        and par <= tol
-        and g12 <= tol
-        and gj12 <= tol
-    )
+    ok = nonzero > 10 * CURVE_TOL and all(x <= CURVE_TOL for x in (gf2, par, g12, gj12))
     return ok, report
 
 

@@ -21,7 +21,6 @@ from .errors import (
 from .frames import complete_unitary_frames
 from .linalg import (
     LIGHT_TOL,
-    SPHERE_TOL,
     CausalCharacter,
     Signature,
     as_ambient,
@@ -91,40 +90,50 @@ def canonical_phase(z: np.ndarray):
 
 
 def canonical_phases(z: np.ndarray) -> np.ndarray:
-    """``canonical_phase`` of each row of z (N, d); 1 for a zero row."""
-    j = np.argmax(np.abs(z), axis=-1)[:, None]
-    zj = np.take_along_axis(z, j, axis=-1)[:, 0]
+    """``canonical_phase`` of each row of z (..., d); 1 for a zero row."""
+    j = np.argmax(np.abs(z), axis=-1)[..., None]
+    zj = np.take_along_axis(z, j, axis=-1)[..., 0]
     # rounds like abs() of a complex scalar; np.abs can differ by an ulp
     mod = np.hypot(zj.real, zj.imag)
     zero = mod == 0.0
     return np.where(zero, 1.0 + 0.0j, np.conj(zj) / np.where(zero, 1.0, mod))
 
 
-def canonicalize(sig: Signature, z, tol: float = SPHERE_TOL) -> ProjectivePoint:
-    """Normalize a spacelike ambient vector to the canonical representative.
+def canonical_rows(sig: Signature, z) -> np.ndarray:
+    """Canonical representatives of stacked spacelike rows z (..., d): each
+    row normalized to g = 1, then turned by its ``canonical_phases``.
 
-    Raises NotProjectablePoint when g(z,z) <= 0: only spacelike position
-    vectors define point classes of the quotient.
+    Raises NotProjectablePoint when some g(z,z) <= 0: only spacelike
+    position vectors define point classes of the quotient.
     """
-    zv = as_ambient(sig, z)
-    g = real_metric(sig, zv, zv)
-    if g <= 0.0:
-        raise NotProjectablePoint(f"g(z,z) = {g:.3e} is not positive")
-    rep = zv / np.sqrt(g)
-    rep = rep * canonical_phase(rep)
-    return ProjectivePoint(sig, rep)
+    z = np.asarray(z, dtype=complex)
+    g = linalg.gdot_rows(sig.signs, z, z)
+    if np.any(g <= 0.0):
+        raise NotProjectablePoint(f"g(z,z) = {float(np.min(g)):.3e} is not positive")
+    rep = z / np.sqrt(g)[..., None]
+    return rep * canonical_phases(rep)[..., None]
+
+
+def canonicalize(sig: Signature, z) -> ProjectivePoint:
+    """Point class of a spacelike ambient vector: the one-row case of
+    ``canonical_rows``."""
+    return ProjectivePoint(sig, canonical_rows(sig, as_ambient(sig, z)[None])[0])
+
+
+def horizontal_rows(signs: np.ndarray, q: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Horizontal part at the unit spacelike lifts q of the vectors x: the
+    components along q and along the fiber direction iq removed, in that
+    order. Broadcasts over leading axes.
+    """
+    x = x - linalg.gdot_rows(signs, x, q)[..., None] * q
+    iq = 1j * q
+    return x - linalg.gdot_rows(signs, x, iq)[..., None] * iq
 
 
 def horizontal_project(sig: Signature, q, x) -> np.ndarray:
-    """Project a sphere-tangent vector at q onto the horizontal space.
-
-    The fiber direction iq is spacelike unit (g(iq, iq) = g(q, q) = 1), so
-    the projection just removes the g(x, iq) component.
-    """
-    qv = as_ambient(sig, q)
-    xv = as_ambient(sig, x)
-    iq = jmul(qv)
-    return xv - real_metric(sig, xv, iq) * iq
+    """Horizontal part of an ambient vector at the sphere point q: the
+    one-row case of ``horizontal_rows``."""
+    return horizontal_rows(sig.signs, as_ambient(sig, q), as_ambient(sig, x))
 
 
 def tangent_from_lift(sig: Signature, lift, vec) -> ProjectiveTangent:
@@ -139,58 +148,32 @@ def tangent_from_lift(sig: Signature, lift, vec) -> ProjectiveTangent:
     return ProjectiveTangent(point, as_ambient(sig, vec) * phase)
 
 
-def sphere_geodesic(sig: Signature, q, v, t: float) -> np.ndarray:
-    """Closed-form geodesic of the pseudo-sphere from q with velocity v."""
+def sphere_geodesic(sig: Signature, q, v, t) -> np.ndarray:
+    """Closed-form geodesic of the pseudo-sphere from q with velocity v, at
+    the parameter t or at each entry of an array of parameters."""
     return quadric_geodesic(sig.signs, as_ambient(sig, q), as_ambient(sig, v), t)
 
 
-def quadric_geodesic(signs: np.ndarray, q: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
-    """Geodesic of the unit quadric {g(x,x) = 1} of the flat space whose
-    metric has the diagonal ``signs``, from q with velocity v.
+def quadric_geodesic(signs: np.ndarray, q, v, t) -> np.ndarray:
+    """Geodesics of the unit quadric {g(x,x) = 1} of the flat space whose
+    metric has the diagonal ``signs``, from the rows of q with the velocities
+    v at the parameters t; q, v (..., d) and t (...) broadcast.
 
-    Trigonometric for spacelike v, hyperbolic for timelike v, affine for
-    lightlike v; the case split uses the relative lightlike threshold.
-    """
-    g = float(linalg.gdot_rows(signs, v, v))
-    eunorm2 = float(np.sum(np.abs(v) ** 2))
-    if eunorm2 == 0.0 or abs(g) <= LIGHT_TOL * eunorm2:
-        return q + t * v
-    if g > 0:
-        w = np.sqrt(g)
-        return np.cos(w * t) * q + np.sin(w * t) * v / w
-    w = np.sqrt(-g)
-    return np.cosh(w * t) * q + np.sinh(w * t) * v / w
-
-
-def sphere_geodesic_rows(sig: Signature, q, v) -> np.ndarray:
-    """``sphere_geodesic`` at t = 1 over stacked rows (q broadcasts against v).
-
-    Each row takes the same trigonometric / hyperbolic / affine branch as
-    the scalar function, by the same relative lightlike threshold.
+    Each row is trigonometric for spacelike v, hyperbolic for timelike v and
+    affine for lightlike v (zero v included); the split uses the relative
+    lightlike threshold.
     """
     q = np.asarray(q, dtype=complex)
     v = np.asarray(v, dtype=complex)
-    g = linalg.gdot_rows(sig.signs, v, v)
-    eunorm2 = np.sum(np.abs(v) ** 2, axis=-1)
-    light = np.abs(g) <= LIGHT_TOL * eunorm2  # also catches v = 0
+    t = np.asarray(t, dtype=float)
+    g = linalg.gdot_rows(signs, v, v)
+    light = np.abs(g) <= LIGHT_TOL * np.sum(np.abs(v) ** 2, axis=-1)
     w = np.where(light, 1.0, np.sqrt(np.abs(g)))
-    cos = np.where(light, 1.0, np.where(g > 0, np.cos(w), np.cosh(w)))
-    sin = np.where(light, 1.0, np.where(g > 0, np.sin(w), np.sinh(w)))
+    wt = w * t
+    with np.errstate(over="ignore"):  # cosh of a long spacelike ray; not selected
+        cos = np.where(light, 1.0, np.where(g > 0, np.cos(wt), np.cosh(wt)))
+        sin = np.where(light, t, np.where(g > 0, np.sin(wt), np.sinh(wt)))
     return cos[..., None] * q + sin[..., None] * v / w[..., None]
-
-
-def canonical_rows(sig: Signature, z) -> np.ndarray:
-    """``canonicalize`` over stacked rows: unit representatives whose
-    largest-modulus entry is real positive, ties to the lowest index."""
-    z = np.asarray(z, dtype=complex)
-    g = linalg.gdot_rows(sig.signs, z, z)
-    if np.any(g <= 0.0):
-        raise NotProjectablePoint(f"g(z,z) = {float(np.min(g)):.3e} is not positive")
-    rep = z / np.sqrt(g)[..., None]
-    mod = np.abs(rep)
-    j = np.argmax(mod, axis=-1)[..., None]
-    zj = np.take_along_axis(rep, j, axis=-1)
-    return rep * (np.conj(zj) / np.take_along_axis(mod, j, axis=-1))
 
 
 def exp_map(x: ProjectivePoint, v: ProjectiveTangent, t: float = 1.0) -> ProjectivePoint:

@@ -6,8 +6,9 @@ that keeps the covariant derivative inside that span (gluing the hyperplane
 leaves along the curve without rotations). The ODE is linear in the frame:
 the curve states come from one array pass over the half-step grid, and each
 RK4 step is a precomputed real propagator matrix. Evaluation composes the
-transported frame with the exponential map, one point at a time
-(``rhs_lift``) or over a whole grid in one batch (``rhs_lift_grid``).
+transported frame with the exponential map over stacked patch parameters
+(``RHSPatch.lifts_at``); a single point (``rhs_lift``) and a product grid of
+base parameters and leaf coordinates (``rhs_lift_grid``) are its cases.
 
 Almost contact frames come from one batched kernel, ``hypersurface_frames``:
 for a stack of patch parameters it evaluates every lift of every
@@ -48,7 +49,6 @@ from .errors import (
     EmptyGridError,
     FrameError,
     ImmersionError,
-    SamplingError,
 )
 from .frames import orthonormalize_real_metric
 from .isometries import IndefiniteUnitaryMatrix, frame_to_isometry
@@ -64,9 +64,9 @@ from .projective import (
     ProjectivePoint,
     ProjectiveTangent,
     canonicalize,
+    horizontal_rows,
+    quadric_geodesic,
     random_horizontal_unit,
-    sphere_geodesic,
-    sphere_geodesic_rows,
     tangent_from_lift,
 )
 
@@ -74,6 +74,10 @@ from .projective import (
 TANGENT_FD_STEP = 1e-4
 #: base step for the normal-derivative (shape operator) stencil
 SHAPE_FD_STEP = 1e-4
+#: step of the outer difference of Weingarten images in the Codazzi residual
+CODAZZI_FD_STEP = 5e-3
+#: step of the difference of the structure field in its derived identity
+STRUCTURE_FD_STEP = 1e-3
 #: leaf coordinates must stay inside this chart radius
 CHART_RADIUS = np.pi / 2
 #: relative lightlike threshold for numerically measured vectors
@@ -105,11 +109,6 @@ class _CurveLift:
         self.spline = None
         if self.fn is None:
             self.spline = CubicSpline(curve.params, curve.lifts, axis=0)
-
-    def __call__(self, s: float) -> np.ndarray:
-        if self.fn is not None:
-            return self.fn(s)
-        return np.asarray(self.spline(s), dtype=complex)
 
     def rows(self, s: np.ndarray) -> np.ndarray:
         """Lifts at an array of parameters, stacked on the leading axis."""
@@ -145,13 +144,7 @@ def _curve_states(curve: SampledCurve, lift: _CurveLift):
     dq = (-at(4) + 8.0 * at(2) - 8.0 * at(-2) + at(-4)) / (12.0 * h)
     d2q = (-at(4) + 16.0 * at(2) - 30.0 * q + 16.0 * at(-2) - at(-4)) / (12.0 * h * h)
     signs = curve.sig.signs
-    iq = 1j * q
-
-    def horizontal(x: np.ndarray) -> np.ndarray:
-        x = x - gdot_rows(signs, x, q)[:, None] * q
-        return x - gdot_rows(signs, x, iq)[:, None] * iq
-
-    return q, horizontal(dq), horizontal(d2q)
+    return q, horizontal_rows(signs, q, dq), horizontal_rows(signs, q, d2q)
 
 
 @dataclass(frozen=True)
@@ -178,9 +171,6 @@ class RHSParametrization:
 
     def s_range(self) -> tuple[float, float]:
         return float(self.base.params[0]), float(self.base.params[-1])
-
-    def alpha_lift(self, s: float) -> np.ndarray:
-        return self.lift(s)
 
     def frame_at(self, s: float) -> np.ndarray:
         """Cubic Hermite interpolation of the transported frame."""
@@ -317,9 +307,6 @@ def transport_basis(
     """
     sig = curve.sig
     grid = curve.params
-    # _curve_states places the half-step grid at params[0] + k * step / 2
-    if np.max(np.abs(np.diff(grid) - curve.step), initial=0.0) > 1e-6 * abs(curve.step):
-        raise SamplingError("transport needs params spaced uniformly by the curve step")
     lift = _CurveLift(curve)
     q, dq, f = _curve_states(curve, lift)
     i0 = int(np.argmin(np.abs(grid - s0)))
@@ -383,17 +370,9 @@ def transport_basis(
 
 
 def rhs_lift(par: RHSParametrization, s: float, coords) -> np.ndarray:
-    """Smooth (non-canonicalized) sphere lift of the parametrization point."""
-    coords = np.asarray(coords, dtype=float)
-    if coords.shape != (par.leaf_dim,):
-        raise ChartError(f"expected {par.leaf_dim} leaf coordinates")
-    if float(np.sqrt(np.sum(coords**2))) >= CHART_RADIUS:
-        raise ChartError("leaf coordinates outside the chart radius")
-    lo, hi = par.s_range()
-    if not lo - 1e-12 <= s <= hi + 1e-12:
-        raise ChartError("base parameter outside the curve range")
-    v = coords @ par.frame_at(s)
-    return sphere_geodesic(par.sig, par.alpha_lift(s), v, 1.0)
+    """Smooth (non-canonicalized) sphere lift of the parametrization point:
+    the one-row case of ``RHSPatch.lifts_at``."""
+    return RHSPatch(par).lift_at(np.concatenate([[s], np.asarray(coords, dtype=float)]))
 
 
 def _check_chart(par: RHSParametrization, s_values: np.ndarray, coords: np.ndarray) -> None:
@@ -412,14 +391,18 @@ def rhs_lift_grid(par: RHSParametrization, s_values, coords) -> np.ndarray:
     """``rhs_lift`` at every pair of base parameter and leaf coordinates.
 
     Entry [i, j] of the (S, L, d) result is the lift at s_values[i] and
-    coords[j]. The whole grid is checked against the chart before any
-    point is evaluated.
+    coords[j]; the pairs are the rows of one ``RHSPatch.lifts_at`` call, so
+    the whole grid is checked against the chart before any point is
+    evaluated.
     """
     s_values = np.asarray(s_values, dtype=float)
     coords = np.asarray(coords, dtype=float)
-    _check_chart(par, s_values, coords)
-    v = np.einsum("lk,skd->sld", coords, par.frames_at(s_values))
-    return sphere_geodesic_rows(par.sig, par.lift.rows(s_values)[:, None, :], v)
+    if coords.ndim != 2:
+        raise ChartError(f"expected rows of {par.leaf_dim} leaf coordinates")
+    rows = np.concatenate(
+        [np.repeat(s_values, len(coords))[:, None], np.tile(coords, (len(s_values), 1))], axis=1
+    )
+    return RHSPatch(par).lifts_at(rows).reshape(len(s_values), len(coords), -1)
 
 
 def rhs_evaluate(par: RHSParametrization, s: float, coords) -> ProjectivePoint:
@@ -436,15 +419,17 @@ class RHSPatch:
         self.n_params = 1 + par.leaf_dim
 
     def lift_at(self, u: np.ndarray) -> np.ndarray:
-        return rhs_lift(self.par, float(u[0]), u[1:])
+        return self.lifts_at(np.asarray(u, dtype=float)[None])[0]
 
     def lifts_at(self, rows: np.ndarray) -> np.ndarray:
-        """``lift_at`` over stacked parameter rows (M, 1 + k).
+        """Sphere lifts at stacked parameter rows (M, 1 + k): the geodesic
+        from the base lift at s along the transported frame applied to the
+        leaf coordinates.
 
         All rows are checked against the chart first. The Hermite frame and
         the base lift are evaluated once per distinct s (a frame stencil
         moves s in only three of its rows), the geodesics in one batch.
-        Stacked matrix products keep each row equal to ``lift_at``.
+        Stacked matrix products keep each row independent of the batch.
         """
         rows = np.asarray(rows, dtype=float)
         par = self.par
@@ -452,7 +437,7 @@ class RHSPatch:
         _check_chart(par, s, coords)
         s_distinct, inverse = np.unique(s, return_inverse=True)
         v = np.matmul(coords[:, None, :], par.frames_at(s_distinct)[inverse])[:, 0]
-        return sphere_geodesic_rows(par.sig, par.lift.rows(s_distinct)[inverse], v)
+        return quadric_geodesic(par.sig.signs, par.lift.rows(s_distinct)[inverse], v, 1.0)
 
 
 class TransformedPatch:
@@ -501,7 +486,7 @@ class GeodesicSpherePatch:
         keeps each row independent of the batch size."""
         w = self.v0 + np.matmul(np.asarray(rows, dtype=float)[:, None, :], self.dirs)[:, 0]
         w = w / np.sqrt(gdot_rows(self.sig.signs, w, w))[:, None]
-        return np.cos(self.radius) * self.q0 + np.sin(self.radius) * w
+        return quadric_geodesic(self.sig.signs, self.q0, w, self.radius)
 
 
 def _patch_lifts(patch, rows: np.ndarray) -> np.ndarray:
@@ -551,6 +536,14 @@ class AlmostContactFrame:
 
     def phi(self, x: np.ndarray) -> np.ndarray:
         return 1j * np.asarray(x, dtype=complex) - self.epsilon * self.eta(x) * self.normal
+
+    def tangential(self, x: np.ndarray) -> np.ndarray:
+        """Tangential part at this point of an ambient difference quotient
+        (d,) or of each row (m, d): its horizontal part at the lift, less
+        its normal component."""
+        signs = self.sig.signs
+        x = horizontal_rows(signs, self.lift, x)
+        return x - self.epsilon * gdot_rows(signs, x, self.normal)[..., None] * self.normal
 
     def tangent_coords(self, x: np.ndarray) -> np.ndarray:
         """Coordinates in the tangents of a vector (d,) or of each row (m, d)."""
@@ -609,17 +602,17 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
 def hypersurface_frames(
     patch,
     rows: np.ndarray,
-    h: float = TANGENT_FD_STEP,
     ref: Optional[AlmostContactFrame | FrameStack] = None,
 ) -> FrameStack:
     """Numeric unit normals and almost contact data at stacked parameters.
 
     Each row u of the (N, P) array gets the stencil u, u + h e_j, u - h e_j
-    (j < P), and all (2P + 1) N lifts come from one patch call. The tangents
-    are central differences of the stencil lifts phase-aligned to the lift
-    at u, made horizontal. The normal is the g-orthogonal complement of the
-    tangent space inside the horizontal space, found as the null vector of
-    the metric pairing; its largest entry fixes its sign. With ``ref`` the
+    (j < P, h = ``TANGENT_FD_STEP``), and all (2P + 1) N lifts come from one
+    patch call. The tangents are central differences of the stencil lifts
+    phase-aligned to the lift at u, made horizontal. The normal is the
+    g-orthogonal complement of the tangent space inside the horizontal
+    space, found as the null vector of the metric pairing; its largest entry
+    fixes its sign. With ``ref`` the
     lift, tangents and normal are then phase-aligned to the reference lift
     and the normal's sign is taken against the reference normal; a
     ``FrameStack`` reference holds one reference frame per row.
@@ -633,15 +626,13 @@ def hypersurface_frames(
     dim = sig.ambient_dim
     rows = np.asarray(rows, dtype=float)
     count, p = rows.shape
+    h = TANGENT_FD_STEP
     steps = h * np.eye(p)
     stencil = np.concatenate([rows[:, None], rows[:, None] + steps, rows[:, None] - steps], axis=1)
     w = _patch_lifts(patch, stencil.reshape(-1, p)).reshape(count, 2 * p + 1, dim)
     w0 = w[:, :1]
     moved = w[:, 1:] * _phase_factor(signs, w[:, 1:], w0)[..., None]
-    t = (moved[:, :p] - moved[:, p:]) / (2.0 * h)
-    t = t - gdot_rows(signs, t, w0)[..., None] * w0
-    iw0 = 1j * w0
-    t = t - gdot_rows(signs, t, iw0)[..., None] * iw0
+    t = horizontal_rows(signs, w0, (moved[:, :p] - moved[:, p:]) / (2.0 * h))
     w0 = w0[:, 0]
 
     treal = _realify(t)
@@ -671,36 +662,22 @@ def hypersurface_frames(
     return FrameStack(sig=sig, lift=w0, tangents=t, normal=nu, epsilon=np.where(gn > 0, 1.0, -1.0))
 
 
-def hypersurface_frame(patch, u: np.ndarray, h: float = TANGENT_FD_STEP) -> AlmostContactFrame:
+def hypersurface_frame(patch, u: np.ndarray) -> AlmostContactFrame:
     """Numeric unit normal and almost contact data of the patch at u: the
     one-row case of ``hypersurface_frames``."""
-    return hypersurface_frames(patch, np.asarray(u, dtype=float)[None], h).row(0)
+    return hypersurface_frames(patch, np.asarray(u, dtype=float)[None]).row(0)
 
 
-def _covariant_from_difference(sig, dvec, w0):
-    """Horizontal part at the lift w0 of a difference quotient (d,) or of
-    each row (m, d)."""
-    out = dvec - gdot_rows(sig.signs, dvec, w0)[..., None] * w0
-    iw0 = 1j * w0
-    return out - gdot_rows(sig.signs, out, iw0)[..., None] * iw0
-
-
-def weingarten_apply(
-    patch,
-    frame0: AlmostContactFrame,
-    u: np.ndarray,
-    x: np.ndarray,
-    h: float = SHAPE_FD_STEP,
-) -> np.ndarray:
+def weingarten_apply(patch, frame0: AlmostContactFrame, u: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Shape operator applied to a tangent vector (d,), or to each row of a
     stack (m, d): A X = -(derivative of N).
 
     The unit normal is extended along the coordinate line with parameter
-    velocity matching X; two central differences at steps h and h/2 are
-    combined by Richardson extrapolation. The four normals of every vector
-    come from one ``hypersurface_frames`` call.
+    velocity matching X; two central differences at steps h and h/2
+    (h = ``SHAPE_FD_STEP``) are combined by Richardson extrapolation. The
+    four normals of every vector come from one ``hypersurface_frames`` call.
     """
-    sig = patch.sig
+    h = SHAPE_FD_STEP
     x = np.asarray(x, dtype=complex)
     a = frame0.tangent_coords(x.reshape(-1, x.shape[-1]))
     offsets = np.array([h, -h, 0.5 * h, -0.5 * h])[:, None, None] * a
@@ -710,9 +687,7 @@ def weingarten_apply(
     d1 = (nu[0] - nu[1]) / (2.0 * h)
     d2 = (nu[2] - nu[3]) / (2.0 * hh)
     dn = (4.0 * d2 - d1) / 3.0
-    ax = -_covariant_from_difference(sig, dn, frame0.lift)
-    ax = ax - frame0.epsilon * gdot_rows(sig.signs, ax, frame0.normal)[:, None] * frame0.normal
-    return ax.reshape(x.shape)
+    return -frame0.tangential(dn).reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -760,7 +735,7 @@ def adapted_basis(frame: AlmostContactFrame, first: Optional[np.ndarray] = None)
     return np.array(head + vecs), np.array(head_signs + signs)
 
 
-def shape_operator_at(patch, u: np.ndarray, h: float = SHAPE_FD_STEP) -> ShapeReport:
+def shape_operator_at(patch, u: np.ndarray) -> ShapeReport:
     """Measure the shape operator in an adapted basis at patch parameters u.
 
     The structure vector comes first; when the leaf part U of A xi is
@@ -770,13 +745,13 @@ def shape_operator_at(patch, u: np.ndarray, h: float = SHAPE_FD_STEP) -> ShapeRe
     u = np.asarray(u, dtype=float)
     frame = hypersurface_frame(patch, u)
     sig = patch.sig
-    axi = weingarten_apply(patch, frame, u, frame.xi, h)
+    axi = weingarten_apply(patch, frame, u, frame.xi)
     mu = real_metric(sig, axi, frame.xi)
     uvec = axi - frame.epsilon * mu * frame.xi
     uchar = causal_character(sig, uvec, NUMERIC_LIGHT_TOL)
     pin = uvec if uchar in (CausalCharacter.SPACELIKE, CausalCharacter.TIMELIKE) else None
     basis, bsigns = adapted_basis(frame, first=pin)
-    images = np.concatenate([axi[None], weingarten_apply(patch, frame, u, basis[1:], h)])
+    images = np.concatenate([axi[None], weingarten_apply(patch, frame, u, basis[1:])])
     k = basis.shape[0]
     bil = gdot_rows(sig.signs, images[None, :, :], basis[:, None, :])
     matrix = bsigns[:, None] * bil
@@ -805,8 +780,8 @@ def shape_operator_at(patch, u: np.ndarray, h: float = SHAPE_FD_STEP) -> ShapeRe
     )
 
 
-def shape_operator(par: RHSParametrization, s: float, coords, h: float = SHAPE_FD_STEP):
-    return shape_operator_at(RHSPatch(par), np.concatenate([[s], coords]), h)
+def shape_operator(par: RHSParametrization, s: float, coords):
+    return shape_operator_at(RHSPatch(par), np.concatenate([[s], coords]))
 
 
 def almost_contact_at(par: RHSParametrization, s: float, coords) -> AlmostContactFrame:
@@ -818,20 +793,17 @@ def almost_contact_at(par: RHSParametrization, s: float, coords) -> AlmostContac
 # ---------------------------------------------------------------------------
 
 
-def codazzi_residual(patch, u: np.ndarray, rng: np.random.Generator, h: float = 5e-3) -> float:
-    """Residual of the Codazzi identity at u for one random tangent pair."""
+def codazzi_residual(patch, u: np.ndarray, rng: np.random.Generator) -> float:
+    """Residual of the Codazzi identity at u for one random tangent pair;
+    the outer differences take the step ``CODAZZI_FD_STEP``."""
     sig = patch.sig
+    h = CODAZZI_FD_STEP
     u = np.asarray(u, dtype=float)
     frame = hypersurface_frame(patch, u)
     x = frame.random_tangent(rng)
     y = frame.random_tangent(rng)
     ax_dir = frame.tangent_coords(x)
     ay_dir = frame.tangent_coords(y)
-
-    def tangential(v):
-        v = _covariant_from_difference(sig, v, frame.lift)
-        return v - frame.epsilon * gdot_rows(sig.signs, v, frame.normal)[..., None] * frame.normal
-
     # the field Y moved along X (rows 0, 1) and the field X along Y (rows 2, 3)
     centers = np.array([u + h * ax_dir, u - h * ax_dir, u + h * ay_dir, u - h * ay_dir])
     fields = np.array([ay_dir, ay_dir, ax_dir, ax_dir])
@@ -840,8 +812,8 @@ def codazzi_residual(patch, u: np.ndarray, rng: np.random.Generator, h: float = 
     images = np.array(
         [weingarten_apply(patch, moved.row(i), centers[i], vecs[i]) for i in range(4)]
     )
-    d_a = tangential((images[0::2] - images[1::2]) / (2.0 * h))
-    d_v = tangential((vecs[0::2] - vecs[1::2]) / (2.0 * h))
+    d_a = frame.tangential((images[0::2] - images[1::2]) / (2.0 * h))
+    d_v = frame.tangential((vecs[0::2] - vecs[1::2]) / (2.0 * h))
     cov = d_a - weingarten_apply(patch, frame, u, d_v)
     cov_x_ay, cov_y_ax = cov
     rhs = (
@@ -853,23 +825,21 @@ def codazzi_residual(patch, u: np.ndarray, rng: np.random.Generator, h: float = 
     return float(np.sqrt(np.sum(np.abs(res) ** 2)))
 
 
-def structure_field_identity(
-    patch, u: np.ndarray, rng: np.random.Generator, h: float = 1e-3
-) -> float:
+def structure_field_identity(patch, u: np.ndarray, rng: np.random.Generator) -> float:
     """Residual of the derived identity relating the structure field to phi A.
 
-    Differentiates the structure field along a random tangent direction and
-    compares the tangential covariant derivative with phi applied to the
-    shape image of that direction.
+    Differentiates the structure field along a random tangent direction
+    (central difference at ``STRUCTURE_FD_STEP``) and compares the
+    tangential covariant derivative with phi applied to the shape image of
+    that direction.
     """
+    h = STRUCTURE_FD_STEP
     u = np.asarray(u, dtype=float)
     frame = hypersurface_frame(patch, u)
     x = frame.random_tangent(rng)
     a = frame.tangent_coords(x)
     moved = hypersurface_frames(patch, np.array([u + h * a, u - h * a]), ref=frame)
-    dxi = (moved.xi[0] - moved.xi[1]) / (2.0 * h)
-    nxi = _covariant_from_difference(patch.sig, dxi, frame.lift)
-    nxi = nxi - frame.epsilon * real_metric(patch.sig, nxi, frame.normal) * frame.normal
+    nxi = frame.tangential((moved.xi[0] - moved.xi[1]) / (2.0 * h))
     ax = weingarten_apply(patch, frame, u, x)
     return float(np.max(np.abs(nxi - frame.phi(ax))))
 
@@ -966,18 +936,21 @@ class ClassificationReport:
 #: base-line rows per ``hypersurface_frames`` call in the integral-curve
 #: check; fixed blocks keep the stencil arrays, and so peak memory, small
 _LINE_BLOCK = 64
+#: largest half-length of the base line checked around s0
+LINE_HALF_SPAN = 0.35
+#: integral-curve defect above which the classifier refuses the base curve
+XI_TOL = 1e-6
 
 
 def regenerate_integral_curve(
-    par: RHSParametrization,
-    half_span: float = 0.35,
-    step: float = 2e-3,
+    par: RHSParametrization, step: float = 2e-3
 ) -> tuple[SampledCurve, float]:
     """Re-derive the integral curve of the structure field from the patch.
 
     The leaves are glued along the base curve, so at leaf coordinate 0 the
     structure field should be +-alpha'. This is checked at every sample
-    u_k = (s0 + k step, 0, ..., 0), k = -count..count: the tangent
+    u_k = (s0 + k step, 0, ..., 0), k = -count..count, |k step| at most
+    ``LINE_HALF_SPAN`` and inside the curve range: the tangent
     coordinates of xi must be (+-1, 0, ..., 0), so xi is tangent to the base
     line at unit parameter speed. By uniqueness of ODE solutions the integral
     curve of xi through (s0, 0) is then the base line itself, and its lifts
@@ -994,7 +967,7 @@ def regenerate_integral_curve(
     patch = RHSPatch(par)
     sig = par.sig
     lo, hi = par.s_range()
-    half_span = min(half_span, par.s0 - lo - 5 * step, hi - par.s0 - 5 * step)
+    half_span = min(LINE_HALF_SPAN, par.s0 - lo - 5 * step, hi - par.s0 - 5 * step)
     if half_span <= 10 * step:
         raise ClassificationError("base curve range too small to regenerate")
     count = int(round(half_span / step))
@@ -1072,19 +1045,15 @@ def classify_generating_curve(curve: SampledCurve, xi_defect: float = 0.0) -> Cl
     )
 
 
-def classify_minimal_ruled(
-    par: RHSParametrization,
-    half_span: float = 0.35,
-    xi_tol: float = 1e-6,
-) -> ClassificationReport:
+def classify_minimal_ruled(par: RHSParametrization) -> ClassificationReport:
     """Decide which of the three minimal cases the base curve realizes.
 
     The integral curve of the structure field is re-derived from the
     parametrization (``regenerate_integral_curve``: the base line, once xi
-    is checked tangent to it at unit speed), then classified.
+    is checked tangent to it at unit speed, to ``XI_TOL``), then classified.
     """
-    curve, defect = regenerate_integral_curve(par, half_span=half_span)
-    if defect > xi_tol:
+    curve, defect = regenerate_integral_curve(par)
+    if defect > XI_TOL:
         raise ClassificationError(
             f"regenerated curve is not an integral curve of xi (defect {defect:.3e})"
         )

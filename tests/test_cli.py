@@ -66,6 +66,25 @@ class TestUsageErrors:
         assert run_cli("verify", "1", "--signature", "3,4") == 2
         assert "bad signature" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "1", "--format", "csv"),
+            ("verify", "1", "--tol-light", "1e-6"),
+            ("classify", "curve.json", "--grid", "2x2x2"),
+            ("classify", "curve.json", "--format", "csv"),
+            ("classify", "curve.json", "--verify-tol", "1e-3"),
+            ("sample", "1", "--verify-tol", "1e-3"),
+            ("sample", "1", "--tol-light", "1e-6"),
+        ],
+    )
+    def test_flag_the_subcommand_does_not_read(self, argv, tmp_path, capsys):
+        """Each subcommand parses only the flags it reads: any other flag is
+        a usage error, and nothing runs."""
+        assert run_cli(*argv, "--out", str(tmp_path / "out.txt")) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "out.txt").exists()
+
 
 class TestClassify:
     def test_geodesic_file(self, tmp_path, capsys):
@@ -141,6 +160,25 @@ class TestClassify:
         out = json.loads(capsys.readouterr().out)
         assert out["case"] == "b"
 
+    def test_non_uniform_samples_are_a_precondition(self, tmp_path, capsys):
+        """Sampled lifts whose s grid is not uniform exit 3 and say so,
+        before any stencil reads them as uniform."""
+        from pseudocp.examples import example_integral_curve, example_spec
+
+        curve = example_integral_curve(example_spec(1)).curve
+        s_grid = curve.params + 0.1 * curve.step * np.sin(np.arange(len(curve)))
+        rows = [[[float(np.real(x)), float(np.imag(x))] for x in lift] for lift in curve.lifts]
+        doc = {
+            "signature": {"n": 3, "p": 1},
+            "kind": "samples",
+            "data": {"s": [float(s) for s in s_grid], "lifts": rows},
+        }
+        path = write_json(tmp_path / "samples.json", doc)
+        assert run_cli("classify", path) == 3
+        captured = capsys.readouterr()
+        assert "not spaced uniformly" in captured.err
+        assert captured.out == ""
+
     def test_unclassifiable_curve_reports_failure(self, tmp_path, capsys):
         """A two-curvature helix matches no minimal case: exit code one."""
         a, p = 0.3, 1.0
@@ -214,12 +252,12 @@ class TestConfig:
         assert len(lines) == 1 + 2 * 2 * 2
 
     def test_retired_keys_are_ignored(self, tmp_path, monkeypatch, capsys):
-        """A config file that still holds the retired sphere_tol and ode_tol
-        keys loads and runs: unknown keys are ignored."""
+        """A config file that still holds the retired sphere_tol, ode_tol
+        and tau_light keys loads and runs: unknown keys are ignored."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
             json.dumps(
-                {"sphere_tol": 1e-10, "ode_tol": 1e-3, "grid_s": 2, "grid_t": 2, "grid_leaf": 2, "fmt": "csv"}
+                {"sphere_tol": 1e-10, "ode_tol": 1e-3, "tau_light": 1e-8, "grid_s": 2, "grid_t": 2, "grid_leaf": 2, "fmt": "csv"}
             )
         )
         monkeypatch.setenv("PSEUDOCP_CONFIG", str(cfg))

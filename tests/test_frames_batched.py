@@ -25,6 +25,8 @@ from pseudocp.ruled import (
     adapted_basis,
     hypersurface_frame,
     hypersurface_frames,
+    rhs_lift,
+    rhs_lift_grid,
     shape_operator_at,
     transport_basis,
     weingarten_apply,
@@ -234,6 +236,26 @@ def test_lift_at_only_patch_gives_the_same_frames(name):
     assert np.max(np.abs(batched.lift - black_box.lift)) < 1e-12
     assert np.max(np.abs(batched.tangents - black_box.tangents)) < 1e-12
     assert np.max(np.abs(batched.normal - black_box.normal)) < 1e-12
+
+
+@pytest.mark.parametrize("example_id", [1, 2, 3, 4])
+def test_rhs_lift_is_row_zero_of_lifts_at(example_id):
+    """``rhs_lift`` and ``RHSPatch.lift_at`` are the one-row case of
+    ``lifts_at`` bit for bit, and ``rhs_lift_grid`` holds its rows in
+    (s, c) order."""
+    patch = _family_patch(example_id)
+    rows = np.array([_point(patch, seed) for seed in range(4)])
+    batch = patch.lifts_at(rows)
+    for k, u in enumerate(rows):
+        one = rhs_lift(patch.par, u[0], u[1:])
+        assert np.array_equal(one, patch.lifts_at(rows[k:])[0])
+        assert np.array_equal(one, patch.lift_at(u))
+        assert np.array_equal(one, batch[k])
+    s_values, coords = rows[:2, 0], rows[:3, 1:]
+    grid = rhs_lift_grid(patch.par, s_values, coords)
+    for i, s in enumerate(s_values):
+        for j, c in enumerate(coords):
+            assert np.array_equal(grid[i, j], rhs_lift(patch.par, s, c))
 
 
 # ---------------------------------------------------------------------------

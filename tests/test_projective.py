@@ -1,11 +1,14 @@
 """Quotient points, horizontal splitting, geodesics, exp/log, curvature."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pseudocp.cli import _curve_from_file
 from pseudocp.errors import BasePointError, LogMapError, NotProjectablePoint
-from pseudocp.linalg import CausalCharacter, Signature, jmul, real_metric
+from pseudocp.linalg import LIGHT_TOL, CausalCharacter, Signature, gdot_rows, jmul, real_metric
 from pseudocp.projective import (
     ProjectiveTangent,
     canonical_rows,
@@ -14,11 +17,11 @@ from pseudocp.projective import (
     exp_map,
     horizontal_project,
     log_in_leaf,
+    quadric_geodesic,
     random_horizontal,
     random_horizontal_unit,
     random_sphere_point,
     sphere_geodesic,
-    sphere_geodesic_rows,
     tangent_from_lift,
 )
 
@@ -209,8 +212,25 @@ class TestExpLog:
         assert np.max(np.abs(out.vec - v.vec)) < 1e-9
 
 
+def _scalar_geodesic(signs, q, v, t):
+    """The per-point geodesic the rows form replaced: one branch per call."""
+    g = float(gdot_rows(signs, v, v))
+    eunorm2 = float(np.sum(np.abs(v) ** 2))
+    if eunorm2 == 0.0 or abs(g) <= LIGHT_TOL * eunorm2:
+        return q + t * v
+    if g > 0:
+        w = np.sqrt(g)
+        return np.cos(w * t) * q + np.sin(w * t) * v / w
+    w = np.sqrt(-g)
+    return np.cosh(w * t) * q + np.sinh(w * t) * v / w
+
+
+def _pairs(z):
+    return [[float(x.real), float(x.imag)] for x in z]
+
+
 class TestRowForms:
-    """Batched geodesics and canonical representatives against the scalar ones."""
+    """Each one-row form is row 0 of its rows form, bit for bit."""
 
     def test_geodesic_rows_take_every_branch(self, rng):
         q = random_sphere_point(SIG, rng)
@@ -220,9 +240,33 @@ class TestRowForms:
         light = space + time / np.sqrt(-real_metric(SIG, time, time))
         assert abs(real_metric(SIG, light, light)) < 1e-12
         vs = np.array([0.7 * space, 1.3 * time, light, np.zeros(4, dtype=complex)])
-        got = sphere_geodesic_rows(SIG, q, vs)
-        for v, row in zip(vs, got):
-            assert np.max(np.abs(row - sphere_geodesic(SIG, q, v, 1.0))) < 1e-14
+        ts = np.array([0.37, -1.6, 2.25, 0.9])
+        for k in range(len(vs)):
+            got = quadric_geodesic(SIG.signs, q, vs[k:], ts[k:])
+            one = sphere_geodesic(SIG, q, vs[k], ts[k])
+            assert np.array_equal(one, got[0])
+            assert np.array_equal(one, _scalar_geodesic(SIG.signs, q, vs[k], ts[k]))
+
+    def test_geodesic_document_lifts_match_the_scalar_loop(self, rng, tmp_path):
+        """``classify`` samples a geodesic document in one rows call; each
+        lift equals the per-sample scalar geodesic."""
+        for character in (CausalCharacter.SPACELIKE, CausalCharacter.TIMELIKE):
+            q = random_sphere_point(SIG, rng)
+            v = 1.7 * random_horizontal_unit(SIG, q, rng, character)
+            doc = {
+                "signature": {"n": 3, "p": 1},
+                "kind": "closed_form",
+                "step": 1e-3,
+                "data": {"family": "geodesic", "point": _pairs(q), "velocity": _pairs(v)},
+            }
+            curve = _curve_from_file(json.loads(json.dumps(doc)))
+            qd = np.array([complex(*x) for x in doc["data"]["point"]])
+            vd = np.array([complex(*x) for x in doc["data"]["velocity"]])
+            vd = vd / np.sqrt(abs(real_metric(SIG, vd, vd)))
+            want = np.array([_scalar_geodesic(SIG.signs, qd, vd, s) for s in curve.params])
+            assert len(curve) == 1001
+            assert np.array_equal(curve.lifts, want)
+            assert np.array_equal(curve.lift_fn(0.123), _scalar_geodesic(SIG.signs, qd, vd, 0.123))
 
     def test_canonical_rows_match_canonicalize(self, rng):
         zs = [random_sphere_point(SIG, rng) * (1.0 + k) * np.exp(0.3j * k) for k in range(6)]
@@ -231,6 +275,14 @@ class TestRowForms:
         got = canonical_rows(SIG, zs.reshape(7, 1, 4))
         for z, row in zip(zs, got[:, 0]):
             assert np.max(np.abs(row - canonicalize(SIG, z).rep)) < 1e-14
+
+    def test_canonicalize_is_row_zero_on_a_modulus_tie(self):
+        tie = np.array([0.0, 2.0j, -2.0, 1.0])
+        rep = canonicalize(SIG, tie).rep
+        assert np.array_equal(rep, canonical_rows(SIG, tie[None])[0])
+        assert np.array_equal(rep, canonical_rows(SIG, np.array([tie, _e(3)]))[0])
+        assert rep[1].imag == 0.0 and rep[1].real > 0.0
+        assert abs(rep[2]) == rep[1].real
 
     def test_canonical_rows_reject_non_spacelike(self):
         with pytest.raises(NotProjectablePoint):

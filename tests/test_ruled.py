@@ -195,7 +195,7 @@ class TestAlmostContact:
     def test_phi_covariant_derivative_identity(self, family1_par, rng):
         """The derivative of phi trades the shape image against the
         structure covector: (nabla_X phi)Y = eps g(Y,xi) AX - eps g(AX,Y) xi."""
-        from pseudocp.ruled import _covariant_from_difference, hypersurface_frames
+        from pseudocp.ruled import hypersurface_frames
 
         patch = RHSPatch(family1_par)
         u = np.array([0.07, 0.04, -0.06, 0.03, 0.08])
@@ -205,11 +205,6 @@ class TestAlmostContact:
         y = y_coeff @ fr.tangents
         ax_dir = fr.tangent_coords(x)
         h = 1e-3
-
-        def tangential(v):
-            v = _covariant_from_difference(SIG, v, fr.lift)
-            return v - fr.epsilon * real_metric(SIG, v, fr.normal) * fr.normal
-
         def field_values(uu):
             f2 = hypersurface_frames(patch, uu[None], ref=fr).row(0)
             yv = y_coeff @ f2.tangents
@@ -217,8 +212,8 @@ class TestAlmostContact:
 
         pp, yp = field_values(u + h * ax_dir)
         pm, ym = field_values(u - h * ax_dir)
-        d_phi_y = tangential((pp - pm) / (2.0 * h))
-        d_y = tangential((yp - ym) / (2.0 * h))
+        d_phi_y = fr.tangential((pp - pm) / (2.0 * h))
+        d_y = fr.tangential((yp - ym) / (2.0 * h))
         lhs = d_phi_y - fr.phi(d_y)
         ax = weingarten_apply(patch, fr, u, x)
         rhs = fr.epsilon * fr.eta(y) * ax - fr.epsilon * real_metric(SIG, ax, y) * fr.xi
