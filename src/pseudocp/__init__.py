@@ -71,14 +71,12 @@ from .ruled import (
     ShapeForm,
     ShapeReport,
     MinimalCase,
-    almost_contact_at,
     classify_generating_curve,
     classify_minimal_ruled,
-    minimality,
     rhs_evaluate,
-    shape_operator,
+    shape_operator_at,
+    shape_operators,
     transport_basis,
-    verify_ruled,
 )
 
 __version__ = "0.1.0"

@@ -216,6 +216,7 @@ def cmd_verify(args) -> int:
                     grid_t=cfg.grid_t,
                     grid_leaf=cfg.grid_leaf,
                     verify_tol=cfg.verify_tol,
+                    leaf_radius=cfg.leaf_radius,
                 )
             except CrossCheckError as exc:
                 report = exc.args[1] if len(exc.args) > 1 else None
@@ -233,7 +234,7 @@ def cmd_verify(args) -> int:
             identities.append({"group": "case_c_forms", **line.to_dict()})
         for line in verification.almost_contact_lines(example_ids=tuple(targets)):
             identities.append({"group": "almost_contact", **line.to_dict()})
-    except DomainError as exc:
+    except (DomainError, ChartError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

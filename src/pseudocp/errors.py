@@ -73,9 +73,5 @@ class CrossCheckError(GeometryError):
     """A closed-form identity failed during a cross check run."""
 
 
-class EmptyGridError(GeometryError):
-    """Verification grid contains no points."""
-
-
 class DomainError(GeometryError):
     """Seed point violates the domain condition of the chosen family."""

@@ -391,6 +391,26 @@ class CrossCheckReport:
         return [line for line in self.lines if not line.passed]
 
 
+def ruling_sweep(
+    spec: ExampleSpec, par: ruled.RHSParametrization, rows: np.ndarray, grid_t: int
+) -> tuple[float, float]:
+    """Worst leaf-block entry and worst |mu| of the shape operator over
+    ``grid_t`` ruling slices of the patch, at the parameter rows of each.
+
+    One ``shape_operators`` call per slice: the slices stay separate so the
+    stencil arrays, and so peak memory, stay the size of one slice.
+    """
+    base = RHSPatch(par)
+    dd_max = 0.0
+    mu_max = 0.0
+    for tv in np.linspace(spec.t_range[0], spec.t_range[1], grid_t):
+        patch = TransformedPatch(ruling_isometry(spec, float(tv)), base)
+        for rep in ruled.shape_operators(patch, rows):
+            dd_max = max(dd_max, rep.dd_block_max)
+            mu_max = max(mu_max, abs(rep.mu))
+    return dd_max, mu_max
+
+
 def example_cross_check(
     spec: ExampleSpec,
     grid_s: int = 5,
@@ -398,14 +418,16 @@ def example_cross_check(
     grid_leaf: int = 4,
     verify_tol: float = 1e-4,
     classify: bool = True,
+    leaf_radius: float = 0.25,
 ) -> CrossCheckReport:
     """Run the generic machinery on one family and compare with closed forms.
 
     Builds the transported-frame parametrization from the family's integral
-    curve, verifies the leaf block, minimality, the structure identities and
-    the classification, and checks the numeric shape image of the structure
-    field against the closed form. Raises CrossCheckError naming the first
-    failed identity.
+    curve, verifies the leaf block and minimality over the grid of
+    ``ruling_sweep`` (leaf coordinates up to ``leaf_radius``), the structure
+    identities and the classification, and checks the numeric shape image of
+    the structure field against the closed form. Raises CrossCheckError
+    naming the first failed identity.
     """
     lines: list[IdentityLine] = []
     sig = spec.sig
@@ -458,29 +480,21 @@ def example_cross_check(
         )
     )
 
-    grid = ruled.leaf_coordinate_grid(par, grid_s, grid_leaf)
-    t_values = np.linspace(spec.t_range[0], spec.t_range[1], grid_t)
-    base_patch = RHSPatch(par)
-    dd_max = 0.0
-    mu_max = 0.0
-    for tv in t_values:
-        patch = TransformedPatch(ruling_isometry(spec, float(tv)), base_patch)
-        for s, c in grid:
-            rep = ruled.shape_operator_at(patch, np.concatenate([[s], c]))
-            dd_max = max(dd_max, rep.dd_block_max)
-            mu_max = max(mu_max, abs(rep.mu))
+    rows = ruled.leaf_coordinate_grid(par, grid_s, grid_leaf, radius=leaf_radius)
+    dd_max, mu_max = ruling_sweep(spec, par, rows, grid_t)
     lines.append(IdentityLine("ruled_leaf_block", dd_max, verify_tol))
     lines.append(IdentityLine("minimality_mu", mu_max, verify_tol))
 
-    cod = ruled.codazzi_residual(base_patch, np.concatenate([[0.05], grid[0][1]]), rng)
+    base_patch = RHSPatch(par)
+    cod = ruled.codazzi_residual(base_patch, np.concatenate([[0.05], rows[0, 1:]]), rng)
     lines.append(IdentityLine("codazzi_residual", cod, verify_tol))
 
     # numeric shape image of xi against the closed form (sign free)
-    u0 = np.zeros(base_patch.n_params)
-    mu_num, uvec, frame = ruled.structure_shape_values(base_patch, u0)
+    rep = ruled.shape_operator_at(base_patch, np.zeros(base_patch.n_params))
+    frame = rep.frame
     axi_closed = fields.a_xi_hat
     hor = axi_closed - g(axi_closed, 1j * psi0) * (1j * psi0)
-    axi_num = frame.epsilon * mu_num * frame.xi + uvec
+    axi_num = frame.epsilon * rep.mu * frame.xi + rep.u_vec
     ph = np.sum(frame.lift * np.conj(psi0))
     ph = np.conj(ph) / abs(ph)
     axi_num = axi_num * ph

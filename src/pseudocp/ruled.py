@@ -14,9 +14,14 @@ Almost contact frames come from one batched kernel, ``hypersurface_frames``:
 for a stack of patch parameters it evaluates every lift of every
 central-difference stencil in one patch call (``lifts_at``), then aligns
 phases, projects to the horizontal space and takes both SVDs as stacked
-array operations. The shape operator differentiates the locally extended
-unit normal with Richardson extrapolation; the four normals of each
-direction, for all directions of a point, are one kernel call.
+array operations. It returns one ``AlmostContactFrame`` holding the stack;
+the frame at a single point is its one-row view. The shape operator
+differentiates the locally extended unit normal with Richardson
+extrapolation: ``weingarten_apply`` gets the four normals of every vector at
+every point of a stack from one kernel call, and ``shape_operators``
+measures a stack of points with one frame call and two Weingarten calls.
+The ruled characterization (vanishing leaf block) and minimality
+(mu = g(A xi, xi) = 0) are read off those reports.
 
 The classifier checks that the structure field is tangent to the base line
 (leaf coordinate 0) at unit parameter speed, so that the base curve is its
@@ -27,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -46,7 +51,6 @@ from .errors import (
     ChartError,
     ClassificationError,
     DegenerateHypersurfaceError,
-    EmptyGridError,
     FrameError,
     ImmersionError,
 )
@@ -62,12 +66,10 @@ from .linalg import (
 )
 from .projective import (
     ProjectivePoint,
-    ProjectiveTangent,
     canonicalize,
     horizontal_rows,
     quadric_geodesic,
     random_horizontal_unit,
-    tangent_from_lift,
 )
 
 #: finite difference step for tangent frames of a parametrized patch
@@ -399,10 +401,16 @@ def rhs_lift_grid(par: RHSParametrization, s_values, coords) -> np.ndarray:
     coords = np.asarray(coords, dtype=float)
     if coords.ndim != 2:
         raise ChartError(f"expected rows of {par.leaf_dim} leaf coordinates")
-    rows = np.concatenate(
+    rows = _product_rows(s_values, coords)
+    return RHSPatch(par).lifts_at(rows).reshape(len(s_values), len(coords), -1)
+
+
+def _product_rows(s_values: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Patch parameter rows pairing every base parameter with every leaf
+    coordinate row, s major."""
+    return np.concatenate(
         [np.repeat(s_values, len(coords))[:, None], np.tile(coords, (len(s_values), 1))], axis=1
     )
-    return RHSPatch(par).lifts_at(rows).reshape(len(s_values), len(coords), -1)
 
 
 def rhs_evaluate(par: RHSParametrization, s: float, coords) -> ProjectivePoint:
@@ -519,76 +527,77 @@ def _realify(z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AlmostContactFrame:
-    """Unit normal data at a hypersurface point: N, epsilon, xi and phi."""
+    """Unit normal data N, epsilon, xi and phi at hypersurface points.
+
+    The fields hold one row per point on a leading axis: lift (N, d),
+    tangents (N, P, d), normal (N, d) and epsilon (N,). ``row(i)`` is the
+    one-point view, the same fields without that axis. A vector argument
+    x carries the frame's leading axes, optionally followed by one axis of
+    several vectors per point: (N, d) or (N, m, d) for a stack, (d,) or
+    (m, d) for one point.
+    """
 
     sig: Signature
     lift: np.ndarray
     tangents: np.ndarray
     normal: np.ndarray
-    epsilon: float
+    epsilon: np.ndarray | float
 
     @property
     def xi(self) -> np.ndarray:
         return -1j * self.normal
 
-    def eta(self, x: np.ndarray) -> float:
-        return real_metric(self.sig, x, self.xi)
-
-    def phi(self, x: np.ndarray) -> np.ndarray:
-        return 1j * np.asarray(x, dtype=complex) - self.epsilon * self.eta(x) * self.normal
-
-    def tangential(self, x: np.ndarray) -> np.ndarray:
-        """Tangential part at this point of an ambient difference quotient
-        (d,) or of each row (m, d): its horizontal part at the lift, less
-        its normal component."""
-        signs = self.sig.signs
-        x = horizontal_rows(signs, self.lift, x)
-        return x - self.epsilon * gdot_rows(signs, x, self.normal)[..., None] * self.normal
-
-    def tangent_coords(self, x: np.ndarray) -> np.ndarray:
-        """Coordinates in the tangents of a vector (d,) or of each row (m, d)."""
-        a, *_ = np.linalg.lstsq(_realify(self.tangents).T, _realify(x).T, rcond=None)
-        return a.T
-
-    def random_tangent(self, rng: np.random.Generator) -> np.ndarray:
-        coeff = rng.standard_normal(self.tangents.shape[0])
-        x = coeff @ self.tangents
-        return x / np.sqrt(float(np.sum(np.abs(x) ** 2)))
-
-    def point(self) -> ProjectivePoint:
-        return canonicalize(self.sig, self.lift)
-
-    def normal_tangent(self) -> ProjectiveTangent:
-        return tangent_from_lift(self.sig, self.lift, self.normal)
-
-
-@dataclass(frozen=True)
-class FrameStack:
-    """Almost contact frames at stacked patch parameters, row i at rows[i]."""
-
-    sig: Signature
-    lift: np.ndarray  # (N, d)
-    tangents: np.ndarray  # (N, P, d)
-    normal: np.ndarray  # (N, d)
-    epsilon: np.ndarray  # (N,)
-
-    @property
-    def xi(self) -> np.ndarray:
-        return -1j * self.normal
-
-    def tangent_coords(self, x: np.ndarray) -> np.ndarray:
-        """Coordinates (N, P) of each row of x (N, d) in that row's tangents."""
-        basis = np.swapaxes(_realify(self.tangents), 1, 2)
-        return np.matmul(np.linalg.pinv(basis), _realify(x)[:, :, None])[:, :, 0]
-
-    def row(self, i: int) -> AlmostContactFrame:
+    def row(self, i) -> "AlmostContactFrame":
+        """The frame at row i; an index array selects a stack of rows."""
+        eps = self.epsilon[i]
         return AlmostContactFrame(
             sig=self.sig,
             lift=self.lift[i],
             tangents=self.tangents[i],
             normal=self.normal[i],
-            epsilon=float(self.epsilon[i]),
+            epsilon=eps if np.ndim(eps) else float(eps),
         )
+
+    def _spread(self, x: np.ndarray):
+        """lift, normal and epsilon broadcast against the vectors x."""
+        if x.ndim == self.lift.ndim:
+            return self.lift, self.normal, self.epsilon
+        k = self.lift.ndim - 1
+        return (
+            np.expand_dims(self.lift, k),
+            np.expand_dims(self.normal, k),
+            np.expand_dims(self.epsilon, k),
+        )
+
+    def eta(self, x: np.ndarray) -> np.ndarray:
+        return gdot_rows(self.sig.signs, x, -1j * self._spread(x)[1])
+
+    def phi(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=complex)
+        _, normal, eps = self._spread(x)
+        return 1j * x - (eps * self.eta(x))[..., None] * normal
+
+    def tangential(self, x: np.ndarray) -> np.ndarray:
+        """Tangential part of ambient difference quotients x: the
+        horizontal part at the lift, less the normal component."""
+        signs = self.sig.signs
+        lift, normal, eps = self._spread(x)
+        x = horizontal_rows(signs, lift, x)
+        return x - (eps * gdot_rows(signs, x, normal))[..., None] * normal
+
+    def tangent_coords(self, x: np.ndarray) -> np.ndarray:
+        """Coordinates of the vectors x in the tangents, (..., P): a least
+        squares solve per point."""
+        if self.lift.ndim == 2:
+            return np.array([self.row(i).tangent_coords(v) for i, v in enumerate(x)])
+        a, *_ = np.linalg.lstsq(_realify(self.tangents).T, _realify(x).T, rcond=None)
+        return a.T
+
+    def random_tangent(self, rng: np.random.Generator) -> np.ndarray:
+        """Euclidean-unit random tangent at a one-point frame."""
+        coeff = rng.standard_normal(self.tangents.shape[0])
+        x = coeff @ self.tangents
+        return x / np.sqrt(float(np.sum(np.abs(x) ** 2)))
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:
@@ -602,8 +611,8 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
 def hypersurface_frames(
     patch,
     rows: np.ndarray,
-    ref: Optional[AlmostContactFrame | FrameStack] = None,
-) -> FrameStack:
+    ref: Optional[AlmostContactFrame] = None,
+) -> AlmostContactFrame:
     """Numeric unit normals and almost contact data at stacked parameters.
 
     Each row u of the (N, P) array gets the stencil u, u + h e_j, u - h e_j
@@ -615,7 +624,8 @@ def hypersurface_frames(
     fixes its sign. With ``ref`` the
     lift, tangents and normal are then phase-aligned to the reference lift
     and the normal's sign is taken against the reference normal; a
-    ``FrameStack`` reference holds one reference frame per row.
+    one-point reference serves every row, a stacked one holds one
+    reference frame per row.
 
     A rank-deficient row raises ImmersionError, a singular pairing or a
     lightlike normal DegenerateHypersurfaceError; with several bad rows the
@@ -659,7 +669,9 @@ def hypersurface_frames(
         w0, t, nu = w0 * ph, t * ph[..., None], nu * ph
         flip = np.real(np.sum(nu * np.conj(ref.normal), axis=-1)) < 0
         nu = np.where(flip[:, None], -nu, nu)
-    return FrameStack(sig=sig, lift=w0, tangents=t, normal=nu, epsilon=np.where(gn > 0, 1.0, -1.0))
+    return AlmostContactFrame(
+        sig=sig, lift=w0, tangents=t, normal=nu, epsilon=np.where(gn > 0, 1.0, -1.0)
+    )
 
 
 def hypersurface_frame(patch, u: np.ndarray) -> AlmostContactFrame:
@@ -668,26 +680,36 @@ def hypersurface_frame(patch, u: np.ndarray) -> AlmostContactFrame:
     return hypersurface_frames(patch, np.asarray(u, dtype=float)[None]).row(0)
 
 
-def weingarten_apply(patch, frame0: AlmostContactFrame, u: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Shape operator applied to a tangent vector (d,), or to each row of a
-    stack (m, d): A X = -(derivative of N).
+def weingarten_apply(patch, frame: AlmostContactFrame, u: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Shape operator A X = -(derivative of N) applied to tangent vectors.
 
-    The unit normal is extended along the coordinate line with parameter
-    velocity matching X; two central differences at steps h and h/2
-    (h = ``SHAPE_FD_STEP``) are combined by Richardson extrapolation. The
-    four normals of every vector come from one ``hypersurface_frames`` call.
+    ``frame`` holds the frames at the patch parameters u, a stack (N, P) or
+    one point (P,); x holds one vector per point or an axis of several
+    vectors per point (as for ``AlmostContactFrame``). The unit normal is
+    extended along the coordinate line with parameter velocity matching X;
+    two central differences at steps h and h/2 (h = ``SHAPE_FD_STEP``) are
+    combined by Richardson extrapolation. The four normals of every vector
+    at every point come from one ``hypersurface_frames`` call, each aligned
+    to the frame at its own point.
     """
     h = SHAPE_FD_STEP
     x = np.asarray(x, dtype=complex)
-    a = frame0.tangent_coords(x.reshape(-1, x.shape[-1]))
-    offsets = np.array([h, -h, 0.5 * h, -0.5 * h])[:, None, None] * a
-    nu = hypersurface_frames(patch, (u + offsets).reshape(-1, a.shape[1]), ref=frame0).normal
-    nu = nu.reshape(4, a.shape[0], -1)
+    u = np.asarray(u, dtype=float)
+    a = frame.tangent_coords(x)
+    if a.ndim > u.ndim:
+        u = np.expand_dims(u, -2)
+    steps = np.array([h, -h, 0.5 * h, -0.5 * h]).reshape((4,) + (1,) * a.ndim)
+    ref = frame
+    if frame.lift.ndim == 2:
+        owner = np.arange(a.shape[0]).reshape((-1,) + (1,) * (a.ndim - 2))
+        ref = frame.row(np.broadcast_to(owner, (4,) + a.shape[:-1]).ravel())
+    nu = hypersurface_frames(patch, (u + steps * a).reshape(-1, a.shape[-1]), ref=ref).normal
+    nu = nu.reshape((4,) + x.shape)
     hh = 0.5 * h
     d1 = (nu[0] - nu[1]) / (2.0 * h)
     d2 = (nu[2] - nu[3]) / (2.0 * hh)
     dn = (4.0 * d2 - d1) / 3.0
-    return -frame0.tangential(dn).reshape(x.shape)
+    return -frame.tangential(dn)
 
 
 @dataclass(frozen=True)
@@ -735,61 +757,69 @@ def adapted_basis(frame: AlmostContactFrame, first: Optional[np.ndarray] = None)
     return np.array(head + vecs), np.array(head_signs + signs)
 
 
-def shape_operator_at(patch, u: np.ndarray) -> ShapeReport:
-    """Measure the shape operator in an adapted basis at patch parameters u.
+def shape_operators(patch, rows: np.ndarray) -> list[ShapeReport]:
+    """Measure the shape operator in an adapted basis at each row of the
+    stacked patch parameters (N, P).
 
     The structure vector comes first; when the leaf part U of A xi is
     non-null, its normalization occupies the second slot, so the rank-two
-    pattern is visible directly in the matrix.
+    pattern is visible directly in the matrix. One frame call, one
+    Weingarten call for the images of xi and one for the images of every
+    adapted basis; the bases themselves are completed row by row.
     """
-    u = np.asarray(u, dtype=float)
-    frame = hypersurface_frame(patch, u)
+    rows = np.asarray(rows, dtype=float)
     sig = patch.sig
-    axi = weingarten_apply(patch, frame, u, frame.xi)
-    mu = real_metric(sig, axi, frame.xi)
-    uvec = axi - frame.epsilon * mu * frame.xi
-    uchar = causal_character(sig, uvec, NUMERIC_LIGHT_TOL)
-    pin = uvec if uchar in (CausalCharacter.SPACELIKE, CausalCharacter.TIMELIKE) else None
-    basis, bsigns = adapted_basis(frame, first=pin)
-    images = np.concatenate([axi[None], weingarten_apply(patch, frame, u, basis[1:])])
-    k = basis.shape[0]
-    bil = gdot_rows(sig.signs, images[None, :, :], basis[:, None, :])
-    matrix = bsigns[:, None] * bil
-    dd = float(np.max(np.abs(bil[1:, 1:]))) if k > 1 else 0.0
-    sv = np.linalg.svd(matrix, compute_uv=False)
-    rank = int(np.sum(sv > 1e-3 * max(1.0, sv[0])))
-    lam = float(np.sqrt(abs(real_metric(sig, uvec, uvec))))
+    frames = hypersurface_frames(patch, rows)
+    xi = frames.xi
+    axi = weingarten_apply(patch, frames, rows, xi)
+    mu = gdot_rows(sig.signs, axi, xi)
+    uvec = axi - (frames.epsilon * mu)[:, None] * xi
+    uchar = [causal_character(sig, v, NUMERIC_LIGHT_TOL) for v in uvec]
+    non_null = (CausalCharacter.SPACELIKE, CausalCharacter.TIMELIKE)
+    adapted = [
+        adapted_basis(frames.row(i), first=uvec[i] if uchar[i] in non_null else None)
+        for i in range(rows.shape[0])
+    ]
+    bases = np.array([basis for basis, _ in adapted])
+    bsigns = np.array([bs for _, bs in adapted])
+    images = np.concatenate([axi[:, None], weingarten_apply(patch, frames, rows, bases[:, 1:])], 1)
+    bil = gdot_rows(sig.signs, images[:, None], bases[:, :, None])
+    matrix = bsigns[:, :, None] * bil
+    svals = np.linalg.svd(matrix, compute_uv=False)
+    return [
+        ShapeReport(
+            matrix=matrix[i],
+            mu=float(mu[i]),
+            u_vec=uvec[i],
+            u_character=uchar[i],
+            rank=int(np.sum(sv > 1e-3 * max(1.0, sv[0]))),
+            form=_shape_form(bil[i], uchar[i]),
+            lam=float(np.sqrt(abs(real_metric(sig, uvec[i], uvec[i])))),
+            dd_block_max=float(np.max(np.abs(bil[i, 1:, 1:]))),
+            basis=bases[i],
+            basis_signs=bsigns[i],
+            frame=frames.row(i),
+        )
+        for i, sv in enumerate(svals)
+    ]
+
+
+def _shape_form(bil: np.ndarray, uchar: CausalCharacter) -> ShapeForm:
     if float(np.max(np.abs(bil))) <= 1e-4:
-        form = ShapeForm.VANISHING
-    elif uchar is CausalCharacter.LIGHTLIKE:
-        form = ShapeForm.LIGHTLIKE_U
-    else:
-        form = ShapeForm.RANK_TWO_NON_NULL_U
-    return ShapeReport(
-        matrix=matrix,
-        mu=float(mu),
-        u_vec=uvec,
-        u_character=uchar,
-        rank=rank,
-        form=form,
-        lam=lam,
-        dd_block_max=dd,
-        basis=basis,
-        basis_signs=bsigns,
-        frame=frame,
-    )
+        return ShapeForm.VANISHING
+    if uchar is CausalCharacter.LIGHTLIKE:
+        return ShapeForm.LIGHTLIKE_U
+    return ShapeForm.RANK_TWO_NON_NULL_U
 
 
-def shape_operator(par: RHSParametrization, s: float, coords):
-    return shape_operator_at(RHSPatch(par), np.concatenate([[s], coords]))
-
-
-def almost_contact_at(par: RHSParametrization, s: float, coords) -> AlmostContactFrame:
-    return hypersurface_frame(RHSPatch(par), np.concatenate([[s], coords]))
+def shape_operator_at(patch, u: np.ndarray) -> ShapeReport:
+    """The shape operator at patch parameters u: the one-row case of
+    ``shape_operators``."""
+    return shape_operators(patch, np.asarray(u, dtype=float)[None])[0]
 
 
 # ---------------------------------------------------------------------------
-# verification: ruled characterization, Codazzi residual, minimality
+# identities of the structure: Codazzi and the derivative of xi
 # ---------------------------------------------------------------------------
 
 
@@ -809,9 +839,7 @@ def codazzi_residual(patch, u: np.ndarray, rng: np.random.Generator) -> float:
     fields = np.array([ay_dir, ay_dir, ax_dir, ax_dir])
     moved = hypersurface_frames(patch, centers, ref=frame)
     vecs = np.einsum("mp,mpd->md", fields, moved.tangents)
-    images = np.array(
-        [weingarten_apply(patch, moved.row(i), centers[i], vecs[i]) for i in range(4)]
-    )
+    images = weingarten_apply(patch, moved, centers, vecs)
     d_a = frame.tangential((images[0::2] - images[1::2]) / (2.0 * h))
     d_v = frame.tangential((vecs[0::2] - vecs[1::2]) / (2.0 * h))
     cov = d_a - weingarten_apply(patch, frame, u, d_v)
@@ -825,8 +853,11 @@ def codazzi_residual(patch, u: np.ndarray, rng: np.random.Generator) -> float:
     return float(np.sqrt(np.sum(np.abs(res) ** 2)))
 
 
-def structure_field_identity(patch, u: np.ndarray, rng: np.random.Generator) -> float:
-    """Residual of the derived identity relating the structure field to phi A.
+def structure_field_identity(
+    patch, frame: AlmostContactFrame, u: np.ndarray, rng: np.random.Generator
+) -> float:
+    """Residual of the derived identity relating the structure field to phi A
+    at u, where ``frame`` is the one-point frame.
 
     Differentiates the structure field along a random tangent direction
     (central difference at ``STRUCTURE_FD_STEP``) and compares the
@@ -835,86 +866,12 @@ def structure_field_identity(patch, u: np.ndarray, rng: np.random.Generator) -> 
     """
     h = STRUCTURE_FD_STEP
     u = np.asarray(u, dtype=float)
-    frame = hypersurface_frame(patch, u)
     x = frame.random_tangent(rng)
     a = frame.tangent_coords(x)
     moved = hypersurface_frames(patch, np.array([u + h * a, u - h * a]), ref=frame)
     nxi = frame.tangential((moved.xi[0] - moved.xi[1]) / (2.0 * h))
     ax = weingarten_apply(patch, frame, u, x)
     return float(np.max(np.abs(nxi - frame.phi(ax))))
-
-
-@dataclass(frozen=True)
-class RuledReport:
-    dd_block_max: float
-    mu_max: float
-    codazzi_max: float
-    passed: bool
-    points: int
-
-
-def verify_ruled(
-    patch_or_par,
-    grid: Sequence,
-    tol: float = 1e-4,
-    codazzi_points: int = 2,
-    seed: int = 7,
-) -> RuledReport:
-    """Measure the leaf block of the shape operator and the Codazzi residual.
-
-    ``grid`` is a sequence of patch parameter vectors; a parametrization is
-    wrapped automatically (entries are then (s, coords) pairs).
-    """
-    patch, grid = _as_patch_grid(patch_or_par, grid)
-    if len(grid) == 0:
-        raise EmptyGridError("verification grid is empty")
-    dd_max = 0.0
-    mu_max = 0.0
-    for u in grid:
-        rep = shape_operator_at(patch, u)
-        dd_max = max(dd_max, rep.dd_block_max)
-        mu_max = max(mu_max, abs(rep.mu))
-    rng = np.random.default_rng(seed)
-    cod = 0.0
-    take = grid[:: max(1, len(grid) // max(1, codazzi_points))][:codazzi_points]
-    for u in take:
-        cod = max(cod, codazzi_residual(patch, u, rng))
-    return RuledReport(
-        dd_block_max=dd_max,
-        mu_max=mu_max,
-        codazzi_max=cod,
-        passed=(dd_max <= tol and cod <= tol),
-        points=len(grid),
-    )
-
-
-def _as_patch_grid(patch_or_par, grid):
-    if isinstance(patch_or_par, RHSParametrization):
-        patch = RHSPatch(patch_or_par)
-        out = [np.concatenate([[s], np.asarray(c, dtype=float)]) for s, c in grid]
-        return patch, out
-    return patch_or_par, [np.asarray(u, dtype=float) for u in grid]
-
-
-def structure_shape_values(patch, u: np.ndarray):
-    """mu = g(A xi, xi) and the leaf component U of A xi at one point."""
-    frame = hypersurface_frame(patch, np.asarray(u, dtype=float))
-    axi = weingarten_apply(patch, frame, np.asarray(u, dtype=float), frame.xi)
-    mu = real_metric(patch.sig, axi, frame.xi)
-    uvec = axi - frame.epsilon * mu * frame.xi
-    return mu, uvec, frame
-
-
-def minimality(patch_or_par, grid: Sequence, tol: float = 1e-4):
-    """Minimality through the g-trace: for a ruled patch it reduces to mu."""
-    patch, grid = _as_patch_grid(patch_or_par, grid)
-    if len(grid) == 0:
-        raise EmptyGridError("minimality grid is empty")
-    worst = 0.0
-    for u in grid:
-        mu, _, _ = structure_shape_values(patch, u)
-        worst = max(worst, abs(mu))
-    return worst <= tol, worst
 
 
 # ---------------------------------------------------------------------------
@@ -1087,7 +1044,7 @@ def leaf_coordinate_grid(
     radius: float = 0.25,
     seed: int = 3,
     margin: float = 0.05,
-):
-    """Deterministic (s, coords) grid inside the chart of a parametrization."""
-    s_values, coords = leaf_coordinate_axes(par, s_count, leaf_count, radius, seed, margin)
-    return [(float(s), c) for s in s_values for c in coords]
+) -> np.ndarray:
+    """Patch parameter rows (S L, 1 + k) of the deterministic grid inside
+    the chart of a parametrization, in (s, coords) order."""
+    return _product_rows(*leaf_coordinate_axes(par, s_count, leaf_count, radius, seed, margin))

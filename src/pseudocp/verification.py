@@ -176,7 +176,7 @@ def almost_contact_lines(
             eta_xi = max(eta_xi, abs(fr.eta(fr.xi) - fr.epsilon))
             res = fr.phi(fr.phi(x)) + x - fr.epsilon * fr.eta(x) * fr.xi
             phi_sq = max(phi_sq, float(np.max(np.abs(res))))
-            nabla = max(nabla, ruled.structure_field_identity(patch, u, rng))
+            nabla = max(nabla, ruled.structure_field_identity(patch, fr, u, rng))
         lines.append(IdentityLine(f"example{ex}_phi_xi", phi_xi, alg_tol))
         lines.append(IdentityLine(f"example{ex}_eta_xi", eta_xi, alg_tol))
         lines.append(IdentityLine(f"example{ex}_phi_square", phi_sq, alg_tol))

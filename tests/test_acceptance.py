@@ -21,16 +21,14 @@ from pseudocp.examples import (
     example_map,
     example_spec,
     gamma_seed,
-    ruling_isometry,
+    ruling_sweep,
     seed_sphere_index,
 )
 from pseudocp.linalg import Signature, gdot_rows, metric_signs, real_metric
 from pseudocp.projective import canonicalize, log_in_leaf
 from pseudocp.ruled import (
     GeodesicSpherePatch,
-    RHSPatch,
     MinimalCase,
-    TransformedPatch,
     classify_minimal_ruled,
     leaf_coordinate_grid,
     rhs_evaluate,
@@ -56,21 +54,12 @@ def family_pars():
 
 @pytest.fixture(scope="module")
 def grid_sweep(family_pars):
-    """Worst leaf-block entry and structure diagonal over 5x5x4 grids."""
-    results = {}
-    for ex, (spec, par) in family_pars.items():
-        base = RHSPatch(par)
-        grid = leaf_coordinate_grid(par, GRID_S, GRID_LEAF)
-        dd_max = 0.0
-        mu_max = 0.0
-        for tv in np.linspace(spec.t_range[0], spec.t_range[1], GRID_T):
-            patch = TransformedPatch(ruling_isometry(spec, float(tv)), base)
-            for s, c in grid:
-                rep = shape_operator_at(patch, np.concatenate([[s], c]))
-                dd_max = max(dd_max, rep.dd_block_max)
-                mu_max = max(mu_max, abs(rep.mu))
-        results[ex] = (dd_max, mu_max)
-    return results
+    """Worst leaf-block entry and structure diagonal over 5x5x4 grids: the
+    sweep of the cross check."""
+    return {
+        ex: ruling_sweep(spec, par, leaf_coordinate_grid(par, GRID_S, GRID_LEAF), GRID_T)
+        for ex, (spec, par) in family_pars.items()
+    }
 
 
 def test_criterion_01_curvature_normalization():

@@ -275,6 +275,41 @@ class TestConfig:
         assert "chart" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_leaf_radius_reaches_the_verify_grid(self, tmp_path, monkeypatch, capsys):
+        """The configured leaf radius sets the leaf coordinates of the
+        cross check's grid, so the grid residuals move with it."""
+
+        def residuals(name, radius):
+            out = tmp_path / f"{name}.json"
+            if radius is not None:
+                cfg = tmp_path / f"{name}_cfg.json"
+                cfg.write_text(json.dumps({"leaf_radius": radius}))
+                monkeypatch.setenv("PSEUDOCP_CONFIG", str(cfg))
+            assert run_cli("verify", "3", "--grid", "2x2x2", "--out", str(out)) == 0
+            doc = json.loads(out.read_text())
+            assert doc["config"]["leaf_radius"] == (0.25 if radius is None else radius)
+            return {
+                item["name"]: item["residual"]
+                for item in doc["identities"]
+                if item["group"] == "example3"
+            }
+
+        default, narrow = residuals("default", None), residuals("narrow", 0.1)
+        for name in ("ruled_leaf_block", "minimality_mu", "codazzi_residual"):
+            assert narrow[name] != default[name]
+
+    def test_out_of_chart_leaf_radius_fails_verify_as_a_precondition(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A verify grid leaf radius beyond the chart exits 3, as in sample."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"leaf_radius": 2.0}))
+        monkeypatch.setenv("PSEUDOCP_CONFIG", str(cfg))
+        out = tmp_path / "report.json"
+        assert run_cli("verify", "3", "--grid", "2x2x2", "--out", str(out)) == 3
+        assert "chart" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_seed_parameter_is_a_precondition(self, tmp_path, capsys):
         """seed_r = 0 empties family one's open slot: exit 3, not a crash."""
         out = tmp_path / "cloud.csv"

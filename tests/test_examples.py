@@ -20,7 +20,7 @@ from pseudocp.ruled import (
     MinimalCase,
     RHSPatch,
     TransformedPatch,
-    structure_shape_values,
+    shape_operator_at,
     transport_basis,
 )
 
@@ -157,7 +157,8 @@ class TestExampleFields:
         sig = spec.sig
         par = transport_basis(example_integral_curve(spec).curve, s0=0.0)
         patch = TransformedPatch(ruling_isometry(spec, t), RHSPatch(par))
-        mu, uvec, frame = structure_shape_values(patch, np.zeros(patch.n_params))
+        rep = shape_operator_at(patch, np.zeros(patch.n_params))
+        mu, uvec, frame = rep.mu, rep.u_vec, rep.frame
         psi = example_map(spec, t)
         closed = example_fields(spec, t).a_xi_hat
         closed = closed - real_metric(sig, closed, 1j * psi) * (1j * psi)

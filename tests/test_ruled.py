@@ -7,7 +7,6 @@ from pseudocp.curves import covariant_derivative, sampled_curve_from_fn
 from pseudocp.errors import (
     ChartError,
     ClassificationError,
-    EmptyGridError,
     FrameError,
 )
 from pseudocp.examples import (
@@ -28,19 +27,16 @@ from pseudocp.ruled import (
     RHSPatch,
     ShapeForm,
     MinimalCase,
-    almost_contact_at,
     classify_minimal_ruled,
+    codazzi_residual,
     hypersurface_frame,
     leaf_coordinate_grid,
-    minimality,
     regenerate_integral_curve,
     rhs_evaluate,
     rhs_lift,
-    shape_operator,
     shape_operator_at,
-    structure_shape_values,
+    shape_operators,
     transport_basis,
-    verify_ruled,
     weingarten_apply,
 )
 
@@ -51,6 +47,14 @@ def _e(k, dim=4):
     v = np.zeros(dim, dtype=complex)
     v[k] = 1.0
     return v
+
+
+def _frame_at(par, s, coords):
+    return hypersurface_frame(RHSPatch(par), np.concatenate([[s], coords]))
+
+
+def _control_patch():
+    return GeodesicSpherePatch(canonicalize(SIG, _e(3)), 0.7, seed=1)
 
 
 def _geodesic_par():
@@ -161,20 +165,20 @@ class TestEvaluation:
 
 class TestAlmostContact:
     def test_family_one_normal_is_spacelike(self, family1_par):
-        fr = almost_contact_at(family1_par, 0.1, np.array([0.1, 0.0, -0.1, 0.05]))
+        fr = _frame_at(family1_par, 0.1, np.array([0.1, 0.0, -0.1, 0.05]))
         assert fr.epsilon == 1.0
 
     def test_family_three_normal_is_timelike(self):
         data = example_integral_curve(example_spec(3))
         par = transport_basis(data.curve, s0=0.0)
-        fr = almost_contact_at(par, 0.05, np.array([0.1, 0.05, -0.02, 0.08]))
+        fr = _frame_at(par, 0.05, np.array([0.1, 0.05, -0.02, 0.08]))
         assert fr.epsilon == -1.0
 
     def test_normal_matches_closed_form_up_to_sign(self, family1_par):
         from pseudocp.examples import example_fields
 
         fields = example_fields(example_spec(1), 0.0)
-        fr = almost_contact_at(family1_par, 0.0, np.zeros(family1_par.leaf_dim))
+        fr = _frame_at(family1_par, 0.0, np.zeros(family1_par.leaf_dim))
         gap = min(
             float(np.max(np.abs(fr.normal - fields.n_hat))),
             float(np.max(np.abs(fr.normal + fields.n_hat))),
@@ -182,7 +186,7 @@ class TestAlmostContact:
         assert gap < 1e-7
 
     def test_structure_identities_random_tangent(self, family1_par, rng):
-        fr = almost_contact_at(family1_par, -0.2, np.array([0.05, 0.1, 0.02, -0.07]))
+        fr = _frame_at(family1_par, -0.2, np.array([0.05, 0.1, 0.02, -0.07]))
         x = fr.random_tangent(rng)
         assert np.max(np.abs(fr.phi(fr.phi(x)) + x - fr.epsilon * fr.eta(x) * fr.xi)) < 1e-12
         assert np.max(np.abs(fr.phi(fr.xi))) < 1e-12
@@ -223,7 +227,7 @@ class TestAlmostContact:
 class TestShapeOperator:
     def test_leaf_block_vanishes_and_pattern(self, family1_par):
         """Rank two, symmetric, with the leaf vector paired to the structure."""
-        rep = shape_operator(family1_par, 0.1, np.array([0.1, 0.05, -0.08, 0.02]))
+        rep = shape_operator_at(RHSPatch(family1_par), np.array([0.1, 0.1, 0.05, -0.08, 0.02]))
         assert rep.dd_block_max < 1e-6
         assert abs(rep.mu) < 1e-6
         assert rep.rank == 2
@@ -267,59 +271,55 @@ class TestShapeOperator:
         patch = RHSPatch(par)
         u = np.zeros(patch.n_params)
         u[0] = 0.12
-        mu, uvec, fr = structure_shape_values(patch, u)
+        rep = shape_operator_at(patch, u)
+        uvec, fr = rep.u_vec, rep.frame
         assert abs(real_metric(SIG, uvec, uvec)) < 1e-6
         assert float(np.sqrt(np.sum(np.abs(uvec) ** 2))) > 0.5
         au = weingarten_apply(patch, fr, u, uvec)
         aphiu = weingarten_apply(patch, fr, u, fr.phi(uvec))
         assert np.max(np.abs(au)) < 1e-4
         assert np.max(np.abs(aphiu)) < 1e-4
-        rep = shape_operator_at(patch, u)
         assert rep.form is ShapeForm.LIGHTLIKE_U
 
     def test_geodesic_sphere_control_is_not_ruled(self):
-        x0 = canonicalize(SIG, _e(3))
-        patch = GeodesicSpherePatch(x0, 0.7, seed=1)
+        patch = _control_patch()
         rep = shape_operator_at(patch, np.zeros(patch.n_params))
         assert rep.dd_block_max > 1e-1
         assert abs(rep.mu) > 1e-2
 
 
 class TestVerifyAndMinimality:
+    """The ruled characterization and minimality read off stacked shape
+    operators: the leaf block and mu vanish on a ruled grid, not on the
+    control surface."""
+
     def test_family_one_grid_passes(self, family1_par):
-        grid = leaf_coordinate_grid(family1_par, 3, 2)
-        report = verify_ruled(family1_par, grid, codazzi_points=1)
-        assert report.passed
-        assert report.dd_block_max < 1e-4
-        assert report.codazzi_max < 1e-4
+        rows = leaf_coordinate_grid(family1_par, 3, 2)
+        patch = RHSPatch(family1_par)
+        reports = shape_operators(patch, rows)
+        assert len(reports) == 6
+        assert max(rep.dd_block_max for rep in reports) < 1e-4
+        assert codazzi_residual(patch, rows[0], np.random.default_rng(7)) < 1e-4
 
     def test_control_fails(self):
-        x0 = canonicalize(SIG, _e(3))
-        patch = GeodesicSpherePatch(x0, 0.7, seed=1)
-        grid = [0.1 * np.ones(patch.n_params), np.zeros(patch.n_params)]
-        report = verify_ruled(patch, grid, codazzi_points=0)
-        assert not report.passed
+        patch = _control_patch()
+        rows = np.array([0.1 * np.ones(patch.n_params), np.zeros(patch.n_params)])
+        assert max(rep.dd_block_max for rep in shape_operators(patch, rows)) > 1e-4
 
     def test_single_point_grid(self, family1_par):
-        report = verify_ruled(
-            family1_par, [(0.0, np.zeros(family1_par.leaf_dim))], codazzi_points=1
-        )
-        assert report.points == 1
+        patch = RHSPatch(family1_par)
+        reports = shape_operators(patch, np.zeros((1, patch.n_params)))
+        assert len(reports) == 1
+        assert reports[0].dd_block_max < 1e-4
 
     def test_minimality_family_one(self, family1_par):
-        grid = leaf_coordinate_grid(family1_par, 3, 2)
-        ok, worst = minimality(family1_par, grid)
-        assert ok and worst < 1e-4
+        rows = leaf_coordinate_grid(family1_par, 3, 2)
+        worst = max(abs(rep.mu) for rep in shape_operators(RHSPatch(family1_par), rows))
+        assert worst < 1e-4
 
     def test_minimality_control_false(self):
-        x0 = canonicalize(SIG, _e(3))
-        patch = GeodesicSpherePatch(x0, 0.7, seed=1)
-        ok, worst = minimality(patch, [np.zeros(patch.n_params)])
-        assert not ok and worst > 1e-2
-
-    def test_empty_grid(self, family1_par):
-        with pytest.raises(EmptyGridError):
-            minimality(family1_par, [])
+        patch = _control_patch()
+        assert abs(shape_operator_at(patch, np.zeros(patch.n_params)).mu) > 1e-2
 
 
 class _SyntheticPatch:

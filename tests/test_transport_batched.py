@@ -155,7 +155,7 @@ def _pointwise_rows(example_id, grid_s, grid_t, grid_leaf):
     rows = []
     for tv in np.linspace(spec.t_range[0], spec.t_range[1], grid_t):
         iso = ruling_isometry(spec, float(tv))
-        for s, c in grid:
+        for s, *c in grid.tolist():
             rep = canonicalize(par.sig, iso.apply(rhs_lift(par, s, c))).rep
             row = [s, float(tv)] + [float(x) for x in c]
             for entry in rep:
