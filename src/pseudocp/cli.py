@@ -203,6 +203,7 @@ def cmd_verify(args) -> int:
 
     identities = []
     classifications = {}
+    pars = {}
     try:
         for ex in targets:
             seed = None
@@ -224,15 +225,15 @@ def cmd_verify(args) -> int:
                     raise
             for line in report.lines:
                 identities.append({"group": f"example{ex}", **line.to_dict()})
-            if report.classification:
-                classifications[str(ex)] = f"case_{report.classification}"
+            classifications[str(ex)] = f"case_{report.classification}"
+            pars[ex] = report.par
         for line in verification.curvature_lines():
             identities.append({"group": "curvature", **line.to_dict()})
         for line in verification.unitary_frame_lines():
             identities.append({"group": "frames", **line.to_dict()})
         for line in verification.case_c_closed_form_lines():
             identities.append({"group": "case_c_forms", **line.to_dict()})
-        for line in verification.almost_contact_lines(example_ids=tuple(targets)):
+        for line in verification.almost_contact_lines(pars):
             identities.append({"group": "almost_contact", **line.to_dict()})
     except (DomainError, ChartError) as exc:
         print(f"error: {exc}", file=sys.stderr)

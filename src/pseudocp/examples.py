@@ -381,7 +381,8 @@ class IdentityLine:
 class CrossCheckReport:
     example_id: int
     lines: list
-    classification: Optional[str] = None
+    classification: str
+    par: ruled.RHSParametrization
 
     @property
     def passed(self) -> bool:
@@ -417,7 +418,6 @@ def example_cross_check(
     grid_t: int = 5,
     grid_leaf: int = 4,
     verify_tol: float = 1e-4,
-    classify: bool = True,
     leaf_radius: float = 0.25,
 ) -> CrossCheckReport:
     """Run the generic machinery on one family and compare with closed forms.
@@ -426,8 +426,9 @@ def example_cross_check(
     curve, verifies the leaf block and minimality over the grid of
     ``ruling_sweep`` (leaf coordinates up to ``leaf_radius``), the structure
     identities and the classification, and checks the numeric shape image of
-    the structure field against the closed form. Raises CrossCheckError
-    naming the first failed identity.
+    the structure field against the closed form. The report keeps the
+    parametrization. Raises CrossCheckError naming the first failed
+    identity; it carries the report.
     """
     lines: list[IdentityLine] = []
     sig = spec.sig
@@ -503,33 +504,17 @@ def example_cross_check(
     )
     lines.append(IdentityLine("shape_xi_matches_closed_form", gap, 1e-5))
 
-    classification = None
-    if classify:
-        report = classify_minimal_ruled(par)
-        classification = report.case.value
-        lines.append(
-            IdentityLine(
-                "classification_case",
-                0.0 if report.case is data.predicted_case else 1.0,
-                0.5,
-            )
-        )
-        if data.kind is not None:
-            lines.append(
-                IdentityLine(
-                    "classification_kind",
-                    0.0 if report.kind == data.kind else 1.0,
-                    0.5,
-                )
-            )
-        if data.kappa1 is not None and report.kappa1 is not None:
-            lines.append(
-                IdentityLine(
-                    "classification_kappa1", abs(report.kappa1 - data.kappa1), 1e-4
-                )
-            )
+    classified = classify_minimal_ruled(par)
+    case_ok = classified.case is data.predicted_case
+    lines.append(IdentityLine("classification_case", 0.0 if case_ok else 1.0, 0.5))
+    if data.kind is not None:
+        kind_ok = classified.kind == data.kind
+        lines.append(IdentityLine("classification_kind", 0.0 if kind_ok else 1.0, 0.5))
+    if data.kappa1 is not None and classified.kappa1 is not None:
+        kappa_gap = abs(classified.kappa1 - data.kappa1)
+        lines.append(IdentityLine("classification_kappa1", kappa_gap, 1e-4))
 
-    report = CrossCheckReport(spec.example_id, lines, classification)
+    report = CrossCheckReport(spec.example_id, lines, classified.case.value, par)
     bad = report.failures()
     if bad:
         raise CrossCheckError(

@@ -15,13 +15,16 @@ for a stack of patch parameters it evaluates every lift of every
 central-difference stencil in one patch call (``lifts_at``), then aligns
 phases, projects to the horizontal space and takes both SVDs as stacked
 array operations. It returns one ``AlmostContactFrame`` holding the stack;
-the frame at a single point is its one-row view. The shape operator
-differentiates the locally extended unit normal with Richardson
-extrapolation: ``weingarten_apply`` gets the four normals of every vector at
-every point of a stack from one kernel call, and ``shape_operators``
-measures a stack of points with one frame call and two Weingarten calls.
-The ruled characterization (vanishing leaf block) and minimality
-(mu = g(A xi, xi) = 0) are read off those reports.
+the frame at a single point is its one-row view. Every derivative of a
+frame field is one stencil, ``_extrapolated_difference``: central
+differences at +-h and +-h/2 combined as (4 D(h/2) - D(h)) / 3. The shape
+operator differentiates the unit normal with it at ``INNER_FD_STEP``:
+``weingarten_apply`` gets the four normals of every vector at every point
+of a stack from one kernel call, and ``shape_operators`` measures a stack
+of points with one frame call and two Weingarten calls. The Codazzi and
+structure identities difference Weingarten images and xi at
+``OUTER_FD_STEP``. The ruled characterization (vanishing leaf block) and
+minimality (mu = g(A xi, xi) = 0) are read off the shape reports.
 
 The classifier checks that the structure field is tangent to the base line
 (leaf coordinate 0) at unit parameter speed, so that the base curve is its
@@ -72,14 +75,10 @@ from .projective import (
     random_horizontal_unit,
 )
 
-#: finite difference step for tangent frames of a parametrized patch
-TANGENT_FD_STEP = 1e-4
-#: base step for the normal-derivative (shape operator) stencil
-SHAPE_FD_STEP = 1e-4
-#: step of the outer difference of Weingarten images in the Codazzi residual
-CODAZZI_FD_STEP = 5e-3
-#: step of the difference of the structure field in its derived identity
-STRUCTURE_FD_STEP = 1e-3
+#: step of the patch tangents and of the normal derivative (Weingarten map)
+INNER_FD_STEP = 1e-4
+#: step of the differences of Weingarten images (Codazzi) and of xi
+OUTER_FD_STEP = 2e-3
 #: leaf coordinates must stay inside this chart radius
 CHART_RADIUS = np.pi / 2
 #: relative lightlike threshold for numerically measured vectors
@@ -616,7 +615,7 @@ def hypersurface_frames(
     """Numeric unit normals and almost contact data at stacked parameters.
 
     Each row u of the (N, P) array gets the stencil u, u + h e_j, u - h e_j
-    (j < P, h = ``TANGENT_FD_STEP``), and all (2P + 1) N lifts come from one
+    (j < P, h = ``INNER_FD_STEP``), and all (2P + 1) N lifts come from one
     patch call. The tangents are central differences of the stencil lifts
     phase-aligned to the lift at u, made horizontal. The normal is the
     g-orthogonal complement of the tangent space inside the horizontal
@@ -636,7 +635,7 @@ def hypersurface_frames(
     dim = sig.ambient_dim
     rows = np.asarray(rows, dtype=float)
     count, p = rows.shape
-    h = TANGENT_FD_STEP
+    h = INNER_FD_STEP
     steps = h * np.eye(p)
     stencil = np.concatenate([rows[:, None], rows[:, None] + steps, rows[:, None] - steps], axis=1)
     w = _patch_lifts(patch, stencil.reshape(-1, p)).reshape(count, 2 * p + 1, dim)
@@ -680,36 +679,44 @@ def hypersurface_frame(patch, u: np.ndarray) -> AlmostContactFrame:
     return hypersurface_frames(patch, np.asarray(u, dtype=float)[None]).row(0)
 
 
+#: offsets of the extrapolated central difference, in units of its step
+_FD_OFFSETS = np.array([1.0, -1.0, 0.5, -0.5])
+
+
+def _extrapolated_difference(values: np.ndarray, h: float) -> np.ndarray:
+    """Derivative from values at the offsets ``h * _FD_OFFSETS`` (leading
+    axis): central differences D at steps h and h/2 combined by Richardson
+    extrapolation, (4 D(h/2) - D(h)) / 3, whose truncation error is O(h^4)."""
+    d1 = (values[0] - values[1]) / (2.0 * h)
+    d2 = (values[2] - values[3]) / h
+    return (4.0 * d2 - d1) / 3.0
+
+
 def weingarten_apply(patch, frame: AlmostContactFrame, u: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Shape operator A X = -(derivative of N) applied to tangent vectors.
 
     ``frame`` holds the frames at the patch parameters u, a stack (N, P) or
     one point (P,); x holds one vector per point or an axis of several
     vectors per point (as for ``AlmostContactFrame``). The unit normal is
-    extended along the coordinate line with parameter velocity matching X;
-    two central differences at steps h and h/2 (h = ``SHAPE_FD_STEP``) are
-    combined by Richardson extrapolation. The four normals of every vector
-    at every point come from one ``hypersurface_frames`` call, each aligned
-    to the frame at its own point.
+    extended along the coordinate line with parameter velocity matching X
+    and differentiated by ``_extrapolated_difference`` at h =
+    ``INNER_FD_STEP``. The four normals of every vector at every point come
+    from one ``hypersurface_frames`` call, each aligned to the frame at its
+    own point.
     """
-    h = SHAPE_FD_STEP
+    h = INNER_FD_STEP
     x = np.asarray(x, dtype=complex)
     u = np.asarray(u, dtype=float)
     a = frame.tangent_coords(x)
     if a.ndim > u.ndim:
         u = np.expand_dims(u, -2)
-    steps = np.array([h, -h, 0.5 * h, -0.5 * h]).reshape((4,) + (1,) * a.ndim)
+    steps = (h * _FD_OFFSETS).reshape((4,) + (1,) * a.ndim)
     ref = frame
     if frame.lift.ndim == 2:
         owner = np.arange(a.shape[0]).reshape((-1,) + (1,) * (a.ndim - 2))
         ref = frame.row(np.broadcast_to(owner, (4,) + a.shape[:-1]).ravel())
     nu = hypersurface_frames(patch, (u + steps * a).reshape(-1, a.shape[-1]), ref=ref).normal
-    nu = nu.reshape((4,) + x.shape)
-    hh = 0.5 * h
-    d1 = (nu[0] - nu[1]) / (2.0 * h)
-    d2 = (nu[2] - nu[3]) / (2.0 * hh)
-    dn = (4.0 * d2 - d1) / 3.0
-    return -frame.tangential(dn)
+    return -frame.tangential(_extrapolated_difference(nu.reshape((4,) + x.shape), h))
 
 
 @dataclass(frozen=True)
@@ -824,26 +831,26 @@ def shape_operator_at(patch, u: np.ndarray) -> ShapeReport:
 
 
 def codazzi_residual(patch, u: np.ndarray, rng: np.random.Generator) -> float:
-    """Residual of the Codazzi identity at u for one random tangent pair;
-    the outer differences take the step ``CODAZZI_FD_STEP``."""
+    """Residual of the Codazzi identity at u for one random tangent pair; the
+    outer differences are ``_extrapolated_difference`` at ``OUTER_FD_STEP``."""
     sig = patch.sig
-    h = CODAZZI_FD_STEP
+    h = OUTER_FD_STEP
     u = np.asarray(u, dtype=float)
     frame = hypersurface_frame(patch, u)
     x = frame.random_tangent(rng)
     y = frame.random_tangent(rng)
     ax_dir = frame.tangent_coords(x)
     ay_dir = frame.tangent_coords(y)
-    # the field Y moved along X (rows 0, 1) and the field X along Y (rows 2, 3)
-    centers = np.array([u + h * ax_dir, u - h * ax_dir, u + h * ay_dir, u - h * ay_dir])
-    fields = np.array([ay_dir, ay_dir, ax_dir, ax_dir])
+    # per offset: the field Y moved along X, then the field X moved along Y
+    offsets = h * _FD_OFFSETS[:, None, None]
+    centers = (u + offsets * np.array([ax_dir, ay_dir])).reshape(-1, u.shape[0])
+    fields = np.tile([ay_dir, ax_dir], (4, 1))
     moved = hypersurface_frames(patch, centers, ref=frame)
     vecs = np.einsum("mp,mpd->md", fields, moved.tangents)
     images = weingarten_apply(patch, moved, centers, vecs)
-    d_a = frame.tangential((images[0::2] - images[1::2]) / (2.0 * h))
-    d_v = frame.tangential((vecs[0::2] - vecs[1::2]) / (2.0 * h))
-    cov = d_a - weingarten_apply(patch, frame, u, d_v)
-    cov_x_ay, cov_y_ax = cov
+    d_a = frame.tangential(_extrapolated_difference(images.reshape(4, 2, -1), h))
+    d_v = frame.tangential(_extrapolated_difference(vecs.reshape(4, 2, -1), h))
+    cov_x_ay, cov_y_ax = d_a - weingarten_apply(patch, frame, u, d_v)
     rhs = (
         frame.eta(x) * frame.phi(y)
         - frame.eta(y) * frame.phi(x)
@@ -860,16 +867,16 @@ def structure_field_identity(
     at u, where ``frame`` is the one-point frame.
 
     Differentiates the structure field along a random tangent direction
-    (central difference at ``STRUCTURE_FD_STEP``) and compares the
+    (``_extrapolated_difference`` at h = ``OUTER_FD_STEP``) and compares the
     tangential covariant derivative with phi applied to the shape image of
     that direction.
     """
-    h = STRUCTURE_FD_STEP
+    h = OUTER_FD_STEP
     u = np.asarray(u, dtype=float)
     x = frame.random_tangent(rng)
     a = frame.tangent_coords(x)
-    moved = hypersurface_frames(patch, np.array([u + h * a, u - h * a]), ref=frame)
-    nxi = frame.tangential((moved.xi[0] - moved.xi[1]) / (2.0 * h))
+    moved = hypersurface_frames(patch, u + h * _FD_OFFSETS[:, None] * a, ref=frame)
+    nxi = frame.tangential(_extrapolated_difference(moved.xi, h))
     ax = weingarten_apply(patch, frame, u, x)
     return float(np.max(np.abs(nxi - frame.phi(ax))))
 

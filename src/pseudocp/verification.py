@@ -17,12 +17,7 @@ import numpy as np
 
 from . import ruled
 from .curves import case_c1_curve, case_c2_curve, fd_derivative
-from .examples import (
-    EXAMPLE_IDS,
-    IdentityLine,
-    example_integral_curve,
-    example_spec,
-)
+from .examples import IdentityLine
 from .isometries import frame_to_isometries
 from .linalg import CausalCharacter, Signature, gdot_rows, jmul, metric_signs, real_metric
 from .projective import (
@@ -34,7 +29,7 @@ from .projective import (
     horizontal_units,
     random_sphere_point,
 )
-from .ruled import RHSPatch, hypersurface_frame, transport_basis
+from .ruled import RHSPatch, hypersurface_frame
 
 ACCEPTANCE_SIGNATURES = (Signature(2, 1), Signature(3, 1), Signature(3, 2), Signature(4, 2))
 
@@ -147,25 +142,24 @@ def case_c_closed_form_lines(tol: float = 1e-6) -> list[IdentityLine]:
     return lines
 
 
-def almost_contact_lines(
-    example_ids=EXAMPLE_IDS,
-    per_example: int = 25,
-    alg_tol: float = 1e-8,
-    fd_tol: float = 1e-4,
-    seed: int = 2,
-) -> list[IdentityLine]:
-    """Structure identities at random hypersurface points of each family."""
-    rng = np.random.default_rng(seed)
+ALMOST_CONTACT_POINTS = 25  # random hypersurface points per family
+ALMOST_CONTACT_SEED = 2  # seed of the points and tangents
+ALGEBRAIC_TOL = 1e-8  # tolerance of the algebraic almost contact identities
+DERIVATIVE_TOL = 1e-4  # tolerance of the structure derivative identity
+
+
+def almost_contact_lines(pars) -> list[IdentityLine]:
+    """Structure identities at random hypersurface points of each family:
+    ``pars`` maps example ids to parametrizations, checked in order."""
+    rng = np.random.default_rng(ALMOST_CONTACT_SEED)
     lines = []
-    for ex in example_ids:
-        spec = example_spec(ex)
-        par = transport_basis(example_integral_curve(spec).curve, s0=0.0)
+    for ex, par in pars.items():
         patch = RHSPatch(par)
         phi_xi = 0.0
         eta_xi = 0.0
         phi_sq = 0.0
         nabla = 0.0
-        for _ in range(per_example):
+        for _ in range(ALMOST_CONTACT_POINTS):
             u = np.zeros(patch.n_params)
             u[0] = rng.uniform(-0.35, 0.35)
             c = rng.standard_normal(par.leaf_dim)
@@ -177,8 +171,8 @@ def almost_contact_lines(
             res = fr.phi(fr.phi(x)) + x - fr.epsilon * fr.eta(x) * fr.xi
             phi_sq = max(phi_sq, float(np.max(np.abs(res))))
             nabla = max(nabla, ruled.structure_field_identity(patch, fr, u, rng))
-        lines.append(IdentityLine(f"example{ex}_phi_xi", phi_xi, alg_tol))
-        lines.append(IdentityLine(f"example{ex}_eta_xi", eta_xi, alg_tol))
-        lines.append(IdentityLine(f"example{ex}_phi_square", phi_sq, alg_tol))
-        lines.append(IdentityLine(f"example{ex}_structure_derivative", nabla, fd_tol))
+        lines.append(IdentityLine(f"example{ex}_phi_xi", phi_xi, ALGEBRAIC_TOL))
+        lines.append(IdentityLine(f"example{ex}_eta_xi", eta_xi, ALGEBRAIC_TOL))
+        lines.append(IdentityLine(f"example{ex}_phi_square", phi_sq, ALGEBRAIC_TOL))
+        lines.append(IdentityLine(f"example{ex}_structure_derivative", nabla, DERIVATIVE_TOL))
     return lines

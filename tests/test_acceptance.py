@@ -206,9 +206,9 @@ def test_criterion_08_case_c_closed_forms():
     assert ok
 
 
-def test_criterion_09_almost_contact_identities():
+def test_criterion_09_almost_contact_identities(family_pars):
     """Structure identities at 100 random hypersurface points."""
-    lines = verification.almost_contact_lines(per_example=25, alg_tol=1e-8, fd_tol=1e-4)
+    lines = verification.almost_contact_lines({ex: par for ex, (_, par) in family_pars.items()})
     algebraic = max(l.residual for l in lines if not l.name.endswith("derivative"))
     derivative = max(l.residual for l in lines if l.name.endswith("derivative"))
     ok = all(line.passed for line in lines)

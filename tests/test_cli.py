@@ -356,6 +356,34 @@ class TestVerify:
         doc = json.loads(out.read_text())
         assert doc["classifications"]["1"] == "case_c"
 
+    def test_small_seed_parameter_passes_every_line(self, tmp_path):
+        """At seed_r = 0.1 (kappa1 about 7) the Codazzi and structure
+        identities pass: their differences are extrapolated, not O(h^2)."""
+        out = tmp_path / "report.json"
+        code = run_cli(
+            "verify", "1", "--signature", "3,1", "--seed-r", "0.1", "--out", str(out)
+        )
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert all(item["pass"] for item in doc["identities"])
+
+    def test_almost_contact_lines_check_the_requested_instance(self, tmp_path):
+        """The almost contact suite runs on the family instance of the
+        command, not on the default one."""
+
+        def almost_contact(*argv):
+            out = tmp_path / "report.json"
+            assert run_cli("verify", "1", "--grid", "2x2x2", *argv, "--out", str(out)) == 0
+            doc = json.loads(out.read_text())
+            return [item for item in doc["identities"] if item["group"] == "almost_contact"]
+
+        default = almost_contact()
+        requested = almost_contact("--signature", "4,2", "--seed-r", "1.2")
+        assert [item["name"] for item in requested] == [item["name"] for item in default]
+        assert [item["residual"] for item in requested] != [
+            item["residual"] for item in default
+        ]
+
     def test_verify_all_line_count(self, tmp_path):
         """The full run reports well over forty identity lines and passes."""
         out = tmp_path / "all.json"

@@ -15,9 +15,8 @@ from pseudocp.linalg import LIGHT_TOL, CausalCharacter, Signature, causal_charac
 from pseudocp.projective import canonicalize, sphere_geodesic
 from pseudocp.ruled import (
     CHART_RADIUS,
+    INNER_FD_STEP,
     NUMERIC_LIGHT_TOL,
-    SHAPE_FD_STEP,
-    TANGENT_FD_STEP,
     AlmostContactFrame,
     GeodesicSpherePatch,
     RHSPatch,
@@ -44,7 +43,7 @@ def _ref_phase(signs, w, ref):
     return np.conj(a) / abs(a)
 
 
-def _ref_tangent_frame(patch, u, h=TANGENT_FD_STEP):
+def _ref_tangent_frame(patch, u, h=INNER_FD_STEP):
     u = np.asarray(u, dtype=float)
     w0 = patch.lift_at(u)
     signs = patch.sig.signs
@@ -68,7 +67,7 @@ def _realify(z):
     return np.concatenate([np.real(z), np.imag(z)], axis=-1)
 
 
-def _ref_frame(patch, u, h=TANGENT_FD_STEP):
+def _ref_frame(patch, u, h=INNER_FD_STEP):
     sig = patch.sig
     w0, t = _ref_tangent_frame(patch, u, h)
     treal = _realify(t)
@@ -100,7 +99,7 @@ def _ref_aligned(patch, u, ref):
     return AlmostContactFrame(fr.sig, fr.lift * ph, fr.tangents * ph, nu, fr.epsilon)
 
 
-def _ref_weingarten(patch, frame0, u, x, h=SHAPE_FD_STEP):
+def _ref_weingarten(patch, frame0, u, x, h=INNER_FD_STEP):
     sig = patch.sig
     a, *_ = np.linalg.lstsq(_realify(frame0.tangents).T, _realify(x), rcond=None)
 
@@ -327,7 +326,7 @@ def test_out_of_chart_stencil_row_raises_chart_error():
     """A centre inside the chart whose stencil leaves it fails the batch."""
     patch = _family_patch(1)
     edge = np.zeros(patch.n_params)
-    edge[1] = CHART_RADIUS - 0.5 * TANGENT_FD_STEP
+    edge[1] = CHART_RADIUS - 0.5 * INNER_FD_STEP
     rows = np.array([_point(patch, 0), edge, _point(patch, 1)])
     with pytest.raises(ChartError):
         hypersurface_frames(patch, rows)

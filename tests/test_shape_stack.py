@@ -1,11 +1,14 @@
-"""Stacked shape operators and Codazzi residual against the pointwise loops
-they replaced.
+"""Stacked shape operators, Codazzi residual and structure identity against
+pointwise loops.
 
 The oracles are the pointwise bodies: a Weingarten map whose four normals
 per vector are aligned to one reference frame, the shape operator of one
-point with its own frame call and two Weingarten calls, and a Codazzi
-residual with one Weingarten call per moved frame. The stacked path runs
-the same arithmetic row by row, so the comparisons ask for equality.
+point with its own frame call and two Weingarten calls, a Codazzi residual
+with one Weingarten call per moved frame, and a structure identity with one
+frame call per moved point. Every difference, inner or outer, is the
+central difference at steps h and h/2 combined as (4 D(h/2) - D(h)) / 3,
+written out here. The stacked path runs the same arithmetic row by row, so
+the comparisons ask for equality.
 """
 
 import numpy as np
@@ -15,9 +18,9 @@ from pseudocp.examples import example_integral_curve, example_spec, ruling_isome
 from pseudocp.linalg import CausalCharacter, Signature, causal_character, gdot_rows, real_metric
 from pseudocp.projective import canonicalize
 from pseudocp.ruled import (
-    CODAZZI_FD_STEP,
+    INNER_FD_STEP,
     NUMERIC_LIGHT_TOL,
-    SHAPE_FD_STEP,
+    OUTER_FD_STEP,
     GeodesicSpherePatch,
     RHSPatch,
     ShapeForm,
@@ -29,6 +32,7 @@ from pseudocp.ruled import (
     leaf_coordinate_grid,
     shape_operator_at,
     shape_operators,
+    structure_field_identity,
     transport_basis,
 )
 
@@ -37,18 +41,22 @@ from pseudocp.ruled import (
 # ---------------------------------------------------------------------------
 
 
+def _extrapolated(plus, minus, half_plus, half_minus, h):
+    """(4 D(h/2) - D(h)) / 3 from values at +-h and +-h/2."""
+    hh = 0.5 * h
+    d1 = (plus - minus) / (2.0 * h)
+    d2 = (half_plus - half_minus) / (2.0 * hh)
+    return (4.0 * d2 - d1) / 3.0
+
+
 def _oracle_weingarten(patch, frame0, u, x):
-    h = SHAPE_FD_STEP
+    h = INNER_FD_STEP
     x = np.asarray(x, dtype=complex)
     a = frame0.tangent_coords(x.reshape(-1, x.shape[-1]))
     offsets = np.array([h, -h, 0.5 * h, -0.5 * h])[:, None, None] * a
     nu = hypersurface_frames(patch, (u + offsets).reshape(-1, a.shape[1]), ref=frame0).normal
     nu = nu.reshape(4, a.shape[0], -1)
-    hh = 0.5 * h
-    d1 = (nu[0] - nu[1]) / (2.0 * h)
-    d2 = (nu[2] - nu[3]) / (2.0 * hh)
-    dn = (4.0 * d2 - d1) / 3.0
-    return -frame0.tangential(dn).reshape(x.shape)
+    return -frame0.tangential(_extrapolated(*nu, h)).reshape(x.shape)
 
 
 def _oracle_shape(patch, u):
@@ -83,23 +91,26 @@ def _oracle_shape(patch, u):
 
 def _oracle_codazzi(patch, u, rng):
     sig = patch.sig
-    h = CODAZZI_FD_STEP
+    h = OUTER_FD_STEP
     u = np.asarray(u, dtype=float)
     frame = hypersurface_frame(patch, u)
     x = frame.random_tangent(rng)
     y = frame.random_tangent(rng)
     ax_dir = frame.tangent_coords(x)
     ay_dir = frame.tangent_coords(y)
-    centers = np.array([u + h * ax_dir, u - h * ax_dir, u + h * ay_dir, u - h * ay_dir])
-    fields = np.array([ay_dir, ay_dir, ax_dir, ax_dir])
+    steps = [h, -h, 0.5 * h, -0.5 * h]
+    # the field Y moved along X (rows 0-3), the field X along Y (rows 4-7)
+    centers = np.array([u + t * ax_dir for t in steps] + [u + t * ay_dir for t in steps])
+    fields = np.array([ay_dir] * 4 + [ax_dir] * 4)
     moved = hypersurface_frames(patch, centers, ref=frame)
     vecs = np.einsum("mp,mpd->md", fields, moved.tangents)
-    images = np.array(
-        [_oracle_weingarten(patch, moved.row(i), centers[i], vecs[i]) for i in range(4)]
-    )
-    d_a = frame.tangential((images[0::2] - images[1::2]) / (2.0 * h))
-    d_v = frame.tangential((vecs[0::2] - vecs[1::2]) / (2.0 * h))
-    cov_x_ay, cov_y_ax = d_a - _oracle_weingarten(patch, frame, u, d_v)
+    images = [_oracle_weingarten(patch, moved.row(i), centers[i], vecs[i]) for i in range(8)]
+    cov = []
+    for k in (0, 4):
+        d_a = frame.tangential(_extrapolated(*images[k : k + 4], h))
+        d_v = frame.tangential(_extrapolated(*vecs[k : k + 4], h))
+        cov.append(d_a - _oracle_weingarten(patch, frame, u, d_v))
+    cov_x_ay, cov_y_ax = cov
     rhs = (
         frame.eta(x) * frame.phi(y)
         - frame.eta(y) * frame.phi(x)
@@ -107,6 +118,18 @@ def _oracle_codazzi(patch, u, rng):
     )
     res = cov_x_ay - cov_y_ax - rhs
     return float(np.sqrt(np.sum(np.abs(res) ** 2)))
+
+
+def _oracle_structure(patch, frame, u, rng):
+    h = OUTER_FD_STEP
+    x = frame.random_tangent(rng)
+    a = frame.tangent_coords(x)
+    xi = [
+        hypersurface_frames(patch, (u + step * a)[None], ref=frame).row(0).xi
+        for step in (h, -h, 0.5 * h, -0.5 * h)
+    ]
+    nxi = frame.tangential(_extrapolated(*xi, h))
+    return float(np.max(np.abs(nxi - frame.phi(_oracle_weingarten(patch, frame, u, x)))))
 
 
 # ---------------------------------------------------------------------------
@@ -169,3 +192,12 @@ def test_codazzi_residual_equals_the_four_call_loop(name):
     u = rows[1]
     got = codazzi_residual(patch, u, np.random.default_rng(11))
     assert got == _oracle_codazzi(patch, u, np.random.default_rng(11))
+
+
+@pytest.mark.parametrize("name", ["family1_3_1", "family3_4_2", "family2_boost_t0.4"])
+def test_structure_field_identity_equals_the_pointwise_loop(name):
+    patch, rows = CASES[name]()
+    u = rows[1]
+    frame = hypersurface_frame(patch, u)
+    got = structure_field_identity(patch, frame, u, np.random.default_rng(2))
+    assert got == _oracle_structure(patch, frame, u, np.random.default_rng(2))
