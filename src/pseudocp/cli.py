@@ -42,7 +42,7 @@ from .curves import (
     case_c1_curve,
     case_c2_curve,
     model_circle_curve,
-    sample_params,
+    sampled_curve_from_fn,
 )
 from .errors import (
     CausalCharacterError,
@@ -262,11 +262,16 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _complex_vector(raw, dim: int) -> np.ndarray:
-    arr = np.asarray(raw, dtype=float)
-    if arr.shape != (dim, 2):
+def _complex_vector(raw, dim: int, rows: bool = False) -> np.ndarray:
+    """Complex vector (dim,) from [re, im] pairs; with ``rows``, a list of
+    such vectors as rows (m, dim), converted in one array operation."""
+    try:
+        arr = np.asarray(raw, dtype=float)
+    except ValueError as exc:  # ragged nesting is a wrong shape too
+        raise ValueError(f"expected {dim} [re, im] pairs") from exc
+    if arr.ndim != (3 if rows else 2) or arr.shape[-2:] != (dim, 2):
         raise ValueError(f"expected {dim} [re, im] pairs")
-    return arr[:, 0] + 1j * arr[:, 1]
+    return arr[..., 0] + 1j * arr[..., 1]
 
 
 def _curve_from_file(doc: dict) -> SampledCurve:
@@ -276,9 +281,7 @@ def _curve_from_file(doc: dict) -> SampledCurve:
     kind = doc["kind"]
     if kind == "samples":
         params = np.asarray(doc["data"]["s"], dtype=float)
-        lifts = np.asarray(
-            [_complex_vector(row, sig.ambient_dim) for row in doc["data"]["lifts"]]
-        )
+        lifts = _complex_vector(doc["data"]["lifts"], sig.ambient_dim, rows=True)
         return SampledCurve(sig, params, lifts, float(params[1] - params[0]))
     if kind != "closed_form":
         raise ValueError(f"unknown curve kind {doc['kind']!r}")
@@ -295,9 +298,7 @@ def _curve_from_file(doc: dict) -> SampledCurve:
         if char in (CausalCharacter.LIGHTLIKE, CausalCharacter.ZERO):
             raise CausalCharacterError("geodesic velocity must not be lightlike")
         v = v / np.sqrt(abs(real_metric(sig, v, v)))
-        params = sample_params(s_lo, s_hi, step)
-        fn = lambda s: sphere_geodesic(sig, q, v, s)
-        return SampledCurve(sig, params, fn(params), step, fn)
+        return sampled_curve_from_fn(sig, lambda s: sphere_geodesic(sig, q, v, s), s_lo, s_hi, step)
     if family in ("case_c1", "case_c2"):
         builder = case_c1_curve if family == "case_c1" else case_c2_curve
         crv = builder(

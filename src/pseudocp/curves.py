@@ -15,7 +15,6 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import FrameError, LiftError, SamplingError, SpeedError
 from .linalg import (
@@ -70,6 +69,25 @@ def deriv_rows(y: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
+def hermite_rows(params: np.ndarray, values: np.ndarray, slopes: np.ndarray, s) -> np.ndarray:
+    """Cubic Hermite interpolant of rows sampled at increasing ``params``.
+
+    ``values`` and ``slopes`` (m, ...) hold each sample and its derivative.
+    A scalar s gives one row (...); an array (S,) of parameters gives rows
+    (S, ...). Parameters outside the samples extrapolate the end cubics.
+    """
+    s = np.asarray(s, dtype=float)
+    i = np.clip(np.searchsorted(params, s) - 1, 0, params.shape[0] - 2)
+    per_row = (...,) + (None,) * (values.ndim - 1)
+    h = (params[i + 1] - params[i])[per_row]
+    tau = (s - params[i])[per_row] / h
+    h00 = (1.0 + 2.0 * tau) * (1.0 - tau) ** 2
+    h10 = tau * (1.0 - tau) ** 2
+    h01 = tau * tau * (3.0 - 2.0 * tau)
+    h11 = tau * tau * (tau - 1.0)
+    return h00 * values[i] + h10 * h * slopes[i] + h01 * values[i + 1] + h11 * h * slopes[i + 1]
+
+
 def fd_derivative(fn: Callable[[float], np.ndarray], s: float, h: float = 1e-3):
     """Five-point first derivative of a smooth vector-valued callable."""
     return (
@@ -99,6 +117,11 @@ class SampledCurve:
 
     Every stencil assumes samples spaced by ``step``: params that are not,
     to a relative 1e-6, raise SamplingError.
+
+    ``lift_fn`` is the closed form of the lifts, if there is one. It takes a
+    scalar s to one row (d,) and an array (m,) of parameters to rows (m, d),
+    each row bit for bit the scalar call: samples, transport states and patch
+    lifts are each one call over an array.
     """
 
     sig: Signature
@@ -162,9 +185,10 @@ def sampled_curve_from_fn(
     s_max: float,
     step: float,
 ) -> SampledCurve:
+    """Sample a closed-form lift ``fn``, which takes arrays of parameters
+    (see ``SampledCurve.lift_fn``), in one call."""
     params = sample_params(s_min, s_max, step)
-    lifts = np.array([fn(s) for s in params], dtype=complex)
-    return SampledCurve(sig, params, lifts, step, fn)
+    return SampledCurve(sig, params, fn(params), step, fn)
 
 
 def _interior(rows: np.ndarray, stages: int) -> np.ndarray:
@@ -324,7 +348,11 @@ def case_c_verify(curve: SampledCurve):
 
 @dataclass(frozen=True)
 class ClosedFormCurve:
-    """Evaluator for a curve given in closed form in the flat ambient space."""
+    """Evaluator for a curve given in closed form in the flat ambient space.
+
+    ``point``, ``vel`` and ``acc`` take a scalar s to one row (d,) and an
+    array (m,) of parameters to rows (m, d), as ``SampledCurve.lift_fn``.
+    """
 
     sig: Signature
     point: Callable[[float], np.ndarray]
@@ -337,6 +365,12 @@ class ClosedFormCurve:
 
     def sample(self, s_min: float, s_max: float, step: float) -> SampledCurve:
         return sampled_curve_from_fn(self.sig, self.point, s_min, s_max, step)
+
+
+def _col(coef) -> np.ndarray:
+    """A scalar coefficient as shape (1,), an array (m,) of them as a column
+    (m, 1), so that it scales one ambient vector into one row or m rows."""
+    return np.asarray(coef)[..., None]
 
 
 def _check_case_c_frame(sig, p0, v0, f2, v0_sign: float):
@@ -366,9 +400,9 @@ def case_c1_curve(sig: Signature, p0, v0, f2) -> ClosedFormCurve:
     _check_case_c_frame(sig, p0, v0, f2, +1.0)
     return ClosedFormCurve(
         sig,
-        point=lambda s: f2 + np.cos(s) * (p0 - f2) + np.sin(s) * v0,
-        vel=lambda s: -np.sin(s) * (p0 - f2) + np.cos(s) * v0,
-        acc=lambda s: -np.cos(s) * (p0 - f2) - np.sin(s) * v0,
+        point=lambda s: f2 + _col(np.cos(s)) * (p0 - f2) + _col(np.sin(s)) * v0,
+        vel=lambda s: _col(-np.sin(s)) * (p0 - f2) + _col(np.cos(s)) * v0,
+        acc=lambda s: _col(-np.cos(s)) * (p0 - f2) - _col(np.sin(s)) * v0,
         label="case_c1",
     )
 
@@ -385,9 +419,9 @@ def case_c2_curve(sig: Signature, p0, v0, f2) -> ClosedFormCurve:
     _check_case_c_frame(sig, p0, v0, f2, -1.0)
     return ClosedFormCurve(
         sig,
-        point=lambda s: np.cosh(s) * (p0 + f2) + np.sinh(s) * v0 - f2,
-        vel=lambda s: np.sinh(s) * (p0 + f2) + np.cosh(s) * v0,
-        acc=lambda s: np.cosh(s) * (p0 + f2) + np.sinh(s) * v0,
+        point=lambda s: _col(np.cosh(s)) * (p0 + f2) + _col(np.sinh(s)) * v0 - f2,
+        vel=lambda s: _col(np.sinh(s)) * (p0 + f2) + _col(np.cosh(s)) * v0,
+        acc=lambda s: _col(np.cosh(s)) * (p0 + f2) + _col(np.sinh(s)) * v0,
         label="case_c2",
     )
 
@@ -444,11 +478,12 @@ def model_circle_curve(
         raise FrameError(f"unknown surface model {model!r}")
 
     def place(values) -> np.ndarray:
-        out = np.zeros(sig.ambient_dim, dtype=complex)
-        out[list(slots)] = values
+        values = np.broadcast_arrays(*values)
+        out = np.zeros(values[0].shape + (sig.ambient_dim,), dtype=complex)
+        out[..., list(slots)] = np.stack(values, axis=-1)
         return out
 
-    def acc(s: float, h: float = 1e-4) -> np.ndarray:
+    def acc(s, h: float = 1e-4) -> np.ndarray:
         return (point(s + h) - 2.0 * point(s) + point(s - h)) / (h * h)
 
     point = lambda s: place(coords(s))
@@ -471,65 +506,55 @@ def horizontal_lift(
 ) -> SampledCurve:
     """Phase-integrate representatives into a horizontal lift through z0.
 
-    ``reps`` is either a callable s -> representative or an array of sampled
-    representatives matching ``params``. The phase obeys
+    ``reps`` is either a callable taking an array of parameters to rows of
+    representatives, as ``SampledCurve.lift_fn``, or an array of sampled
+    representatives matching ``params``, which the cubic Hermite
+    interpolant extends between samples. The phase obeys
     theta'(s) = -g(rho', i rho) for the normalized representative rho, which
-    makes the lift's velocity orthogonal to the fiber. ``z0`` must project to
-    the curve point at the ``anchor`` sample.
+    makes the lift's velocity orthogonal to the fiber; rho' is a central
+    difference and each step is one Simpson rule, all evaluated as arrays.
+    ``z0`` must project to the curve point at the ``anchor`` sample.
     """
-    if callable(reps):
-        if params is None:
-            raise LiftError("params grid required with a callable representative")
-        params = np.asarray(params, dtype=float)
-
-        def rho(s: float) -> np.ndarray:
-            z = as_ambient(sig, reps(s))
-            g = real_metric(sig, z, z)
-            if g <= 0:
-                raise LiftError("representative is not spacelike")
-            return z / np.sqrt(g)
-
-    else:
-        rep_rows = np.asarray(reps, dtype=complex)
-        params = np.asarray(params, dtype=float)
-        if rep_rows.shape[0] != params.shape[0]:
-            raise LiftError("representative rows do not match params")
-        norms = np.sqrt(gdot_rows(sig.signs, rep_rows, rep_rows))
-        spline = CubicSpline(params, rep_rows / norms[:, None], axis=0)
-
-        def rho(s: float) -> np.ndarray:
-            return np.asarray(spline(s), dtype=complex)
-
+    if callable(reps) and params is None:
+        raise LiftError("params grid required with a callable representative")
+    params = np.asarray(params, dtype=float)
     if step is None:
         step = float(params[1] - params[0])
-    h = 1e-5
+    if callable(reps):
+        rep_at = reps
+    else:
+        rep_rows = np.asarray(reps, dtype=complex)
+        if rep_rows.shape[0] != params.shape[0]:
+            raise LiftError("representative rows do not match params")
+        slopes = deriv_rows(rep_rows, step)
+        rep_at = lambda s: hermite_rows(params, rep_rows, slopes, s)
 
-    def theta_rate(s: float) -> float:
-        r = rho(s)
-        dr = (rho(s + h) - rho(s - h)) / (2.0 * h)
-        return -real_metric(sig, dr, jmul(r))
+    def rho(s: np.ndarray) -> np.ndarray:
+        z = np.asarray(rep_at(s), dtype=complex)
+        if z.shape != s.shape + (sig.ambient_dim,):
+            raise LiftError("representative must map an array of parameters to rows")
+        g = gdot_rows(sig.signs, z, z)
+        if np.any(g <= 0):
+            raise LiftError("representative is not spacelike")
+        return z / np.sqrt(g)[:, None]
+
+    # the phase rate at every sample, then at every midpoint
+    m = params.shape[0]
+    nodes = np.concatenate([params, params[:-1] + 0.5 * step])
+    h = 1e-5
+    r = rho(nodes)
+    dr = (rho(nodes + h) - rho(nodes - h)) / (2.0 * h)
+    rate = -gdot_rows(sig.signs, dr, jmul(r))
 
     z0v = as_ambient(sig, z0)
-    r_anchor = rho(float(params[anchor]))
-    a = hermitian_product(sig, z0v, r_anchor)
-    if abs(abs(a) - 1.0) > 1e-8 or float(np.max(np.abs(z0v - (a / abs(a)) * r_anchor))) > 1e-8:
+    a = hermitian_product(sig, z0v, r[anchor])
+    if abs(abs(a) - 1.0) > 1e-8 or float(np.max(np.abs(z0v - (a / abs(a)) * r[anchor]))) > 1e-8:
         raise LiftError("z0 does not project to the curve point at the anchor")
 
-    theta_rows = np.empty(params.shape[0])
-    theta_rows[0] = 0.0
-    acc = 0.0
-    for i in range(params.shape[0] - 1):
-        s = float(params[i])
-        k1 = theta_rate(s)
-        k2 = theta_rate(s + 0.5 * step)
-        k4 = theta_rate(s + step)
-        acc += step * (k1 + 4.0 * k2 + k4) / 6.0
-        theta_rows[i + 1] = acc
-    theta_rows += float(np.angle(a)) - theta_rows[anchor]
-
-    lifts = np.empty((params.shape[0], sig.ambient_dim), dtype=complex)
-    for i, s in enumerate(params):
-        lifts[i] = np.exp(1j * theta_rows[i]) * rho(float(s))
+    simpson = step * (rate[: m - 1] + 4.0 * rate[m:] + rate[1:m]) / 6.0
+    theta = np.concatenate([[0.0], np.cumsum(simpson)])
+    theta += float(np.angle(a)) - theta[anchor]
+    lifts = np.exp(1j * theta)[:, None] * r[:m]
     curve = SampledCurve(sig, params, lifts, step)
     defect = curve.horizontality_defect()
     if defect > CURVE_TOL:

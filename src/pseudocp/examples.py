@@ -132,12 +132,15 @@ class _Ruling:
         if abs(z[self.omega]) < 1e-12:
             raise DomainError("seed violates the family's open-slot condition")
 
-    def slice_map(self, t: float, x: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.n + 1, dtype=complex)
-        out[self.offset : self.offset + self.n] = x
+    def slice_map(self, t, x: np.ndarray) -> np.ndarray:
+        """The slice at t of the seed point x: one row (n + 1,) at a scalar
+        t, rows (m, n + 1) at an array (m,) of t."""
+        t = np.asarray(t)
+        out = np.zeros(t.shape + (self.n + 1,), dtype=complex)
+        out[..., self.offset : self.offset + self.n] = x
         xw = x[self.omega]
-        out[self.filled] = self.cos(t) * xw
-        out[self.empty] = self.sin(t) * xw
+        out[..., self.filled] = self.cos(t) * xw
+        out[..., self.empty] = self.sin(t) * xw
         return out
 
 
@@ -309,7 +312,7 @@ def example_integral_curve(
     u = mod * mod
     eps1 = r.eps1
 
-    def lift(s: float) -> np.ndarray:
+    def lift(s) -> np.ndarray:
         return r.slice_map(t0 + s / mod, z)
 
     curve = sampled_curve_from_fn(spec.sig, lift, s_lo, s_hi, step)

@@ -35,17 +35,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .curves import (
     CURVE_TOL,
     CurveClass,
     SampledCurve,
     case_c_verify,
+    deriv_rows,
     frenet_apparatus,
+    hermite_rows,
     horizontal_lift,
     is_totally_real_circle,
 )
@@ -102,27 +103,21 @@ class MinimalCase(Enum):
 # ---------------------------------------------------------------------------
 
 
-class _CurveLift:
-    """Smooth lift of a sampled curve: its closed form, else a cubic spline."""
-
-    def __init__(self, curve: SampledCurve):
-        self.fn = curve.lift_fn
-        self.spline = None
-        if self.fn is None:
-            self.spline = CubicSpline(curve.params, curve.lifts, axis=0)
-
-    def rows(self, s: np.ndarray) -> np.ndarray:
-        """Lifts at an array of parameters, stacked on the leading axis."""
-        if self.fn is not None:
-            return np.array([self.fn(x) for x in s], dtype=complex)
-        return np.asarray(self.spline(s), dtype=complex)
+def _curve_lift(curve: SampledCurve) -> Callable:
+    """Smooth lift of a sampled curve over arrays of parameters: its closed
+    form, else the cubic Hermite interpolant of its samples with
+    ``deriv_rows`` slopes."""
+    if curve.lift_fn is not None:
+        return curve.lift_fn
+    slopes = deriv_rows(curve.lifts, curve.step)
+    return lambda s: hermite_rows(curve.params, curve.lifts, slopes, s)
 
 
 #: half-step rows beyond each end of the curve reached by the stencils
 _STENCIL_PAD = 4
 
 
-def _curve_states(curve: SampledCurve, lift: _CurveLift):
+def _curve_states(curve: SampledCurve, lift: Callable):
     """Lift q, horizontal velocity dq and horizontal acceleration f on the
     half-step grid of the curve: row 2i at sample i, row 2i+1 halfway to
     sample i+1 (the RK4 midpoints).
@@ -136,7 +131,7 @@ def _curve_states(curve: SampledCurve, lift: _CurveLift):
     rows = 2 * len(curve) - 1
     pad = _STENCIL_PAD
     s = curve.params[0] + 0.5 * h * np.arange(-pad, rows + pad)
-    lifts = lift.rows(s)
+    lifts = np.asarray(lift(s), dtype=complex)
 
     def at(offset: int) -> np.ndarray:
         return lifts[pad + offset : pad + offset + rows]
@@ -160,7 +155,7 @@ class RHSParametrization:
     frame_samples: np.ndarray  # (m, k, d)
     frame_derivs: np.ndarray  # (m, k, d)
     velocity: np.ndarray  # (m, d) horizontal velocity of the base curve
-    lift: _CurveLift = field(repr=False)
+    lift: Callable = field(repr=False)  # lifts of the base curve over arrays of s
 
     @property
     def sig(self) -> Signature:
@@ -173,33 +168,10 @@ class RHSParametrization:
     def s_range(self) -> tuple[float, float]:
         return float(self.base.params[0]), float(self.base.params[-1])
 
-    def frame_at(self, s: float) -> np.ndarray:
-        """Cubic Hermite interpolation of the transported frame."""
-        grid = self.base.params
-        i = int(np.clip(np.searchsorted(grid, s) - 1, 0, grid.shape[0] - 2))
-        h = grid[i + 1] - grid[i]
-        return self._hermite(i, h, (s - grid[i]) / h)
-
-    def frames_at(self, s: np.ndarray) -> np.ndarray:
-        """``frame_at`` over an array of base parameters, stacked (S, k, d)."""
-        grid = self.base.params
-        s = np.asarray(s, dtype=float)
-        i = np.clip(np.searchsorted(grid, s) - 1, 0, grid.shape[0] - 2)
-        h = (grid[i + 1] - grid[i])[:, None, None]
-        return self._hermite(i, h, (s - grid[i])[:, None, None] / h)
-
-    def _hermite(self, i, h, tau) -> np.ndarray:
-        """Hermite cubic on the sample interval(s) i of width h at offset tau."""
-        h00 = (1.0 + 2.0 * tau) * (1.0 - tau) ** 2
-        h10 = tau * (1.0 - tau) ** 2
-        h01 = tau * tau * (3.0 - 2.0 * tau)
-        h11 = tau * tau * (tau - 1.0)
-        return (
-            h00 * self.frame_samples[i]
-            + h10 * h * self.frame_derivs[i]
-            + h01 * self.frame_samples[i + 1]
-            + h11 * h * self.frame_derivs[i + 1]
-        )
+    def frames_at(self, s) -> np.ndarray:
+        """Cubic Hermite interpolation of the transported frame: (k, d) at a
+        scalar s, stacked (S, k, d) at an array of S base parameters."""
+        return hermite_rows(self.base.params, self.frame_samples, self.frame_derivs, s)
 
     def gram_drift(self) -> float:
         """Largest deviation of the frame Gram matrix from its start value."""
@@ -308,7 +280,7 @@ def transport_basis(
     """
     sig = curve.sig
     grid = curve.params
-    lift = _CurveLift(curve)
+    lift = _curve_lift(curve)
     q, dq, f = _curve_states(curve, lift)
     i0 = int(np.argmin(np.abs(grid - s0)))
     char = causal_character(sig, dq[2 * i0])
@@ -444,7 +416,7 @@ class RHSPatch:
         _check_chart(par, s, coords)
         s_distinct, inverse = np.unique(s, return_inverse=True)
         v = np.matmul(coords[:, None, :], par.frames_at(s_distinct)[inverse])[:, 0]
-        return quadric_geodesic(par.sig.signs, par.lift.rows(s_distinct)[inverse], v, 1.0)
+        return quadric_geodesic(par.sig.signs, par.lift(s_distinct)[inverse], v, 1.0)
 
 
 class TransformedPatch:

@@ -244,7 +244,7 @@ def test_criterion_10_round_trip_and_determinism(family_pars, tmp_path):
 
     worst = 0.0
     for s in np.linspace(-0.35, 0.35, 10):
-        frame = par.frame_at(s)
+        frame = par.frames_at(s)
         x_s = canonicalize(sig, par.base.lift_fn(float(s)))
         done = 0
         while done < 10:

@@ -160,6 +160,38 @@ class TestClassify:
         out = json.loads(capsys.readouterr().out)
         assert out["case"] == "b"
 
+    def test_sampled_lifts_parse_bit_for_bit(self):
+        """The lifts of a samples document are read back exactly."""
+        from pseudocp.cli import _curve_from_file
+        from pseudocp.examples import example_integral_curve, example_spec
+
+        curve = example_integral_curve(example_spec(3)).curve
+        doc = {
+            "signature": {"n": 3, "p": 2},
+            "kind": "samples",
+            "data": {
+                "s": curve.params.tolist(),
+                "lifts": np.stack([curve.lifts.real, curve.lifts.imag], axis=-1).tolist(),
+            },
+        }
+        assert np.array_equal(_curve_from_file(doc).lifts, curve.lifts)
+
+    @pytest.mark.parametrize("bad", ["short_row", "triple"])
+    def test_sampled_lifts_of_wrong_shape_are_a_usage_error(self, tmp_path, capsys, bad):
+        rows = [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]] for _ in range(5)]
+        if bad == "short_row":
+            rows[2] = rows[2][:3]
+        else:
+            rows = [[pair + [0.0] for pair in row] for row in rows]
+        doc = {
+            "signature": {"n": 3, "p": 1},
+            "kind": "samples",
+            "data": {"s": [0.0, 0.1, 0.2, 0.3, 0.4], "lifts": rows},
+        }
+        path = write_json(tmp_path / "bad.json", doc)
+        assert run_cli("classify", path) == 2
+        assert "expected 4 [re, im] pairs" in capsys.readouterr().err
+
     def test_non_uniform_samples_are_a_precondition(self, tmp_path, capsys):
         """Sampled lifts whose s grid is not uniform exit 3 and say so,
         before any stencil reads them as uniform."""

@@ -164,7 +164,7 @@ class TestTotallyRealCircle:
         om = 1.0 / (np.sin(c) * np.cos(c))  # unit projected speed
 
         def rep(s):
-            return np.cos(c) * q + np.sin(c) * np.exp(1j * om * s) * v
+            return np.cos(c) * q + np.sin(c) * np.multiply.outer(np.exp(1j * om * s), v)
 
         params = np.arange(-0.4, 0.4 + 1e-12, 1e-3)
         curve = horizontal_lift(SIG, rep, rep(float(params[0])), params=params)
@@ -280,7 +280,7 @@ class TestHorizontalLift:
     def test_phase_drift_removed(self):
         data = _family1_curve(np.pi / 8)
         fn = data.curve.lift_fn
-        drifted = lambda s: np.exp(1j * s) * fn(s)
+        drifted = lambda s: np.exp(1j * s)[..., None] * fn(s)
         params = np.arange(-0.3, 0.3 + 1e-12, 1e-3)
         lifted = horizontal_lift(SIG, drifted, fn(float(params[0])), params=params)
         original = np.array([fn(float(s)) for s in params])
@@ -305,5 +305,6 @@ class TestHorizontalLift:
     def test_constant_curve_lifts_to_constant(self):
         q = _e(3)
         params = np.arange(0.0, 0.2 + 1e-12, 1e-3)
-        lifted = horizontal_lift(SIG, lambda s: q, q, params=params)
+        constant = lambda s: np.broadcast_to(q, np.shape(s) + q.shape)
+        lifted = horizontal_lift(SIG, constant, q, params=params)
         assert np.max(np.abs(lifted.lifts - q)) < 1e-12

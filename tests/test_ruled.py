@@ -80,7 +80,7 @@ class TestTransportBasis:
         leaf coordinates returns the base lift exactly."""
         par = family1_par
         for s in (-0.4, 0.13, 0.37):
-            v = np.zeros(par.leaf_dim) @ par.frame_at(s)
+            v = np.zeros(par.leaf_dim) @ par.frames_at(s)
             assert np.max(np.abs(v)) == 0.0
             assert np.max(np.abs(rhs_lift(par, s, np.zeros(par.leaf_dim)) - par.base.lift_fn(s))) < 1e-15
 
@@ -153,7 +153,7 @@ class TestEvaluation:
         """Leaf coordinates of a logged point reproduce the point."""
         par = family1_par
         rng = np.random.default_rng(11)
-        frame0 = par.frame_at(0.0)
+        frame0 = par.frames_at(0.0)
         x0 = canonicalize(SIG, par.base.lift_fn(0.0))
         c = rng.standard_normal(par.leaf_dim)
         c *= 0.25 / np.linalg.norm(c)
@@ -360,7 +360,8 @@ class TestErrorPaths:
 
         q0 = np.array([0, 0, 0, 1], dtype=complex)
         null = np.array([1, 1, 0, 0], dtype=complex)
-        curve = sampled_curve_from_fn(SIG, lambda s: q0 + s * null, -0.3, 0.3, 1e-3)
+        line = lambda s: q0 + np.multiply.outer(s, null)
+        curve = sampled_curve_from_fn(SIG, line, -0.3, 0.3, 1e-3)
         with pytest.raises(CausalCharacterError):
             transport_basis(curve, s0=0.0)
 
@@ -375,15 +376,15 @@ class TestErrorPaths:
         q = np.sqrt((1 + a * a * p * p) / (b * b))
 
         def helix(s):
-            return np.array(
+            return np.stack(
                 [
                     a * np.sinh(p * s),
                     a * np.cosh(p * s),
                     b * np.cos(q * s),
                     b * np.sin(q * s),
                 ],
-                dtype=complex,
-            )
+                axis=-1,
+            ).astype(complex)
 
         curve = sampled_curve_from_fn(SIG, helix, -0.5, 0.5, 1e-3)
         with pytest.raises(ClassificationError):
@@ -446,7 +447,7 @@ class TestClassification:
         data = example_integral_curve(example_spec(2))
         fn = data.curve.lift_fn
         curve = sampled_curve_from_fn(
-            data.curve.sig, lambda s: np.exp(0.7j * s) * fn(s), -0.5, 0.5, 1e-3
+            data.curve.sig, lambda s: np.exp(0.7j * s)[..., None] * fn(s), -0.5, 0.5, 1e-3
         )
         assert curve.horizontality_defect() > 0.5
         par = transport_basis(curve, s0=0.0)

@@ -13,7 +13,14 @@ import numpy as np
 import pytest
 
 from pseudocp.cli import main
-from pseudocp.curves import SampledCurve, fd_derivative, fd_second_derivative, sampled_curve_from_fn
+from pseudocp.curves import (
+    SampledCurve,
+    deriv_rows,
+    fd_derivative,
+    fd_second_derivative,
+    hermite_rows,
+    sampled_curve_from_fn,
+)
 from pseudocp.errors import SamplingError
 from pseudocp.examples import example_integral_curve, example_spec, ruling_isometry
 from pseudocp.linalg import Signature, gdot_rows, real_metric
@@ -33,10 +40,8 @@ def _reference_transport(curve: SampledCurve, basis: np.ndarray, s0: float = 0.0
     if curve.lift_fn is not None:
         lift = curve.lift_fn
     else:
-        from scipy.interpolate import CubicSpline
-
-        spline = CubicSpline(curve.params, curve.lifts, axis=0)
-        lift = lambda s: np.asarray(spline(s), dtype=complex)
+        slopes = deriv_rows(curve.lifts, curve.step)
+        lift = lambda s: hermite_rows(curve.params, curve.lifts, slopes, s)
 
     def state(s):
         q = lift(s)
@@ -99,7 +104,8 @@ def _geodesic_curve():
 
 
 def _spline_curve():
-    """Family 1's samples without the closed form: the lift is a spline."""
+    """Family 1's samples without the closed form: the lift is the cubic
+    Hermite interpolant of the samples."""
     curve = _family_curve(1)
     return SampledCurve(curve.sig, curve.params, curve.lifts, curve.step)
 
