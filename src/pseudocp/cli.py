@@ -28,6 +28,7 @@ horizontal lifts: {"s": [...], "lifts": [[[re, im], ...], ...]}.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -99,7 +100,10 @@ _PRECONDITION_ERRORS = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parsing leaves it
+    unchanged, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="pseudocp",
         description="Verification and sampling tools for ruled hypersurfaces "

@@ -12,6 +12,12 @@ operations, with per-row pivots and slot counters, and reruns only the rows
 that need a restart. ``complete_unitary_frame`` is its one-row case. A row's
 frame does not depend on the other rows of the stack, and the perturbation of
 each restart is the one a one-row call draws, so stacking changes no result.
+
+The real-metric Gram-Schmidt is stacked the same way:
+``orthonormalize_real_rows`` runs the pivoted process over the candidate
+vectors of many rows at once (the adapted tangent bases of a stack of
+hypersurface points), and ``orthonormalize_real_metric`` is its one-row
+case.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, FrameError
-from .linalg import Signature, as_ambient, gdot_rows, real_metric
+from .linalg import Signature, as_ambient, gdot_rows
 
 #: a pivot with |g(u,u)| below this (relative to the Euclidean norm) triggers a restart
 PIVOT_TOL = 1e-10
@@ -220,39 +226,77 @@ def complete_unitary_frame(
     return complete_unitary_frames(sig, rows, det_slot)[0]
 
 
-def orthonormalize_real_metric(
-    sig: Signature, vectors, tol: float = PIVOT_TOL, max_count: int | None = None
-) -> tuple[list[np.ndarray], list[float]]:
-    """Gram-Schmidt over the real span of ambient vectors, pivoting on |g(v,v)|.
+def orthonormalize_real_rows(
+    sig: Signature,
+    pool: np.ndarray,
+    count: int,
+    pin: np.ndarray | None = None,
+    pinned: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gram-Schmidt over the real span of each row's candidates, pivoting on
+    |g(v,v)|, run on all rows as stacked array operations.
 
-    Returns unit vectors together with their signs g(v,v) = +-1. Raises
-    FrameError when the span is degenerate (a pivot is relatively lightlike)
-    or the input is linearly dependent. With ``max_count`` the process stops
-    after that many vectors, allowing redundant spanning sets.
+    ``pool`` (N, m, d) holds the candidates of each row. Each step first
+    drops the candidates of Euclidean square norm below 1e-18, then takes
+    the one of largest |g(v,v)| above ``PIVOT_TOL`` times its Euclidean square
+    norm (the lowest index on ties), normalizes it and projects it out of
+    the others. A row with ``pinned`` set takes its row of ``pin`` (N, d),
+    normalized, as its first vector instead, with no drop before it.
+    Returns ``count`` unit vectors per row (N, count, d) with their signs
+    g(v,v) = +-1 (N, count). Raises FrameError when a row runs out of
+    candidates (linearly dependent input) or finds no non-null pivot
+    (degenerate span); the first such row decides the error.
     """
-    pool = [np.asarray(v, dtype=complex) for v in vectors]
-    target = len(pool) if max_count is None else max_count
-    out: list[np.ndarray] = []
-    signs: list[float] = []
-    while len(out) < target:
-        pool = [c for c in pool if float(np.sum(np.abs(c) ** 2)) >= 1e-18]
-        if not pool:
-            raise FrameError("linearly dependent input vectors")
-        best, best_g = None, 0.0
-        for idx, c in enumerate(pool):
-            e2 = float(np.sum(np.abs(c) ** 2))
-            g = real_metric(sig, c, c)
-            if abs(g) <= tol * e2:
-                continue
-            if abs(g) > best_g:
-                best_g, best = abs(g), idx
-        if best is None:
-            raise FrameError("degenerate span: lightlike pivot")
-        u = pool.pop(best)
-        g = real_metric(sig, u, u)
-        u = u / np.sqrt(abs(g))
-        sgn = 1.0 if g > 0 else -1.0
-        out.append(u)
-        signs.append(sgn)
-        pool = [c - sgn * real_metric(sig, c, u) * u for c in pool]
-    return out, signs
+    signs = sig.signs
+    cand = np.array(pool, dtype=complex)
+    rows, width, dim = cand.shape
+    out = np.empty((rows, count, dim), dtype=complex)
+    out_signs = np.empty((rows, count))
+    found = FirstFailure(rows)
+    live = np.arange(rows)  # rows with no failure so far
+    gone = np.zeros((rows, width), dtype=bool)  # candidates taken or dropped
+    for step in range(count):
+        forced = pinned[live] if step == 0 and pinned is not None else np.zeros(len(live), dtype=bool)
+        free = ~forced
+        e2 = np.sum(np.abs(cand) ** 2, axis=-1)
+        gone |= free[:, None] & ~(e2 >= 1e-18)
+        g = gdot_rows(signs, cand, cand)
+        score = np.where(~gone & (np.abs(g) > PIVOT_TOL * e2), np.abs(g), 0.0)
+        best = np.argmax(score, axis=1)  # lowest index on ties, like a strict > scan
+        at = np.arange(len(live))
+        empty = free & np.all(gone, axis=1)
+        no_pivot = free & ~empty & ~(score[at, best] > 0)
+        bad = np.flatnonzero(empty | no_pivot)
+        if bad.size:
+            i = bad[0]
+            message = "linearly dependent input vectors" if empty[i] else "degenerate span: lightlike pivot"
+            found.fail(int(live[i]), FrameError(message))
+        ok = ~(empty | no_pivot) & (live < found.rows)
+        if not np.all(ok):
+            live, cand, gone = live[ok], cand[ok], gone[ok]
+            forced, best, at = forced[ok], best[ok], np.arange(int(np.sum(ok)))
+        u = cand[at, best]
+        if np.any(forced):
+            u[forced] = pin[live[forced]]
+        gu = gdot_rows(signs, u, u)
+        u = u / np.sqrt(np.abs(gu))[:, None]
+        sgn = np.where(gu > 0, 1.0, -1.0)
+        out[live, step] = u
+        out_signs[live, step] = sgn
+        gone[at[~forced], best[~forced]] = True
+        cand = cand - (sgn[:, None] * gdot_rows(signs, cand, u[:, None]))[..., None] * u[:, None]
+    found.raise_first()
+    return out, out_signs
+
+
+def orthonormalize_real_metric(sig: Signature, vectors) -> tuple[np.ndarray, np.ndarray]:
+    """Gram-Schmidt over the real span of ambient vectors, pivoting on
+    |g(v,v)|: the one-row case of ``orthonormalize_real_rows``.
+
+    Returns the unit vectors (count, d) together with their signs
+    g(v,v) = +-1. Raises FrameError when the span is degenerate (a pivot is
+    relatively lightlike) or the input is linearly dependent.
+    """
+    pool = np.array([as_ambient(sig, v) for v in vectors], dtype=complex).reshape(-1, sig.ambient_dim)
+    vecs, signs = orthonormalize_real_rows(sig, pool[None], len(pool))
+    return vecs[0], signs[0]

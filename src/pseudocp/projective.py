@@ -265,13 +265,22 @@ def curvature_tensor_rows(sig: Signature, u: np.ndarray, v: np.ndarray, w: np.nd
 # ---------------------------------------------------------------------------
 
 
+def sphere_candidates(sig: Signature, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Square norms g(z,z) (...) of candidate points z (..., d) and whether
+    ``random_sphere_point`` keeps each: g(z,z) > 0.2, which keeps the
+    normalized point away from the null cone."""
+    g = linalg.gdot_rows(sig.signs, z, z)
+    return g, g > 0.2
+
+
 def random_sphere_point(sig: Signature, rng: np.random.Generator) -> np.ndarray:
-    """Random point of the pseudo-sphere (rejection sampling on g(z,z) > 0)."""
+    """Random point of the pseudo-sphere: complex normal candidates, kept by
+    ``sphere_candidates``, then normalized."""
     d = sig.ambient_dim
     while True:
         z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        g = real_metric(sig, z, z)
-        if g > 0.2:
+        g, keep = sphere_candidates(sig, z)
+        if keep:
             return z / np.sqrt(g)
 
 
@@ -307,23 +316,34 @@ def horizontal_unitary_basis(sig: Signature, q) -> tuple[np.ndarray, np.ndarray]
     return bases[0], signs
 
 
+def coefficient_candidates(
+    signs: np.ndarray, coeff: np.ndarray, character: CausalCharacter
+) -> tuple[np.ndarray, np.ndarray]:
+    """Square norms g (...) of candidate coefficients (..., n) over a
+    horizontal basis with these signs, and whether
+    ``horizontal_coefficients`` keeps each for the wanted causal character:
+    g of its sign, with |g| above 0.05 of the Euclidean square norm."""
+    want = 1.0 if character is CausalCharacter.SPACELIKE else -1.0
+    g = np.sum(signs * np.abs(coeff) ** 2, axis=-1)
+    return g, want * g > 0.05 * np.sum(np.abs(coeff) ** 2, axis=-1)
+
+
 def horizontal_coefficients(
     signs: np.ndarray,
     rng: np.random.Generator,
     character: CausalCharacter = CausalCharacter.SPACELIKE,
 ) -> tuple[np.ndarray, float]:
     """Coefficients over a horizontal basis with these signs, drawn until
-    the combination has the wanted causal character, and its square norm g.
+    ``coefficient_candidates`` keeps them, and their square norm g.
 
     The draws depend on the signs alone, not on the basis, so a caller can
     draw first and complete many bases at once.
     """
-    want = 1.0 if character is CausalCharacter.SPACELIKE else -1.0
     while True:
         coeff = rng.standard_normal(len(signs)) + 1j * rng.standard_normal(len(signs))
-        g = float(np.sum(signs * np.abs(coeff) ** 2))
-        if want * g > 0.05 * float(np.sum(np.abs(coeff) ** 2)):
-            return coeff, g
+        g, keep = coefficient_candidates(signs, coeff, character)
+        if keep:
+            return coeff, float(g)
 
 
 def horizontal_units(bases: np.ndarray, coeffs: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -21,10 +21,13 @@ differences at +-h and +-h/2 combined as (4 D(h/2) - D(h)) / 3. The shape
 operator differentiates the unit normal with it at ``INNER_FD_STEP``:
 ``weingarten_apply`` gets the four normals of every vector at every point
 of a stack from one kernel call, and ``shape_operators`` measures a stack
-of points with one frame call and two Weingarten calls. The Codazzi and
+of points with one frame call, two Weingarten calls and one stacked
+Gram-Schmidt for the adapted bases (``adapted_bases``). Tangent
+coordinates are one stacked least squares solve. The Codazzi and
 structure identities difference Weingarten images and xi at
-``OUTER_FD_STEP``. The ruled characterization (vanishing leaf block) and
-minimality (mu = g(A xi, xi) = 0) are read off the shape reports.
+``OUTER_FD_STEP``; the structure identity takes a stack of points. The
+ruled characterization (vanishing leaf block) and minimality
+(mu = g(A xi, xi) = 0) are read off the shape reports.
 
 The classifier checks that the structure field is tangent to the base line
 (leaf coordinate 0) at unit parameter speed, so that the base curve is its
@@ -58,13 +61,14 @@ from .errors import (
     FrameError,
     ImmersionError,
 )
-from .frames import orthonormalize_real_metric
+from .frames import orthonormalize_real_rows
 from .isometries import IndefiniteUnitaryMatrix, frame_to_isometry
 from .linalg import (
     LIGHT_TOL,
     CausalCharacter,
     Signature,
     causal_character,
+    causal_characters,
     gdot_rows,
     real_metric,
 )
@@ -557,18 +561,40 @@ class AlmostContactFrame:
         return x - (eps * gdot_rows(signs, x, normal))[..., None] * normal
 
     def tangent_coords(self, x: np.ndarray) -> np.ndarray:
-        """Coordinates of the vectors x in the tangents, (..., P): a least
-        squares solve per point."""
-        if self.lift.ndim == 2:
-            return np.array([self.row(i).tangent_coords(v) for i, v in enumerate(x)])
-        a, *_ = np.linalg.lstsq(_realify(self.tangents).T, _realify(x).T, rcond=None)
-        return a.T
+        """Coordinates of the vectors x in the tangents, (..., P): the least
+        squares solution over the realified tangents. One stacked QR
+        factorization T = QR gives the solution operator R^-1 Q^T of every
+        point; it is applied to each vector as an elementwise product and a
+        sum, so a vector's coordinates do not depend on the other vectors
+        or points of the call. A one-point frame is the one-row stack."""
+        x = np.asarray(x, dtype=complex)
+        if self.lift.ndim == 1:
+            return _one_row_stack(self).tangent_coords(x[None])[0]
+        q, r = np.linalg.qr(np.swapaxes(_realify(self.tangents), 1, 2))
+        solve = np.linalg.solve(r, np.swapaxes(q, 1, 2))
+        solve = solve.reshape(solve.shape[:1] + (1,) * (x.ndim - 2) + solve.shape[1:])
+        return np.sum(solve * _realify(x)[..., None, :], axis=-1)
+
+    def unit_tangents(self, coeff: np.ndarray) -> np.ndarray:
+        """Euclidean-unit tangents with the coefficients coeff in the
+        tangents: (P,) at a one-point frame, (N, P) at a stack."""
+        x = np.matmul(coeff[..., None, :], self.tangents)[..., 0, :]
+        return x / np.sqrt(np.sum(np.abs(x) ** 2, axis=-1))[..., None]
 
     def random_tangent(self, rng: np.random.Generator) -> np.ndarray:
         """Euclidean-unit random tangent at a one-point frame."""
-        coeff = rng.standard_normal(self.tangents.shape[0])
-        x = coeff @ self.tangents
-        return x / np.sqrt(float(np.sum(np.abs(x) ** 2)))
+        return self.unit_tangents(rng.standard_normal(self.tangents.shape[0]))
+
+
+def _one_row_stack(frame: AlmostContactFrame) -> AlmostContactFrame:
+    """A one-point frame as a stack of one row."""
+    return AlmostContactFrame(
+        sig=frame.sig,
+        lift=frame.lift[None],
+        tangents=frame.tangents[None],
+        normal=frame.normal[None],
+        epsilon=np.array([frame.epsilon]),
+    )
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:
@@ -683,12 +709,18 @@ def weingarten_apply(patch, frame: AlmostContactFrame, u: np.ndarray, x: np.ndar
     if a.ndim > u.ndim:
         u = np.expand_dims(u, -2)
     steps = (h * _FD_OFFSETS).reshape((4,) + (1,) * a.ndim)
-    ref = frame
-    if frame.lift.ndim == 2:
-        owner = np.arange(a.shape[0]).reshape((-1,) + (1,) * (a.ndim - 2))
-        ref = frame.row(np.broadcast_to(owner, (4,) + a.shape[:-1]).ravel())
-    nu = hypersurface_frames(patch, (u + steps * a).reshape(-1, a.shape[-1]), ref=ref).normal
-    return -frame.tangential(_extrapolated_difference(nu.reshape((4,) + x.shape), h))
+    nu = hypersurface_frames(patch, (u + steps * a).reshape(-1, a.shape[-1]), ref=_offset_refs(frame, a))
+    return -frame.tangential(_extrapolated_difference(nu.normal.reshape((4,) + x.shape), h))
+
+
+def _offset_refs(frame: AlmostContactFrame, a: np.ndarray) -> AlmostContactFrame:
+    """Reference frames of the four ``_FD_OFFSETS`` rows of every tangent
+    coordinate row of a, in offset-major order: the frame itself at one
+    point, the row of each point repeated for a stack."""
+    if frame.lift.ndim == 1:
+        return frame
+    owner = np.arange(a.shape[0]).reshape((-1,) + (1,) * (a.ndim - 2))
+    return frame.row(np.broadcast_to(owner, (4,) + a.shape[:-1]).ravel())
 
 
 @dataclass(frozen=True)
@@ -708,32 +740,33 @@ class ShapeReport:
     frame: AlmostContactFrame
 
 
-def adapted_basis(frame: AlmostContactFrame, first: Optional[np.ndarray] = None):
-    """Adapted tangent basis: xi first, then an orthonormal basis of its
+def adapted_bases(frames: AlmostContactFrame, first: np.ndarray, pinned: np.ndarray):
+    """Adapted tangent bases (N, P, d) and their signs (N, P) at every row
+    of a stacked frame: xi first, then an orthonormal basis of its
     g-complement inside the tangent space.
 
-    ``first`` optionally pins a unit leaf vector (the normalized U of a
-    rank-two shape operator) to the slot right after xi.
+    The rows with ``pinned`` (N,) set pin their row of ``first`` (N, d), a
+    leaf vector (the U of a rank-two shape operator), normalized, to the
+    slot right after xi. One ``orthonormalize_real_rows`` call completes
+    every row, pinned or not; the first row that cannot be completed
+    raises its FrameError.
     """
-    sig = frame.sig
-    xi = frame.xi
-    eps = frame.epsilon
-    pool = [t - eps * real_metric(sig, t, xi) * xi for t in frame.tangents]
-    head = [xi]
-    head_signs = [eps]
-    want = len(frame.tangents) - 1
-    if first is not None:
-        gf = real_metric(sig, first, first)
-        w = first / np.sqrt(abs(gf))
-        sgn = 1.0 if gf > 0 else -1.0
-        pool = [v - sgn * real_metric(sig, v, w) * w for v in pool]
-        head.append(w)
-        head_signs.append(sgn)
-        want -= 1
-    vecs, signs = orthonormalize_real_metric(sig, pool, max_count=want)
-    if len(vecs) != want:
-        raise FrameError("could not complete the adapted tangent basis")
-    return np.array(head + vecs), np.array(head_signs + signs)
+    signs = frames.sig.signs
+    xi = frames.xi
+    eps = frames.epsilon
+    t = frames.tangents
+    pool = t - (eps[:, None] * gdot_rows(signs, t, xi[:, None]))[..., None] * xi[:, None]
+    vecs, vsigns = orthonormalize_real_rows(frames.sig, pool, t.shape[1] - 1, pin=first, pinned=pinned)
+    return np.concatenate([xi[:, None], vecs], axis=1), np.concatenate([eps[:, None], vsigns], axis=1)
+
+
+def adapted_basis(frame: AlmostContactFrame, first: Optional[np.ndarray] = None):
+    """Adapted tangent basis at a one-point frame, optionally with the leaf
+    vector ``first`` pinned after xi: the one-row case of
+    ``adapted_bases``."""
+    pin = frame.xi if first is None else np.asarray(first, dtype=complex)
+    bases, signs = adapted_bases(_one_row_stack(frame), pin[None], np.array([first is not None]))
+    return bases[0], signs[0]
 
 
 def shape_operators(patch, rows: np.ndarray) -> list[ShapeReport]:
@@ -743,8 +776,9 @@ def shape_operators(patch, rows: np.ndarray) -> list[ShapeReport]:
     The structure vector comes first; when the leaf part U of A xi is
     non-null, its normalization occupies the second slot, so the rank-two
     pattern is visible directly in the matrix. One frame call, one
-    Weingarten call for the images of xi and one for the images of every
-    adapted basis; the bases themselves are completed row by row.
+    Weingarten call for the images of xi, one stacked Gram-Schmidt
+    (``adapted_bases``) for the bases of every row and one Weingarten call
+    for the images of every basis.
     """
     rows = np.asarray(rows, dtype=float)
     sig = patch.sig
@@ -753,14 +787,10 @@ def shape_operators(patch, rows: np.ndarray) -> list[ShapeReport]:
     axi = weingarten_apply(patch, frames, rows, xi)
     mu = gdot_rows(sig.signs, axi, xi)
     uvec = axi - (frames.epsilon * mu)[:, None] * xi
-    uchar = [causal_character(sig, v, NUMERIC_LIGHT_TOL) for v in uvec]
+    uchar = causal_characters(sig, uvec, NUMERIC_LIGHT_TOL)
     non_null = (CausalCharacter.SPACELIKE, CausalCharacter.TIMELIKE)
-    adapted = [
-        adapted_basis(frames.row(i), first=uvec[i] if uchar[i] in non_null else None)
-        for i in range(rows.shape[0])
-    ]
-    bases = np.array([basis for basis, _ in adapted])
-    bsigns = np.array([bs for _, bs in adapted])
+    bases, bsigns = adapted_bases(frames, uvec, np.array([c in non_null for c in uchar], dtype=bool))
+    lam = np.sqrt(np.abs(gdot_rows(sig.signs, uvec, uvec)))
     images = np.concatenate([axi[:, None], weingarten_apply(patch, frames, rows, bases[:, 1:])], 1)
     bil = gdot_rows(sig.signs, images[:, None], bases[:, :, None])
     matrix = bsigns[:, :, None] * bil
@@ -773,7 +803,7 @@ def shape_operators(patch, rows: np.ndarray) -> list[ShapeReport]:
             u_character=uchar[i],
             rank=int(np.sum(sv > 1e-3 * max(1.0, sv[0]))),
             form=_shape_form(bil[i], uchar[i]),
-            lam=float(np.sqrt(abs(real_metric(sig, uvec[i], uvec[i])))),
+            lam=float(lam[i]),
             dd_block_max=float(np.max(np.abs(bil[i, 1:, 1:]))),
             basis=bases[i],
             basis_signs=bsigns[i],
@@ -832,25 +862,27 @@ def codazzi_residual(patch, u: np.ndarray, rng: np.random.Generator) -> float:
     return float(np.sqrt(np.sum(np.abs(res) ** 2)))
 
 
-def structure_field_identity(
-    patch, frame: AlmostContactFrame, u: np.ndarray, rng: np.random.Generator
-) -> float:
+def structure_field_identity(patch, frame: AlmostContactFrame, u: np.ndarray, x: np.ndarray):
     """Residual of the derived identity relating the structure field to phi A
-    at u, where ``frame`` is the one-point frame.
+    at the patch parameters u along the tangents x: a float at one point
+    (u (P,), x (d,)), one residual per row (N,) at a stack (u (N, P),
+    x (N, d)), ``frame`` holding the frames at u.
 
-    Differentiates the structure field along a random tangent direction
-    (``_extrapolated_difference`` at h = ``OUTER_FD_STEP``) and compares the
-    tangential covariant derivative with phi applied to the shape image of
-    that direction.
+    Differentiates the structure field along x (``_extrapolated_difference``
+    at h = ``OUTER_FD_STEP``) and compares the tangential covariant
+    derivative with phi applied to the shape image of x. The moved frames
+    of every row come from one ``hypersurface_frames`` call, the shape
+    images from one ``weingarten_apply`` call.
     """
     h = OUTER_FD_STEP
     u = np.asarray(u, dtype=float)
-    x = frame.random_tangent(rng)
+    x = np.asarray(x, dtype=complex)
     a = frame.tangent_coords(x)
-    moved = hypersurface_frames(patch, u + h * _FD_OFFSETS[:, None] * a, ref=frame)
-    nxi = frame.tangential(_extrapolated_difference(moved.xi, h))
-    ax = weingarten_apply(patch, frame, u, x)
-    return float(np.max(np.abs(nxi - frame.phi(ax))))
+    steps = (h * _FD_OFFSETS).reshape((4,) + (1,) * a.ndim)
+    moved = hypersurface_frames(patch, (u + steps * a).reshape(-1, a.shape[-1]), ref=_offset_refs(frame, a))
+    nxi = frame.tangential(_extrapolated_difference(moved.xi.reshape((4,) + x.shape), h))
+    res = np.max(np.abs(nxi - frame.phi(weingarten_apply(patch, frame, u, x))), axis=-1)
+    return float(res) if res.ndim == 0 else res
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,17 @@
 Each suite returns identity lines (name, residual, tolerance) so reports can
 be assembled uniformly; residuals are worst cases over seeded random draws.
 
-The two frame suites draw their points and coefficients one at a time, in
-the order of the generator stream of ``random_sphere_point`` and
-``random_horizontal_unit``, then complete every horizontal basis (and, for
-the isometries, every frame of one causal type) in one stacked call and
-evaluate the curvature tensor row-wise. The draws, and so the residuals,
-are those of the point-by-point loop.
+Every suite draws first and then evaluates stacks. The two frame suites
+read their sphere points and horizontal coefficients out of blocks of the
+generator's normals, in the order of ``random_sphere_point`` followed by
+``horizontal_coefficients`` one point after another, then complete every
+horizontal basis (and, for the isometries, every frame of one causal type)
+in one stacked call and evaluate the curvature tensor, the form and the
+determinant over the stack. The almost contact suite draws the points and
+tangent directions of a family in the order of a point-by-point loop, then
+takes one stacked frame call and one stacked structure identity call per
+family. The draws, and so the residuals, are those of the point-by-point
+loops.
 """
 
 from __future__ import annotations
@@ -22,16 +27,28 @@ from .isometries import frame_to_isometries
 from .linalg import CausalCharacter, Signature, gdot_rows, jmul, metric_signs, real_metric
 from .projective import (
     canonical_phases,
+    coefficient_candidates,
     curvature_tensor_rows,
-    horizontal_coefficients,
     horizontal_signs,
     horizontal_unitary_bases,
     horizontal_units,
-    random_sphere_point,
+    sphere_candidates,
 )
-from .ruled import RHSPatch, hypersurface_frame
+from .ruled import RHSPatch, hypersurface_frames
 
 ACCEPTANCE_SIGNATURES = (Signature(2, 1), Signature(3, 1), Signature(3, 2), Signature(4, 2))
+
+
+#: normals of the generator read per block by ``_horizontal_draws``
+NORMAL_BLOCK = 4096
+
+
+def _candidates(normals: np.ndarray, width: int) -> np.ndarray:
+    """Complex candidates (L, width) starting at every offset of the normals:
+    the first ``width`` normals as real parts, the next as imaginary parts,
+    as ``rng.standard_normal(w) + 1j * rng.standard_normal(w)`` draws them."""
+    w = np.lib.stride_tricks.sliding_window_view(normals, 2 * width)
+    return w[:, :width] + 1j * w[:, width:]
 
 
 def _horizontal_draws(sig: Signature, count: int, rng: np.random.Generator):
@@ -39,20 +56,51 @@ def _horizontal_draws(sig: Signature, count: int, rng: np.random.Generator):
     at even and timelike at odd k.
 
     The draws are those of ``random_sphere_point`` followed by
-    ``random_horizontal_unit``, one k after another, so the stream of the
-    generator is unchanged; the horizontal bases of all points are then
-    completed in one stacked call.
+    ``horizontal_coefficients``, one k after another, read out of blocks of
+    ``NORMAL_BLOCK`` normals: whether a candidate is kept is computed at
+    every offset of the blocks as one array, and a Python walk only steps
+    from candidate to candidate. A generator's normals do not depend on how
+    they are chunked, so these are the draws of the one-at-a-time loop; the
+    generator is then reset and advanced past exactly the normals the walk
+    used, so its stream afterwards is unchanged too. The horizontal bases of
+    all points are completed in one stacked call.
     """
-    q = np.empty((count, sig.ambient_dim), dtype=complex)
-    coeffs = np.empty((count, sig.n), dtype=complex)
-    g = np.empty(count)
-    signs = horizontal_signs(sig)
-    for k in range(count):
-        q[k] = random_sphere_point(sig, rng)
-        character = CausalCharacter.SPACELIKE if k % 2 == 0 else CausalCharacter.TIMELIKE
-        coeffs[k], g[k] = horizontal_coefficients(signs, rng, character)
+    d, n = sig.ambient_dim, sig.n
+    hsigns = horizontal_signs(sig)
+    state = rng.bit_generator.state
+    normals = rng.standard_normal(NORMAL_BLOCK)
+    starts: list[int] = []  # offsets of the kept candidates: point, coefficients, point, ...
+    pos = 0
+    while True:
+        points, coeffs = _candidates(normals, d), _candidates(normals, n)
+        keep = (
+            sphere_candidates(sig, points)[1].tolist(),
+            coefficient_candidates(hsigns, coeffs, CausalCharacter.SPACELIKE)[1].tolist(),
+            coefficient_candidates(hsigns, coeffs, CausalCharacter.TIMELIKE)[1].tolist(),
+        )
+        while len(starts) < 2 * count:
+            k, is_coeff = divmod(len(starts), 2)
+            width = 2 * n if is_coeff else 2 * d
+            flags = keep[1 + k % 2] if is_coeff else keep[0]
+            while pos < len(flags) and not flags[pos]:
+                pos += width
+            if pos >= len(flags):
+                break  # the candidate at pos runs past the normals read so far
+            starts.append(pos)
+            pos += width
+        if len(starts) == 2 * count:
+            break
+        normals = np.concatenate([normals, rng.standard_normal(NORMAL_BLOCK)])
+    rng.bit_generator.state = state
+    rng.standard_normal(pos)
+    at = np.array(starts, dtype=int)
+    z = points[at[0::2]]
+    g, _ = sphere_candidates(sig, z)
+    coeffs = coeffs[at[1::2]]
+    gc, _ = coefficient_candidates(hsigns, coeffs, CausalCharacter.SPACELIKE)
+    q = z / np.sqrt(g)[:, None]
     bases, _ = horizontal_unitary_bases(sig, q)
-    return q, horizontal_units(bases, coeffs, g)
+    return q, horizontal_units(bases, coeffs, gc)
 
 
 def curvature_lines(
@@ -87,15 +135,11 @@ def unitary_frame_lines(
     """Frame completion outputs preserve the form and have determinant one."""
     rng = np.random.default_rng(seed)
     eye = np.diag(metric_signs(sig.p, sig.ambient_dim))
-    form_worst = 0.0
-    det_worst = 0.0
     q, eta = _horizontal_draws(sig, count, rng)
-    for iso in frame_to_isometries(sig, q, eta):
-        m = iso.entries
-        form_worst = max(
-            form_worst, float(np.max(np.abs(m.conj().T @ eye @ m - eye)))
-        )
-        det_worst = max(det_worst, abs(np.linalg.det(m) - 1.0))
+    m = np.array([iso.entries for iso in frame_to_isometries(sig, q, eta)])
+    form = np.conj(m).transpose(0, 2, 1) @ eye @ m - eye
+    form_worst = float(np.max(np.abs(form), initial=0.0))
+    det_worst = float(np.max(np.abs(np.linalg.det(m) - 1.0), initial=0.0))
     return [
         IdentityLine("unitary_frame_form", form_worst, tol),
         IdentityLine("unitary_frame_det", det_worst, tol),
@@ -150,27 +194,32 @@ DERIVATIVE_TOL = 1e-4  # tolerance of the structure derivative identity
 
 def almost_contact_lines(pars) -> list[IdentityLine]:
     """Structure identities at random hypersurface points of each family:
-    ``pars`` maps example ids to parametrizations, checked in order."""
+    ``pars`` maps example ids to parametrizations, checked in order.
+
+    Per point the generator gives the point, the coefficients of the tangent
+    of the algebraic identities, then those of the tangent of the structure
+    derivative, as ``random_tangent`` draws them. The frames of a family's
+    points come from one stacked call, and the structure derivative of all
+    of them from one ``structure_field_identity`` call.
+    """
     rng = np.random.default_rng(ALMOST_CONTACT_SEED)
     lines = []
     for ex, par in pars.items():
         patch = RHSPatch(par)
-        phi_xi = 0.0
-        eta_xi = 0.0
-        phi_sq = 0.0
-        nabla = 0.0
-        for _ in range(ALMOST_CONTACT_POINTS):
-            u = np.zeros(patch.n_params)
-            u[0] = rng.uniform(-0.35, 0.35)
+        rows = np.zeros((ALMOST_CONTACT_POINTS, patch.n_params))
+        coeffs = np.empty((2, ALMOST_CONTACT_POINTS, patch.n_params))
+        for k in range(ALMOST_CONTACT_POINTS):
+            rows[k, 0] = rng.uniform(-0.35, 0.35)
             c = rng.standard_normal(par.leaf_dim)
-            u[1:] = c / np.sqrt(np.sum(c**2)) * rng.uniform(0.02, 0.25)
-            fr = hypersurface_frame(patch, u)
-            x = fr.random_tangent(rng)
-            phi_xi = max(phi_xi, float(np.max(np.abs(fr.phi(fr.xi)))))
-            eta_xi = max(eta_xi, abs(fr.eta(fr.xi) - fr.epsilon))
-            res = fr.phi(fr.phi(x)) + x - fr.epsilon * fr.eta(x) * fr.xi
-            phi_sq = max(phi_sq, float(np.max(np.abs(res))))
-            nabla = max(nabla, ruled.structure_field_identity(patch, fr, u, rng))
+            rows[k, 1:] = c / np.sqrt(np.sum(c**2)) * rng.uniform(0.02, 0.25)
+            coeffs[:, k] = rng.standard_normal((2, patch.n_params))
+        fr = hypersurface_frames(patch, rows)
+        x = fr.unit_tangents(coeffs[0])
+        phi_xi = float(np.max(np.abs(fr.phi(fr.xi))))
+        eta_xi = float(np.max(np.abs(fr.eta(fr.xi) - fr.epsilon)))
+        res = fr.phi(fr.phi(x)) + x - (fr.epsilon * fr.eta(x))[:, None] * fr.xi
+        phi_sq = float(np.max(np.abs(res)))
+        nabla = float(np.max(ruled.structure_field_identity(patch, fr, rows, fr.unit_tangents(coeffs[1]))))
         lines.append(IdentityLine(f"example{ex}_phi_xi", phi_xi, ALGEBRAIC_TOL))
         lines.append(IdentityLine(f"example{ex}_eta_xi", eta_xi, ALGEBRAIC_TOL))
         lines.append(IdentityLine(f"example{ex}_phi_square", phi_sq, ALGEBRAIC_TOL))

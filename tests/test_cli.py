@@ -416,14 +416,54 @@ class TestVerify:
             item["residual"] for item in default
         ]
 
-    def test_verify_all_line_count(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def verify_all(self, tmp_path_factory):
+        """One ``verify all`` run shared by the tests of its report."""
+        out = tmp_path_factory.mktemp("verify_all") / "all.json"
+        code = run_cli("verify", "all", "--out", str(out))
+        return code, json.loads(out.read_text())
+
+    def test_verify_all_line_count(self, verify_all):
         """The full run reports well over forty identity lines and passes."""
-        out = tmp_path / "all.json"
-        assert run_cli("verify", "all", "--out", str(out)) == 0
-        doc = json.loads(out.read_text())
+        code, doc = verify_all
+        assert code == 0
         assert doc["pass"] is True
         assert len(doc["identities"]) >= 40
         assert set(doc["classifications"]) == {"1", "2", "3", "4"}
+
+    def test_verify_all_worst_margin(self, verify_all):
+        """Accuracy guard: every one of the 102 lines passes with its
+        residual at most 1/100 of its tolerance (the worst, a Codazzi
+        residual, reads about 0.0078), so a faster kernel cannot trade
+        accuracy unseen."""
+        code, doc = verify_all
+        assert code == 0
+        assert len(doc["identities"]) == 102
+        worst = max(item["residual"] / item["tolerance"] for item in doc["identities"])
+        assert worst <= 0.01
+
+    def test_one_process_answers_like_fresh_processes(self, tmp_path, capsys):
+        """A usage error, a verify and a classify in one process (sharing
+        one parser) give the exit codes and outputs of fresh processes."""
+        curve = write_json(tmp_path / "geodesic.json", GEODESIC_DOC)
+        commands = [
+            ["verify", "1", "--format", "csv"],
+            ["verify", "3", "--grid", "2x2x2"],
+            ["classify", curve],
+        ]
+        in_process = []
+        for argv in commands:
+            code = main(argv)
+            out, err = capsys.readouterr()
+            in_process.append((code, out, err))
+        fresh = []
+        for argv in commands:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pseudocp", *argv], capture_output=True, text=True
+            )
+            fresh.append((proc.returncode, proc.stdout, proc.stderr))
+        assert [c for c, _, _ in in_process] == [2, 0, 0]
+        assert in_process == fresh
 
     def test_console_script_entry(self):
         """The installed entry point answers with the usage exit code."""
