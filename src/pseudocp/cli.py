@@ -1,8 +1,10 @@
 """Command line front end: verify families, classify curves, export points.
 
 Exit codes: 0 pass, 1 verification failure, 2 usage or parse error (a bad
-``--signature`` included), 3 precondition violation (lightlike data, a seed
-outside its family's domain), 4 I/O failure.
+``--signature`` or a non-finite configuration value included), 3
+precondition violation (lightlike data, a seed outside its family's domain,
+a curve grid without a finite positive step, a finite range or 3 samples),
+4 I/O failure.
 
 Curve files for ``classify`` are JSON objects::
 
@@ -49,7 +51,6 @@ from .errors import (
     CausalCharacterError,
     ChartError,
     ClassificationError,
-    CrossCheckError,
     DomainError,
     FrameError,
     GeometryError,
@@ -60,6 +61,7 @@ from .errors import (
 )
 from .examples import (
     EXAMPLE_IDS,
+    T_RANGE,
     example_cross_check,
     example_integral_curve,
     example_spec,
@@ -205,7 +207,7 @@ def cmd_verify(args) -> int:
             print(f"error: bad signature {args.signature!r}: {exc}", file=sys.stderr)
             return EXIT_USAGE
 
-    identities = []
+    groups = []  # (group name, identity lines) in report order
     classifications = {}
     pars = {}
     try:
@@ -213,36 +215,28 @@ def cmd_verify(args) -> int:
             seed = None
             if ex == 1 and args.seed_r is not None:
                 seed = gamma_seed(sig or example_spec(1).sig, args.seed_r)
-            spec = example_spec(ex, sig=sig, seed_z=seed)
-            try:
-                report = example_cross_check(
-                    spec,
-                    grid_s=cfg.grid_s,
-                    grid_t=cfg.grid_t,
-                    grid_leaf=cfg.grid_leaf,
-                    verify_tol=cfg.verify_tol,
-                    leaf_radius=cfg.leaf_radius,
-                )
-            except CrossCheckError as exc:
-                report = exc.args[1] if len(exc.args) > 1 else None
-                if report is None:
-                    raise
-            for line in report.lines:
-                identities.append({"group": f"example{ex}", **line.to_dict()})
+            report = example_cross_check(
+                example_spec(ex, sig=sig, seed_z=seed),
+                grid_s=cfg.grid_s,
+                grid_t=cfg.grid_t,
+                grid_leaf=cfg.grid_leaf,
+                verify_tol=cfg.verify_tol,
+                leaf_radius=cfg.leaf_radius,
+            )
+            groups.append((f"example{ex}", report.lines))
             classifications[str(ex)] = f"case_{report.classification}"
             pars[ex] = report.par
-        for line in verification.curvature_lines():
-            identities.append({"group": "curvature", **line.to_dict()})
-        for line in verification.unitary_frame_lines():
-            identities.append({"group": "frames", **line.to_dict()})
-        for line in verification.case_c_closed_form_lines():
-            identities.append({"group": "case_c_forms", **line.to_dict()})
-        for line in verification.almost_contact_lines(pars):
-            identities.append({"group": "almost_contact", **line.to_dict()})
+        groups += [
+            ("curvature", verification.curvature_lines()),
+            ("frames", verification.unitary_frame_lines()),
+            ("case_c_forms", verification.case_c_closed_form_lines()),
+            ("almost_contact", verification.almost_contact_lines(pars)),
+        ]
     except (DomainError, ChartError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 
+    identities = [{"group": group, **line.to_dict()} for group, lines in groups for line in lines]
     ok = all(item["pass"] for item in identities)
     doc = {
         "schema": 1,
@@ -418,7 +412,7 @@ def cmd_sample(args) -> int:
         if ex == 1 and args.seed_r is not None:
             seed = gamma_seed(example_spec(1).sig, args.seed_r)
         spec = example_spec(ex, seed_z=seed)
-        par = transport_basis(example_integral_curve(spec).curve, s0=0.0)
+        par = transport_basis(example_integral_curve(spec).curve)
         s_values, coords = leaf_coordinate_axes(
             par, cfg.grid_s, cfg.grid_leaf, radius=cfg.leaf_radius
         )
@@ -427,7 +421,7 @@ def cmd_sample(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 
-    t_values = np.linspace(spec.t_range[0], spec.t_range[1], cfg.grid_t)
+    t_values = np.linspace(T_RANGE[0], T_RANGE[1], cfg.grid_t)
     rows = []
     for tv in t_values.tolist():
         rows.extend(_slice_rows(par.sig, ruling_isometry(spec, tv), tv, s_values, coords, lifts))

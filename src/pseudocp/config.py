@@ -7,6 +7,7 @@ PSEUDOCP_CONFIG environment variable, then command line flags (strongest).
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -25,8 +26,9 @@ class RunConfig:
 
     def validate(self) -> None:
         for name in ("verify_tol", "leaf_radius"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         for name in ("grid_s", "grid_t", "grid_leaf"):
             if getattr(self, name) < 2:
                 raise ValueError(f"{name} must be at least 2")

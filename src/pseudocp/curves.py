@@ -115,8 +115,9 @@ def fd_second_derivative(fn: Callable[[float], np.ndarray], s: float, h: float =
 class SampledCurve:
     """Uniformly sampled curve held by phase-coherent horizontal lifts.
 
-    Every stencil assumes samples spaced by ``step``: params that are not,
-    to a relative 1e-6, raise SamplingError.
+    Every stencil assumes at least 3 samples spaced by a finite positive
+    ``step``: fewer samples, another step, or params that are not spaced by
+    it to a relative 1e-6 raise SamplingError.
 
     ``lift_fn`` is the closed form of the lifts, if there is one. It takes a
     scalar s to one row (d,) and an array (m,) of parameters to rows (m, d),
@@ -135,7 +136,8 @@ class SampledCurve:
         lifts = np.asarray(self.lifts, dtype=complex)
         if lifts.shape != (params.shape[0], self.sig.ambient_dim):
             raise SamplingError("lift array does not match params and signature")
-        if np.max(np.abs(np.diff(params) - self.step), initial=0.0) > 1e-6 * abs(self.step):
+        _check_grid(params.shape[0], self.step)
+        if np.max(np.abs(np.diff(params) - self.step), initial=0.0) > 1e-6 * self.step:
             raise SamplingError("params are not spaced uniformly by the curve step")
         params.setflags(write=False)
         lifts.setflags(write=False)
@@ -173,9 +175,24 @@ class SampledCurve:
         )
 
 
+def _check_grid(count: int, step: float) -> None:
+    """Raise SamplingError unless the step is finite and positive and the
+    grid has the 3 samples every stencil needs."""
+    if not (np.isfinite(step) and step > 0):
+        raise SamplingError(f"curve step must be finite and positive, got {step!r}")
+    if count < 3:
+        raise SamplingError("need at least 3 samples")
+
+
 def sample_params(s_min: float, s_max: float, step: float) -> np.ndarray:
-    """Uniform grid from s_min by step, its last sample nearest s_max."""
-    return s_min + step * np.arange(int(round((s_max - s_min) / step)) + 1)
+    """Uniform grid from s_min by step, its last sample nearest s_max;
+    SamplingError for a step or range that gives no grid of 3 samples."""
+    span = (s_max - s_min) / step if step > 0 else 0.0  # no division by 0
+    if not np.isfinite(span):
+        raise SamplingError(f"curve range must be finite, got [{s_min!r}, {s_max!r}]")
+    count = int(round(span)) + 1
+    _check_grid(count, step)
+    return s_min + step * np.arange(count)
 
 
 def sampled_curve_from_fn(
@@ -205,8 +222,6 @@ def covariant_derivative(curve: SampledCurve, field_rows: np.ndarray) -> np.ndar
     then the horizontal projection. Endpoint rows use one-sided stencils and
     are second order only.
     """
-    if len(curve) < 3:
-        raise SamplingError("need at least 3 samples")
     rows = np.asarray(field_rows, dtype=complex)
     if rows.shape != curve.lifts.shape:
         raise SamplingError("field shape does not match the curve")
@@ -439,7 +454,7 @@ def model_circle_curve(
     curvature one (use ``timelike`` for the complementary family); the
     negative definite model needs curvature above one and p >= 2.
     """
-    if kappa1 <= 0:
+    if not kappa1 > 0:  # NaN fails too
         raise FrameError("circle curvature must be positive")
     n = sig.n
     if model == "rp2":
@@ -496,14 +511,7 @@ def model_circle_curve(
 # ---------------------------------------------------------------------------
 
 
-def horizontal_lift(
-    sig: Signature,
-    reps,
-    z0,
-    params=None,
-    step: Optional[float] = None,
-    anchor: int = 0,
-) -> SampledCurve:
+def horizontal_lift(sig: Signature, reps, z0, params=None, anchor: int = 0) -> SampledCurve:
     """Phase-integrate representatives into a horizontal lift through z0.
 
     ``reps`` is either a callable taking an array of parameters to rows of
@@ -518,8 +526,7 @@ def horizontal_lift(
     if callable(reps) and params is None:
         raise LiftError("params grid required with a callable representative")
     params = np.asarray(params, dtype=float)
-    if step is None:
-        step = float(params[1] - params[0])
+    step = float(params[1] - params[0])
     if callable(reps):
         rep_at = reps
     else:

@@ -69,9 +69,5 @@ class ClassificationError(GeometryError):
     """Base curve matches none of the three minimal cases."""
 
 
-class CrossCheckError(GeometryError):
-    """A closed-form identity failed during a cross check run."""
-
-
 class DomainError(GeometryError):
     """Seed point violates the domain condition of the chosen family."""

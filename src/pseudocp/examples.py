@@ -24,7 +24,7 @@ import numpy as np
 
 from . import ruled
 from .curves import SampledCurve, sampled_curve_from_fn
-from .errors import CrossCheckError, DomainError
+from .errors import DomainError
 from .isometries import IndefiniteUnitaryMatrix
 from .linalg import Signature, metric_signs, real_metric
 from .projective import canonicalize
@@ -79,6 +79,13 @@ FAMILIES = {
 }
 
 EXAMPLE_IDS = tuple(FAMILIES)
+
+#: ruling parameter of the checked slice and of the integral curve's start
+T0 = 0.0
+#: ruling parameters swept by the cross check and the point cloud export
+T_RANGE = (-0.4, 0.4)
+#: base parameter window of the integral curve
+S_RANGE = (-0.5, 0.5)
 
 
 def _family(example_id: int) -> Family:
@@ -146,7 +153,7 @@ class _Ruling:
 
 @dataclass(frozen=True)
 class ExampleSpec:
-    """One family instance: signature, seed point and parameter windows.
+    """One family instance: signature and seed point.
 
     ``seed_z=None`` takes the family's default seed.
     """
@@ -154,9 +161,6 @@ class ExampleSpec:
     example_id: int
     sig: Signature
     seed_z: Optional[np.ndarray]
-    t0: float = 0.0
-    t_range: tuple = (-0.4, 0.4)
-    s_range: tuple = (-0.5, 0.5)
     ruling: _Ruling = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -178,8 +182,8 @@ class ExampleSpec:
         object.__setattr__(self, "ruling", ruling)
 
 
-def example_spec(example_id: int, sig: Optional[Signature] = None, seed_z=None, **kw) -> ExampleSpec:
-    return ExampleSpec(example_id, sig or _family(example_id).signature, seed_z, **kw)
+def example_spec(example_id: int, sig: Optional[Signature] = None, seed_z=None) -> ExampleSpec:
+    return ExampleSpec(example_id, sig or _family(example_id).signature, seed_z)
 
 
 def seed_sphere_index(example_id: int, sig: Signature) -> int:
@@ -294,7 +298,8 @@ def example_integral_curve(
     step: float = 1e-3,
     s_range: Optional[tuple] = None,
 ) -> IntegralCurveData:
-    """Integral curve of the structure field through (t, z), with closed forms.
+    """Integral curve of the structure field through (t, z), with closed forms,
+    sampled over ``s_range``; t defaults to ``T0``, s_range to ``S_RANGE``.
 
     The returned acceleration is the second covariant derivative of the flow
     on the sphere, eps1 times the point plus its second t-derivative over
@@ -303,10 +308,10 @@ def example_integral_curve(
     whose slice lies in the ruling slots alone gives a geodesic, case a.
     """
     r = spec.ruling
-    t0 = spec.t0 if t is None else t
+    t0 = T0 if t is None else t
     z = spec.seed_z if z is None else np.asarray(z, dtype=complex)
     r.validate(z)
-    s_lo, s_hi = spec.s_range if s_range is None else s_range
+    s_lo, s_hi = S_RANGE if s_range is None else s_range
     zw = z[r.omega]
     mod = abs(zw)
     u = mod * mod
@@ -387,13 +392,6 @@ class CrossCheckReport:
     classification: str
     par: ruled.RHSParametrization
 
-    @property
-    def passed(self) -> bool:
-        return all(line.passed for line in self.lines)
-
-    def failures(self) -> list:
-        return [line for line in self.lines if not line.passed]
-
 
 def ruling_sweep(
     spec: ExampleSpec, par: ruled.RHSParametrization, rows: np.ndarray, grid_t: int
@@ -407,7 +405,7 @@ def ruling_sweep(
     base = RHSPatch(par)
     dd_max = 0.0
     mu_max = 0.0
-    for tv in np.linspace(spec.t_range[0], spec.t_range[1], grid_t):
+    for tv in np.linspace(T_RANGE[0], T_RANGE[1], grid_t):
         patch = TransformedPatch(ruling_isometry(spec, float(tv)), base)
         for rep in ruled.shape_operators(patch, rows):
             dd_max = max(dd_max, rep.dd_block_max)
@@ -429,16 +427,15 @@ def example_cross_check(
     curve, verifies the leaf block and minimality over the grid of
     ``ruling_sweep`` (leaf coordinates up to ``leaf_radius``), the structure
     identities and the classification, and checks the numeric shape image of
-    the structure field against the closed form. The report keeps the
-    parametrization. Raises CrossCheckError naming the first failed
-    identity; it carries the report.
+    the structure field against the closed form. The report holds every
+    identity line, passed or failed, and keeps the parametrization.
     """
     lines: list[IdentityLine] = []
     sig = spec.sig
     rng = np.random.default_rng(11)
 
-    fields = example_fields(spec, spec.t0)
-    psi0 = example_map(spec, spec.t0)
+    fields = example_fields(spec, T0)
+    psi0 = example_map(spec, T0)
     g = lambda a, b: real_metric(sig, a, b)
     lines.append(
         IdentityLine("lift_on_sphere", abs(g(psi0, psi0) - 1.0), 1e-12)
@@ -463,12 +460,12 @@ def example_cross_check(
     lines.append(IdentityLine("curve_unit_speed", curve.speed_defect(), 1e-9))
 
     ff_err = 0.0
-    for s in np.linspace(spec.s_range[0], spec.s_range[1], 7):
+    for s in np.linspace(S_RANGE[0], S_RANGE[1], 7):
         f = data.accel(s)
         ff_err = max(ff_err, abs(g(f, f) - data.accel_square))
     lines.append(IdentityLine("accel_square_constant", ff_err, 1e-10))
 
-    par = transport_basis(curve, s0=0.0)
+    par = transport_basis(curve)
     ov, ojv = par.orthogonality_defect()
     lines.append(IdentityLine("transport_orth_velocity", ov, 1e-6))
     lines.append(IdentityLine("transport_orth_j_velocity", ojv, 1e-6))
@@ -517,12 +514,4 @@ def example_cross_check(
         kappa_gap = abs(classified.kappa1 - data.kappa1)
         lines.append(IdentityLine("classification_kappa1", kappa_gap, 1e-4))
 
-    report = CrossCheckReport(spec.example_id, lines, classified.case.value, par)
-    bad = report.failures()
-    if bad:
-        raise CrossCheckError(
-            f"example {spec.example_id}: identity '{bad[0].name}' failed "
-            f"(residual {bad[0].residual:.3e} > {bad[0].tolerance:.1e})",
-            report,
-        )
-    return report
+    return CrossCheckReport(spec.example_id, lines, classified.case.value, par)

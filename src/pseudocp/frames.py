@@ -91,10 +91,10 @@ def _hermitian_rows(signs: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.ndarr
     return np.sum(signs * z * np.conj(w), axis=-1)
 
 
-def _pivot_steps(sig: Signature, fixed: dict[int, np.ndarray], start: np.ndarray, count: int, det_slot):
+def _pivot_steps(sig: Signature, fixed: dict[int, np.ndarray], start: np.ndarray, count: int):
     """One completion attempt for ``count`` rows: the candidates ``start``
     made orthogonal to the fixed columns, then pivoted Gram-Schmidt on
-    |g(c,c)|.
+    |g(c,c)|; the largest free slot absorbs the determinant's phase.
 
     Returns the frames (count, d, d) and which rows succeeded. A row fails
     when no candidate is eligible for a remaining slot or its determinant
@@ -110,11 +110,12 @@ def _pivot_steps(sig: Signature, fixed: dict[int, np.ndarray], start: np.ndarray
         cand = cand - (signs[slot] * hp)[..., None] * v[:, None, :]
     minus = [c for c in range(sig.p) if c not in fixed]
     plus = [c for c in range(sig.p, dim) if c not in fixed]
+    free = minus + plus  # in increasing order
     slot_of = (np.array(minus + [-1]), np.array(plus + [-1]))
     live = np.arange(count)  # rows whose pivots have all been found so far
     used = np.zeros((count, dim), dtype=bool)
     taken = np.zeros((2, count), dtype=int)  # timelike, spacelike slots filled
-    for _ in range(len(minus) + len(plus)):
+    for _ in range(len(free)):
         e2 = np.sum(np.abs(cand) ** 2, axis=-1)
         g = gdot_rows(signs, cand, cand)
         eligible = (
@@ -143,19 +144,14 @@ def _pivot_steps(sig: Signature, fixed: dict[int, np.ndarray], start: np.ndarray
     det = np.linalg.det(mats[live])
     on_circle = ~(np.abs(np.hypot(det.real, det.imag) - 1.0) > 1e-9)
     live, det = live[on_circle], det[on_circle]
-    if det_slot is not None:
-        mats[live, :, det_slot] = mats[live, :, det_slot] / det[:, None]
+    if free:
+        mats[live, :, free[-1]] = mats[live, :, free[-1]] / det[:, None]
     ok = np.zeros(count, dtype=bool)
     ok[live] = True
     return mats, ok
 
 
-def complete_leading_frames(
-    sig: Signature,
-    fixed: dict[int, np.ndarray],
-    found: FirstFailure,
-    det_slot: int | None = None,
-) -> np.ndarray:
+def complete_leading_frames(sig: Signature, fixed: dict[int, np.ndarray], found: FirstFailure) -> np.ndarray:
     """``complete_unitary_frames`` without the raise: the frames of the rows
     before the first failing row, which ``found`` (made for all N rows)
     records with its error.
@@ -171,9 +167,6 @@ def complete_leading_frames(
             raise DimensionError(f"expected fixed columns of shape {(count, dim)}, got {v.shape}")
     _validate_fixed(sig, fixed, found)
     fixed = {slot: v[: found.rows] for slot, v in fixed.items()}
-    free = [c for c in range(dim) if c not in fixed]
-    if det_slot is None:
-        det_slot = max(free) if free else None
     mats = np.empty((found.rows, dim, dim), dtype=complex)
     todo = np.arange(found.rows)
     start = np.eye(dim, dtype=complex)
@@ -186,7 +179,7 @@ def complete_leading_frames(
             noise = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             start = np.eye(dim, dtype=complex) + 1e-3 * noise
         rows = {slot: v[todo] for slot, v in fixed.items()}
-        got, ok = _pivot_steps(sig, rows, start, todo.size, det_slot)
+        got, ok = _pivot_steps(sig, rows, start, todo.size)
         mats[todo[ok]] = got[ok]
         todo = todo[~ok]
     if todo.size:
@@ -194,11 +187,7 @@ def complete_leading_frames(
     return mats[: found.rows]
 
 
-def complete_unitary_frames(
-    sig: Signature,
-    fixed: dict[int, np.ndarray],
-    det_slot: int | None = None,
-) -> np.ndarray:
+def complete_unitary_frames(sig: Signature, fixed: dict[int, np.ndarray]) -> np.ndarray:
     """Complete stacked fixed columns to full frames with determinant one.
 
     ``fixed`` maps slot -> (N, d), the same slots for every row; the result
@@ -211,19 +200,15 @@ def complete_unitary_frames(
     first bad row in row order decides the FrameError raised.
     """
     found = FirstFailure(len(next(iter(fixed.values()))) if fixed else 1)
-    mats = complete_leading_frames(sig, fixed, found, det_slot)
+    mats = complete_leading_frames(sig, fixed, found)
     found.raise_first()
     return mats
 
 
-def complete_unitary_frame(
-    sig: Signature,
-    fixed: dict[int, np.ndarray],
-    det_slot: int | None = None,
-) -> np.ndarray:
+def complete_unitary_frame(sig: Signature, fixed: dict[int, np.ndarray]) -> np.ndarray:
     """One frame: the one-row case of ``complete_unitary_frames``."""
     rows = {slot: as_ambient(sig, v)[None] for slot, v in fixed.items()}
-    return complete_unitary_frames(sig, rows, det_slot)[0]
+    return complete_unitary_frames(sig, rows)[0]
 
 
 def orthonormalize_real_rows(

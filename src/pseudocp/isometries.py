@@ -39,7 +39,6 @@ from .projective import (
     canonicalize,
     canonical_phase,
     quadric_geodesic,
-    tangent_from_lift,
 )
 
 UNITARY_TOL = 1e-10
@@ -88,9 +87,6 @@ class IndefiniteUnitaryMatrix:
 
     def project_point(self, x: ProjectivePoint) -> ProjectivePoint:
         return canonicalize(self.sig, self.apply(x.rep))
-
-    def push_tangent(self, v: ProjectiveTangent) -> ProjectiveTangent:
-        return tangent_from_lift(self.sig, self.apply(v.at.rep), self.apply(v.vec))
 
 
 def frame_to_isometry(sig: Signature, q, eta_hat) -> IndefiniteUnitaryMatrix:
@@ -184,9 +180,6 @@ class TotallyGeodesicLeaf:
         out = np.zeros(self.sig.ambient_dim, dtype=complex)
         out[list(self.slots)] = np.asarray(m, dtype=complex)
         return self.isometry.apply(out)
-
-    def model_point_count(self) -> int:
-        return len(self.slots)
 
     def sample_points(self, k: int, rng: np.random.Generator) -> list[ProjectivePoint]:
         return [

@@ -24,12 +24,10 @@ from .linalg import (
     CausalCharacter,
     Signature,
     as_ambient,
-    causal_character,
     check_sphere_point,
     check_sphere_rows,
     hermitian_product,
     jmul,
-    real_metric,
 )
 
 #: tolerance used when checking that two tangents share a base point
@@ -72,12 +70,6 @@ class ProjectiveTangent:
 
     def scaled(self, factor: float) -> "ProjectiveTangent":
         return ProjectiveTangent(self.at, factor * self.vec)
-
-    def norm2(self) -> float:
-        return real_metric(self.at.sig, self.vec, self.vec)
-
-    def character(self, tol: float = LIGHT_TOL) -> CausalCharacter:
-        return causal_character(self.at.sig, self.vec, tol)
 
 
 def canonical_phase(z: np.ndarray):

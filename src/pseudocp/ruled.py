@@ -152,7 +152,6 @@ class RHSParametrization:
     """Transported leaf frame along a unit base curve, with evaluators."""
 
     base: SampledCurve
-    s0: float
     eps1: float
     leaf_index: int
     frame_signs: np.ndarray
@@ -182,7 +181,7 @@ class RHSParametrization:
         signs = self.sig.signs
         z = self.frame_samples
         gram = np.real(np.einsum("mkd,mld,d->mkl", z, np.conj(z), signs))
-        i0 = int(np.argmin(np.abs(self.base.params - self.s0)))
+        i0 = int(np.argmin(np.abs(self.base.params)))
         return float(np.max(np.abs(gram - gram[i0])))
 
     def orthogonality_defect(self) -> tuple[float, float]:
@@ -268,12 +267,9 @@ def _rk4_chain(sig: Signature, eps1: float, states, steps, x, dx) -> None:
         dx[lo : hi + 1] = x[lo : hi + 1] @ a[0::2]
 
 
-def transport_basis(
-    curve: SampledCurve,
-    initial_basis: Optional[np.ndarray] = None,
-    s0: float = 0.0,
-) -> RHSParametrization:
-    """Integrate the frame transport ODE along the base curve with RK4.
+def transport_basis(curve: SampledCurve) -> RHSParametrization:
+    """Integrate the frame transport ODE along the base curve with RK4,
+    from the ``default_initial_basis`` at s = 0, which must be a sample.
 
     The covariant derivative of each transported vector is forced into
     span{velocity, J velocity}; on lifts this becomes an explicit linear ODE
@@ -286,30 +282,15 @@ def transport_basis(
     grid = curve.params
     lift = _curve_lift(curve)
     q, dq, f = _curve_states(curve, lift)
-    i0 = int(np.argmin(np.abs(grid - s0)))
+    i0 = int(np.argmin(np.abs(grid)))
     char = causal_character(sig, dq[2 * i0])
     if char in (CausalCharacter.LIGHTLIKE, CausalCharacter.ZERO):
         raise CausalCharacterError("base curve velocity must not be lightlike")
     eps1 = curve.eps1
 
-    if initial_basis is None:
-        basis, signs = default_initial_basis(sig, q[2 * i0], dq[2 * i0])
-    else:
-        basis = np.asarray(initial_basis, dtype=complex)
-        gram = np.real(np.einsum("kd,ld,d->kl", basis, np.conj(basis), sig.signs))
-        diag = np.diag(gram)
-        if np.max(np.abs(np.abs(diag) - 1.0)) > 1e-8:
-            raise FrameError("initial basis is not unit")
-        if np.max(np.abs(gram - np.diag(diag))) > 1e-8:
-            raise FrameError("initial basis is not orthogonal")
-        q0, dq0 = q[2 * i0], dq[2 * i0]
-        for w in (dq0, 1j * dq0, q0, 1j * q0):
-            if np.max(np.abs(gdot_rows(sig.signs, basis, w))) > 1e-8:
-                raise FrameError("initial basis does not span the leaf complement")
-        signs = diag.copy()
-
-    if abs(float(grid[i0]) - s0) > 1e-9:
-        raise FrameError("s0 must coincide with a sample of the base curve")
+    basis, signs = default_initial_basis(sig, q[2 * i0], dq[2 * i0])
+    if abs(float(grid[i0])) > 1e-9:
+        raise FrameError("s = 0 must be a sample of the base curve")
 
     frames = np.empty((grid.shape[0],) + basis.shape, dtype=complex)
     derivs = np.empty_like(frames)
@@ -330,7 +311,6 @@ def transport_basis(
     leaf_index = sig.p if eps1 > 0 else sig.p - 1
     return RHSParametrization(
         base=curve,
-        s0=s0,
         eps1=eps1,
         leaf_index=leaf_index,
         frame_signs=np.asarray(signs, dtype=float),
@@ -904,29 +884,29 @@ class ClassificationReport:
 #: base-line rows per ``hypersurface_frames`` call in the integral-curve
 #: check; fixed blocks keep the stencil arrays, and so peak memory, small
 _LINE_BLOCK = 64
-#: largest half-length of the base line checked around s0
+#: largest half-length of the base line checked around s = 0
 LINE_HALF_SPAN = 0.35
+#: spacing of the base-line samples in the integral-curve check
+LINE_STEP = 2e-3
 #: integral-curve defect above which the classifier refuses the base curve
 XI_TOL = 1e-6
 
 
-def regenerate_integral_curve(
-    par: RHSParametrization, step: float = 2e-3
-) -> tuple[SampledCurve, float]:
+def regenerate_integral_curve(par: RHSParametrization) -> tuple[SampledCurve, float]:
     """Re-derive the integral curve of the structure field from the patch.
 
     The leaves are glued along the base curve, so at leaf coordinate 0 the
     structure field should be +-alpha'. This is checked at every sample
-    u_k = (s0 + k step, 0, ..., 0), k = -count..count, |k step| at most
-    ``LINE_HALF_SPAN`` and inside the curve range: the tangent
-    coordinates of xi must be (+-1, 0, ..., 0), so xi is tangent to the base
-    line at unit parameter speed. By uniqueness of ODE solutions the integral
-    curve of xi through (s0, 0) is then the base line itself, and its lifts
-    are the patch lifts at the samples; no integration is needed. The lifts
-    are used as they are when they are horizontal (to ``CURVE_TOL``), as for
-    every closed-form family; otherwise they are re-lifted by
-    ``horizontal_lift``. The frames come from ``hypersurface_frames`` in
-    fixed blocks of ``_LINE_BLOCK`` rows.
+    u_k = (k step, 0, ..., 0), step = ``LINE_STEP``, k = -count..count,
+    |k step| at most ``LINE_HALF_SPAN`` and inside the curve range: the
+    tangent coordinates of xi must be (+-1, 0, ..., 0), so xi is tangent to
+    the base line at unit parameter speed. By uniqueness of ODE solutions
+    the integral curve of xi through (0, 0) is then the base line itself,
+    and its lifts are the patch lifts at the samples; no integration is
+    needed. The lifts are used as they are when they are horizontal (to
+    ``CURVE_TOL``), as for every closed-form family; otherwise they are
+    re-lifted by ``horizontal_lift``. The frames come from
+    ``hypersurface_frames`` in fixed blocks of ``_LINE_BLOCK`` rows.
 
     The reported defect is the worse of the tangency defect and the gap
     between the curve's unit velocity and the measured structure field at
@@ -934,14 +914,15 @@ def regenerate_integral_curve(
     """
     patch = RHSPatch(par)
     sig = par.sig
+    step = LINE_STEP
     lo, hi = par.s_range()
-    half_span = min(LINE_HALF_SPAN, par.s0 - lo - 5 * step, hi - par.s0 - 5 * step)
+    half_span = min(LINE_HALF_SPAN, -lo - 5 * step, hi - 5 * step)
     if half_span <= 10 * step:
         raise ClassificationError("base curve range too small to regenerate")
     count = int(round(half_span / step))
     params = step * np.arange(-count, count + 1) + 0.0
     rows = np.zeros((params.shape[0], patch.n_params))
-    rows[:, 0] = par.s0 + params
+    rows[:, 0] = params
 
     blocks = [
         hypersurface_frames(patch, rows[i : i + _LINE_BLOCK])
@@ -1028,19 +1009,18 @@ def classify_minimal_ruled(par: RHSParametrization) -> ClassificationReport:
     return classify_generating_curve(curve, xi_defect=defect)
 
 
-def leaf_coordinate_axes(
-    par: RHSParametrization,
-    s_count: int,
-    leaf_count: int,
-    radius: float = 0.25,
-    seed: int = 3,
-    margin: float = 0.05,
-):
+#: seed of the leaf coordinate directions of the sampling grid
+GRID_SEED = 3
+#: distance of the first and last grid base parameter from the curve ends
+GRID_MARGIN = 0.05
+
+
+def leaf_coordinate_axes(par: RHSParametrization, s_count: int, leaf_count: int, radius: float = 0.25):
     """Base parameters (S,) and leaf coordinate rows (L, k) of the
     deterministic grid inside the chart of a parametrization."""
     lo, hi = par.s_range()
-    s_values = np.linspace(lo + margin, hi - margin, s_count)
-    rng = np.random.default_rng(seed)
+    s_values = np.linspace(lo + GRID_MARGIN, hi - GRID_MARGIN, s_count)
+    rng = np.random.default_rng(GRID_SEED)
     coords = np.empty((leaf_count, par.leaf_dim))
     for j in range(leaf_count):
         c = rng.standard_normal(par.leaf_dim)
@@ -1049,13 +1029,8 @@ def leaf_coordinate_axes(
 
 
 def leaf_coordinate_grid(
-    par: RHSParametrization,
-    s_count: int,
-    leaf_count: int,
-    radius: float = 0.25,
-    seed: int = 3,
-    margin: float = 0.05,
+    par: RHSParametrization, s_count: int, leaf_count: int, radius: float = 0.25
 ) -> np.ndarray:
     """Patch parameter rows (S L, 1 + k) of the deterministic grid inside
     the chart of a parametrization, in (s, coords) order."""
-    return _product_rows(*leaf_coordinate_axes(par, s_count, leaf_count, radius, seed, margin))
+    return _product_rows(*leaf_coordinate_axes(par, s_count, leaf_count, radius))

@@ -2,6 +2,8 @@
 
 Each suite returns identity lines (name, residual, tolerance) so reports can
 be assembled uniformly; residuals are worst cases over seeded random draws.
+The suites take no parameters: their counts, seeds, signatures and
+tolerances are the module constants below.
 
 Every suite draws first and then evaluates stacks. The two frame suites
 read their sphere points and horizontal coefficients out of blocks of the
@@ -38,6 +40,17 @@ from .ruled import RHSPatch, hypersurface_frames
 
 ACCEPTANCE_SIGNATURES = (Signature(2, 1), Signature(3, 1), Signature(3, 2), Signature(4, 2))
 
+CURVATURE_POINTS = 200  # random horizontal vectors per signature
+CURVATURE_SEED = 0  # seed of the curvature draws
+FRAME_SIGNATURE = Signature(3, 1)  # signature of the frame completions
+FRAME_POINTS = 100  # random frames completed
+FRAME_SEED = 1  # seed of the frame draws
+EXACT_TOL = 1e-10  # tolerance of the curvature and frame identities
+CASE_C_TOL = 1e-6  # tolerance of the non-Frenet closed-form identities
+ALMOST_CONTACT_POINTS = 25  # random hypersurface points per family
+ALMOST_CONTACT_SEED = 2  # seed of the points and tangents
+ALGEBRAIC_TOL = 1e-8  # tolerance of the algebraic almost contact identities
+DERIVATIVE_TOL = 1e-4  # tolerance of the structure derivative identity
 
 #: normals of the generator read per block by ``_horizontal_draws``
 NORMAL_BLOCK = 4096
@@ -103,17 +116,12 @@ def _horizontal_draws(sig: Signature, count: int, rng: np.random.Generator):
     return q, horizontal_units(bases, coeffs, gc)
 
 
-def curvature_lines(
-    count: int = 200,
-    tol: float = 1e-10,
-    signatures=ACCEPTANCE_SIGNATURES,
-    seed: int = 0,
-) -> list[IdentityLine]:
+def curvature_lines() -> list[IdentityLine]:
     """Normalized holomorphic sectional curvature equals four."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(CURVATURE_SEED)
     lines = []
-    for sig in signatures:
-        q, xv = _horizontal_draws(sig, count, rng)
+    for sig in ACCEPTANCE_SIGNATURES:
+        q, xv = _horizontal_draws(sig, CURVATURE_POINTS, rng)
         x = xv * canonical_phases(q)[:, None]  # the tangents at the canonical representatives
         jx = jmul(x)
         r = curvature_tensor_rows(sig, x, jx, jx)
@@ -121,32 +129,28 @@ def curvature_lines(
         value = gdot_rows(sig.signs, r, x) / (gx * gx)
         worst = float(np.max(np.abs(value - 4.0), initial=0.0))
         lines.append(
-            IdentityLine(f"holomorphic_curvature_n{sig.n}_p{sig.p}", worst, tol)
+            IdentityLine(f"holomorphic_curvature_n{sig.n}_p{sig.p}", worst, EXACT_TOL)
         )
     return lines
 
 
-def unitary_frame_lines(
-    sig: Signature = Signature(3, 1),
-    count: int = 100,
-    tol: float = 1e-10,
-    seed: int = 1,
-) -> list[IdentityLine]:
+def unitary_frame_lines() -> list[IdentityLine]:
     """Frame completion outputs preserve the form and have determinant one."""
-    rng = np.random.default_rng(seed)
+    sig = FRAME_SIGNATURE
+    rng = np.random.default_rng(FRAME_SEED)
     eye = np.diag(metric_signs(sig.p, sig.ambient_dim))
-    q, eta = _horizontal_draws(sig, count, rng)
+    q, eta = _horizontal_draws(sig, FRAME_POINTS, rng)
     m = np.array([iso.entries for iso in frame_to_isometries(sig, q, eta)])
     form = np.conj(m).transpose(0, 2, 1) @ eye @ m - eye
     form_worst = float(np.max(np.abs(form), initial=0.0))
     det_worst = float(np.max(np.abs(np.linalg.det(m) - 1.0), initial=0.0))
     return [
-        IdentityLine("unitary_frame_form", form_worst, tol),
-        IdentityLine("unitary_frame_det", det_worst, tol),
+        IdentityLine("unitary_frame_form", form_worst, EXACT_TOL),
+        IdentityLine("unitary_frame_det", det_worst, EXACT_TOL),
     ]
 
 
-def case_c_closed_form_lines(tol: float = 1e-6) -> list[IdentityLine]:
+def case_c_closed_form_lines() -> list[IdentityLine]:
     """Defining identities of the two non-Frenet closed-form generators."""
     sig1 = Signature(3, 1)
     c1 = case_c1_curve(
@@ -179,17 +183,11 @@ def case_c_closed_form_lines(tol: float = 1e-6) -> list[IdentityLine]:
             )
             jerk = fd_derivative(crv.acc, s, 1e-3) + sgn * v
             jerk_worst = max(jerk_worst, float(np.max(np.abs(jerk))))
-        lines.append(IdentityLine(f"{tag}_on_quadric", point_worst, tol))
-        lines.append(IdentityLine(f"{tag}_unit_speed", speed_worst, tol))
-        lines.append(IdentityLine(f"{tag}_accel_offset_constant", ode_worst, tol))
-        lines.append(IdentityLine(f"{tag}_third_derivative", jerk_worst, tol))
+        lines.append(IdentityLine(f"{tag}_on_quadric", point_worst, CASE_C_TOL))
+        lines.append(IdentityLine(f"{tag}_unit_speed", speed_worst, CASE_C_TOL))
+        lines.append(IdentityLine(f"{tag}_accel_offset_constant", ode_worst, CASE_C_TOL))
+        lines.append(IdentityLine(f"{tag}_third_derivative", jerk_worst, CASE_C_TOL))
     return lines
-
-
-ALMOST_CONTACT_POINTS = 25  # random hypersurface points per family
-ALMOST_CONTACT_SEED = 2  # seed of the points and tangents
-ALGEBRAIC_TOL = 1e-8  # tolerance of the algebraic almost contact identities
-DERIVATIVE_TOL = 1e-4  # tolerance of the structure derivative identity
 
 
 def almost_contact_lines(pars) -> list[IdentityLine]:

@@ -26,4 +26,4 @@ def family1_data():
 @pytest.fixture(scope="session")
 def family1_par(family1_data):
     """Transported-frame parametrization along the first family's curve."""
-    return transport_basis(family1_data.curve, s0=0.0)
+    return transport_basis(family1_data.curve)

@@ -16,6 +16,7 @@ from pseudocp import verification
 from pseudocp.curves import covariant_derivative, frenet_apparatus
 from pseudocp.examples import (
     EXAMPLE_IDS,
+    T0,
     example_fields,
     example_integral_curve,
     example_map,
@@ -48,7 +49,7 @@ def family_pars():
     out = {}
     for ex in EXAMPLE_IDS:
         spec = example_spec(ex)
-        out[ex] = (spec, transport_basis(example_integral_curve(spec).curve, s0=0.0))
+        out[ex] = (spec, transport_basis(example_integral_curve(spec).curve))
     return out
 
 
@@ -64,7 +65,7 @@ def grid_sweep(family_pars):
 
 def test_criterion_01_curvature_normalization():
     """Normalized holomorphic sectional curvature equals four."""
-    lines = verification.curvature_lines(count=200, tol=1e-10)
+    lines = verification.curvature_lines()
     worst = max(line.residual for line in lines)
     ok = all(line.passed for line in lines)
     _report(1, ok, f"holomorphic sectional curvature: worst residual {worst:.3e} <= 1e-10")
@@ -73,7 +74,7 @@ def test_criterion_01_curvature_normalization():
 
 def test_criterion_02_unitary_frames():
     """Completed frames preserve the form and have unit determinant."""
-    lines = verification.unitary_frame_lines(count=100, tol=1e-10)
+    lines = verification.unitary_frame_lines()
     worst = max(line.residual for line in lines)
     ok = all(line.passed for line in lines)
     _report(2, ok, f"frame form and determinant: worst residual {worst:.3e} <= 1e-10")
@@ -82,9 +83,8 @@ def test_criterion_02_unitary_frames():
 
 def test_criterion_03_transport_conservation():
     """Frame transport over |s| <= 1 conserves the Gram matrix."""
-    spec = example_spec(1, s_range=(-1.0, 1.0))
-    data = example_integral_curve(spec)
-    par = transport_basis(data.curve, s0=0.0)
+    data = example_integral_curve(example_spec(1), s_range=(-1.0, 1.0))
+    par = transport_basis(data.curve)
     drift = par.gram_drift()
     ov, ojv = par.orthogonality_defect()
     ok = drift <= 1e-6 and ov <= 1e-6 and ojv <= 1e-6
@@ -140,7 +140,7 @@ def test_criterion_06_trichotomy():
     details = []
     for r, case, kappa, signs, kind in expectations:
         spec = example_spec(1, seed_z=gamma_seed(sig, r))
-        par = transport_basis(example_integral_curve(spec).curve, s0=0.0)
+        par = transport_basis(example_integral_curve(spec).curve)
         report = classify_minimal_ruled(par)
         good = report.case is case
         if kappa is not None:
@@ -199,7 +199,7 @@ def test_criterion_07_timelike_family_invariants():
 
 def test_criterion_08_case_c_closed_forms():
     """Defining identities of the two non-Frenet generators at 1e-6."""
-    lines = verification.case_c_closed_form_lines(tol=1e-6)
+    lines = verification.case_c_closed_form_lines()
     worst = max(line.residual for line in lines)
     ok = all(line.passed for line in lines)
     _report(8, ok, f"non-Frenet closed forms: worst residual {worst:.3e} <= 1e-6")
@@ -249,7 +249,7 @@ def test_criterion_10_round_trip_and_determinism(family_pars, tmp_path):
         done = 0
         while done < 10:
             z = seed_sphere_neighbor()
-            target = canonicalize(sig, example_map(spec, spec.t0 + s / mod, z))
+            target = canonicalize(sig, example_map(spec, T0 + s / mod, z))
             vec = log_in_leaf(x_s, target)
             coords = par.frame_signs * gdot_rows(sig.signs, frame, vec.vec)
             if float(np.sqrt(np.sum(coords**2))) > 1.2:

@@ -109,6 +109,15 @@ class TestClassify:
         assert doc["kappa1"] == pytest.approx(1.25, abs=1e-6)
         assert doc["signs"] == {"eps1": 1.0, "eps2": 1.0}
 
+    def test_nan_circle_curvature_is_a_precondition(self, tmp_path, capsys):
+        """A NaN curvature is refused like a non-positive one: exit 3."""
+        doc = {**CIRCLE_DOC, "data": {**CIRCLE_DOC["data"], "kappa1": float("nan")}}
+        path = write_json(tmp_path / "circ.json", doc)
+        assert run_cli("classify", path) == 3
+        captured = capsys.readouterr()
+        assert "curvature must be positive" in captured.err
+        assert captured.out == ""
+
     def test_builtin_flow_file(self, tmp_path, capsys):
         doc = {
             "signature": {"n": 3, "p": 1},
@@ -209,6 +218,50 @@ class TestClassify:
         assert run_cli("classify", path) == 3
         captured = capsys.readouterr()
         assert "not spaced uniformly" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"step": 0}, "step must be finite and positive"),
+            ({"step": -1e-3}, "step must be finite and positive"),
+            ({"step": float("inf")}, "step must be finite and positive"),
+            ({"step": float("nan")}, "step must be finite and positive"),
+            ({"s_range": [0.5, -0.5]}, "need at least 3 samples"),
+            ({"s_range": [float("-inf"), float("inf")]}, "curve range must be finite"),
+            ({"s_range": [float("nan"), 0.5]}, "curve range must be finite"),
+            ("repeated_s", "step must be finite and positive"),
+        ],
+        ids=[
+            "zero_step",
+            "negative_step",
+            "infinite_step",
+            "nan_step",
+            "reversed_range",
+            "infinite_range",
+            "nan_range",
+            "repeated_s",
+        ],
+    )
+    def test_malformed_grid_is_a_precondition(self, tmp_path, capsys, change, message):
+        """A curve grid without a finite positive step or 3 samples exits 3
+        and says so, before any stencil divides by the step."""
+        if change == "repeated_s":
+            from pseudocp.examples import example_integral_curve, example_spec
+
+            curve = example_integral_curve(example_spec(1)).curve
+            rows = [[[float(np.real(x)), float(np.imag(x))] for x in lift] for lift in curve.lifts]
+            doc = {
+                "signature": {"n": 3, "p": 1},
+                "kind": "samples",
+                "data": {"s": [0.0] * len(curve), "lifts": rows},
+            }
+        else:
+            doc = {**GEODESIC_DOC, **change}
+        path = write_json(tmp_path / "grid.json", doc)
+        assert run_cli("classify", path) == 3
+        captured = capsys.readouterr()
+        assert message in captured.err
         assert captured.out == ""
 
     def test_unclassifiable_curve_reports_failure(self, tmp_path, capsys):
@@ -363,6 +416,23 @@ class TestConfig:
         cfg.write_text(json.dumps({"grid_s": 1}))
         monkeypatch.setenv("PSEUDOCP_CONFIG", str(cfg))
         assert run_cli("sample", "1") == 2
+
+    @pytest.mark.parametrize("key", ["verify_tol", "leaf_radius"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_config_value_rejected(self, tmp_path, monkeypatch, capsys, key, value):
+        """A non-finite tolerance or leaf radius from the config file is a
+        usage error: exit 2, nothing run."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        monkeypatch.setenv("PSEUDOCP_CONFIG", str(cfg))
+        assert run_cli("verify", "3", "--grid", "2x2x2") == 2
+        captured = capsys.readouterr()
+        assert f"{key} must be finite and positive" in captured.err
+        assert captured.out == ""
+
+    def test_nan_verify_tol_flag_rejected(self, capsys):
+        assert run_cli("verify", "3", "--grid", "2x2x2", "--verify-tol", "nan") == 2
+        assert "verify_tol must be finite and positive" in capsys.readouterr().err
 
 
 class TestVerify:

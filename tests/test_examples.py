@@ -155,7 +155,7 @@ class TestExampleFields:
         spec = example_spec(ex)
         t = 0.33
         sig = spec.sig
-        par = transport_basis(example_integral_curve(spec).curve, s0=0.0)
+        par = transport_basis(example_integral_curve(spec).curve)
         patch = TransformedPatch(ruling_isometry(spec, t), RHSPatch(par))
         rep = shape_operator_at(patch, np.zeros(patch.n_params))
         mu, uvec, frame = rep.mu, rep.u_vec, rep.frame

@@ -15,6 +15,8 @@ import pytest
 from pseudocp.errors import DomainError
 from pseudocp.examples import (
     EXAMPLE_IDS,
+    S_RANGE,
+    T0,
     example_fields,
     example_integral_curve,
     example_leaf_tangent,
@@ -330,8 +332,8 @@ def test_integral_curve_closed_forms_match(spec):
     assert data.predicted_case is case
     assert data.kind == kind
     assert data.kappa1 == kappa1
-    for s in np.linspace(spec.s_range[0], spec.s_range[1], 7):
-        ref = _ref_accel(ex, n, z, spec.t0, float(s))
+    for s in np.linspace(S_RANGE[0], S_RANGE[1], 7):
+        ref = _ref_accel(ex, n, z, T0, float(s))
         assert np.array_equal(data.accel(float(s)), ref)
 
 

@@ -135,7 +135,7 @@ def _ref_shape_matrix(patch, u):
 
 def _family_patch(example_id, t=None):
     spec = example_spec(example_id)
-    par = transport_basis(example_integral_curve(spec).curve, s0=0.0)
+    par = transport_basis(example_integral_curve(spec).curve)
     patch = RHSPatch(par)
     if t is None:
         return patch

@@ -86,9 +86,9 @@ def test_sampled_transport_matches_closed_form(ex):
     transport and their derivatives within 1e-5 (measured: 2.7e-9 and
     2.8e-6 at most)."""
     curve = _family_curve(ex)
-    closed = transport_basis(curve, s0=0.0)
+    closed = transport_basis(curve)
     bare = SampledCurve(curve.sig, curve.params, curve.lifts, curve.step)
-    sampled = transport_basis(bare, s0=0.0)
+    sampled = transport_basis(bare)
     assert np.max(np.abs(sampled.frame_samples - closed.frame_samples)) < 1e-8
     assert np.max(np.abs(sampled.frame_derivs - closed.frame_derivs)) < 1e-5
 

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from pseudocp.curves import covariant_derivative, sampled_curve_from_fn
-from pseudocp.errors import (
-    ChartError,
-    ClassificationError,
-    FrameError,
-)
+from pseudocp.errors import ChartError, ClassificationError
 from pseudocp.examples import (
     example_integral_curve,
     example_spec,
@@ -62,7 +58,7 @@ def _geodesic_par():
     curve = sampled_curve_from_fn(
         SIG, lambda s: sphere_geodesic(SIG, q, v, s), -0.5, 0.5, 1e-3
     )
-    return transport_basis(curve, s0=0.0)
+    return transport_basis(curve)
 
 
 class TestTransportBasis:
@@ -93,15 +89,9 @@ class TestTransportBasis:
         assert family1_par.eps1 == 1.0
         assert family1_par.leaf_index == SIG.p
         data3 = example_integral_curve(example_spec(3))
-        par3 = transport_basis(data3.curve, s0=0.0)
+        par3 = transport_basis(data3.curve)
         assert par3.eps1 == -1.0
         assert par3.leaf_index == example_spec(3).sig.p - 1
-
-    def test_bad_initial_basis_rejected(self, family1_data):
-        curve = family1_data.curve
-        basis = np.eye(SIG.ambient_dim, dtype=complex)[:4]
-        with pytest.raises(FrameError):
-            transport_basis(curve, initial_basis=basis, s0=0.0)
 
 
 class TestEvaluation:
@@ -170,7 +160,7 @@ class TestAlmostContact:
 
     def test_family_three_normal_is_timelike(self):
         data = example_integral_curve(example_spec(3))
-        par = transport_basis(data.curve, s0=0.0)
+        par = transport_basis(data.curve)
         fr = _frame_at(par, 0.05, np.array([0.1, 0.05, -0.02, 0.08]))
         assert fr.epsilon == -1.0
 
@@ -267,7 +257,7 @@ class TestShapeOperator:
     def test_lightlike_leaf_vector_annihilated(self):
         """At the unit-modulus seed, U is null and A kills U and phi U."""
         spec = example_spec(1, seed_z=gamma_seed(example_spec(1).sig, np.pi / 4))
-        par = transport_basis(example_integral_curve(spec).curve, s0=0.0)
+        par = transport_basis(example_integral_curve(spec).curve)
         patch = RHSPatch(par)
         u = np.zeros(patch.n_params)
         u[0] = 0.12
@@ -363,7 +353,7 @@ class TestErrorPaths:
         line = lambda s: q0 + np.multiply.outer(s, null)
         curve = sampled_curve_from_fn(SIG, line, -0.3, 0.3, 1e-3)
         with pytest.raises(CausalCharacterError):
-            transport_basis(curve, s0=0.0)
+            transport_basis(curve)
 
     def test_order_three_curve_matches_no_case(self):
         """A helix with two curvatures falls outside the three minimal cases."""
@@ -407,7 +397,7 @@ class TestClassification:
     )
     def test_distinguished_seeds(self, r, case, kind, kappa):
         spec = example_spec(1, seed_z=gamma_seed(example_spec(1).sig, r))
-        par = transport_basis(example_integral_curve(spec).curve, s0=0.0)
+        par = transport_basis(example_integral_curve(spec).curve)
         report = classify_minimal_ruled(par)
         assert report.case is case
         assert report.kind == kind
@@ -417,7 +407,7 @@ class TestClassification:
 
     def test_family_four_negative_definite_kind(self):
         data = example_integral_curve(example_spec(4))
-        par = transport_basis(data.curve, s0=0.0)
+        par = transport_basis(data.curve)
         report = classify_minimal_ruled(par)
         assert report.case is MinimalCase.CASE_B_TOTALLY_REAL_CIRCLE
         assert report.kind == "h2_2"
@@ -428,7 +418,7 @@ class TestClassification:
     def test_family_one_near_the_case_c_transition(self, sig, r, kind):
         """Small kappa1 near seed_r = pi/4 still classifies as a circle."""
         data = example_integral_curve(example_spec(1, sig=sig, seed_z=gamma_seed(sig, r)))
-        report = classify_minimal_ruled(transport_basis(data.curve, s0=0.0))
+        report = classify_minimal_ruled(transport_basis(data.curve))
         assert report.case is MinimalCase.CASE_B_TOTALLY_REAL_CIRCLE
         assert report.kind == kind
         assert report.kappa1 == pytest.approx(np.sqrt(abs(data.accel_square)), abs=1e-6)
@@ -438,7 +428,7 @@ class TestClassification:
         fn = example_integral_curve(example_spec(2)).curve.lift_fn
         sig = example_spec(2).sig
         curve = sampled_curve_from_fn(sig, lambda s: fn(1.01 * s), -0.495, 0.495, 1e-3)
-        par = transport_basis(curve, s0=0.0)
+        par = transport_basis(curve)
         with pytest.raises(ClassificationError, match="not an integral curve"):
             classify_minimal_ruled(par)
 
@@ -450,7 +440,7 @@ class TestClassification:
             data.curve.sig, lambda s: np.exp(0.7j * s)[..., None] * fn(s), -0.5, 0.5, 1e-3
         )
         assert curve.horizontality_defect() > 0.5
-        par = transport_basis(curve, s0=0.0)
+        par = transport_basis(curve)
         regenerated, defect = regenerate_integral_curve(par)
         assert regenerated.horizontality_defect() < 1e-9
         assert defect < 1e-6

@@ -139,7 +139,7 @@ def _oracle_structure(patch, frame, u, rng):
 
 def _family(example_id, sig, t=None):
     spec = example_spec(example_id, sig=sig)
-    par = transport_basis(example_integral_curve(spec).curve, s0=0.0)
+    par = transport_basis(example_integral_curve(spec).curve)
     patch = RHSPatch(par)
     if t is not None:
         patch = TransformedPatch(ruling_isometry(spec, t), patch)

@@ -164,7 +164,7 @@ def _oracle_almost_contact(pars):
 
 
 def _par(example_id):
-    return transport_basis(example_integral_curve(example_spec(example_id)).curve, s0=0.0)
+    return transport_basis(example_integral_curve(example_spec(example_id)).curve)
 
 
 def _mixed_stack(example_id):

@@ -22,7 +22,7 @@ from pseudocp.curves import (
     sampled_curve_from_fn,
 )
 from pseudocp.errors import SamplingError
-from pseudocp.examples import example_integral_curve, example_spec, ruling_isometry
+from pseudocp.examples import T_RANGE, example_integral_curve, example_spec, ruling_isometry
 from pseudocp.linalg import Signature, gdot_rows, real_metric
 from pseudocp.projective import canonicalize, sphere_geodesic
 from pseudocp.ruled import leaf_coordinate_grid, rhs_lift, transport_basis
@@ -125,7 +125,7 @@ def test_propagators_match_scalar_rk4(name):
     """Frames within 1e-10 of the scalar RK4 loop; derivatives, which carry
     the finite difference round-off of the curve state, within 1e-8."""
     curve = CURVES[name]()
-    par = transport_basis(curve, s0=0.0)
+    par = transport_basis(curve)
     i0 = int(np.argmin(np.abs(curve.params)))
     samples, derivs = _reference_transport(curve, par.frame_samples[i0])
     assert np.max(np.abs(par.frame_samples - samples)) < 1e-10
@@ -136,13 +136,13 @@ def test_non_uniform_params_rejected():
     curve = _spline_curve()
     params = curve.params + 0.1 * curve.step * np.sin(np.arange(len(curve)))
     with pytest.raises(SamplingError):
-        transport_basis(SampledCurve(curve.sig, params, curve.lifts, curve.step), s0=float(params[0]))
+        transport_basis(SampledCurve(curve.sig, params, curve.lifts, curve.step))
 
 
 def test_velocity_rows_match_the_stencil():
     """Stored velocities are the horizontal five-point derivatives of the lift."""
     curve = _family_curve(2)
-    par = transport_basis(curve, s0=0.0)
+    par = transport_basis(curve)
     sig = curve.sig
     for i in (0, 7, len(curve) // 2, len(curve) - 1):
         s = float(curve.params[i])
@@ -156,10 +156,10 @@ def test_velocity_rows_match_the_stencil():
 def _pointwise_rows(example_id, grid_s, grid_t, grid_leaf):
     """Export rows of ``sample`` computed one point at a time."""
     spec = example_spec(example_id)
-    par = transport_basis(example_integral_curve(spec).curve, s0=0.0)
+    par = transport_basis(example_integral_curve(spec).curve)
     grid = leaf_coordinate_grid(par, grid_s, grid_leaf)
     rows = []
-    for tv in np.linspace(spec.t_range[0], spec.t_range[1], grid_t):
+    for tv in np.linspace(T_RANGE[0], T_RANGE[1], grid_t):
         iso = ruling_isometry(spec, float(tv))
         for s, *c in grid.tolist():
             rep = canonicalize(par.sig, iso.apply(rhs_lift(par, s, c))).rep
