@@ -2,9 +2,12 @@
 
 Core layers: indefinite linear algebra and pseudo-sphere calculus, the
 circle-quotient model with horizontal lifts and closed-form geodesics,
-frame-built isometries and totally geodesic leaves, Frenet machinery for
-curves, ruled hypersurface parametrizations with numeric shape operators,
-and four closed-form hypersurface families used as oracles.
+frame-built holomorphic isometries, Frenet machinery for curves, ruled
+hypersurface parametrizations with numeric shape operators, and four
+closed-form hypersurface families used as oracles. The leaf through a base
+point alpha(s) is the complex hyperplane P(alpha'(s)^perp); the transported
+frame spans it, which ``verify`` checks as ``transport_orth_velocity`` and
+``transport_orth_j_velocity``.
 """
 
 from .config import RunConfig
@@ -33,15 +36,7 @@ from .examples import (
     example_spec,
     gamma_seed,
 )
-from .isometries import (
-    IndefiniteUnitaryMatrix,
-    LeafKind,
-    TotallyGeodesicLeaf,
-    complex_hyperplane_leaf,
-    frame_to_isometry,
-    totally_real_surface,
-    totally_real_threefold,
-)
+from .isometries import IndefiniteUnitaryMatrix, frame_to_isometry
 from .linalg import (
     CausalCharacter,
     Signature,

@@ -1,7 +1,8 @@
 """Command line front end: verify families, classify curves, export points.
 
 Exit codes: 0 pass, 1 verification failure, 2 usage or parse error (a bad
-``--signature`` or a non-finite configuration value included), 3
+``--signature``, ``--seed-r`` with a family other than 1, and a configuration
+value that is non-finite or of the wrong type included), 3
 precondition violation (lightlike data, a seed outside its family's domain,
 a curve grid without a finite positive step, a finite range or 3 samples),
 4 I/O failure.
@@ -55,7 +56,6 @@ from .errors import (
     FrameError,
     GeometryError,
     LiftError,
-    PlaneError,
     SamplingError,
     SpeedError,
 )
@@ -90,11 +90,12 @@ EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 EXIT_IO = 4
 
+SEED_R_USAGE = "error: --seed-r applies to family 1 only"
+
 _PRECONDITION_ERRORS = (
     CausalCharacterError,
     SpeedError,
     FrameError,
-    PlaneError,
     DomainError,
     LiftError,
     SamplingError,
@@ -196,6 +197,9 @@ def cmd_verify(args) -> int:
         targets = [int(args.target)]
     else:
         print(f"error: unknown verify target {args.target!r}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.seed_r is not None and 1 not in targets:
+        print(SEED_R_USAGE, file=sys.stderr)
         return EXIT_USAGE
 
     sig = None
@@ -407,9 +411,12 @@ def cmd_sample(args) -> int:
         print(f"error: unknown example id {args.example_id!r}", file=sys.stderr)
         return EXIT_USAGE
     ex = int(args.example_id)
+    if ex != 1 and args.seed_r is not None:
+        print(SEED_R_USAGE, file=sys.stderr)
+        return EXIT_USAGE
     try:
         seed = None
-        if ex == 1 and args.seed_r is not None:
+        if args.seed_r is not None:
             seed = gamma_seed(example_spec(1).sig, args.seed_r)
         spec = example_spec(ex, seed_z=seed)
         par = transport_basis(example_integral_curve(spec).curve)

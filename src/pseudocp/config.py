@@ -13,6 +13,9 @@ from dataclasses import dataclass, fields
 
 CONFIG_ENV = "PSEUDOCP_CONFIG"
 
+#: the value types each field annotation accepts; a float field takes an integer too
+_VALUE_TYPES = {"float": (int, float), "int": (int,), "str": (str,), "str | None": (str, type(None))}
+
 
 @dataclass
 class RunConfig:
@@ -25,6 +28,10 @@ class RunConfig:
     fmt: str = "json"
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _VALUE_TYPES[f.type]):
+                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
         for name in ("verify_tol", "leaf_radius"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -42,6 +49,8 @@ class RunConfig:
         if path:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
+            if not isinstance(raw, dict):
+                raise ValueError(f"{CONFIG_ENV} must hold a JSON object, got {type(raw).__name__}")
             known = {f.name for f in fields(cls)}
             values.update({k: v for k, v in raw.items() if k in known})
         if overrides:

@@ -33,14 +33,6 @@ class FrameError(GeometryError):
     """Orthonormal frame construction or validation failed."""
 
 
-class PlaneError(GeometryError):
-    """Input plane is degenerate, not totally real, or not representable."""
-
-
-class PlaneIndexError(PlaneError):
-    """Totally real 3-plane has index outside {1, 2}."""
-
-
 class SamplingError(GeometryError):
     """Sampled curve has too few samples for the requested stencil."""
 

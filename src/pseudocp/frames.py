@@ -9,9 +9,9 @@ pivots cannot destabilize the normalization.
 Completion is stacked: ``complete_unitary_frames`` runs the pivoted
 Gram-Schmidt of many rows (the same fixed slots, different columns) as array
 operations, with per-row pivots and slot counters, and reruns only the rows
-that need a restart. ``complete_unitary_frame`` is its one-row case. A row's
-frame does not depend on the other rows of the stack, and the perturbation of
-each restart is the one a one-row call draws, so stacking changes no result.
+that need a restart. A row's frame does not depend on the other rows of the
+stack, and the perturbation of each restart is the one a one-row call
+draws, so stacking changes no result.
 
 The real-metric Gram-Schmidt is stacked the same way:
 ``orthonormalize_real_rows`` runs the pivoted process over the candidate
@@ -203,12 +203,6 @@ def complete_unitary_frames(sig: Signature, fixed: dict[int, np.ndarray]) -> np.
     mats = complete_leading_frames(sig, fixed, found)
     found.raise_first()
     return mats
-
-
-def complete_unitary_frame(sig: Signature, fixed: dict[int, np.ndarray]) -> np.ndarray:
-    """One frame: the one-row case of ``complete_unitary_frames``."""
-    rows = {slot: as_ambient(sig, v)[None] for slot, v in fixed.items()}
-    return complete_unitary_frames(sig, rows)[0]
 
 
 def orthonormalize_real_rows(

@@ -412,10 +412,44 @@ class TestConfig:
         assert "must be finite" in capsys.readouterr().err
 
     def test_invalid_config_rejected(self, tmp_path, monkeypatch, capsys):
+        """A config value out of range or of the wrong type, or a document
+        that is not a JSON object, is a usage error: exit 2, nothing run.
+        The grid cases pass no --grid, which would override them."""
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"grid_s": 1}))
         monkeypatch.setenv("PSEUDOCP_CONFIG", str(cfg))
-        assert run_cli("sample", "1") == 2
+        verify = ("verify", "1", "--grid", "2x2x2")
+        cases = [
+            ({"grid_s": 1}, ("sample", "1"), "grid_s must be at least 2"),
+            ({"verify_tol": "x"}, verify, "verify_tol must be of type float"),
+            ({"out_path": 5}, verify, "out_path must be of type str | None"),
+            ([1, 2], verify, "must hold a JSON object"),
+            ({"grid_s": "5"}, ("sample", "1"), "grid_s must be of type int"),
+            ({"grid_s": 2.5}, ("sample", "1"), "grid_s must be of type int"),
+            ({"grid_t": 1e9}, ("sample", "1"), "grid_t must be of type int"),
+        ]
+        for doc, argv, reason in cases:
+            cfg.write_text(json.dumps(doc))
+            assert run_cli(*argv) == 2, doc
+            captured = capsys.readouterr()
+            assert reason in captured.err
+            assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["verify", "sample"])
+    @pytest.mark.parametrize("family", ["2", "3", "4"])
+    def test_seed_parameter_of_another_family_is_a_usage_error(self, capsys, command, family):
+        """--seed-r sets family 1's seed; with another family it is a usage
+        error, not silently ignored."""
+        assert run_cli(command, family, "--seed-r", "0.3", "--grid", "2x2x2") == 2
+        captured = capsys.readouterr()
+        assert "--seed-r applies to family 1 only" in captured.err
+        assert captured.out == ""
+
+    def test_seed_parameter_reaches_family_one_of_verify_all(self, tmp_path):
+        """``verify all --seed-r`` seeds family 1 and leaves the others."""
+        out = tmp_path / "report.json"
+        assert run_cli("verify", "all", "--seed-r", "0.7853981634", "--grid", "2x2x2", "--out", str(out)) == 0
+        doc = json.loads(out.read_text())
+        assert doc["classifications"] == {"1": "case_c", "2": "case_b", "3": "case_b", "4": "case_b"}
 
     @pytest.mark.parametrize("key", ["verify_tol", "leaf_radius"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])

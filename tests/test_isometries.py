@@ -1,63 +1,19 @@
-"""Unitary frame construction and the totally geodesic leaf catalogue."""
+"""Unitary frame construction: frame-built isometries."""
 
 import numpy as np
 import pytest
 
-from pseudocp.errors import CausalCharacterError, PlaneError, PlaneIndexError
-from pseudocp.isometries import (
-    LeafKind,
-    complex_hyperplane_leaf,
-    frame_to_isometry,
-    totally_real_surface,
-    totally_real_threefold,
-)
-from pseudocp.linalg import (
-    CausalCharacter,
-    Signature,
-    jmul,
-    metric_signs,
-    real_metric,
-)
-from pseudocp.projective import (
-    canonicalize,
-    exp_map,
-    random_horizontal,
-    random_horizontal_unit,
-    random_sphere_point,
-    tangent_from_lift,
-)
+from pseudocp.errors import CausalCharacterError
+from pseudocp.isometries import frame_to_isometry
+from pseudocp.linalg import CausalCharacter, Signature, metric_signs, real_metric
+from pseudocp.projective import random_horizontal, random_horizontal_unit, random_sphere_point
 
 SIG = Signature(3, 1)
-SIG32 = Signature(3, 2)
 
 
 def _form_defect(sig, m):
     eye = np.diag(metric_signs(sig.p, sig.ambient_dim))
     return float(np.max(np.abs(m.conj().T @ eye @ m - eye)))
-
-
-def _standard(k, dim=4):
-    v = np.zeros(dim, dtype=complex)
-    v[k] = 1.0
-    return v
-
-
-def _orthogonal_pair(
-    sig,
-    q,
-    rng,
-    first_character=CausalCharacter.SPACELIKE,
-    second_sign=1.0,
-):
-    """Two orthonormal horizontal vectors spanning a totally real plane."""
-    u = random_horizontal_unit(sig, q, rng, first_character)
-    while True:
-        w = random_horizontal(sig, q, rng)
-        for b in (u, jmul(u)):
-            w = w - np.sign(real_metric(sig, b, b)) * real_metric(sig, w, b) * b
-        gw = real_metric(sig, w, w)
-        if second_sign * gw > 0.05 * np.sum(np.abs(w) ** 2):
-            return u, w / np.sqrt(abs(gw))
 
 
 class TestFrameToIsometry:
@@ -109,241 +65,3 @@ class TestFrameToIsometry:
         assert abs(real_metric(SIG, null, null)) < 1e-9
         with pytest.raises(CausalCharacterError):
             frame_to_isometry(SIG, q, null)
-
-    def test_inverse_and_compose(self, rng):
-        q = random_sphere_point(SIG, rng)
-        iso = frame_to_isometry(SIG, q, random_horizontal_unit(SIG, q, rng))
-        ident = iso.compose(iso.inverse()).entries
-        assert np.allclose(ident, np.eye(4), atol=1e-12)
-
-
-class TestComplexHyperplaneLeaf:
-    def test_standard_position_spacelike(self, rng):
-        """Base point at the marked slot with the last-slot direction gives
-        the slice omitting the last coordinate."""
-        x = canonicalize(SIG, _standard(SIG.n - 1))
-        eta = tangent_from_lift(SIG, x.rep, _standard(SIG.n))
-        leaf = complex_hyperplane_leaf(x, eta)
-        assert leaf.t == SIG.p
-        for _ in range(5):
-            z = rng.standard_normal(SIG.n) + 1j * rng.standard_normal(SIG.n)
-            g = real_metric(Signature(SIG.n, SIG.p), np.append(z, 0.0), np.append(z, 0.0))
-            if g <= 0.1:
-                continue
-            member = canonicalize(SIG, np.append(z / np.sqrt(g), 0.0))
-            assert leaf.membership_residual(member) < 1e-10
-
-    def test_standard_position_timelike(self, rng):
-        x = canonicalize(SIG, _standard(SIG.n - 1))
-        eta = tangent_from_lift(SIG, x.rep, _standard(0))
-        leaf = complex_hyperplane_leaf(x, eta)
-        assert leaf.t == SIG.p - 1
-        for _ in range(5):
-            z = rng.standard_normal(SIG.n) + 1j * rng.standard_normal(SIG.n)
-            w = np.concatenate([[0.0], z])
-            g = real_metric(SIG, w, w)
-            if g <= 0.1:
-                continue
-            assert leaf.membership_residual(canonicalize(SIG, w / np.sqrt(g))) < 1e-10
-
-    def test_spacelike_normal_gives_full_index(self, rng):
-        x = canonicalize(SIG, random_sphere_point(SIG, rng))
-        eta = tangent_from_lift(SIG, x.rep, random_horizontal_unit(SIG, x.rep, rng))
-        leaf = complex_hyperplane_leaf(x, eta)
-        assert leaf.kind is LeafKind.COMPLEX_HYPERPLANE
-        assert leaf.t == SIG.p
-
-    def test_timelike_normal_drops_index(self, rng):
-        x = canonicalize(SIG, random_sphere_point(SIG, rng))
-        eta = tangent_from_lift(
-            SIG, x.rep, random_horizontal_unit(SIG, x.rep, rng, CausalCharacter.TIMELIKE)
-        )
-        leaf = complex_hyperplane_leaf(x, eta)
-        assert leaf.t == SIG.p - 1
-
-    def test_sampled_points_orthogonal_to_normal_plane(self, rng):
-        """Leaf tangents at x stay orthogonal to the marked direction."""
-        x = canonicalize(SIG, random_sphere_point(SIG, rng))
-        ev = random_horizontal_unit(SIG, x.rep, rng)
-        leaf = complex_hyperplane_leaf(x, tangent_from_lift(SIG, x.rep, ev))
-        for _ in range(50):
-            m0, mv = leaf.random_model_state(rng)
-            w0 = leaf.embed_model(m0)
-            tv = leaf.embed_model(mv)
-            # the normal plane along the leaf is the isometry image of the
-            # marked column; compare against the transported direction
-            iso_eta = leaf.isometry.entries[:, SIG.n] if leaf.t == SIG.p else leaf.isometry.entries[:, 0]
-            assert abs(real_metric(SIG, tv, iso_eta)) < 1e-10
-            assert abs(real_metric(SIG, tv, jmul(iso_eta))) < 1e-10
-            assert abs(real_metric(SIG, w0, iso_eta)) < 1e-10
-
-    def test_membership_residual(self, rng):
-        x = canonicalize(SIG, random_sphere_point(SIG, rng))
-        leaf = complex_hyperplane_leaf(
-            x, tangent_from_lift(SIG, x.rep, random_horizontal_unit(SIG, x.rep, rng))
-        )
-        for pt in leaf.sample_points(10, rng):
-            assert leaf.membership_residual(pt) < 1e-9
-        off = canonicalize(SIG, random_sphere_point(SIG, rng))
-        assert leaf.membership_residual(off) > 1e-3
-
-
-class TestTotallyGeodesicSampling:
-    """Leaf-model geodesics must agree with ambient geodesics."""
-
-    def _check(self, leaf, rng, samples=5):
-        sig = leaf.sig
-        for _ in range(samples):
-            m0, mv = leaf.random_model_state(rng)
-            w0 = leaf.embed_model(m0)
-            tv = leaf.embed_model(mv)
-            x0 = canonicalize(sig, w0)
-            tan = tangent_from_lift(sig, w0, tv)
-            for t in (-1.0, 0.4, 1.0):
-                ours = canonicalize(sig, leaf.model_geodesic(m0, mv, t))
-                ambient = exp_map(x0, tan, t)
-                assert ours.gap(ambient) < 1e-8
-
-    def test_hyperplane(self, rng):
-        x = canonicalize(SIG, random_sphere_point(SIG, rng))
-        leaf = complex_hyperplane_leaf(
-            x, tangent_from_lift(SIG, x.rep, random_horizontal_unit(SIG, x.rep, rng))
-        )
-        self._check(leaf, rng)
-
-    def test_surfaces_and_threefolds(self, rng):
-        x = canonicalize(SIG, random_sphere_point(SIG, rng))
-        u, w = _orthogonal_pair(SIG, x.rep, rng)
-        surface = totally_real_surface(
-            x, [tangent_from_lift(SIG, x.rep, u), tangent_from_lift(SIG, x.rep, w)]
-        )
-        self._check(surface, rng)
-
-
-class TestTotallyRealSurface:
-    def test_positive_pair_is_round_model(self, rng):
-        x = canonicalize(SIG, random_sphere_point(SIG, rng))
-        u, w = _orthogonal_pair(SIG, x.rep, rng)
-        assert real_metric(SIG, u, u) > 0 and real_metric(SIG, w, w) > 0
-        leaf = totally_real_surface(
-            x, [tangent_from_lift(SIG, x.rep, u), tangent_from_lift(SIG, x.rep, w)]
-        )
-        assert leaf.kind is LeafKind.RP2
-        for pt in leaf.sample_points(5, rng):
-            assert leaf.membership_residual(pt) < 1e-9
-
-    def test_mixed_pair_is_de_sitter_model(self, rng):
-        x = canonicalize(SIG, random_sphere_point(SIG, rng))
-        u, w = _orthogonal_pair(SIG, x.rep, rng, CausalCharacter.TIMELIKE, second_sign=1.0)
-        leaf = totally_real_surface(
-            x, [tangent_from_lift(SIG, x.rep, u), tangent_from_lift(SIG, x.rep, w)]
-        )
-        assert leaf.kind is LeafKind.S2_1
-
-    def test_negative_pair_needs_higher_index(self, rng):
-        """A negative definite totally real plane exists once p >= 2."""
-        x = canonicalize(SIG32, random_sphere_point(SIG32, rng))
-        u = random_horizontal_unit(SIG32, x.rep, rng, CausalCharacter.TIMELIKE)
-        while True:
-            w = random_horizontal(SIG32, x.rep, rng)
-            for b in (u, jmul(u)):
-                w = w - np.sign(real_metric(SIG32, b, b)) * real_metric(SIG32, w, b) * b
-            gw = real_metric(SIG32, w, w)
-            if gw < -0.05 * np.sum(np.abs(w) ** 2):
-                w = w / np.sqrt(-gw)
-                break
-        leaf = totally_real_surface(
-            x, [tangent_from_lift(SIG32, x.rep, u), tangent_from_lift(SIG32, x.rep, w)]
-        )
-        assert leaf.kind is LeafKind.H2_2
-        for pt in leaf.sample_points(5, rng):
-            assert leaf.membership_residual(pt) < 1e-9
-
-    def test_non_totally_real_plane_rejected(self, rng):
-        x = canonicalize(SIG, random_sphere_point(SIG, rng))
-        u = random_horizontal_unit(SIG, x.rep, rng)
-        with pytest.raises(PlaneError):
-            totally_real_surface(
-                x,
-                [
-                    tangent_from_lift(SIG, x.rep, u),
-                    tangent_from_lift(SIG, x.rep, jmul(u)),
-                ],
-            )
-
-
-class TestTotallyRealThreefold:
-    def _triple(self, sig, x, rng, timelike_count):
-        vecs = []
-        characters = [CausalCharacter.TIMELIKE] * timelike_count + [
-            CausalCharacter.SPACELIKE
-        ] * (3 - timelike_count)
-        for character in characters:
-            while True:
-                w = random_horizontal(sig, x.rep, rng)
-                for b in vecs:
-                    for bb in (b, jmul(b)):
-                        w = w - np.sign(real_metric(sig, bb, bb)) * real_metric(
-                            sig, w, bb
-                        ) * bb
-                gw = real_metric(sig, w, w)
-                want = -1 if character is CausalCharacter.TIMELIKE else 1
-                if want * gw > 0.03 * np.sum(np.abs(w) ** 2):
-                    vecs.append(w / np.sqrt(abs(gw)))
-                    break
-        return [tangent_from_lift(sig, x.rep, v) for v in vecs]
-
-    def test_index_one_de_sitter_model(self, rng):
-        x = canonicalize(SIG, random_sphere_point(SIG, rng))
-        leaf = totally_real_threefold(x, self._triple(SIG, x, rng, 1))
-        assert leaf.kind is LeafKind.B3_1
-        for pt in leaf.sample_points(5, rng):
-            assert leaf.membership_residual(pt) < 1e-9
-
-    def test_index_two_quadric_model(self, rng):
-        x = canonicalize(SIG32, random_sphere_point(SIG32, rng))
-        leaf = totally_real_threefold(x, self._triple(SIG32, x, rng, 2))
-        assert leaf.kind is LeafKind.B3_2
-        for pt in leaf.sample_points(5, rng):
-            assert leaf.membership_residual(pt) < 1e-9
-
-    def test_definite_plane_rejected(self, rng):
-        # a spacelike totally real 3-plane needs three spacelike complex
-        # lines, so use a wider signature to build the bad input
-        sig = Signature(4, 1)
-        x = canonicalize(sig, random_sphere_point(sig, rng))
-        with pytest.raises(PlaneIndexError):
-            totally_real_threefold(x, self._triple(sig, x, rng, 0))
-
-
-class TestTransitivity:
-    def test_same_kind_leaves_are_linked(self, rng):
-        """Composing two frame isometries carries one leaf onto the other."""
-        x1 = canonicalize(SIG, random_sphere_point(SIG, rng))
-        x2 = canonicalize(SIG, random_sphere_point(SIG, rng))
-        leaf1 = complex_hyperplane_leaf(
-            x1, tangent_from_lift(SIG, x1.rep, random_horizontal_unit(SIG, x1.rep, rng))
-        )
-        leaf2 = complex_hyperplane_leaf(
-            x2, tangent_from_lift(SIG, x2.rep, random_horizontal_unit(SIG, x2.rep, rng))
-        )
-        link = leaf2.isometry.compose(leaf1.isometry.inverse())
-        for pt in leaf1.sample_points(20, rng):
-            assert leaf2.membership_residual(link.project_point(pt)) < 1e-8
-
-    def test_fd_tangent_basis_orthogonal_to_normals(self, rng):
-        """Finite-difference tangents at the base stay inside the leaf plane."""
-        x = canonicalize(SIG, random_sphere_point(SIG, rng))
-        ev = random_horizontal_unit(SIG, x.rep, rng)
-        leaf = complex_hyperplane_leaf(x, tangent_from_lift(SIG, x.rep, ev))
-        h = 1e-5
-        for _ in range(6):
-            m0, mv = leaf.random_model_state(rng)
-            # pull the state to the base point's preimage to differentiate at x
-            fd = (leaf.model_geodesic(m0, mv, h) - leaf.model_geodesic(m0, mv, -h)) / (
-                2 * h
-            )
-            w0 = leaf.embed_model(m0)
-            base_eta = leaf.isometry.entries[:, SIG.n]
-            assert abs(real_metric(SIG, fd, base_eta)) < 1e-7
-            assert abs(real_metric(SIG, fd, jmul(base_eta))) < 1e-7

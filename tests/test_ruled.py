@@ -6,17 +6,16 @@ import pytest
 from pseudocp.curves import covariant_derivative, sampled_curve_from_fn
 from pseudocp.errors import ChartError, ClassificationError
 from pseudocp.examples import (
+    EXAMPLE_IDS,
     example_integral_curve,
     example_spec,
     gamma_seed,
 )
-from pseudocp.isometries import complex_hyperplane_leaf
-from pseudocp.linalg import Signature, gdot_rows, real_metric
+from pseudocp.linalg import Signature, gdot_rows, hermitian_product, real_metric
 from pseudocp.projective import (
     canonicalize,
     log_in_leaf,
     sphere_geodesic,
-    tangent_from_lift,
 )
 from pseudocp.ruled import (
     GeodesicSpherePatch,
@@ -102,20 +101,22 @@ class TestEvaluation:
             want = canonicalize(SIG, par.base.lift_fn(s))
             assert got.gap(want) < 1e-12
 
-    def test_points_lie_in_the_anchored_leaf(self, family1_par):
-        """At the anchor, evaluation fills the hyperplane leaf there."""
-        par = family1_par
-        q0 = par.base.lift_fn(0.0)
-        vel = par.velocity[int(np.argmin(np.abs(par.base.params)))]
-        x0 = canonicalize(SIG, q0)
-        eta = tangent_from_lift(SIG, q0, vel)
-        leaf = complex_hyperplane_leaf(x0, eta)
+    def test_points_lie_in_the_anchored_leaf(self):
+        """The leaf through alpha(s) is the complex hyperplane
+        P(alpha'(s)^perp): every point evaluated there is g_C-orthogonal to
+        the base velocity, for each default family along its whole curve."""
         rng = np.random.default_rng(3)
-        for _ in range(5):
-            c = rng.standard_normal(par.leaf_dim)
-            c *= 0.3 / np.linalg.norm(c)
-            pt = rhs_evaluate(par, 0.0, c)
-            assert leaf.membership_residual(pt) < 1e-9
+        for ex in EXAMPLE_IDS:
+            par = transport_basis(example_integral_curve(example_spec(ex)).curve)
+            for i in np.linspace(0, len(par.base.params) - 1, 7).astype(int):
+                s = float(par.base.params[i])
+                vel = par.velocity[i]
+                vel = vel / np.sqrt(abs(real_metric(par.sig, vel, vel)))
+                for _ in range(5):
+                    c = rng.standard_normal(par.leaf_dim)
+                    c *= 0.3 / np.linalg.norm(c)
+                    z = rhs_evaluate(par, s, c).rep
+                    assert abs(hermitian_product(par.sig, z, vel)) <= 1e-9
 
     def test_family_one_slice_membership(self, family1_par, family1_data):
         """Off-anchor points stay on the closed-form hypersurface."""

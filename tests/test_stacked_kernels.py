@@ -18,8 +18,8 @@ from pseudocp import ruled, verification
 from pseudocp.errors import FrameError
 from pseudocp.examples import EXAMPLE_IDS, example_integral_curve, example_spec, ruling_isometry
 from pseudocp.frames import PIVOT_TOL, orthonormalize_real_metric
-from pseudocp.linalg import CausalCharacter, real_metric
-from pseudocp.projective import horizontal_coefficients, horizontal_signs, random_sphere_point
+from pseudocp.linalg import real_metric
+from pseudocp.projective import horizontal_signs
 from pseudocp.ruled import (
     RHSPatch,
     TransformedPatch,
@@ -28,7 +28,6 @@ from pseudocp.ruled import (
     hypersurface_frame,
     hypersurface_frames,
     leaf_coordinate_grid,
-    structure_field_identity,
     transport_basis,
     weingarten_apply,
 )

@@ -25,7 +25,7 @@ from pseudocp.errors import (
     SpherePointError,
 )
 from pseudocp.examples import example_integral_curve, example_spec, gamma_seed
-from pseudocp.frames import PIVOT_TOL, complete_unitary_frame, complete_unitary_frames
+from pseudocp.frames import PIVOT_TOL, complete_unitary_frames
 from pseudocp.isometries import IndefiniteUnitaryMatrix, frame_to_isometries, frame_to_isometry
 from pseudocp.linalg import (
     CausalCharacter,
@@ -293,7 +293,7 @@ def test_one_fixed_column_matches_scalar(sig):
     got = complete_unitary_frames(sig, {sig.n - 1: q})
     for k in range(len(q)):
         assert np.array_equal(got[k], _ref_complete(sig, {sig.n - 1: q[k]}))
-        assert np.array_equal(got[k], complete_unitary_frame(sig, {sig.n - 1: q[k]}))
+        assert np.array_equal(got[k], complete_unitary_frames(sig, {sig.n - 1: q[k : k + 1]})[0])
 
 
 @pytest.mark.parametrize("sig", ACCEPTANCE_SIGNATURES, ids=str)
