@@ -44,8 +44,6 @@ from .linalg import (
     hermitian_product,
     jmul,
     real_metric,
-    sphere_gauss_split,
-    sphere_tangent_project,
 )
 from .projective import (
     ProjectivePoint,
@@ -53,7 +51,6 @@ from .projective import (
     canonicalize,
     curvature_tensor,
     exp_map,
-    horizontal_project,
     log_in_leaf,
     sphere_geodesic,
 )

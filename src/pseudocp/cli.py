@@ -1,11 +1,13 @@
 """Command line front end: verify families, classify curves, export points.
 
 Exit codes: 0 pass, 1 verification failure, 2 usage or parse error (a bad
-``--signature``, ``--seed-r`` with a family other than 1, and a configuration
-value that is non-finite or of the wrong type included), 3
-precondition violation (lightlike data, a seed outside its family's domain,
-a curve grid without a finite positive step, a finite range or 3 samples),
-4 I/O failure.
+``--signature``, ``--seed-r`` with a family other than 1, a configuration
+value that is non-finite or of the wrong type, and a curve-file ``n``, ``p``
+or ``example`` that is no JSON integer included), 3 precondition violation
+(lightlike data, a seed or ``t0`` outside its family's domain, a circle
+curvature that is not positive or has no finite square, a curve grid
+without a finite positive step, a finite range, 3 samples or at most
+``curves.MAX_SAMPLES`` samples), 4 I/O failure.
 
 Curve files for ``classify`` are JSON objects::
 
@@ -276,8 +278,16 @@ def _complex_vector(raw, dim: int, rows: bool = False) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
+def _json_int(value, name: str) -> int:
+    """A field that must be a JSON integer: a number with a fraction or an
+    exponent, a string or a boolean raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _curve_from_file(doc: dict) -> SampledCurve:
-    sig = Signature(int(doc["signature"]["n"]), int(doc["signature"]["p"]))
+    sig = Signature(_json_int(doc["signature"]["n"], "n"), _json_int(doc["signature"]["p"], "p"))
     s_lo, s_hi = doc.get("s_range", (-0.5, 0.5))
     step = float(doc.get("step", 1e-3))
     kind = doc["kind"]
@@ -319,7 +329,7 @@ def _curve_from_file(doc: dict) -> SampledCurve:
         )
         return crv.sample(s_lo, s_hi, step)
     if family == "builtin_flow":
-        ex = int(data["example"])
+        ex = _json_int(data["example"], "example")
         seed = None
         if "seed_r" in data:
             seed = gamma_seed(sig, float(data["seed_r"]))

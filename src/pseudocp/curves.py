@@ -34,6 +34,8 @@ CURVE_TOL = 1e-6
 FRENET_TOL = 1e-5
 #: rows lost to less accurate one-sided stencils per differentiation stage
 EDGE_MARGIN = 4
+#: most samples of a curve grid (100x the default grid of 1001 samples)
+MAX_SAMPLES = 100_000
 
 
 class CurveClass(Enum):
@@ -93,17 +95,6 @@ def fd_derivative(fn: Callable[[float], np.ndarray], s: float, h: float = 1e-3):
     return (
         -fn(s + 2 * h) + 8.0 * fn(s + h) - 8.0 * fn(s - h) + fn(s - 2 * h)
     ) / (12.0 * h)
-
-
-def fd_second_derivative(fn: Callable[[float], np.ndarray], s: float, h: float = 1e-3):
-    """Five-point second derivative of a smooth vector-valued callable."""
-    return (
-        -fn(s + 2 * h)
-        + 16.0 * fn(s + h)
-        - 30.0 * fn(s)
-        + 16.0 * fn(s - h)
-        - fn(s - 2 * h)
-    ) / (12.0 * h * h)
 
 
 # ---------------------------------------------------------------------------
@@ -167,13 +158,6 @@ class SampledCurve:
         d = gdot_rows(self.sig.signs, deriv_rows(self.lifts, self.step), fiber)
         return float(np.max(np.abs(_interior(d, 1))))
 
-    def reversed(self) -> "SampledCurve":
-        fn = self.lift_fn
-        rev_fn = (lambda s, _f=fn: _f(-s)) if fn is not None else None
-        return SampledCurve(
-            self.sig, -self.params[::-1], self.lifts[::-1], self.step, rev_fn
-        )
-
 
 def _check_grid(count: int, step: float) -> None:
     """Raise SamplingError unless the step is finite and positive and the
@@ -186,12 +170,15 @@ def _check_grid(count: int, step: float) -> None:
 
 def sample_params(s_min: float, s_max: float, step: float) -> np.ndarray:
     """Uniform grid from s_min by step, its last sample nearest s_max;
-    SamplingError for a step or range that gives no grid of 3 samples."""
+    SamplingError for a step or range that gives no grid of 3 samples, or
+    a grid of more than ``MAX_SAMPLES``."""
     span = (s_max - s_min) / step if step > 0 else 0.0  # no division by 0
     if not np.isfinite(span):
         raise SamplingError(f"curve range must be finite, got [{s_min!r}, {s_max!r}]")
     count = int(round(span)) + 1
     _check_grid(count, step)
+    if count > MAX_SAMPLES:
+        raise SamplingError(f"curve grid of {count} samples exceeds {MAX_SAMPLES}")
     return s_min + step * np.arange(count)
 
 
@@ -375,9 +362,6 @@ class ClosedFormCurve:
     acc: Callable[[float], np.ndarray]
     label: str
 
-    def __call__(self, s: float) -> np.ndarray:
-        return self.point(s)
-
     def sample(self, s_min: float, s_max: float, step: float) -> SampledCurve:
         return sampled_curve_from_fn(self.sig, self.point, s_min, s_max, step)
 
@@ -454,8 +438,8 @@ def model_circle_curve(
     curvature one (use ``timelike`` for the complementary family); the
     negative definite model needs curvature above one and p >= 2.
     """
-    if not kappa1 > 0:  # NaN fails too
-        raise FrameError("circle curvature must be positive")
+    if not (kappa1 > 0 and np.isfinite(kappa1 * kappa1)):  # NaN fails too
+        raise FrameError(f"circle curvature must be positive with a finite square, got {kappa1!r}")
     n = sig.n
     if model == "rp2":
         if sig.p > n - 2:

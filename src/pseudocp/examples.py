@@ -186,29 +186,14 @@ def example_spec(example_id: int, sig: Optional[Signature] = None, seed_z=None) 
     return ExampleSpec(example_id, sig or _family(example_id).signature, seed_z)
 
 
-def seed_sphere_index(example_id: int, sig: Signature) -> int:
-    """Index (timelike slot count) of the seed sphere the family slices."""
-    return sig.p - _family(example_id).offset
-
-
 # ---------------------------------------------------------------------------
 # closed forms
 # ---------------------------------------------------------------------------
 
 
-def example_map(spec: ExampleSpec, t: float, z=None) -> np.ndarray:
+def example_map(spec: ExampleSpec, t: float) -> np.ndarray:
     """Closed-form sphere lift of the family at ruling parameter t."""
-    z = spec.seed_z if z is None else np.asarray(z, dtype=complex)
-    spec.ruling.validate(z)
-    return spec.ruling.slice_map(t, z)
-
-
-def example_leaf_tangent(spec: ExampleSpec, t: float, x) -> np.ndarray:
-    """Differential of the slice map in a seed-sphere tangent direction.
-
-    The slice map is linear in the seed point, so it is its own differential.
-    """
-    return spec.ruling.slice_map(t, np.asarray(x, dtype=complex))
+    return spec.ruling.slice_map(t, spec.seed_z)
 
 
 def ruling_isometry(spec: ExampleSpec, t: float) -> IndefiniteUnitaryMatrix:
@@ -234,7 +219,7 @@ class ExampleFields:
     epsilon: float
 
 
-def example_fields(spec: ExampleSpec, t: float, z=None) -> ExampleFields:
+def example_fields(spec: ExampleSpec, t: float) -> ExampleFields:
     """Structure field, unit normal (i times it) and its shape image.
 
     The structure field is the t-derivative of the slice, (sigma sin t,
@@ -243,10 +228,8 @@ def example_fields(spec: ExampleSpec, t: float, z=None) -> ExampleFields:
     moves both from slice 0, as it moves the hypersurface onto itself.
     """
     r = spec.ruling
-    z = spec.seed_z if z is None else np.asarray(z, dtype=complex)
-    r.validate(z)
     f, e = r.filled, r.empty
-    zw = z[r.omega]
+    zw = spec.seed_z[r.omega]
     u = abs(zw) ** 2
     c, s = r.cos(t), r.sin(t)
     out = np.zeros(r.n + 1, dtype=complex)
@@ -272,7 +255,6 @@ class IntegralCurveData:
     kind: Optional[str]
     kappa1: Optional[float]
     eps2: Optional[float]
-    frenet_f2: Optional[Callable[[float], np.ndarray]] = field(repr=False, default=None)
 
 
 def _predict(ff: float, eps1: float):
@@ -294,12 +276,12 @@ def _predict(ff: float, eps1: float):
 def example_integral_curve(
     spec: ExampleSpec,
     t: Optional[float] = None,
-    z=None,
     step: float = 1e-3,
     s_range: Optional[tuple] = None,
 ) -> IntegralCurveData:
-    """Integral curve of the structure field through (t, z), with closed forms,
-    sampled over ``s_range``; t defaults to ``T0``, s_range to ``S_RANGE``.
+    """Integral curve of the structure field through the seed at ruling
+    parameter t, with closed forms, sampled over ``s_range``; t defaults to
+    ``T0``, s_range to ``S_RANGE``. A non-finite t raises DomainError.
 
     The returned acceleration is the second covariant derivative of the flow
     on the sphere, eps1 times the point plus its second t-derivative over
@@ -309,8 +291,9 @@ def example_integral_curve(
     """
     r = spec.ruling
     t0 = T0 if t is None else t
-    z = spec.seed_z if z is None else np.asarray(z, dtype=complex)
-    r.validate(z)
+    if not np.isfinite(t0):
+        raise DomainError(f"ruling parameter t0 must be finite, got {t0!r}")
+    z = spec.seed_z
     s_lo, s_hi = S_RANGE if s_range is None else s_range
     zw = z[r.omega]
     mod = abs(zw)
@@ -342,12 +325,6 @@ def example_integral_curve(
         else:
             kind = "b3_1" if eps1 > 0 else "b3_2"
 
-    f2_fn = None
-    if kappa1 is not None:
-
-        def f2_fn(s: float, _e2=eps2, _k=kappa1) -> np.ndarray:
-            return _e2 * accel(s) / _k
-
     return IntegralCurveData(
         curve=curve,
         accel=accel,
@@ -357,7 +334,6 @@ def example_integral_curve(
         kind=kind,
         kappa1=kappa1,
         eps2=eps2,
-        frenet_f2=f2_fn,
     )
 
 

@@ -18,6 +18,13 @@ The real-metric Gram-Schmidt is stacked the same way:
 vectors of many rows at once (the adapted tangent bases of a stack of
 hypersurface points), and ``orthonormalize_real_metric`` is its one-row
 case.
+
+Stacked checks follow one error policy, here as in ``isometries`` and
+``ruled.hypersurface_frames``: the checks run in the order a one-row call
+runs them, and the first check that fails on any row raises, with the
+values of its lowest failing row. A one-row call raises what it always
+raised; a stack with several bad rows raises the error of the earliest
+check that any of them fails.
 """
 
 from __future__ import annotations
@@ -32,58 +39,26 @@ PIVOT_TOL = 1e-10
 _MAX_RESTARTS = 8
 
 
-class FirstFailure:
-    """The first row of a stack that fails a check, and its error.
-
-    Callers run the checks in the order a one-row call runs them. Each check
-    only looks at the rows before the first failure so far (``rows``), so
-    the error kept is the one a row-by-row loop would raise first.
-    """
-
-    def __init__(self, count: int):
-        self.rows = count
-        self.error = None
-
-    def check(self, bad, make_error) -> None:
-        """Record the first row flagged by ``bad`` (one flag, or one per
-        row); ``make_error(i)`` builds the error of row i."""
-        bad = np.asarray(bad, dtype=bool)
-        bad = np.full(self.rows, bool(bad)) if bad.ndim == 0 else bad[: self.rows]
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            self.fail(i, make_error(i))
-
-    def fail(self, row: int, error: Exception) -> None:
-        if row < self.rows:
-            self.rows, self.error = row, error
-
-    def raise_first(self) -> None:
-        if self.error is not None:
-            raise self.error
-
-
-def _validate_fixed(sig: Signature, fixed: dict[int, np.ndarray], found: FirstFailure, tol: float = 1e-8):
+def _validate_fixed(sig: Signature, fixed: dict[int, np.ndarray], tol: float = 1e-8) -> None:
     """Check the fixed columns of every row, ``fixed`` mapping slot -> (N, d):
     per slot in sorted order its range, then its square norm; then every
-    pair for g_C-orthogonality."""
+    pair for g_C-orthogonality. The first failing check raises, with the
+    values of its lowest failing row."""
     items = sorted(fixed.items())
     for slot, vec in items:
-        found.check(not 0 <= slot < sig.ambient_dim, lambda i: FrameError(f"slot {slot} out of range"))
+        if not 0 <= slot < sig.ambient_dim:
+            raise FrameError(f"slot {slot} out of range")
         want = -1.0 if slot < sig.p else 1.0
-        g = _hermitian_rows(sig.signs, vec[: found.rows], vec[: found.rows])
-        found.check(
-            np.hypot(g.real - want, g.imag) > tol,
-            lambda i: FrameError(
-                f"fixed column for slot {slot} has g(v,v) = {complex(g[i]):.3e}, expected {want:+.0f}"
-            ),
-        )
+        g = _hermitian_rows(sig.signs, vec, vec)
+        bad = np.hypot(g.real - want, g.imag) > tol
+        if np.any(bad):
+            g0 = complex(g[int(np.argmax(bad))])
+            raise FrameError(f"fixed column for slot {slot} has g(v,v) = {g0:.3e}, expected {want:+.0f}")
     for i, (_, a) in enumerate(items):
         for _, b in items[i + 1 :]:
-            g = _hermitian_rows(sig.signs, a[: found.rows], b[: found.rows])
-            found.check(
-                np.hypot(g.real, g.imag) > tol,
-                lambda i: FrameError("fixed columns are not mutually g_C-orthogonal"),
-            )
+            g = _hermitian_rows(sig.signs, a, b)
+            if np.any(np.hypot(g.real, g.imag) > tol):
+                raise FrameError("fixed columns are not mutually g_C-orthogonal")
 
 
 def _hermitian_rows(signs: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -151,13 +126,18 @@ def _pivot_steps(sig: Signature, fixed: dict[int, np.ndarray], start: np.ndarray
     return mats, ok
 
 
-def complete_leading_frames(sig: Signature, fixed: dict[int, np.ndarray], found: FirstFailure) -> np.ndarray:
-    """``complete_unitary_frames`` without the raise: the frames of the rows
-    before the first failing row, which ``found`` (made for all N rows)
-    records with its error.
+def complete_unitary_frames(sig: Signature, fixed: dict[int, np.ndarray]) -> np.ndarray:
+    """Complete stacked fixed columns to full frames with determinant one.
 
-    For callers that run further checks per row and must raise the error of
-    the first failing row of them all.
+    ``fixed`` maps slot -> (N, d), the same slots for every row; the result
+    is (N, d, d). Free slots are filled from the standard basis by modified
+    Gram-Schmidt with pivoting on |g(c,c)|, run on all rows as stacked array
+    operations; a row whose pivot degenerates is rerun with perturbed
+    candidates, the same perturbation per attempt for every row. The column
+    of largest free index absorbs a unit phase so the determinant is
+    exactly one, which generalizes flipping the sign of one column. Invalid
+    fixed columns raise FrameError before any completion, and so does a row
+    that no restart completes.
     """
     dim = sig.ambient_dim
     fixed = {slot: np.asarray(v, dtype=complex) for slot, v in fixed.items()}
@@ -165,10 +145,9 @@ def complete_leading_frames(sig: Signature, fixed: dict[int, np.ndarray], found:
     for v in fixed.values():
         if v.shape != (count, dim):
             raise DimensionError(f"expected fixed columns of shape {(count, dim)}, got {v.shape}")
-    _validate_fixed(sig, fixed, found)
-    fixed = {slot: v[: found.rows] for slot, v in fixed.items()}
-    mats = np.empty((found.rows, dim, dim), dtype=complex)
-    todo = np.arange(found.rows)
+    _validate_fixed(sig, fixed)
+    mats = np.empty((count, dim, dim), dtype=complex)
+    todo = np.arange(count)
     start = np.eye(dim, dtype=complex)
     rng = np.random.default_rng(0)
     for attempt in range(_MAX_RESTARTS):
@@ -183,25 +162,7 @@ def complete_leading_frames(sig: Signature, fixed: dict[int, np.ndarray], found:
         mats[todo[ok]] = got[ok]
         todo = todo[~ok]
     if todo.size:
-        found.fail(int(todo[0]), FrameError("frame completion failed: degenerate complement"))
-    return mats[: found.rows]
-
-
-def complete_unitary_frames(sig: Signature, fixed: dict[int, np.ndarray]) -> np.ndarray:
-    """Complete stacked fixed columns to full frames with determinant one.
-
-    ``fixed`` maps slot -> (N, d), the same slots for every row; the result
-    is (N, d, d). Free slots are filled from the standard basis by modified
-    Gram-Schmidt with pivoting on |g(c,c)|, run on all rows as stacked array
-    operations; a row whose pivot degenerates is rerun with perturbed
-    candidates, the same perturbation per attempt for every row. The column
-    of largest free index absorbs a unit phase so the determinant is
-    exactly one, which generalizes flipping the sign of one column. The
-    first bad row in row order decides the FrameError raised.
-    """
-    found = FirstFailure(len(next(iter(fixed.values()))) if fixed else 1)
-    mats = complete_leading_frames(sig, fixed, found)
-    found.raise_first()
+        raise FrameError("frame completion failed: degenerate complement")
     return mats
 
 
@@ -222,49 +183,39 @@ def orthonormalize_real_rows(
     the others. A row with ``pinned`` set takes its row of ``pin`` (N, d),
     normalized, as its first vector instead, with no drop before it.
     Returns ``count`` unit vectors per row (N, count, d) with their signs
-    g(v,v) = +-1 (N, count). Raises FrameError when a row runs out of
-    candidates (linearly dependent input) or finds no non-null pivot
-    (degenerate span); the first such row decides the error.
+    g(v,v) = +-1 (N, count). Raises FrameError at the first step where a
+    row runs out of candidates (linearly dependent input) or, failing that,
+    finds no non-null pivot (degenerate span).
     """
     signs = sig.signs
     cand = np.array(pool, dtype=complex)
     rows, width, dim = cand.shape
     out = np.empty((rows, count, dim), dtype=complex)
     out_signs = np.empty((rows, count))
-    found = FirstFailure(rows)
-    live = np.arange(rows)  # rows with no failure so far
+    at = np.arange(rows)
     gone = np.zeros((rows, width), dtype=bool)  # candidates taken or dropped
     for step in range(count):
-        forced = pinned[live] if step == 0 and pinned is not None else np.zeros(len(live), dtype=bool)
+        forced = pinned if step == 0 and pinned is not None else np.zeros(rows, dtype=bool)
         free = ~forced
         e2 = np.sum(np.abs(cand) ** 2, axis=-1)
         gone |= free[:, None] & ~(e2 >= 1e-18)
         g = gdot_rows(signs, cand, cand)
         score = np.where(~gone & (np.abs(g) > PIVOT_TOL * e2), np.abs(g), 0.0)
         best = np.argmax(score, axis=1)  # lowest index on ties, like a strict > scan
-        at = np.arange(len(live))
-        empty = free & np.all(gone, axis=1)
-        no_pivot = free & ~empty & ~(score[at, best] > 0)
-        bad = np.flatnonzero(empty | no_pivot)
-        if bad.size:
-            i = bad[0]
-            message = "linearly dependent input vectors" if empty[i] else "degenerate span: lightlike pivot"
-            found.fail(int(live[i]), FrameError(message))
-        ok = ~(empty | no_pivot) & (live < found.rows)
-        if not np.all(ok):
-            live, cand, gone = live[ok], cand[ok], gone[ok]
-            forced, best, at = forced[ok], best[ok], np.arange(int(np.sum(ok)))
+        if np.any(free & np.all(gone, axis=1)):
+            raise FrameError("linearly dependent input vectors")
+        if np.any(free & ~(score[at, best] > 0)):
+            raise FrameError("degenerate span: lightlike pivot")
         u = cand[at, best]
         if np.any(forced):
-            u[forced] = pin[live[forced]]
+            u[forced] = pin[forced]
         gu = gdot_rows(signs, u, u)
         u = u / np.sqrt(np.abs(gu))[:, None]
         sgn = np.where(gu > 0, 1.0, -1.0)
-        out[live, step] = u
-        out_signs[live, step] = sgn
-        gone[at[~forced], best[~forced]] = True
+        out[:, step] = u
+        out_signs[:, step] = sgn
+        gone[at[free], best[free]] = True
         cand = cand - (sgn[:, None] * gdot_rows(signs, cand, u[:, None]))[..., None] * u[:, None]
-    found.raise_first()
     return out, out_signs
 
 

@@ -3,7 +3,9 @@
 Holomorphic isometries of the quotient come from indefinite unitary matrices
 acting on the pseudo-sphere. A unit sphere point together with a unit
 horizontal vector determines such a matrix by frame completion; it carries
-the standard base point and marked direction to them.
+the standard base point and marked direction to them. Stacked completions
+raise by the error policy of ``frames``: the checks run in the order of a
+one-row call, and the first that any row fails raises.
 """
 
 from __future__ import annotations
@@ -12,14 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CausalCharacterError, FrameError, SpherePointError
-from .frames import FirstFailure, complete_leading_frames
+from .errors import CausalCharacterError, FrameError
+from .frames import complete_unitary_frames
 from .linalg import (
     CausalCharacter,
     Signature,
     as_ambient,
     causal_characters,
-    check_sphere_point,
+    check_sphere_rows,
     gdot_rows,
     metric_signs,
 )
@@ -65,44 +67,23 @@ def frame_to_isometries(sig: Signature, q, eta_hat) -> list[IndefiniteUnitaryMat
 
     The sphere point lands in column n-1; a spacelike eta_hat lands in the
     last column and a timelike one in column 0, matching the causal type of
-    each column slot. Lightlike eta_hat is rejected. The rows of each causal
-    type are completed in one stacked call. Each row runs the checks of a
-    one-row call in its order, and the first row that fails decides the
-    error raised.
+    each column slot. Lightlike eta_hat is rejected. The checks run in the
+    order of a one-row call, each over every row, and the first that fails
+    raises (the error policy of ``frames``): the sphere, the causal type,
+    horizontality, then one stacked completion per causal type.
     """
-    q = np.asarray(q, dtype=complex)
+    q = check_sphere_rows(sig, np.asarray(q, dtype=complex), tol=1e-8)
     ev = np.asarray(eta_hat, dtype=complex)
-    found = FirstFailure(len(q))
-
-    def sphere_error(i):
-        try:
-            check_sphere_point(sig, q[i], tol=1e-8)
-        except SpherePointError as exc:
-            return exc
-
-    found.check(np.abs(gdot_rows(sig.signs, q, q) - 1.0) > 1e-8, sphere_error)
-    chars = causal_characters(sig, ev[: found.rows])
-    found.check(
-        [c in (CausalCharacter.LIGHTLIKE, CausalCharacter.ZERO) for c in chars],
-        lambda i: CausalCharacterError("marked direction must be spacelike or timelike"),
-    )
-    q, ev = q[: found.rows], ev[: found.rows]
+    chars = causal_characters(sig, ev)
+    if any(c in (CausalCharacter.LIGHTLIKE, CausalCharacter.ZERO) for c in chars):
+        raise CausalCharacterError("marked direction must be spacelike or timelike")
     ev = ev / np.sqrt(np.abs(gdot_rows(sig.signs, ev, ev)))[:, None]
     hp = np.sum(sig.signs * ev * np.conj(q), axis=-1)
-    found.check(
-        np.hypot(hp.real, hp.imag) > 1e-8,
-        lambda i: FrameError("marked direction is not horizontal at q"),
-    )
-    spacelike = np.array([c is CausalCharacter.SPACELIKE for c in chars[: found.rows]], dtype=bool)
-    mats = np.empty((found.rows, sig.ambient_dim, sig.ambient_dim), dtype=complex)
+    if np.any(np.hypot(hp.real, hp.imag) > 1e-8):
+        raise FrameError("marked direction is not horizontal at q")
+    spacelike = np.array([c is CausalCharacter.SPACELIKE for c in chars], dtype=bool)
+    mats = np.empty((len(q), sig.ambient_dim, sig.ambient_dim), dtype=complex)
     for rows, slot in ((np.flatnonzero(spacelike), sig.n), (np.flatnonzero(~spacelike), 0)):
-        if rows.size == 0:
-            continue
-        group = FirstFailure(len(rows))
-        done = complete_leading_frames(sig, {sig.n - 1: q[rows], slot: ev[rows]}, group)
-        mats[rows[: len(done)]] = done
-        if group.error is not None:
-            found.fail(int(rows[group.rows]), group.error)
-    out = [IndefiniteUnitaryMatrix(sig, m) for m in mats[: found.rows]]
-    found.raise_first()
-    return out
+        if rows.size:
+            mats[rows] = complete_unitary_frames(sig, {sig.n - 1: q[rows], slot: ev[rows]})
+    return [IndefiniteUnitaryMatrix(sig, m) for m in mats]

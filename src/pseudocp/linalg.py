@@ -1,4 +1,4 @@
-"""Indefinite complex linear algebra on C^{n+1}_p and pseudo-sphere calculus.
+"""Indefinite complex linear algebra on C^{n+1}_p and pseudo-sphere membership.
 
 Complex vectors are numpy arrays of dtype complex128, which stores each entry
 as an interleaved (re, im) pair. The ambient Hermitian product carries minus
@@ -52,10 +52,6 @@ class Signature:
     @property
     def ambient_dim(self) -> int:
         return self.n + 1
-
-    @property
-    def real_index(self) -> int:
-        return 2 * self.p
 
     @cached_property
     def signs(self) -> np.ndarray:
@@ -153,28 +149,3 @@ def check_sphere_rows(sig: Signature, q, tol: float = SPHERE_TOL) -> np.ndarray:
         r = float(residual[int(np.argmax(bad))])
         raise SpherePointError(f"|g(q,q) - 1| = {r:.3e} exceeds {tol:.1e}")
     return qv
-
-
-def sphere_tangent_project(sig: Signature, q, x, tol: float = SPHERE_TOL) -> np.ndarray:
-    """Project an ambient vector onto the tangent space of the sphere at q.
-
-    The position vector is a unit spacelike normal, so the projection is
-    x - g(x,q) q and the result satisfies g(result, q) = 0 up to round-off.
-    """
-    qv = check_sphere_point(sig, q, tol)
-    xv = as_ambient(sig, x)
-    return xv - real_metric(sig, xv, qv) * qv
-
-
-def sphere_gauss_split(sig: Signature, q, dxy, tol: float = SPHERE_TOL):
-    """Split an ambient derivative value into sphere-tangential part and
-    the coefficient on the position normal.
-
-    For tangent fields X, Y on the sphere the ambient derivative decomposes
-    as D_X Y = (tangential part) - g(X,Y) q, so for genuine tangent data the
-    returned coefficient equals -g(X,Y).
-    """
-    qv = check_sphere_point(sig, q, tol)
-    d = as_ambient(sig, dxy)
-    coeff = real_metric(sig, d, qv)
-    return d - coeff * qv, coeff

@@ -68,9 +68,6 @@ class ProjectiveTangent:
         vec.setflags(write=False)
         object.__setattr__(self, "vec", vec)
 
-    def scaled(self, factor: float) -> "ProjectiveTangent":
-        return ProjectiveTangent(self.at, factor * self.vec)
-
 
 def canonical_phase(z: np.ndarray):
     """Unit phase factor making the largest-modulus entry real positive.
@@ -120,12 +117,6 @@ def horizontal_rows(signs: np.ndarray, q: np.ndarray, x: np.ndarray) -> np.ndarr
     x = x - linalg.gdot_rows(signs, x, q)[..., None] * q
     iq = 1j * q
     return x - linalg.gdot_rows(signs, x, iq)[..., None] * iq
-
-
-def horizontal_project(sig: Signature, q, x) -> np.ndarray:
-    """Horizontal part of an ambient vector at the sphere point q: the
-    one-row case of ``horizontal_rows``."""
-    return horizontal_rows(sig.signs, as_ambient(sig, q), as_ambient(sig, x))
 
 
 def tangent_from_lift(sig: Signature, lift, vec) -> ProjectiveTangent:
@@ -253,7 +244,7 @@ def curvature_tensor_rows(sig: Signature, u: np.ndarray, v: np.ndarray, w: np.nd
 
 
 # ---------------------------------------------------------------------------
-# random sampling helpers (used by tests, verification suites and leaves)
+# random sampling helpers (used by tests and the verification suites)
 # ---------------------------------------------------------------------------
 
 

@@ -126,8 +126,8 @@ def _curve_states(curve: SampledCurve, lift: Callable):
     half-step grid of the curve: row 2i at sample i, row 2i+1 halfway to
     sample i+1 (the RK4 midpoints).
 
-    The derivatives are the five-point stencils of ``fd_derivative`` and
-    ``fd_second_derivative`` with step h = ``curve.step``. Their points
+    The derivatives are the five-point first and second derivative stencils
+    with step h = ``curve.step``. Their points
     s +- h and s +- 2h lie on the same half-step grid, so the lift is
     evaluated once at each of the 2m + 7 grid points.
     """
@@ -153,7 +153,6 @@ class RHSParametrization:
 
     base: SampledCurve
     eps1: float
-    leaf_index: int
     frame_signs: np.ndarray
     frame_samples: np.ndarray  # (m, k, d)
     frame_derivs: np.ndarray  # (m, k, d)
@@ -308,11 +307,9 @@ def transport_basis(curve: SampledCurve) -> RHSParametrization:
         dx[i0::-1],
     )
 
-    leaf_index = sig.p if eps1 > 0 else sig.p - 1
     return RHSParametrization(
         base=curve,
         eps1=eps1,
-        leaf_index=leaf_index,
         frame_signs=np.asarray(signs, dtype=float),
         frame_samples=frames,
         frame_derivs=derivs,
@@ -605,8 +602,9 @@ def hypersurface_frames(
     reference frame per row.
 
     A rank-deficient row raises ImmersionError, a singular pairing or a
-    lightlike normal DegenerateHypersurfaceError; with several bad rows the
-    first one decides.
+    lightlike normal DegenerateHypersurfaceError. The three checks run in
+    that order over every row, and the first that fails on any row raises
+    (the error policy of ``frames``).
     """
     sig = patch.sig
     signs = sig.signs
@@ -632,13 +630,11 @@ def hypersurface_frames(
     nu = vh[:, -1, :dim] + 1j * vh[:, -1, dim:]
     gn = gdot_rows(signs, nu, nu)
     lightlike = np.abs(gn) <= LIGHT_TOL * np.sum(np.abs(nu) ** 2, axis=-1)
-    bad = rank_deficient | singular | lightlike
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        if rank_deficient[i]:
-            raise ImmersionError("parametrization is rank deficient here")
-        if singular[i]:
-            raise DegenerateHypersurfaceError("metric pairing is singular here")
+    if np.any(rank_deficient):
+        raise ImmersionError("parametrization is rank deficient here")
+    if np.any(singular):
+        raise DegenerateHypersurfaceError("metric pairing is singular here")
+    if np.any(lightlike):
         raise DegenerateHypersurfaceError("normal is lightlike: degenerate point")
     nu = _fix_sign(nu / np.sqrt(np.abs(gn))[:, None])
     if ref is not None:
@@ -728,8 +724,8 @@ def adapted_bases(frames: AlmostContactFrame, first: np.ndarray, pinned: np.ndar
     The rows with ``pinned`` (N,) set pin their row of ``first`` (N, d), a
     leaf vector (the U of a rank-two shape operator), normalized, to the
     slot right after xi. One ``orthonormalize_real_rows`` call completes
-    every row, pinned or not; the first row that cannot be completed
-    raises its FrameError.
+    every row, pinned or not, and raises its FrameError at the first step
+    where some row cannot be completed.
     """
     signs = frames.sig.signs
     xi = frames.xi
@@ -738,15 +734,6 @@ def adapted_bases(frames: AlmostContactFrame, first: np.ndarray, pinned: np.ndar
     pool = t - (eps[:, None] * gdot_rows(signs, t, xi[:, None]))[..., None] * xi[:, None]
     vecs, vsigns = orthonormalize_real_rows(frames.sig, pool, t.shape[1] - 1, pin=first, pinned=pinned)
     return np.concatenate([xi[:, None], vecs], axis=1), np.concatenate([eps[:, None], vsigns], axis=1)
-
-
-def adapted_basis(frame: AlmostContactFrame, first: Optional[np.ndarray] = None):
-    """Adapted tangent basis at a one-point frame, optionally with the leaf
-    vector ``first`` pinned after xi: the one-row case of
-    ``adapted_bases``."""
-    pin = frame.xi if first is None else np.asarray(first, dtype=complex)
-    bases, signs = adapted_bases(_one_row_stack(frame), pin[None], np.array([first is not None]))
-    return bases[0], signs[0]
 
 
 def shape_operators(patch, rows: np.ndarray) -> list[ShapeReport]:

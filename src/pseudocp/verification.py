@@ -5,17 +5,15 @@ be assembled uniformly; residuals are worst cases over seeded random draws.
 The suites take no parameters: their counts, seeds, signatures and
 tolerances are the module constants below.
 
-Every suite draws first and then evaluates stacks. The two frame suites
-read their sphere points and horizontal coefficients out of blocks of the
-generator's normals, in the order of ``random_sphere_point`` followed by
-``horizontal_coefficients`` one point after another, then complete every
-horizontal basis (and, for the isometries, every frame of one causal type)
-in one stacked call and evaluate the curvature tensor, the form and the
-determinant over the stack. The almost contact suite draws the points and
-tangent directions of a family in the order of a point-by-point loop, then
-takes one stacked frame call and one stacked structure identity call per
-family. The draws, and so the residuals, are those of the point-by-point
-loops.
+Every suite draws first and then evaluates stacks; every draw is seeded,
+so a suite reports the same residuals on every run. The two frame suites
+draw their sphere points and horizontal coefficients by rejection sampling
+in batches (``_horizontal_draws``), then complete every horizontal basis
+(and, for the isometries, every frame of one causal type) in one stacked
+call and evaluate the curvature tensor, the form and the determinant over
+the stack. The almost contact suite draws the points and tangent
+directions of a family, then takes one stacked frame call and one stacked
+structure identity call per family.
 """
 
 from __future__ import annotations
@@ -52,67 +50,35 @@ ALMOST_CONTACT_SEED = 2  # seed of the points and tangents
 ALGEBRAIC_TOL = 1e-8  # tolerance of the algebraic almost contact identities
 DERIVATIVE_TOL = 1e-4  # tolerance of the structure derivative identity
 
-#: normals of the generator read per block by ``_horizontal_draws``
-NORMAL_BLOCK = 4096
-
-
-def _candidates(normals: np.ndarray, width: int) -> np.ndarray:
-    """Complex candidates (L, width) starting at every offset of the normals:
-    the first ``width`` normals as real parts, the next as imaginary parts,
-    as ``rng.standard_normal(w) + 1j * rng.standard_normal(w)`` draws them."""
-    w = np.lib.stride_tricks.sliding_window_view(normals, 2 * width)
-    return w[:, :width] + 1j * w[:, width:]
+def _accepted(keep, width: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """The first ``count`` complex normal candidates (count, width) that
+    ``keep`` accepts, drawn in batches of ``count``."""
+    out = np.empty((0, width), dtype=complex)
+    while len(out) < count:
+        z = rng.standard_normal((count, width)) + 1j * rng.standard_normal((count, width))
+        out = np.concatenate([out, z[keep(z)]])
+    return out[:count]
 
 
 def _horizontal_draws(sig: Signature, count: int, rng: np.random.Generator):
     """``count`` sphere points and unit horizontal vectors there, spacelike
     at even and timelike at odd k.
 
-    The draws are those of ``random_sphere_point`` followed by
-    ``horizontal_coefficients``, one k after another, read out of blocks of
-    ``NORMAL_BLOCK`` normals: whether a candidate is kept is computed at
-    every offset of the blocks as one array, and a Python walk only steps
-    from candidate to candidate. A generator's normals do not depend on how
-    they are chunked, so these are the draws of the one-at-a-time loop; the
-    generator is then reset and advanced past exactly the normals the walk
-    used, so its stream afterwards is unchanged too. The horizontal bases of
-    all points are completed in one stacked call.
+    Rejection sampling: the points are the candidates that
+    ``sphere_candidates`` keeps, normalized; the coefficients over each
+    point's horizontal basis are those that ``coefficient_candidates`` keeps
+    for the wanted causal character. The horizontal bases of all points are
+    completed in one stacked call.
     """
-    d, n = sig.ambient_dim, sig.n
     hsigns = horizontal_signs(sig)
-    state = rng.bit_generator.state
-    normals = rng.standard_normal(NORMAL_BLOCK)
-    starts: list[int] = []  # offsets of the kept candidates: point, coefficients, point, ...
-    pos = 0
-    while True:
-        points, coeffs = _candidates(normals, d), _candidates(normals, n)
-        keep = (
-            sphere_candidates(sig, points)[1].tolist(),
-            coefficient_candidates(hsigns, coeffs, CausalCharacter.SPACELIKE)[1].tolist(),
-            coefficient_candidates(hsigns, coeffs, CausalCharacter.TIMELIKE)[1].tolist(),
-        )
-        while len(starts) < 2 * count:
-            k, is_coeff = divmod(len(starts), 2)
-            width = 2 * n if is_coeff else 2 * d
-            flags = keep[1 + k % 2] if is_coeff else keep[0]
-            while pos < len(flags) and not flags[pos]:
-                pos += width
-            if pos >= len(flags):
-                break  # the candidate at pos runs past the normals read so far
-            starts.append(pos)
-            pos += width
-        if len(starts) == 2 * count:
-            break
-        normals = np.concatenate([normals, rng.standard_normal(NORMAL_BLOCK)])
-    rng.bit_generator.state = state
-    rng.standard_normal(pos)
-    at = np.array(starts, dtype=int)
-    z = points[at[0::2]]
-    g, _ = sphere_candidates(sig, z)
-    coeffs = coeffs[at[1::2]]
-    gc, _ = coefficient_candidates(hsigns, coeffs, CausalCharacter.SPACELIKE)
-    q = z / np.sqrt(g)[:, None]
+    z = _accepted(lambda c: sphere_candidates(sig, c)[1], sig.ambient_dim, count, rng)
+    coeffs = np.empty((count, sig.n), dtype=complex)
+    for k0, character in ((0, CausalCharacter.SPACELIKE), (1, CausalCharacter.TIMELIKE)):
+        keep = lambda c: coefficient_candidates(hsigns, c, character)[1]
+        coeffs[k0::2] = _accepted(keep, sig.n, len(coeffs[k0::2]), rng)
+    q = z / np.sqrt(sphere_candidates(sig, z)[0])[:, None]
     bases, _ = horizontal_unitary_bases(sig, q)
+    gc, _ = coefficient_candidates(hsigns, coeffs, CausalCharacter.SPACELIKE)
     return q, horizontal_units(bases, coeffs, gc)
 
 

@@ -19,13 +19,11 @@ from pseudocp.examples import (
     T0,
     example_fields,
     example_integral_curve,
-    example_map,
     example_spec,
     gamma_seed,
     ruling_sweep,
-    seed_sphere_index,
 )
-from pseudocp.linalg import Signature, gdot_rows, metric_signs, real_metric
+from pseudocp.linalg import Signature, gdot_rows, real_metric
 from pseudocp.projective import canonicalize, log_in_leaf
 from pseudocp.ruled import (
     GeodesicSpherePatch,
@@ -169,10 +167,8 @@ def test_criterion_07_timelike_family_invariants():
         data = example_integral_curve(spec)
         sig = spec.sig
         # closed form: unit timelike second Frenet vector everywhere
-        f2_unit = max(
-            abs(real_metric(sig, data.frenet_f2(s), data.frenet_f2(s)) + 1.0)
-            for s in np.linspace(-0.45, 0.45, 9)
-        )
+        f2 = [data.eps2 * data.accel(s) / data.kappa1 for s in np.linspace(-0.45, 0.45, 9)]
+        f2_unit = max(abs(real_metric(sig, f, f) + 1.0) for f in f2)
         # numeric acceleration against the closed-form square
         rows = covariant_derivative(data.curve, data.curve.velocity)
         g_num = gdot_rows(sig.signs, rows, rows)[8:-8]
@@ -224,8 +220,7 @@ def test_criterion_10_round_trip_and_determinism(family_pars, tmp_path):
     """Generic evaluation reproduces the closed form; CSV export is stable."""
     spec, par = family_pars[1]
     sig = spec.sig
-    idx = seed_sphere_index(1, sig)
-    signs_seed = metric_signs(idx, sig.n)
+    signs_seed = spec.ruling.seed_signs
     rng = np.random.default_rng(17)
     z0 = np.asarray(spec.seed_z)
     mod = abs(z0[-1])
@@ -249,7 +244,7 @@ def test_criterion_10_round_trip_and_determinism(family_pars, tmp_path):
         done = 0
         while done < 10:
             z = seed_sphere_neighbor()
-            target = canonicalize(sig, example_map(spec, T0 + s / mod, z))
+            target = canonicalize(sig, spec.ruling.slice_map(T0 + s / mod, z))
             vec = log_in_leaf(x_s, target)
             coords = par.frame_signs * gdot_rows(sig.signs, frame, vec.vec)
             if float(np.sqrt(np.sum(coords**2))) > 1.2:

@@ -110,12 +110,49 @@ class TestClassify:
         assert doc["signs"] == {"eps1": 1.0, "eps2": 1.0}
 
     def test_nan_circle_curvature_is_a_precondition(self, tmp_path, capsys):
-        """A NaN curvature is refused like a non-positive one: exit 3."""
-        doc = {**CIRCLE_DOC, "data": {**CIRCLE_DOC["data"], "kappa1": float("nan")}}
-        path = write_json(tmp_path / "circ.json", doc)
+        """A NaN curvature, or one whose square is not finite, is refused
+        like a non-positive one: exit 3."""
+        for kappa1 in (float("nan"), 1e300, float("inf"), "inf"):
+            doc = {**CIRCLE_DOC, "data": {**CIRCLE_DOC["data"], "kappa1": kappa1}}
+            path = write_json(tmp_path / "circ.json", doc)
+            assert run_cli("classify", path) == 3, kappa1
+            captured = capsys.readouterr()
+            assert "curvature must be positive" in captured.err
+            assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("n", 3.7), ("p", 1.0), ("n", "3"), ("p", True), ("example", 1.9), ("example", "1")],
+    )
+    def test_integer_fields_must_be_json_integers(self, tmp_path, capsys, field, value):
+        """``n``, ``p`` and ``example`` are never rounded or parsed: anything
+        but a JSON integer is a parse error, exit 2."""
+        doc = {
+            "signature": {"n": 3, "p": 1},
+            "kind": "closed_form",
+            "data": {"family": "builtin_flow", "example": 1},
+        }
+        if field == "example":
+            doc["data"]["example"] = value
+        else:
+            doc["signature"][field] = value
+        path = write_json(tmp_path / "flow.json", doc)
+        assert run_cli("classify", path) == 2
+        captured = capsys.readouterr()
+        assert f"{field} must be an integer" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("t0", [float("inf"), float("-inf"), float("nan")], ids=str)
+    def test_non_finite_t0_is_a_precondition(self, tmp_path, capsys, t0):
+        doc = {
+            "signature": {"n": 3, "p": 1},
+            "kind": "closed_form",
+            "data": {"family": "builtin_flow", "example": 1, "t0": t0},
+        }
+        path = write_json(tmp_path / "flow.json", doc)
         assert run_cli("classify", path) == 3
         captured = capsys.readouterr()
-        assert "curvature must be positive" in captured.err
+        assert "t0 must be finite" in captured.err
         assert captured.out == ""
 
     def test_builtin_flow_file(self, tmp_path, capsys):
@@ -231,6 +268,7 @@ class TestClassify:
             ({"s_range": [float("-inf"), float("inf")]}, "curve range must be finite"),
             ({"s_range": [float("nan"), 0.5]}, "curve range must be finite"),
             ("repeated_s", "step must be finite and positive"),
+            ({"s_range": [-1e9, 1e9]}, "exceeds 100000"),
         ],
         ids=[
             "zero_step",
@@ -241,11 +279,13 @@ class TestClassify:
             "infinite_range",
             "nan_range",
             "repeated_s",
+            "runaway_range",
         ],
     )
     def test_malformed_grid_is_a_precondition(self, tmp_path, capsys, change, message):
-        """A curve grid without a finite positive step or 3 samples exits 3
-        and says so, before any stencil divides by the step."""
+        """A curve grid without a finite positive step, 3 samples or at most
+        ``MAX_SAMPLES`` samples exits 3 and says so, before any stencil
+        divides by the step or any sample is allocated."""
         if change == "repeated_s":
             from pseudocp.examples import example_integral_curve, example_spec
 

@@ -8,12 +8,10 @@ from pseudocp.examples import (
     EXAMPLE_IDS,
     example_fields,
     example_integral_curve,
-    example_leaf_tangent,
     example_map,
     example_spec,
     gamma_seed,
     ruling_isometry,
-    seed_sphere_index,
 )
 from pseudocp.linalg import Signature, jmul, metric_signs, real_metric
 from pseudocp.ruled import (
@@ -27,8 +25,7 @@ from pseudocp.ruled import (
 
 def _random_seed_tangent(spec, rng):
     """Random tangent of the seed sphere at the family instance's seed point."""
-    idx = seed_sphere_index(spec.example_id, spec.sig)
-    signs = metric_signs(idx, spec.sig.n)
+    signs = spec.ruling.seed_signs
     z = spec.seed_z
     while True:
         x = rng.standard_normal(spec.sig.n) + 1j * rng.standard_normal(spec.sig.n)
@@ -42,10 +39,9 @@ def _random_seed_tangent(spec, rng):
 
 class TestExampleMap:
     def test_direct_substitution(self):
-        spec = example_spec(1)
         z = np.zeros(3, dtype=complex)
         z[2] = 1.0
-        out = example_map(spec, 0.0, z)
+        out = example_map(example_spec(1, seed_z=z), 0.0)
         assert np.allclose(out, [0, 0, 1, 0])
 
     def test_family_two_at_zero(self):
@@ -62,14 +58,13 @@ class TestExampleMap:
             assert abs(real_metric(spec.sig, w, w) - 1.0) < 1e-12
 
     def test_domain_violations(self):
-        spec = example_spec(1)
         bad = np.zeros(3, dtype=complex)
         bad[1] = np.sqrt(2)
         bad[0] = 1.0  # on the sphere but with vanishing ruled slot
         with pytest.raises(DomainError):
-            example_map(spec, 0.0, bad)
+            example_spec(1, seed_z=bad)
         with pytest.raises(DomainError):
-            example_map(spec, 0.0, np.array([1.0, 1.0, 2.0]))  # off the sphere
+            example_spec(1, seed_z=np.array([1.0, 1.0, 2.0]))  # off the sphere
 
     def test_constraint_validation(self):
         with pytest.raises(DomainError):
@@ -126,7 +121,7 @@ class TestExampleFields:
         assert abs(real_metric(sig, fields.n_hat, fields.xi_hat)) < 1e-12
         for _ in range(5):
             x = _random_seed_tangent(spec, rng)
-            tv = example_leaf_tangent(spec, t, x)
+            tv = spec.ruling.slice_map(t, x)
             assert abs(real_metric(sig, fields.n_hat, tv)) < 1e-10
             assert abs(real_metric(sig, fields.xi_hat, tv)) < 1e-10
 
@@ -195,7 +190,7 @@ class TestIntegralCurves:
         data = example_integral_curve(spec)
         assert data.eps2 == -1.0
         for s in (-0.2, 0.0, 0.4):
-            f2 = data.frenet_f2(s)
+            f2 = data.eps2 * data.accel(s) / data.kappa1
             assert real_metric(spec.sig, f2, f2) == pytest.approx(-1.0, abs=1e-10)
 
     def test_family_two_kappa_at_unit_modulus(self):
@@ -217,7 +212,7 @@ class TestIntegralCurves:
         curve = data.curve
         for k in range(8, len(curve) - 8, 173):
             vel = curve.velocity[k]
-            f2 = data.frenet_f2(float(curve.params[k]))
+            f2 = data.eps2 * data.accel(float(curve.params[k])) / data.kappa1
             assert abs(real_metric(spec.sig, jmul(vel), f2)) < 1e-9
 
     def test_case_predictions(self):
@@ -246,6 +241,6 @@ class TestIntegralCurves:
             fields = example_fields(spec, 0.1)
             for _ in range(5):
                 x = _random_seed_tangent(spec, rng)
-                tv = example_leaf_tangent(spec, 0.1, x)
+                tv = spec.ruling.slice_map(0.1, x)
                 assert abs(real_metric(spec.sig, tv, fields.xi_hat)) < 1e-10
                 assert abs(real_metric(spec.sig, tv, fields.n_hat)) < 1e-10

@@ -19,12 +19,10 @@ from pseudocp.examples import (
     T0,
     example_fields,
     example_integral_curve,
-    example_leaf_tangent,
     example_map,
     example_spec,
     gamma_seed,
     ruling_isometry,
-    seed_sphere_index,
 )
 from pseudocp.linalg import Signature, metric_signs
 from pseudocp.ruled import MinimalCase
@@ -291,7 +289,8 @@ def test_accepts_and_rejects_as_before(ex):
                 accepted = True
                 want = _ref_default_seed(ex, spec.sig)
                 assert np.array_equal(spec.seed_z, want)
-                assert seed_sphere_index(ex, spec.sig) == _ref_seed_sphere_index(ex, spec.sig)
+                want_signs = metric_signs(_ref_seed_sphere_index(ex, spec.sig), spec.sig.n)
+                assert np.array_equal(spec.ruling.seed_signs, want_signs)
             assert accepted == _ref_accepts(ex, n, p), (ex, n, p)
 
 
@@ -302,7 +301,7 @@ def test_slice_map_and_isometry_bit_equal(spec):
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     for t in T_VALUES:
         assert np.array_equal(example_map(spec, t), _ref_slice_map(ex, n, t, z))
-        assert np.array_equal(example_leaf_tangent(spec, t, x), _ref_slice_map(ex, n, t, x))
+        assert np.array_equal(spec.ruling.slice_map(t, x), _ref_slice_map(ex, n, t, x))
         assert np.array_equal(ruling_isometry(spec, t).entries, _ref_ruling_isometry(ex, n, t))
 
 

@@ -21,7 +21,7 @@ from pseudocp.ruled import (
     GeodesicSpherePatch,
     RHSPatch,
     TransformedPatch,
-    adapted_basis,
+    adapted_bases,
     hypersurface_frame,
     hypersurface_frames,
     rhs_lift,
@@ -121,8 +121,12 @@ def _ref_shape_matrix(patch, u):
     axi = _ref_weingarten(patch, frame, u, frame.xi)
     uvec = axi - frame.epsilon * real_metric(sig, axi, frame.xi) * frame.xi
     uchar = causal_character(sig, uvec, NUMERIC_LIGHT_TOL)
-    pin = uvec if uchar in (CausalCharacter.SPACELIKE, CausalCharacter.TIMELIKE) else None
-    basis, bsigns = adapted_basis(frame, first=pin)
+    pinned = np.array([uchar in (CausalCharacter.SPACELIKE, CausalCharacter.TIMELIKE)])
+    stack = AlmostContactFrame(
+        sig, frame.lift[None], frame.tangents[None], frame.normal[None], np.array([frame.epsilon])
+    )
+    bases, bsigns = adapted_bases(stack, uvec[None], pinned)
+    basis, bsigns = bases[0], bsigns[0]
     images = [axi] + [_ref_weingarten(patch, frame, u, b) for b in basis[1:]]
     bil = np.array([[real_metric(sig, img, b) for img in images] for b in basis])
     return bsigns[:, None] * bil
@@ -312,11 +316,15 @@ def test_good_rows_of_a_mixed_patch_pass():
     [
         ((0, 1, 0), ImmersionError),
         ((0, 0, 2), DegenerateHypersurfaceError),
-        ((2, 1), DegenerateHypersurfaceError),
+        ((2, 0, 2), DegenerateHypersurfaceError),
+        ((2, 1), ImmersionError),
         ((1, 2), ImmersionError),
     ],
 )
 def test_first_bad_row_decides_the_error(regions, error):
+    """The checks run in the order of a one-row call, and the first that any
+    row fails raises: rank deficiency comes before a degenerate pairing or
+    normal, whichever of the rows comes first."""
     patch = _Regions(GOOD, RANK_DEFICIENT, DEGENERATE)
     with pytest.raises(error):
         hypersurface_frames(patch, _rows(*regions))

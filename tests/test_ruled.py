@@ -84,14 +84,6 @@ class TestTransportBasis:
         assert max(ov, ojv) < 1e-6
         assert family1_par.gram_drift() < 1e-6
 
-    def test_leaf_index_follows_speed_sign(self, family1_par):
-        assert family1_par.eps1 == 1.0
-        assert family1_par.leaf_index == SIG.p
-        data3 = example_integral_curve(example_spec(3))
-        par3 = transport_basis(data3.curve)
-        assert par3.eps1 == -1.0
-        assert par3.leaf_index == example_spec(3).sig.p - 1
-
 
 class TestEvaluation:
     def test_zero_coords_recover_base_curve(self, family1_par):

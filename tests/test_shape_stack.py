@@ -25,7 +25,7 @@ from pseudocp.ruled import (
     RHSPatch,
     ShapeForm,
     TransformedPatch,
-    adapted_basis,
+    adapted_bases,
     codazzi_residual,
     hypersurface_frame,
     hypersurface_frames,
@@ -61,14 +61,16 @@ def _oracle_weingarten(patch, frame0, u, x):
 
 def _oracle_shape(patch, u):
     u = np.asarray(u, dtype=float)
-    frame = hypersurface_frame(patch, u)
+    stack = hypersurface_frames(patch, u[None])
+    frame = stack.row(0)
     sig = patch.sig
     axi = _oracle_weingarten(patch, frame, u, frame.xi)
     mu = real_metric(sig, axi, frame.xi)
     uvec = axi - frame.epsilon * mu * frame.xi
     uchar = causal_character(sig, uvec, NUMERIC_LIGHT_TOL)
-    pin = uvec if uchar in (CausalCharacter.SPACELIKE, CausalCharacter.TIMELIKE) else None
-    basis, bsigns = adapted_basis(frame, first=pin)
+    pinned = np.array([uchar in (CausalCharacter.SPACELIKE, CausalCharacter.TIMELIKE)])
+    bases, bsigns = adapted_bases(stack, uvec[None], pinned)
+    basis, bsigns = bases[0], bsigns[0]
     images = np.concatenate([axi[None], _oracle_weingarten(patch, frame, u, basis[1:])])
     bil = gdot_rows(sig.signs, images[None, :, :], basis[:, None, :])
     matrix = bsigns[:, None] * bil

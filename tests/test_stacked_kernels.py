@@ -1,29 +1,28 @@
-"""Stacked adapted bases, tangent coordinates, seeded draws and almost
-contact lines against the pointwise loops they replaced.
+"""Stacked adapted bases, tangent coordinates and almost contact lines
+against the pointwise loops they replaced, and the seeded draws.
 
 The oracles are the pointwise bodies: the list-based real-metric
 Gram-Schmidt and the one-point adapted basis built on it, a least squares
-solve per point, the scalar rejection loops of ``random_sphere_point`` and
-``horizontal_coefficients`` written out, and the almost contact suite with
-one frame, one drawn tangent and one structure identity per point. The stacked kernels run the
+solve per point, and the almost contact suite with one frame, one drawn
+tangent and one structure identity per point. The stacked kernels run the
 same arithmetic row by row, so the comparisons ask for equality; the
 tangent coordinates come from another factorization and are compared to
-``np.linalg.lstsq`` within a tolerance.
+``np.linalg.lstsq`` within a tolerance. The seeded draws of the frame
+suites are checked for their properties.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pseudocp import ruled, verification
 from pseudocp.errors import FrameError
 from pseudocp.examples import EXAMPLE_IDS, example_integral_curve, example_spec, ruling_isometry
 from pseudocp.frames import PIVOT_TOL, orthonormalize_real_metric
-from pseudocp.linalg import real_metric
-from pseudocp.projective import horizontal_signs
+from pseudocp.linalg import gdot_rows, real_metric
 from pseudocp.ruled import (
     RHSPatch,
     TransformedPatch,
-    adapted_basis,
     adapted_bases,
     hypersurface_frame,
     hypersurface_frames,
@@ -31,7 +30,7 @@ from pseudocp.ruled import (
     transport_basis,
     weingarten_apply,
 )
-from pseudocp.verification import ACCEPTANCE_SIGNATURES, NORMAL_BLOCK, _horizontal_draws
+from pseudocp.verification import ACCEPTANCE_SIGNATURES, _horizontal_draws
 
 # ---------------------------------------------------------------------------
 # pointwise oracles
@@ -85,31 +84,6 @@ def _oracle_adapted_basis(frame, first=None):
     if len(vecs) != want:
         raise FrameError("could not complete the adapted tangent basis")
     return np.array(head + vecs), np.array(head_signs + signs)
-
-
-def _oracle_draws(sig, count, rng):
-    """The draw loop of the one-at-a-time ``_horizontal_draws``, with the
-    scalar rejection rules written out."""
-    q = np.empty((count, sig.ambient_dim), dtype=complex)
-    coeffs = np.empty((count, sig.n), dtype=complex)
-    g = np.empty(count)
-    signs = horizontal_signs(sig)
-    d, n = sig.ambient_dim, len(signs)
-    for k in range(count):
-        while True:
-            z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            gz = real_metric(sig, z, z)
-            if gz > 0.2:
-                q[k] = z / np.sqrt(gz)
-                break
-        want = 1.0 if k % 2 == 0 else -1.0  # spacelike, then timelike
-        while True:
-            coeff = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            gc = float(np.sum(signs * np.abs(coeff) ** 2))
-            if want * gc > 0.05 * float(np.sum(np.abs(coeff) ** 2)):
-                coeffs[k], g[k] = coeff, gc
-                break
-    return q, coeffs, g
 
 
 def _oracle_random_tangent(frame, rng):
@@ -208,7 +182,7 @@ def _degenerate_tangents(frames, i, kind):
 @pytest.mark.parametrize("example_id", EXAMPLE_IDS)
 def test_adapted_bases_equal_the_list_oracle(example_id):
     """Pinned and unpinned rows of one stacked call equal the one-point
-    list-based basis bit for bit, and ``adapted_basis`` is the one-row case."""
+    list-based basis bit for bit."""
     _, _, frames, uvec, pinned = _mixed_stack(example_id)
     assert pinned.any() and not pinned.all()
     bases, signs = adapted_bases(frames, uvec, pinned)
@@ -217,31 +191,31 @@ def test_adapted_bases_equal_the_list_oracle(example_id):
         want, want_signs = _oracle_adapted_basis(frames.row(i), first=pin)
         assert np.array_equal(bases[i], want)
         assert np.array_equal(signs[i], want_signs)
-        one, one_signs = adapted_basis(frames.row(i), first=pin)
-        assert np.array_equal(one, want)
-        assert np.array_equal(one_signs, want_signs)
 
 
 @pytest.mark.parametrize("order", [("dependent", "lightlike"), ("lightlike", "dependent")])
 def test_first_degenerate_row_decides_the_adapted_basis_error(order):
-    """The stack raises the oracle's FrameError of its first bad row."""
+    """The stack raises at the first Gram-Schmidt step where any row fails:
+    the lightlike row fails the first step, the dependent row only runs out
+    of candidates at the second, so the lightlike error raises whichever of
+    the two rows comes first. One bad row raises its oracle's error."""
     _, _, frames, uvec, pinned = _mixed_stack(1)
     bad = {2: _degenerate_tangents(frames, 2, order[0]), 5: _degenerate_tangents(frames, 5, order[1])}
     stack = _with_tangents(frames, bad)
-    messages = []
-    for i in (2, 5):
+    messages = {}
+    for i, kind in zip((2, 5), order):
         with pytest.raises(FrameError) as info:
             _oracle_adapted_basis(stack.row(i))
-        messages.append(str(info.value))
-    assert messages[0] != messages[1]
+        messages[kind] = str(info.value)
+    assert messages["dependent"] != messages["lightlike"]
     with pytest.raises(FrameError) as info:
         adapted_bases(stack, uvec, np.zeros_like(pinned))
-    assert str(info.value) == messages[0]
-    # with U pinned on the good even rows, the one bad row still decides
+    assert str(info.value) == messages["lightlike"]
+    # with U pinned on the good even rows, the one bad row raises its error
     ok = _with_tangents(frames, {5: bad[5]})
     with pytest.raises(FrameError) as info:
         adapted_bases(ok, uvec, pinned)
-    assert str(info.value) == messages[1]
+    assert str(info.value) == messages[order[1]]
 
 
 @pytest.mark.parametrize("example_id", [1, 2])
@@ -290,20 +264,23 @@ def test_tangent_coords_match_lstsq_and_the_one_point_call(example_id):
 # ---------------------------------------------------------------------------
 
 
-def test_block_reader_equals_the_scalar_draws():
-    """Chained over the four signatures with one generator, as
-    ``curvature_lines`` draws; the count exhausts the first block, and the
-    generator stream afterwards is the scalar loop's."""
-    count = 420
-    assert count * min(2 * (s.ambient_dim + s.n) for s in ACCEPTANCE_SIGNATURES) > NORMAL_BLOCK
-    rng, ref = np.random.default_rng(7), np.random.default_rng(7)
-    for sig in ACCEPTANCE_SIGNATURES:
-        q, x = _horizontal_draws(sig, count, rng)
-        want_q, coeffs, g = _oracle_draws(sig, count, ref)
-        assert np.array_equal(q, want_q)
-        bases, _ = verification.horizontal_unitary_bases(sig, want_q)
-        assert np.array_equal(x, verification.horizontal_units(bases, coeffs, g))
-    assert np.array_equal(rng.standard_normal(5), ref.standard_normal(5))
+@settings(max_examples=20, deadline=None)
+@given(
+    sig=st.sampled_from(ACCEPTANCE_SIGNATURES),
+    count=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_horizontal_draws_are_seeded_unit_horizontal_vectors(sig, count, seed):
+    """``count`` sphere points with unit horizontal vectors there, spacelike
+    at even and timelike at odd k, the same for the same seed."""
+    q, x = _horizontal_draws(sig, count, np.random.default_rng(seed))
+    assert q.shape == x.shape == (count, sig.ambient_dim)
+    assert np.max(np.abs(gdot_rows(sig.signs, q, q) - 1.0)) < 1e-12
+    want = np.where(np.arange(count) % 2 == 0, 1.0, -1.0)
+    assert np.max(np.abs(gdot_rows(sig.signs, x, x) - want)) < 1e-10
+    assert np.max(np.abs(np.sum(sig.signs * x * np.conj(q), axis=-1))) < 1e-10
+    again = _horizontal_draws(sig, count, np.random.default_rng(seed))
+    assert np.array_equal(again[0], q) and np.array_equal(again[1], x)
 
 
 def test_almost_contact_lines_equal_the_pointwise_loop():

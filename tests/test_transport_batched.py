@@ -17,7 +17,6 @@ from pseudocp.curves import (
     SampledCurve,
     deriv_rows,
     fd_derivative,
-    fd_second_derivative,
     hermite_rows,
     sampled_curve_from_fn,
 )
@@ -29,6 +28,17 @@ from pseudocp.ruled import leaf_coordinate_grid, rhs_lift, transport_basis
 
 #: half-width of the base curves transported by the reference (400 RK4 steps)
 HALF_SPAN = 0.2
+
+
+def fd_second_derivative(fn, s: float, h: float = 1e-3):
+    """Five-point second derivative of a smooth vector-valued callable."""
+    return (
+        -fn(s + 2 * h)
+        + 16.0 * fn(s + h)
+        - 30.0 * fn(s)
+        + 16.0 * fn(s - h)
+        - fn(s - 2 * h)
+    ) / (12.0 * h * h)
 
 
 def _reference_transport(curve: SampledCurve, basis: np.ndarray, s0: float = 0.0):

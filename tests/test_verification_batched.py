@@ -3,10 +3,11 @@ against the scalar loops they replaced.
 
 The references are the scalar bodies: frame completion one row at a time
 (list candidates, a strict ``>`` pivot scan, restarts drawn from a fresh
-``default_rng(0)``), the one-point horizontal basis, horizontal unit and
-frame isometry, the curvature tensor of Python floats, the two seeded
-suites drawing and completing point by point. The arithmetic is unchanged,
-so those comparisons ask for equality.
+``default_rng(0)``), the one-point frame isometry, the curvature tensor of
+Python floats, and the two seeded suites evaluated point by point at the
+suites' own draws. The arithmetic is unchanged, so those comparisons ask
+for equality. With several bad rows, a stack raises the first check that
+any row fails, in the order of a one-row call.
 
 The RK4 regeneration (the +step chain to its end, then the -step chain) is
 kept as the oracle of the base-line check that replaced it: its path must be
@@ -55,7 +56,12 @@ from pseudocp.ruled import (
     regenerate_integral_curve,
     transport_basis,
 )
-from pseudocp.verification import ACCEPTANCE_SIGNATURES, curvature_lines, unitary_frame_lines
+from pseudocp.verification import (
+    ACCEPTANCE_SIGNATURES,
+    _horizontal_draws,
+    curvature_lines,
+    unitary_frame_lines,
+)
 
 # ---------------------------------------------------------------------------
 # scalar references
@@ -138,20 +144,6 @@ def _ref_complete_attempt(sig, fixed):
     raise FrameError("frame completion failed: degenerate complement")
 
 
-def _ref_horizontal_unit(sig, q, rng, character=CausalCharacter.SPACELIKE):
-    qv = check_sphere_point(sig, q, tol=1e-8)
-    mat = _ref_complete(sig, {sig.n - 1: qv})
-    cols = [c for c in range(sig.ambient_dim) if c != sig.n - 1]
-    signs = np.array([-1.0 if c < sig.p else 1.0 for c in cols])
-    basis = mat[:, cols].T
-    want = 1.0 if character is CausalCharacter.SPACELIKE else -1.0
-    while True:
-        coeff = rng.standard_normal(len(signs)) + 1j * rng.standard_normal(len(signs))
-        g = float(np.sum(signs * np.abs(coeff) ** 2))
-        if want * g > 0.05 * float(np.sum(np.abs(coeff) ** 2)):
-            return (coeff @ basis) / np.sqrt(abs(g))
-
-
 def _ref_frame_to_isometry(sig, q, eta_hat):
     qv = check_sphere_point(sig, q, tol=1e-8)
     ev = as_ambient(sig, eta_hat)
@@ -178,13 +170,13 @@ def _character(k):
 
 
 def _ref_curvature_lines(count, seed=0):
+    """The curvature suite point by point, at the points and horizontal
+    vectors of ``_horizontal_draws``."""
     rng = np.random.default_rng(seed)
     out = []
     for sig in ACCEPTANCE_SIGNATURES:
         worst = 0.0
-        for k in range(count):
-            q = random_sphere_point(sig, rng)
-            xv = _ref_horizontal_unit(sig, q, rng, _character(k))
+        for q, xv in zip(*_horizontal_draws(sig, count, rng)):
             lv = check_sphere_point(sig, q, tol=1e-8)
             j = int(np.argmax(np.abs(lv)))
             phase = np.conj(lv[j]) / abs(lv[j])
@@ -198,12 +190,11 @@ def _ref_curvature_lines(count, seed=0):
 
 
 def _ref_unitary_frame_lines(sig, count, seed=1):
+    """The frame suite point by point, at the draws of ``_horizontal_draws``."""
     rng = np.random.default_rng(seed)
     eye = np.diag(metric_signs(sig.p, sig.ambient_dim))
     form_worst = det_worst = 0.0
-    for k in range(count):
-        q = random_sphere_point(sig, rng)
-        eta = _ref_horizontal_unit(sig, q, rng, _character(k))
+    for q, eta in zip(*_horizontal_draws(sig, count, rng)):
         m = _ref_frame_to_isometry(sig, q, eta).entries
         form_worst = max(form_worst, float(np.max(np.abs(m.conj().T @ eye @ m - eye))))
         det_worst = max(det_worst, abs(np.linalg.det(m) - 1.0))
@@ -357,16 +348,22 @@ def test_first_invalid_fixed_column_decides_the_error():
     fixed[sig.n - 1] = fixed[sig.n - 1].copy()
     fixed[sig.n] = fixed[sig.n].copy()
     # row 2 fails the first check (the norm of slot n-1), row 1 a later one
-    # (slot n is off its unit norm): row 1 decides, as in a row-by-row loop
+    # (slot n is off its unit norm): the first check raises, with row 2's value
     fixed[sig.n - 1][2] = 2.0 * fixed[sig.n - 1][2]
     fixed[sig.n][1] = fixed[sig.n][1] + 0.3 * fixed[sig.n - 1][1]
+    for row, slot in ((2, sig.n - 1), (1, sig.n)):
+        with pytest.raises(FrameError, match=f"slot {slot} "):
+            _ref_complete(sig, {s: v[row] for s, v in fixed.items()})
     with pytest.raises(FrameError) as info:
-        _ref_complete(sig, {slot: v[1] for slot, v in fixed.items()})
+        _ref_complete(sig, {slot: v[2] for slot, v in fixed.items()})
     want = str(info.value)
-    assert "slot 3" in want
     with pytest.raises(FrameError) as info:
         complete_unitary_frames(sig, fixed)
     assert str(info.value) == want
+    # with row 2 mended, row 1's later check raises
+    fixed[sig.n - 1][2] = 0.5 * fixed[sig.n - 1][2]
+    with pytest.raises(FrameError, match=f"slot {sig.n} "):
+        complete_unitary_frames(sig, fixed)
     with pytest.raises(FrameError, match="out of range"):
         complete_unitary_frames(sig, {sig.ambient_dim: fixed[sig.n - 1]})
 
@@ -385,10 +382,13 @@ def test_isometries_match_scalar_and_first_bad_row_decides(sig):
     light = np.zeros(sig.ambient_dim, dtype=complex)
     light[0], light[2] = 1.0, 1.0
     bad_eta[2] = light  # lightlike
+    # the checks run sphere, causal type, horizontality; the first that any
+    # row fails raises, even when a lower row fails a later check
     cases = [
         (bad_q, eta, SpherePointError),
         (q, bad_eta, CausalCharacterError),
-        (bad_q[3:], bad_eta[3:], FrameError),
+        (bad_q[3:], bad_eta[3:], SpherePointError),
+        (q[3:], bad_eta[3:], FrameError),
     ]
     for qq, ee, error in cases:
         with pytest.raises(error):
