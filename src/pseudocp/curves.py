@@ -222,7 +222,10 @@ def covariant_derivative(curve: SampledCurve, field_rows: np.ndarray) -> np.ndar
 
 @dataclass(frozen=True)
 class FrenetResult:
-    """Frame fields, curvature functions, signs and a classification tag."""
+    """Frame fields, curvature functions, signs and a classification tag.
+
+    ``detail`` holds the measurements behind the tag: for a totally real
+    circle the report of ``is_totally_real_circle``."""
 
     order: int
     frames: list
@@ -265,8 +268,9 @@ def frenet_apparatus(curve: SampledCurve) -> FrenetResult:
             fr = FrenetResult(len(frames), frames, curv, eps, CurveClass.OTHER, {"residual": rnorm})
             if fr.order == 1:
                 return replace(fr, classification=CurveClass.GEODESIC)
-            if is_totally_real_circle(fr, curve)[0]:
-                return replace(fr, classification=CurveClass.TOTALLY_REAL_CIRCLE)
+            ok, report = is_totally_real_circle(fr, curve)
+            if ok:
+                return replace(fr, classification=CurveClass.TOTALLY_REAL_CIRCLE, detail=report)
             return fr
         g = gdot_rows(signs_vec, d, d)
         gcore = _interior(g, stage)

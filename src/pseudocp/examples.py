@@ -281,7 +281,8 @@ def example_integral_curve(
 ) -> IntegralCurveData:
     """Integral curve of the structure field through the seed at ruling
     parameter t, with closed forms, sampled over ``s_range``; t defaults to
-    ``T0``, s_range to ``S_RANGE``. A non-finite t raises DomainError.
+    ``T0``, s_range to ``S_RANGE``. A non-finite t, or one whose lifts over
+    s_range are not finite, raises DomainError.
 
     The returned acceleration is the second covariant derivative of the flow
     on the sphere, eps1 times the point plus its second t-derivative over
@@ -303,7 +304,11 @@ def example_integral_curve(
     def lift(s) -> np.ndarray:
         return r.slice_map(t0 + s / mod, z)
 
-    curve = sampled_curve_from_fn(spec.sig, lift, s_lo, s_hi, step)
+    # a boost at a huge |t0| overflows cosh/sinh; that is a bad t0, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        curve = sampled_curve_from_fn(spec.sig, lift, s_lo, s_hi, step)
+    if not np.all(np.isfinite(curve.lifts)):
+        raise DomainError(f"ruling parameter t0 = {t0!r} takes the flow's lifts out of floating-point range")
 
     f, e = r.filled, r.empty
     coef = eps1 + r.sigma / u
@@ -391,13 +396,17 @@ def ruling_sweep(
 
 def example_cross_check(
     spec: ExampleSpec,
-    grid_s: int = 5,
-    grid_t: int = 5,
-    grid_leaf: int = 4,
-    verify_tol: float = 1e-4,
-    leaf_radius: float = 0.25,
+    *,
+    grid_s: int,
+    grid_t: int,
+    grid_leaf: int,
+    verify_tol: float,
+    leaf_radius: float,
 ) -> CrossCheckReport:
     """Run the generic machinery on one family and compare with closed forms.
+
+    The grid sizes, tolerance and leaf radius are the run's ``RunConfig``
+    fields of the same names.
 
     Builds the transported-frame parametrization from the family's integral
     curve, verifies the leaf block and minimality over the grid of

@@ -13,9 +13,9 @@ base parameters and leaf coordinates (``rhs_lift_grid``) are its cases.
 Almost contact frames come from one batched kernel, ``hypersurface_frames``:
 for a stack of patch parameters it evaluates every lift of every
 central-difference stencil in one patch call (``lifts_at``), then aligns
-phases, projects to the horizontal space and takes both SVDs as stacked
-array operations. It returns one ``AlmostContactFrame`` holding the stack;
-the frame at a single point is its one-row view. Every derivative of a
+phases, projects to the horizontal space and takes one SVD per row as
+stacked array operations. It returns one ``AlmostContactFrame`` holding the
+stack; the frame at a single point is its one-row view. Every derivative of a
 frame field is one stencil, ``_extrapolated_difference``: central
 differences at +-h and +-h/2 combined as (4 D(h/2) - D(h)) / 3. The shape
 operator differentiates the unit normal with it at ``INNER_FD_STEP``:
@@ -51,7 +51,6 @@ from .curves import (
     frenet_apparatus,
     hermite_rows,
     horizontal_lift,
-    is_totally_real_circle,
 )
 from .errors import (
     CausalCharacterError,
@@ -326,7 +325,7 @@ def transport_basis(curve: SampledCurve) -> RHSParametrization:
 def rhs_lift(par: RHSParametrization, s: float, coords) -> np.ndarray:
     """Smooth (non-canonicalized) sphere lift of the parametrization point:
     the one-row case of ``RHSPatch.lifts_at``."""
-    return RHSPatch(par).lift_at(np.concatenate([[s], np.asarray(coords, dtype=float)]))
+    return RHSPatch(par).lifts_at(np.concatenate([[s], np.asarray(coords, dtype=float)])[None])[0]
 
 
 def _check_chart(par: RHSParametrization, s_values: np.ndarray, coords: np.ndarray) -> None:
@@ -378,9 +377,6 @@ class RHSPatch:
         self.sig = par.sig
         self.n_params = 1 + par.leaf_dim
 
-    def lift_at(self, u: np.ndarray) -> np.ndarray:
-        return self.lifts_at(np.asarray(u, dtype=float)[None])[0]
-
     def lifts_at(self, rows: np.ndarray) -> np.ndarray:
         """Sphere lifts at stacked parameter rows (M, 1 + k): the geodesic
         from the base lift at s along the transported frame applied to the
@@ -409,11 +405,8 @@ class TransformedPatch:
         self.sig = inner.sig
         self.n_params = inner.n_params
 
-    def lift_at(self, u: np.ndarray) -> np.ndarray:
-        return self.iso.apply(self.inner.lift_at(u))
-
     def lifts_at(self, rows: np.ndarray) -> np.ndarray:
-        """``lift_at`` over stacked parameter rows, each row equal to it."""
+        """The inner patch's lifts at stacked rows, moved by the isometry."""
         return np.matmul(self.iso.entries, _patch_lifts(self.inner, rows)[:, :, None])[:, :, 0]
 
 
@@ -426,24 +419,13 @@ class GeodesicSpherePatch:
         self.q0 = x0.rep
         self.radius = radius
         rng = np.random.default_rng(seed)
-        v0 = random_horizontal_unit(self.sig, self.q0, rng)
-        iso = frame_to_isometry(self.sig, self.q0, v0)
-        used = {self.sig.n - 1, self.sig.n}
-        dirs = [1j * v0]
-        for col in range(self.sig.ambient_dim):
-            if col in used:
-                continue
-            w = iso.entries[:, col]
-            dirs.extend([w, 1j * w])
-        self.v0 = v0
-        self.dirs = np.array(dirs)
-
-    def lift_at(self, u: np.ndarray) -> np.ndarray:
-        return self.lifts_at(np.asarray(u, dtype=float)[None])[0]
+        self.v0 = random_horizontal_unit(self.sig, self.q0, rng)
+        leaf, _ = default_initial_basis(self.sig, self.q0, self.v0)
+        self.dirs = np.concatenate([[1j * self.v0], leaf])
 
     def lifts_at(self, rows: np.ndarray) -> np.ndarray:
-        """``lift_at`` over stacked parameter rows; the stacked product
-        keeps each row independent of the batch size."""
+        """Geodesics of length ``radius`` from q0 along the unit v0 + u @ dirs,
+        one per stacked row u, each independent of the batch size."""
         w = self.v0 + np.matmul(np.asarray(rows, dtype=float)[:, None, :], self.dirs)[:, 0]
         w = w / np.sqrt(gdot_rows(self.sig.signs, w, w))[:, None]
         return quadric_geodesic(self.sig.signs, self.q0, w, self.radius)
@@ -594,17 +576,18 @@ def hypersurface_frames(
     patch call. The tangents are central differences of the stencil lifts
     phase-aligned to the lift at u, made horizontal. The normal is the
     g-orthogonal complement of the tangent space inside the horizontal
-    space, found as the null vector of the metric pairing; its largest entry
-    fixes its sign. With ``ref`` the
-    lift, tangents and normal are then phase-aligned to the reference lift
-    and the normal's sign is taken against the reference normal; a
-    one-point reference serves every row, a stacked one holds one
+    space: the null vector of the constraints [w0; i w0; t] on the
+    realified rows, from one SVD; its largest entry fixes its sign. With
+    ``ref`` the lift, tangents and normal are then phase-aligned to the
+    reference lift and the normal's sign is taken against the reference
+    normal; a one-point reference serves every row, a stacked one holds one
     reference frame per row.
 
-    A rank-deficient row raises ImmersionError, a singular pairing or a
-    lightlike normal DegenerateHypersurfaceError. The three checks run in
-    that order over every row, and the first that fails on any row raises
-    (the error policy of ``frames``).
+    The tangents are horizontal, hence g-orthogonal to the g-orthonormal w0
+    and i w0, so the constraints lose rank exactly when the tangents do: a
+    row whose smallest singular value is at most 1e-8 max(1, largest)
+    raises ImmersionError, a lightlike normal DegenerateHypersurfaceError,
+    in that order over every row (the error policy of ``frames``).
     """
     sig = patch.sig
     signs = sig.signs
@@ -620,21 +603,14 @@ def hypersurface_frames(
     t = horizontal_rows(signs, w0, (moved[:, :p] - moved[:, p:]) / (2.0 * h))
     w0 = w0[:, 0]
 
-    treal = _realify(t)
-    svals = np.linalg.svd(treal, compute_uv=False)
-    rank_deficient = svals[:, -1] <= 1e-8 * np.maximum(1.0, svals[:, 0])
     srep = np.concatenate([signs, signs])
-    constraints = np.concatenate([_realify(w0)[:, None], _realify(1j * w0)[:, None], treal], axis=1)
+    constraints = np.concatenate([_realify(w0)[:, None], _realify(1j * w0)[:, None], _realify(t)], axis=1)
     _, sv, vh = np.linalg.svd(constraints * srep)
-    singular = sv[:, -1] <= 1e-8 * np.maximum(1.0, sv[:, 0])
     nu = vh[:, -1, :dim] + 1j * vh[:, -1, dim:]
     gn = gdot_rows(signs, nu, nu)
-    lightlike = np.abs(gn) <= LIGHT_TOL * np.sum(np.abs(nu) ** 2, axis=-1)
-    if np.any(rank_deficient):
+    if np.any(sv[:, -1] <= 1e-8 * np.maximum(1.0, sv[:, 0])):
         raise ImmersionError("parametrization is rank deficient here")
-    if np.any(singular):
-        raise DegenerateHypersurfaceError("metric pairing is singular here")
-    if np.any(lightlike):
+    if np.any(np.abs(gn) <= LIGHT_TOL * np.sum(np.abs(nu) ** 2, axis=-1)):
         raise DegenerateHypersurfaceError("normal is lightlike: degenerate point")
     nu = _fix_sign(nu / np.sqrt(np.abs(gn))[:, None])
     if ref is not None:
@@ -678,15 +654,22 @@ def weingarten_apply(patch, frame: AlmostContactFrame, u: np.ndarray, x: np.ndar
     from one ``hypersurface_frames`` call, each aligned to the frame at its
     own point.
     """
-    h = INNER_FD_STEP
+    return -frame.tangential(_normal_difference(patch, frame, u, x, INNER_FD_STEP))
+
+
+def _normal_difference(patch, frame: AlmostContactFrame, u, x, h: float) -> np.ndarray:
+    """``_extrapolated_difference`` at step h of the unit normal moved from
+    the patch parameters u along the tangents x (shaped as for
+    ``weingarten_apply``), each moved frame aligned to the frame at its own
+    point; all moved frames come from one ``hypersurface_frames`` call."""
     x = np.asarray(x, dtype=complex)
     u = np.asarray(u, dtype=float)
     a = frame.tangent_coords(x)
     if a.ndim > u.ndim:
         u = np.expand_dims(u, -2)
     steps = (h * _FD_OFFSETS).reshape((4,) + (1,) * a.ndim)
-    nu = hypersurface_frames(patch, (u + steps * a).reshape(-1, a.shape[-1]), ref=_offset_refs(frame, a))
-    return -frame.tangential(_extrapolated_difference(nu.normal.reshape((4,) + x.shape), h))
+    moved = hypersurface_frames(patch, (u + steps * a).reshape(-1, a.shape[-1]), ref=_offset_refs(frame, a))
+    return _extrapolated_difference(moved.normal.reshape((4,) + x.shape), h)
 
 
 def _offset_refs(frame: AlmostContactFrame, a: np.ndarray) -> AlmostContactFrame:
@@ -837,17 +820,11 @@ def structure_field_identity(patch, frame: AlmostContactFrame, u: np.ndarray, x:
 
     Differentiates the structure field along x (``_extrapolated_difference``
     at h = ``OUTER_FD_STEP``) and compares the tangential covariant
-    derivative with phi applied to the shape image of x. The moved frames
-    of every row come from one ``hypersurface_frames`` call, the shape
-    images from one ``weingarten_apply`` call.
+    derivative with phi applied to the shape image of x. The difference of
+    xi = -i N is -i times ``_normal_difference``; the shape images come
+    from one ``weingarten_apply`` call.
     """
-    h = OUTER_FD_STEP
-    u = np.asarray(u, dtype=float)
-    x = np.asarray(x, dtype=complex)
-    a = frame.tangent_coords(x)
-    steps = (h * _FD_OFFSETS).reshape((4,) + (1,) * a.ndim)
-    moved = hypersurface_frames(patch, (u + steps * a).reshape(-1, a.shape[-1]), ref=_offset_refs(frame, a))
-    nxi = frame.tangential(_extrapolated_difference(moved.xi.reshape((4,) + x.shape), h))
+    nxi = frame.tangential(-1j * _normal_difference(patch, frame, u, x, OUTER_FD_STEP))
     res = np.max(np.abs(nxi - frame.phi(weingarten_apply(patch, frame, u, x))), axis=-1)
     return float(res) if res.ndim == 0 else res
 
@@ -868,9 +845,6 @@ class ClassificationReport:
     detail: dict
 
 
-#: base-line rows per ``hypersurface_frames`` call in the integral-curve
-#: check; fixed blocks keep the stencil arrays, and so peak memory, small
-_LINE_BLOCK = 64
 #: largest half-length of the base line checked around s = 0
 LINE_HALF_SPAN = 0.35
 #: spacing of the base-line samples in the integral-curve check
@@ -892,8 +866,8 @@ def regenerate_integral_curve(par: RHSParametrization) -> tuple[SampledCurve, fl
     and its lifts are the patch lifts at the samples; no integration is
     needed. The lifts are used as they are when they are horizontal (to
     ``CURVE_TOL``), as for every closed-form family; otherwise they are
-    re-lifted by ``horizontal_lift``. The frames come from
-    ``hypersurface_frames`` in fixed blocks of ``_LINE_BLOCK`` rows.
+    re-lifted by ``horizontal_lift``. The frames of every sample come from
+    one ``hypersurface_frames`` call.
 
     The reported defect is the worse of the tangency defect and the gap
     between the curve's unit velocity and the measured structure field at
@@ -911,13 +885,9 @@ def regenerate_integral_curve(par: RHSParametrization) -> tuple[SampledCurve, fl
     rows = np.zeros((params.shape[0], patch.n_params))
     rows[:, 0] = params
 
-    blocks = [
-        hypersurface_frames(patch, rows[i : i + _LINE_BLOCK])
-        for i in range(0, rows.shape[0], _LINE_BLOCK)
-    ]
-    lifts = np.concatenate([fr.lift for fr in blocks])
-    xi = np.concatenate([fr.xi for fr in blocks])
-    a = np.concatenate([fr.tangent_coords(fr.xi) for fr in blocks])
+    frames = hypersurface_frames(patch, rows)
+    lifts, xi = frames.lift, frames.xi
+    a = frames.tangent_coords(xi)
     tangency = max(np.max(np.abs(a[:, 1:]), initial=0.0), np.max(np.abs(np.abs(a[:, 0]) - 1.0)))
 
     curve = SampledCurve(sig, params, lifts, step)
@@ -957,18 +927,16 @@ def classify_generating_curve(curve: SampledCurve, xi_defect: float = 0.0) -> Cl
             MinimalCase.CASE_A_GEODESIC, None, eps1, None, None, xi_defect, fr.detail
         )
     if fr.classification is CurveClass.TOTALLY_REAL_CIRCLE:
-        ok, rep = is_totally_real_circle(fr, curve)
-        if ok:
-            kind = _SURFACE_BY_SIGNS[(fr.signs[0], fr.signs[1])]
-            return ClassificationReport(
-                MinimalCase.CASE_B_TOTALLY_REAL_CIRCLE,
-                rep["kappa1"],
-                eps1,
-                fr.signs[1],
-                kind,
-                xi_defect,
-                rep,
-            )
+        kind = _SURFACE_BY_SIGNS[(fr.signs[0], fr.signs[1])]
+        return ClassificationReport(
+            MinimalCase.CASE_B_TOTALLY_REAL_CIRCLE,
+            fr.detail["kappa1"],
+            eps1,
+            fr.signs[1],
+            kind,
+            xi_defect,
+            fr.detail,
+        )
     if fr.classification is CurveClass.CASE_C_NON_FRENET:
         ok, rep = case_c_verify(curve)
         if ok:

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,7 @@ class TestClassify:
         doc = json.loads(capsys.readouterr().out)
         assert doc["schema"] == 1
         assert doc["case"] == "a"
+        assert set(doc["detail"]) == {"residual"}
 
     def test_case_c1_file(self, tmp_path, capsys):
         path = write_json(tmp_path / "c1.json", CASE_C1_DOC)
@@ -100,6 +102,9 @@ class TestClassify:
         doc = json.loads(capsys.readouterr().out)
         assert doc["case"] == "c"
         assert doc["kind"] == "b3_1"
+        assert set(doc["detail"]) == {
+            "f2_min_norm", "g(F2,F2)", "parallel_defect", "g(F1,F2)", "g(F1,JF2)"
+        }
 
     def test_circle_file(self, tmp_path, capsys):
         path = write_json(tmp_path / "circ.json", CIRCLE_DOC)
@@ -108,6 +113,7 @@ class TestClassify:
         assert doc["case"] == "b"
         assert doc["kappa1"] == pytest.approx(1.25, abs=1e-6)
         assert doc["signs"] == {"eps1": 1.0, "eps2": 1.0}
+        assert set(doc["detail"]) == {"order", "kappa1", "kappa1_rel_spread", "torsion_max"}
 
     def test_nan_circle_curvature_is_a_precondition(self, tmp_path, capsys):
         """A NaN curvature, or one whose square is not finite, is refused
@@ -153,6 +159,23 @@ class TestClassify:
         assert run_cli("classify", path) == 3
         captured = capsys.readouterr()
         assert "t0 must be finite" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("t0", [1000.0, -1000.0])
+    def test_overflowing_t0_is_a_precondition(self, tmp_path, capsys, t0):
+        """A boost flow whose lifts overflow over the curve range at t0 is
+        refused with exit 3, naming t0, and warns nothing on the way."""
+        doc = {
+            "signature": {"n": 4, "p": 1},
+            "kind": "closed_form",
+            "data": {"family": "builtin_flow", "example": 2, "t0": t0},
+        }
+        path = write_json(tmp_path / "flow.json", doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli("classify", path) == 3
+        captured = capsys.readouterr()
+        assert "t0" in captured.err
         assert captured.out == ""
 
     def test_builtin_flow_file(self, tmp_path, capsys):

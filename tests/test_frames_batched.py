@@ -1,7 +1,7 @@
 """Batched hypersurface frames against the scalar stencil loop.
 
 The reference is the frame code the batched kernel replaced: each stencil
-lift comes from its own ``lift_at`` call, is phase-aligned to the centre
+lift comes from its own one-row ``lifts_at`` call, is phase-aligned to the centre
 lift and differenced one parameter at a time, and every normal of the
 Richardson-extrapolated Weingarten map is a separate one-point frame.
 """
@@ -43,16 +43,21 @@ def _ref_phase(signs, w, ref):
     return np.conj(a) / abs(a)
 
 
+def _lift(patch, u):
+    """The lift at u: row 0 of a one-row ``lifts_at`` call."""
+    return patch.lifts_at(np.asarray(u, dtype=float)[None])[0]
+
+
 def _ref_tangent_frame(patch, u, h=INNER_FD_STEP):
     u = np.asarray(u, dtype=float)
-    w0 = patch.lift_at(u)
+    w0 = _lift(patch, u)
     signs = patch.sig.signs
     rows = []
     for j in range(u.shape[0]):
         du = np.zeros_like(u)
         du[j] = h
-        wp = patch.lift_at(u + du)
-        wm = patch.lift_at(u - du)
+        wp = _lift(patch, u + du)
+        wm = _lift(patch, u - du)
         wp = wp * _ref_phase(signs, wp, w0)
         wm = wm * _ref_phase(signs, wm, w0)
         rows.append((wp - wm) / (2.0 * h))
@@ -177,7 +182,7 @@ class _LiftOnly:
         self.n_params = inner.n_params
 
     def lift_at(self, u):
-        return self.inner.lift_at(u)
+        return _lift(self.inner, u)
 
 
 @pytest.mark.parametrize("name", sorted(PATCHES))
@@ -243,16 +248,14 @@ def test_lift_at_only_patch_gives_the_same_frames(name):
 
 @pytest.mark.parametrize("example_id", [1, 2, 3, 4])
 def test_rhs_lift_is_row_zero_of_lifts_at(example_id):
-    """``rhs_lift`` and ``RHSPatch.lift_at`` are the one-row case of
-    ``lifts_at`` bit for bit, and ``rhs_lift_grid`` holds its rows in
-    (s, c) order."""
+    """``rhs_lift`` is the one-row case of ``lifts_at`` bit for bit, and
+    ``rhs_lift_grid`` holds its rows in (s, c) order."""
     patch = _family_patch(example_id)
     rows = np.array([_point(patch, seed) for seed in range(4)])
     batch = patch.lifts_at(rows)
     for k, u in enumerate(rows):
         one = rhs_lift(patch.par, u[0], u[1:])
         assert np.array_equal(one, patch.lifts_at(rows[k:])[0])
-        assert np.array_equal(one, patch.lift_at(u))
         assert np.array_equal(one, batch[k])
     s_values, coords = rows[:2, 0], rows[:3, 1:]
     grid = rhs_lift_grid(patch.par, s_values, coords)
@@ -323,8 +326,8 @@ def test_good_rows_of_a_mixed_patch_pass():
 )
 def test_first_bad_row_decides_the_error(regions, error):
     """The checks run in the order of a one-row call, and the first that any
-    row fails raises: rank deficiency comes before a degenerate pairing or
-    normal, whichever of the rows comes first."""
+    row fails raises: rank deficiency comes before a degenerate normal,
+    whichever of the rows comes first."""
     patch = _Regions(GOOD, RANK_DEFICIENT, DEGENERATE)
     with pytest.raises(error):
         hypersurface_frames(patch, _rows(*regions))
