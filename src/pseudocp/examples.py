@@ -26,7 +26,7 @@ from . import ruled
 from .curves import SampledCurve, sampled_curve_from_fn
 from .errors import DomainError
 from .isometries import IndefiniteUnitaryMatrix
-from .linalg import Signature, metric_signs, real_metric
+from .linalg import Signature, gdot_rows, metric_signs, real_metric
 from .projective import canonicalize
 from .ruled import (
     RHSPatch,
@@ -282,7 +282,8 @@ def example_integral_curve(
     """Integral curve of the structure field through the seed at ruling
     parameter t, with closed forms, sampled over ``s_range``; t defaults to
     ``T0``, s_range to ``S_RANGE``. A non-finite t, or one whose lifts over
-    s_range are not finite, raises DomainError.
+    s_range, or their squares g(z, z) and |z|_E^2, are not finite, raises
+    DomainError.
 
     The returned acceleration is the second covariant derivative of the flow
     on the sphere, eps1 times the point plus its second t-derivative over
@@ -304,10 +305,13 @@ def example_integral_curve(
     def lift(s) -> np.ndarray:
         return r.slice_map(t0 + s / mod, z)
 
-    # a boost at a huge |t0| overflows cosh/sinh; that is a bad t0, not a warning
+    # a boost at a huge |t0| overflows cosh/sinh, or the products of the
+    # lifts every later stage forms; that is a bad t0, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         curve = sampled_curve_from_fn(spec.sig, lift, s_lo, s_hi, step)
-    if not np.all(np.isfinite(curve.lifts)):
+        z_rows = curve.lifts
+        products = (gdot_rows(spec.sig.signs, z_rows, z_rows), np.sum(np.abs(z_rows) ** 2, axis=-1))
+    if not all(np.all(np.isfinite(v)) for v in (z_rows,) + products):
         raise DomainError(f"ruling parameter t0 = {t0!r} takes the flow's lifts out of floating-point range")
 
     f, e = r.filled, r.empty

@@ -15,17 +15,21 @@ for a stack of patch parameters it evaluates every lift of every
 central-difference stencil in one patch call (``lifts_at``), then aligns
 phases, projects to the horizontal space and takes one SVD per row as
 stacked array operations. It returns one ``AlmostContactFrame`` holding the
-stack; the frame at a single point is its one-row view. Every derivative of a
-frame field is one stencil, ``_extrapolated_difference``: central
-differences at +-h and +-h/2 combined as (4 D(h/2) - D(h)) / 3. The shape
-operator differentiates the unit normal with it at ``INNER_FD_STEP``:
-``weingarten_apply`` gets the four normals of every vector at every point
-of a stack from one kernel call, and ``shape_operators`` measures a stack
-of points with one frame call, two Weingarten calls and one stacked
-Gram-Schmidt for the adapted bases (``adapted_bases``). Tangent
-coordinates are one stacked least squares solve. The Codazzi and
-structure identities difference Weingarten images and xi at
-``OUTER_FD_STEP``; the structure identity takes a stack of points. The
+stack; the frame at a single point is its one-row view. The shape operator
+comes from the Gauss formula: ``second_forms`` reads the second fundamental
+form H_kl = g(d_k d_l f, N) of a stack of points off one patch call over a
+second-difference stencil at ``OUTER_FD_STEP``, and ``weingarten_apply``
+turns it into A x = sum_k c_k t_k with c = G^-1 H a, linear algebra on the
+frame. ``shape_operators`` measures a stack of points with one frame call,
+one second-form call applied to xi and to the adapted bases, and one stacked
+Gram-Schmidt for those bases (``adapted_bases``). Tangent coordinates are
+one stacked least squares solve. Every first derivative of a frame field is
+one stencil, ``_extrapolated_difference``: central differences at +-h and
++-h/2 combined as (4 D(h/2) - D(h)) / 3, at h = ``OUTER_FD_STEP``. The
+Codazzi identity differences Weingarten images with it, the forms of its
+eight moved frames coming from one second-form call. The structure identity
+differences the unit normal itself (``_normal_difference``), so its left
+side stays independent of the Gauss formula; it takes a stack of points. The
 ruled characterization (vanishing leaf block) and minimality
 (mu = g(A xi, xi) = 0) are read off the shape reports.
 
@@ -79,9 +83,10 @@ from .projective import (
     random_horizontal_unit,
 )
 
-#: step of the patch tangents and of the normal derivative (Weingarten map)
+#: step of the patch tangents
 INNER_FD_STEP = 1e-4
-#: step of the differences of Weingarten images (Codazzi) and of xi
+#: step of the second differences of the Gauss formula, and of the
+#: differences of Weingarten images (Codazzi) and of xi
 OUTER_FD_STEP = 2e-3
 #: leaf coordinates must stay inside this chart radius
 CHART_RADIUS = np.pi / 2
@@ -642,26 +647,85 @@ def _extrapolated_difference(values: np.ndarray, h: float) -> np.ndarray:
     return (4.0 * d2 - d1) / 3.0
 
 
+def second_forms(patch, frames: AlmostContactFrame, rows: np.ndarray) -> np.ndarray:
+    """Second fundamental forms H (N, P, P) in the coordinate tangents at
+    the stacked patch parameters rows (N, P), ``frames`` holding the frames
+    there: the Gauss formula H_kl = g(d_k d_l f, N).
+
+    Each row u gets the stencil u, u +- s e_k and u +- s (e_k + e_l) (k < l)
+    at s = h and s = h/2, h = ``OUTER_FD_STEP``, and every lift of every row
+    comes from one patch call. Phase-aligned to the frame's lift (its gauge,
+    which a reference-aligned frame carries), the lifts are a family
+    horizontal at u to first order, so the second derivatives of g(f, N)
+    are the normal components of the ambient covariant derivative. Its
+    second differences D along e_k and e_k + e_l are combined over both
+    steps as (4 D(h/2) - D(h)) / 3; the mixed terms are
+    (D_{k+l} - D_k - D_l) / 2, so H is symmetric by construction.
+    """
+    signs = patch.sig.signs
+    rows = np.asarray(rows, dtype=float)
+    count, p = rows.shape
+    k, l = np.triu_indices(p, 1)
+    eye = np.eye(p)
+    dirs = np.concatenate([eye, eye[k] + eye[l]])
+    h = OUTER_FD_STEP
+    moved = rows[:, None, None] + (h * _FD_OFFSETS)[:, None, None] * dirs
+    stencil = np.concatenate([rows[:, None], moved.reshape(count, -1, p)], axis=1)
+    w = _patch_lifts(patch, stencil.reshape(-1, p)).reshape(count, stencil.shape[1], -1)
+    w = w * _phase_factor(signs, w, frames.lift[:, None])[..., None]
+    pair = gdot_rows(signs, w, frames.normal[:, None])
+    center = pair[:, :1]
+    pair = pair[:, 1:].reshape(count, 4, -1)
+    d_h = (pair[:, 0] - 2.0 * center + pair[:, 1]) / (h * h)
+    d_half = (pair[:, 2] - 2.0 * center + pair[:, 3]) / (0.25 * h * h)
+    d = (4.0 * d_half - d_h) / 3.0
+    forms = np.empty((count, p, p))
+    forms[:, np.arange(p), np.arange(p)] = d[:, :p]
+    mixed = 0.5 * (d[:, p:] - d[:, k] - d[:, l])
+    forms[:, k, l] = mixed
+    forms[:, l, k] = mixed
+    return forms
+
+
+def _shape_images(frames: AlmostContactFrame, forms: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x = sum_k c_k t_k with c = G^-1 H a at every row of a stacked frame:
+    G the Gram matrix of the tangents t, H the second forms (N, P, P) and a
+    the tangent coordinates of the vectors x, (N, d) or (N, m, d). The
+    coefficients and images are elementwise products and sums, so an image
+    does not depend on the other vectors or points of the call."""
+    x = np.asarray(x, dtype=complex)
+    t = frames.tangents
+    gram = gdot_rows(frames.sig.signs, t[:, :, None], t[:, None])
+    op = np.linalg.solve(gram, forms)
+    a = frames.tangent_coords(x.reshape(x.shape[0], -1, x.shape[-1]))
+    c = np.sum(op[:, None] * a[:, :, None], axis=-1)
+    return np.sum(c[..., None] * t[:, None], axis=-2).reshape(x.shape)
+
+
 def weingarten_apply(patch, frame: AlmostContactFrame, u: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Shape operator A X = -(derivative of N) applied to tangent vectors.
+    """Shape operator A X applied to tangent vectors, from the Gauss formula.
 
     ``frame`` holds the frames at the patch parameters u, a stack (N, P) or
     one point (P,); x holds one vector per point or an axis of several
-    vectors per point (as for ``AlmostContactFrame``). The unit normal is
-    extended along the coordinate line with parameter velocity matching X
-    and differentiated by ``_extrapolated_difference`` at h =
-    ``INNER_FD_STEP``. The four normals of every vector at every point come
-    from one ``hypersurface_frames`` call, each aligned to the frame at its
-    own point.
+    vectors per point (as for ``AlmostContactFrame``). The Weingarten
+    equation gives g(A X, Y) = H(X, Y) with H the second fundamental form,
+    so A x = sum_k c_k t_k with c = G^-1 H a: G_kl = g(t_k, t_l) on the
+    frame's tangents, H from one ``second_forms`` call and a the tangent
+    coordinates of x.
     """
-    return -frame.tangential(_normal_difference(patch, frame, u, x, INNER_FD_STEP))
+    if frame.lift.ndim == 1:
+        u = np.asarray(u, dtype=float)[None]
+        return weingarten_apply(patch, _one_row_stack(frame), u, np.asarray(x)[None])[0]
+    return _shape_images(frame, second_forms(patch, frame, u), x)
 
 
 def _normal_difference(patch, frame: AlmostContactFrame, u, x, h: float) -> np.ndarray:
     """``_extrapolated_difference`` at step h of the unit normal moved from
     the patch parameters u along the tangents x (shaped as for
     ``weingarten_apply``), each moved frame aligned to the frame at its own
-    point; all moved frames come from one ``hypersurface_frames`` call."""
+    point; all moved frames come from one ``hypersurface_frames`` call. Only
+    the structure identity uses it, so its left side stays independent of
+    the Gauss formula."""
     x = np.asarray(x, dtype=complex)
     u = np.asarray(u, dtype=float)
     a = frame.tangent_coords(x)
@@ -726,22 +790,23 @@ def shape_operators(patch, rows: np.ndarray) -> list[ShapeReport]:
     The structure vector comes first; when the leaf part U of A xi is
     non-null, its normalization occupies the second slot, so the rank-two
     pattern is visible directly in the matrix. One frame call, one
-    Weingarten call for the images of xi, one stacked Gram-Schmidt
-    (``adapted_bases``) for the bases of every row and one Weingarten call
-    for the images of every basis.
+    ``second_forms`` call whose forms give the images of xi and then of
+    every basis, and one stacked Gram-Schmidt (``adapted_bases``) for the
+    bases of every row.
     """
     rows = np.asarray(rows, dtype=float)
     sig = patch.sig
     frames = hypersurface_frames(patch, rows)
+    forms = second_forms(patch, frames, rows)
     xi = frames.xi
-    axi = weingarten_apply(patch, frames, rows, xi)
+    axi = _shape_images(frames, forms, xi)
     mu = gdot_rows(sig.signs, axi, xi)
     uvec = axi - (frames.epsilon * mu)[:, None] * xi
     uchar = causal_characters(sig, uvec, NUMERIC_LIGHT_TOL)
     non_null = (CausalCharacter.SPACELIKE, CausalCharacter.TIMELIKE)
     bases, bsigns = adapted_bases(frames, uvec, np.array([c in non_null for c in uchar], dtype=bool))
     lam = np.sqrt(np.abs(gdot_rows(sig.signs, uvec, uvec)))
-    images = np.concatenate([axi[:, None], weingarten_apply(patch, frames, rows, bases[:, 1:])], 1)
+    images = np.concatenate([axi[:, None], _shape_images(frames, forms, bases[:, 1:])], 1)
     bil = gdot_rows(sig.signs, images[:, None], bases[:, :, None])
     matrix = bsigns[:, :, None] * bil
     svals = np.linalg.svd(matrix, compute_uv=False)
@@ -783,8 +848,14 @@ def shape_operator_at(patch, u: np.ndarray) -> ShapeReport:
 
 
 def codazzi_residual(patch, u: np.ndarray, rng: np.random.Generator) -> float:
-    """Residual of the Codazzi identity at u for one random tangent pair; the
-    outer differences are ``_extrapolated_difference`` at ``OUTER_FD_STEP``."""
+    """Residual of the Codazzi identity at u for one random tangent pair.
+
+    The fields Y moved along X and X moved along Y are read on eight frames
+    at the ``_FD_OFFSETS`` of u, aligned to the frame at u; their Weingarten
+    images come from one ``weingarten_apply`` call, hence one second-form
+    call over the eight moved points. The outer differences are
+    ``_extrapolated_difference`` at ``OUTER_FD_STEP``.
+    """
     sig = patch.sig
     h = OUTER_FD_STEP
     u = np.asarray(u, dtype=float)

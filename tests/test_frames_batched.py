@@ -2,8 +2,9 @@
 
 The reference is the frame code the batched kernel replaced: each stencil
 lift comes from its own one-row ``lifts_at`` call, is phase-aligned to the centre
-lift and differenced one parameter at a time, and every normal of the
-Richardson-extrapolated Weingarten map is a separate one-point frame.
+lift and differenced one parameter at a time. The Weingarten map is the Gauss
+formula at one point: every second difference of g(f, N) is taken on its
+own one-row lifts, and the tangent coordinates come from ``np.linalg.lstsq``.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from pseudocp.ruled import (
     CHART_RADIUS,
     INNER_FD_STEP,
     NUMERIC_LIGHT_TOL,
+    OUTER_FD_STEP,
     AlmostContactFrame,
     GeodesicSpherePatch,
     RHSPatch,
@@ -104,20 +106,41 @@ def _ref_aligned(patch, u, ref):
     return AlmostContactFrame(fr.sig, fr.lift * ph, fr.tangents * ph, nu, fr.epsilon)
 
 
-def _ref_weingarten(patch, frame0, u, x, h=INNER_FD_STEP):
+def _ref_second_form(patch, frame0, u, h=OUTER_FD_STEP):
+    """g(d_k d_l f, N): extrapolated second differences of the pairing of
+    the normal with lifts phase-aligned to the frame's lift, along e_k and
+    e_k + e_l; the mixed terms are (D_{k+l} - D_k - D_l) / 2."""
     sig = patch.sig
-    a, *_ = np.linalg.lstsq(_realify(frame0.tangents).T, _realify(x), rcond=None)
+    p = u.shape[0]
 
-    def estimate(hh):
-        up = _ref_aligned(patch, u + hh * a, frame0).normal
-        um = _ref_aligned(patch, u - hh * a, frame0).normal
-        return (up - um) / (2.0 * hh)
+    def pairing(v):
+        w = _lift(patch, u + v)
+        return real_metric(sig, w * _ref_phase(sig.signs, w, frame0.lift), frame0.normal)
 
-    dn = (4.0 * estimate(0.5 * h) - estimate(h)) / 3.0
-    w0 = frame0.lift
-    ax = dn - real_metric(sig, dn, w0) * w0
-    ax = -(ax - real_metric(sig, ax, 1j * w0) * (1j * w0))
-    return ax - frame0.epsilon * real_metric(sig, ax, frame0.normal) * frame0.normal
+    center = pairing(np.zeros(p))
+
+    def second(direction):
+        def estimate(hh):
+            return (pairing(hh * direction) - 2.0 * center + pairing(-hh * direction)) / hh**2
+
+        return (4.0 * estimate(0.5 * h) - estimate(h)) / 3.0
+
+    eye = np.eye(p)
+    form = np.diag([second(e) for e in eye])
+    for k in range(p):
+        for l in range(k + 1, p):
+            form[k, l] = form[l, k] = 0.5 * (second(eye[k] + eye[l]) - form[k, k] - form[l, l])
+    return form
+
+
+def _ref_weingarten(patch, frame0, u, x):
+    """A x = sum_k c_k t_k with G c = H a (Gauss and Weingarten formulas)."""
+    sig = patch.sig
+    t = frame0.tangents
+    a, *_ = np.linalg.lstsq(_realify(t).T, _realify(x), rcond=None)
+    gram = np.array([[real_metric(sig, tk, tl) for tl in t] for tk in t])
+    c = np.linalg.solve(gram, _ref_second_form(patch, frame0, u) @ a)
+    return c @ t
 
 
 def _ref_shape_matrix(patch, u):

@@ -1,20 +1,24 @@
 """Stacked shape operators, Codazzi residual and structure identity against
 pointwise loops.
 
-The oracles are the pointwise bodies: a Weingarten map whose four normals
-per vector are aligned to one reference frame, the shape operator of one
-point with its own frame call and two Weingarten calls, a Codazzi residual
-with one Weingarten call per moved frame, and a structure identity with one
-frame call per moved point. Every difference, inner or outer, is the
-central difference at steps h and h/2 combined as (4 D(h/2) - D(h)) / 3,
+The oracles are the pointwise bodies: a Weingarten map from the Gauss
+formula, written out per point and per coordinate pair, the shape operator
+of one point with its own frame call and two Weingarten calls, a Codazzi
+residual with one Weingarten call per moved frame, and a structure identity
+with one frame call per moved point. Every difference, first or second, is
+the central difference at steps h and h/2 combined as (4 D(h/2) - D(h)) / 3,
 written out here. The stacked path runs the same arithmetic row by row, so
 the comparisons ask for equality.
+
+The nested difference of numeric normals that the Gauss formula replaced is
+kept as an independent reference for the Weingarten map.
 """
 
 import numpy as np
 import pytest
 
 from pseudocp.examples import example_integral_curve, example_spec, ruling_isometry
+from pseudocp.isometries import IndefiniteUnitaryMatrix
 from pseudocp.linalg import CausalCharacter, Signature, causal_character, gdot_rows, real_metric
 from pseudocp.projective import canonicalize
 from pseudocp.ruled import (
@@ -29,11 +33,13 @@ from pseudocp.ruled import (
     codazzi_residual,
     hypersurface_frame,
     hypersurface_frames,
+    leaf_coordinate_axes,
     leaf_coordinate_grid,
     shape_operator_at,
     shape_operators,
     structure_field_identity,
     transport_basis,
+    weingarten_apply,
 )
 
 # ---------------------------------------------------------------------------
@@ -49,7 +55,60 @@ def _extrapolated(plus, minus, half_plus, half_minus, h):
     return (4.0 * d2 - d1) / 3.0
 
 
+def _oracle_second_form(patch, frame0, u):
+    """H_kl = g(d_k d_l f, N) at one point by the Gauss formula: each lift
+    from its own one-row call, phase-aligned to the frame's lift and paired
+    with its normal; second differences along e_k and e_k + e_l at h and
+    h/2, extrapolated, and the mixed terms (D_{k+l} - D_k - D_l) / 2."""
+    h = OUTER_FD_STEP
+    signs = patch.sig.signs
+    p = u.shape[0]
+
+    def pairing(v):
+        w = patch.lifts_at((u + v)[None])[0]
+        a = np.sum(signs * w * np.conj(frame0.lift))
+        w = w * (np.conj(a) / np.hypot(a.real, a.imag))
+        return np.real(np.sum(signs * w * np.conj(frame0.normal)))
+
+    center = pairing(np.zeros(p))
+
+    def second_difference(direction):
+        plus, minus = pairing(h * direction), pairing(-h * direction)
+        half_plus, half_minus = pairing(0.5 * h * direction), pairing(-0.5 * h * direction)
+        d_h = (plus - 2.0 * center + minus) / (h * h)
+        d_half = (half_plus - 2.0 * center + half_minus) / (0.25 * h * h)
+        return (4.0 * d_half - d_h) / 3.0
+
+    eye = np.eye(p)
+    diag = [second_difference(eye[k]) for k in range(p)]
+    form = np.diag(diag)
+    for k in range(p):
+        for l in range(k + 1, p):
+            form[k, l] = form[l, k] = 0.5 * (second_difference(eye[k] + eye[l]) - diag[k] - diag[l])
+    return form
+
+
 def _oracle_weingarten(patch, frame0, u, x):
+    """A x = sum_m c_m t_m with c = G^-1 H a at one point, one vector at a
+    time: G_kl = g(t_k, t_l), H the second form and a the tangent
+    coordinates of x."""
+    sig = patch.sig
+    t = frame0.tangents
+    p = t.shape[0]
+    gram = np.array([[real_metric(sig, t[k], t[l]) for l in range(p)] for k in range(p)])
+    op = np.linalg.solve(gram, _oracle_second_form(patch, frame0, u))
+    x = np.asarray(x, dtype=complex)
+    images = []
+    for v in x.reshape(-1, x.shape[-1]):
+        c = np.sum(op * frame0.tangent_coords(v), axis=-1)
+        images.append(np.sum(c[:, None] * t, axis=0))
+    return np.array(images).reshape(x.shape)
+
+
+def _nested_weingarten(patch, frame0, u, x):
+    """The Weingarten map as the extrapolated difference of numeric unit
+    normals at ``INNER_FD_STEP`` along x, each moved frame aligned to the
+    frame at u: an independent reference for the Gauss formula."""
     h = INNER_FD_STEP
     x = np.asarray(x, dtype=complex)
     a = frame0.tangent_coords(x.reshape(-1, x.shape[-1]))
@@ -203,3 +262,42 @@ def test_structure_field_identity_equals_the_pointwise_loop(name):
     frame = hypersurface_frame(patch, u)
     got = structure_field_identity(patch, frame, u, frame.random_tangent(np.random.default_rng(2)))
     assert got == _oracle_structure(patch, frame, u, np.random.default_rng(2))
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_gauss_formula_matches_the_nested_normal_difference(name):
+    """The Weingarten images of xi and of two random tangents agree with the
+    extrapolated difference of numeric normals within 1e-6 max(1, |A x|),
+    at every row."""
+    patch, rows = CASES[name]()
+    frames = hypersurface_frames(patch, rows)
+    rng = np.random.default_rng(5)
+    xs = np.stack([frames.xi, frames.unit_tangents(rng.standard_normal(rows.shape)),
+                   frames.unit_tangents(rng.standard_normal(rows.shape))], axis=1)
+    got = weingarten_apply(patch, frames, rows, xs)
+    for i, u in enumerate(rows):
+        want = _nested_weingarten(patch, frames.row(i), u, xs[i])
+        scale = max(1.0, float(np.max(np.sqrt(np.sum(np.abs(want) ** 2, axis=-1)))))
+        assert np.max(np.abs(got[i] - want)) <= 1e-6 * scale
+
+
+def _boost(sig, t):
+    """exp(t B), with B mixing the first (timelike) and the last slot."""
+    m = np.eye(sig.ambient_dim, dtype=complex)
+    m[0, 0] = m[-1, -1] = np.cosh(t)
+    m[0, -1] = m[-1, 0] = np.sinh(t)
+    return IndefiniteUnitaryMatrix(sig, m)
+
+
+@pytest.mark.parametrize("t", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("example_id", [1, 2, 3, 4])
+def test_codazzi_holds_under_a_boost(example_id, t):
+    """The Codazzi residual of a default family moved by exp(t B) stays
+    within 1e-4 at the cross-check point of ``verify``: s = 0.05 and the
+    leaf coordinates of the first grid row, rng seed 11."""
+    spec = example_spec(example_id)
+    par = transport_basis(example_integral_curve(spec).curve)
+    _, coords = leaf_coordinate_axes(par, 5, 4, radius=0.25)
+    u = np.concatenate([[0.05], coords[0]])
+    patch = TransformedPatch(_boost(spec.sig, t), RHSPatch(par))
+    assert codazzi_residual(patch, u, np.random.default_rng(11)) <= 1e-4
