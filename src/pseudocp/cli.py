@@ -1,13 +1,19 @@
 """Command line front end: verify families, classify curves, export points.
 
-Exit codes: 0 pass, 1 verification failure, 2 usage or parse error (a bad
-``--signature``, ``--seed-r`` with a family other than 1, a configuration
-value that is non-finite or of the wrong type, and a curve-file ``n``, ``p``
-or ``example`` that is no JSON integer included), 3 precondition violation
-(lightlike data, a seed or ``t0`` outside its family's domain, a circle
-curvature that is not positive or has no finite square, a curve grid
-without a finite positive step, a finite range, 3 samples or at most
-``curves.MAX_SAMPLES`` samples), 4 I/O failure.
+Commands raise, and ``main`` alone maps the failure to its exit code and
+prints ``error: ...``, the same for every command: 0 pass; 1 verification
+failure (a failing report line, or a ``GeometryError`` that is no
+precondition, such as a curve that matches no minimal case); 2 a
+``UsageError`` (a bad target or ``--signature``, ``--seed-r`` with a family
+other than 1, a configuration that cannot be read or holds a non-finite or
+mistyped value, a curve file that cannot be parsed or whose ``n``, ``p`` or
+``example`` is no JSON integer); 3 one of ``_PRECONDITION_ERRORS`` (lightlike
+data, a ``--seed-r`` whose base curve is lightlike included, a seed or
+``t0`` outside its family's domain, a circle curvature that is not positive
+or has no finite square, a curve grid without a finite positive step, a
+finite range, 3 samples or at most ``curves.MAX_SAMPLES`` samples); 4 an
+``OSError`` (a curve file that cannot be opened, an output that cannot be
+written).
 
 Curve files for ``classify`` are JSON objects::
 
@@ -53,7 +59,6 @@ from .curves import (
 from .errors import (
     CausalCharacterError,
     ChartError,
-    ClassificationError,
     DomainError,
     FrameError,
     GeometryError,
@@ -92,7 +97,7 @@ EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 EXIT_IO = 4
 
-SEED_R_USAGE = "error: --seed-r applies to family 1 only"
+SEED_R_USAGE = "--seed-r applies to family 1 only"
 
 _PRECONDITION_ERRORS = (
     CausalCharacterError,
@@ -103,6 +108,10 @@ _PRECONDITION_ERRORS = (
     SamplingError,
     ChartError,
 )
+
+
+class UsageError(Exception):
+    """A bad command line, configuration or curve file: exit 2."""
 
 
 @functools.cache
@@ -150,15 +159,20 @@ def _parse_grid(text: str):
 
 
 def _config_from_args(args) -> RunConfig:
+    """The run configuration; a bad grid spec, or a config file that cannot
+    be read or holds a bad value, raises UsageError."""
     overrides = {
         "verify_tol": getattr(args, "verify_tol", None),
         "out_path": getattr(args, "out", None),
         "fmt": getattr(args, "format", None),
     }
-    if getattr(args, "grid", None):
-        s, t, leaf = _parse_grid(args.grid)
-        overrides.update({"grid_s": s, "grid_t": t, "grid_leaf": leaf})
-    return RunConfig.load(overrides)
+    try:
+        if getattr(args, "grid", None):
+            s, t, leaf = _parse_grid(args.grid)
+            overrides.update({"grid_s": s, "grid_t": t, "grid_leaf": leaf})
+        return RunConfig.load(overrides)
+    except (ValueError, OSError) as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -188,21 +202,15 @@ def _emit(text: str, out_path) -> None:
 
 
 def cmd_verify(args) -> int:
-    try:
-        cfg = _config_from_args(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    cfg = _config_from_args(args)
     if args.target == "all":
         targets = list(EXAMPLE_IDS)
     elif args.target.isdigit() and int(args.target) in EXAMPLE_IDS:
         targets = [int(args.target)]
     else:
-        print(f"error: unknown verify target {args.target!r}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"unknown verify target {args.target!r}")
     if args.seed_r is not None and 1 not in targets:
-        print(SEED_R_USAGE, file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(SEED_R_USAGE)
 
     sig = None
     if args.signature:
@@ -210,37 +218,32 @@ def cmd_verify(args) -> int:
             n, p = (int(x) for x in args.signature.split(","))
             sig = Signature(n, p)
         except ValueError as exc:
-            print(f"error: bad signature {args.signature!r}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError(f"bad signature {args.signature!r}: {exc}") from exc
 
     groups = []  # (group name, identity lines) in report order
     classifications = {}
     pars = {}
-    try:
-        for ex in targets:
-            seed = None
-            if ex == 1 and args.seed_r is not None:
-                seed = gamma_seed(sig or example_spec(1).sig, args.seed_r)
-            report = example_cross_check(
-                example_spec(ex, sig=sig, seed_z=seed),
-                grid_s=cfg.grid_s,
-                grid_t=cfg.grid_t,
-                grid_leaf=cfg.grid_leaf,
-                verify_tol=cfg.verify_tol,
-                leaf_radius=cfg.leaf_radius,
-            )
-            groups.append((f"example{ex}", report.lines))
-            classifications[str(ex)] = f"case_{report.classification}"
-            pars[ex] = report.par
-        groups += [
-            ("curvature", verification.curvature_lines()),
-            ("frames", verification.unitary_frame_lines()),
-            ("case_c_forms", verification.case_c_closed_form_lines()),
-            ("almost_contact", verification.almost_contact_lines(pars)),
-        ]
-    except (DomainError, ChartError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    for ex in targets:
+        seed = None
+        if ex == 1 and args.seed_r is not None:
+            seed = gamma_seed(sig or example_spec(1).sig, args.seed_r)
+        report = example_cross_check(
+            example_spec(ex, sig=sig, seed_z=seed),
+            grid_s=cfg.grid_s,
+            grid_t=cfg.grid_t,
+            grid_leaf=cfg.grid_leaf,
+            verify_tol=cfg.verify_tol,
+            leaf_radius=cfg.leaf_radius,
+        )
+        groups.append((f"example{ex}", report.lines))
+        classifications[str(ex)] = f"case_{report.classification}"
+        pars[ex] = report.par
+    groups += [
+        ("curvature", verification.curvature_lines()),
+        ("frames", verification.unitary_frame_lines()),
+        ("case_c_forms", verification.case_c_closed_form_lines()),
+        ("almost_contact", verification.almost_contact_lines(pars)),
+    ]
 
     identities = [{"group": group, **line.to_dict()} for group, lines in groups for line in lines]
     ok = all(item["pass"] for item in identities)
@@ -253,11 +256,7 @@ def cmd_verify(args) -> int:
         "identities": identities,
         "pass": ok,
     }
-    try:
-        _emit(json.dumps(doc, indent=2, sort_keys=True), cfg.out_path)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _emit(json.dumps(doc, indent=2, sort_keys=True), cfg.out_path)
     return EXIT_PASS if ok else EXIT_VERIFY_FAIL
 
 
@@ -343,37 +342,18 @@ def _curve_from_file(doc: dict) -> SampledCurve:
 
 
 def cmd_classify(args) -> int:
-    try:
-        cfg = _config_from_args(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    cfg = _config_from_args(args)
     try:
         with open(args.curve_file, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         curve = _curve_from_file(doc)
-    except (KeyError, ValueError, TypeError, IndexError, json.JSONDecodeError) as exc:
-        print(f"error: cannot parse curve file: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _PRECONDITION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except (KeyError, ValueError, TypeError, IndexError) as exc:
+        raise UsageError(f"cannot parse curve file: {exc}") from exc
 
     char = causal_character(curve.sig, curve.velocity[len(curve) // 2])
     if char in (CausalCharacter.LIGHTLIKE, CausalCharacter.ZERO):
-        print("error: curve velocity is lightlike", file=sys.stderr)
-        return EXIT_PRECONDITION
-    try:
-        report = classify_generating_curve(curve)
-    except _PRECONDITION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except ClassificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAIL
+        raise CausalCharacterError("curve velocity is lightlike")
+    report = classify_generating_curve(curve)
 
     doc = {
         "schema": 1,
@@ -384,11 +364,7 @@ def cmd_classify(args) -> int:
         "kind": report.kind,
         "detail": {k: float(v) for k, v in report.detail.items() if np.isscalar(v)},
     }
-    try:
-        _emit(json.dumps(doc, indent=2, sort_keys=True), cfg.out_path)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _emit(json.dumps(doc, indent=2, sort_keys=True), cfg.out_path)
     return EXIT_PASS
 
 
@@ -412,31 +388,19 @@ def _slice_rows(sig, iso, tv: float, s_values, coords, lifts) -> list:
 
 
 def cmd_sample(args) -> int:
-    try:
-        cfg = _config_from_args(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    cfg = _config_from_args(args)
     if not (args.example_id.isdigit() and int(args.example_id) in EXAMPLE_IDS):
-        print(f"error: unknown example id {args.example_id!r}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"unknown example id {args.example_id!r}")
     ex = int(args.example_id)
     if ex != 1 and args.seed_r is not None:
-        print(SEED_R_USAGE, file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        seed = None
-        if args.seed_r is not None:
-            seed = gamma_seed(example_spec(1).sig, args.seed_r)
-        spec = example_spec(ex, seed_z=seed)
-        par = transport_basis(example_integral_curve(spec).curve)
-        s_values, coords = leaf_coordinate_axes(
-            par, cfg.grid_s, cfg.grid_leaf, radius=cfg.leaf_radius
-        )
-        lifts = rhs_lift_grid(par, s_values, coords)
-    except _PRECONDITION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        raise UsageError(SEED_R_USAGE)
+    seed = None
+    if args.seed_r is not None:
+        seed = gamma_seed(example_spec(1).sig, args.seed_r)
+    spec = example_spec(ex, seed_z=seed)
+    par = transport_basis(example_integral_curve(spec).curve)
+    s_values, coords = leaf_coordinate_axes(par, cfg.grid_s, cfg.grid_leaf, radius=cfg.leaf_radius)
+    lifts = rhs_lift_grid(par, s_values, coords)
 
     t_values = np.linspace(T_RANGE[0], T_RANGE[1], cfg.grid_t)
     rows = []
@@ -458,15 +422,13 @@ def cmd_sample(args) -> int:
             {"schema": 1, "command": "sample", "example": ex, "header": header, "rows": rows},
             sort_keys=True,
         )
-    try:
-        _emit(text, cfg.out_path)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _emit(text, cfg.out_path)
     return EXIT_PASS
 
 
 def main(argv=None) -> int:
+    """Run one command; the one place that maps a failure to its exit code
+    and prints it (see the module docstring)."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -475,9 +437,16 @@ def main(argv=None) -> int:
     handlers = {"verify": cmd_verify, "classify": cmd_classify, "sample": cmd_sample}
     try:
         return handlers[args.command](args)
+    except UsageError as exc:
+        failure, code = exc, EXIT_USAGE
+    except _PRECONDITION_ERRORS as exc:
+        failure, code = exc, EXIT_PRECONDITION
     except GeometryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAIL
+        failure, code = exc, EXIT_VERIFY_FAIL
+    except OSError as exc:
+        failure, code = exc, EXIT_IO
+    print(f"error: {failure}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -282,8 +282,8 @@ def example_integral_curve(
     """Integral curve of the structure field through the seed at ruling
     parameter t, with closed forms, sampled over ``s_range``; t defaults to
     ``T0``, s_range to ``S_RANGE``. A non-finite t, or one whose lifts over
-    s_range, or their squares g(z, z) and |z|_E^2, are not finite, raises
-    DomainError.
+    s_range, their squares g(z, z) and |z|_E^2, or the curve's velocities
+    are not finite, raises DomainError.
 
     The returned acceleration is the second covariant derivative of the flow
     on the sphere, eps1 times the point plus its second t-derivative over
@@ -306,12 +306,14 @@ def example_integral_curve(
         return r.slice_map(t0 + s / mod, z)
 
     # a boost at a huge |t0| overflows cosh/sinh, or the products of the
-    # lifts every later stage forms; that is a bad t0, not a warning
+    # lifts every later stage forms, the horizontal velocity among them;
+    # that is a bad t0, not a warning (the velocity is cached on the curve)
     with np.errstate(over="ignore", invalid="ignore"):
         curve = sampled_curve_from_fn(spec.sig, lift, s_lo, s_hi, step)
         z_rows = curve.lifts
         products = (gdot_rows(spec.sig.signs, z_rows, z_rows), np.sum(np.abs(z_rows) ** 2, axis=-1))
-    if not all(np.all(np.isfinite(v)) for v in (z_rows,) + products):
+        velocity = curve.velocity
+    if not all(np.all(np.isfinite(v)) for v in (z_rows, velocity) + products):
         raise DomainError(f"ruling parameter t0 = {t0!r} takes the flow's lifts out of floating-point range")
 
     f, e = r.filled, r.empty

@@ -58,12 +58,15 @@ class IndefiniteUnitaryMatrix:
 def frame_to_isometry(sig: Signature, q, eta_hat) -> IndefiniteUnitaryMatrix:
     """Frame completion sending the standard base point to q and the marked
     direction to eta_hat: the one-row case of ``frame_to_isometries``."""
-    return frame_to_isometries(sig, as_ambient(sig, q)[None], as_ambient(sig, eta_hat)[None])[0]
+    m = frame_to_isometries(sig, as_ambient(sig, q)[None], as_ambient(sig, eta_hat)[None])[0]
+    return IndefiniteUnitaryMatrix(sig, m)
 
 
-def frame_to_isometries(sig: Signature, q, eta_hat) -> list[IndefiniteUnitaryMatrix]:
-    """Frame completions sending the standard base point to each row of q
-    (N, d) and the marked direction to the same row of eta_hat (N, d).
+def frame_to_isometries(sig: Signature, q, eta_hat) -> np.ndarray:
+    """Frame completions (N, d, d) sending the standard base point to each
+    row of q (N, d) and the marked direction to the same row of eta_hat
+    (N, d). Their form and determinant are left to the caller to judge;
+    the one-row ``frame_to_isometry`` checks them.
 
     The sphere point lands in column n-1; a spacelike eta_hat lands in the
     last column and a timelike one in column 0, matching the causal type of
@@ -86,4 +89,4 @@ def frame_to_isometries(sig: Signature, q, eta_hat) -> list[IndefiniteUnitaryMat
     for rows, slot in ((np.flatnonzero(spacelike), sig.n), (np.flatnonzero(~spacelike), 0)):
         if rows.size:
             mats[rows] = complete_unitary_frames(sig, {sig.n - 1: q[rows], slot: ev[rows]})
-    return [IndefiniteUnitaryMatrix(sig, m) for m in mats]
+    return mats

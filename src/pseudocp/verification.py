@@ -106,7 +106,7 @@ def unitary_frame_lines() -> list[IdentityLine]:
     rng = np.random.default_rng(FRAME_SEED)
     eye = np.diag(metric_signs(sig.p, sig.ambient_dim))
     q, eta = _horizontal_draws(sig, FRAME_POINTS, rng)
-    m = np.array([iso.entries for iso in frame_to_isometries(sig, q, eta)])
+    m = frame_to_isometries(sig, q, eta)
     form = np.conj(m).transpose(0, 2, 1) @ eye @ m - eye
     form_worst = float(np.max(np.abs(form), initial=0.0))
     det_worst = float(np.max(np.abs(np.linalg.det(m) - 1.0), initial=0.0))

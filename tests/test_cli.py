@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from pseudocp.cli import main
+from pseudocp.frames import complete_unitary_frames
 from pseudocp.linalg import Signature, metric_signs
 
 
@@ -161,11 +162,11 @@ class TestClassify:
         assert "t0 must be finite" in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("t0", [1000.0, -1000.0, 400.0, -400.0, 700.0])
+    @pytest.mark.parametrize("t0", [1000.0, -1000.0, 400.0, -400.0, 700.0, 350.0, -350.0])
     def test_overflowing_t0_is_a_precondition(self, tmp_path, capsys, t0):
-        """A boost flow whose lifts, or their squares g(z, z) and |z|_E^2,
-        overflow over the curve range at t0 is refused with exit 3, naming
-        t0, and warns nothing on the way."""
+        """A boost flow whose lifts, their squares g(z, z) and |z|_E^2, or
+        the curve's horizontal velocities overflow over the curve range at
+        t0 is refused with exit 3, naming t0, and warns nothing on the way."""
         doc = {
             "signature": {"n": 4, "p": 1},
             "kind": "closed_form",
@@ -566,6 +567,34 @@ class TestVerify:
         assert code == 0
         doc = json.loads(out.read_text())
         assert all(item["pass"] for item in doc["identities"])
+
+    @pytest.mark.parametrize("command", ["verify", "sample"])
+    def test_lightlike_seed_is_a_precondition(self, capsys, command):
+        """seed_r = 1e-12 makes family one's base curve at (3,1) lightlike,
+        outside the paper's non-null hypothesis: both commands exit 3 with
+        that reason and print no report."""
+        assert run_cli(command, "1", "--seed-r", "1e-12", "--grid", "2x2x2") == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: base curve velocity must not be lightlike\n"
+        assert captured.out == ""
+
+    def test_frame_suite_failure_is_reported(self, monkeypatch, capsys):
+        """Frame completions off the form fail the suite's own lines in a
+        full report (exit 1); no earlier check pre-empts them. Only stacks
+        are scaled, so the one-row frames of the transport stay clean."""
+
+        def scaled(sig, fixed):
+            mats = complete_unitary_frames(sig, fixed)
+            return mats * (1 + 1e-9) if len(mats) > 1 else mats
+
+        monkeypatch.setattr("pseudocp.isometries.complete_unitary_frames", scaled)
+        assert run_cli("verify", "2", "--grid", "2x2x2") == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["pass"] is False
+        failing = {item["name"]: item["residual"] for item in doc["identities"] if not item["pass"]}
+        assert set(failing) == {"unitary_frame_form", "unitary_frame_det"}
+        assert failing["unitary_frame_form"] == pytest.approx(2e-9, rel=0.01)
+        assert failing["unitary_frame_det"] == pytest.approx(4e-9, rel=0.01)
 
     def test_almost_contact_lines_check_the_requested_instance(self, tmp_path):
         """The almost contact suite runs on the family instance of the

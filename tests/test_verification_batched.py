@@ -374,7 +374,7 @@ def test_isometries_match_scalar_and_first_bad_row_decides(sig):
     got = frame_to_isometries(sig, q, eta)
     for k in range(len(q)):
         want = _ref_frame_to_isometry(sig, q[k], eta[k]).entries
-        assert np.array_equal(got[k].entries, want)
+        assert np.array_equal(got[k], want)
         assert np.array_equal(frame_to_isometry(sig, q[k], eta[k]).entries, want)
     bad_q, bad_eta = q.copy(), eta.copy()
     bad_eta[4] = bad_eta[4] + 0.5 * q[4]  # not horizontal
