@@ -8,9 +8,12 @@ import warnings
 import numpy as np
 import pytest
 
+from pseudocp import ruled, verification
 from pseudocp.cli import main
+from pseudocp.examples import EXAMPLE_IDS
 from pseudocp.frames import complete_unitary_frames
-from pseudocp.linalg import Signature, metric_signs
+from pseudocp.linalg import Signature, gdot_rows, jmul, metric_signs
+from pseudocp.verification import ACCEPTANCE_SIGNATURES
 
 
 def run_cli(*argv):
@@ -595,6 +598,44 @@ class TestVerify:
         assert set(failing) == {"unitary_frame_form", "unitary_frame_det"}
         assert failing["unitary_frame_form"] == pytest.approx(2e-9, rel=0.01)
         assert failing["unitary_frame_det"] == pytest.approx(4e-9, rel=0.01)
+
+    @staticmethod
+    def _failing_lines(capsys, verify_all):
+        """The (group, name) of each failing line of a ``verify all`` report
+        that kept every line of the passing run."""
+        doc = json.loads(capsys.readouterr().out)
+        assert len(doc["identities"]) == len(verify_all[1]["identities"])
+        return {(item["group"], item["name"]) for item in doc["identities"] if not item["pass"]}
+
+    def test_a_mixed_term_slip_fails_its_lines(self, monkeypatch, capsys, verify_all):
+        """Off-diagonal second-form entries scaled by 1.002 (the mixed-term
+        factor 0.501 for 0.5) fail the Codazzi and shape-of-xi lines of every
+        family and the structure derivative lines, and no other line."""
+        second_forms = ruled.second_forms
+
+        def slipped(patch, frames, rows):
+            forms = second_forms(patch, frames, rows)
+            return np.where(np.eye(forms.shape[-1], dtype=bool), forms, 1.002 * forms)
+
+        monkeypatch.setattr(ruled, "second_forms", slipped)
+        assert run_cli("verify", "all") == 1
+        want = {(f"example{ex}", "codazzi_residual") for ex in EXAMPLE_IDS}
+        want |= {(f"example{ex}", "shape_xi_matches_closed_form") for ex in EXAMPLE_IDS}
+        want |= {("almost_contact", f"example{ex}_structure_derivative") for ex in EXAMPLE_IDS}
+        assert self._failing_lines(capsys, verify_all) == want
+
+    def test_a_curvature_slip_fails_its_lines(self, monkeypatch, capsys, verify_all):
+        """The last term of the curvature tensor at 1.0 instead of 2.0 fails
+        the four holomorphic curvature lines, and no other line."""
+        curvature = verification.curvature_tensor_rows
+
+        def slipped(sig, u, v, w):
+            return curvature(sig, u, v, w) - gdot_rows(sig.signs, u, jmul(v))[:, None] * jmul(w)
+
+        monkeypatch.setattr(verification, "curvature_tensor_rows", slipped)
+        assert run_cli("verify", "all") == 1
+        want = {("curvature", f"holomorphic_curvature_n{sig.n}_p{sig.p}") for sig in ACCEPTANCE_SIGNATURES}
+        assert self._failing_lines(capsys, verify_all) == want
 
     def test_almost_contact_lines_check_the_requested_instance(self, tmp_path):
         """The almost contact suite runs on the family instance of the

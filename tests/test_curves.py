@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import _e, _geodesic_curve
 from pseudocp.curves import (
     CurveClass,
     SampledCurve,
@@ -23,17 +24,6 @@ from pseudocp.linalg import Signature, gdot_rows, jmul, real_metric
 from pseudocp.projective import sphere_geodesic
 
 SIG = Signature(3, 1)
-
-
-def _e(k, dim=4):
-    v = np.zeros(dim, dtype=complex)
-    v[k] = 1.0
-    return v
-
-
-def _geodesic_curve(step=1e-3):
-    q, v = _e(3), _e(2)
-    return sampled_curve_from_fn(SIG, lambda s: sphere_geodesic(SIG, q, v, s), -0.5, 0.5, step)
 
 
 def _family1_curve(r):

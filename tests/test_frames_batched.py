@@ -1,177 +1,43 @@
-"""Batched hypersurface frames against the scalar stencil loop.
+"""Batched hypersurface frames against the scalar stencil loop, and the
+stacked Weingarten map and shape matrix against their one-row calls and the
+nested reference.
 
-The reference is the frame code the batched kernel replaced: each stencil
-lift comes from its own one-row ``lifts_at`` call, is phase-aligned to the centre
-lift and differenced one parameter at a time. The Weingarten map is the Gauss
-formula at one point: every second difference of g(f, N) is taken on its
-own one-row lifts, and the tangent coordinates come from ``np.linalg.lstsq``.
+The frame reference (``oracles._ref_frame``) is the frame code the batched
+kernel replaced: each stencil lift comes from its own one-row ``lifts_at``
+call, is phase-aligned to the centre lift and differenced one parameter at a
+time; frames match it within 1e-12. The shape matrix is compared with the
+nested difference of numeric normals (``oracles._ref_shape_matrix``) within
+1e-6.
 """
 
 import numpy as np
 import pytest
 
+from oracles import (
+    _family_patch,
+    _lift,
+    _ref_aligned,
+    _ref_frame,
+    _ref_shape_matrix,
+    _sphere_patch,
+    _SyntheticPatch,
+)
 from pseudocp.errors import ChartError, DegenerateHypersurfaceError, ImmersionError
-from pseudocp.examples import example_integral_curve, example_spec, ruling_isometry
-from pseudocp.linalg import LIGHT_TOL, CausalCharacter, Signature, causal_character, gdot_rows, real_metric
-from pseudocp.projective import canonicalize, sphere_geodesic
+from pseudocp.linalg import Signature
 from pseudocp.ruled import (
     CHART_RADIUS,
     INNER_FD_STEP,
-    NUMERIC_LIGHT_TOL,
-    OUTER_FD_STEP,
-    AlmostContactFrame,
-    GeodesicSpherePatch,
-    RHSPatch,
-    TransformedPatch,
-    adapted_bases,
     hypersurface_frame,
     hypersurface_frames,
     rhs_lift,
     rhs_lift_grid,
     shape_operator_at,
-    transport_basis,
     weingarten_apply,
 )
 
 # ---------------------------------------------------------------------------
-# scalar reference
-# ---------------------------------------------------------------------------
-
-
-def _ref_phase(signs, w, ref):
-    a = complex(np.sum(signs * w * np.conj(ref)))
-    if abs(a) < 1e-12:
-        return 1.0 + 0.0j
-    return np.conj(a) / abs(a)
-
-
-def _lift(patch, u):
-    """The lift at u: row 0 of a one-row ``lifts_at`` call."""
-    return patch.lifts_at(np.asarray(u, dtype=float)[None])[0]
-
-
-def _ref_tangent_frame(patch, u, h=INNER_FD_STEP):
-    u = np.asarray(u, dtype=float)
-    w0 = _lift(patch, u)
-    signs = patch.sig.signs
-    rows = []
-    for j in range(u.shape[0]):
-        du = np.zeros_like(u)
-        du[j] = h
-        wp = _lift(patch, u + du)
-        wm = _lift(patch, u - du)
-        wp = wp * _ref_phase(signs, wp, w0)
-        wm = wm * _ref_phase(signs, wm, w0)
-        rows.append((wp - wm) / (2.0 * h))
-    t = np.array(rows)
-    t = t - gdot_rows(signs, t, w0)[:, None] * w0
-    iw0 = 1j * w0
-    t = t - gdot_rows(signs, t, iw0)[:, None] * iw0
-    return w0, t
-
-
-def _realify(z):
-    return np.concatenate([np.real(z), np.imag(z)], axis=-1)
-
-
-def _ref_frame(patch, u, h=INNER_FD_STEP):
-    sig = patch.sig
-    w0, t = _ref_tangent_frame(patch, u, h)
-    treal = _realify(t)
-    svals = np.linalg.svd(treal, compute_uv=False)
-    if svals[-1] <= 1e-8 * max(1.0, svals[0]):
-        raise ImmersionError("parametrization is rank deficient here")
-    srep = np.concatenate([sig.signs, sig.signs])
-    constraints = np.vstack([_realify(w0)[None, :], _realify(1j * w0)[None, :], treal])
-    _, sv, vh = np.linalg.svd(constraints * srep)
-    if sv[-1] <= 1e-8 * max(1.0, sv[0]):
-        raise DegenerateHypersurfaceError("metric pairing is singular here")
-    nu = vh[-1][: sig.ambient_dim] + 1j * vh[-1][sig.ambient_dim :]
-    gn = real_metric(sig, nu, nu)
-    if abs(gn) <= LIGHT_TOL * float(np.sum(np.abs(nu) ** 2)):
-        raise DegenerateHypersurfaceError("normal is lightlike: degenerate point")
-    nu = nu / np.sqrt(abs(gn))
-    j = int(np.argmax(np.abs(nu)))
-    if np.real(nu[j]) < 0 or (np.real(nu[j]) == 0 and np.imag(nu[j]) < 0):
-        nu = -nu
-    return AlmostContactFrame(sig, w0, t, nu, 1.0 if gn > 0 else -1.0)
-
-
-def _ref_aligned(patch, u, ref):
-    fr = _ref_frame(patch, u)
-    ph = _ref_phase(fr.sig.signs, fr.lift, ref.lift)
-    nu = fr.normal * ph
-    if float(np.real(np.sum(nu * np.conj(ref.normal)))) < 0:
-        nu = -nu
-    return AlmostContactFrame(fr.sig, fr.lift * ph, fr.tangents * ph, nu, fr.epsilon)
-
-
-def _ref_second_form(patch, frame0, u, h=OUTER_FD_STEP):
-    """g(d_k d_l f, N): extrapolated second differences of the pairing of
-    the normal with lifts phase-aligned to the frame's lift, along e_k and
-    e_k + e_l; the mixed terms are (D_{k+l} - D_k - D_l) / 2."""
-    sig = patch.sig
-    p = u.shape[0]
-
-    def pairing(v):
-        w = _lift(patch, u + v)
-        return real_metric(sig, w * _ref_phase(sig.signs, w, frame0.lift), frame0.normal)
-
-    center = pairing(np.zeros(p))
-
-    def second(direction):
-        def estimate(hh):
-            return (pairing(hh * direction) - 2.0 * center + pairing(-hh * direction)) / hh**2
-
-        return (4.0 * estimate(0.5 * h) - estimate(h)) / 3.0
-
-    eye = np.eye(p)
-    form = np.diag([second(e) for e in eye])
-    for k in range(p):
-        for l in range(k + 1, p):
-            form[k, l] = form[l, k] = 0.5 * (second(eye[k] + eye[l]) - form[k, k] - form[l, l])
-    return form
-
-
-def _ref_weingarten(patch, frame0, u, x):
-    """A x = sum_k c_k t_k with G c = H a (Gauss and Weingarten formulas)."""
-    sig = patch.sig
-    t = frame0.tangents
-    a, *_ = np.linalg.lstsq(_realify(t).T, _realify(x), rcond=None)
-    gram = np.array([[real_metric(sig, tk, tl) for tl in t] for tk in t])
-    c = np.linalg.solve(gram, _ref_second_form(patch, frame0, u) @ a)
-    return c @ t
-
-
-def _ref_shape_matrix(patch, u):
-    sig = patch.sig
-    frame = _ref_frame(patch, u)
-    axi = _ref_weingarten(patch, frame, u, frame.xi)
-    uvec = axi - frame.epsilon * real_metric(sig, axi, frame.xi) * frame.xi
-    uchar = causal_character(sig, uvec, NUMERIC_LIGHT_TOL)
-    pinned = np.array([uchar in (CausalCharacter.SPACELIKE, CausalCharacter.TIMELIKE)])
-    stack = AlmostContactFrame(
-        sig, frame.lift[None], frame.tangents[None], frame.normal[None], np.array([frame.epsilon])
-    )
-    bases, bsigns = adapted_bases(stack, uvec[None], pinned)
-    basis, bsigns = bases[0], bsigns[0]
-    images = [axi] + [_ref_weingarten(patch, frame, u, b) for b in basis[1:]]
-    bil = np.array([[real_metric(sig, img, b) for img in images] for b in basis])
-    return bsigns[:, None] * bil
-
-
-# ---------------------------------------------------------------------------
 # patches under test
 # ---------------------------------------------------------------------------
-
-
-def _family_patch(example_id, t=None):
-    spec = example_spec(example_id)
-    par = transport_basis(example_integral_curve(spec).curve)
-    patch = RHSPatch(par)
-    if t is None:
-        return patch
-    return TransformedPatch(ruling_isometry(spec, t), patch)
 
 
 def _point(patch, seed):
@@ -179,11 +45,6 @@ def _point(patch, seed):
     u = 0.1 * rng.standard_normal(patch.n_params)
     u[0] = rng.uniform(-0.3, 0.3)
     return u
-
-
-def _sphere_patch():
-    sig = Signature(3, 1)
-    return GeodesicSpherePatch(canonicalize(sig, np.array([0, 0, 0, 1], dtype=complex)), 0.7, seed=1)
 
 
 PATCHES = {
@@ -210,7 +71,8 @@ class _LiftOnly:
 
 @pytest.mark.parametrize("name", sorted(PATCHES))
 def test_frames_match_scalar_stencils(name):
-    """Lift, tangents and normal of a batch within 1e-12 of the scalar loop."""
+    """Lift, tangents and normal of a batch within 1e-12 of the scalar loop;
+    each row equals the one-row call bit for bit."""
     patch = PATCHES[name]()
     rows = np.array([_point(patch, seed) for seed in range(3)])
     got = hypersurface_frames(patch, rows)
@@ -220,6 +82,9 @@ def test_frames_match_scalar_stencils(name):
         assert np.max(np.abs(got.tangents[i] - want.tangents)) < 1e-12
         assert np.max(np.abs(got.normal[i] - want.normal)) < 1e-12
         assert got.epsilon[i] == want.epsilon
+        one = hypersurface_frame(patch, u)
+        for field in ("lift", "tangents", "normal", "epsilon"):
+            assert np.array_equal(getattr(got.row(i), field), getattr(one, field))
 
 
 @pytest.mark.parametrize("name", ["family1", "family3", "family2_t"])
@@ -238,24 +103,29 @@ def test_aligned_frames_match_scalar(name):
 
 @pytest.mark.parametrize("name", sorted(PATCHES))
 def test_weingarten_stack_matches_scalar(name, rng):
-    """A stack of vectors gives the scalar Weingarten image of each row."""
+    """Each image of a stacked call, three vectors at each of two points,
+    equals the one-point call on that one vector bit for bit."""
     patch = PATCHES[name]()
-    u = _point(patch, 7)
-    frame = hypersurface_frame(patch, u)
-    xs = np.array([frame.xi, frame.random_tangent(rng), frame.random_tangent(rng)])
-    got = weingarten_apply(patch, frame, u, xs)
+    rows = np.array([_point(patch, seed) for seed in (7, 8)])
+    frames = hypersurface_frames(patch, rows)
+    coeff = rng.standard_normal((2,) + rows.shape)
+    xs = np.stack([frames.xi, frames.unit_tangents(coeff[0]), frames.unit_tangents(coeff[1])], axis=1)
+    got = weingarten_apply(patch, frames, rows, xs)
     assert got.shape == xs.shape
-    for x, ax in zip(xs, got):
-        assert np.max(np.abs(ax - _ref_weingarten(patch, frame, u, x))) < 1e-8
-        assert np.max(np.abs(ax - weingarten_apply(patch, frame, u, x))) < 1e-12
+    for i, u in enumerate(rows):
+        for x, ax in zip(xs[i], got[i]):
+            assert np.array_equal(ax, weingarten_apply(patch, frames.row(i), u, x))
 
 
 @pytest.mark.parametrize("name", sorted(PATCHES))
 def test_shape_matrix_matches_scalar(name):
+    """The shape matrix within 1e-6 of the nested reference on the same
+    adapted basis."""
     patch = PATCHES[name]()
     u = _point(patch, 11)
-    got = shape_operator_at(patch, u).matrix
-    assert np.max(np.abs(got - _ref_shape_matrix(patch, u))) < 1e-6
+    rep = shape_operator_at(patch, u)
+    want = _ref_shape_matrix(patch, u, rep.basis, rep.basis_signs)
+    assert np.max(np.abs(rep.matrix - want)) < 1e-6
 
 
 @pytest.mark.parametrize("name", ["family1", "family2_t", "sphere"])
@@ -290,19 +160,6 @@ def test_rhs_lift_is_row_zero_of_lifts_at(example_id):
 # ---------------------------------------------------------------------------
 # per-row errors in mixed batches
 # ---------------------------------------------------------------------------
-
-
-class _SyntheticPatch:
-    """Geodesics from a base point along u @ dirs (lift_at only)."""
-
-    def __init__(self, sig, q0, dirs):
-        self.sig = sig
-        self.q0 = np.asarray(q0, dtype=complex)
-        self.dirs = np.asarray(dirs, dtype=complex)
-        self.n_params = self.dirs.shape[0]
-
-    def lift_at(self, u):
-        return sphere_geodesic(self.sig, self.q0, u @ self.dirs, 1.0)
 
 
 SIG21 = Signature(2, 1)

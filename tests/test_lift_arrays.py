@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import _e
 import pseudocp
 from pseudocp.curves import (
     SampledCurve,
@@ -30,12 +31,6 @@ from pseudocp.projective import sphere_geodesic
 from pseudocp.ruled import transport_basis
 
 S = np.linspace(-0.5, 0.5, 37)
-
-
-def _e(k, dim=4):
-    v = np.zeros(dim, dtype=complex)
-    v[k] = 1.0
-    return v
 
 
 def _family_curve(ex):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import _e, _scalar_geodesic
 from pseudocp.cli import _curve_from_file
 from pseudocp.errors import BasePointError, LogMapError, NotProjectablePoint
-from pseudocp.linalg import LIGHT_TOL, CausalCharacter, Signature, gdot_rows, jmul, real_metric
+from pseudocp.linalg import CausalCharacter, Signature, jmul, real_metric
 from pseudocp.projective import (
     ProjectiveTangent,
     canonical_rows,
@@ -26,12 +27,6 @@ from pseudocp.projective import (
 )
 
 SIG = Signature(3, 1)
-
-
-def _e(k, dim=4):
-    v = np.zeros(dim, dtype=complex)
-    v[k] = 1.0
-    return v
 
 
 class TestCanonicalize:
@@ -211,19 +206,6 @@ class TestExpLog:
         v = tangent_from_lift(SIG, q, null)
         out = log_in_leaf(x, exp_map(x, v, 1.0))
         assert np.max(np.abs(out.vec - v.vec)) < 1e-9
-
-
-def _scalar_geodesic(signs, q, v, t):
-    """The per-point geodesic the rows form replaced: one branch per call."""
-    g = float(gdot_rows(signs, v, v))
-    eunorm2 = float(np.sum(np.abs(v) ** 2))
-    if eunorm2 == 0.0 or abs(g) <= LIGHT_TOL * eunorm2:
-        return q + t * v
-    if g > 0:
-        w = np.sqrt(g)
-        return np.cos(w * t) * q + np.sin(w * t) * v / w
-    w = np.sqrt(-g)
-    return np.cosh(w * t) * q + np.sinh(w * t) * v / w
 
 
 def _pairs(z):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import _geodesic_curve, _par, _sphere_patch, _SyntheticPatch
 from pseudocp.curves import covariant_derivative, sampled_curve_from_fn
 from pseudocp.errors import ChartError, ClassificationError
 from pseudocp.examples import (
@@ -12,13 +13,8 @@ from pseudocp.examples import (
     gamma_seed,
 )
 from pseudocp.linalg import Signature, gdot_rows, hermitian_product, real_metric
-from pseudocp.projective import (
-    canonicalize,
-    log_in_leaf,
-    sphere_geodesic,
-)
+from pseudocp.projective import canonicalize, log_in_leaf
 from pseudocp.ruled import (
-    GeodesicSpherePatch,
     RHSPatch,
     ShapeForm,
     MinimalCase,
@@ -38,32 +34,14 @@ from pseudocp.ruled import (
 SIG = Signature(3, 1)
 
 
-def _e(k, dim=4):
-    v = np.zeros(dim, dtype=complex)
-    v[k] = 1.0
-    return v
-
-
 def _frame_at(par, s, coords):
     return hypersurface_frame(RHSPatch(par), np.concatenate([[s], coords]))
-
-
-def _control_patch():
-    return GeodesicSpherePatch(canonicalize(SIG, _e(3)), 0.7, seed=1)
-
-
-def _geodesic_par():
-    q, v = _e(3), _e(2)
-    curve = sampled_curve_from_fn(
-        SIG, lambda s: sphere_geodesic(SIG, q, v, s), -0.5, 0.5, 1e-3
-    )
-    return transport_basis(curve)
 
 
 class TestTransportBasis:
     def test_geodesic_base_frame_is_parallel(self):
         """Along a geodesic the transported frame is genuinely parallel."""
-        par = _geodesic_par()
+        par = transport_basis(_geodesic_curve())
         assert par.gram_drift() < 1e-10
         ov, ojv = par.orthogonality_defect()
         assert max(ov, ojv) < 1e-10
@@ -99,7 +77,7 @@ class TestEvaluation:
         the base velocity, for each default family along its whole curve."""
         rng = np.random.default_rng(3)
         for ex in EXAMPLE_IDS:
-            par = transport_basis(example_integral_curve(example_spec(ex)).curve)
+            par = _par(ex)
             for i in np.linspace(0, len(par.base.params) - 1, 7).astype(int):
                 s = float(par.base.params[i])
                 vel = par.velocity[i]
@@ -152,9 +130,7 @@ class TestAlmostContact:
         assert fr.epsilon == 1.0
 
     def test_family_three_normal_is_timelike(self):
-        data = example_integral_curve(example_spec(3))
-        par = transport_basis(data.curve)
-        fr = _frame_at(par, 0.05, np.array([0.1, 0.05, -0.02, 0.08]))
+        fr = _frame_at(_par(3), 0.05, np.array([0.1, 0.05, -0.02, 0.08]))
         assert fr.epsilon == -1.0
 
     def test_normal_matches_closed_form_up_to_sign(self, family1_par):
@@ -265,7 +241,7 @@ class TestShapeOperator:
         assert rep.form is ShapeForm.LIGHTLIKE_U
 
     def test_geodesic_sphere_control_is_not_ruled(self):
-        patch = _control_patch()
+        patch = _sphere_patch()
         rep = shape_operator_at(patch, np.zeros(patch.n_params))
         assert rep.dd_block_max > 1e-1
         assert abs(rep.mu) > 1e-2
@@ -285,7 +261,7 @@ class TestVerifyAndMinimality:
         assert codazzi_residual(patch, rows[0], np.random.default_rng(7)) < 1e-4
 
     def test_control_fails(self):
-        patch = _control_patch()
+        patch = _sphere_patch()
         rows = np.array([0.1 * np.ones(patch.n_params), np.zeros(patch.n_params)])
         assert max(rep.dd_block_max for rep in shape_operators(patch, rows)) > 1e-4
 
@@ -301,21 +277,8 @@ class TestVerifyAndMinimality:
         assert worst < 1e-4
 
     def test_minimality_control_false(self):
-        patch = _control_patch()
+        patch = _sphere_patch()
         assert abs(shape_operator_at(patch, np.zeros(patch.n_params)).mu) > 1e-2
-
-
-class _SyntheticPatch:
-    """Hand-built patch sweeping prescribed directions from a base point."""
-
-    def __init__(self, sig, q0, dirs):
-        self.sig = sig
-        self.q0 = np.asarray(q0, dtype=complex)
-        self.dirs = np.asarray(dirs, dtype=complex)
-        self.n_params = self.dirs.shape[0]
-
-    def lift_at(self, u):
-        return sphere_geodesic(self.sig, self.q0, u @ self.dirs, 1.0)
 
 
 class TestErrorPaths:
@@ -376,7 +339,7 @@ class TestErrorPaths:
 
 class TestClassification:
     def test_geodesic_base(self):
-        par = _geodesic_par()
+        par = transport_basis(_geodesic_curve())
         report = classify_minimal_ruled(par)
         assert report.case is MinimalCase.CASE_A_GEODESIC
 

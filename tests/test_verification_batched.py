@@ -1,5 +1,5 @@
-"""Stacked frame completion, the seeded suites and the regeneration chains
-against the scalar loops they replaced.
+"""Stacked frame completion, the seeded suites and the base-line check
+against the scalar references in ``oracles``.
 
 The references are the scalar bodies: frame completion one row at a time
 (list candidates, a strict ``>`` pivot scan, restarts drawn from a fresh
@@ -10,245 +10,38 @@ for equality. With several bad rows, a stack raises the first check that
 any row fails, in the order of a one-row call.
 
 The RK4 regeneration (the +step chain to its end, then the -step chain) is
-kept as the oracle of the base-line check that replaced it: its path must be
+the reference of the base-line check that replaced it: its path must be
 the base line, and the lifts and classification must agree to tolerance.
 """
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pseudocp.errors import (
-    CausalCharacterError,
-    ClassificationError,
-    FrameError,
-    SpherePointError,
+from oracles import (
+    _ref_complete,
+    _ref_complete_attempt,
+    _ref_curvature_lines,
+    _ref_frame_to_isometry,
+    _ref_regenerate,
+    _ref_unitary_frame_lines,
 )
+from pseudocp.errors import CausalCharacterError, ClassificationError, FrameError, SpherePointError
 from pseudocp.examples import example_integral_curve, example_spec, gamma_seed
-from pseudocp.frames import PIVOT_TOL, complete_unitary_frames
-from pseudocp.isometries import IndefiniteUnitaryMatrix, frame_to_isometries, frame_to_isometry
-from pseudocp.linalg import (
-    CausalCharacter,
-    Signature,
-    as_ambient,
-    causal_character,
-    check_sphere_point,
-    gdot_rows,
-    hermitian_product,
-    jmul,
-    metric_signs,
-    real_metric,
-)
-from pseudocp.projective import (
-    ProjectivePoint,
-    ProjectiveTangent,
-    random_horizontal_unit,
-    random_sphere_point,
-)
-from pseudocp.ruled import (
-    RHSPatch,
-    _phase_factor,
-    classify_generating_curve,
-    hypersurface_frame,
-    hypersurface_frames,
-    horizontal_lift,
-    regenerate_integral_curve,
-    transport_basis,
-)
-from pseudocp.verification import (
-    ACCEPTANCE_SIGNATURES,
-    _horizontal_draws,
-    curvature_lines,
-    unitary_frame_lines,
-)
-
-# ---------------------------------------------------------------------------
-# scalar references
-# ---------------------------------------------------------------------------
-
-
-def _ref_validate_fixed(sig, fixed, tol=1e-8):
-    items = sorted(fixed.items())
-    for slot, vec in items:
-        if not 0 <= slot < sig.ambient_dim:
-            raise FrameError(f"slot {slot} out of range")
-        want = -1.0 if slot < sig.p else 1.0
-        g = hermitian_product(sig, vec, vec)
-        if abs(g - want) > tol:
-            raise FrameError(
-                f"fixed column for slot {slot} has g(v,v) = {g:.3e}, expected {want:+.0f}"
-            )
-    for i, (_, a) in enumerate(items):
-        for _, b in items[i + 1 :]:
-            if abs(hermitian_product(sig, a, b)) > tol:
-                raise FrameError("fixed columns are not mutually g_C-orthogonal")
-
-
-def _ref_complete(sig, fixed):
-    return _ref_complete_attempt(sig, fixed)[0]
-
-
-def _ref_complete_attempt(sig, fixed):
-    """The scalar completion: the frame and the attempt that produced it."""
-    _ref_validate_fixed(sig, fixed)
-    dim = sig.ambient_dim
-    signs = sig.signs
-    free = [c for c in range(dim) if c not in fixed]
-    det_slot = max(free) if free else None
-    rng = np.random.default_rng(0)
-    for attempt in range(8):
-        cols = {slot: np.asarray(v, dtype=complex) for slot, v in fixed.items()}
-        candidates = [np.eye(dim, dtype=complex)[k] for k in range(dim)]
-        if attempt > 0:
-            noise = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            candidates = [c + 1e-3 * noise[k] for k, c in enumerate(candidates)]
-        for slot, v in cols.items():
-            sgn = signs[slot]
-            candidates = [c - sgn * complex(hermitian_product(sig, c, v)) * v for c in candidates]
-        free_minus = [c for c in range(sig.p) if c not in cols]
-        free_plus = [c for c in range(sig.p, dim) if c not in cols]
-        while free_minus or free_plus:
-            best, best_g = None, 0.0
-            for idx, c in enumerate(candidates):
-                e2 = float(np.sum(np.abs(c) ** 2))
-                if e2 < 1e-20:
-                    continue
-                g = real_metric(sig, c, c)
-                if abs(g) <= PIVOT_TOL * e2:
-                    continue
-                if g < 0 and not free_minus:
-                    continue
-                if g > 0 and not free_plus:
-                    continue
-                if abs(g) > best_g:
-                    best_g, best = abs(g), idx
-            if best is None:
-                break
-            u = candidates.pop(best)
-            g = real_metric(sig, u, u)
-            u = u / np.sqrt(abs(g))
-            sgn = 1.0 if g > 0 else -1.0
-            slot = free_plus.pop(0) if sgn > 0 else free_minus.pop(0)
-            cols[slot] = u
-            candidates = [c - sgn * complex(hermitian_product(sig, c, u)) * u for c in candidates]
-        if free_minus or free_plus:
-            continue
-        mat = np.column_stack([cols[c] for c in range(dim)])
-        det = np.linalg.det(mat)
-        if abs(abs(det) - 1.0) > 1e-9:
-            continue
-        if det_slot is not None:
-            mat[:, det_slot] = mat[:, det_slot] / det
-        return mat, attempt
-    raise FrameError("frame completion failed: degenerate complement")
-
-
-def _ref_frame_to_isometry(sig, q, eta_hat):
-    qv = check_sphere_point(sig, q, tol=1e-8)
-    ev = as_ambient(sig, eta_hat)
-    char = causal_character(sig, ev)
-    if char in (CausalCharacter.LIGHTLIKE, CausalCharacter.ZERO):
-        raise CausalCharacterError("marked direction must be spacelike or timelike")
-    ev = ev / np.sqrt(abs(real_metric(sig, ev, ev)))
-    if abs(hermitian_product(sig, ev, qv)) > 1e-8:
-        raise FrameError("marked direction is not horizontal at q")
-    fixed = {sig.n - 1: qv}
-    fixed[sig.n if char is CausalCharacter.SPACELIKE else 0] = ev
-    return IndefiniteUnitaryMatrix(sig, _ref_complete(sig, fixed))
-
-
-def _ref_curvature(sig, x_t, y_t, z_t):
-    u, v, w = x_t.vec, y_t.vec, z_t.vec
-    ju, jv, jw = jmul(u), jmul(v), jmul(w)
-    g = lambda a, b: real_metric(sig, a, b)
-    return g(v, w) * u - g(u, w) * v + g(jv, w) * ju - g(ju, w) * jv + 2.0 * g(u, jv) * jw
-
-
-def _character(k):
-    return CausalCharacter.SPACELIKE if k % 2 == 0 else CausalCharacter.TIMELIKE
-
-
-def _ref_curvature_lines(count, seed=0):
-    """The curvature suite point by point, at the points and horizontal
-    vectors of ``_horizontal_draws``."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for sig in ACCEPTANCE_SIGNATURES:
-        worst = 0.0
-        for q, xv in zip(*_horizontal_draws(sig, count, rng)):
-            lv = check_sphere_point(sig, q, tol=1e-8)
-            j = int(np.argmax(np.abs(lv)))
-            phase = np.conj(lv[j]) / abs(lv[j])
-            x = ProjectiveTangent(ProjectivePoint(sig, lv * phase), xv * phase)
-            jx = ProjectiveTangent(x.at, 1j * x.vec)
-            r = _ref_curvature(sig, x, jx, jx)
-            gx = real_metric(sig, x.vec, x.vec)
-            worst = max(worst, abs(real_metric(sig, r, x.vec) / (gx * gx) - 4.0))
-        out.append(worst)
-    return out
-
-
-def _ref_unitary_frame_lines(sig, count, seed=1):
-    """The frame suite point by point, at the draws of ``_horizontal_draws``."""
-    rng = np.random.default_rng(seed)
-    eye = np.diag(metric_signs(sig.p, sig.ambient_dim))
-    form_worst = det_worst = 0.0
-    for q, eta in zip(*_horizontal_draws(sig, count, rng)):
-        m = _ref_frame_to_isometry(sig, q, eta).entries
-        form_worst = max(form_worst, float(np.max(np.abs(m.conj().T @ eye @ m - eye))))
-        det_worst = max(det_worst, abs(np.linalg.det(m) - 1.0))
-    return [form_worst, det_worst]
-
-
-def _ref_regenerate(par, half_span=0.35, step=2e-3):
-    """The +step chain to its end, then the -step chain, one frame per stage;
-    returns the re-lifted curve, its xi defect and the RK4 parameter path."""
-    patch = RHSPatch(par)
-    sig = par.sig
-    lo, hi = par.s_range()
-    half_span = min(half_span, 0.0 - lo - 5 * step, hi - 0.0 - 5 * step)
-    u0 = np.zeros(patch.n_params)
-    u0[0] = 0.0
-    frame0 = hypersurface_frame(patch, u0)
-    if real_metric(sig, frame0.xi, frame0.tangents[0]) * par.eps1 < 0:
-        frame0 = replace(frame0, normal=-frame0.normal)
-    state = {}
-
-    def velocity(uu):
-        fr = hypersurface_frames(patch, uu[None], ref=state["ref"]).row(0)
-        state["ref"] = fr
-        return fr.tangent_coords(fr.xi)
-
-    count = int(round(half_span / step))
-    params = step * np.arange(-count, count + 1) + 0.0
-    upath = np.empty((params.shape[0], patch.n_params))
-    upath[count] = u0
-    for direction in (+1, -1):
-        u = u0.copy()
-        state["ref"] = frame0
-        for i in range(count):
-            hstep = direction * step
-            k1 = velocity(u)
-            k2 = velocity(u + 0.5 * hstep * k1)
-            k3 = velocity(u + 0.5 * hstep * k2)
-            k4 = velocity(u + hstep * k3)
-            u = u + hstep * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-            upath[count + direction * (i + 1)] = u
-    reps = patch.lifts_at(upath)
-    curve = horizontal_lift(sig, reps, reps[count], params=params, anchor=count)
-    idx = np.arange(4, params.shape[0] - 4, max(1, params.shape[0] // 30))
-    frames = hypersurface_frames(patch, upath[idx])
-    xi = frames.xi * _phase_factor(sig.signs, frames.lift, curve.lifts[idx])[:, None]
-    vel = curve.velocity[idx]
-    vel = vel / np.sqrt(np.abs(gdot_rows(sig.signs, vel, vel)))[:, None]
-    gap = np.minimum(np.max(np.abs(vel - xi), axis=1), np.max(np.abs(vel + xi), axis=1))
-    return curve, float(np.max(gap)), upath
+from pseudocp.frames import complete_unitary_frames
+from pseudocp.isometries import frame_to_isometries, frame_to_isometry
+from pseudocp.linalg import CausalCharacter, Signature, causal_character, gdot_rows
+from pseudocp.projective import random_horizontal_unit, random_sphere_point
+from pseudocp.ruled import classify_generating_curve, regenerate_integral_curve, transport_basis
+from pseudocp.verification import ACCEPTANCE_SIGNATURES, curvature_lines, unitary_frame_lines
 
 
 # ---------------------------------------------------------------------------
 # inputs
 # ---------------------------------------------------------------------------
+
+
+def _character(k):
+    return CausalCharacter.SPACELIKE if k % 2 == 0 else CausalCharacter.TIMELIKE
 
 
 def _draws(sig, count, seed):
