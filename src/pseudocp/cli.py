@@ -8,10 +8,11 @@ precondition, such as a curve that matches no minimal case); 2 a
 other than 1, a configuration that cannot be read or holds a non-finite or
 mistyped value, a curve file that cannot be parsed or whose ``n``, ``p`` or
 ``example`` is no JSON integer); 3 one of ``_PRECONDITION_ERRORS`` (lightlike
-data, a ``--seed-r`` whose base curve is lightlike included, a seed or
-``t0`` outside its family's domain, a circle curvature that is not positive
-or has no finite square, a curve grid without a finite positive step, a
-finite range, 3 samples or at most ``curves.MAX_SAMPLES`` samples); 4 an
+data, a seed or ``t0`` outside its family's domain, a seed whose open slot
+is below ``examples.OPEN_SLOT_FLOOR`` included, a circle curvature that is
+not positive or has no finite square, a curve grid without a finite
+positive step, a finite range, 3 samples or at most ``curves.MAX_SAMPLES``
+samples); 4 an
 ``OSError`` (a curve file that cannot be opened, an output that cannot be
 written).
 
@@ -373,21 +374,27 @@ def cmd_classify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _slice_rows(sig, iso, tv: float, s_values, coords, lifts) -> list:
-    """Export rows of one ruling slice t, in (s, c) order: s, t, the leaf
-    coordinates, then the (re, im) pairs of the canonical representative."""
+def _slice_lines(sig, iso, prefixes: list, lifts, sep: str) -> list:
+    """Export lines of one ruling slice, in (s, c) order: each row's prefix
+    text, then the (re, im) pairs of its canonical representative, every
+    cell written by ``repr`` and joined by ``sep``."""
     reps = canonical_rows(sig, lifts @ iso.entries.T)
-    leaf_dim = coords.shape[1]
-    table = np.empty(reps.shape[:2] + (2 + leaf_dim + 2 * reps.shape[-1],))
-    table[..., 0] = s_values[:, None]
-    table[..., 1] = tv
-    table[..., 2 : 2 + leaf_dim] = coords
-    table[..., 2 + leaf_dim :: 2] = reps.real
-    table[..., 3 + leaf_dim :: 2] = reps.imag
-    return table.reshape(-1, table.shape[-1]).tolist()
+    cells = np.ascontiguousarray(reps).view(float)  # re, im interleaved
+    return [
+        prefix + sep.join(map(repr, row))
+        for prefix, row in zip(prefixes, cells.reshape(len(prefixes), -1).tolist())
+    ]
 
 
 def cmd_sample(args) -> int:
+    """Export the point cloud of a family as CSV or JSON text.
+
+    A row is s, t, the leaf coordinates, then the (re, im) pairs of the
+    canonical representative, in (t, s, c) order. The grid values repeat on
+    many rows, so each is formatted once; every cell is the ``repr`` text of
+    its float, which is also what ``json.dumps`` writes for a finite float,
+    so the JSON text is the bytes of ``json.dumps(doc, sort_keys=True)``.
+    """
     cfg = _config_from_args(args)
     if not (args.example_id.isdigit() and int(args.example_id) in EXAMPLE_IDS):
         raise UsageError(f"unknown example id {args.example_id!r}")
@@ -402,10 +409,14 @@ def cmd_sample(args) -> int:
     s_values, coords = leaf_coordinate_axes(par, cfg.grid_s, cfg.grid_leaf, radius=cfg.leaf_radius)
     lifts = rhs_lift_grid(par, s_values, coords)
 
-    t_values = np.linspace(T_RANGE[0], T_RANGE[1], cfg.grid_t)
-    rows = []
-    for tv in t_values.tolist():
-        rows.extend(_slice_rows(par.sig, ruling_isometry(spec, tv), tv, s_values, coords, lifts))
+    sep = "," if cfg.fmt == "csv" else ", "
+    s_text = [repr(s) + sep for s in s_values.tolist()]
+    c_text = [sep.join(map(repr, c)) + sep for c in coords.tolist()]
+    lines = []
+    for tv in np.linspace(T_RANGE[0], T_RANGE[1], cfg.grid_t).tolist():
+        t_text = repr(tv) + sep
+        prefixes = [s + t_text + c for s in s_text for c in c_text]
+        lines += _slice_lines(par.sig, ruling_isometry(spec, tv), prefixes, lifts, sep)
 
     leaf_dim, dim = par.leaf_dim, par.sig.ambient_dim
     header = (
@@ -414,13 +425,11 @@ def cmd_sample(args) -> int:
         + [x for k in range(dim) for x in (f"re_z{k + 1}", f"im_z{k + 1}")]
     )
     if cfg.fmt == "csv":
-        lines = [",".join(header)]
-        lines.extend(",".join(repr(v) for v in row) for row in rows)
-        text = "\n".join(lines) + "\n"
+        text = "\n".join([",".join(header), *lines, ""])
     else:
-        text = json.dumps(
-            {"schema": 1, "command": "sample", "example": ex, "header": header, "rows": rows},
-            sort_keys=True,
+        text = (
+            f'{{"command": "sample", "example": {ex}, "header": {json.dumps(header)}, '
+            f'"rows": [[{"], [".join(lines)}]], "schema": 1}}'
         )
     _emit(text, cfg.out_path)
     return EXIT_PASS

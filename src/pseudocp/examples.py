@@ -86,6 +86,22 @@ T0 = 0.0
 T_RANGE = (-0.4, 0.4)
 #: base parameter window of the integral curve
 S_RANGE = (-0.5, 0.5)
+#: sample spacing of the integral curve
+CURVE_STEP = 1e-3
+#: tolerance of the cross check's ``curve_unit_speed`` line
+SPEED_TOL = 1e-9
+#: least |z_omega| of a seed. The flow moves the filled and empty slots at
+#: rate 1/|z_omega| with amplitude |z_omega|, so their fifth s-derivative is
+#: |z_omega|^-4 in size and a five-point velocity at step h is off by
+#: h^4 / (30 |z_omega|^4), its square g(v, v) by twice that. Within
+#: ``SPEED_TOL`` at ``CURVE_STEP`` this asks |z_omega| >= 0.0904; the base
+#: line's unit velocity at ``ruled.LINE_STEP`` within ``ruled.XI_TOL`` asks
+#: only 0.027. Family 1's seed has |z_omega| = sqrt2 |sin r|, so the floor
+#: refuses r within 0.0639 of a multiple of pi, where ``verify`` failed.
+OPEN_SLOT_FLOOR = max(
+    CURVE_STEP / (15.0 * SPEED_TOL) ** 0.25,
+    ruled.LINE_STEP / (30.0 * ruled.XI_TOL) ** 0.25,
+)
 
 
 def _family(example_id: int) -> Family:
@@ -136,8 +152,11 @@ class _Ruling:
         g = float(np.real(np.sum(self.seed_signs * z * np.conj(z))))
         if abs(g - 1.0) > 1e-10:
             raise DomainError(f"seed is not on its sphere: g(z,z) = {g!r}")
-        if abs(z[self.omega]) < 1e-12:
-            raise DomainError("seed violates the family's open-slot condition")
+        if abs(z[self.omega]) < OPEN_SLOT_FLOOR:
+            raise DomainError(
+                f"seed violates the family's open-slot condition: |z_omega| = "
+                f"{abs(z[self.omega]):.3e} is below {OPEN_SLOT_FLOOR:.4f}"
+            )
 
     def slice_map(self, t, x: np.ndarray) -> np.ndarray:
         """The slice at t of the seed point x: one row (n + 1,) at a scalar
@@ -276,7 +295,7 @@ def _predict(ff: float, eps1: float):
 def example_integral_curve(
     spec: ExampleSpec,
     t: Optional[float] = None,
-    step: float = 1e-3,
+    step: float = CURVE_STEP,
     s_range: Optional[tuple] = None,
 ) -> IntegralCurveData:
     """Integral curve of the structure field through the seed at ruling
@@ -448,7 +467,7 @@ def example_cross_check(
     data = example_integral_curve(spec)
     curve = data.curve
     lines.append(IdentityLine("curve_horizontal", curve.horizontality_defect(), 1e-10))
-    lines.append(IdentityLine("curve_unit_speed", curve.speed_defect(), 1e-9))
+    lines.append(IdentityLine("curve_unit_speed", curve.speed_defect(), SPEED_TOL))
 
     ff_err = 0.0
     for s in np.linspace(S_RANGE[0], S_RANGE[1], 7):

@@ -92,13 +92,15 @@ def canonical_rows(sig: Signature, z) -> np.ndarray:
     """Canonical representatives of stacked spacelike rows z (..., d): each
     row normalized to g = 1, then turned by its ``canonical_phases``.
 
-    Raises NotProjectablePoint when some g(z,z) <= 0: only spacelike
-    position vectors define point classes of the quotient.
+    Raises NotProjectablePoint, before dividing, when some g(z,z) is not
+    finite and positive: only spacelike position vectors define point
+    classes of the quotient, and a NaN or infinite row defines none.
     """
     z = np.asarray(z, dtype=complex)
     g = linalg.gdot_rows(sig.signs, z, z)
-    if np.any(g <= 0.0):
-        raise NotProjectablePoint(f"g(z,z) = {float(np.min(g)):.3e} is not positive")
+    bad = ~(np.isfinite(g) & (g > 0.0))
+    if np.any(bad):
+        raise NotProjectablePoint(f"g(z,z) = {float(g[bad][0]):.3e} is not finite and positive")
     rep = z / np.sqrt(g)[..., None]
     return rep * canonical_phases(rep)[..., None]
 

@@ -10,7 +10,8 @@ Each reference computes its quantity another way than the program does:
 - the unitary frame completion and the frame isometry one row at a time;
 - the curvature tensor of Python floats and the seeded suites point by point;
 - the transport by a scalar RK4 loop, the ``sample`` export rows point
-  by point, the base line by RK4 chains;
+  by point and its text by the float-table path, the base line by RK4
+  chains;
 - the family closed forms by one hand-written branch per family;
 - the quadric geodesic one branch per call.
 
@@ -27,6 +28,7 @@ No other module of the suite defines a function named ``_ref_*``,
 ``test_unused_imports.py`` checks it.
 """
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -49,7 +51,13 @@ from pseudocp.linalg import (
     metric_signs,
     real_metric,
 )
-from pseudocp.projective import ProjectivePoint, ProjectiveTangent, canonicalize, sphere_geodesic
+from pseudocp.projective import (
+    ProjectivePoint,
+    ProjectiveTangent,
+    canonical_rows,
+    canonicalize,
+    sphere_geodesic,
+)
 from pseudocp.ruled import (
     INNER_FD_STEP,
     AlmostContactFrame,
@@ -61,8 +69,10 @@ from pseudocp.ruled import (
     horizontal_lift,
     hypersurface_frame,
     hypersurface_frames,
+    leaf_coordinate_axes,
     leaf_coordinate_grid,
     rhs_lift,
+    rhs_lift_grid,
     transport_basis,
 )
 from pseudocp.verification import ACCEPTANCE_SIGNATURES, _horizontal_draws
@@ -509,6 +519,39 @@ def _ref_sample_rows(example_id, grid_s, grid_t, grid_leaf):
                 row.extend([float(np.real(entry)), float(np.imag(entry))])
             rows.append(row)
     return rows
+
+
+def _ref_sample_text(example_id, grid_s, grid_t, grid_leaf, fmt, seed_r=None, leaf_radius=0.25):
+    """The text ``sample`` writes, by the float-table path it replaced: a
+    table of float rows, then ``json.dumps(doc, sort_keys=True)`` or a
+    ``repr`` join of every cell."""
+    seed = None if seed_r is None else gamma_seed(Signature(3, 1), seed_r)
+    spec = example_spec(example_id, seed_z=seed)
+    par = transport_basis(example_integral_curve(spec).curve)
+    s_values, coords = leaf_coordinate_axes(par, grid_s, grid_leaf, radius=leaf_radius)
+    lifts = rhs_lift_grid(par, s_values, coords)
+    leaf_dim = coords.shape[1]
+    rows = []
+    for tv in np.linspace(T_RANGE[0], T_RANGE[1], grid_t).tolist():
+        reps = canonical_rows(par.sig, lifts @ ruling_isometry(spec, tv).entries.T)
+        table = np.empty(reps.shape[:2] + (2 + leaf_dim + 2 * reps.shape[-1],))
+        table[..., 0] = s_values[:, None]
+        table[..., 1] = tv
+        table[..., 2 : 2 + leaf_dim] = coords
+        table[..., 2 + leaf_dim :: 2] = reps.real
+        table[..., 3 + leaf_dim :: 2] = reps.imag
+        rows.extend(table.reshape(-1, table.shape[-1]).tolist())
+    dim = par.sig.ambient_dim
+    header = (
+        ["s", "t"]
+        + [f"c{k + 1}" for k in range(leaf_dim)]
+        + [x for k in range(dim) for x in (f"re_z{k + 1}", f"im_z{k + 1}")]
+    )
+    if fmt == "csv":
+        lines = [",".join(header)] + [",".join(repr(v) for v in row) for row in rows]
+        return "\n".join(lines) + "\n"
+    doc = {"schema": 1, "command": "sample", "example": example_id, "header": header, "rows": rows}
+    return json.dumps(doc, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import _ref_sample_text
 from pseudocp import ruled, verification
 from pseudocp.cli import main
 from pseudocp.examples import EXAMPLE_IDS
@@ -389,6 +390,43 @@ class TestSample:
         assert len(doc["rows"]) == 8
         assert len(doc["header"]) == 2 + 6 + 2 * 5
 
+    @pytest.mark.parametrize(
+        "example_id, seed_r",
+        [(1, None), (2, None), (3, None), (4, None), (1, 0.3)],
+        ids=["1", "2", "3", "4", "1-r0.3"],
+    )
+    @pytest.mark.parametrize("grid", ["2x2x2", "5x3x4"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_export_bytes_match_the_float_table_path(
+        self, tmp_path, capsys, example_id, seed_r, grid, fmt
+    ):
+        """The file and the standard output of ``sample`` are byte for byte
+        the float-table path's text (``json.dumps`` or a ``repr`` join)."""
+        want = _ref_sample_text(example_id, *(int(x) for x in grid.split("x")), fmt, seed_r)
+        argv = ["sample", str(example_id), "--grid", grid, "--format", fmt]
+        if seed_r is not None:
+            argv += ["--seed-r", repr(seed_r)]
+        out = tmp_path / f"cloud.{fmt}"
+        assert run_cli(*argv, "--out", str(out)) == 0
+        assert out.read_bytes() == want.encode()
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().out == want + "\n"
+
+    @pytest.mark.parametrize("example_id", EXAMPLE_IDS)
+    def test_csv_and_json_exports_hold_the_same_floats(self, tmp_path, example_id):
+        """Both formats of one grid parse back to bit-equal float arrays."""
+        paths = {fmt: tmp_path / f"cloud.{fmt}" for fmt in ("csv", "json")}
+        for fmt, path in paths.items():
+            argv = ["sample", str(example_id), "--grid", "3x4x2", "--format", fmt, "--out", str(path)]
+            assert run_cli(*argv) == 0
+        header, *lines = paths["csv"].read_text().splitlines()
+        from_csv = np.array([[float(x) for x in line.split(",")] for line in lines])
+        doc = json.loads(paths["json"].read_text())
+        assert doc["header"] == header.split(",")
+        from_json = np.array(doc["rows"], dtype=float)
+        assert from_csv.shape == (3 * 4 * 2, len(doc["header"]))
+        assert np.array_equal(from_csv.view(np.uint64), from_json.view(np.uint64))
+
     def test_io_failure(self, tmp_path, capsys):
         missing = tmp_path / "no" / "such" / "dir" / "x.csv"
         assert run_cli("sample", "1", "--grid", "2x2x2", "--out", str(missing)) == 4
@@ -573,13 +611,48 @@ class TestVerify:
 
     @pytest.mark.parametrize("command", ["verify", "sample"])
     def test_lightlike_seed_is_a_precondition(self, capsys, command):
-        """seed_r = 1e-12 makes family one's base curve at (3,1) lightlike,
-        outside the paper's non-null hypothesis: both commands exit 3 with
-        that reason and print no report."""
+        """seed_r = 1e-12, whose base curve the 1e-3 curve grid sees as
+        lightlike, is refused before any curve is sampled: its open slot is
+        below the floor. Both commands exit 3 with that reason and print no
+        report."""
         assert run_cli(command, "1", "--seed-r", "1e-12", "--grid", "2x2x2") == 3
         captured = capsys.readouterr()
-        assert captured.err == "error: base curve velocity must not be lightlike\n"
+        assert captured.err == (
+            "error: seed violates the family's open-slot condition: "
+            "|z_omega| = 1.414e-12 is below 0.0904\n"
+        )
         assert captured.out == ""
+
+    @pytest.mark.parametrize("signature", ["3,1", "4,2", "5,1"])
+    @pytest.mark.parametrize(
+        "seed_r, code",
+        [
+            ("1e-9", 3),
+            ("1e-6", 3),
+            ("1e-3", 3),
+            ("0.02", 3),
+            ("0.05", 3),
+            ("3.14159", 3),
+            ("-3.14159", 3),
+            ("0.08", 0),
+            ("0.1", 0),
+        ],
+    )
+    def test_small_open_slot_seeds_are_refused(self, tmp_path, capsys, signature, seed_r, code):
+        """Family-1 seeds with |z_omega| = sqrt2 |sin r| below the open-slot
+        floor, which a 1e-3 curve grid cannot resolve, exit 3 in ``verify``
+        and ``sample`` and write nothing; r = 0.08 and 0.1 pass."""
+        out = tmp_path / "cloud.csv"
+        sample = ["sample", "1", "--seed-r", seed_r, "--grid", "2x2x2", "--out", str(out)]
+        if signature == "3,1":  # the signature sample uses
+            assert run_cli(*sample) == code
+            assert out.exists() == (code == 0)
+        report = tmp_path / "report.json"
+        argv = ["verify", "1", "--signature", signature, "--seed-r", seed_r, "--grid", "2x2x2"]
+        assert run_cli(*argv, "--out", str(report)) == code
+        assert report.exists() == (code == 0)
+        if code == 3:
+            assert "open-slot condition" in capsys.readouterr().err
 
     def test_frame_suite_failure_is_reported(self, monkeypatch, capsys):
         """Frame completions off the form fail the suite's own lines in a

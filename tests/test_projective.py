@@ -271,6 +271,14 @@ class TestRowForms:
         with pytest.raises(NotProjectablePoint):
             canonical_rows(SIG, np.array([_e(3), _e(0)]))
 
+    def test_canonical_rows_reject_a_nan_row(self):
+        """A row whose g(z,z) is NaN is refused before any division, so no
+        NaN comes back and no RuntimeWarning (an error under the suite's
+        warning filter) is raised."""
+        row = np.array([np.nan, 0.0, 0.0, 1.0])
+        with pytest.raises(NotProjectablePoint, match="nan is not finite and positive"):
+            canonical_rows(SIG, np.array([_e(3), row]))
+
 
 class TestCurvatureTensor:
     def test_holomorphic_plane_value(self, rng):
