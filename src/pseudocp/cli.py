@@ -12,7 +12,7 @@ data, a seed or ``t0`` outside its family's domain, a seed whose open slot
 is below ``examples.OPEN_SLOT_FLOOR`` included, a circle curvature that is
 not positive or has no finite square, a curve grid without a finite
 positive step, a finite range, 3 samples or at most ``curves.MAX_SAMPLES``
-samples); 4 an
+samples, a ``samples`` document with a non-finite s or lift entry); 4 an
 ``OSError`` (a curve file that cannot be opened, an output that cannot be
 written).
 
@@ -294,6 +294,8 @@ def _curve_from_file(doc: dict) -> SampledCurve:
     if kind == "samples":
         params = np.asarray(doc["data"]["s"], dtype=float)
         lifts = _complex_vector(doc["data"]["lifts"], sig.ambient_dim, rows=True)
+        if not (np.all(np.isfinite(params)) and np.all(np.isfinite(lifts))):
+            raise SamplingError("samples document holds a non-finite s or lift entry")
         return SampledCurve(sig, params, lifts, float(params[1] - params[0]))
     if kind != "closed_form":
         raise ValueError(f"unknown curve kind {doc['kind']!r}")

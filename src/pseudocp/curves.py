@@ -5,6 +5,18 @@ sampled on a uniform grid; an exact lift evaluator is attached when the
 curve comes from a closed form. Covariant derivatives go through the
 ambient derivative, the sphere-tangential split and the horizontal
 projection, which realizes the quotient connection on lifts.
+
+Row arithmetic runs on float64 views of the complex rows (``real_view``):
+an (m, d) complex stack is an (m, 2d) float stack with each entry's (re, im)
+pair side by side, so the metric g(a, b) is one product with the repeated
+signs (``gdot_real``), |x|^2 one ``einsum`` (``norm2_real``), and the
+stencils act on real numbers only. ``linalg.gdot_rows`` and
+``projective.horizontal_rows`` keep their complex form, because their
+callers depend on its exact rounding: tests require row i of a stack to
+equal the one-row call bit for bit, and frame completion tells a
+degenerate complement apart on those values. The realified sums round in
+another order, so a curve quantity here can differ from its complex form
+in the last bits.
 """
 
 from __future__ import annotations
@@ -17,16 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import FrameError, LiftError, SamplingError, SpeedError
-from .linalg import (
-    LIGHT_TOL,
-    Signature,
-    as_ambient,
-    gdot_rows,
-    hermitian_product,
-    jmul,
-    real_metric,
-)
-from .projective import horizontal_rows
+from .linalg import LIGHT_TOL, Signature, as_ambient, hermitian_product, real_metric
 
 #: horizontality / unit-speed defect accepted on sampled curves
 CURVE_TOL = 1e-6
@@ -46,6 +49,50 @@ class CurveClass(Enum):
 
 
 # ---------------------------------------------------------------------------
+# metric kernels on realified rows
+# ---------------------------------------------------------------------------
+
+
+def real_view(z) -> np.ndarray:
+    """Float64 view (..., 2d) of complex rows z (..., d), (re, im) of each
+    entry side by side; rows whose last axis is not contiguous are copied
+    first."""
+    return np.ascontiguousarray(z, dtype=complex).view(np.float64)
+
+
+def real_signs(signs: np.ndarray) -> np.ndarray:
+    """The metric signs (d,) repeated for the (re, im) pairs (2d,)."""
+    return np.repeat(signs, 2)
+
+
+def gdot_real(s2: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Real metric g(a, b) of realified rows: Re sum s a conj(b) is the sum
+    of s (re a re b + im a im b). Broadcasts over leading axes."""
+    return (a * b) @ s2
+
+
+def norm2_real(x: np.ndarray) -> np.ndarray:
+    """Euclidean |x|^2 of each realified row."""
+    return np.einsum("...k,...k->...", x, x)
+
+
+def jmul_real(x: np.ndarray) -> np.ndarray:
+    """Multiplication by i on realified rows: (re, im) -> (-im, re)."""
+    y = np.empty_like(x)
+    y[..., 0::2] = -x[..., 1::2]
+    y[..., 1::2] = x[..., 0::2]
+    return y
+
+
+def horizontal_real(s2: np.ndarray, q: np.ndarray, iq: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Horizontal part of realified rows x at the unit spacelike lifts q,
+    ``iq`` = ``jmul_real(q)``: the components along q and along the fiber
+    direction iq removed, in that order. Broadcasts over leading axes."""
+    x = x - gdot_real(s2, x, q)[..., None] * q
+    return x - gdot_real(s2, x, iq)[..., None] * iq
+
+
+# ---------------------------------------------------------------------------
 # finite difference stencils on uniformly sampled rows
 # ---------------------------------------------------------------------------
 
@@ -54,20 +101,24 @@ def deriv_rows(y: np.ndarray, h: float) -> np.ndarray:
     """First derivative of uniformly sampled rows.
 
     Five-point central stencils in the interior, three-point near the edges,
-    one-sided second order at the endpoints.
+    one-sided second order at the endpoints. Each stencil is scaled by the
+    reciprocal of its denominator, which is what numpy's division of a
+    complex row by a real number computes; so complex rows and their
+    ``real_view`` give the same bits.
     """
     m = y.shape[0]
     if m < 3:
         raise SamplingError("need at least 3 samples to differentiate")
     d = np.empty_like(y)
-    d[0] = (-3.0 * y[0] + 4.0 * y[1] - y[2]) / (2.0 * h)
-    d[-1] = (3.0 * y[-1] - 4.0 * y[-2] + y[-3]) / (2.0 * h)
+    half = 1.0 / (2.0 * h)
+    d[0] = (-3.0 * y[0] + 4.0 * y[1] - y[2]) * half
+    d[-1] = (3.0 * y[-1] - 4.0 * y[-2] + y[-3]) * half
     if m >= 5:
-        d[1] = (y[2] - y[0]) / (2.0 * h)
-        d[-2] = (y[-1] - y[-3]) / (2.0 * h)
-        d[2:-2] = (-y[4:] + 8.0 * y[3:-1] - 8.0 * y[1:-3] + y[:-4]) / (12.0 * h)
+        d[1] = (y[2] - y[0]) * half
+        d[-2] = (y[-1] - y[-3]) * half
+        d[2:-2] = (-y[4:] + 8.0 * y[3:-1] - 8.0 * y[1:-3] + y[:-4]) * (1.0 / (12.0 * h))
     else:
-        d[1:-1] = (y[2:] - y[:-2]) / (2.0 * h)
+        d[1:-1] = (y[2:] - y[:-2]) * half
     return d
 
 
@@ -139,23 +190,50 @@ class SampledCurve:
         return self.params.shape[0]
 
     @cached_property
+    def real_signs(self) -> np.ndarray:
+        """Metric signs of the realified rows (``real_signs``)."""
+        return real_signs(self.sig.signs)
+
+    @cached_property
+    def lift_rows(self) -> np.ndarray:
+        """The lifts as realified rows (m, 2d)."""
+        return real_view(self.lifts)
+
+    @cached_property
+    def fiber_rows(self) -> np.ndarray:
+        """The fiber directions i z of the lifts, realified."""
+        return jmul_real(self.lift_rows)
+
+    @cached_property
+    def lift_slopes(self) -> np.ndarray:
+        """``deriv_rows`` of the realified lifts."""
+        return deriv_rows(self.lift_rows, self.step)
+
+    def horizontal(self, x: np.ndarray) -> np.ndarray:
+        """Horizontal part of realified rows x (m, 2d) at the lifts."""
+        return horizontal_real(self.real_signs, self.lift_rows, self.fiber_rows, x)
+
+    @cached_property
     def velocity(self) -> np.ndarray:
         """Per-sample horizontal velocity vectors (sphere tangential part)."""
-        return horizontal_rows(self.sig.signs, self.lifts, deriv_rows(self.lifts, self.step))
+        return self.horizontal(self.lift_slopes).view(complex)
+
+    @cached_property
+    def speed2(self) -> np.ndarray:
+        """g(v, v) of every velocity row, formed once for all its readers."""
+        v = real_view(self.velocity)
+        return gdot_real(self.real_signs, v, v)
 
     @cached_property
     def eps1(self) -> float:
-        g = gdot_rows(self.sig.signs, self.velocity, self.velocity)
-        return 1.0 if float(np.median(g)) > 0 else -1.0
+        return 1.0 if float(np.median(self.speed2)) > 0 else -1.0
 
     def speed_defect(self) -> float:
-        g = gdot_rows(self.sig.signs, self.velocity, self.velocity)
-        core = _interior(g, 1)
+        core = _interior(self.speed2, 1)
         return float(np.max(np.abs(core - self.eps1)))
 
     def horizontality_defect(self) -> float:
-        fiber = 1j * self.lifts
-        d = gdot_rows(self.sig.signs, deriv_rows(self.lifts, self.step), fiber)
+        d = gdot_real(self.real_signs, self.lift_slopes, self.fiber_rows)
         return float(np.max(np.abs(_interior(d, 1))))
 
 
@@ -212,7 +290,12 @@ def covariant_derivative(curve: SampledCurve, field_rows: np.ndarray) -> np.ndar
     rows = np.asarray(field_rows, dtype=complex)
     if rows.shape != curve.lifts.shape:
         raise SamplingError("field shape does not match the curve")
-    return horizontal_rows(curve.sig.signs, curve.lifts, deriv_rows(rows, curve.step))
+    return _covariant_rows(curve, real_view(rows)).view(complex)
+
+
+def _covariant_rows(curve: SampledCurve, rows: np.ndarray) -> np.ndarray:
+    """``covariant_derivative`` of realified field rows (m, 2d)."""
+    return curve.horizontal(deriv_rows(rows, curve.step))
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +308,9 @@ class FrenetResult:
     """Frame fields, curvature functions, signs and a classification tag.
 
     ``detail`` holds the measurements behind the tag: for a totally real
-    circle the report of ``is_totally_real_circle``."""
+    circle the report of ``is_totally_real_circle``. When the first stage
+    is lightlike, ``f2`` holds its rows F2, the covariant derivative of
+    F1, and ``detail`` the parallel defect of F2, for ``case_c_verify``."""
 
     order: int
     frames: list
@@ -233,6 +318,7 @@ class FrenetResult:
     signs: list
     classification: CurveClass
     detail: dict
+    f2: Optional[np.ndarray] = None
 
 
 def frenet_apparatus(curve: SampledCurve) -> FrenetResult:
@@ -248,61 +334,51 @@ def frenet_apparatus(curve: SampledCurve) -> FrenetResult:
     defect = curve.speed_defect()
     if defect > CURVE_TOL:
         raise SpeedError(f"unit speed defect {defect:.3e} exceeds {CURVE_TOL:.1e}")
-    signs_vec = curve.sig.signs
-    eps1 = curve.eps1
-    g1 = gdot_rows(signs_vec, curve.velocity, curve.velocity)
-    e1 = curve.velocity / np.sqrt(np.abs(g1))[:, None]
-    frames = [e1]
+    s2 = curve.real_signs
+    frames = [real_view(curve.velocity) * (1.0 / np.sqrt(np.abs(curve.speed2)))[:, None]]
     curv: list = []
-    eps = [eps1]
+    eps = [curve.eps1]
+
+    def result(cls: CurveClass, detail: dict, f2=None) -> FrenetResult:
+        views = [f.view(complex) for f in frames]
+        return FrenetResult(len(frames), views, curv, eps, cls, detail, f2)
 
     stage = 1
     while True:
-        d = covariant_derivative(curve, frames[-1])
+        d = _covariant_rows(curve, frames[-1])
         if len(curv) >= 1:
             d = d + eps[-2] * curv[-1][:, None] * frames[-2]
         stage += 1
-        core = _interior(d, stage)
-        rnorm = float(np.max(np.sqrt(np.sum(np.abs(core) ** 2, axis=-1))))
+        ecore = norm2_real(_interior(d, stage))
+        rnorm = float(np.sqrt(np.max(ecore)))
         if rnorm <= FRENET_TOL:
-            fr = FrenetResult(len(frames), frames, curv, eps, CurveClass.OTHER, {"residual": rnorm})
+            fr = result(CurveClass.OTHER, {"residual": rnorm})
             if fr.order == 1:
                 return replace(fr, classification=CurveClass.GEODESIC)
             ok, report = is_totally_real_circle(fr, curve)
             if ok:
                 return replace(fr, classification=CurveClass.TOTALLY_REAL_CIRCLE, detail=report)
             return fr
-        g = gdot_rows(signs_vec, d, d)
+        g = gdot_real(s2, d, d)
         gcore = _interior(g, stage)
-        ecore = np.sum(np.abs(core) ** 2, axis=-1)
         if np.all(np.abs(gcore) <= LIGHT_TOL * ecore):
             if len(frames) == 1:
-                dd = covariant_derivative(curve, d)
-                par = float(
-                    np.max(np.sqrt(np.sum(np.abs(_interior(dd, stage + 1)) ** 2, axis=-1)))
-                )
+                dd = _covariant_rows(curve, d)
+                par = float(np.sqrt(np.max(norm2_real(_interior(dd, stage + 1)))))
                 cls = (
                     CurveClass.CASE_C_NON_FRENET if par <= 10 * FRENET_TOL else CurveClass.OTHER
                 )
-                return FrenetResult(
-                    1, frames, curv, eps, cls, {"lightlike_parallel_defect": par}
-                )
-            return FrenetResult(
-                len(frames), frames, curv, eps, CurveClass.OTHER, {"lightlike_stage": stage}
-            )
+                return result(cls, {"lightlike_parallel_defect": par}, d.view(complex))
+            return result(CurveClass.OTHER, {"lightlike_stage": stage})
         sgn = 1.0 if float(np.median(gcore)) > 0 else -1.0
         if np.any(sgn * gcore <= 0):
-            return FrenetResult(
-                len(frames), frames, curv, eps, CurveClass.OTHER, {"sign_change": True}
-            )
+            return result(CurveClass.OTHER, {"sign_change": True})
         kappa = np.sqrt(np.abs(g))
-        frames.append(sgn * d / kappa[:, None])
+        frames.append(d * (sgn / kappa)[:, None])
         curv.append(kappa)
         eps.append(sgn)
         if len(frames) >= 2 * curve.sig.n:
-            return FrenetResult(
-                len(frames), frames, curv, eps, CurveClass.OTHER, {"max_order": True}
-            )
+            return result(CurveClass.OTHER, {"max_order": True})
 
 
 def is_totally_real_circle(fr: FrenetResult, curve: SampledCurve):
@@ -314,28 +390,26 @@ def is_totally_real_circle(fr: FrenetResult, curve: SampledCurve):
     k = _interior(fr.curvatures[0], 3)
     mean = float(np.mean(k))
     spread = float(np.std(k) / mean)
-    tau = gdot_rows(curve.sig.signs, fr.frames[0], jmul(fr.frames[1]))
+    tau = gdot_real(curve.real_signs, real_view(fr.frames[0]), jmul_real(real_view(fr.frames[1])))
     tau_max = float(np.max(np.abs(_interior(tau, 3))))
     report.update({"kappa1": mean, "kappa1_rel_spread": spread, "torsion_max": tau_max})
     ok = spread <= 1e-4 and tau_max <= CURVE_TOL
     return ok, report
 
 
-def case_c_verify(curve: SampledCurve):
-    """Check the non-Frenet system: lightlike, parallel, totally real F2,
-    each to ``CURVE_TOL``."""
-    signs = curve.sig.signs
-    g1 = gdot_rows(signs, curve.velocity, curve.velocity)
-    f1 = curve.velocity / np.sqrt(np.abs(g1))[:, None]
-    f2 = covariant_derivative(curve, f1)
-    core = _interior(f2, 2)
-    e2 = np.sum(np.abs(core) ** 2, axis=-1)
-    nonzero = float(np.min(np.sqrt(e2)))
-    gf2 = float(np.max(np.abs(_interior(gdot_rows(signs, f2, f2), 2))))
-    par_rows = covariant_derivative(curve, f2)
-    par = float(np.max(np.sqrt(np.sum(np.abs(_interior(par_rows, 3)) ** 2, axis=-1))))
-    g12 = float(np.max(np.abs(_interior(gdot_rows(signs, f1, f2), 2))))
-    gj12 = float(np.max(np.abs(_interior(gdot_rows(signs, f1, jmul(f2)), 2))))
+def case_c_verify(fr: FrenetResult, curve: SampledCurve):
+    """Check the non-Frenet system on the lightlike first stage of ``fr``:
+    F2 lightlike, parallel, totally real against F1, each to ``CURVE_TOL``.
+    A result without a lightlike first stage fails with its order."""
+    if fr.f2 is None:
+        return False, {"order": fr.order}
+    s2 = curve.real_signs
+    f1, f2 = real_view(fr.frames[0]), real_view(fr.f2)
+    nonzero = float(np.sqrt(np.min(norm2_real(_interior(f2, 2)))))
+    gf2 = float(np.max(np.abs(_interior(gdot_real(s2, f2, f2), 2))))
+    par = fr.detail["lightlike_parallel_defect"]
+    g12 = float(np.max(np.abs(_interior(gdot_real(s2, f1, f2), 2))))
+    gj12 = float(np.max(np.abs(_interior(gdot_real(s2, f1, jmul_real(f2)), 2))))
     report = {
         "f2_min_norm": nonzero,
         "g(F2,F2)": gf2,
@@ -383,7 +457,7 @@ def _check_case_c_frame(sig, p0, v0, f2, v0_sign: float):
     if abs(g(v0, v0) - v0_sign) > 1e-10:
         want = "spacelike" if v0_sign > 0 else "timelike"
         raise FrameError(f"v0 must be unit {want}")
-    ef2 = float(np.sum(np.abs(f2) ** 2))
+    ef2 = float(norm2_real(real_view(f2)))
     if ef2 < 1e-16 or abs(g(f2, f2)) > LIGHT_TOL * ef2:
         raise FrameError("f2 must be lightlike and nonzero")
     for a, b, name in ((p0, v0, "p0,v0"), (p0, f2, "p0,f2"), (v0, f2, "v0,f2")):
@@ -524,22 +598,26 @@ def horizontal_lift(sig: Signature, reps, z0, params=None, anchor: int = 0) -> S
         slopes = deriv_rows(rep_rows, step)
         rep_at = lambda s: hermite_rows(params, rep_rows, slopes, s)
 
+    s2 = real_signs(sig.signs)
+
     def rho(s: np.ndarray) -> np.ndarray:
         z = np.asarray(rep_at(s), dtype=complex)
         if z.shape != s.shape + (sig.ambient_dim,):
             raise LiftError("representative must map an array of parameters to rows")
-        g = gdot_rows(sig.signs, z, z)
+        z = real_view(z)
+        g = gdot_real(s2, z, z)
         if np.any(g <= 0):
             raise LiftError("representative is not spacelike")
-        return z / np.sqrt(g)[:, None]
+        return z * (1.0 / np.sqrt(g))[:, None]
 
     # the phase rate at every sample, then at every midpoint
     m = params.shape[0]
     nodes = np.concatenate([params, params[:-1] + 0.5 * step])
     h = 1e-5
     r = rho(nodes)
-    dr = (rho(nodes + h) - rho(nodes - h)) / (2.0 * h)
-    rate = -gdot_rows(sig.signs, dr, jmul(r))
+    dr = (rho(nodes + h) - rho(nodes - h)) * (1.0 / (2.0 * h))
+    rate = -gdot_real(s2, dr, jmul_real(r))
+    r = r.view(complex)  # the normalized representatives as complex rows
 
     z0v = as_ambient(sig, z0)
     a = hermitian_product(sig, z0v, r[anchor])

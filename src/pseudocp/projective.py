@@ -94,9 +94,14 @@ def canonical_rows(sig: Signature, z) -> np.ndarray:
 
     Raises NotProjectablePoint, before dividing, when some g(z,z) is not
     finite and positive: only spacelike position vectors define point
-    classes of the quotient, and a NaN or infinite row defines none.
+    classes of the quotient, and a NaN or infinite row defines none. A row
+    with a non-finite entry is refused before g is formed, since the
+    product of an infinite entry with its conjugate is itself invalid.
     """
     z = np.asarray(z, dtype=complex)
+    finite = np.isfinite(z)
+    if not np.all(finite):
+        raise NotProjectablePoint(f"a row holds the non-finite entry {z[~finite][0]}")
     g = linalg.gdot_rows(sig.signs, z, z)
     bad = ~(np.isfinite(g) & (g > 0.0))
     if np.any(bad):

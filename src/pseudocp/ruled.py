@@ -967,8 +967,7 @@ def regenerate_integral_curve(par: RHSParametrization) -> tuple[SampledCurve, fl
 
     idx = np.arange(4, params.shape[0] - 4, max(1, params.shape[0] // 30))
     xi = xi[idx] * _phase_factor(sig.signs, lifts[idx], curve.lifts[idx])[:, None]
-    vel = curve.velocity[idx]
-    vel = vel / np.sqrt(np.abs(gdot_rows(sig.signs, vel, vel)))[:, None]
+    vel = curve.velocity[idx] / np.sqrt(np.abs(curve.speed2[idx]))[:, None]
     gap = np.minimum(np.max(np.abs(vel - xi), axis=1), np.max(np.abs(vel + xi), axis=1))
     return curve, float(max(np.max(gap), tangency))
 
@@ -1009,7 +1008,7 @@ def classify_generating_curve(curve: SampledCurve, xi_defect: float = 0.0) -> Cl
             fr.detail,
         )
     if fr.classification is CurveClass.CASE_C_NON_FRENET:
-        ok, rep = case_c_verify(curve)
+        ok, rep = case_c_verify(fr, curve)
         if ok:
             kind = "b3_1" if eps1 > 0 else "b3_2"
             return ClassificationReport(

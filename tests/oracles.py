@@ -13,7 +13,10 @@ Each reference computes its quantity another way than the program does:
   by point and its text by the float-table path, the base line by RK4
   chains;
 - the family closed forms by one hand-written branch per family;
-- the quadric geodesic one branch per call.
+- the quadric geodesic one branch per call;
+- the case-c report of a sampled curve by complex arithmetic on the full
+  rows, each derivative formed afresh (the program works on realified rows
+  and reads F2 off its Frenet stage).
 
 Where a reference runs the program's arithmetic one row at a time (frame
 completion, curvature, the seeded suites, the family closed forms and the
@@ -33,7 +36,14 @@ from dataclasses import replace
 
 import numpy as np
 
-from pseudocp.curves import SampledCurve, deriv_rows, fd_derivative, hermite_rows, sampled_curve_from_fn
+from pseudocp.curves import (
+    EDGE_MARGIN,
+    SampledCurve,
+    deriv_rows,
+    fd_derivative,
+    hermite_rows,
+    sampled_curve_from_fn,
+)
 from pseudocp.errors import CausalCharacterError, DegenerateHypersurfaceError, FrameError, ImmersionError
 from pseudocp.examples import T_RANGE, example_integral_curve, example_spec, gamma_seed, ruling_isometry
 from pseudocp.frames import PIVOT_TOL
@@ -56,6 +66,7 @@ from pseudocp.projective import (
     ProjectiveTangent,
     canonical_rows,
     canonicalize,
+    horizontal_rows,
     sphere_geodesic,
 )
 from pseudocp.ruled import (
@@ -444,6 +455,33 @@ def fd_second_derivative(fn, s: float, h: float = 1e-3):
         + 16.0 * fn(s - h)
         - fn(s - 2 * h)
     ) / (12.0 * h * h)
+
+
+def _ref_case_c_report(curve: SampledCurve) -> dict:
+    """The case-c report of ``curves.case_c_verify`` in complex arithmetic:
+    velocity, F1 = velocity / |velocity|, F2 = covariant derivative of F1
+    and its covariant derivative each formed from the lifts, with
+    ``gdot_rows`` and ``horizontal_rows``."""
+    signs = curve.sig.signs
+
+    def cov(rows):
+        return horizontal_rows(signs, curve.lifts, deriv_rows(rows, curve.step))
+
+    def interior(rows, stages):
+        return rows[EDGE_MARGIN * stages : -EDGE_MARGIN * stages]
+
+    velocity = cov(curve.lifts)
+    f1 = velocity / np.sqrt(np.abs(gdot_rows(signs, velocity, velocity)))[:, None]
+    f2 = cov(f1)
+    e2 = np.sum(np.abs(interior(f2, 2)) ** 2, axis=-1)
+    par_rows = cov(f2)
+    return {
+        "f2_min_norm": float(np.min(np.sqrt(e2))),
+        "g(F2,F2)": float(np.max(np.abs(interior(gdot_rows(signs, f2, f2), 2)))),
+        "parallel_defect": float(np.max(np.sqrt(np.sum(np.abs(interior(par_rows, 3)) ** 2, axis=-1)))),
+        "g(F1,F2)": float(np.max(np.abs(interior(gdot_rows(signs, f1, f2), 2)))),
+        "g(F1,JF2)": float(np.max(np.abs(interior(gdot_rows(signs, f1, jmul(f2)), 2)))),
+    }
 
 
 def _reference_transport(curve: SampledCurve, basis: np.ndarray, s0: float = 0.0):

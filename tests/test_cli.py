@@ -287,6 +287,32 @@ class TestClassify:
         assert captured.out == ""
 
     @pytest.mark.parametrize(
+        "field,value",
+        [("lifts", float("nan")), ("lifts", float("inf")), ("s", float("nan")), ("s", float("inf"))],
+        ids=["nan_lift", "infinite_lift", "nan_s", "infinite_s"],
+    )
+    def test_non_finite_samples_are_a_precondition(self, tmp_path, capsys, field, value):
+        """A samples document with a NaN or infinite s or lift entry exits 3
+        and says so, before the spacing check compares it or any metric
+        product forms it (a RuntimeWarning would be an error here)."""
+        s_grid = np.arange(-0.01, 0.01 + 1e-12, 1e-3)
+        rows = [[[0.0, 0.0], [0.0, 0.0], [np.sin(s), 0.0], [np.cos(s), 0.0]] for s in s_grid]
+        doc = {
+            "signature": {"n": 3, "p": 1},
+            "kind": "samples",
+            "data": {"s": s_grid.tolist(), "lifts": rows},
+        }
+        if field == "s":
+            doc["data"]["s"][7] = value
+        else:
+            doc["data"]["lifts"][7][2][0] = value
+        path = write_json(tmp_path / "samples.json", doc)
+        assert run_cli("classify", path) == 3
+        captured = capsys.readouterr()
+        assert "non-finite s or lift entry" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
         "change,message",
         [
             ({"step": 0}, "step must be finite and positive"),

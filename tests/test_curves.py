@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import _e, _geodesic_curve
+from oracles import _e, _geodesic_curve, _ref_case_c_report
 from pseudocp.curves import (
     CurveClass,
     SampledCurve,
@@ -13,15 +13,21 @@ from pseudocp.curves import (
     covariant_derivative,
     fd_derivative,
     frenet_apparatus,
+    gdot_real,
     horizontal_lift,
+    horizontal_real,
     is_totally_real_circle,
+    jmul_real,
     model_circle_curve,
+    norm2_real,
+    real_signs,
+    real_view,
     sampled_curve_from_fn,
 )
 from pseudocp.errors import FrameError, LiftError, SamplingError, SpeedError
 from pseudocp.examples import example_integral_curve, example_spec, gamma_seed
-from pseudocp.linalg import Signature, gdot_rows, jmul, real_metric
-from pseudocp.projective import sphere_geodesic
+from pseudocp.linalg import Signature, gdot_rows, jmul, metric_signs, real_metric
+from pseudocp.projective import horizontal_rows, sphere_geodesic
 
 SIG = Signature(3, 1)
 
@@ -188,18 +194,120 @@ class TestTotallyRealCircle:
 class TestCaseCVerify:
     def test_family_one_unit_modulus_seed(self):
         data = _family1_curve(np.pi / 4)
-        ok, report = case_c_verify(data.curve)
+        ok, report = case_c_verify(frenet_apparatus(data.curve), data.curve)
         assert ok
         assert report["g(F2,F2)"] < 1e-9
 
     def test_circle_fails(self):
         data = _family1_curve(np.pi / 8)
-        ok, _ = case_c_verify(data.curve)
-        assert not ok
+        ok, report = case_c_verify(frenet_apparatus(data.curve), data.curve)
+        assert not ok and report == {"order": 2}
 
     def test_geodesic_fails(self):
-        ok, _ = case_c_verify(_geodesic_curve())
-        assert not ok
+        curve = _geodesic_curve()
+        ok, report = case_c_verify(frenet_apparatus(curve), curve)
+        assert not ok and report == {"order": 1}
+
+
+def _case_c_closed_form(n, p, boosted):
+    """The benchmark's non-Frenet frame at (n, p): ``case_c1`` for p = 1,
+    ``case_c2`` otherwise; ``boosted`` moves it by a boost of rapidity 0.3
+    mixing slots 0 and n, times the phase exp(0.7i)."""
+    sig = Signature(n, p)
+    e = np.eye(n + 1)
+    m = np.eye(n + 1, dtype=complex)
+    if boosted:
+        m[0, 0] = m[n, n] = np.cosh(0.3)
+        m[0, n] = m[n, 0] = np.sinh(0.3)
+        m = m * np.exp(0.7j)
+    if p == 1:
+        return case_c1_curve(sig, m @ e[1], m @ e[2], m @ (e[0] + e[n]))
+    return case_c2_curve(sig, m @ e[p], m @ e[1], m @ (e[0] + e[n]))
+
+
+class TestCaseCReport:
+    CASES = [(n, p, boosted, step) for n, p in ((3, 1), (4, 1), (3, 2), (4, 2))
+             for boosted in (False, True) for step in (1e-3, 5e-4)]
+
+    @pytest.mark.parametrize("n,p,boosted,step", CASES)
+    def test_report_matches_the_complex_reference(self, n, p, boosted, step):
+        """The report read off the Frenet stage equals the complex-arithmetic
+        reference up to the rounding of the reordered metric sums, which the
+        third differences amplify: worst measured 1.5e-4 relative on the
+        parallel defect, 1e-13 relative on the norm of F2 and 6.9e-13 on the
+        roundoff-level products. Both sides agree on pass or fail."""
+        curve = _case_c_closed_form(n, p, boosted).sample(-0.5, 0.5, step)
+        fr = frenet_apparatus(curve)
+        assert fr.classification is CurveClass.CASE_C_NON_FRENET
+        ok, report = case_c_verify(fr, curve)
+        ref = _ref_case_c_report(curve)
+        assert report.keys() == ref.keys()
+        assert report["f2_min_norm"] == pytest.approx(ref["f2_min_norm"], rel=1e-12)
+        assert report["parallel_defect"] == pytest.approx(ref["parallel_defect"], rel=1e-3)
+        for key in ("g(F2,F2)", "g(F1,F2)", "g(F1,JF2)"):
+            assert abs(report[key] - ref[key]) <= 1e-11, key
+        ref_ok = ref["f2_min_norm"] > 1e-5 and all(
+            ref[k] <= 1e-6 for k in ("g(F2,F2)", "parallel_defect", "g(F1,F2)", "g(F1,JF2)")
+        )
+        assert ok == ref_ok
+
+    @pytest.mark.parametrize("n,p", [(3, 1), (3, 2)])
+    def test_f2_is_the_covariant_derivative_of_f1(self, n, p):
+        """The F2 rows and parallel defect that ``case_c_verify`` reads are
+        bit for bit those a fresh covariant derivative gives."""
+        curve = _case_c_closed_form(n, p, True).sample(-0.5, 0.5, 1e-3)
+        fr = frenet_apparatus(curve)
+        assert np.array_equal(fr.f2, covariant_derivative(curve, fr.frames[0]))
+        dd = covariant_derivative(curve, fr.f2)[12:-12]
+        par = float(np.sqrt(np.max(norm2_real(real_view(dd)))))
+        assert case_c_verify(fr, curve)[1]["parallel_defect"] == par
+
+
+def _stacks(rng, sig, m=40):
+    """Pairs of complex stacks: random rows of Euclidean scale 1e-3 to 1e3,
+    a row against a stack, and reversed and strided views."""
+    d = sig.ambient_dim
+    draw = lambda *shape: rng.standard_normal(shape + (d,)) + 1j * rng.standard_normal(shape + (d,))
+    a = draw(m) * np.exp(rng.uniform(-7.0, 7.0, (m, 1)))
+    b = draw(m)
+    wide = draw(m, 2)
+    return [(a, b), (a, b[0]), (draw(3, m), b), (a[::-1], b[::-1]), (a[::2], wide[::2, 0])]
+
+
+class TestRealifiedKernels:
+    SIGS = [Signature(3, 1), Signature(4, 2), Signature(6, 3)]
+
+    @pytest.mark.parametrize("sig", SIGS, ids=str)
+    def test_metric_and_norm_match_the_complex_forms(self, sig, rng):
+        s2 = real_signs(sig.signs)
+        for a, b in _stacks(rng, sig):
+            ra, rb = real_view(a), real_view(b)
+            scale = np.linalg.norm(a, axis=-1) * np.linalg.norm(b, axis=-1)
+            assert np.all(np.abs(gdot_real(s2, ra, rb) - gdot_rows(sig.signs, a, b)) <= 1e-15 * scale)
+            norm2 = np.sum(np.abs(a) ** 2, axis=-1)
+            assert np.all(np.abs(norm2_real(ra) - norm2) <= 1e-15 * norm2)
+            assert np.array_equal(jmul_real(ra), real_view(jmul(a)))
+
+    @pytest.mark.parametrize("sig", SIGS, ids=str)
+    def test_projection_matches_horizontal_rows(self, sig, rng):
+        """Within 1e-15 |x| |q|^4: each of the two removals scales the error
+        of its metric sum by |q|^2 (worst measured 2.5e-16)."""
+        s2 = real_signs(sig.signs)
+        for x, q in _stacks(rng, sig):
+            # rows far from spacelike become the all-ones row, spacelike here
+            g = gdot_rows(sig.signs, q, q)
+            q = np.where((g > 0.05)[..., None], q, metric_signs(0, sig.ambient_dim))
+            q = q / np.sqrt(gdot_rows(sig.signs, q, q))[..., None]
+            rq = real_view(q)
+            got = horizontal_real(s2, rq, jmul_real(rq), real_view(x)).view(complex)
+            want = horizontal_rows(sig.signs, q, x)
+            scale = np.linalg.norm(x, axis=-1) * np.linalg.norm(q, axis=-1) ** 4
+            assert np.all(np.max(np.abs(got - want), axis=-1) <= 1e-15 * scale)
+
+    def test_real_view_is_a_view_of_contiguous_rows(self, rng):
+        z = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+        assert np.shares_memory(real_view(z), z)
+        assert np.array_equal(real_view(z[:, ::2]), np.stack([z[:, ::2].real, z[:, ::2].imag], -1).reshape(5, 4))
 
 
 class TestCaseCClosedForms:
@@ -254,8 +362,9 @@ class TestCaseCClosedForms:
 
     def test_c1_pipeline_classification(self):
         curve = case_c1_curve(SIG, self.P0, self.V0, self.F2).sample(-0.5, 0.5, 1e-3)
-        assert frenet_apparatus(curve).classification is CurveClass.CASE_C_NON_FRENET
-        ok, _ = case_c_verify(curve)
+        fr = frenet_apparatus(curve)
+        assert fr.classification is CurveClass.CASE_C_NON_FRENET
+        ok, _ = case_c_verify(fr, curve)
         assert ok
 
 

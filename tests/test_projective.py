@@ -272,12 +272,13 @@ class TestRowForms:
             canonical_rows(SIG, np.array([_e(3), _e(0)]))
 
     def test_canonical_rows_reject_a_nan_row(self):
-        """A row whose g(z,z) is NaN is refused before any division, so no
-        NaN comes back and no RuntimeWarning (an error under the suite's
-        warning filter) is raised."""
-        row = np.array([np.nan, 0.0, 0.0, 1.0])
-        with pytest.raises(NotProjectablePoint, match="nan is not finite and positive"):
-            canonical_rows(SIG, np.array([_e(3), row]))
+        """A row with a NaN or an infinite entry is refused before g(z,z) is
+        formed, so no NaN comes back and no RuntimeWarning (an error under
+        the suite's warning filter) is raised."""
+        for entry in (np.nan, np.inf, complex(1.0, -np.inf)):
+            row = np.array([0.0, 0.0, entry, 1.0])
+            with pytest.raises(NotProjectablePoint, match="non-finite entry"):
+                canonical_rows(SIG, np.array([_e(3), row]))
 
 
 class TestCurvatureTensor:
