@@ -4,8 +4,9 @@ Commands raise, and ``main`` alone maps the failure to its exit code and
 prints ``error: ...``, the same for every command: 0 pass; 1 verification
 failure (a failing report line, or a ``GeometryError`` that is no
 precondition, such as a curve that matches no minimal case); 2 a
-``UsageError`` (a bad target or ``--signature``, ``--seed-r`` with a family
-other than 1, a configuration that cannot be read or holds a non-finite or
+``UsageError`` (a bad target or ``--signature``, ``--seed-r``, or a
+``builtin_flow`` curve file's ``seed_r``, with a family other than 1, a
+configuration that cannot be read or holds a non-finite or
 mistyped value, a curve file that cannot be parsed or whose ``n``, ``p`` or
 ``example`` is no JSON integer); 3 one of ``_PRECONDITION_ERRORS`` (lightlike
 data, a seed or ``t0`` outside its family's domain, a seed whose open slot
@@ -32,6 +33,8 @@ For ``closed_form`` the data block selects a family:
     {"family": "circle", "model": "rp2"|"s2_1"|"h2_2", "kappa1": 1.2,
      "timelike": false}
     {"family": "builtin_flow", "example": 1, "seed_r": 0.5, "t0": 0.0}
+
+``seed_r`` (family 1 only) or ``z`` (any family) sets the seed.
 
 For ``samples`` the data block carries the grid and phase-coherent
 horizontal lifts: {"s": [...], "lifts": [[[re, im], ...], ...]}.
@@ -69,6 +72,7 @@ from .errors import (
 )
 from .examples import (
     EXAMPLE_IDS,
+    FAMILIES,
     T_RANGE,
     example_cross_check,
     example_integral_curve,
@@ -197,6 +201,18 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text + "\n")
 
 
+def _seeds(targets, sig, seed_r) -> dict:
+    """Seed of each target family that ``seed_r`` sets: family 1's
+    ``gamma_seed`` at ``sig`` (None: family 1's default signature). Every
+    other family keeps its default seed, and ``seed_r`` without family 1
+    among the targets raises UsageError."""
+    if seed_r is None:
+        return {}
+    if 1 not in targets:
+        raise UsageError(SEED_R_USAGE)
+    return {1: gamma_seed(sig or FAMILIES[1].signature, seed_r)}
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -210,9 +226,6 @@ def cmd_verify(args) -> int:
         targets = [int(args.target)]
     else:
         raise UsageError(f"unknown verify target {args.target!r}")
-    if args.seed_r is not None and 1 not in targets:
-        raise UsageError(SEED_R_USAGE)
-
     sig = None
     if args.signature:
         try:
@@ -220,25 +233,16 @@ def cmd_verify(args) -> int:
             sig = Signature(n, p)
         except ValueError as exc:
             raise UsageError(f"bad signature {args.signature!r}: {exc}") from exc
+    seeds = _seeds(targets, sig, args.seed_r)
 
     groups = []  # (group name, identity lines) in report order
     classifications = {}
     pars = {}
     for ex in targets:
-        seed = None
-        if ex == 1 and args.seed_r is not None:
-            seed = gamma_seed(sig or example_spec(1).sig, args.seed_r)
-        report = example_cross_check(
-            example_spec(ex, sig=sig, seed_z=seed),
-            grid_s=cfg.grid_s,
-            grid_t=cfg.grid_t,
-            grid_leaf=cfg.grid_leaf,
-            verify_tol=cfg.verify_tol,
-            leaf_radius=cfg.leaf_radius,
-        )
-        groups.append((f"example{ex}", report.lines))
-        classifications[str(ex)] = f"case_{report.classification}"
-        pars[ex] = report.par
+        spec = example_spec(ex, sig=sig, seed_z=seeds.get(ex))
+        lines, case, pars[ex] = example_cross_check(spec, cfg)
+        groups.append((f"example{ex}", lines))
+        classifications[str(ex)] = f"case_{case.value}"
     groups += [
         ("curvature", verification.curvature_lines()),
         ("frames", verification.unitary_frame_lines()),
@@ -332,10 +336,8 @@ def _curve_from_file(doc: dict) -> SampledCurve:
         return crv.sample(s_lo, s_hi, step)
     if family == "builtin_flow":
         ex = _json_int(data["example"], "example")
-        seed = None
-        if "seed_r" in data:
-            seed = gamma_seed(sig, float(data["seed_r"]))
-        elif "z" in data:
+        seed = _seeds([ex], sig, float(data["seed_r"]) if "seed_r" in data else None).get(ex)
+        if seed is None and "z" in data:
             seed = _complex_vector(data["z"], sig.n)
         spec = example_spec(ex, sig=sig, seed_z=seed)
         return example_integral_curve(
@@ -401,12 +403,7 @@ def cmd_sample(args) -> int:
     if not (args.example_id.isdigit() and int(args.example_id) in EXAMPLE_IDS):
         raise UsageError(f"unknown example id {args.example_id!r}")
     ex = int(args.example_id)
-    if ex != 1 and args.seed_r is not None:
-        raise UsageError(SEED_R_USAGE)
-    seed = None
-    if args.seed_r is not None:
-        seed = gamma_seed(example_spec(1).sig, args.seed_r)
-    spec = example_spec(ex, seed_z=seed)
+    spec = example_spec(ex, seed_z=_seeds([ex], None, args.seed_r).get(ex))
     par = transport_basis(example_integral_curve(spec).curve)
     s_values, coords = leaf_coordinate_axes(par, cfg.grid_s, cfg.grid_leaf, radius=cfg.leaf_radius)
     lifts = rhs_lift_grid(par, s_values, coords)

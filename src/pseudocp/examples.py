@@ -9,6 +9,10 @@ default seed. The structure field, unit normal, its shape image and the
 acceleration of the structure flow all follow from the 2x2 ruling block, so
 the families double as exact oracles for the generic numeric pipeline.
 
+The cross check has two halves: ``generator_lines`` holds for the patch of
+any unit generating curve, ``family_lines`` compares one family with its
+closed forms, and ``example_cross_check`` runs both on a family.
+
 Family 1 rotates the last two slots (spacelike structure field); family 2
 boosts the first and last slots (spacelike); family 3 boosts around a seed
 with one fewer timelike slot (timelike structure field); family 4 rotates
@@ -18,11 +22,12 @@ the first two slots (timelike, needs p >= 2 like family 3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from . import ruled
+from .config import RunConfig
 from .curves import SampledCurve, sampled_curve_from_fn
 from .errors import DomainError
 from .isometries import IndefiniteUnitaryMatrix
@@ -391,137 +396,102 @@ class IdentityLine:
         }
 
 
-@dataclass
-class CrossCheckReport:
-    example_id: int
-    lines: list
-    classification: str
-    par: ruled.RHSParametrization
+def generator_lines(
+    curve: SampledCurve,
+    cfg: RunConfig,
+    expected: tuple,
+    slices: Iterable[IndefiniteUnitaryMatrix] = (),
+) -> tuple[list, MinimalCase, ruled.RHSParametrization]:
+    """The identity lines every unit generating curve has, its case and its
+    transported-frame parametrization.
 
-
-def ruling_sweep(
-    spec: ExampleSpec, par: ruled.RHSParametrization, rows: np.ndarray, grid_t: int
-) -> tuple[float, float]:
-    """Worst leaf-block entry and worst |mu| of the shape operator over
-    ``grid_t`` ruling slices of the patch, at the parameter rows of each.
-
-    One ``shape_operators`` call per slice: the slices stay separate so the
-    stencil arrays, and so peak memory, stay the size of one slice.
+    Checks the curve (which needs its closed form ``lift_fn``), the frame
+    transport and the patch; the leaf block and minimality over ``cfg``'s
+    leaf grid on the patch moved by each isometry of ``slices``, or on the
+    patch itself when there are none; the Codazzi identity; and the
+    classification against ``expected`` = (case, kind, kappa1), a kind or
+    kappa1 of None going unchecked.
     """
+    par = transport_basis(curve)
+    ov, ojv = par.orthogonality_defect()
     base = RHSPatch(par)
-    dd_max = 0.0
-    mu_max = 0.0
-    for tv in np.linspace(T_RANGE[0], T_RANGE[1], grid_t):
-        patch = TransformedPatch(ruling_isometry(spec, float(tv)), base)
+    rows = ruled.leaf_coordinate_grid(par, cfg.grid_s, cfg.grid_leaf, radius=cfg.leaf_radius)
+    # one ``shape_operators`` call per slice, reduced to running maxima: the
+    # stencil arrays, and so peak memory, stay the size of one slice
+    dd_max = mu_max = 0.0
+    for patch in [TransformedPatch(iso, base) for iso in slices] or [base]:
         for rep in ruled.shape_operators(patch, rows):
             dd_max = max(dd_max, rep.dd_block_max)
             mu_max = max(mu_max, abs(rep.mu))
-    return dd_max, mu_max
+    base_point = canonicalize(curve.sig, curve.lift_fn(0.12))
+    cod_at = np.concatenate([[0.05], rows[0, 1:]])
+    cod = ruled.codazzi_residual(base, cod_at, np.random.default_rng(11))
+    lines = [
+        IdentityLine("curve_horizontal", curve.horizontality_defect(), 1e-10),
+        IdentityLine("curve_unit_speed", curve.speed_defect(), SPEED_TOL),
+        IdentityLine("transport_orth_velocity", ov, 1e-6),
+        IdentityLine("transport_orth_j_velocity", ojv, 1e-6),
+        IdentityLine("transport_gram_drift", par.gram_drift(), 1e-6),
+        IdentityLine(
+            "evaluate_recovers_base",
+            rhs_evaluate(par, 0.12, np.zeros(par.leaf_dim)).gap(base_point),
+            1e-9,
+        ),
+        IdentityLine("ruled_leaf_block", dd_max, cfg.verify_tol),
+        IdentityLine("minimality_mu", mu_max, cfg.verify_tol),
+        IdentityLine("codazzi_residual", cod, cfg.verify_tol),
+    ]
+
+    case, kind, kappa1 = expected
+    classified = classify_minimal_ruled(par)
+    lines.append(IdentityLine("classification_case", float(classified.case is not case), 0.5))
+    if kind is not None:
+        lines.append(IdentityLine("classification_kind", float(classified.kind != kind), 0.5))
+    if kappa1 is not None and classified.kappa1 is not None:
+        lines.append(IdentityLine("classification_kappa1", abs(classified.kappa1 - kappa1), 1e-4))
+    return lines, classified.case, par
+
+
+def family_lines(
+    spec: ExampleSpec, data: IntegralCurveData, par: ruled.RHSParametrization
+) -> list:
+    """The lines that compare one family with its closed forms: the slice
+    at ``T0``, the structure field's normal and shape image, the constant
+    acceleration square along ``data``, and the numeric shape image of the
+    structure field on the patch of ``par`` (sign free)."""
+    g = lambda a, b: real_metric(spec.sig, a, b)
+    fields = example_fields(spec, T0)
+    psi0 = example_map(spec, T0)
+    accels = map(data.accel, np.linspace(*S_RANGE, 7))
+    ff_err = max(abs(g(f, f) - data.accel_square) for f in accels)
+
+    patch = RHSPatch(par)
+    rep = ruled.shape_operator_at(patch, np.zeros(patch.n_params))
+    frame = rep.frame
+    hor = fields.a_xi_hat - g(fields.a_xi_hat, 1j * psi0) * (1j * psi0)
+    ph = np.sum(frame.lift * np.conj(psi0))
+    axi_num = (frame.epsilon * rep.mu * frame.xi + rep.u_vec) * (np.conj(ph) / abs(ph))
+    gap = min(float(np.max(np.abs(axi_num - hor))), float(np.max(np.abs(axi_num + hor))))
+    return [
+        IdentityLine("lift_on_sphere", abs(g(psi0, psi0) - 1.0), 1e-12),
+        IdentityLine("normal_unit", abs(g(fields.n_hat, fields.n_hat) - fields.epsilon), 1e-12),
+        IdentityLine("normal_horizontal", abs(g(fields.n_hat, 1j * psi0)), 1e-12),
+        IdentityLine("shape_xi_component", abs(g(fields.a_xi_hat, fields.xi_hat)), 1e-12),
+        IdentityLine("accel_square_constant", ff_err, 1e-10),
+        IdentityLine("shape_xi_matches_closed_form", gap, 1e-5),
+    ]
 
 
 def example_cross_check(
-    spec: ExampleSpec,
-    *,
-    grid_s: int,
-    grid_t: int,
-    grid_leaf: int,
-    verify_tol: float,
-    leaf_radius: float,
-) -> CrossCheckReport:
-    """Run the generic machinery on one family and compare with closed forms.
-
-    The grid sizes, tolerance and leaf radius are the run's ``RunConfig``
-    fields of the same names.
-
-    Builds the transported-frame parametrization from the family's integral
-    curve, verifies the leaf block and minimality over the grid of
-    ``ruling_sweep`` (leaf coordinates up to ``leaf_radius``), the structure
-    identities and the classification, and checks the numeric shape image of
-    the structure field against the closed form. The report holds every
-    identity line, passed or failed, and keeps the parametrization.
-    """
-    lines: list[IdentityLine] = []
-    sig = spec.sig
-    rng = np.random.default_rng(11)
-
-    fields = example_fields(spec, T0)
-    psi0 = example_map(spec, T0)
-    g = lambda a, b: real_metric(sig, a, b)
-    lines.append(
-        IdentityLine("lift_on_sphere", abs(g(psi0, psi0) - 1.0), 1e-12)
-    )
-    lines.append(
-        IdentityLine(
-            "normal_unit", abs(g(fields.n_hat, fields.n_hat) - fields.epsilon), 1e-12
-        )
-    )
-    lines.append(
-        IdentityLine("normal_horizontal", abs(g(fields.n_hat, 1j * psi0)), 1e-12)
-    )
-    lines.append(
-        IdentityLine(
-            "shape_xi_component", abs(g(fields.a_xi_hat, fields.xi_hat)), 1e-12
-        )
-    )
-
+    spec: ExampleSpec, cfg: RunConfig
+) -> tuple[list, MinimalCase, ruled.RHSParametrization]:
+    """Run the generic machinery on one family and compare with its closed
+    forms: the ``generator_lines`` of its integral curve over the ``cfg.grid_t``
+    ruling slices of ``T_RANGE``, then its ``family_lines``. Returns every
+    identity line, passed or failed, the classified case and the
+    parametrization."""
     data = example_integral_curve(spec)
-    curve = data.curve
-    lines.append(IdentityLine("curve_horizontal", curve.horizontality_defect(), 1e-10))
-    lines.append(IdentityLine("curve_unit_speed", curve.speed_defect(), SPEED_TOL))
-
-    ff_err = 0.0
-    for s in np.linspace(S_RANGE[0], S_RANGE[1], 7):
-        f = data.accel(s)
-        ff_err = max(ff_err, abs(g(f, f) - data.accel_square))
-    lines.append(IdentityLine("accel_square_constant", ff_err, 1e-10))
-
-    par = transport_basis(curve)
-    ov, ojv = par.orthogonality_defect()
-    lines.append(IdentityLine("transport_orth_velocity", ov, 1e-6))
-    lines.append(IdentityLine("transport_orth_j_velocity", ojv, 1e-6))
-    lines.append(IdentityLine("transport_gram_drift", par.gram_drift(), 1e-6))
-
-    lines.append(
-        IdentityLine(
-            "evaluate_recovers_base",
-            rhs_evaluate(par, 0.12, np.zeros(par.leaf_dim)).gap(
-                canonicalize(sig, curve.lift_fn(0.12))
-            ),
-            1e-9,
-        )
-    )
-
-    rows = ruled.leaf_coordinate_grid(par, grid_s, grid_leaf, radius=leaf_radius)
-    dd_max, mu_max = ruling_sweep(spec, par, rows, grid_t)
-    lines.append(IdentityLine("ruled_leaf_block", dd_max, verify_tol))
-    lines.append(IdentityLine("minimality_mu", mu_max, verify_tol))
-
-    base_patch = RHSPatch(par)
-    cod = ruled.codazzi_residual(base_patch, np.concatenate([[0.05], rows[0, 1:]]), rng)
-    lines.append(IdentityLine("codazzi_residual", cod, verify_tol))
-
-    # numeric shape image of xi against the closed form (sign free)
-    rep = ruled.shape_operator_at(base_patch, np.zeros(base_patch.n_params))
-    frame = rep.frame
-    axi_closed = fields.a_xi_hat
-    hor = axi_closed - g(axi_closed, 1j * psi0) * (1j * psi0)
-    axi_num = frame.epsilon * rep.mu * frame.xi + rep.u_vec
-    ph = np.sum(frame.lift * np.conj(psi0))
-    ph = np.conj(ph) / abs(ph)
-    axi_num = axi_num * ph
-    gap = min(
-        float(np.max(np.abs(axi_num - hor))), float(np.max(np.abs(axi_num + hor)))
-    )
-    lines.append(IdentityLine("shape_xi_matches_closed_form", gap, 1e-5))
-
-    classified = classify_minimal_ruled(par)
-    case_ok = classified.case is data.predicted_case
-    lines.append(IdentityLine("classification_case", 0.0 if case_ok else 1.0, 0.5))
-    if data.kind is not None:
-        kind_ok = classified.kind == data.kind
-        lines.append(IdentityLine("classification_kind", 0.0 if kind_ok else 1.0, 0.5))
-    if data.kappa1 is not None and classified.kappa1 is not None:
-        kappa_gap = abs(classified.kappa1 - data.kappa1)
-        lines.append(IdentityLine("classification_kappa1", kappa_gap, 1e-4))
-
-    return CrossCheckReport(spec.example_id, lines, classified.case.value, par)
+    slices = [ruling_isometry(spec, float(tv)) for tv in np.linspace(*T_RANGE, cfg.grid_t)]
+    expected = (data.predicted_case, data.kind, data.kappa1)
+    lines, case, par = generator_lines(data.curve, cfg, expected, slices)
+    return lines + family_lines(spec, data, par), case, par

@@ -96,13 +96,16 @@ def canonical_rows(sig: Signature, z) -> np.ndarray:
     finite and positive: only spacelike position vectors define point
     classes of the quotient, and a NaN or infinite row defines none. A row
     with a non-finite entry is refused before g is formed, since the
-    product of an infinite entry with its conjugate is itself invalid.
+    product of an infinite entry with its conjugate is itself invalid. Finite
+    entries whose squares overflow give an infinite or NaN g (inf - inf when
+    both signs overflow), refused the same way.
     """
     z = np.asarray(z, dtype=complex)
     finite = np.isfinite(z)
     if not np.all(finite):
         raise NotProjectablePoint(f"a row holds the non-finite entry {z[~finite][0]}")
-    g = linalg.gdot_rows(sig.signs, z, z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = linalg.gdot_rows(sig.signs, z, z)
     bad = ~(np.isfinite(g) & (g > 0.0))
     if np.any(bad):
         raise NotProjectablePoint(f"g(z,z) = {float(g[bad][0]):.3e} is not finite and positive")

@@ -13,15 +13,16 @@ import numpy as np
 import pytest
 
 from pseudocp import verification
+from pseudocp.config import RunConfig
 from pseudocp.curves import covariant_derivative, frenet_apparatus
 from pseudocp.examples import (
     EXAMPLE_IDS,
     T0,
+    example_cross_check,
     example_fields,
     example_integral_curve,
     example_spec,
     gamma_seed,
-    ruling_sweep,
 )
 from pseudocp.linalg import Signature, gdot_rows, real_metric
 from pseudocp.projective import canonicalize, log_in_leaf
@@ -29,7 +30,6 @@ from pseudocp.ruled import (
     GeodesicSpherePatch,
     MinimalCase,
     classify_minimal_ruled,
-    leaf_coordinate_grid,
     rhs_evaluate,
     shape_operator_at,
     transport_basis,
@@ -52,13 +52,15 @@ def family_pars():
 
 
 @pytest.fixture(scope="module")
-def grid_sweep(family_pars):
+def grid_sweep():
     """Worst leaf-block entry and structure diagonal over 5x5x4 grids: the
-    sweep of the cross check."""
-    return {
-        ex: ruling_sweep(spec, par, leaf_coordinate_grid(par, GRID_S, GRID_LEAF), GRID_T)
-        for ex, (spec, par) in family_pars.items()
-    }
+    ``ruled_leaf_block`` and ``minimality_mu`` lines of the cross check."""
+    cfg = RunConfig(grid_s=GRID_S, grid_t=GRID_T, grid_leaf=GRID_LEAF)
+    out = {}
+    for ex in EXAMPLE_IDS:
+        lines = {line.name: line.residual for line in example_cross_check(example_spec(ex), cfg)[0]}
+        out[ex] = (lines["ruled_leaf_block"], lines["minimality_mu"])
+    return out
 
 
 def test_criterion_01_curvature_normalization():

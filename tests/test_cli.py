@@ -47,6 +47,29 @@ CASE_C1_DOC = {
     },
 }
 
+#: the identity lines of one family's cross check: the generating curve's,
+#: then the closed forms'
+CROSS_CHECK_NAMES = {
+    "curve_horizontal",
+    "curve_unit_speed",
+    "transport_orth_velocity",
+    "transport_orth_j_velocity",
+    "transport_gram_drift",
+    "evaluate_recovers_base",
+    "ruled_leaf_block",
+    "minimality_mu",
+    "codazzi_residual",
+    "classification_case",
+    "classification_kind",
+    "classification_kappa1",
+    "lift_on_sphere",
+    "normal_unit",
+    "normal_horizontal",
+    "shape_xi_component",
+    "accel_square_constant",
+    "shape_xi_matches_closed_form",
+}
+
 CIRCLE_DOC = {
     "signature": {"n": 3, "p": 1},
     "kind": "closed_form",
@@ -566,12 +589,19 @@ class TestConfig:
             assert reason in captured.err
             assert captured.out == ""
 
-    @pytest.mark.parametrize("command", ["verify", "sample"])
+    @pytest.mark.parametrize("command", ["verify", "sample", "classify"])
     @pytest.mark.parametrize("family", ["2", "3", "4"])
-    def test_seed_parameter_of_another_family_is_a_usage_error(self, capsys, command, family):
-        """--seed-r sets family 1's seed; with another family it is a usage
-        error, not silently ignored."""
-        assert run_cli(command, family, "--seed-r", "0.3", "--grid", "2x2x2") == 2
+    def test_seed_parameter_of_another_family_is_a_usage_error(self, tmp_path, capsys, command, family):
+        """--seed-r, or a ``builtin_flow`` curve file's ``seed_r``, sets
+        family 1's seed; with another family it is a usage error, not
+        silently ignored."""
+        if command == "classify":
+            n, p = (4, 1) if family == "2" else (3, 2)
+            data = {"family": "builtin_flow", "example": int(family), "seed_r": 0.3}
+            doc = {"signature": {"n": n, "p": p}, "kind": "closed_form", "data": data}
+            assert run_cli("classify", write_json(tmp_path / "flow.json", doc)) == 2
+        else:
+            assert run_cli(command, family, "--seed-r", "0.3", "--grid", "2x2x2") == 2
         captured = capsys.readouterr()
         assert "--seed-r applies to family 1 only" in captured.err
         assert captured.out == ""
@@ -761,12 +791,19 @@ class TestVerify:
         return code, json.loads(out.read_text())
 
     def test_verify_all_line_count(self, verify_all):
-        """The full run reports well over forty identity lines and passes."""
+        """The full run reports well over forty identity lines and passes;
+        each family group holds exactly the lines of the generic cross check
+        and of its closed forms, so a line lost between the two halves
+        fails here."""
         code, doc = verify_all
         assert code == 0
         assert doc["pass"] is True
         assert len(doc["identities"]) >= 40
         assert set(doc["classifications"]) == {"1", "2", "3", "4"}
+        for ex in EXAMPLE_IDS:
+            names = [item["name"] for item in doc["identities"] if item["group"] == f"example{ex}"]
+            assert len(names) == len(CROSS_CHECK_NAMES)
+            assert set(names) == CROSS_CHECK_NAMES
 
     def test_verify_all_worst_margin(self, verify_all):
         """Accuracy guard: every one of the 102 lines passes with its

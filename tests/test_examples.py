@@ -3,17 +3,23 @@
 import numpy as np
 import pytest
 
+from pseudocp.config import RunConfig
+from pseudocp.curves import case_c1_curve, case_c2_curve, model_circle_curve, sampled_curve_from_fn
 from pseudocp.errors import DomainError
 from pseudocp.examples import (
+    CURVE_STEP,
     EXAMPLE_IDS,
+    S_RANGE,
     example_fields,
     example_integral_curve,
     example_map,
     example_spec,
     gamma_seed,
+    generator_lines,
     ruling_isometry,
 )
 from pseudocp.linalg import Signature, jmul, metric_signs, real_metric
+from pseudocp.projective import sphere_geodesic
 from pseudocp.ruled import (
     MinimalCase,
     RHSPatch,
@@ -244,3 +250,38 @@ class TestIntegralCurves:
                 tv = spec.ruling.slice_map(0.1, x)
                 assert abs(real_metric(spec.sig, tv, fields.xi_hat)) < 1e-10
                 assert abs(real_metric(spec.sig, tv, fields.n_hat)) < 1e-10
+
+
+def _generators():
+    """Closed-form generating curves that are no family's integral curve,
+    sampled over ``S_RANGE``, with the (case, kind, kappa1) each must
+    classify as."""
+    s31, s32 = Signature(3, 1), Signature(3, 2)
+    e = np.eye(4, dtype=complex)
+    sample = lambda crv: crv.sample(*S_RANGE, CURVE_STEP)
+    case_b, case_c = MinimalCase.CASE_B_TOTALLY_REAL_CIRCLE, MinimalCase.CASE_C_NON_FRENET
+    geodesic = sampled_curve_from_fn(s31, lambda s: sphere_geodesic(s31, e[3], e[2], s), *S_RANGE, CURVE_STEP)
+    return {
+        "geodesic": (geodesic, (MinimalCase.CASE_A_GEODESIC, None, None)),
+        "circle_rp2": (sample(model_circle_curve(s31, "rp2", 1.2)), (case_b, "rp2", 1.2)),
+        "circle_h2_2": (sample(model_circle_curve(s32, "h2_2", 1.5)), (case_b, "h2_2", 1.5)),
+        "case_c1": (sample(case_c1_curve(s31, e[1], e[2], e[0] + e[3])), (case_c, "b3_1", None)),
+        "case_c2": (sample(case_c2_curve(s32, e[2], e[1], e[0] + e[3])), (case_c, "b3_2", None)),
+    }
+
+
+class TestGeneratorLines:
+    @pytest.mark.parametrize("name", list(_generators()))
+    def test_every_line_passes_on_a_generator_that_is_no_family(self, name):
+        """The generic half of the cross check holds on the patch of any
+        unit generating curve, with no ruling slices: geodesic, totally
+        real circles and the two non-Frenet curves each pass every line and
+        classify as their case."""
+        curve, expected = _generators()[name]
+        lines, case, par = generator_lines(curve, RunConfig(), expected)
+        names = {line.name for line in lines}
+        assert {"ruled_leaf_block", "minimality_mu", "codazzi_residual", "classification_case"} <= names
+        assert ("classification_kind" in names) == (expected[1] is not None)
+        assert [line.name for line in lines if not line.passed] == []
+        assert case is expected[0]
+        assert par.sig == curve.sig

@@ -280,6 +280,18 @@ class TestRowForms:
             with pytest.raises(NotProjectablePoint, match="non-finite entry"):
                 canonical_rows(SIG, np.array([_e(3), row]))
 
+    @pytest.mark.parametrize(
+        "row",
+        [[0, 0, 1e200, 1], [1e200, 0, 0, 1], [1e200, 0, 0, 1e200]],
+        ids=["spacelike", "timelike", "both"],
+    )
+    def test_canonical_rows_reject_a_row_whose_square_overflows(self, row):
+        """Finite entries whose squares overflow give an infinite or NaN
+        g(z,z): the row is refused by the g check, with no RuntimeWarning
+        (an error under the suite's warning filter) on the way."""
+        with pytest.raises(NotProjectablePoint, match="is not finite and positive"):
+            canonical_rows(SIG, np.array([_e(3), np.array(row, dtype=complex)]))
+
 
 class TestCurvatureTensor:
     def test_holomorphic_plane_value(self, rng):
