@@ -7,11 +7,12 @@ precondition, such as a curve that matches no minimal case); 2 a
 ``UsageError`` (a bad target or ``--signature``, ``--seed-r``, or a
 ``builtin_flow`` curve file's ``seed_r``, with a family other than 1, a
 configuration that cannot be read or holds a non-finite or
-mistyped value, a curve file that cannot be parsed or whose ``n``, ``p`` or
-``example`` is no JSON integer); 3 one of ``_PRECONDITION_ERRORS`` (lightlike
-data, a seed or ``t0`` outside its family's domain, a seed whose open slot
-is below ``examples.OPEN_SLOT_FLOOR`` included, a circle curvature that is
-not positive or has no finite square, a curve grid without a finite
+mistyped value, a curve file that cannot be parsed, whose ``n``, ``p`` or
+``example`` is no JSON integer or whose ``example`` is no family id); 3 one
+of ``_PRECONDITION_ERRORS`` (lightlike data, a seed or ``t0`` outside its
+family's domain, a seed whose open slot is below
+``examples.OPEN_SLOT_FLOOR`` included, a circle curvature that is not
+positive or has no finite square, a curve grid without a finite
 positive step, a finite range, 3 samples or at most ``curves.MAX_SAMPLES``
 samples, a ``samples`` document with a non-finite s or lift entry); 4 an
 ``OSError`` (a curve file that cannot be opened, an output that cannot be
@@ -149,7 +150,9 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (pv, pc, ps):
         p.add_argument("--out", default=None, help="write the report to this path")
     for p in (pv, ps):
-        p.add_argument("--grid", default=None, help="grid densities, e.g. 5x5x4")
+        p.add_argument("--grid", default=None,
+                       help="grid densities SxTxLEAF, e.g. 5x5x4; T, the ruling slices, "
+                            "is read by sample only")
     return parser
 
 
@@ -336,6 +339,8 @@ def _curve_from_file(doc: dict) -> SampledCurve:
         return crv.sample(s_lo, s_hi, step)
     if family == "builtin_flow":
         ex = _json_int(data["example"], "example")
+        if ex not in EXAMPLE_IDS:
+            raise ValueError(f"unknown example id {ex}")
         seed = _seeds([ex], sig, float(data["seed_r"]) if "seed_r" in data else None).get(ex)
         if seed is None and "z" in data:
             seed = _complex_vector(data["z"], sig.n)

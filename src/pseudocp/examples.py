@@ -11,7 +11,10 @@ the families double as exact oracles for the generic numeric pipeline.
 
 The cross check has two halves: ``generator_lines`` holds for the patch of
 any unit generating curve, ``family_lines`` compares one family with its
-closed forms, and ``example_cross_check`` runs both on a family.
+closed forms, and ``example_cross_check`` runs both on a family. The
+generic half sweeps the shape operator over the patch itself and over the
+patch moved by one boost, whose agreement is its isometry check; the ruling
+isometries move only the point cloud of ``sample``.
 
 Family 1 rotates the last two slots (spacelike structure field); family 2
 boosts the first and last slots (spacelike); family 3 boosts around a seed
@@ -22,7 +25,7 @@ the first two slots (timelike, needs p >= 2 like family 3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -30,7 +33,7 @@ from . import ruled
 from .config import RunConfig
 from .curves import SampledCurve, sampled_curve_from_fn
 from .errors import DomainError
-from .isometries import IndefiniteUnitaryMatrix
+from .isometries import IndefiniteUnitaryMatrix, boost
 from .linalg import Signature, gdot_rows, metric_signs, real_metric
 from .projective import canonicalize
 from .ruled import (
@@ -95,6 +98,9 @@ S_RANGE = (-0.5, 0.5)
 CURVE_STEP = 1e-3
 #: tolerance of the cross check's ``curve_unit_speed`` line
 SPEED_TOL = 1e-9
+#: rapidity of the boost that the ``isometry_invariance`` line moves the
+#: patch by; a boost, unlike a ruling isometry, needs no family row
+INVARIANCE_RAPIDITY = 1.0
 #: least |z_omega| of a seed. The flow moves the filled and empty slots at
 #: rate 1/|z_omega| with amplitude |z_omega|, so their fifth s-derivative is
 #: |z_omega|^-4 in size and a five-point velocity at step h is off by
@@ -396,33 +402,32 @@ class IdentityLine:
         }
 
 
+def _sweep(patch, rows: np.ndarray) -> np.ndarray:
+    """(lam, mu, leaf block) of the shape operator at each row, as (N, 3)."""
+    reports = ruled.shape_operators(patch, rows)
+    return np.array([(rep.lam, rep.mu, rep.dd_block_max) for rep in reports])
+
+
 def generator_lines(
-    curve: SampledCurve,
-    cfg: RunConfig,
-    expected: tuple,
-    slices: Iterable[IndefiniteUnitaryMatrix] = (),
+    curve: SampledCurve, cfg: RunConfig, expected: tuple
 ) -> tuple[list, MinimalCase, ruled.RHSParametrization]:
     """The identity lines every unit generating curve has, its case and its
     transported-frame parametrization.
 
     Checks the curve (which needs its closed form ``lift_fn``), the frame
     transport and the patch; the leaf block and minimality over ``cfg``'s
-    leaf grid on the patch moved by each isometry of ``slices``, or on the
-    patch itself when there are none; the Codazzi identity; and the
-    classification against ``expected`` = (case, kind, kappa1), a kind or
-    kappa1 of None going unchecked.
+    leaf grid; that the shape operator on that grid is isometry invariant
+    (lam = |U|, mu and the leaf block on the patch moved by ``boost`` at
+    ``INVARIANCE_RAPIDITY``, against the patch itself row by row); the
+    Codazzi identity; and the classification against ``expected`` = (case,
+    kind, kappa1), a kind or kappa1 of None going unchecked.
     """
     par = transport_basis(curve)
     ov, ojv = par.orthogonality_defect()
     base = RHSPatch(par)
     rows = ruled.leaf_coordinate_grid(par, cfg.grid_s, cfg.grid_leaf, radius=cfg.leaf_radius)
-    # one ``shape_operators`` call per slice, reduced to running maxima: the
-    # stencil arrays, and so peak memory, stay the size of one slice
-    dd_max = mu_max = 0.0
-    for patch in [TransformedPatch(iso, base) for iso in slices] or [base]:
-        for rep in ruled.shape_operators(patch, rows):
-            dd_max = max(dd_max, rep.dd_block_max)
-            mu_max = max(mu_max, abs(rep.mu))
+    swept = _sweep(base, rows)
+    moved = _sweep(TransformedPatch(boost(curve.sig, INVARIANCE_RAPIDITY), base), rows)
     base_point = canonicalize(curve.sig, curve.lift_fn(0.12))
     cod_at = np.concatenate([[0.05], rows[0, 1:]])
     cod = ruled.codazzi_residual(base, cod_at, np.random.default_rng(11))
@@ -437,8 +442,9 @@ def generator_lines(
             rhs_evaluate(par, 0.12, np.zeros(par.leaf_dim)).gap(base_point),
             1e-9,
         ),
-        IdentityLine("ruled_leaf_block", dd_max, cfg.verify_tol),
-        IdentityLine("minimality_mu", mu_max, cfg.verify_tol),
+        IdentityLine("ruled_leaf_block", float(np.max(swept[:, 2])), cfg.verify_tol),
+        IdentityLine("minimality_mu", float(np.max(np.abs(swept[:, 1]))), cfg.verify_tol),
+        IdentityLine("isometry_invariance", float(np.max(np.abs(moved - swept))), cfg.verify_tol),
         IdentityLine("codazzi_residual", cod, cfg.verify_tol),
     ]
 
@@ -486,12 +492,10 @@ def example_cross_check(
     spec: ExampleSpec, cfg: RunConfig
 ) -> tuple[list, MinimalCase, ruled.RHSParametrization]:
     """Run the generic machinery on one family and compare with its closed
-    forms: the ``generator_lines`` of its integral curve over the ``cfg.grid_t``
-    ruling slices of ``T_RANGE``, then its ``family_lines``. Returns every
-    identity line, passed or failed, the classified case and the
-    parametrization."""
+    forms: the ``generator_lines`` of its integral curve, then its
+    ``family_lines``. Returns every identity line, passed or failed, the
+    classified case and the parametrization."""
     data = example_integral_curve(spec)
-    slices = [ruling_isometry(spec, float(tv)) for tv in np.linspace(*T_RANGE, cfg.grid_t)]
     expected = (data.predicted_case, data.kind, data.kappa1)
-    lines, case, par = generator_lines(data.curve, cfg, expected, slices)
+    lines, case, par = generator_lines(data.curve, cfg, expected)
     return lines + family_lines(spec, data, par), case, par

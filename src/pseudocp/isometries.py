@@ -55,6 +55,16 @@ class IndefiniteUnitaryMatrix:
         return self.entries @ np.asarray(z, dtype=complex)
 
 
+def boost(sig: Signature, t: float) -> IndefiniteUnitaryMatrix:
+    """exp(t B), with B mixing slot 0 and the last slot: a boost of rapidity
+    t. Every signature has p >= 1 timelike slots first and n - p >= 1
+    spacelike slots last, so the pair is always one timelike, one spacelike."""
+    m = np.eye(sig.ambient_dim, dtype=complex)
+    m[0, 0] = m[-1, -1] = np.cosh(t)
+    m[0, -1] = m[-1, 0] = np.sinh(t)
+    return IndefiniteUnitaryMatrix(sig, m)
+
+
 def frame_to_isometry(sig: Signature, q, eta_hat) -> IndefiniteUnitaryMatrix:
     """Frame completion sending the standard base point to q and the marked
     direction to eta_hat: the one-row case of ``frame_to_isometries``."""

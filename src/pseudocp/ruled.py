@@ -402,7 +402,8 @@ class RHSPatch:
 
 
 class TransformedPatch:
-    """A patch moved by a holomorphic isometry (used for ruling translates)."""
+    """A patch moved by a holomorphic isometry (a ruling translate, or the
+    boost of the cross check's ``isometry_invariance`` line)."""
 
     def __init__(self, iso: IndefiniteUnitaryMatrix, inner):
         self.iso = iso

@@ -35,7 +35,7 @@ from pseudocp.ruled import (
     transport_basis,
 )
 
-GRID_S, GRID_T, GRID_LEAF = 5, 5, 4
+GRID_S, GRID_LEAF = 5, 4
 
 
 def _report(number: int, ok: bool, text: str) -> None:
@@ -53,9 +53,10 @@ def family_pars():
 
 @pytest.fixture(scope="module")
 def grid_sweep():
-    """Worst leaf-block entry and structure diagonal over 5x5x4 grids: the
+    """Worst leaf-block entry and structure diagonal over the 5x4 base grid
+    (5 values of s times 4 leaf points) of each family's patch: the
     ``ruled_leaf_block`` and ``minimality_mu`` lines of the cross check."""
-    cfg = RunConfig(grid_s=GRID_S, grid_t=GRID_T, grid_leaf=GRID_LEAF)
+    cfg = RunConfig(grid_s=GRID_S, grid_leaf=GRID_LEAF)
     out = {}
     for ex in EXAMPLE_IDS:
         lines = {line.name: line.residual for line in example_cross_check(example_spec(ex), cfg)[0]}

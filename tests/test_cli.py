@@ -58,6 +58,7 @@ CROSS_CHECK_NAMES = {
     "evaluate_recovers_base",
     "ruled_leaf_block",
     "minimality_mu",
+    "isometry_invariance",
     "codazzi_residual",
     "classification_case",
     "classification_kind",
@@ -606,6 +607,19 @@ class TestConfig:
         assert "--seed-r applies to family 1 only" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("extra", [{}, {"seed_r": 0.3}], ids=["default_seed", "seed_r"])
+    def test_unknown_example_is_a_usage_error_in_every_command(self, tmp_path, capsys, extra):
+        """An example id outside ``EXAMPLE_IDS`` exits 2 whether it comes
+        from a ``builtin_flow`` curve file or from ``verify``/``sample``."""
+        data = {"family": "builtin_flow", "example": 7, **extra}
+        doc = {"signature": {"n": 3, "p": 1}, "kind": "closed_form", "data": data}
+        assert run_cli("classify", write_json(tmp_path / "flow.json", doc)) == 2
+        captured = capsys.readouterr()
+        assert "cannot parse curve file: unknown example id 7" in captured.err
+        assert captured.out == ""
+        assert run_cli("verify", "7") == 2
+        assert run_cli("sample", "7") == 2
+
     def test_seed_parameter_reaches_family_one_of_verify_all(self, tmp_path):
         """``verify all --seed-r`` seeds family 1 and leaves the others."""
         out = tmp_path / "report.json"
@@ -806,13 +820,13 @@ class TestVerify:
             assert set(names) == CROSS_CHECK_NAMES
 
     def test_verify_all_worst_margin(self, verify_all):
-        """Accuracy guard: every one of the 102 lines passes with its
+        """Accuracy guard: every one of the 106 lines passes with its
         residual at most 1/200 of its tolerance (the worst, ``minimality_mu``
         of example 3, reads about 0.0021), so a faster kernel cannot trade
         accuracy unseen."""
         code, doc = verify_all
         assert code == 0
-        assert len(doc["identities"]) == 102
+        assert len(doc["identities"]) == 106
         worst = max(item["residual"] / item["tolerance"] for item in doc["identities"])
         assert worst <= 0.005
 

@@ -26,6 +26,7 @@ from pseudocp.curves import (
 )
 from pseudocp.errors import FrameError, LiftError, SamplingError, SpeedError
 from pseudocp.examples import example_integral_curve, example_spec, gamma_seed
+from pseudocp.isometries import boost
 from pseudocp.linalg import Signature, gdot_rows, jmul, metric_signs, real_metric
 from pseudocp.projective import horizontal_rows, sphere_geodesic
 
@@ -215,11 +216,7 @@ def _case_c_closed_form(n, p, boosted):
     mixing slots 0 and n, times the phase exp(0.7i)."""
     sig = Signature(n, p)
     e = np.eye(n + 1)
-    m = np.eye(n + 1, dtype=complex)
-    if boosted:
-        m[0, 0] = m[n, n] = np.cosh(0.3)
-        m[0, n] = m[n, 0] = np.sinh(0.3)
-        m = m * np.exp(0.7j)
+    m = boost(sig, 0.3).entries * np.exp(0.7j) if boosted else np.eye(n + 1, dtype=complex)
     if p == 1:
         return case_c1_curve(sig, m @ e[1], m @ e[2], m @ (e[0] + e[n]))
     return case_c2_curve(sig, m @ e[p], m @ e[1], m @ (e[0] + e[n]))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pseudocp import ruled
 from pseudocp.config import RunConfig
 from pseudocp.curves import case_c1_curve, case_c2_curve, model_circle_curve, sampled_curve_from_fn
 from pseudocp.errors import DomainError
@@ -274,14 +275,32 @@ class TestGeneratorLines:
     @pytest.mark.parametrize("name", list(_generators()))
     def test_every_line_passes_on_a_generator_that_is_no_family(self, name):
         """The generic half of the cross check holds on the patch of any
-        unit generating curve, with no ruling slices: geodesic, totally
-        real circles and the two non-Frenet curves each pass every line and
-        classify as their case."""
+        unit generating curve: geodesic, totally real circles and the two
+        non-Frenet curves each pass every line and classify as their case."""
         curve, expected = _generators()[name]
         lines, case, par = generator_lines(curve, RunConfig(), expected)
         names = {line.name for line in lines}
-        assert {"ruled_leaf_block", "minimality_mu", "codazzi_residual", "classification_case"} <= names
+        assert {"ruled_leaf_block", "minimality_mu", "isometry_invariance", "codazzi_residual",
+                "classification_case"} <= names
         assert ("classification_kind" in names) == (expected[1] is not None)
         assert [line.name for line in lines if not line.passed] == []
         assert case is expected[0]
         assert par.sig == curve.sig
+
+    def test_a_moved_patch_that_is_no_isometric_image_fails_the_invariance_line(self, monkeypatch):
+        """Mutation check: a moved patch that evaluates its inner patch at
+        rows shifted by 0.01 in the first leaf coordinate is no isometric
+        image, so its lam = |U| differs from the base sweep's (by 1e-2 on
+        family 1) while mu and the leaf block barely move. Family 1 then
+        fails ``isometry_invariance`` and no other line."""
+        lifts_at = ruled.TransformedPatch.lifts_at
+
+        def shifted(self, rows):
+            rows = np.array(rows, dtype=float)
+            rows[:, 1] += 0.01
+            return lifts_at(self, rows)
+
+        monkeypatch.setattr(ruled.TransformedPatch, "lifts_at", shifted)
+        data = example_integral_curve(example_spec(1))
+        lines, _, _ = generator_lines(data.curve, RunConfig(), (data.predicted_case, data.kind, data.kappa1))
+        assert [line.name for line in lines if not line.passed] == ["isometry_invariance"]

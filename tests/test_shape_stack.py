@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from oracles import _family_patch, _nested_weingarten, _par, _ref_shape_matrix, _sphere_patch
-from pseudocp.isometries import IndefiniteUnitaryMatrix
+from pseudocp.isometries import boost
 from pseudocp.linalg import Signature, gdot_rows
 from pseudocp.ruled import (
     RHSPatch,
@@ -109,14 +109,6 @@ def test_gauss_formula_matches_the_nested_normal_difference(name):
         assert np.max(np.abs(got[i] - want)) <= 1e-6 * scale
 
 
-def _boost(sig, t):
-    """exp(t B), with B mixing the first (timelike) and the last slot."""
-    m = np.eye(sig.ambient_dim, dtype=complex)
-    m[0, 0] = m[-1, -1] = np.cosh(t)
-    m[0, -1] = m[-1, 0] = np.sinh(t)
-    return IndefiniteUnitaryMatrix(sig, m)
-
-
 @pytest.mark.parametrize("t", [1.0, 2.0, 3.0])
 @pytest.mark.parametrize("example_id", [1, 2, 3, 4])
 def test_codazzi_holds_under_a_boost(example_id, t):
@@ -126,5 +118,5 @@ def test_codazzi_holds_under_a_boost(example_id, t):
     par = _par(example_id)
     _, coords = leaf_coordinate_axes(par, 5, 4, radius=0.25)
     u = np.concatenate([[0.05], coords[0]])
-    patch = TransformedPatch(_boost(par.sig, t), RHSPatch(par))
+    patch = TransformedPatch(boost(par.sig, t), RHSPatch(par))
     assert codazzi_residual(patch, u, np.random.default_rng(11)) <= 1e-4
