@@ -151,8 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write the report to this path")
     for p in (pv, ps):
         p.add_argument("--grid", default=None,
-                       help="grid densities SxTxLEAF, e.g. 5x5x4; T, the ruling slices, "
-                            "is read by sample only")
+                       help="grid densities SxTxLEAF, e.g. 5x5x4; T, the ruling slices "
+                            "(at least 2), is read by sample only")
     return parser
 
 
@@ -183,25 +183,28 @@ def _config_from_args(args) -> RunConfig:
         raise UsageError(str(exc)) from exc
 
 
-def _atomic_write(path: str, text: str) -> None:
-    target = os.path.abspath(path)
-    directory = os.path.dirname(target)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pseudocp_")
+def _emit(pieces, out_path) -> None:
+    """Write the output text, given as an iterable of pieces, in order.
+
+    With ``out_path`` the pieces go to a temp file in the target's
+    directory, which replaces the target only once every piece is written;
+    on any exception the temp file is removed and the target is left as it
+    was. Without it they go to standard output, followed by a newline.
+    """
+    if not out_path:
+        sys.stdout.writelines(pieces)
+        sys.stdout.write("\n")
+        return
+    target = os.path.abspath(out_path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".pseudocp_")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
         os.replace(tmp, target)
-    except OSError:
+    except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _emit(text: str, out_path) -> None:
-    if out_path:
-        _atomic_write(out_path, text)
-    else:
-        sys.stdout.write(text + "\n")
 
 
 def _seeds(targets, sig, seed_r) -> dict:
@@ -264,7 +267,7 @@ def cmd_verify(args) -> int:
         "identities": identities,
         "pass": ok,
     }
-    _emit(json.dumps(doc, indent=2, sort_keys=True), cfg.out_path)
+    _emit([json.dumps(doc, indent=2, sort_keys=True)], cfg.out_path)
     return EXIT_PASS if ok else EXIT_VERIFY_FAIL
 
 
@@ -374,7 +377,7 @@ def cmd_classify(args) -> int:
         "kind": report.kind,
         "detail": {k: float(v) for k, v in report.detail.items() if np.isscalar(v)},
     }
-    _emit(json.dumps(doc, indent=2, sort_keys=True), cfg.out_path)
+    _emit([json.dumps(doc, indent=2, sort_keys=True)], cfg.out_path)
     return EXIT_PASS
 
 
@@ -383,11 +386,10 @@ def cmd_classify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _slice_lines(sig, iso, prefixes: list, lifts, sep: str) -> list:
+def _slice_lines(prefixes: list, reps, sep: str) -> list:
     """Export lines of one ruling slice, in (s, c) order: each row's prefix
-    text, then the (re, im) pairs of its canonical representative, every
-    cell written by ``repr`` and joined by ``sep``."""
-    reps = canonical_rows(sig, lifts @ iso.entries.T)
+    text, then the (re, im) pairs of its canonical representative in
+    ``reps``, every cell written by ``repr`` and joined by ``sep``."""
     cells = np.ascontiguousarray(reps).view(float)  # re, im interleaved
     return [
         prefix + sep.join(map(repr, row))
@@ -403,8 +405,15 @@ def cmd_sample(args) -> int:
     many rows, so each is formatted once; every cell is the ``repr`` text of
     its float, which is also what ``json.dumps`` writes for a finite float,
     so the JSON text is the bytes of ``json.dumps(doc, sort_keys=True)``.
+
+    The representatives of every ruling slice are computed before the first
+    byte is written, so a failure there writes nothing. The text is then
+    written one ruling slice at a time: only one slice's text is held at
+    once, whatever the number of slices.
     """
     cfg = _config_from_args(args)
+    if cfg.grid_t < 2:
+        raise UsageError("grid_t must be at least 2")
     if not (args.example_id.isdigit() and int(args.example_id) in EXAMPLE_IDS):
         raise UsageError(f"unknown example id {args.example_id!r}")
     ex = int(args.example_id)
@@ -412,15 +421,10 @@ def cmd_sample(args) -> int:
     par = transport_basis(example_integral_curve(spec).curve)
     s_values, coords = leaf_coordinate_axes(par, cfg.grid_s, cfg.grid_leaf, radius=cfg.leaf_radius)
     lifts = rhs_lift_grid(par, s_values, coords)
-
-    sep = "," if cfg.fmt == "csv" else ", "
-    s_text = [repr(s) + sep for s in s_values.tolist()]
-    c_text = [sep.join(map(repr, c)) + sep for c in coords.tolist()]
-    lines = []
-    for tv in np.linspace(T_RANGE[0], T_RANGE[1], cfg.grid_t).tolist():
-        t_text = repr(tv) + sep
-        prefixes = [s + t_text + c for s in s_text for c in c_text]
-        lines += _slice_lines(par.sig, ruling_isometry(spec, tv), prefixes, lifts, sep)
+    t_values = np.linspace(T_RANGE[0], T_RANGE[1], cfg.grid_t).tolist()
+    slice_reps = [
+        canonical_rows(par.sig, lifts @ ruling_isometry(spec, tv).entries.T) for tv in t_values
+    ]
 
     leaf_dim, dim = par.leaf_dim, par.sig.ambient_dim
     header = (
@@ -429,13 +433,24 @@ def cmd_sample(args) -> int:
         + [x for k in range(dim) for x in (f"re_z{k + 1}", f"im_z{k + 1}")]
     )
     if cfg.fmt == "csv":
-        text = "\n".join([",".join(header), *lines, ""])
+        sep, row_sep, head, tail = ",", "\n", ",".join(header) + "\n", "\n"
     else:
-        text = (
-            f'{{"command": "sample", "example": {ex}, "header": {json.dumps(header)}, '
-            f'"rows": [[{"], [".join(lines)}]], "schema": 1}}'
-        )
-    _emit(text, cfg.out_path)
+        sep, row_sep, tail = ", ", "], [", ']], "schema": 1}'
+        head = f'{{"command": "sample", "example": {ex}, "header": {json.dumps(header)}, "rows": [['
+    s_text = [repr(s) + sep for s in s_values.tolist()]
+    c_text = [sep.join(map(repr, c)) + sep for c in coords.tolist()]
+
+    def pieces():
+        yield head
+        for k, (tv, reps) in enumerate(zip(t_values, slice_reps)):
+            t_text = repr(tv) + sep
+            prefixes = [s + t_text + c for s in s_text for c in c_text]
+            if k:
+                yield row_sep
+            yield row_sep.join(_slice_lines(prefixes, reps, sep))
+        yield tail
+
+    _emit(pieces(), cfg.out_path)
     return EXIT_PASS
 
 

@@ -36,7 +36,8 @@ class RunConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        for name in ("grid_s", "grid_t", "grid_leaf"):
+        # grid_t is read, and checked, by the sample command alone
+        for name in ("grid_s", "grid_leaf"):
             if getattr(self, name) < 2:
                 raise ValueError(f"{name} must be at least 2")
         if self.fmt not in ("json", "csv"):

@@ -3,14 +3,16 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from oracles import _ref_sample_text
-from pseudocp import ruled, verification
+from pseudocp import cli, ruled, verification
 from pseudocp.cli import main
+from pseudocp.errors import ChartError, NotProjectablePoint
 from pseudocp.examples import EXAMPLE_IDS
 from pseudocp.frames import complete_unitary_frames
 from pseudocp.linalg import Signature, gdot_rows, jmul, metric_signs
@@ -86,7 +88,13 @@ class TestUsageErrors:
         assert run_cli("sample", "7") == 2
 
     def test_bad_grid_spec(self, capsys):
+        """A grid spec without three entries, or with fewer than two ruling
+        slices for ``sample`` (the one reader of T), exits 2."""
         assert run_cli("sample", "1", "--grid", "5x5") == 2
+        assert run_cli("sample", "1", "--grid", "2x1x2") == 2
+        captured = capsys.readouterr()
+        assert "grid_t must be at least 2" in captured.err
+        assert captured.out == ""
 
     def test_missing_subcommand(self, capsys):
         assert run_cli() == 2
@@ -445,7 +453,7 @@ class TestSample:
         [(1, None), (2, None), (3, None), (4, None), (1, 0.3)],
         ids=["1", "2", "3", "4", "1-r0.3"],
     )
-    @pytest.mark.parametrize("grid", ["2x2x2", "5x3x4"])
+    @pytest.mark.parametrize("grid", ["2x2x2", "5x3x4", "3x12x2"])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_export_bytes_match_the_float_table_path(
         self, tmp_path, capsys, example_id, seed_r, grid, fmt
@@ -480,6 +488,72 @@ class TestSample:
     def test_io_failure(self, tmp_path, capsys):
         missing = tmp_path / "no" / "such" / "dir" / "x.csv"
         assert run_cli("sample", "1", "--grid", "2x2x2", "--out", str(missing)) == 4
+
+    @pytest.mark.parametrize(
+        "error, code", [(NotProjectablePoint, 1), (ChartError, 3)], ids=["not_projectable", "chart"]
+    )
+    def test_a_failure_on_the_last_slice_writes_nothing(
+        self, tmp_path, monkeypatch, capsys, error, code
+    ):
+        """Every slice is projected before the first byte: a failure on the
+        last one exits with its code, standard output stays empty and no
+        file is left."""
+        canonical_rows = cli.canonical_rows
+        calls = []
+
+        def failing_last(sig, rows):
+            calls.append(1)
+            if len(calls) % 4 == 0:
+                raise error("the last slice fails")
+            return canonical_rows(sig, rows)
+
+        monkeypatch.setattr(cli, "canonical_rows", failing_last)
+        argv = ["sample", "1", "--grid", "2x4x2", "--format", "csv"]
+        assert run_cli(*argv, "--out", str(tmp_path / "cloud.csv")) == code
+        assert run_cli(*argv) == code
+        assert len(calls) == 8
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the last slice fails\n" * 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_failure_while_writing_leaves_no_file(self, tmp_path, monkeypatch):
+        """An exception raised between two slices propagates, the target is
+        not created and the temp file is removed."""
+        slice_lines = cli._slice_lines
+        calls = []
+
+        def failing_second(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("interrupted")
+            return slice_lines(*args)
+
+        monkeypatch.setattr(cli, "_slice_lines", failing_second)
+        out = tmp_path / "cloud.json"
+        with pytest.raises(RuntimeError, match="interrupted"):
+            run_cli("sample", "2", "--grid", "2x3x2", "--out", str(out))
+        assert len(calls) == 2
+        assert not out.exists()
+        assert list(tmp_path.glob(".pseudocp_*")) == []
+
+    def test_peak_memory_does_not_grow_with_the_ruling_slices(self, tmp_path):
+        """The export holds the text of one ruling slice at a time: the
+        40x12x12 JSON export (2.2 MB) peaks less than 1 MB above the same
+        grid with 2 ruling slices instead of 12."""
+        out = str(tmp_path / "cloud.json")
+
+        def traced_peak(grid):
+            tracemalloc.start()
+            try:
+                assert run_cli("sample", "2", "--grid", grid, "--format", "json", "--out", out) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert run_cli("sample", "2", "--grid", "40x2x12", "--format", "json", "--out", out) == 0
+        few, many = traced_peak("40x2x12"), traced_peak("40x12x12")
+        assert many - few < 1_000_000, (few, many)
 
 
 class TestConfig:
@@ -582,6 +656,7 @@ class TestConfig:
             ({"grid_s": "5"}, ("sample", "1"), "grid_s must be of type int"),
             ({"grid_s": 2.5}, ("sample", "1"), "grid_s must be of type int"),
             ({"grid_t": 1e9}, ("sample", "1"), "grid_t must be of type int"),
+            ({"grid_t": 1}, ("sample", "1"), "grid_t must be at least 2"),
         ]
         for doc, argv, reason in cases:
             cfg.write_text(json.dumps(doc))
@@ -647,15 +722,21 @@ class TestConfig:
 
 class TestVerify:
     def test_single_example_report(self, tmp_path, capsys):
-        out = tmp_path / "report.json"
-        code = run_cli("verify", "3", "--grid", "2x2x2", "--out", str(out))
-        assert code == 0
-        doc = json.loads(out.read_text())
-        assert doc["schema"] == 1
-        assert doc["pass"] is True
-        assert doc["classifications"]["3"] == "case_b"
-        assert len(doc["identities"]) >= 18
-        assert all(item["pass"] for item in doc["identities"])
+        """``verify`` does not read the T entry of ``--grid``: one ruling
+        slice is accepted and reports the same lines as two."""
+        identities = {}
+        for grid in ("2x2x2", "2x1x2"):
+            out = tmp_path / f"report_{grid}.json"
+            code = run_cli("verify", "3", "--grid", grid, "--out", str(out))
+            assert code == 0
+            doc = json.loads(out.read_text())
+            assert doc["schema"] == 1
+            assert doc["pass"] is True
+            assert doc["classifications"]["3"] == "case_b"
+            assert len(doc["identities"]) >= 18
+            assert all(item["pass"] for item in doc["identities"])
+            identities[grid] = doc["identities"]
+        assert identities["2x1x2"] == identities["2x2x2"]
 
     def test_seed_parameter_switches_the_case(self, tmp_path, capsys):
         """The unit-modulus seed turns family one into the non-Frenet case."""
