@@ -47,6 +47,7 @@ import argparse
 import functools
 import json
 import os
+import stat
 import sys
 import tempfile
 
@@ -189,7 +190,9 @@ def _emit(pieces, out_path) -> None:
     With ``out_path`` the pieces go to a temp file in the target's
     directory, which replaces the target only once every piece is written;
     on any exception the temp file is removed and the target is left as it
-    was. Without it they go to standard output, followed by a newline.
+    was. The file gets the mode a plain ``open(out_path, "w")`` leaves:
+    the existing target's, else 0o666 less the umask. Without ``out_path``
+    the pieces go to standard output, followed by a newline.
     """
     if not out_path:
         sys.stdout.writelines(pieces)
@@ -200,11 +203,23 @@ def _emit(pieces, out_path) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.writelines(pieces)
+        os.chmod(tmp, _open_mode(target))
         os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _open_mode(target: str) -> int:
+    """Permission bits of ``target`` when it exists, else those a new file
+    gets from ``open``: 0o666 less the process umask."""
+    try:
+        return stat.S_IMODE(os.stat(target).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
 
 
 def _seeds(targets, sig, seed_r) -> dict:

@@ -142,7 +142,8 @@ def hermite_rows(params: np.ndarray, values: np.ndarray, slopes: np.ndarray, s) 
 
 
 def fd_derivative(fn: Callable[[float], np.ndarray], s: float, h: float = 1e-3):
-    """Five-point first derivative of a smooth vector-valued callable."""
+    """Five-point first derivative of a smooth vector-valued callable, at a
+    scalar s or, for a callable over arrays, at an array of them."""
     return (
         -fn(s + 2 * h) + 8.0 * fn(s + h) - 8.0 * fn(s - h) + fn(s - 2 * h)
     ) / (12.0 * h)

@@ -11,13 +11,17 @@ transported frame with the exponential map over stacked patch parameters
 base parameters and leaf coordinates (``rhs_lift_grid``) are its cases.
 
 Almost contact frames come from one batched kernel, ``hypersurface_frames``:
-for a stack of patch parameters it evaluates every lift of every
-central-difference stencil in one patch call (``lifts_at``), then aligns
-phases, projects to the horizontal space and takes one SVD per row as
-stacked array operations. It returns one ``AlmostContactFrame`` holding the
-stack; the frame at a single point is its one-row view. The shape operator
-comes from the Gauss formula: ``second_forms`` reads the second fundamental
-form H_kl = g(d_k d_l f, N) of a stack of points off one patch call over a
+for a stack of patch parameters it evaluates the lifts of the
+central-difference stencils (``lifts_at``), aligns phases, projects to the
+horizontal space and takes one SVD per row as stacked array operations. It
+returns one ``AlmostContactFrame`` holding the stack; the frame at a single
+point is its one-row view. Both kernels run their rows in fixed blocks
+(``_ROW_BLOCK`` lift rows), so their memory stays bounded however large the
+stack; every step is row-wise, so the results are bit-identical to a single
+block, and the chart, rank and lightlike checks still run over all rows
+before any result is returned. The shape operator comes from the Gauss
+formula: ``second_forms`` reads the second fundamental form
+H_kl = g(d_k d_l f, N) of a stack of points off one patch call over a
 second-difference stencil at ``OUTER_FD_STEP``, and ``weingarten_apply``
 turns it into A x = sum_k c_k t_k with c = G^-1 H a, linear algebra on the
 frame. ``shape_operators`` measures a stack of points with one frame call,
@@ -92,6 +96,10 @@ OUTER_FD_STEP = 2e-3
 CHART_RADIUS = np.pi / 2
 #: relative lightlike threshold for numerically measured vectors
 NUMERIC_LIGHT_TOL = 1e-5
+#: patch lift rows evaluated per block by ``RHSPatch.lifts_at``; a
+#: ``hypersurface_frames`` block holds the stencils of _ROW_BLOCK // (2P + 1)
+#: points. It bounds the temporaries of a stack, whatever its size
+_ROW_BLOCK = 1024
 
 
 class ShapeForm(Enum):
@@ -387,18 +395,25 @@ class RHSPatch:
         from the base lift at s along the transported frame applied to the
         leaf coordinates.
 
-        All rows are checked against the chart first. The Hermite frame and
-        the base lift are evaluated once per distinct s (a frame stencil
-        moves s in only three of its rows), the geodesics in one batch.
-        Stacked matrix products keep each row independent of the batch.
+        All rows are checked against the chart first. The rows are then
+        evaluated in blocks of ``_ROW_BLOCK``, so the Hermite frame gathered
+        for each row is held for one block at a time. Within a block the
+        frame and the base lift are evaluated once per distinct s (a frame
+        stencil moves s in only three of its rows), the geodesics in one
+        batch. Stacked matrix products keep each row independent of the
+        batch, so the lifts are bit-identical to those of a single block.
         """
         rows = np.asarray(rows, dtype=float)
         par = self.par
-        s, coords = rows[:, 0], rows[:, 1:]
-        _check_chart(par, s, coords)
-        s_distinct, inverse = np.unique(s, return_inverse=True)
-        v = np.matmul(coords[:, None, :], par.frames_at(s_distinct)[inverse])[:, 0]
-        return quadric_geodesic(par.sig.signs, par.lift(s_distinct)[inverse], v, 1.0)
+        _check_chart(par, rows[:, 0], rows[:, 1:])
+        out = np.empty((rows.shape[0], par.sig.ambient_dim), dtype=complex)
+        for lo in range(0, rows.shape[0], _ROW_BLOCK):
+            s, coords = rows[lo : lo + _ROW_BLOCK, 0], rows[lo : lo + _ROW_BLOCK, 1:]
+            s_distinct, inverse = np.unique(s, return_inverse=True)
+            v = np.matmul(coords[:, None, :], par.frames_at(s_distinct)[inverse])[:, 0]
+            base = par.lift(s_distinct)[inverse]
+            out[lo : lo + _ROW_BLOCK] = quadric_geodesic(par.sig.signs, base, v, 1.0)
+        return out
 
 
 class TransformedPatch:
@@ -570,35 +585,13 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return np.where(flip[:, None], -v, v)
 
 
-def hypersurface_frames(
-    patch,
-    rows: np.ndarray,
-    ref: Optional[AlmostContactFrame] = None,
-) -> AlmostContactFrame:
-    """Numeric unit normals and almost contact data at stacked parameters.
-
-    Each row u of the (N, P) array gets the stencil u, u + h e_j, u - h e_j
-    (j < P, h = ``INNER_FD_STEP``), and all (2P + 1) N lifts come from one
-    patch call. The tangents are central differences of the stencil lifts
-    phase-aligned to the lift at u, made horizontal. The normal is the
-    g-orthogonal complement of the tangent space inside the horizontal
-    space: the null vector of the constraints [w0; i w0; t] on the
-    realified rows, from one SVD; its largest entry fixes its sign. With
-    ``ref`` the lift, tangents and normal are then phase-aligned to the
-    reference lift and the normal's sign is taken against the reference
-    normal; a one-point reference serves every row, a stacked one holds one
-    reference frame per row.
-
-    The tangents are horizontal, hence g-orthogonal to the g-orthonormal w0
-    and i w0, so the constraints lose rank exactly when the tangents do: a
-    row whose smallest singular value is at most 1e-8 max(1, largest)
-    raises ImmersionError, a lightlike normal DegenerateHypersurfaceError,
-    in that order over every row (the error policy of ``frames``).
-    """
-    sig = patch.sig
-    signs = sig.signs
-    dim = sig.ambient_dim
-    rows = np.asarray(rows, dtype=float)
+def _frame_block(patch, rows: np.ndarray):
+    """Lifts w0 (B, d), horizontal tangents (B, P, d), unnormalized
+    normals (B, d) and the largest and smallest singular values of the
+    constraints (B, 2) at one block of patch parameters (B, P), from one
+    patch call over their stencils (see ``hypersurface_frames``)."""
+    signs = patch.sig.signs
+    dim = signs.shape[0]
     count, p = rows.shape
     h = INNER_FD_STEP
     steps = h * np.eye(p)
@@ -613,6 +606,52 @@ def hypersurface_frames(
     constraints = np.concatenate([_realify(w0)[:, None], _realify(1j * w0)[:, None], _realify(t)], axis=1)
     _, sv, vh = np.linalg.svd(constraints * srep)
     nu = vh[:, -1, :dim] + 1j * vh[:, -1, dim:]
+    return w0, t, nu, sv[:, [0, -1]]
+
+
+def hypersurface_frames(
+    patch,
+    rows: np.ndarray,
+    ref: Optional[AlmostContactFrame] = None,
+) -> AlmostContactFrame:
+    """Numeric unit normals and almost contact data at stacked parameters.
+
+    Each row u of the (N, P) array gets the stencil u, u + h e_j, u - h e_j
+    (j < P, h = ``INNER_FD_STEP``). The rows run in blocks of
+    ``_ROW_BLOCK`` // (2P + 1) points, the lifts of a block's stencils
+    coming from one patch call, so the temporaries of a block are bounded
+    whatever N is; every step is row-wise, so the frames are bit-identical
+    to those of a single block. The tangents are central differences of the
+    stencil lifts phase-aligned to the lift at u, made horizontal. The
+    normal is the g-orthogonal complement of the tangent space inside the
+    horizontal space: the null vector of the constraints [w0; i w0; t] on
+    the realified rows, from one SVD; its largest entry fixes its sign. With
+    ``ref`` the lift, tangents and normal are then phase-aligned to the
+    reference lift and the normal's sign is taken against the reference
+    normal; a one-point reference serves every row, a stacked one holds one
+    reference frame per row.
+
+    The tangents are horizontal, hence g-orthogonal to the g-orthonormal w0
+    and i w0, so the constraints lose rank exactly when the tangents do: a
+    row whose smallest singular value is at most 1e-8 max(1, largest)
+    raises ImmersionError, a lightlike normal DegenerateHypersurfaceError,
+    in that order over every row (the error policy of ``frames``). These
+    checks, the sign fix and the reference alignment run over all rows once
+    every block is done.
+    """
+    sig = patch.sig
+    signs = sig.signs
+    dim = sig.ambient_dim
+    rows = np.asarray(rows, dtype=float)
+    count, p = rows.shape
+    w0 = np.empty((count, dim), dtype=complex)
+    t = np.empty((count, p, dim), dtype=complex)
+    nu = np.empty((count, dim), dtype=complex)
+    sv = np.empty((count, 2))  # largest and smallest singular value
+    block = max(1, _ROW_BLOCK // (2 * p + 1))
+    for lo in range(0, count, block):
+        part = slice(lo, lo + block)
+        w0[part], t[part], nu[part], sv[part] = _frame_block(patch, rows[part])
     gn = gdot_rows(signs, nu, nu)
     if np.any(sv[:, -1] <= 1e-8 * np.maximum(1.0, sv[:, 0])):
         raise ImmersionError("parametrization is rank deficient here")

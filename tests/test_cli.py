@@ -1,6 +1,8 @@
 """Command line interface: exit codes, report schemas, determinism."""
 
 import json
+import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -484,6 +486,25 @@ class TestSample:
         from_json = np.array(doc["rows"], dtype=float)
         assert from_csv.shape == (3 * 4 * 2, len(doc["header"]))
         assert np.array_equal(from_csv.view(np.uint64), from_json.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "umask, existing, want",
+        [(0o022, None, 0o644), (0o077, None, 0o600), (0o077, 0o644, 0o644)],
+        ids=["new-022", "new-077", "existing-0644"],
+    )
+    def test_out_file_gets_the_mode_of_a_plain_open(self, tmp_path, umask, existing, want):
+        """An ``--out`` file has the mode ``open(path, "w")`` would give it:
+        a new one 0o666 less the umask, an existing one its own mode."""
+        out = tmp_path / "cloud.csv"
+        if existing is not None:
+            out.write_text("old")
+            out.chmod(existing)
+        old = os.umask(umask)
+        try:
+            assert run_cli("sample", "2", "--grid", "2x2x2", "--out", str(out)) == 0
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(out.stat().st_mode) == want
 
     def test_io_failure(self, tmp_path, capsys):
         missing = tmp_path / "no" / "such" / "dir" / "x.csv"

@@ -22,6 +22,7 @@ from oracles import (
     _sphere_patch,
     _SyntheticPatch,
 )
+from pseudocp import ruled
 from pseudocp.errors import ChartError, DegenerateHypersurfaceError, ImmersionError
 from pseudocp.linalg import Signature
 from pseudocp.ruled import (
@@ -194,16 +195,16 @@ def test_good_rows_of_a_mixed_patch_pass():
     assert frames.normal.shape == (2, 3)
 
 
-@pytest.mark.parametrize(
-    "regions,error",
-    [
-        ((0, 1, 0), ImmersionError),
-        ((0, 0, 2), DegenerateHypersurfaceError),
-        ((2, 0, 2), DegenerateHypersurfaceError),
-        ((2, 1), ImmersionError),
-        ((1, 2), ImmersionError),
-    ],
-)
+BAD_ROWS = [
+    ((0, 1, 0), ImmersionError),
+    ((0, 0, 2), DegenerateHypersurfaceError),
+    ((2, 0, 2), DegenerateHypersurfaceError),
+    ((2, 1), ImmersionError),
+    ((1, 2), ImmersionError),
+]
+
+
+@pytest.mark.parametrize("regions,error", BAD_ROWS)
 def test_first_bad_row_decides_the_error(regions, error):
     """The checks run in the order of a one-row call, and the first that any
     row fails raises: rank deficiency comes before a degenerate normal,
@@ -223,3 +224,17 @@ def test_out_of_chart_stencil_row_raises_chart_error():
         hypersurface_frames(patch, rows)
     with pytest.raises(ChartError):
         _ref_frame(patch, edge)
+
+
+@pytest.mark.parametrize("regions,error", BAD_ROWS)
+def test_first_bad_row_decides_the_error_in_blocks_of_one(monkeypatch, regions, error):
+    """With one point per frame block the bad rows sit in different blocks;
+    the checks still run over all rows, so the same error raises."""
+    monkeypatch.setattr(ruled, "_ROW_BLOCK", 1)
+    test_first_bad_row_decides_the_error(regions, error)
+
+
+def test_out_of_chart_stencil_row_raises_chart_error_in_blocks_of_one(monkeypatch):
+    """The centre whose stencil leaves the chart is the second block."""
+    monkeypatch.setattr(ruled, "_ROW_BLOCK", 1)
+    test_out_of_chart_stencil_row_raises_chart_error()
