@@ -19,7 +19,6 @@ from .curves import (
     case_c1_curve,
     case_c2_curve,
     case_c_verify,
-    covariant_derivative,
     frenet_apparatus,
     horizontal_lift,
     is_totally_real_circle,
@@ -50,8 +49,6 @@ from .projective import (
     ProjectiveTangent,
     canonicalize,
     curvature_tensor,
-    exp_map,
-    log_in_leaf,
     sphere_geodesic,
 )
 from .ruled import (

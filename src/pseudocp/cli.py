@@ -14,9 +14,9 @@ family's domain, a seed whose open slot is below
 ``examples.OPEN_SLOT_FLOOR`` included, a circle curvature that is not
 positive or has no finite square, a curve grid without a finite
 positive step, a finite range, 3 samples or at most ``curves.MAX_SAMPLES``
-samples, a ``samples`` document with a non-finite s or lift entry); 4 an
-``OSError`` (a curve file that cannot be opened, an output that cannot be
-written).
+samples, a ``samples`` document with a non-finite s or lift entry, a
+patch lift that is not finite); 4 an ``OSError`` (a curve file that
+cannot be opened, an output that cannot be written).
 
 Curve files for ``classify`` are JSON objects::
 

@@ -281,21 +281,14 @@ def _interior(rows: np.ndarray, stages: int) -> np.ndarray:
     return rows[m:-m]
 
 
-def covariant_derivative(curve: SampledCurve, field_rows: np.ndarray) -> np.ndarray:
-    """Quotient covariant derivative of a horizontal field along the curve.
+def _covariant_rows(curve: SampledCurve, rows: np.ndarray) -> np.ndarray:
+    """Quotient covariant derivative of a horizontal field along the curve,
+    given and returned as realified rows (m, 2d).
 
     Central differences of the lifted field, then the sphere-tangential part,
     then the horizontal projection. Endpoint rows use one-sided stencils and
     are second order only.
     """
-    rows = np.asarray(field_rows, dtype=complex)
-    if rows.shape != curve.lifts.shape:
-        raise SamplingError("field shape does not match the curve")
-    return _covariant_rows(curve, real_view(rows)).view(complex)
-
-
-def _covariant_rows(curve: SampledCurve, rows: np.ndarray) -> np.ndarray:
-    """``covariant_derivative`` of realified field rows (m, 2d)."""
     return curve.horizontal(deriv_rows(rows, curve.step))
 
 
@@ -528,6 +521,7 @@ def model_circle_curve(
         b = kappa1 * a
         coords = lambda s: (a * np.cos(s / a), a * np.sin(s / a), b)
         dcoords = lambda s: (-np.sin(s / a), np.cos(s / a), 0.0)
+        ddcoords = lambda s: (-np.cos(s / a) / a, -np.sin(s / a) / a, 0.0)
     elif model == "s2_1" and not timelike:
         if kappa1 >= 1.0:
             raise FrameError("spacelike mixed-model circles need curvature below one")
@@ -536,12 +530,14 @@ def model_circle_curve(
         c = np.sqrt(1.0 + b * b)
         coords = lambda s: (b, c * np.cos(s / c), c * np.sin(s / c))
         dcoords = lambda s: (0.0, -np.sin(s / c), np.cos(s / c))
+        ddcoords = lambda s: (0.0, -np.cos(s / c) / c, -np.sin(s / c) / c)
     elif model == "s2_1":
         slots = (0, n - 1, n)
         b = kappa1 / np.sqrt(1.0 + kappa1**2)
         c = np.sqrt(1.0 - b * b)
         coords = lambda s: (c * np.sinh(s / c), b, c * np.cosh(s / c))
         dcoords = lambda s: (np.cosh(s / c), 0.0, np.sinh(s / c))
+        ddcoords = lambda s: (np.sinh(s / c) / c, 0.0, np.cosh(s / c) / c)
     elif model == "h2_2":
         if sig.p < 2:
             raise FrameError("negative definite surface model needs p >= 2")
@@ -552,6 +548,7 @@ def model_circle_curve(
         b = np.sqrt(1.0 + a * a)
         coords = lambda s: (a * np.cos(s / a), a * np.sin(s / a), b)
         dcoords = lambda s: (-np.sin(s / a), np.cos(s / a), 0.0)
+        ddcoords = lambda s: (-np.cos(s / a) / a, -np.sin(s / a) / a, 0.0)
     else:
         raise FrameError(f"unknown surface model {model!r}")
 
@@ -561,11 +558,9 @@ def model_circle_curve(
         out[..., list(slots)] = np.stack(values, axis=-1)
         return out
 
-    def acc(s, h: float = 1e-4) -> np.ndarray:
-        return (point(s + h) - 2.0 * point(s) + point(s - h)) / (h * h)
-
     point = lambda s: place(coords(s))
     vel = lambda s: place(dcoords(s))
+    acc = lambda s: place(ddcoords(s))
     return ClosedFormCurve(sig, point=point, vel=vel, acc=acc, label=f"circle_{model}")
 
 

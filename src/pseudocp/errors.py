@@ -17,10 +17,6 @@ class NotProjectablePoint(GeometryError):
     """Ambient vector has non-positive squared norm, so it has no point class."""
 
 
-class LogMapError(GeometryError):
-    """Inverse exponential failed (cut locus, or round trip check failed)."""
-
-
 class BasePointError(GeometryError):
     """Tangent vectors were expected at a common base point."""
 

@@ -51,9 +51,6 @@ class IndefiniteUnitaryMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
-    def apply(self, z) -> np.ndarray:
-        return self.entries @ np.asarray(z, dtype=complex)
-
 
 def boost(sig: Signature, t: float) -> IndefiniteUnitaryMatrix:
     """exp(t B), with B mixing slot 0 and the last slot: a boost of rapidity

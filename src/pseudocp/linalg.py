@@ -134,14 +134,9 @@ _CHARACTER_BY_CODE = (
 )
 
 
-def check_sphere_point(sig: Signature, q, tol: float = SPHERE_TOL) -> np.ndarray:
-    """Return ``q`` as an ambient vector, raising unless g(q,q) = 1 within tol."""
-    return check_sphere_rows(sig, as_ambient(sig, q)[None], tol)[0]
-
-
 def check_sphere_rows(sig: Signature, q, tol: float = SPHERE_TOL) -> np.ndarray:
-    """``check_sphere_point`` over stacked rows (N, d); the first row off
-    the sphere raises."""
+    """Stacked rows q (N, d) as a complex array, raising unless every
+    g(q,q) = 1 within tol; the first row off the sphere raises."""
     qv = np.asarray(q, dtype=complex)
     residual = np.abs(gdot_rows(sig.signs, qv, qv) - 1.0)
     bad = residual > tol

@@ -13,27 +13,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import (
-    BasePointError,
-    LogMapError,
-    NotProjectablePoint,
-)
+from .errors import BasePointError, NotProjectablePoint
 from .frames import complete_unitary_frames
 from .linalg import (
     LIGHT_TOL,
     CausalCharacter,
     Signature,
     as_ambient,
-    check_sphere_point,
     check_sphere_rows,
-    hermitian_product,
     jmul,
 )
 
 #: tolerance used when checking that two tangents share a base point
 BASE_POINT_TOL = 1e-8
-#: canonical-coordinate residual accepted by the log map round trip
-LOG_ROUND_TRIP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -69,17 +61,13 @@ class ProjectiveTangent:
         object.__setattr__(self, "vec", vec)
 
 
-def canonical_phase(z: np.ndarray):
-    """Unit phase factor making the largest-modulus entry real positive.
+def canonical_phases(z: np.ndarray) -> np.ndarray:
+    """Unit phase factors (...) making the largest-modulus entry of each row
+    of z (..., d) real positive; 1 for a zero row.
 
     Ties break toward the lowest index, so equality testing of canonical
     representatives is componentwise.
     """
-    return canonical_phases(np.asarray(z)[None])[0]
-
-
-def canonical_phases(z: np.ndarray) -> np.ndarray:
-    """``canonical_phase`` of each row of z (..., d); 1 for a zero row."""
     j = np.argmax(np.abs(z), axis=-1)[..., None]
     zj = np.take_along_axis(z, j, axis=-1)[..., 0]
     # rounds like abs() of a complex scalar; np.abs can differ by an ulp
@@ -129,18 +117,6 @@ def horizontal_rows(signs: np.ndarray, q: np.ndarray, x: np.ndarray) -> np.ndarr
     return x - linalg.gdot_rows(signs, x, iq)[..., None] * iq
 
 
-def tangent_from_lift(sig: Signature, lift, vec) -> ProjectiveTangent:
-    """Attach a horizontal vector given at an arbitrary representative.
-
-    Rotates both the representative and the vector by the canonical phase, so
-    the stored tangent lives at the canonical representative.
-    """
-    lv = check_sphere_point(sig, as_ambient(sig, lift), tol=1e-8)
-    phase = canonical_phase(lv)
-    point = ProjectivePoint(sig, lv * phase)
-    return ProjectiveTangent(point, as_ambient(sig, vec) * phase)
-
-
 def sphere_geodesic(sig: Signature, q, v, t) -> np.ndarray:
     """Closed-form geodesic of the pseudo-sphere from q with velocity v, at
     the parameter t or at each entry of an array of parameters."""
@@ -167,51 +143,6 @@ def quadric_geodesic(signs: np.ndarray, q, v, t) -> np.ndarray:
         cos = np.where(light, 1.0, np.where(g > 0, np.cos(wt), np.cosh(wt)))
         sin = np.where(light, t, np.where(g > 0, np.sin(wt), np.sinh(wt)))
     return cos[..., None] * q + sin[..., None] * v / w[..., None]
-
-
-def exp_map(x: ProjectivePoint, v: ProjectiveTangent, t: float = 1.0) -> ProjectivePoint:
-    """Exponential map of the quotient via the horizontal sphere geodesic.
-
-    The geodesic of a unit point with a horizontal velocity stays on the
-    sphere, so only the canonical phase is applied: renormalizing by
-    sqrt(g(z,z)) would cancel catastrophically at strongly boosted points.
-    """
-    if not v.at.close_to(x, BASE_POINT_TOL):
-        raise BasePointError("tangent is not based at the given point")
-    z = sphere_geodesic(x.sig, x.rep, v.vec, t)
-    return ProjectivePoint(x.sig, z * canonical_phase(z))
-
-
-def log_in_leaf(x: ProjectivePoint, y: ProjectivePoint) -> ProjectiveTangent:
-    """Inverse of the exponential map, valid inside a totally geodesic leaf.
-
-    Gauges the phase of y's representative so its Hermitian product with x's
-    is real positive, splits off the component along x, and solves the
-    closed-form geodesic for the parameter. Raises LogMapError at the cut
-    locus (vanishing Hermitian product) or when the round trip check fails.
-    """
-    sig = x.sig
-    q = x.rep
-    a = hermitian_product(sig, y.rep, q)
-    if abs(a) < 1e-9:
-        raise LogMapError("points are g_C-orthogonal: log is not unique here")
-    w = y.rep * (np.conj(a) / abs(a))
-    b = float(np.real(hermitian_product(sig, w, q)))
-    m = w - b * q
-    if float(np.max(np.abs(m))) < 1e-14:
-        return ProjectiveTangent(x, np.zeros_like(q))
-    gm = 1.0 - b * b
-    eunorm2 = float(np.sum(np.abs(m) ** 2))
-    if abs(gm) <= LIGHT_TOL * eunorm2:
-        vec = m
-    elif gm > 0:
-        vec = np.arccos(np.clip(b, -1.0, 1.0)) * m / np.sqrt(gm)
-    else:
-        vec = np.arccosh(b) * m / np.sqrt(-gm)
-    out = ProjectiveTangent(x, vec)
-    if exp_map(x, out, 1.0).gap(y) > LOG_ROUND_TRIP_TOL:
-        raise LogMapError("round trip residual exceeds tolerance")
-    return out
 
 
 def curvature_tensor(
@@ -254,34 +185,33 @@ def curvature_tensor_rows(sig: Signature, u: np.ndarray, v: np.ndarray, w: np.nd
 
 
 # ---------------------------------------------------------------------------
-# random sampling helpers (used by tests and the verification suites)
+# rejection sampling of random points and unit horizontal vectors
 # ---------------------------------------------------------------------------
+
+
+def _accepted(keep, width: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """The first ``count`` complex normal candidates (count, width) that
+    ``keep`` accepts, drawn in batches of ``count``."""
+    out = np.empty((0, width), dtype=complex)
+    while len(out) < count:
+        z = rng.standard_normal((count, width)) + 1j * rng.standard_normal((count, width))
+        out = np.concatenate([out, z[keep(z)]])
+    return out[:count]
 
 
 def sphere_candidates(sig: Signature, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Square norms g(z,z) (...) of candidate points z (..., d) and whether
-    ``random_sphere_point`` keeps each: g(z,z) > 0.2, which keeps the
+    ``random_sphere_points`` keeps each: g(z,z) > 0.2, which keeps the
     normalized point away from the null cone."""
     g = linalg.gdot_rows(sig.signs, z, z)
     return g, g > 0.2
 
 
-def random_sphere_point(sig: Signature, rng: np.random.Generator) -> np.ndarray:
-    """Random point of the pseudo-sphere: complex normal candidates, kept by
-    ``sphere_candidates``, then normalized."""
-    d = sig.ambient_dim
-    while True:
-        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        g, keep = sphere_candidates(sig, z)
-        if keep:
-            return z / np.sqrt(g)
-
-
-def random_horizontal(sig: Signature, q, rng: np.random.Generator) -> np.ndarray:
-    """Random horizontal vector at a sphere point q."""
-    qv = as_ambient(sig, q)
-    z = rng.standard_normal(sig.ambient_dim) + 1j * rng.standard_normal(sig.ambient_dim)
-    return z - complex(hermitian_product(sig, z, qv)) * qv
+def random_sphere_points(sig: Signature, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` random points (count, d) of the pseudo-sphere: the complex
+    normal candidates that ``sphere_candidates`` keeps, normalized."""
+    z = _accepted(lambda c: sphere_candidates(sig, c)[1], sig.ambient_dim, count, rng)
+    return z / np.sqrt(sphere_candidates(sig, z)[0])[:, None]
 
 
 def horizontal_unitary_bases(sig: Signature, q) -> tuple[np.ndarray, np.ndarray]:
@@ -302,41 +232,16 @@ def horizontal_signs(sig: Signature) -> np.ndarray:
     return np.array([-1.0 if c < sig.p else 1.0 for c in range(sig.ambient_dim) if c != sig.n - 1])
 
 
-def horizontal_unitary_basis(sig: Signature, q) -> tuple[np.ndarray, np.ndarray]:
-    """Complex g_C-orthonormal basis of the horizontal space at q, with
-    signs: the one-row case of ``horizontal_unitary_bases``."""
-    bases, signs = horizontal_unitary_bases(sig, as_ambient(sig, q)[None])
-    return bases[0], signs
-
-
 def coefficient_candidates(
     signs: np.ndarray, coeff: np.ndarray, character: CausalCharacter
 ) -> tuple[np.ndarray, np.ndarray]:
     """Square norms g (...) of candidate coefficients (..., n) over a
     horizontal basis with these signs, and whether
-    ``horizontal_coefficients`` keeps each for the wanted causal character:
+    ``random_horizontal_units`` keeps each for the wanted causal character:
     g of its sign, with |g| above 0.05 of the Euclidean square norm."""
     want = 1.0 if character is CausalCharacter.SPACELIKE else -1.0
     g = np.sum(signs * np.abs(coeff) ** 2, axis=-1)
     return g, want * g > 0.05 * np.sum(np.abs(coeff) ** 2, axis=-1)
-
-
-def horizontal_coefficients(
-    signs: np.ndarray,
-    rng: np.random.Generator,
-    character: CausalCharacter = CausalCharacter.SPACELIKE,
-) -> tuple[np.ndarray, float]:
-    """Coefficients over a horizontal basis with these signs, drawn until
-    ``coefficient_candidates`` keeps them, and their square norm g.
-
-    The draws depend on the signs alone, not on the basis, so a caller can
-    draw first and complete many bases at once.
-    """
-    while True:
-        coeff = rng.standard_normal(len(signs)) + 1j * rng.standard_normal(len(signs))
-        g, keep = coefficient_candidates(signs, coeff, character)
-        if keep:
-            return coeff, float(g)
 
 
 def horizontal_units(bases: np.ndarray, coeffs: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -345,17 +250,23 @@ def horizontal_units(bases: np.ndarray, coeffs: np.ndarray, g: np.ndarray) -> np
     return np.matmul(coeffs[:, None, :], bases)[:, 0] / np.sqrt(np.abs(g))[:, None]
 
 
-def random_horizontal_unit(
-    sig: Signature,
-    q,
-    rng: np.random.Generator,
-    character: CausalCharacter = CausalCharacter.SPACELIKE,
+def random_horizontal_units(
+    sig: Signature, q: np.ndarray, rng: np.random.Generator, timelike: np.ndarray
 ) -> np.ndarray:
-    """Random unit horizontal vector of prescribed causal character.
+    """Random unit horizontal vectors (N, d) at the sphere points q (N, d),
+    timelike where ``timelike`` (N,) is set and spacelike elsewhere.
 
-    Draws coefficients over a g-orthonormal horizontal basis, so the
-    acceptance probability does not degrade for boosted base points.
+    The coefficients over each point's g-orthonormal horizontal basis are
+    the complex normal candidates that ``coefficient_candidates`` keeps,
+    drawn for the spacelike rows first, so the acceptance probability does
+    not degrade for boosted points. The draws depend on the signs alone,
+    not on the bases, which come from one stacked completion.
     """
-    basis, signs = horizontal_unitary_basis(sig, q)
-    coeff, g = horizontal_coefficients(signs, rng, character)
-    return horizontal_units(basis[None], coeff[None], np.array([g]))[0]
+    bases, signs = horizontal_unitary_bases(sig, q)
+    timelike = np.asarray(timelike, dtype=bool)
+    coeffs = np.empty(bases.shape[:2], dtype=complex)
+    for character, rows in ((CausalCharacter.SPACELIKE, ~timelike), (CausalCharacter.TIMELIKE, timelike)):
+        keep = lambda c: coefficient_candidates(signs, c, character)[1]
+        coeffs[rows] = _accepted(keep, sig.n, int(np.sum(rows)), rng)
+    g, _ = coefficient_candidates(signs, coeffs, CausalCharacter.SPACELIKE)
+    return horizontal_units(bases, coeffs, g)

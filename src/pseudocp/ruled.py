@@ -67,6 +67,7 @@ from .errors import (
     DegenerateHypersurfaceError,
     FrameError,
     ImmersionError,
+    LiftError,
 )
 from .frames import orthonormalize_real_rows
 from .isometries import IndefiniteUnitaryMatrix, frame_to_isometry
@@ -84,7 +85,7 @@ from .projective import (
     canonicalize,
     horizontal_rows,
     quadric_geodesic,
-    random_horizontal_unit,
+    random_horizontal_units,
 )
 
 #: step of the patch tangents
@@ -103,9 +104,13 @@ _ROW_BLOCK = 1024
 
 
 class ShapeForm(Enum):
+    """Form of a shape operator: the paper's two families (rank two with a
+    non-null leaf vector U, and a lightlike U), zero, or any other."""
+
     RANK_TWO_NON_NULL_U = "rank_two_non_null_u"
     LIGHTLIKE_U = "lightlike_u"
     VANISHING = "vanishing"
+    OTHER = "other"
 
 
 class MinimalCase(Enum):
@@ -440,7 +445,7 @@ class GeodesicSpherePatch:
         self.q0 = x0.rep
         self.radius = radius
         rng = np.random.default_rng(seed)
-        self.v0 = random_horizontal_unit(self.sig, self.q0, rng)
+        self.v0 = random_horizontal_units(self.sig, self.q0[None], rng, [False])[0]
         leaf, _ = default_initial_basis(self.sig, self.q0, self.v0)
         self.dirs = np.concatenate([[1j * self.v0], leaf])
 
@@ -454,11 +459,21 @@ class GeodesicSpherePatch:
 
 def _patch_lifts(patch, rows: np.ndarray) -> np.ndarray:
     """Lifts of a patch at stacked parameter rows: its ``lifts_at`` when it
-    has one, else ``lift_at`` row by row (black-box patches)."""
+    has one, else ``lift_at`` row by row (black-box patches).
+
+    Raises LiftError, naming the first such row, when a lift is not finite,
+    so that no arithmetic runs on it.
+    """
     lifts_at = getattr(patch, "lifts_at", None)
     if lifts_at is not None:
-        return lifts_at(rows)
-    return np.array([patch.lift_at(u) for u in rows], dtype=complex)
+        w = lifts_at(rows)
+    else:
+        w = np.array([patch.lift_at(u) for u in rows], dtype=complex)
+    finite = np.isfinite(w)
+    if not np.all(finite):
+        bad = int(np.argmin(np.all(finite, axis=-1)))
+        raise LiftError(f"the patch lift at u = {np.asarray(rows)[bad].tolist()} is not finite")
+    return w
 
 
 def _phase_factor(signs: np.ndarray, w: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -850,30 +865,35 @@ def shape_operators(patch, rows: np.ndarray) -> list[ShapeReport]:
     bil = gdot_rows(sig.signs, images[:, None], bases[:, :, None])
     matrix = bsigns[:, :, None] * bil
     svals = np.linalg.svd(matrix, compute_uv=False)
+    ranks = [int(np.sum(sv > 1e-3 * max(1.0, sv[0]))) for sv in svals]
     return [
         ShapeReport(
             matrix=matrix[i],
             mu=float(mu[i]),
             u_vec=uvec[i],
             u_character=uchar[i],
-            rank=int(np.sum(sv > 1e-3 * max(1.0, sv[0]))),
-            form=_shape_form(bil[i], uchar[i]),
+            rank=rank,
+            form=_shape_form(bil[i], uchar[i], rank),
             lam=float(lam[i]),
             dd_block_max=float(np.max(np.abs(bil[i, 1:, 1:]))),
             basis=bases[i],
             basis_signs=bsigns[i],
             frame=frames.row(i),
         )
-        for i, sv in enumerate(svals)
+        for i, rank in enumerate(ranks)
     ]
 
 
-def _shape_form(bil: np.ndarray, uchar: CausalCharacter) -> ShapeForm:
+def _shape_form(bil: np.ndarray, uchar: CausalCharacter, rank: int) -> ShapeForm:
+    """The form of a shape operator from its adapted bilinear form, the
+    causal character of its leaf vector U and its rank."""
     if float(np.max(np.abs(bil))) <= 1e-4:
         return ShapeForm.VANISHING
     if uchar is CausalCharacter.LIGHTLIKE:
         return ShapeForm.LIGHTLIKE_U
-    return ShapeForm.RANK_TWO_NON_NULL_U
+    if rank == 2 and uchar in (CausalCharacter.SPACELIKE, CausalCharacter.TIMELIKE):
+        return ShapeForm.RANK_TWO_NON_NULL_U
+    return ShapeForm.OTHER
 
 
 def shape_operator_at(patch, u: np.ndarray) -> ShapeReport:

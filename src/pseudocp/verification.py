@@ -7,11 +7,11 @@ tolerances are the module constants below.
 
 Every suite draws first and then evaluates stacks; every draw is seeded,
 so a suite reports the same residuals on every run. The two frame suites
-draw their sphere points and horizontal coefficients by rejection sampling
-in batches (``_horizontal_draws``), then complete every horizontal basis
-(and, for the isometries, every frame of one causal type) in one stacked
-call and evaluate the curvature tensor, the form and the determinant over
-the stack. The almost contact suite draws the points and tangent
+draw their sphere points and unit horizontal vectors by the rejection
+samplers of ``projective`` (``_horizontal_draws``, one stacked basis
+completion), then complete every frame of one causal type (for the
+isometries) in one stacked call and evaluate the curvature tensor, the
+form and the determinant over the stack. The almost contact suite draws the points and tangent
 directions of a family, then takes one stacked frame call and one stacked
 structure identity call per family.
 """
@@ -24,16 +24,8 @@ from . import ruled
 from .curves import case_c1_curve, case_c2_curve, fd_derivative
 from .examples import IdentityLine
 from .isometries import frame_to_isometries
-from .linalg import CausalCharacter, Signature, gdot_rows, jmul, metric_signs
-from .projective import (
-    canonical_phases,
-    coefficient_candidates,
-    curvature_tensor_rows,
-    horizontal_signs,
-    horizontal_unitary_bases,
-    horizontal_units,
-    sphere_candidates,
-)
+from .linalg import Signature, gdot_rows, jmul, metric_signs
+from .projective import canonical_phases, curvature_tensor_rows, random_horizontal_units, random_sphere_points
 from .ruled import RHSPatch, hypersurface_frames
 
 ACCEPTANCE_SIGNATURES = (Signature(2, 1), Signature(3, 1), Signature(3, 2), Signature(4, 2))
@@ -50,36 +42,13 @@ ALMOST_CONTACT_SEED = 2  # seed of the points and tangents
 ALGEBRAIC_TOL = 1e-8  # tolerance of the algebraic almost contact identities
 DERIVATIVE_TOL = 1e-4  # tolerance of the structure derivative identity
 
-def _accepted(keep, width: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """The first ``count`` complex normal candidates (count, width) that
-    ``keep`` accepts, drawn in batches of ``count``."""
-    out = np.empty((0, width), dtype=complex)
-    while len(out) < count:
-        z = rng.standard_normal((count, width)) + 1j * rng.standard_normal((count, width))
-        out = np.concatenate([out, z[keep(z)]])
-    return out[:count]
-
 
 def _horizontal_draws(sig: Signature, count: int, rng: np.random.Generator):
-    """``count`` sphere points and unit horizontal vectors there, spacelike
-    at even and timelike at odd k.
-
-    Rejection sampling: the points are the candidates that
-    ``sphere_candidates`` keeps, normalized; the coefficients over each
-    point's horizontal basis are those that ``coefficient_candidates`` keeps
-    for the wanted causal character. The horizontal bases of all points are
-    completed in one stacked call.
-    """
-    hsigns = horizontal_signs(sig)
-    z = _accepted(lambda c: sphere_candidates(sig, c)[1], sig.ambient_dim, count, rng)
-    coeffs = np.empty((count, sig.n), dtype=complex)
-    for k0, character in ((0, CausalCharacter.SPACELIKE), (1, CausalCharacter.TIMELIKE)):
-        keep = lambda c: coefficient_candidates(hsigns, c, character)[1]
-        coeffs[k0::2] = _accepted(keep, sig.n, len(coeffs[k0::2]), rng)
-    q = z / np.sqrt(sphere_candidates(sig, z)[0])[:, None]
-    bases, _ = horizontal_unitary_bases(sig, q)
-    gc, _ = coefficient_candidates(hsigns, coeffs, CausalCharacter.SPACELIKE)
-    return q, horizontal_units(bases, coeffs, gc)
+    """``count`` points of ``random_sphere_points`` and unit horizontal
+    vectors there from ``random_horizontal_units``, spacelike at even and
+    timelike at odd k."""
+    q = random_sphere_points(sig, count, rng)
+    return q, random_horizontal_units(sig, q, rng, np.arange(count) % 2 == 1)
 
 
 def curvature_lines() -> list[IdentityLine]:

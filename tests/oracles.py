@@ -13,7 +13,9 @@ Each reference computes its quantity another way than the program does:
   by point and its text by the float-table path, the base line by RK4
   chains;
 - the family closed forms by one hand-written branch per family;
-- the quadric geodesic one branch per call;
+- the quadric geodesic one branch per call, and the exponential map of the
+  quotient with its inverse in a leaf (``exp_map``, ``log_in_leaf``), the
+  references of the leaf coordinates;
 - the case-c report of a sampled curve by complex arithmetic on the full
   rows, each derivative formed afresh (the program works on realified rows
   and reads F2 off its Frenet stage).
@@ -39,12 +41,20 @@ import numpy as np
 from pseudocp.curves import (
     EDGE_MARGIN,
     SampledCurve,
+    _covariant_rows,
     deriv_rows,
     fd_derivative,
     hermite_rows,
+    real_view,
     sampled_curve_from_fn,
 )
-from pseudocp.errors import CausalCharacterError, DegenerateHypersurfaceError, FrameError, ImmersionError
+from pseudocp.errors import (
+    BasePointError,
+    CausalCharacterError,
+    DegenerateHypersurfaceError,
+    FrameError,
+    ImmersionError,
+)
 from pseudocp.examples import T_RANGE, example_integral_curve, example_spec, gamma_seed, ruling_isometry
 from pseudocp.frames import PIVOT_TOL
 from pseudocp.isometries import IndefiniteUnitaryMatrix
@@ -54,7 +64,7 @@ from pseudocp.linalg import (
     Signature,
     as_ambient,
     causal_character,
-    check_sphere_point,
+    check_sphere_rows,
     gdot_rows,
     hermitian_product,
     jmul,
@@ -62,11 +72,15 @@ from pseudocp.linalg import (
     real_metric,
 )
 from pseudocp.projective import (
+    BASE_POINT_TOL,
     ProjectivePoint,
     ProjectiveTangent,
+    canonical_phases,
     canonical_rows,
     canonicalize,
     horizontal_rows,
+    random_horizontal_units,
+    random_sphere_points,
     sphere_geodesic,
 )
 from pseudocp.ruled import (
@@ -104,6 +118,44 @@ def _e(k, dim=4):
 def _realify(z):
     """Real and imaginary parts side by side along the last axis."""
     return np.concatenate([np.real(z), np.imag(z)], axis=-1)
+
+
+def _sphere_row(sig, q):
+    """q as an ambient vector, raising unless g(q,q) = 1 within 1e-8."""
+    return check_sphere_rows(sig, as_ambient(sig, q)[None], tol=1e-8)[0]
+
+
+def random_sphere_point(sig, rng):
+    """One point of ``random_sphere_points``."""
+    return random_sphere_points(sig, 1, rng)[0]
+
+
+def random_horizontal_unit(sig, q, rng, character=CausalCharacter.SPACELIKE):
+    """One vector of ``random_horizontal_units``, at the sphere point q."""
+    timelike = [character is CausalCharacter.TIMELIKE]
+    return random_horizontal_units(sig, as_ambient(sig, q)[None], rng, timelike)[0]
+
+
+def random_horizontal(sig, q, rng):
+    """Random horizontal vector at a sphere point q: a complex normal vector
+    less its Hermitian component along q."""
+    qv = as_ambient(sig, q)
+    z = rng.standard_normal(sig.ambient_dim) + 1j * rng.standard_normal(sig.ambient_dim)
+    return z - complex(hermitian_product(sig, z, qv)) * qv
+
+
+def tangent_from_lift(sig, lift, vec):
+    """A horizontal vector given at an arbitrary representative, moved with
+    it to the canonical representative by the canonical phase."""
+    lv = _sphere_row(sig, lift)
+    phase = canonical_phases(lv[None])[0]
+    return ProjectiveTangent(ProjectivePoint(sig, lv * phase), as_ambient(sig, vec) * phase)
+
+
+def covariant_derivative(curve, field_rows):
+    """The program's covariant derivative (``_covariant_rows``) of complex
+    horizontal field rows along a sampled curve."""
+    return _covariant_rows(curve, real_view(np.asarray(field_rows, dtype=complex))).view(complex)
 
 
 class _SyntheticPatch:
@@ -384,7 +436,7 @@ def _ref_complete_attempt(sig, fixed):
 
 
 def _ref_frame_to_isometry(sig, q, eta_hat):
-    qv = check_sphere_point(sig, q, tol=1e-8)
+    qv = _sphere_row(sig, q)
     ev = as_ambient(sig, eta_hat)
     char = causal_character(sig, ev)
     if char in (CausalCharacter.LIGHTLIKE, CausalCharacter.ZERO):
@@ -417,7 +469,7 @@ def _ref_curvature_lines(count, seed=0):
     for sig in ACCEPTANCE_SIGNATURES:
         worst = 0.0
         for q, xv in zip(*_horizontal_draws(sig, count, rng)):
-            lv = check_sphere_point(sig, q, tol=1e-8)
+            lv = _sphere_row(sig, q)
             j = int(np.argmax(np.abs(lv)))
             phase = np.conj(lv[j]) / abs(lv[j])
             x = ProjectiveTangent(ProjectivePoint(sig, lv * phase), xv * phase)
@@ -551,7 +603,7 @@ def _ref_sample_rows(example_id, grid_s, grid_t, grid_leaf):
     for tv in np.linspace(T_RANGE[0], T_RANGE[1], grid_t):
         iso = ruling_isometry(spec, float(tv))
         for s, *c in grid.tolist():
-            rep = canonicalize(par.sig, iso.apply(rhs_lift(par, s, c))).rep
+            rep = canonicalize(par.sig, iso.entries @ rhs_lift(par, s, c)).rep
             row = [s, float(tv)] + [float(x) for x in c]
             for entry in rep:
                 row.extend([float(np.real(entry)), float(np.imag(entry))])
@@ -849,7 +901,7 @@ def _ref_predict(example_id, n, z):
 
 
 # ---------------------------------------------------------------------------
-# quadric geodesic
+# quadric geodesic, and the exponential map of the quotient with its inverse
 # ---------------------------------------------------------------------------
 
 
@@ -864,3 +916,47 @@ def _scalar_geodesic(signs, q, v, t):
         return np.cos(w * t) * q + np.sin(w * t) * v / w
     w = np.sqrt(-g)
     return np.cosh(w * t) * q + np.sinh(w * t) * v / w
+
+
+def exp_map(x, v, t=1.0):
+    """Exponential map of the quotient: the horizontal sphere geodesic from
+    x along v, turned to its canonical representative. The geodesic stays on
+    the sphere, so it is not renormalized, which at strongly boosted points
+    would cancel catastrophically."""
+    if v.at.gap(x) > BASE_POINT_TOL:
+        raise BasePointError("tangent is not based at the given point")
+    z = sphere_geodesic(x.sig, x.rep, v.vec, t)
+    return ProjectivePoint(x.sig, z * canonical_phases(z[None])[0])
+
+
+def log_in_leaf(x, y, round_trip_tol=1e-8):
+    """Inverse of ``exp_map`` inside a totally geodesic leaf.
+
+    Gauges the phase of y's representative so its Hermitian product with x's
+    is real positive, splits off the component along x, and solves the
+    closed-form geodesic for the parameter. Raises ValueError at the cut
+    locus (vanishing Hermitian product) or when the round trip misses y by
+    more than ``round_trip_tol``.
+    """
+    sig = x.sig
+    q = x.rep
+    a = hermitian_product(sig, y.rep, q)
+    if abs(a) < 1e-9:
+        raise ValueError("points are g_C-orthogonal: log is not unique here")
+    w = y.rep * (np.conj(a) / abs(a))
+    b = float(np.real(hermitian_product(sig, w, q)))
+    m = w - b * q
+    if float(np.max(np.abs(m))) < 1e-14:
+        return ProjectiveTangent(x, np.zeros_like(q))
+    gm = 1.0 - b * b
+    eunorm2 = float(np.sum(np.abs(m) ** 2))
+    if abs(gm) <= LIGHT_TOL * eunorm2:
+        vec = m
+    elif gm > 0:
+        vec = np.arccos(np.clip(b, -1.0, 1.0)) * m / np.sqrt(gm)
+    else:
+        vec = np.arccosh(b) * m / np.sqrt(-gm)
+    out = ProjectiveTangent(x, vec)
+    if exp_map(x, out, 1.0).gap(y) > round_trip_tol:
+        raise ValueError("round trip residual exceeds tolerance")
+    return out

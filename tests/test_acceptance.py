@@ -12,9 +12,10 @@ import sys
 import numpy as np
 import pytest
 
+from oracles import covariant_derivative, log_in_leaf
 from pseudocp import verification
 from pseudocp.config import RunConfig
-from pseudocp.curves import covariant_derivative, frenet_apparatus
+from pseudocp.curves import frenet_apparatus
 from pseudocp.examples import (
     EXAMPLE_IDS,
     T0,
@@ -25,7 +26,7 @@ from pseudocp.examples import (
     gamma_seed,
 )
 from pseudocp.linalg import Signature, gdot_rows, real_metric
-from pseudocp.projective import canonicalize, log_in_leaf
+from pseudocp.projective import canonicalize
 from pseudocp.ruled import (
     GeodesicSpherePatch,
     MinimalCase,

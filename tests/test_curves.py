@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from oracles import _e, _geodesic_curve, _ref_case_c_report
+from oracles import _e, _geodesic_curve, _ref_case_c_report, covariant_derivative
 from pseudocp.curves import (
     CurveClass,
     SampledCurve,
     case_c1_curve,
     case_c2_curve,
     case_c_verify,
-    covariant_derivative,
     fd_derivative,
     frenet_apparatus,
     gdot_real,
@@ -174,15 +173,17 @@ class TestTotallyRealCircle:
         assert not ok
         assert report["torsion_max"] > 0.5
 
+    #: (model, curvature, timelike, signature) of one circle per surface model
+    MODEL_CIRCLES = [
+        ("rp2", 1.3, False, SIG),
+        ("s2_1", 0.6, False, SIG),
+        ("s2_1", 1.7, True, SIG),
+        ("h2_2", 1.9, False, Signature(3, 2)),
+    ]
+
     def test_model_circles_classify(self):
         """Closed-form circles in each surface model report their curvature."""
-        cases = [
-            ("rp2", 1.3, False, SIG),
-            ("s2_1", 0.6, False, SIG),
-            ("s2_1", 1.7, True, SIG),
-            ("h2_2", 1.9, False, Signature(3, 2)),
-        ]
-        for model, kappa, timelike, sig in cases:
+        for model, kappa, timelike, sig in self.MODEL_CIRCLES:
             curve = model_circle_curve(sig, model, kappa, timelike).sample(-0.4, 0.4, 1e-3)
             fr = frenet_apparatus(curve)
             ok, report = is_totally_real_circle(fr, curve)
@@ -190,6 +191,16 @@ class TestTotallyRealCircle:
             assert report["kappa1"] == pytest.approx(kappa, abs=1e-6)
             assert report["kappa1_rel_spread"] < 1e-6
             assert report["torsion_max"] < 1e-8
+
+    def test_model_circle_acceleration_is_exact(self):
+        """``acc`` is the second derivative of the closed form: it matches a
+        difference of the exact velocity far below the 2e-8 of a second
+        difference of the point at h = 1e-4."""
+        s = np.linspace(-0.4, 0.4, 9)
+        for model, kappa, timelike, sig in self.MODEL_CIRCLES:
+            crv = model_circle_curve(sig, model, kappa, timelike)
+            gap = np.max(np.abs(crv.acc(s) - fd_derivative(crv.vel, s, 1e-3)))
+            assert gap < 1e-9, (model, timelike, gap)
 
 
 class TestCaseCVerify:

@@ -102,7 +102,7 @@ class TestRulingIsometry:
     def test_translates_the_slices(self, ex):
         spec = example_spec(ex)
         for t, u in ((0.3, 0.2), (-0.7, 0.45)):
-            lhs = ruling_isometry(spec, t).apply(example_map(spec, u))
+            lhs = ruling_isometry(spec, t).entries @ example_map(spec, u)
             rhs = example_map(spec, u + t)
             assert np.max(np.abs(lhs - rhs)) < 1e-12
 

@@ -10,6 +10,8 @@ nested difference of numeric normals (``oracles._ref_shape_matrix``) within
 1e-6.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from oracles import (
     _SyntheticPatch,
 )
 from pseudocp import ruled
-from pseudocp.errors import ChartError, DegenerateHypersurfaceError, ImmersionError
+from pseudocp.errors import ChartError, DegenerateHypersurfaceError, ImmersionError, LiftError
 from pseudocp.linalg import Signature
 from pseudocp.ruled import (
     CHART_RADIUS,
@@ -32,6 +34,7 @@ from pseudocp.ruled import (
     hypersurface_frames,
     rhs_lift,
     rhs_lift_grid,
+    second_forms,
     shape_operator_at,
     weingarten_apply,
 )
@@ -170,6 +173,16 @@ RANK_DEFICIENT = _SyntheticPatch(SIG21, Q0, [[1, 0, 0], [2, 0, 0], [0, 1, 0]])
 DEGENERATE = _SyntheticPatch(SIG21, Q0, [[1, 1, 0], [1j, 0, 0], [0, 1j, 0]])
 
 
+class _NonFinite:
+    """A patch whose every lift holds one infinite entry."""
+
+    sig = SIG21
+    n_params = 3
+
+    def lift_at(self, u):
+        return np.array([0.0, 0.0, np.inf], dtype=complex)
+
+
 class _Regions:
     """Rows with u[0] near 10 k are evaluated by the k-th patch, around 0."""
 
@@ -238,3 +251,32 @@ def test_out_of_chart_stencil_row_raises_chart_error_in_blocks_of_one(monkeypatc
     """The centre whose stencil leaves the chart is the second block."""
     monkeypatch.setattr(ruled, "_ROW_BLOCK", 1)
     test_out_of_chart_stencil_row_raises_chart_error()
+
+
+def _first_non_finite(rows):
+    """The LiftError message that names ``rows`` as the first bad lift row."""
+    return re.escape(f"u = {rows.tolist()} is not finite")
+
+
+@pytest.mark.parametrize("block", [1, None], ids=["blocks_of_one", "default_blocks"])
+def test_non_finite_lift_raises_lift_error_first(monkeypatch, block):
+    """A non-finite lift is refused before any arithmetic on it (which would
+    warn, then fail the SVD). The lowest bad row raises, and it raises before
+    the rank defect of an earlier row: every lift comes first, as the error
+    policy of ``frames`` asks, in blocks of one point and in the default
+    blocks."""
+    if block is not None:
+        monkeypatch.setattr(ruled, "_ROW_BLOCK", block)
+    patch = _Regions(GOOD, RANK_DEFICIENT, DEGENERATE, _NonFinite())
+    rows = _rows(1, 0, 3, 3)
+    rows[3, 1] = 0.5
+    with pytest.raises(LiftError, match=_first_non_finite(rows[2])):
+        hypersurface_frames(patch, rows)
+
+
+def test_second_forms_refuse_a_non_finite_lift():
+    """The Gauss-formula stencil takes its lifts from the same place."""
+    patch = _Regions(GOOD, RANK_DEFICIENT, DEGENERATE, _NonFinite())
+    frames = hypersurface_frames(patch, _rows(0, 0))
+    with pytest.raises(LiftError, match=_first_non_finite(_rows(3)[0])):
+        second_forms(patch, frames, _rows(0, 3))

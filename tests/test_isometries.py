@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from oracles import random_horizontal, random_horizontal_unit, random_sphere_point
 from pseudocp.errors import CausalCharacterError
 from pseudocp.isometries import frame_to_isometry
 from pseudocp.linalg import CausalCharacter, Signature, metric_signs, real_metric
-from pseudocp.projective import random_horizontal, random_horizontal_unit, random_sphere_point
 
 SIG = Signature(3, 1)
 

@@ -9,7 +9,7 @@ from pseudocp.linalg import (
     CausalCharacter,
     Signature,
     causal_character,
-    check_sphere_point,
+    check_sphere_rows,
     hermitian_product,
     jmul,
     metric_signs,
@@ -148,9 +148,10 @@ class TestSphereTangentProject:
     space presupposes."""
 
     def test_rejects_off_sphere_point(self):
-        assert np.array_equal(check_sphere_point(SIG, _vec(0, 0, 1)), _vec(0, 0, 1))
+        rows = np.array([_vec(0, 0, 1), _vec(1, 0, np.sqrt(2.0))])
+        assert np.array_equal(check_sphere_rows(SIG, rows), rows)
         with pytest.raises(SpherePointError):
-            check_sphere_point(SIG, _vec(0, 0, 2))
+            check_sphere_rows(SIG, np.array([_vec(0, 0, 1), _vec(0, 0, 2)]))
 
 
 def test_metric_signs_helper():

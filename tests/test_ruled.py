@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from oracles import _geodesic_curve, _par, _sphere_patch, _SyntheticPatch
-from pseudocp.curves import covariant_derivative, sampled_curve_from_fn
+from oracles import _geodesic_curve, _par, _sphere_patch, _SyntheticPatch, covariant_derivative, log_in_leaf
+from pseudocp.curves import sampled_curve_from_fn
 from pseudocp.errors import ChartError, ClassificationError
 from pseudocp.examples import (
     EXAMPLE_IDS,
@@ -12,8 +12,8 @@ from pseudocp.examples import (
     example_spec,
     gamma_seed,
 )
-from pseudocp.linalg import Signature, gdot_rows, hermitian_product, real_metric
-from pseudocp.projective import canonicalize, log_in_leaf
+from pseudocp.linalg import CausalCharacter, Signature, gdot_rows, hermitian_product, real_metric
+from pseudocp.projective import canonicalize
 from pseudocp.ruled import (
     RHSPatch,
     ShapeForm,
@@ -245,6 +245,23 @@ class TestShapeOperator:
         rep = shape_operator_at(patch, np.zeros(patch.n_params))
         assert rep.dd_block_max > 1e-1
         assert abs(rep.mu) > 1e-2
+
+    def test_geodesic_sphere_rows_read_other(self):
+        """The sphere is Hopf (U = 0) with a shape operator of full rank, so
+        its form is neither of the paper's two families."""
+        patch = _sphere_patch()
+        rows = 0.05 * np.arange(6)[:, None] * np.ones(patch.n_params)
+        for rep in shape_operators(patch, rows):
+            assert rep.rank == patch.n_params
+            assert rep.u_character is CausalCharacter.ZERO
+            assert rep.form is ShapeForm.OTHER
+
+    @pytest.mark.parametrize("example_id", EXAMPLE_IDS)
+    def test_default_family_grid_reads_rank_two_non_null_u(self, example_id):
+        par = _par(example_id)
+        reports = shape_operators(RHSPatch(par), leaf_coordinate_grid(par, 5, 4))
+        assert len(reports) == 20
+        assert {(rep.rank, rep.form) for rep in reports} == {(2, ShapeForm.RANK_TWO_NON_NULL_U)}
 
 
 class TestVerifyAndMinimality:

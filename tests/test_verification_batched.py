@@ -24,13 +24,14 @@ from oracles import (
     _ref_frame_to_isometry,
     _ref_regenerate,
     _ref_unitary_frame_lines,
+    random_horizontal_unit,
+    random_sphere_point,
 )
 from pseudocp.errors import CausalCharacterError, ClassificationError, FrameError, SpherePointError
 from pseudocp.examples import example_integral_curve, example_spec, gamma_seed
 from pseudocp.frames import complete_unitary_frames
 from pseudocp.isometries import frame_to_isometries, frame_to_isometry
 from pseudocp.linalg import CausalCharacter, Signature, causal_character, gdot_rows
-from pseudocp.projective import random_horizontal_unit, random_sphere_point
 from pseudocp.ruled import classify_generating_curve, regenerate_integral_curve, transport_basis
 from pseudocp.verification import ACCEPTANCE_SIGNATURES, curvature_lines, unitary_frame_lines
 
