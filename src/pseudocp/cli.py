@@ -422,9 +422,10 @@ def cmd_sample(args) -> int:
     so the JSON text is the bytes of ``json.dumps(doc, sort_keys=True)``.
 
     The representatives of every ruling slice are computed before the first
-    byte is written, so a failure there writes nothing. The text is then
-    written one ruling slice at a time: only one slice's text is held at
-    once, whatever the number of slices.
+    byte is written, so a failure there writes nothing; the transported
+    frame and the grid lifts they come from are dropped before the write.
+    The text is then written one ruling slice at a time: only one slice's
+    text is held at once, whatever the number of slices.
     """
     cfg = _config_from_args(args)
     if cfg.grid_t < 2:
@@ -440,8 +441,9 @@ def cmd_sample(args) -> int:
     slice_reps = [
         canonical_rows(par.sig, lifts @ ruling_isometry(spec, tv).entries.T) for tv in t_values
     ]
-
     leaf_dim, dim = par.leaf_dim, par.sig.ambient_dim
+    del par, lifts
+
     header = (
         ["s", "t"]
         + [f"c{k + 1}" for k in range(leaf_dim)]

@@ -97,6 +97,20 @@ def horizontal_real(s2: np.ndarray, q: np.ndarray, iq: np.ndarray, x: np.ndarray
 # ---------------------------------------------------------------------------
 
 
+def median_is_positive(x: np.ndarray) -> bool:
+    """``np.median(x) > 0`` for a non-empty array, without ``np.median``,
+    whose NaN check imports ``numpy.ma`` on its first call, a cost in time
+    and memory the process keeps. As there, the median of an even count is
+    the mean (a + b) / 2 of the two middle values, and any NaN makes it
+    NaN."""
+    x = np.sort(x, axis=None)
+    mid = x.shape[0] // 2
+    if np.isnan(x[-1]):  # NaN sorts last
+        return False
+    median = x[mid] if x.shape[0] % 2 else (x[mid - 1] + x[mid]) / 2.0
+    return bool(median > 0)
+
+
 def deriv_rows(y: np.ndarray, h: float) -> np.ndarray:
     """First derivative of uniformly sampled rows.
 
@@ -227,7 +241,7 @@ class SampledCurve:
 
     @cached_property
     def eps1(self) -> float:
-        return 1.0 if float(np.median(self.speed2)) > 0 else -1.0
+        return 1.0 if median_is_positive(self.speed2) else -1.0
 
     def speed_defect(self) -> float:
         core = _interior(self.speed2, 1)
@@ -364,7 +378,7 @@ def frenet_apparatus(curve: SampledCurve) -> FrenetResult:
                 )
                 return result(cls, {"lightlike_parallel_defect": par}, d.view(complex))
             return result(CurveClass.OTHER, {"lightlike_stage": stage})
-        sgn = 1.0 if float(np.median(gcore)) > 0 else -1.0
+        sgn = 1.0 if median_is_positive(gcore) else -1.0
         if np.any(sgn * gcore <= 0):
             return result(CurveClass.OTHER, {"sign_change": True})
         kappa = np.sqrt(np.abs(g))

@@ -403,9 +403,16 @@ class IdentityLine:
 
 
 def _sweep(patch, rows: np.ndarray) -> np.ndarray:
-    """(lam, mu, leaf block) of the shape operator at each row, as (N, 3)."""
-    reports = ruled.shape_operators(patch, rows)
-    return np.array([(rep.lam, rep.mu, rep.dd_block_max) for rep in reports])
+    """(lam, mu, leaf block) of the shape operator at each row, as (N, 3),
+    read block by block, so the reports of the whole sweep are never held
+    at once."""
+    return np.array(
+        [
+            (rep.lam, rep.mu, rep.dd_block_max)
+            for reports in ruled.shape_operator_blocks(patch, rows)
+            for rep in reports
+        ]
+    )
 
 
 def generator_lines(

@@ -4,11 +4,13 @@ A parametrization carries a unit base curve and a basis of the orthogonal
 complement of span{velocity, J velocity} transported along it by the ODE
 that keeps the covariant derivative inside that span (gluing the hyperplane
 leaves along the curve without rotations). The ODE is linear in the frame:
-the curve states come from one array pass over the half-step grid, and each
-RK4 step is a precomputed real propagator matrix. Evaluation composes the
-transported frame with the exponential map over stacked patch parameters
-(``RHSPatch.lifts_at``); a single point (``rhs_lift``) and a product grid of
-base parameters and leaf coordinates (``rhs_lift_grid``) are its cases.
+the curve states on the half-step grid and the real propagator matrices of
+the RK4 steps are formed one block of steps at a time, so each step is one
+matrix product and the temporaries of the transport stay bounded.
+Evaluation composes the transported frame with the exponential map over
+stacked patch parameters (``RHSPatch.lifts_at``); a single point
+(``rhs_lift``) and a product grid of base parameters and leaf coordinates
+(``rhs_lift_grid``) are its cases.
 
 Almost contact frames come from one batched kernel, ``hypersurface_frames``:
 for a stack of patch parameters it evaluates the lifts of the
@@ -21,12 +23,15 @@ stack; every step is row-wise, so the results are bit-identical to a single
 block, and the chart, rank and lightlike checks still run over all rows
 before any result is returned. The shape operator comes from the Gauss
 formula: ``second_forms`` reads the second fundamental form
-H_kl = g(d_k d_l f, N) of a stack of points off one patch call over a
-second-difference stencil at ``OUTER_FD_STEP``, and ``weingarten_apply``
+H_kl = g(d_k d_l f, N) of a stack of points off one patch call per block
+over a second-difference stencil at ``OUTER_FD_STEP``, and ``weingarten_apply``
 turns it into A x = sum_k c_k t_k with c = G^-1 H a, linear algebra on the
 frame. ``shape_operators`` measures a stack of points with one frame call,
-one second-form call applied to xi and to the adapted bases, and one stacked
-Gram-Schmidt for those bases (``adapted_bases``). Tangent coordinates are
+then, one block of points at a time (``shape_operator_blocks``), one
+second-form call applied to xi and to the adapted bases and one stacked
+Gram-Schmidt for those bases (``adapted_bases``); ``second_forms`` runs its
+wider stencils in blocks of ``_FORM_BLOCKS`` * ``_ROW_BLOCK`` lifts, so
+the temporaries of a sweep do not grow with its points. Tangent coordinates are
 one stacked least squares solve. Every first derivative of a frame field is
 one stencil, ``_extrapolated_difference``: central differences at +-h and
 +-h/2 combined as (4 D(h/2) - D(h)) / 3, at h = ``OUTER_FD_STEP``. The
@@ -101,6 +106,16 @@ NUMERIC_LIGHT_TOL = 1e-5
 #: ``hypersurface_frames`` block holds the stencils of _ROW_BLOCK // (2P + 1)
 #: points. It bounds the temporaries of a stack, whatever its size
 _ROW_BLOCK = 1024
+#: stencil lifts of a ``second_forms`` block, in units of _ROW_BLOCK: four
+#: keep the default grid's 20-point sweeps and 25-point stacks one block up
+#: to n = 4, and a 480-point sweep at n = 6 near the default grid's memory
+_FORM_BLOCKS = 4
+
+
+def _points_per_block(width: int, blocks: int = 1) -> int:
+    """Points per block of a kernel whose points take ``width`` stencil
+    lifts each: ``blocks`` times ``_ROW_BLOCK`` lifts, at least one point."""
+    return max(1, blocks * _ROW_BLOCK // width)
 
 
 class ShapeForm(Enum):
@@ -138,20 +153,22 @@ def _curve_lift(curve: SampledCurve) -> Callable:
 _STENCIL_PAD = 4
 
 
-def _curve_states(curve: SampledCurve, lift: Callable):
+def _curve_states(curve: SampledCurve, lift: Callable, lo: int, hi: int):
     """Lift q, horizontal velocity dq and horizontal acceleration f on the
-    half-step grid of the curve: row 2i at sample i, row 2i+1 halfway to
-    sample i+1 (the RK4 midpoints).
+    half-step rows lo, ..., hi - 1 of the curve: row 2i at sample i, row
+    2i+1 halfway to sample i+1 (the RK4 midpoints).
 
     The derivatives are the five-point first and second derivative stencils
     with step h = ``curve.step``. Their points
     s +- h and s +- 2h lie on the same half-step grid, so the lift is
-    evaluated once at each of the 2m + 7 grid points.
+    evaluated once at each of the hi - lo + 8 grid points. Every row is
+    formed from its own points alone, so a row is the same whichever rows
+    are formed with it.
     """
     h = curve.step
-    rows = 2 * len(curve) - 1
+    rows = hi - lo
     pad = _STENCIL_PAD
-    s = curve.params[0] + 0.5 * h * np.arange(-pad, rows + pad)
+    s = curve.params[0] + 0.5 * h * np.arange(lo - pad, hi + pad)
     lifts = np.asarray(lift(s), dtype=complex)
 
     def at(offset: int) -> np.ndarray:
@@ -265,22 +282,35 @@ def _rk4_propagators(a1, a2, a4, h) -> np.ndarray:
 _STEP_BLOCK = 128
 
 
-def _rk4_chain(sig: Signature, eps1: float, states, steps, x, dx) -> None:
-    """Fill x[1:] by RK4 steps from x[0], and dx with the right-hand sides.
+def _rk4_chain(sig: Signature, eps1: float, states: Callable, params, x, dx, velocity) -> None:
+    """Fill x[1:] by RK4 steps from x[0], dx with the right-hand sides and
+    velocity with the horizontal velocity of the curve.
 
-    ``states`` holds (q, dq, f) on the half-step grid from the first sample
-    on, ``steps`` the signed step to each next sample, and x, dx the frames
-    realified as (re, im) pairs (possibly reversed views). Propagators are
-    formed a block of steps at a time, so each step is one matrix product.
+    ``params`` holds the samples in chain order, ``states(lo, hi)`` returns
+    (q, dq, f) on the half-step rows 2 lo, ..., 2 hi of the chain, and x,
+    dx and velocity hold one row per sample (the frames realified as
+    (re, im) pairs); all may be reversed views. The states and the
+    propagators are formed a block of ``_STEP_BLOCK`` steps at a time, so
+    each step is one matrix product and the temporaries stay bounded. A
+    block whose frames or derivatives are not finite (the products
+    overflowed) raises FrameError naming the first such sample.
     """
+    steps = np.diff(params)
     n = steps.shape[0]
     for lo in range(0, max(n, 1), _STEP_BLOCK):
         hi = min(lo + _STEP_BLOCK, n)
-        a = _transport_generators(sig, eps1, *(v[2 * lo : 2 * hi + 1] for v in states))
-        prop = _rk4_propagators(a[0:-1:2], a[1::2], a[2::2], steps[lo:hi])
-        for i in range(lo, hi):
-            x[i + 1] = x[i] @ prop[i - lo]
-        dx[lo : hi + 1] = x[lo : hi + 1] @ a[0::2]
+        q, dq, f = states(lo, hi)
+        velocity[lo : hi + 1] = dq[0::2]
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = _transport_generators(sig, eps1, q, dq, f)
+            prop = _rk4_propagators(a[0:-1:2], a[1::2], a[2::2], steps[lo:hi])
+            for i in range(lo, hi):
+                x[i + 1] = x[i] @ prop[i - lo]
+            dx[lo : hi + 1] = x[lo : hi + 1] @ a[0::2]
+        finite = np.all(np.isfinite(x[lo : hi + 1]) & np.isfinite(dx[lo : hi + 1]), axis=(1, 2))
+        if not np.all(finite):
+            bad = lo + int(np.argmin(finite))
+            raise FrameError(f"the transported frame is not finite at s = {float(params[bad])!r}")
 
 
 def transport_basis(curve: SampledCurve) -> RHSParametrization:
@@ -290,39 +320,41 @@ def transport_basis(curve: SampledCurve) -> RHSParametrization:
     The covariant derivative of each transported vector is forced into
     span{velocity, J velocity}; on lifts this becomes an explicit linear ODE
     whose solution keeps the frame orthogonal to the velocity, its rotation
-    by J, the position and the fiber direction. The curve states come from
-    one pass over the half-step grid and each RK4 step is a precomputed
-    real propagator matrix, so the integration is a chain of small products.
+    by J, the position and the fiber direction. The curve states and the
+    real propagator matrices of the RK4 steps are formed one block of steps
+    at a time (``_rk4_chain``), so the integration is a chain of small
+    products whose temporaries do not grow with the curve. A frame that
+    overflows raises FrameError naming the sample where it did.
     """
     sig = curve.sig
     grid = curve.params
     lift = _curve_lift(curve)
-    q, dq, f = _curve_states(curve, lift)
     i0 = int(np.argmin(np.abs(grid)))
-    char = causal_character(sig, dq[2 * i0])
+    q0, dq0, _ = (v[0] for v in _curve_states(curve, lift, 2 * i0, 2 * i0 + 1))
+    char = causal_character(sig, dq0)
     if char in (CausalCharacter.LIGHTLIKE, CausalCharacter.ZERO):
         raise CausalCharacterError("base curve velocity must not be lightlike")
     eps1 = curve.eps1
 
-    basis, signs = default_initial_basis(sig, q[2 * i0], dq[2 * i0])
+    basis, signs = default_initial_basis(sig, q0, dq0)
     if abs(float(grid[i0])) > 1e-9:
         raise FrameError("s = 0 must be a sample of the base curve")
 
     frames = np.empty((grid.shape[0],) + basis.shape, dtype=complex)
     derivs = np.empty_like(frames)
+    velocity = np.empty((grid.shape[0], sig.ambient_dim), dtype=complex)
     frames[i0] = basis
     x, dx = frames.view(float), derivs.view(float)
-    steps = np.diff(grid)
+
+    def forward(lo: int, hi: int):
+        return _curve_states(curve, lift, 2 * (i0 + lo), 2 * (i0 + hi) + 1)
+
+    def backward(lo: int, hi: int):
+        return [v[::-1] for v in _curve_states(curve, lift, 2 * (i0 - hi), 2 * (i0 - lo) + 1)]
+
     # forward from i0, then backward as a forward chain over reversed views
-    _rk4_chain(sig, eps1, (q[2 * i0 :], dq[2 * i0 :], f[2 * i0 :]), steps[i0:], x[i0:], dx[i0:])
-    _rk4_chain(
-        sig,
-        eps1,
-        (q[2 * i0 :: -1], dq[2 * i0 :: -1], f[2 * i0 :: -1]),
-        -steps[:i0][::-1],
-        x[i0::-1],
-        dx[i0::-1],
-    )
+    _rk4_chain(sig, eps1, forward, grid[i0:], x[i0:], dx[i0:], velocity[i0:])
+    _rk4_chain(sig, eps1, backward, grid[i0::-1], x[i0::-1], dx[i0::-1], velocity[i0::-1])
 
     return RHSParametrization(
         base=curve,
@@ -330,7 +362,7 @@ def transport_basis(curve: SampledCurve) -> RHSParametrization:
         frame_signs=np.asarray(signs, dtype=float),
         frame_samples=frames,
         frame_derivs=derivs,
-        velocity=dq[0::2],
+        velocity=velocity,
         lift=lift,
     )
 
@@ -518,7 +550,8 @@ class AlmostContactFrame:
         return -1j * self.normal
 
     def row(self, i) -> "AlmostContactFrame":
-        """The frame at row i; an index array selects a stack of rows."""
+        """The frame at row i; an index array or a slice selects a stack of
+        rows."""
         eps = self.epsilon[i]
         return AlmostContactFrame(
             sig=self.sig,
@@ -663,7 +696,7 @@ def hypersurface_frames(
     t = np.empty((count, p, dim), dtype=complex)
     nu = np.empty((count, dim), dtype=complex)
     sv = np.empty((count, 2))  # largest and smallest singular value
-    block = max(1, _ROW_BLOCK // (2 * p + 1))
+    block = _points_per_block(2 * p + 1)
     for lo in range(0, count, block):
         part = slice(lo, lo + block)
         w0[part], t[part], nu[part], sv[part] = _frame_block(patch, rows[part])
@@ -708,13 +741,17 @@ def second_forms(patch, frames: AlmostContactFrame, rows: np.ndarray) -> np.ndar
     there: the Gauss formula H_kl = g(d_k d_l f, N).
 
     Each row u gets the stencil u, u +- s e_k and u +- s (e_k + e_l) (k < l)
-    at s = h and s = h/2, h = ``OUTER_FD_STEP``, and every lift of every row
-    comes from one patch call. Phase-aligned to the frame's lift (its gauge,
-    which a reference-aligned frame carries), the lifts are a family
-    horizontal at u to first order, so the second derivatives of g(f, N)
-    are the normal components of the ambient covariant derivative. Its
-    second differences D along e_k and e_k + e_l are combined over both
-    steps as (4 D(h/2) - D(h)) / 3; the mixed terms are
+    at s = h and s = h/2, h = ``OUTER_FD_STEP``: 1 + 4 (P + P (P - 1) / 2)
+    lifts. The rows run in blocks of ``_FORM_BLOCKS`` * ``_ROW_BLOCK``
+    stencil lifts, each block's coming from one patch call, so the lifts
+    held at once are bounded whatever N is; every step is row-wise, so the
+    forms are bit-identical to those of a single block, and the first block
+    with a lift that fails its checks raises. Phase-aligned to the frame's
+    lift (its gauge, which a reference-aligned frame carries), the lifts
+    are a family horizontal at u to first order, so the second derivatives
+    of g(f, N) are the normal components of the ambient covariant
+    derivative. Its second differences D along e_k and e_k + e_l are
+    combined over both steps as (4 D(h/2) - D(h)) / 3; the mixed terms are
     (D_{k+l} - D_k - D_l) / 2, so H is symmetric by construction.
     """
     signs = patch.sig.signs
@@ -724,16 +761,21 @@ def second_forms(patch, frames: AlmostContactFrame, rows: np.ndarray) -> np.ndar
     eye = np.eye(p)
     dirs = np.concatenate([eye, eye[k] + eye[l]])
     h = OUTER_FD_STEP
-    moved = rows[:, None, None] + (h * _FD_OFFSETS)[:, None, None] * dirs
-    stencil = np.concatenate([rows[:, None], moved.reshape(count, -1, p)], axis=1)
-    w = _patch_lifts(patch, stencil.reshape(-1, p)).reshape(count, stencil.shape[1], -1)
-    w = w * _phase_factor(signs, w, frames.lift[:, None])[..., None]
-    pair = gdot_rows(signs, w, frames.normal[:, None])
-    center = pair[:, :1]
-    pair = pair[:, 1:].reshape(count, 4, -1)
-    d_h = (pair[:, 0] - 2.0 * center + pair[:, 1]) / (h * h)
-    d_half = (pair[:, 2] - 2.0 * center + pair[:, 3]) / (0.25 * h * h)
-    d = (4.0 * d_half - d_h) / 3.0
+    moves = (h * _FD_OFFSETS)[:, None, None] * dirs
+    d = np.empty((count, dirs.shape[0]))
+    block = _points_per_block(1 + 4 * (p + p * (p - 1) // 2), _FORM_BLOCKS)
+    for lo in range(0, count, block):
+        u = rows[lo : lo + block]
+        n = u.shape[0]
+        stencil = np.concatenate([u[:, None], (u[:, None, None] + moves).reshape(n, -1, p)], axis=1)
+        w = _patch_lifts(patch, stencil.reshape(-1, p)).reshape(n, stencil.shape[1], -1)
+        w = w * _phase_factor(signs, w, frames.lift[lo : lo + block, None])[..., None]
+        pair = gdot_rows(signs, w, frames.normal[lo : lo + block, None])
+        center = pair[:, :1]
+        pair = pair[:, 1:].reshape(n, 4, -1)
+        d_h = (pair[:, 0] - 2.0 * center + pair[:, 1]) / (h * h)
+        d_half = (pair[:, 2] - 2.0 * center + pair[:, 3]) / (0.25 * h * h)
+        d[lo : lo + block] = (4.0 * d_half - d_h) / 3.0
     forms = np.empty((count, p, p))
     forms[:, np.arange(p), np.arange(p)] = d[:, :p]
     mixed = 0.5 * (d[:, p:] - d[:, k] - d[:, l])
@@ -838,50 +880,70 @@ def adapted_bases(frames: AlmostContactFrame, first: np.ndarray, pinned: np.ndar
     return np.concatenate([xi[:, None], vecs], axis=1), np.concatenate([eps[:, None], vsigns], axis=1)
 
 
+def shape_operator_blocks(patch, rows: np.ndarray):
+    """``shape_operators`` one block of points at a time: yields the
+    reports of each block, in row order.
+
+    The frames of every row come first, from one ``hypersurface_frames``
+    call, so its checks run over all rows before any report. The points
+    then run in the blocks of that call (``_ROW_BLOCK`` // (2P + 1)
+    points), each block taking its second forms (in smaller blocks of their
+    own), images and adapted bases, so the temporaries held at once are
+    bounded whatever N is; the first block with a failing row raises.
+    Every step is row-wise, so a report is bit-identical whatever the block
+    size, and a caller that keeps only a few numbers of each report needs
+    memory that does not grow with the reports of N rows.
+    """
+    rows = np.asarray(rows, dtype=float)
+    sig = patch.sig
+    frames = hypersurface_frames(patch, rows)
+    block = _points_per_block(2 * rows.shape[1] + 1)
+    non_null = (CausalCharacter.SPACELIKE, CausalCharacter.TIMELIKE)
+    for lo in range(0, rows.shape[0], block):
+        part = frames.row(slice(lo, lo + block))
+        forms = second_forms(patch, part, rows[lo : lo + block])
+        xi = part.xi
+        axi = _shape_images(part, forms, xi)
+        mu = gdot_rows(sig.signs, axi, xi)
+        uvec = axi - (part.epsilon * mu)[:, None] * xi
+        uchar = causal_characters(sig, uvec, NUMERIC_LIGHT_TOL)
+        bases, bsigns = adapted_bases(part, uvec, np.array([c in non_null for c in uchar], dtype=bool))
+        lam = np.sqrt(np.abs(gdot_rows(sig.signs, uvec, uvec)))
+        images = np.concatenate([axi[:, None], _shape_images(part, forms, bases[:, 1:])], 1)
+        bil = gdot_rows(sig.signs, images[:, None], bases[:, :, None])
+        matrix = bsigns[:, :, None] * bil
+        svals = np.linalg.svd(matrix, compute_uv=False)
+        ranks = [int(np.sum(sv > 1e-3 * max(1.0, sv[0]))) for sv in svals]
+        yield [
+            ShapeReport(
+                matrix=matrix[i],
+                mu=float(mu[i]),
+                u_vec=uvec[i],
+                u_character=uchar[i],
+                rank=rank,
+                form=_shape_form(bil[i], uchar[i], rank),
+                lam=float(lam[i]),
+                dd_block_max=float(np.max(np.abs(bil[i, 1:, 1:]))),
+                basis=bases[i],
+                basis_signs=bsigns[i],
+                frame=part.row(i),
+            )
+            for i, rank in enumerate(ranks)
+        ]
+
+
 def shape_operators(patch, rows: np.ndarray) -> list[ShapeReport]:
     """Measure the shape operator in an adapted basis at each row of the
     stacked patch parameters (N, P).
 
     The structure vector comes first; when the leaf part U of A xi is
     non-null, its normalization occupies the second slot, so the rank-two
-    pattern is visible directly in the matrix. One frame call, one
-    ``second_forms`` call whose forms give the images of xi and then of
-    every basis, and one stacked Gram-Schmidt (``adapted_bases``) for the
-    bases of every row.
+    pattern is visible directly in the matrix. One frame call, then per
+    block of points (``shape_operator_blocks``) one ``second_forms`` call
+    whose forms give the images of xi and then of every basis, and one
+    stacked Gram-Schmidt (``adapted_bases``) for the bases of every row.
     """
-    rows = np.asarray(rows, dtype=float)
-    sig = patch.sig
-    frames = hypersurface_frames(patch, rows)
-    forms = second_forms(patch, frames, rows)
-    xi = frames.xi
-    axi = _shape_images(frames, forms, xi)
-    mu = gdot_rows(sig.signs, axi, xi)
-    uvec = axi - (frames.epsilon * mu)[:, None] * xi
-    uchar = causal_characters(sig, uvec, NUMERIC_LIGHT_TOL)
-    non_null = (CausalCharacter.SPACELIKE, CausalCharacter.TIMELIKE)
-    bases, bsigns = adapted_bases(frames, uvec, np.array([c in non_null for c in uchar], dtype=bool))
-    lam = np.sqrt(np.abs(gdot_rows(sig.signs, uvec, uvec)))
-    images = np.concatenate([axi[:, None], _shape_images(frames, forms, bases[:, 1:])], 1)
-    bil = gdot_rows(sig.signs, images[:, None], bases[:, :, None])
-    matrix = bsigns[:, :, None] * bil
-    svals = np.linalg.svd(matrix, compute_uv=False)
-    ranks = [int(np.sum(sv > 1e-3 * max(1.0, sv[0]))) for sv in svals]
-    return [
-        ShapeReport(
-            matrix=matrix[i],
-            mu=float(mu[i]),
-            u_vec=uvec[i],
-            u_character=uchar[i],
-            rank=rank,
-            form=_shape_form(bil[i], uchar[i], rank),
-            lam=float(lam[i]),
-            dd_block_max=float(np.max(np.abs(bil[i, 1:, 1:]))),
-            basis=bases[i],
-            basis_signs=bsigns[i],
-            frame=frames.row(i),
-        )
-        for i, rank in enumerate(ranks)
-    ]
+    return [rep for reports in shape_operator_blocks(patch, rows) for rep in reports]
 
 
 def _shape_form(bil: np.ndarray, uchar: CausalCharacter, rank: int) -> ShapeForm:

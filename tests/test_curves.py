@@ -17,6 +17,7 @@ from pseudocp.curves import (
     horizontal_real,
     is_totally_real_circle,
     jmul_real,
+    median_is_positive,
     model_circle_curve,
     norm2_real,
     real_signs,
@@ -35,6 +36,41 @@ SIG = Signature(3, 1)
 def _family1_curve(r):
     spec = example_spec(1, seed_z=gamma_seed(example_spec(1).sig, r))
     return example_integral_curve(spec)
+
+
+#: odd and even counts, exact zeros, ties across zero, all-equal rows,
+#: a NaN, and a pair whose mean underflows to zero
+MEDIAN_CASES = {
+    "odd": [3.0, -1.0, 2.0],
+    "odd_negative": [-3.0, 1.0, -2.0],
+    "even": [-1.0, 4.0, 2.0, -3.0],
+    "even_negative": [1.0, -4.0, -2.0, 3.0],
+    "zero_middle": [-1.0, 0.0, 1.0],
+    "zeros": [0.0, 0.0, 0.0, 0.0],
+    "negative_zero": [-0.0, 0.0, 1.0, -1.0],
+    "tie_across_zero": [-2.0, -0.5, 0.5, 2.0],
+    "tie_leaning_up": [-2.0, -0.5, 0.75, 2.0],
+    "tie_leaning_down": [-2.0, -0.75, 0.5, 2.0],
+    "all_equal_positive": [0.25] * 6,
+    "all_equal_negative": [-0.25] * 5,
+    "single": [1e-300],
+    "nan": [1.0, 2.0, np.nan, 3.0, 4.0],
+    "nan_even": [np.nan, -1.0],
+    "underflowing_mean": [0.0, 5e-324],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEDIAN_CASES))
+def test_median_sign_is_numpy_median_sign(name):
+    x = np.array(MEDIAN_CASES[name])
+    assert median_is_positive(x) is bool(np.median(x) > 0)
+
+
+def test_median_sign_on_random_rows():
+    rng = np.random.default_rng(5)
+    for size in range(1, 40):
+        x = np.round(rng.standard_normal(size), 1) + rng.choice([0.0, 0.3])
+        assert median_is_positive(x) is bool(np.median(x) > 0), x
 
 
 class TestCovariantDerivative:

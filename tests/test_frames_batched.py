@@ -36,6 +36,7 @@ from pseudocp.ruled import (
     rhs_lift_grid,
     second_forms,
     shape_operator_at,
+    shape_operators,
     weingarten_apply,
 )
 
@@ -245,6 +246,16 @@ def test_first_bad_row_decides_the_error_in_blocks_of_one(monkeypatch, regions, 
     the checks still run over all rows, so the same error raises."""
     monkeypatch.setattr(ruled, "_ROW_BLOCK", 1)
     test_first_bad_row_decides_the_error(regions, error)
+
+
+@pytest.mark.parametrize("regions,error", BAD_ROWS)
+def test_first_bad_row_decides_the_shape_error_in_point_blocks_of_one(monkeypatch, regions, error):
+    """``shape_operators`` with one point per block of every kernel: the
+    frames of all rows come first and run their checks over all rows, so
+    the same error raises."""
+    monkeypatch.setattr(ruled, "_points_per_block", lambda width, blocks=1: 1)
+    with pytest.raises(error):
+        shape_operators(_Regions(GOOD, RANK_DEFICIENT, DEGENERATE), _rows(*regions))
 
 
 def test_out_of_chart_stencil_row_raises_chart_error_in_blocks_of_one(monkeypatch):

@@ -109,25 +109,33 @@ GEODESIC_DOC = {
     },
 }
 
-_NO_SCIPY = """
-import sys
+_FRESH_RUN = """
+import io, json, sys
+from contextlib import redirect_stdout
 from pseudocp.cli import main
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def loaded(top):
+    return sorted(m for m in sys.modules if m == top or m.startswith(top + "."))
 
-seen = {"import": scipy_modules()}
-assert main(["sample", "2", "--grid", "3x3x2", "--out", sys.argv[1]]) == 0
-seen["sample"] = scipy_modules()
+seen = {"import": (loaded("scipy"), loaded("numpy.ma"))}
+with redirect_stdout(io.StringIO()):
+    assert main(["verify", "1"]) == 0
+seen["verify"] = (loaded("scipy"), loaded("numpy.ma"))
+assert main(["sample", "2", "--grid", "8x4x4", "--out", sys.argv[1]]) == 0
+seen["sample"] = (loaded("scipy"), loaded("numpy.ma"))
 assert main(["classify", sys.argv[2], "--out", sys.argv[3]]) == 0
-seen["classify"] = scipy_modules()
-print(seen)
+seen["classify"] = (loaded("scipy"), loaded("numpy.ma"))
+print(json.dumps(seen))
 """
 
 
-def test_cli_runs_without_importing_scipy(tmp_path):
-    """``import pseudocp.cli``, a ``sample`` and a ``classify`` command load
-    no scipy module: a fresh interpreter, so nothing else imported it."""
+@pytest.fixture(scope="module")
+def fresh_run_modules(tmp_path_factory) -> dict:
+    """The scipy and ``numpy.ma`` modules loaded after ``import
+    pseudocp.cli``, then after a ``verify``, a ``sample`` and a
+    ``classify`` command, in a fresh interpreter, so that nothing else
+    imported them."""
+    tmp_path = tmp_path_factory.mktemp("fresh_run")
     doc = tmp_path / "geodesic.json"
     doc.write_text(json.dumps(GEODESIC_DOC))
     env = dict(os.environ)
@@ -135,11 +143,24 @@ def test_cli_runs_without_importing_scipy(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     outs = [str(tmp_path / "cloud.json"), str(doc), str(tmp_path / "case.json")]
     proc = subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY, *outs],
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", _FRESH_RUN, *outs],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == str({"import": [], "sample": [], "classify": []})
+    return json.loads(proc.stdout)
+
+
+def test_cli_runs_without_importing_scipy(fresh_run_modules):
+    """``import pseudocp.cli`` and every command load no scipy module."""
+    seen = fresh_run_modules
+    assert {stage: scipy for stage, (scipy, _) in seen.items()} == dict.fromkeys(seen, [])
+
+
+def test_cli_runs_without_importing_numpy_ma(fresh_run_modules):
+    """No command loads ``numpy.ma``: ``np.median`` would, on its first call
+    (``curves.median_is_positive`` decides the sign in its place)."""
+    seen = fresh_run_modules
+    assert {stage: ma for stage, (_, ma) in seen.items()} == dict.fromkeys(seen, [])

@@ -9,14 +9,16 @@ canonicalize one point at a time.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 from oracles import _geodesic_curve, _ref_sample_rows, _reference_transport
+from pseudocp import ruled
 from pseudocp.cli import main
 from pseudocp.curves import SampledCurve, fd_derivative
-from pseudocp.errors import SamplingError
+from pseudocp.errors import FrameError, SamplingError
 from pseudocp.examples import example_integral_curve, example_spec
 from pseudocp.linalg import real_metric
 from pseudocp.ruled import transport_basis
@@ -45,6 +47,26 @@ CURVES = {
     "geodesic": lambda: _geodesic_curve(HALF_SPAN),
     "spline": _spline_curve,
 }
+
+
+def _overflowing_propagators(a1, a2, a4, h):
+    """Every entry 1e300: the second step's frame overflows."""
+    return np.full(a1.shape, 1e300)
+
+
+def test_overflowing_transport_is_a_frame_error(monkeypatch, capsys):
+    """A transport whose frames overflow raises FrameError naming the first
+    sample with a non-finite frame (two steps after s = 0), with no
+    RuntimeWarning on the way (an error under the suite's filter), and
+    ``verify`` exits 3 with that message."""
+    curve = _family_curve(1)
+    s_bad = float(curve.params[int(np.argmin(np.abs(curve.params))) + 2])
+    monkeypatch.setattr(ruled, "_rk4_propagators", _overflowing_propagators)
+    message = f"the transported frame is not finite at s = {s_bad!r}"
+    with pytest.raises(FrameError, match=re.escape(message)):
+        transport_basis(curve)
+    assert main(["verify", "1"]) == 3
+    assert "the transported frame is not finite at s = " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", sorted(CURVES))
