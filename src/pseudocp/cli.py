@@ -8,7 +8,8 @@ precondition, such as a curve that matches no minimal case); 2 a
 ``builtin_flow`` curve file's ``seed_r``, with a family other than 1, a
 configuration that cannot be read or holds a non-finite or
 mistyped value, a curve file that cannot be parsed, whose ``n``, ``p`` or
-``example`` is no JSON integer or whose ``example`` is no family id); 3 one
+``example`` is no JSON integer, whose ``example`` is no family id or whose
+circle ``timelike`` is no JSON boolean); 3 one
 of ``_PRECONDITION_ERRORS`` (lightlike data, a seed or ``t0`` outside its
 family's domain, a seed whose open slot is below
 ``examples.OPEN_SLOT_FLOOR`` included, a circle curvature that is not
@@ -91,10 +92,10 @@ from .linalg import (
 )
 from .projective import canonical_rows, sphere_geodesic
 from .ruled import (  # noqa: F401  (rhs_lift: perfbench/selftest.py traces this binding)
+    RHSPatch,
     classify_generating_curve,
-    leaf_coordinate_axes,
+    leaf_coordinate_grid,
     rhs_lift,
-    rhs_lift_grid,
     transport_basis,
 )
 
@@ -311,6 +312,14 @@ def _json_int(value, name: str) -> int:
     return value
 
 
+def _json_bool(value, name: str) -> bool:
+    """A field that must be a JSON boolean: any other value, such as the
+    string "false" or the number 0, raises ValueError."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be a boolean, got {value!r}")
+    return value
+
+
 def _curve_from_file(doc: dict) -> SampledCurve:
     sig = Signature(_json_int(doc["signature"]["n"], "n"), _json_int(doc["signature"]["p"], "p"))
     s_lo, s_hi = doc.get("s_range", (-0.5, 0.5))
@@ -321,6 +330,8 @@ def _curve_from_file(doc: dict) -> SampledCurve:
         lifts = _complex_vector(doc["data"]["lifts"], sig.ambient_dim, rows=True)
         if not (np.all(np.isfinite(params)) and np.all(np.isfinite(lifts))):
             raise SamplingError("samples document holds a non-finite s or lift entry")
+        if params.shape[0] < 2:  # no step to read; SampledCurve checks every other grid
+            raise SamplingError("need at least 3 samples")
         return SampledCurve(sig, params, lifts, float(params[1] - params[0]))
     if kind != "closed_form":
         raise ValueError(f"unknown curve kind {doc['kind']!r}")
@@ -352,7 +363,7 @@ def _curve_from_file(doc: dict) -> SampledCurve:
             sig,
             data["model"],
             float(data["kappa1"]),
-            bool(data.get("timelike", False)),
+            _json_bool(data.get("timelike", False), "timelike"),
         )
         return crv.sample(s_lo, s_hi, step)
     if family == "builtin_flow":
@@ -435,8 +446,8 @@ def cmd_sample(args) -> int:
     ex = int(args.example_id)
     spec = example_spec(ex, seed_z=_seeds([ex], None, args.seed_r).get(ex))
     par = transport_basis(example_integral_curve(spec).curve)
-    s_values, coords = leaf_coordinate_axes(par, cfg.grid_s, cfg.grid_leaf, radius=cfg.leaf_radius)
-    lifts = rhs_lift_grid(par, s_values, coords)
+    rows = leaf_coordinate_grid(par, cfg.grid_s, cfg.grid_leaf, radius=cfg.leaf_radius)
+    lifts = RHSPatch(par).lifts_at(rows).reshape(cfg.grid_s, cfg.grid_leaf, -1)
     t_values = np.linspace(T_RANGE[0], T_RANGE[1], cfg.grid_t).tolist()
     slice_reps = [
         canonical_rows(par.sig, lifts @ ruling_isometry(spec, tv).entries.T) for tv in t_values
@@ -454,8 +465,8 @@ def cmd_sample(args) -> int:
     else:
         sep, row_sep, tail = ", ", "], [", ']], "schema": 1}'
         head = f'{{"command": "sample", "example": {ex}, "header": {json.dumps(header)}, "rows": [['
-    s_text = [repr(s) + sep for s in s_values.tolist()]
-    c_text = [sep.join(map(repr, c)) + sep for c in coords.tolist()]
+    s_text = [repr(s) + sep for s in rows[:: cfg.grid_leaf, 0].tolist()]
+    c_text = [sep.join(map(repr, c)) + sep for c in rows[: cfg.grid_leaf, 1:].tolist()]
 
     def pieces():
         yield head

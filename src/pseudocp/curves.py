@@ -173,8 +173,9 @@ class SampledCurve:
     """Uniformly sampled curve held by phase-coherent horizontal lifts.
 
     Every stencil assumes at least 3 samples spaced by a finite positive
-    ``step``: fewer samples, another step, or params that are not spaced by
-    it to a relative 1e-6 raise SamplingError.
+    ``step``: fewer samples, more than ``MAX_SAMPLES``, another step, or
+    params that are not spaced by it to a relative 1e-6 raise
+    SamplingError.
 
     ``lift_fn`` is the closed form of the lifts, if there is one. It takes a
     scalar s to one row (d,) and an array (m,) of parameters to rows (m, d),
@@ -254,11 +255,13 @@ class SampledCurve:
 
 def _check_grid(count: int, step: float) -> None:
     """Raise SamplingError unless the step is finite and positive and the
-    grid has the 3 samples every stencil needs."""
+    grid has the 3 samples every stencil needs and at most ``MAX_SAMPLES``."""
     if not (np.isfinite(step) and step > 0):
         raise SamplingError(f"curve step must be finite and positive, got {step!r}")
     if count < 3:
         raise SamplingError("need at least 3 samples")
+    if count > MAX_SAMPLES:
+        raise SamplingError(f"curve grid of {count} samples exceeds {MAX_SAMPLES}")
 
 
 def sample_params(s_min: float, s_max: float, step: float) -> np.ndarray:
@@ -270,8 +273,6 @@ def sample_params(s_min: float, s_max: float, step: float) -> np.ndarray:
         raise SamplingError(f"curve range must be finite, got [{s_min!r}, {s_max!r}]")
     count = int(round(span)) + 1
     _check_grid(count, step)
-    if count > MAX_SAMPLES:
-        raise SamplingError(f"curve grid of {count} samples exceeds {MAX_SAMPLES}")
     return s_min + step * np.arange(count)
 
 

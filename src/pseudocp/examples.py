@@ -24,6 +24,7 @@ the first two slots (timelike, needs p >= 2 like family 3).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -402,17 +403,8 @@ class IdentityLine:
         }
 
 
-def _sweep(patch, rows: np.ndarray) -> np.ndarray:
-    """(lam, mu, leaf block) of the shape operator at each row, as (N, 3),
-    read block by block, so the reports of the whole sweep are never held
-    at once."""
-    return np.array(
-        [
-            (rep.lam, rep.mu, rep.dd_block_max)
-            for reports in ruled.shape_operator_blocks(patch, rows)
-            for rep in reports
-        ]
-    )
+#: the numbers of a ``ShapeReport`` that the cross check reads
+_SWEEP_NUMBERS = operator.attrgetter("lam", "mu", "dd_block_max")
 
 
 def generator_lines(
@@ -433,8 +425,12 @@ def generator_lines(
     ov, ojv = par.orthogonality_defect()
     base = RHSPatch(par)
     rows = ruled.leaf_coordinate_grid(par, cfg.grid_s, cfg.grid_leaf, radius=cfg.leaf_radius)
-    swept = _sweep(base, rows)
-    moved = _sweep(TransformedPatch(boost(curve.sig, INVARIANCE_RAPIDITY), base), rows)
+    # (lam, mu, leaf block) of every row on both patches; each report is
+    # dropped once they are read, before the next sweep
+    swept, moved = (
+        np.array(_SWEEP_NUMBERS(ruled.shape_operators(patch, rows)))
+        for patch in (base, TransformedPatch(boost(curve.sig, INVARIANCE_RAPIDITY), base))
+    )
     base_point = canonicalize(curve.sig, curve.lift_fn(0.12))
     cod_at = np.concatenate([[0.05], rows[0, 1:]])
     cod = ruled.codazzi_residual(base, cod_at, np.random.default_rng(11))
@@ -449,8 +445,8 @@ def generator_lines(
             rhs_evaluate(par, 0.12, np.zeros(par.leaf_dim)).gap(base_point),
             1e-9,
         ),
-        IdentityLine("ruled_leaf_block", float(np.max(swept[:, 2])), cfg.verify_tol),
-        IdentityLine("minimality_mu", float(np.max(np.abs(swept[:, 1]))), cfg.verify_tol),
+        IdentityLine("ruled_leaf_block", float(np.max(swept[2])), cfg.verify_tol),
+        IdentityLine("minimality_mu", float(np.max(np.abs(swept[1]))), cfg.verify_tol),
         IdentityLine("isometry_invariance", float(np.max(np.abs(moved - swept))), cfg.verify_tol),
         IdentityLine("codazzi_residual", cod, cfg.verify_tol),
     ]
@@ -482,8 +478,9 @@ def family_lines(
     rep = ruled.shape_operator_at(patch, np.zeros(patch.n_params))
     frame = rep.frame
     hor = fields.a_xi_hat - g(fields.a_xi_hat, 1j * psi0) * (1j * psi0)
-    ph = np.sum(frame.lift * np.conj(psi0))
-    axi_num = (frame.epsilon * rep.mu * frame.xi + rep.u_vec) * (np.conj(ph) / abs(ph))
+    ph = np.sum(frame.lift[0] * np.conj(psi0))
+    axi = (frame.epsilon * rep.mu)[:, None] * frame.xi + rep.u_vec
+    axi_num = axi[0] * (np.conj(ph) / abs(ph))
     gap = min(float(np.max(np.abs(axi_num - hor))), float(np.max(np.abs(axi_num + hor))))
     return [
         IdentityLine("lift_on_sphere", abs(g(psi0, psi0) - 1.0), 1e-12),

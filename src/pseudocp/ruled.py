@@ -9,38 +9,38 @@ the RK4 steps are formed one block of steps at a time, so each step is one
 matrix product and the temporaries of the transport stay bounded.
 Evaluation composes the transported frame with the exponential map over
 stacked patch parameters (``RHSPatch.lifts_at``); a single point
-(``rhs_lift``) and a product grid of base parameters and leaf coordinates
-(``rhs_lift_grid``) are its cases.
+(``rhs_lift``) is its one-row case.
 
-Almost contact frames come from one batched kernel, ``hypersurface_frames``:
-for a stack of patch parameters it evaluates the lifts of the
-central-difference stencils (``lifts_at``), aligns phases, projects to the
-horizontal space and takes one SVD per row as stacked array operations. It
-returns one ``AlmostContactFrame`` holding the stack; the frame at a single
-point is its one-row view. Both kernels run their rows in fixed blocks
-(``_ROW_BLOCK`` lift rows), so their memory stays bounded however large the
-stack; every step is row-wise, so the results are bit-identical to a single
-block, and the chart, rank and lightlike checks still run over all rows
-before any result is returned. The shape operator comes from the Gauss
-formula: ``second_forms`` reads the second fundamental form
-H_kl = g(d_k d_l f, N) of a stack of points off one patch call per block
-over a second-difference stencil at ``OUTER_FD_STEP``, and ``weingarten_apply``
-turns it into A x = sum_k c_k t_k with c = G^-1 H a, linear algebra on the
-frame. ``shape_operators`` measures a stack of points with one frame call,
-then, one block of points at a time (``shape_operator_blocks``), one
-second-form call applied to xi and to the adapted bases and one stacked
+Every kernel below takes a stack of points, and a point is a stack of one
+row. Almost contact frames come from one batched kernel,
+``hypersurface_frames``: for a stack of patch parameters it evaluates the
+lifts of the central-difference stencils (``lifts_at``), aligns phases,
+projects to the horizontal space and takes one SVD per row as stacked array
+operations. It returns one ``AlmostContactFrame`` holding the stack. Both
+kernels run their rows in fixed blocks (``_ROW_BLOCK`` lift rows), so their
+memory stays bounded however large the stack; every step is row-wise, so the
+results are bit-identical to a single block, and the chart, rank and
+lightlike checks still run over all rows before any result is returned. The
+shape operator comes from the Gauss formula: ``second_forms`` reads the
+second fundamental form H_kl = g(d_k d_l f, N) of a stack of points off one
+patch call per block over a second-difference stencil at ``OUTER_FD_STEP``,
+and ``weingarten_apply`` turns it into A x = sum_k c_k t_k with
+c = G^-1 H a, linear algebra on the frame. ``shape_operators`` measures a
+stack of points with one frame call, then, one block of points at a time,
+one second-form call applied to xi and to the adapted bases and one stacked
 Gram-Schmidt for those bases (``adapted_bases``); ``second_forms`` runs its
-wider stencils in blocks of ``_FORM_BLOCKS`` * ``_ROW_BLOCK`` lifts, so
-the temporaries of a sweep do not grow with its points. Tangent coordinates are
-one stacked least squares solve. Every first derivative of a frame field is
-one stencil, ``_extrapolated_difference``: central differences at +-h and
-+-h/2 combined as (4 D(h/2) - D(h)) / 3, at h = ``OUTER_FD_STEP``. The
-Codazzi identity differences Weingarten images with it, the forms of its
-eight moved frames coming from one second-form call. The structure identity
+wider stencils in blocks of ``_FORM_BLOCKS`` * ``_ROW_BLOCK`` lifts, so the
+temporaries of a sweep do not grow with its points. It returns one
+``ShapeReport`` holding the stack. Tangent coordinates are one stacked
+least squares solve. Every first derivative of a frame field is one
+stencil, ``_extrapolated_difference``: central differences at +-h and +-h/2
+combined as (4 D(h/2) - D(h)) / 3, at h = ``OUTER_FD_STEP``. The Codazzi
+identity differences Weingarten images with it, the forms of its eight
+moved frames coming from one second-form call. The structure identity
 differences the unit normal itself (``_normal_difference``), so its left
-side stays independent of the Gauss formula; it takes a stack of points. The
-ruled characterization (vanishing leaf block) and minimality
-(mu = g(A xi, xi) = 0) are read off the shape reports.
+side stays independent of the Gauss formula. The ruled characterization
+(vanishing leaf block) and minimality (mu = g(A xi, xi) = 0) are read off
+the shape reports.
 
 The classifier checks that the structure field is tangent to the base line
 (leaf coordinate 0) at unit parameter speed, so that the base curve is its
@@ -390,30 +390,6 @@ def _check_chart(par: RHSParametrization, s_values: np.ndarray, coords: np.ndarr
         raise ChartError("base parameter outside the curve range")
 
 
-def rhs_lift_grid(par: RHSParametrization, s_values, coords) -> np.ndarray:
-    """``rhs_lift`` at every pair of base parameter and leaf coordinates.
-
-    Entry [i, j] of the (S, L, d) result is the lift at s_values[i] and
-    coords[j]; the pairs are the rows of one ``RHSPatch.lifts_at`` call, so
-    the whole grid is checked against the chart before any point is
-    evaluated.
-    """
-    s_values = np.asarray(s_values, dtype=float)
-    coords = np.asarray(coords, dtype=float)
-    if coords.ndim != 2:
-        raise ChartError(f"expected rows of {par.leaf_dim} leaf coordinates")
-    rows = _product_rows(s_values, coords)
-    return RHSPatch(par).lifts_at(rows).reshape(len(s_values), len(coords), -1)
-
-
-def _product_rows(s_values: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """Patch parameter rows pairing every base parameter with every leaf
-    coordinate row, s major."""
-    return np.concatenate(
-        [np.repeat(s_values, len(coords))[:, None], np.tile(coords, (len(s_values), 1))], axis=1
-    )
-
-
 def rhs_evaluate(par: RHSParametrization, s: float, coords) -> ProjectivePoint:
     """Point of the ruled hypersurface at base parameter s and leaf coordinates."""
     return canonicalize(par.sig, rhs_lift(par, s, coords))
@@ -490,17 +466,12 @@ class GeodesicSpherePatch:
 
 
 def _patch_lifts(patch, rows: np.ndarray) -> np.ndarray:
-    """Lifts of a patch at stacked parameter rows: its ``lifts_at`` when it
-    has one, else ``lift_at`` row by row (black-box patches).
+    """Lifts of a patch at stacked parameter rows, its ``lifts_at``.
 
     Raises LiftError, naming the first such row, when a lift is not finite,
     so that no arithmetic runs on it.
     """
-    lifts_at = getattr(patch, "lifts_at", None)
-    if lifts_at is not None:
-        w = lifts_at(rows)
-    else:
-        w = np.array([patch.lift_at(u) for u in rows], dtype=complex)
+    w = patch.lifts_at(rows)
     finite = np.isfinite(w)
     if not np.all(finite):
         bad = int(np.argmin(np.all(finite, axis=-1)))
@@ -529,48 +500,34 @@ def _realify(z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AlmostContactFrame:
-    """Unit normal data N, epsilon, xi and phi at hypersurface points.
+    """Unit normal data N, epsilon, xi and phi at a stack of hypersurface
+    points; a point is a stack of one row.
 
     The fields hold one row per point on a leading axis: lift (N, d),
-    tangents (N, P, d), normal (N, d) and epsilon (N,). ``row(i)`` is the
-    one-point view, the same fields without that axis. A vector argument
-    x carries the frame's leading axes, optionally followed by one axis of
-    several vectors per point: (N, d) or (N, m, d) for a stack, (d,) or
-    (m, d) for one point.
+    tangents (N, P, d), normal (N, d) and epsilon (N,). A vector argument x
+    holds one vector per point, (N, d), or an axis of several vectors per
+    point, (N, m, d).
     """
 
     sig: Signature
     lift: np.ndarray
     tangents: np.ndarray
     normal: np.ndarray
-    epsilon: np.ndarray | float
+    epsilon: np.ndarray
 
     @property
     def xi(self) -> np.ndarray:
         return -1j * self.normal
 
     def row(self, i) -> "AlmostContactFrame":
-        """The frame at row i; an index array or a slice selects a stack of
-        rows."""
-        eps = self.epsilon[i]
-        return AlmostContactFrame(
-            sig=self.sig,
-            lift=self.lift[i],
-            tangents=self.tangents[i],
-            normal=self.normal[i],
-            epsilon=eps if np.ndim(eps) else float(eps),
-        )
+        """The stack of the rows that the slice or index array i selects."""
+        return AlmostContactFrame(self.sig, self.lift[i], self.tangents[i], self.normal[i], self.epsilon[i])
 
     def _spread(self, x: np.ndarray):
         """lift, normal and epsilon broadcast against the vectors x."""
-        if x.ndim == self.lift.ndim:
+        if x.ndim == 2:
             return self.lift, self.normal, self.epsilon
-        k = self.lift.ndim - 1
-        return (
-            np.expand_dims(self.lift, k),
-            np.expand_dims(self.normal, k),
-            np.expand_dims(self.epsilon, k),
-        )
+        return self.lift[:, None], self.normal[:, None], self.epsilon[:, None]
 
     def eta(self, x: np.ndarray) -> np.ndarray:
         return gdot_rows(self.sig.signs, x, -1j * self._spread(x)[1])
@@ -594,35 +551,18 @@ class AlmostContactFrame:
         factorization T = QR gives the solution operator R^-1 Q^T of every
         point; it is applied to each vector as an elementwise product and a
         sum, so a vector's coordinates do not depend on the other vectors
-        or points of the call. A one-point frame is the one-row stack."""
+        or points of the call."""
         x = np.asarray(x, dtype=complex)
-        if self.lift.ndim == 1:
-            return _one_row_stack(self).tangent_coords(x[None])[0]
         q, r = np.linalg.qr(np.swapaxes(_realify(self.tangents), 1, 2))
         solve = np.linalg.solve(r, np.swapaxes(q, 1, 2))
         solve = solve.reshape(solve.shape[:1] + (1,) * (x.ndim - 2) + solve.shape[1:])
         return np.sum(solve * _realify(x)[..., None, :], axis=-1)
 
     def unit_tangents(self, coeff: np.ndarray) -> np.ndarray:
-        """Euclidean-unit tangents with the coefficients coeff in the
-        tangents: (P,) at a one-point frame, (N, P) at a stack."""
-        x = np.matmul(coeff[..., None, :], self.tangents)[..., 0, :]
-        return x / np.sqrt(np.sum(np.abs(x) ** 2, axis=-1))[..., None]
-
-    def random_tangent(self, rng: np.random.Generator) -> np.ndarray:
-        """Euclidean-unit random tangent at a one-point frame."""
-        return self.unit_tangents(rng.standard_normal(self.tangents.shape[0]))
-
-
-def _one_row_stack(frame: AlmostContactFrame) -> AlmostContactFrame:
-    """A one-point frame as a stack of one row."""
-    return AlmostContactFrame(
-        sig=frame.sig,
-        lift=frame.lift[None],
-        tangents=frame.tangents[None],
-        normal=frame.normal[None],
-        epsilon=np.array([frame.epsilon]),
-    )
+        """Euclidean-unit tangents (N, d) with the coefficients coeff
+        (N, P) in the tangents."""
+        x = np.matmul(coeff[:, None, :], self.tangents)[:, 0]
+        return x / np.sqrt(np.sum(np.abs(x) ** 2, axis=-1))[:, None]
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:
@@ -676,8 +616,8 @@ def hypersurface_frames(
     the realified rows, from one SVD; its largest entry fixes its sign. With
     ``ref`` the lift, tangents and normal are then phase-aligned to the
     reference lift and the normal's sign is taken against the reference
-    normal; a one-point reference serves every row, a stacked one holds one
-    reference frame per row.
+    normal; a reference of one row serves every row, one of N rows holds
+    the reference frame of each row.
 
     The tangents are horizontal, hence g-orthogonal to the g-orthonormal w0
     and i w0, so the constraints lose rank exactly when the tangents do: a
@@ -717,9 +657,9 @@ def hypersurface_frames(
 
 
 def hypersurface_frame(patch, u: np.ndarray) -> AlmostContactFrame:
-    """Numeric unit normal and almost contact data of the patch at u: the
-    one-row case of ``hypersurface_frames``."""
-    return hypersurface_frames(patch, np.asarray(u, dtype=float)[None]).row(0)
+    """Numeric unit normal and almost contact data of the patch at u (P,):
+    the one-row stack of ``hypersurface_frames``."""
+    return hypersurface_frames(patch, np.asarray(u, dtype=float)[None])
 
 
 #: offsets of the extrapolated central difference, in units of its step
@@ -802,17 +742,14 @@ def _shape_images(frames: AlmostContactFrame, forms: np.ndarray, x: np.ndarray) 
 def weingarten_apply(patch, frame: AlmostContactFrame, u: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Shape operator A X applied to tangent vectors, from the Gauss formula.
 
-    ``frame`` holds the frames at the patch parameters u, a stack (N, P) or
-    one point (P,); x holds one vector per point or an axis of several
-    vectors per point (as for ``AlmostContactFrame``). The Weingarten
-    equation gives g(A X, Y) = H(X, Y) with H the second fundamental form,
-    so A x = sum_k c_k t_k with c = G^-1 H a: G_kl = g(t_k, t_l) on the
+    ``frame`` holds the frames at the stacked patch parameters u (N, P); x
+    holds one vector per point or an axis of several vectors per point (as
+    for ``AlmostContactFrame``). The Weingarten equation gives
+    g(A X, Y) = H(X, Y) with H the second fundamental form, so
+    A x = sum_k c_k t_k with c = G^-1 H a: G_kl = g(t_k, t_l) on the
     frame's tangents, H from one ``second_forms`` call and a the tangent
     coordinates of x.
     """
-    if frame.lift.ndim == 1:
-        u = np.asarray(u, dtype=float)[None]
-        return weingarten_apply(patch, _one_row_stack(frame), u, np.asarray(x)[None])[0]
     return _shape_images(frame, second_forms(patch, frame, u), x)
 
 
@@ -820,41 +757,36 @@ def _normal_difference(patch, frame: AlmostContactFrame, u, x, h: float) -> np.n
     """``_extrapolated_difference`` at step h of the unit normal moved from
     the patch parameters u along the tangents x (shaped as for
     ``weingarten_apply``), each moved frame aligned to the frame at its own
-    point; all moved frames come from one ``hypersurface_frames`` call. Only
-    the structure identity uses it, so its left side stays independent of
-    the Gauss formula."""
+    point; all moved frames come from one ``hypersurface_frames`` call, in
+    offset-major order. Only the structure identity uses it, so its left
+    side stays independent of the Gauss formula."""
     x = np.asarray(x, dtype=complex)
     u = np.asarray(u, dtype=float)
     a = frame.tangent_coords(x)
     if a.ndim > u.ndim:
         u = np.expand_dims(u, -2)
     steps = (h * _FD_OFFSETS).reshape((4,) + (1,) * a.ndim)
-    moved = hypersurface_frames(patch, (u + steps * a).reshape(-1, a.shape[-1]), ref=_offset_refs(frame, a))
+    owner = np.broadcast_to(np.arange(a.shape[0]).reshape((-1,) + (1,) * (a.ndim - 2)), (4,) + a.shape[:-1])
+    moved = hypersurface_frames(patch, (u + steps * a).reshape(-1, a.shape[-1]), ref=frame.row(owner.ravel()))
     return _extrapolated_difference(moved.normal.reshape((4,) + x.shape), h)
-
-
-def _offset_refs(frame: AlmostContactFrame, a: np.ndarray) -> AlmostContactFrame:
-    """Reference frames of the four ``_FD_OFFSETS`` rows of every tangent
-    coordinate row of a, in offset-major order: the frame itself at one
-    point, the row of each point repeated for a stack."""
-    if frame.lift.ndim == 1:
-        return frame
-    owner = np.arange(a.shape[0]).reshape((-1,) + (1,) * (a.ndim - 2))
-    return frame.row(np.broadcast_to(owner, (4,) + a.shape[:-1]).ravel())
 
 
 @dataclass(frozen=True)
 class ShapeReport:
-    """Shape operator snapshot in an adapted basis {xi, e_1, ...}."""
+    """Shape operators of a stack of N points in adapted bases
+    {xi, e_1, ...}, one row per point on a leading axis as in
+    ``AlmostContactFrame``: matrix (N, P, P); mu, lam, dd_block_max and
+    rank (N,); u_vec (N, d); basis (N, P, d) and basis_signs (N, P); the
+    frames; u_character and form as lists of N."""
 
     matrix: np.ndarray
-    mu: float
+    mu: np.ndarray
     u_vec: np.ndarray
-    u_character: CausalCharacter
-    rank: int
-    form: ShapeForm
-    lam: float
-    dd_block_max: float
+    u_character: list
+    rank: np.ndarray
+    form: list
+    lam: np.ndarray
+    dd_block_max: np.ndarray
     basis: np.ndarray
     basis_signs: np.ndarray
     frame: AlmostContactFrame
@@ -880,76 +812,72 @@ def adapted_bases(frames: AlmostContactFrame, first: np.ndarray, pinned: np.ndar
     return np.concatenate([xi[:, None], vecs], axis=1), np.concatenate([eps[:, None], vsigns], axis=1)
 
 
-def shape_operator_blocks(patch, rows: np.ndarray):
-    """``shape_operators`` one block of points at a time: yields the
-    reports of each block, in row order.
-
-    The frames of every row come first, from one ``hypersurface_frames``
-    call, so its checks run over all rows before any report. The points
-    then run in the blocks of that call (``_ROW_BLOCK`` // (2P + 1)
-    points), each block taking its second forms (in smaller blocks of their
-    own), images and adapted bases, so the temporaries held at once are
-    bounded whatever N is; the first block with a failing row raises.
-    Every step is row-wise, so a report is bit-identical whatever the block
-    size, and a caller that keeps only a few numbers of each report needs
-    memory that does not grow with the reports of N rows.
-    """
-    rows = np.asarray(rows, dtype=float)
-    sig = patch.sig
-    frames = hypersurface_frames(patch, rows)
-    block = _points_per_block(2 * rows.shape[1] + 1)
-    non_null = (CausalCharacter.SPACELIKE, CausalCharacter.TIMELIKE)
-    for lo in range(0, rows.shape[0], block):
-        part = frames.row(slice(lo, lo + block))
-        forms = second_forms(patch, part, rows[lo : lo + block])
-        xi = part.xi
-        axi = _shape_images(part, forms, xi)
-        mu = gdot_rows(sig.signs, axi, xi)
-        uvec = axi - (part.epsilon * mu)[:, None] * xi
-        uchar = causal_characters(sig, uvec, NUMERIC_LIGHT_TOL)
-        bases, bsigns = adapted_bases(part, uvec, np.array([c in non_null for c in uchar], dtype=bool))
-        lam = np.sqrt(np.abs(gdot_rows(sig.signs, uvec, uvec)))
-        images = np.concatenate([axi[:, None], _shape_images(part, forms, bases[:, 1:])], 1)
-        bil = gdot_rows(sig.signs, images[:, None], bases[:, :, None])
-        matrix = bsigns[:, :, None] * bil
-        svals = np.linalg.svd(matrix, compute_uv=False)
-        ranks = [int(np.sum(sv > 1e-3 * max(1.0, sv[0]))) for sv in svals]
-        yield [
-            ShapeReport(
-                matrix=matrix[i],
-                mu=float(mu[i]),
-                u_vec=uvec[i],
-                u_character=uchar[i],
-                rank=rank,
-                form=_shape_form(bil[i], uchar[i], rank),
-                lam=float(lam[i]),
-                dd_block_max=float(np.max(np.abs(bil[i, 1:, 1:]))),
-                basis=bases[i],
-                basis_signs=bsigns[i],
-                frame=part.row(i),
-            )
-            for i, rank in enumerate(ranks)
-        ]
-
-
-def shape_operators(patch, rows: np.ndarray) -> list[ShapeReport]:
+def shape_operators(patch, rows: np.ndarray) -> ShapeReport:
     """Measure the shape operator in an adapted basis at each row of the
     stacked patch parameters (N, P).
 
     The structure vector comes first; when the leaf part U of A xi is
     non-null, its normalization occupies the second slot, so the rank-two
-    pattern is visible directly in the matrix. One frame call, then per
-    block of points (``shape_operator_blocks``) one ``second_forms`` call
-    whose forms give the images of xi and then of every basis, and one
-    stacked Gram-Schmidt (``adapted_bases``) for the bases of every row.
+    pattern is visible directly in the matrix. The frames of every row come
+    first, from one ``hypersurface_frames`` call, so its checks run over all
+    rows before any shape operator. The points then run in the blocks of
+    that call (``_ROW_BLOCK`` // (2P + 1) points), each block taking one
+    ``second_forms`` call (in smaller blocks of its own) whose forms give
+    the images of xi and then of every basis, and one stacked Gram-Schmidt
+    (``adapted_bases``) for the bases of its rows; the first block with a
+    failing row raises. The temporaries held at once are bounded whatever
+    N is, and every step is row-wise, so a row is bit-identical whatever
+    the block size. The ranks come from one stacked SVD of the matrices,
+    the leaf block and the form from their entries.
     """
-    return [rep for reports in shape_operator_blocks(patch, rows) for rep in reports]
+    rows = np.asarray(rows, dtype=float)
+    sig = patch.sig
+    count, p = rows.shape
+    frames = hypersurface_frames(patch, rows)
+    matrix = np.empty((count, p, p))
+    mu, lam = np.empty(count), np.empty(count)
+    uvec = np.empty((count, sig.ambient_dim), dtype=complex)
+    bases = np.empty((count, p, sig.ambient_dim), dtype=complex)
+    bsigns = np.empty((count, p))
+    uchar = []
+    non_null = (CausalCharacter.SPACELIKE, CausalCharacter.TIMELIKE)
+    block = _points_per_block(2 * p + 1)
+    for lo in range(0, count, block):
+        part = slice(lo, lo + block)
+        fr = frames.row(part)
+        forms = second_forms(patch, fr, rows[part])
+        xi = fr.xi
+        axi = _shape_images(fr, forms, xi)
+        mu[part] = gdot_rows(sig.signs, axi, xi)
+        u = uvec[part] = axi - (fr.epsilon * mu[part])[:, None] * xi
+        chars = causal_characters(sig, u, NUMERIC_LIGHT_TOL)
+        bases[part], bsigns[part] = adapted_bases(fr, u, np.array([c in non_null for c in chars], dtype=bool))
+        lam[part] = np.sqrt(np.abs(gdot_rows(sig.signs, u, u)))
+        images = np.concatenate([axi[:, None], _shape_images(fr, forms, bases[part, 1:])], 1)
+        matrix[part] = bsigns[part, :, None] * gdot_rows(sig.signs, images[:, None], bases[part, :, None])
+        uchar += chars
+    svals = np.linalg.svd(matrix, compute_uv=False)
+    rank = np.sum(svals > 1e-3 * np.maximum(1.0, svals[:, :1]), axis=1)
+    size = np.abs(matrix)
+    return ShapeReport(
+        matrix=matrix,
+        mu=mu,
+        u_vec=uvec,
+        u_character=uchar,
+        rank=rank,
+        form=[_shape_form(*args) for args in zip(np.max(size, axis=(1, 2)).tolist(), uchar, rank.tolist())],
+        lam=lam,
+        dd_block_max=np.max(size[:, 1:, 1:], axis=(1, 2)),
+        basis=bases,
+        basis_signs=bsigns,
+        frame=frames,
+    )
 
 
-def _shape_form(bil: np.ndarray, uchar: CausalCharacter, rank: int) -> ShapeForm:
-    """The form of a shape operator from its adapted bilinear form, the
-    causal character of its leaf vector U and its rank."""
-    if float(np.max(np.abs(bil))) <= 1e-4:
+def _shape_form(size: float, uchar: CausalCharacter, rank: int) -> ShapeForm:
+    """The form of a shape operator from its largest matrix entry in
+    modulus, the causal character of its leaf vector U and its rank."""
+    if size <= 1e-4:
         return ShapeForm.VANISHING
     if uchar is CausalCharacter.LIGHTLIKE:
         return ShapeForm.LIGHTLIKE_U
@@ -959,9 +887,9 @@ def _shape_form(bil: np.ndarray, uchar: CausalCharacter, rank: int) -> ShapeForm
 
 
 def shape_operator_at(patch, u: np.ndarray) -> ShapeReport:
-    """The shape operator at patch parameters u: the one-row case of
+    """The shape operator at patch parameters u (P,): the one-row stack of
     ``shape_operators``."""
-    return shape_operators(patch, np.asarray(u, dtype=float)[None])[0]
+    return shape_operators(patch, np.asarray(u, dtype=float)[None])
 
 
 # ---------------------------------------------------------------------------
@@ -976,40 +904,44 @@ def codazzi_residual(patch, u: np.ndarray, rng: np.random.Generator) -> float:
     at the ``_FD_OFFSETS`` of u, aligned to the frame at u; their Weingarten
     images come from one ``weingarten_apply`` call, hence one second-form
     call over the eight moved points. The outer differences are
-    ``_extrapolated_difference`` at ``OUTER_FD_STEP``.
+    ``_extrapolated_difference`` at ``OUTER_FD_STEP``. The frame at u is
+    a stack of one row, and X and Y are Euclidean-unit tangents there with
+    standard normal coefficients drawn from rng.
     """
-    sig = patch.sig
+    signs = patch.sig.signs
     h = OUTER_FD_STEP
     u = np.asarray(u, dtype=float)
+    p = u.shape[0]
     frame = hypersurface_frame(patch, u)
-    x = frame.random_tangent(rng)
-    y = frame.random_tangent(rng)
+    x = frame.unit_tangents(rng.standard_normal((1, p)))
+    y = frame.unit_tangents(rng.standard_normal((1, p)))
     ax_dir = frame.tangent_coords(x)
     ay_dir = frame.tangent_coords(y)
     # per offset: the field Y moved along X, then the field X moved along Y
     offsets = h * _FD_OFFSETS[:, None, None]
-    centers = (u + offsets * np.array([ax_dir, ay_dir])).reshape(-1, u.shape[0])
-    fields = np.tile([ay_dir, ax_dir], (4, 1))
+    centers = (u + offsets * np.concatenate([ax_dir, ay_dir])).reshape(-1, p)
+    fields = np.tile(np.concatenate([ay_dir, ax_dir]), (4, 1))
     moved = hypersurface_frames(patch, centers, ref=frame)
     vecs = np.einsum("mp,mpd->md", fields, moved.tangents)
     images = weingarten_apply(patch, moved, centers, vecs)
-    d_a = frame.tangential(_extrapolated_difference(images.reshape(4, 2, -1), h))
-    d_v = frame.tangential(_extrapolated_difference(vecs.reshape(4, 2, -1), h))
-    cov_x_ay, cov_y_ax = d_a - weingarten_apply(patch, frame, u, d_v)
+    # the two differences are two vectors at the one point u
+    d_a = frame.tangential(_extrapolated_difference(images.reshape(4, 1, 2, -1), h))
+    d_v = frame.tangential(_extrapolated_difference(vecs.reshape(4, 1, 2, -1), h))
+    cov_x_ay, cov_y_ax = (d_a - weingarten_apply(patch, frame, u[None], d_v))[0]
+    phi_y = frame.phi(y)
     rhs = (
-        frame.eta(x) * frame.phi(y)
-        - frame.eta(y) * frame.phi(x)
-        + 2.0 * real_metric(sig, x, frame.phi(y)) * frame.xi
+        frame.eta(x)[:, None] * phi_y
+        - frame.eta(y)[:, None] * frame.phi(x)
+        + 2.0 * gdot_rows(signs, x, phi_y)[:, None] * frame.xi
     )
-    res = cov_x_ay - cov_y_ax - rhs
+    res = cov_x_ay - cov_y_ax - rhs[0]
     return float(np.sqrt(np.sum(np.abs(res) ** 2)))
 
 
-def structure_field_identity(patch, frame: AlmostContactFrame, u: np.ndarray, x: np.ndarray):
-    """Residual of the derived identity relating the structure field to phi A
-    at the patch parameters u along the tangents x: a float at one point
-    (u (P,), x (d,)), one residual per row (N,) at a stack (u (N, P),
-    x (N, d)), ``frame`` holding the frames at u.
+def structure_field_identity(patch, frame: AlmostContactFrame, u: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Residuals (N,) of the derived identity relating the structure field
+    to phi A at the stacked patch parameters u (N, P) along the tangents
+    x (N, d), ``frame`` holding the frames at u.
 
     Differentiates the structure field along x (``_extrapolated_difference``
     at h = ``OUTER_FD_STEP``) and compares the tangential covariant
@@ -1018,8 +950,7 @@ def structure_field_identity(patch, frame: AlmostContactFrame, u: np.ndarray, x:
     from one ``weingarten_apply`` call.
     """
     nxi = frame.tangential(-1j * _normal_difference(patch, frame, u, x, OUTER_FD_STEP))
-    res = np.max(np.abs(nxi - frame.phi(weingarten_apply(patch, frame, u, x))), axis=-1)
-    return float(res) if res.ndim == 0 else res
+    return np.max(np.abs(nxi - frame.phi(weingarten_apply(patch, frame, u, x))), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -1162,9 +1093,14 @@ GRID_SEED = 3
 GRID_MARGIN = 0.05
 
 
-def leaf_coordinate_axes(par: RHSParametrization, s_count: int, leaf_count: int, radius: float = 0.25):
-    """Base parameters (S,) and leaf coordinate rows (L, k) of the
-    deterministic grid inside the chart of a parametrization."""
+def leaf_coordinate_grid(
+    par: RHSParametrization, s_count: int, leaf_count: int, radius: float = 0.25
+) -> np.ndarray:
+    """Patch parameter rows (S L, 1 + k) of the deterministic grid inside
+    the chart of a parametrization: S base parameters, each paired with the
+    same L leaf coordinate rows, s major. Row i L + j holds base parameter
+    i and leaf coordinates j, so rows[::L, 0] are the base parameters and
+    rows[:L, 1:] the leaf coordinates."""
     lo, hi = par.s_range()
     s_values = np.linspace(lo + GRID_MARGIN, hi - GRID_MARGIN, s_count)
     rng = np.random.default_rng(GRID_SEED)
@@ -1172,12 +1108,4 @@ def leaf_coordinate_axes(par: RHSParametrization, s_count: int, leaf_count: int,
     for j in range(leaf_count):
         c = rng.standard_normal(par.leaf_dim)
         coords[j] = c / np.sqrt(np.sum(c**2)) * radius * (0.4 + 0.6 * (j + 1) / leaf_count)
-    return s_values, coords
-
-
-def leaf_coordinate_grid(
-    par: RHSParametrization, s_count: int, leaf_count: int, radius: float = 0.25
-) -> np.ndarray:
-    """Patch parameter rows (S L, 1 + k) of the deterministic grid inside
-    the chart of a parametrization, in (s, coords) order."""
-    return _product_rows(*leaf_coordinate_axes(par, s_count, leaf_count, radius))
+    return np.concatenate([np.repeat(s_values, leaf_count)[:, None], np.tile(coords, (s_count, 1))], axis=1)

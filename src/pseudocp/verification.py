@@ -123,9 +123,9 @@ def almost_contact_lines(pars) -> list[IdentityLine]:
     """Structure identities at random hypersurface points of each family:
     ``pars`` maps example ids to parametrizations, checked in order.
 
-    Per point the generator gives the point, the coefficients of the tangent
-    of the algebraic identities, then those of the tangent of the structure
-    derivative, as ``random_tangent`` draws them. The frames of a family's
+    Per point the generator gives the point, the P standard normal
+    coefficients of the tangent of the algebraic identities, then those of
+    the tangent of the structure derivative. The frames of a family's
     points come from one stacked call, and the structure derivative of all
     of them from one ``structure_field_identity`` call.
     """

@@ -94,10 +94,8 @@ from pseudocp.ruled import (
     horizontal_lift,
     hypersurface_frame,
     hypersurface_frames,
-    leaf_coordinate_axes,
     leaf_coordinate_grid,
     rhs_lift,
-    rhs_lift_grid,
     transport_basis,
 )
 from pseudocp.verification import ACCEPTANCE_SIGNATURES, _horizontal_draws
@@ -158,8 +156,14 @@ def covariant_derivative(curve, field_rows):
     return _covariant_rows(curve, real_view(np.asarray(field_rows, dtype=complex))).view(complex)
 
 
+def random_unit_tangent(frame, rng):
+    """A Euclidean-unit tangent (1, d) at a frame of one row, with standard
+    normal coefficients drawn from rng, as ``codazzi_residual`` draws X."""
+    return frame.unit_tangents(rng.standard_normal((1, frame.tangents.shape[1])))
+
+
 class _SyntheticPatch:
-    """Geodesics from a base point along u @ dirs (lift_at only)."""
+    """Geodesics from a base point along u @ dirs, one row at a time."""
 
     def __init__(self, sig, q0, dirs):
         self.sig = sig
@@ -167,8 +171,8 @@ class _SyntheticPatch:
         self.dirs = np.asarray(dirs, dtype=complex)
         self.n_params = self.dirs.shape[0]
 
-    def lift_at(self, u):
-        return sphere_geodesic(self.sig, self.q0, u @ self.dirs, 1.0)
+    def lifts_at(self, rows):
+        return np.array([sphere_geodesic(self.sig, self.q0, u @ self.dirs, 1.0) for u in rows])
 
 
 def _geodesic_curve(half_span=0.5):
@@ -258,12 +262,13 @@ def _ref_frame(patch, u, h=INNER_FD_STEP):
     j = int(np.argmax(np.abs(nu)))
     if np.real(nu[j]) < 0 or (np.real(nu[j]) == 0 and np.imag(nu[j]) < 0):
         nu = -nu
-    return AlmostContactFrame(sig, w0, t, nu, 1.0 if gn > 0 else -1.0)
+    return AlmostContactFrame(sig, w0[None], t[None], nu[None], np.array([1.0 if gn > 0 else -1.0]))
 
 
 def _ref_aligned(patch, u, ref):
+    """``_ref_frame`` at u aligned to the one-row frame ref."""
     fr = _ref_frame(patch, u)
-    ph = _ref_phase(fr.sig.signs, fr.lift, ref.lift)
+    ph = _ref_phase(fr.sig.signs, fr.lift[0], ref.lift[0])
     nu = fr.normal * ph
     if float(np.real(np.sum(nu * np.conj(ref.normal)))) < 0:
         nu = -nu
@@ -276,16 +281,18 @@ def _ref_aligned(patch, u, ref):
 
 
 def _nested_weingarten(patch, frame0, u, x):
-    """The Weingarten map as the extrapolated difference of numeric unit
-    normals at ``INNER_FD_STEP`` along x, each moved frame aligned to the
-    frame at u: an independent reference for the Gauss formula. The central
-    differences D at steps h and h/2 are combined as (4 D(h/2) - D(h)) / 3."""
+    """The Weingarten map at the patch parameters u (P,), whose frame is the
+    one-row frame0, on the vectors x (..., d): the extrapolated difference
+    of numeric unit normals at ``INNER_FD_STEP`` along x, each moved frame
+    aligned to frame0, an independent reference for the Gauss formula. The
+    central differences D at steps h and h/2 are combined as
+    (4 D(h/2) - D(h)) / 3."""
     h = INNER_FD_STEP
     x = np.asarray(x, dtype=complex)
-    a = frame0.tangent_coords(x.reshape(-1, x.shape[-1]))
+    a = frame0.tangent_coords(x.reshape(1, -1, x.shape[-1]))[0]
     offsets = np.array([h, -h, 0.5 * h, -0.5 * h])[:, None, None] * a
     nu = hypersurface_frames(patch, (u + offsets).reshape(-1, a.shape[1]), ref=frame0).normal
-    plus, minus, half_plus, half_minus = nu.reshape(4, a.shape[0], -1)
+    plus, minus, half_plus, half_minus = nu.reshape(4, 1, a.shape[0], -1)
     d_h = (plus - minus) / (2.0 * h)
     d_half = (half_plus - half_minus) / h
     return -frame0.tangential((4.0 * d_half - d_h) / 3.0).reshape(x.shape)
@@ -334,12 +341,16 @@ def _oracle_orthonormalize(sig, vectors, tol=PIVOT_TOL, max_count=None):
 
 
 def _oracle_adapted_basis(frame, first=None):
+    """The adapted basis and its signs at the one-row frame, as lists:
+    xi, then ``first`` normalized when it is given, then the real-metric
+    Gram-Schmidt of the rest of the tangents."""
     sig = frame.sig
-    xi = frame.xi
-    eps = frame.epsilon
-    pool = [t - eps * real_metric(sig, t, xi) * xi for t in frame.tangents]
+    xi = frame.xi[0]
+    eps = frame.epsilon[0]
+    tangents = frame.tangents[0]
+    pool = [t - eps * real_metric(sig, t, xi) * xi for t in tangents]
     head, head_signs = [xi], [eps]
-    want = len(frame.tangents) - 1
+    want = len(tangents) - 1
     if first is not None:
         gf = real_metric(sig, first, first)
         w = first / np.sqrt(abs(gf))
@@ -618,8 +629,9 @@ def _ref_sample_text(example_id, grid_s, grid_t, grid_leaf, fmt, seed_r=None, le
     seed = None if seed_r is None else gamma_seed(Signature(3, 1), seed_r)
     spec = example_spec(example_id, seed_z=seed)
     par = transport_basis(example_integral_curve(spec).curve)
-    s_values, coords = leaf_coordinate_axes(par, grid_s, grid_leaf, radius=leaf_radius)
-    lifts = rhs_lift_grid(par, s_values, coords)
+    grid = leaf_coordinate_grid(par, grid_s, grid_leaf, radius=leaf_radius)
+    s_values, coords = grid[::grid_leaf, 0], grid[:grid_leaf, 1:]
+    lifts = RHSPatch(par).lifts_at(grid).reshape(grid_s, grid_leaf, -1)
     leaf_dim = coords.shape[1]
     rows = []
     for tv in np.linspace(T_RANGE[0], T_RANGE[1], grid_t).tolist():
@@ -659,14 +671,14 @@ def _ref_regenerate(par, half_span=0.35, step=2e-3):
     u0 = np.zeros(patch.n_params)
     u0[0] = 0.0
     frame0 = hypersurface_frame(patch, u0)
-    if real_metric(sig, frame0.xi, frame0.tangents[0]) * par.eps1 < 0:
+    if real_metric(sig, frame0.xi[0], frame0.tangents[0, 0]) * par.eps1 < 0:
         frame0 = replace(frame0, normal=-frame0.normal)
     state = {}
 
     def velocity(uu):
-        fr = hypersurface_frames(patch, uu[None], ref=state["ref"]).row(0)
+        fr = hypersurface_frames(patch, uu[None], ref=state["ref"])
         state["ref"] = fr
-        return fr.tangent_coords(fr.xi)
+        return fr.tangent_coords(fr.xi)[0]
 
     count = int(round(half_span / step))
     params = step * np.arange(-count, count + 1) + 0.0

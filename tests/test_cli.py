@@ -393,6 +393,32 @@ class TestClassify:
         assert message in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_samples_document_of_fewer_than_3_samples_is_a_precondition(self, tmp_path, capsys, count):
+        """A ``samples`` document of 1 or 2 samples exits 3 like any curve
+        grid of fewer than 3 samples, though 1 sample gives no step."""
+        doc = {
+            "signature": {"n": 3, "p": 1},
+            "kind": "samples",
+            "data": {"s": [1e-3 * k for k in range(count)], "lifts": [[[0, 0], [0, 0], [0, 0], [1, 0]]] * count},
+        }
+        path = write_json(tmp_path / "samples.json", doc)
+        assert run_cli("classify", path) == 3
+        captured = capsys.readouterr()
+        assert "need at least 3 samples" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_circle_timelike_must_be_a_json_boolean(self, tmp_path, capsys, value):
+        """``timelike`` is never coerced: the string "false" would read as
+        true. Anything but a JSON boolean is a parse error, exit 2."""
+        doc = {**CIRCLE_DOC, "data": {**CIRCLE_DOC["data"], "timelike": value}}
+        path = write_json(tmp_path / "circ.json", doc)
+        assert run_cli("classify", path) == 2
+        captured = capsys.readouterr()
+        assert "timelike must be a boolean" in captured.err
+        assert captured.out == ""
+
     def test_unclassifiable_curve_reports_failure(self, tmp_path, capsys):
         """A two-curvature helix matches no minimal case: exit code one."""
         a, p = 0.3, 1.0

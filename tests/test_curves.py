@@ -5,6 +5,7 @@ import pytest
 
 from oracles import _e, _geodesic_curve, _ref_case_c_report, covariant_derivative
 from pseudocp.curves import (
+    MAX_SAMPLES,
     CurveClass,
     SampledCurve,
     case_c1_curve,
@@ -110,6 +111,15 @@ class TestCovariantDerivative:
                 type(curve)(SIG, curve.params[:2], curve.lifts[:2], curve.step),
                 curve.lifts[:2],
             )
+
+    def test_too_many_samples(self):
+        """Every sampled curve holds at most ``MAX_SAMPLES`` samples, not
+        only the grids of ``sample_params``."""
+        count = MAX_SAMPLES + 1
+        lifts = np.zeros((count, SIG.ambient_dim), dtype=complex)
+        lifts[:, -1] = 1.0
+        with pytest.raises(SamplingError, match=f"curve grid of {count} samples exceeds {MAX_SAMPLES}"):
+            SampledCurve(SIG, 1e-3 * np.arange(count), lifts, 1e-3)
 
 
 class TestFrenetApparatus:

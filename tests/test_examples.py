@@ -160,12 +160,12 @@ class TestExampleFields:
         par = transport_basis(example_integral_curve(spec).curve)
         patch = TransformedPatch(ruling_isometry(spec, t), RHSPatch(par))
         rep = shape_operator_at(patch, np.zeros(patch.n_params))
-        mu, uvec, frame = rep.mu, rep.u_vec, rep.frame
+        mu, uvec, frame = rep.mu[0], rep.u_vec[0], rep.frame
         psi = example_map(spec, t)
         closed = example_fields(spec, t).a_xi_hat
         closed = closed - real_metric(sig, closed, 1j * psi) * (1j * psi)
-        ph = np.sum(frame.lift * np.conj(psi))
-        numeric = (frame.epsilon * mu * frame.xi + uvec) * (np.conj(ph) / abs(ph))
+        ph = np.sum(frame.lift[0] * np.conj(psi))
+        numeric = (frame.epsilon[0] * mu * frame.xi[0] + uvec) * (np.conj(ph) / abs(ph))
         gap = min(np.max(np.abs(numeric - closed)), np.max(np.abs(numeric + closed)))
         assert gap < 1e-5
 

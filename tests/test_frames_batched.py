@@ -17,7 +17,6 @@ import pytest
 
 from oracles import (
     _family_patch,
-    _lift,
     _ref_aligned,
     _ref_frame,
     _ref_shape_matrix,
@@ -32,8 +31,8 @@ from pseudocp.ruled import (
     INNER_FD_STEP,
     hypersurface_frame,
     hypersurface_frames,
+    leaf_coordinate_grid,
     rhs_lift,
-    rhs_lift_grid,
     second_forms,
     shape_operator_at,
     shape_operators,
@@ -62,18 +61,6 @@ PATCHES = {
 }
 
 
-class _LiftOnly:
-    """The same patch seen as a black box: ``lift_at`` alone."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.sig = inner.sig
-        self.n_params = inner.n_params
-
-    def lift_at(self, u):
-        return _lift(self.inner, u)
-
-
 @pytest.mark.parametrize("name", sorted(PATCHES))
 def test_frames_match_scalar_stencils(name):
     """Lift, tangents and normal of a batch within 1e-12 of the scalar loop;
@@ -83,13 +70,14 @@ def test_frames_match_scalar_stencils(name):
     got = hypersurface_frames(patch, rows)
     for i, u in enumerate(rows):
         want = _ref_frame(patch, u)
-        assert np.max(np.abs(got.lift[i] - want.lift)) < 1e-12
-        assert np.max(np.abs(got.tangents[i] - want.tangents)) < 1e-12
-        assert np.max(np.abs(got.normal[i] - want.normal)) < 1e-12
-        assert got.epsilon[i] == want.epsilon
+        row = got.row([i])
+        assert np.max(np.abs(row.lift - want.lift)) < 1e-12
+        assert np.max(np.abs(row.tangents - want.tangents)) < 1e-12
+        assert np.max(np.abs(row.normal - want.normal)) < 1e-12
+        assert np.array_equal(row.epsilon, want.epsilon)
         one = hypersurface_frame(patch, u)
         for field in ("lift", "tangents", "normal", "epsilon"):
-            assert np.array_equal(getattr(got.row(i), field), getattr(one, field))
+            assert np.array_equal(getattr(row, field), getattr(one, field))
 
 
 @pytest.mark.parametrize("name", ["family1", "family3", "family2_t"])
@@ -102,14 +90,14 @@ def test_aligned_frames_match_scalar(name):
     got = hypersurface_frames(patch, rows, ref=ref)
     for i, v in enumerate(rows):
         want = _ref_aligned(patch, v, ref)
-        assert np.max(np.abs(got.lift[i] - want.lift)) < 1e-12
-        assert np.max(np.abs(got.normal[i] - want.normal)) < 1e-12
+        assert np.max(np.abs(got.lift[[i]] - want.lift)) < 1e-12
+        assert np.max(np.abs(got.normal[[i]] - want.normal)) < 1e-12
 
 
 @pytest.mark.parametrize("name", sorted(PATCHES))
 def test_weingarten_stack_matches_scalar(name, rng):
     """Each image of a stacked call, three vectors at each of two points,
-    equals the one-point call on that one vector bit for bit."""
+    equals the one-row call on that one vector bit for bit."""
     patch = PATCHES[name]()
     rows = np.array([_point(patch, seed) for seed in (7, 8)])
     frames = hypersurface_frames(patch, rows)
@@ -119,7 +107,7 @@ def test_weingarten_stack_matches_scalar(name, rng):
     assert got.shape == xs.shape
     for i, u in enumerate(rows):
         for x, ax in zip(xs[i], got[i]):
-            assert np.array_equal(ax, weingarten_apply(patch, frames.row(i), u, x))
+            assert np.array_equal(ax, weingarten_apply(patch, frames.row([i]), u[None], x[None])[0])
 
 
 @pytest.mark.parametrize("name", sorted(PATCHES))
@@ -129,25 +117,15 @@ def test_shape_matrix_matches_scalar(name):
     patch = PATCHES[name]()
     u = _point(patch, 11)
     rep = shape_operator_at(patch, u)
-    want = _ref_shape_matrix(patch, u, rep.basis, rep.basis_signs)
-    assert np.max(np.abs(rep.matrix - want)) < 1e-6
-
-
-@pytest.mark.parametrize("name", ["family1", "family2_t", "sphere"])
-def test_lift_at_only_patch_gives_the_same_frames(name):
-    patch = PATCHES[name]()
-    rows = np.array([_point(patch, seed) for seed in (1, 2)])
-    batched = hypersurface_frames(patch, rows)
-    black_box = hypersurface_frames(_LiftOnly(patch), rows)
-    assert np.max(np.abs(batched.lift - black_box.lift)) < 1e-12
-    assert np.max(np.abs(batched.tangents - black_box.tangents)) < 1e-12
-    assert np.max(np.abs(batched.normal - black_box.normal)) < 1e-12
+    want = _ref_shape_matrix(patch, u, rep.basis[0], rep.basis_signs[0])
+    assert np.max(np.abs(rep.matrix[0] - want)) < 1e-6
 
 
 @pytest.mark.parametrize("example_id", [1, 2, 3, 4])
 def test_rhs_lift_is_row_zero_of_lifts_at(example_id):
     """``rhs_lift`` is the one-row case of ``lifts_at`` bit for bit, and
-    ``rhs_lift_grid`` holds its rows in (s, c) order."""
+    the rows of ``leaf_coordinate_grid`` pair its base parameters with its
+    leaf coordinates in (s, c) order."""
     patch = _family_patch(example_id)
     rows = np.array([_point(patch, seed) for seed in range(4)])
     batch = patch.lifts_at(rows)
@@ -155,11 +133,11 @@ def test_rhs_lift_is_row_zero_of_lifts_at(example_id):
         one = rhs_lift(patch.par, u[0], u[1:])
         assert np.array_equal(one, patch.lifts_at(rows[k:])[0])
         assert np.array_equal(one, batch[k])
-    s_values, coords = rows[:2, 0], rows[:3, 1:]
-    grid = rhs_lift_grid(patch.par, s_values, coords)
-    for i, s in enumerate(s_values):
-        for j, c in enumerate(coords):
-            assert np.array_equal(grid[i, j], rhs_lift(patch.par, s, c))
+    grid = leaf_coordinate_grid(patch.par, 2, 3)
+    lifts = patch.lifts_at(grid).reshape(2, 3, -1)
+    for i, s in enumerate(grid[::3, 0]):
+        for j, c in enumerate(grid[:3, 1:]):
+            assert np.array_equal(lifts[i, j], rhs_lift(patch.par, s, c))
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +158,8 @@ class _NonFinite:
     sig = SIG21
     n_params = 3
 
-    def lift_at(self, u):
-        return np.array([0.0, 0.0, np.inf], dtype=complex)
+    def lifts_at(self, rows):
+        return np.tile(np.array([0.0, 0.0, np.inf], dtype=complex), (len(rows), 1))
 
 
 class _Regions:
@@ -192,11 +170,11 @@ class _Regions:
         self.sig = patches[0].sig
         self.n_params = 3
 
-    def lift_at(self, u):
-        k = int(round(u[0] / 10.0))
-        shift = np.zeros_like(u)
-        shift[0] = 10.0 * k
-        return self.parts[k].lift_at(u - shift)
+    def lifts_at(self, rows):
+        k = np.rint(rows[:, 0] / 10.0).astype(int)
+        local = rows.copy()
+        local[:, 0] -= 10.0 * k
+        return np.array([self.parts[j].lifts_at(u[None])[0] for j, u in zip(k.tolist(), local)])
 
 
 def _rows(*regions):

@@ -42,7 +42,7 @@ def _outputs(patch):
     moved = rows + 2e-3
     frames = hypersurface_frames(patch, rows)
     stacked_ref = hypersurface_frames(patch, moved, ref=frames)
-    point_ref = hypersurface_frames(patch, moved, ref=frames.row(0))
+    point_ref = hypersurface_frames(patch, moved, ref=frames.row([0]))
     reports = shape_operators(patch, rows)
     curve, defect = regenerate_integral_curve(patch.par)
     return [
@@ -52,10 +52,11 @@ def _outputs(patch):
             for f in (frames, stacked_ref, point_ref)
             for name in ("lift", "tangents", "normal", "epsilon")
         ),
-        np.array([r.matrix for r in reports]),
-        np.array([r.basis for r in reports]),
-        np.array([(r.mu, r.lam, r.dd_block_max) for r in reports]),
-        np.array([r.frame.normal for r in reports]),
+        reports.matrix,
+        reports.basis,
+        np.stack([reports.mu, reports.lam, reports.dd_block_max]),
+        reports.rank,
+        reports.frame.normal,
         curve.lifts,
         np.array([defect]),
     ]

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from oracles import _geodesic_curve, _par, _sphere_patch, _SyntheticPatch, covariant_derivative, log_in_leaf
+from oracles import (
+    _geodesic_curve,
+    _par,
+    _sphere_patch,
+    _SyntheticPatch,
+    covariant_derivative,
+    log_in_leaf,
+    random_unit_tangent,
+)
 from pseudocp.curves import sampled_curve_from_fn
 from pseudocp.errors import ChartError, ClassificationError
 from pseudocp.examples import (
@@ -146,13 +154,13 @@ class TestAlmostContact:
 
     def test_structure_identities_random_tangent(self, family1_par, rng):
         fr = _frame_at(family1_par, -0.2, np.array([0.05, 0.1, 0.02, -0.07]))
-        x = fr.random_tangent(rng)
-        assert np.max(np.abs(fr.phi(fr.phi(x)) + x - fr.epsilon * fr.eta(x) * fr.xi)) < 1e-12
+        x = random_unit_tangent(fr, rng)
+        assert np.max(np.abs(fr.phi(fr.phi(x)) + x - (fr.epsilon * fr.eta(x))[:, None] * fr.xi)) < 1e-12
         assert np.max(np.abs(fr.phi(fr.xi))) < 1e-12
-        assert fr.eta(fr.xi) == pytest.approx(fr.epsilon, abs=1e-12)
-        y = fr.random_tangent(rng)
-        lhs = real_metric(SIG, fr.phi(x), fr.phi(y))
-        rhs = real_metric(SIG, x, y) - fr.epsilon * fr.eta(x) * fr.eta(y)
+        assert fr.eta(fr.xi)[0] == pytest.approx(fr.epsilon[0], abs=1e-12)
+        y = random_unit_tangent(fr, rng)
+        lhs = real_metric(SIG, fr.phi(x)[0], fr.phi(y)[0])
+        rhs = real_metric(SIG, x[0], y[0]) - fr.epsilon[0] * fr.eta(x)[0] * fr.eta(y)[0]
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_phi_covariant_derivative_identity(self, family1_par, rng):
@@ -163,13 +171,13 @@ class TestAlmostContact:
         patch = RHSPatch(family1_par)
         u = np.array([0.07, 0.04, -0.06, 0.03, 0.08])
         fr = hypersurface_frame(patch, u)
-        x = fr.random_tangent(rng)
-        y_coeff = rng.standard_normal(fr.tangents.shape[0])
+        x = random_unit_tangent(fr, rng)
+        y_coeff = rng.standard_normal(fr.tangents.shape[1])
         y = y_coeff @ fr.tangents
-        ax_dir = fr.tangent_coords(x)
+        ax_dir = fr.tangent_coords(x)[0]
         h = 1e-3
         def field_values(uu):
-            f2 = hypersurface_frames(patch, uu[None], ref=fr).row(0)
+            f2 = hypersurface_frames(patch, uu[None], ref=fr)
             yv = y_coeff @ f2.tangents
             return f2.phi(yv), yv
 
@@ -177,9 +185,10 @@ class TestAlmostContact:
         pm, ym = field_values(u - h * ax_dir)
         d_phi_y = fr.tangential((pp - pm) / (2.0 * h))
         d_y = fr.tangential((yp - ym) / (2.0 * h))
-        lhs = d_phi_y - fr.phi(d_y)
-        ax = weingarten_apply(patch, fr, u, x)
-        rhs = fr.epsilon * fr.eta(y) * ax - fr.epsilon * real_metric(SIG, ax, y) * fr.xi
+        lhs = (d_phi_y - fr.phi(d_y))[0]
+        ax = weingarten_apply(patch, fr, u[None], x)[0]
+        eps = fr.epsilon[0]
+        rhs = eps * fr.eta(y)[0] * ax - eps * real_metric(SIG, ax, y[0]) * fr.xi[0]
         assert np.max(np.abs(lhs - rhs)) < 1e-4
 
 
@@ -187,12 +196,12 @@ class TestShapeOperator:
     def test_leaf_block_vanishes_and_pattern(self, family1_par):
         """Rank two, symmetric, with the leaf vector paired to the structure."""
         rep = shape_operator_at(RHSPatch(family1_par), np.array([0.1, 0.1, 0.05, -0.08, 0.02]))
-        assert rep.dd_block_max < 1e-6
-        assert abs(rep.mu) < 1e-6
-        assert rep.rank == 2
-        assert rep.form is ShapeForm.RANK_TWO_NON_NULL_U
+        assert rep.dd_block_max[0] < 1e-6
+        assert abs(rep.mu[0]) < 1e-6
+        assert rep.rank[0] == 2
+        assert rep.form == [ShapeForm.RANK_TWO_NON_NULL_U]
         # matrix pattern: only the (xi, W) pair carries weight
-        m = rep.matrix
+        m = rep.matrix[0]
         assert abs(m[1, 0]) > 0.1
         assert abs(m[0, 1]) > 0.1
         assert np.max(np.abs(m[2:, :])) < 1e-4
@@ -202,12 +211,12 @@ class TestShapeOperator:
         u = np.array([0.12, 0.03, -0.1, 0.02, 0.06])
         patch = RHSPatch(family1_par)
         fr = hypersurface_frame(patch, u)
-        x = fr.random_tangent(rng)
-        y = fr.random_tangent(rng)
-        ax = weingarten_apply(patch, fr, u, x)
-        ay = weingarten_apply(patch, fr, u, y)
-        assert real_metric(SIG, ax, y) == pytest.approx(
-            real_metric(SIG, x, ay), abs=1e-6
+        x = random_unit_tangent(fr, rng)
+        y = random_unit_tangent(fr, rng)
+        ax = weingarten_apply(patch, fr, u[None], x)
+        ay = weingarten_apply(patch, fr, u[None], y)
+        assert real_metric(SIG, ax[0], y[0]) == pytest.approx(
+            real_metric(SIG, x[0], ay[0]), abs=1e-6
         )
 
     def test_rank_two_cross_relation(self, family1_par):
@@ -216,11 +225,11 @@ class TestShapeOperator:
         patch = RHSPatch(family1_par)
         rep = shape_operator_at(patch, u)
         fr = rep.frame
-        w = rep.u_vec / rep.lam
-        aw = weingarten_apply(patch, fr, u, w)
+        w = rep.u_vec / rep.lam[:, None]
+        aw = weingarten_apply(patch, fr, u[None], w)
         # A W should be parallel to xi with coefficient eps * lam
-        expected = fr.epsilon * rep.lam * fr.xi
-        sign = np.sign(real_metric(SIG, rep.u_vec, w))
+        expected = (fr.epsilon * rep.lam)[:, None] * fr.xi
+        sign = np.sign(real_metric(SIG, rep.u_vec[0], w[0]))
         assert np.max(np.abs(aw - sign * expected)) < 1e-5
 
     def test_lightlike_leaf_vector_annihilated(self):
@@ -232,36 +241,36 @@ class TestShapeOperator:
         u[0] = 0.12
         rep = shape_operator_at(patch, u)
         uvec, fr = rep.u_vec, rep.frame
-        assert abs(real_metric(SIG, uvec, uvec)) < 1e-6
+        assert abs(real_metric(SIG, uvec[0], uvec[0])) < 1e-6
         assert float(np.sqrt(np.sum(np.abs(uvec) ** 2))) > 0.5
-        au = weingarten_apply(patch, fr, u, uvec)
-        aphiu = weingarten_apply(patch, fr, u, fr.phi(uvec))
+        au = weingarten_apply(patch, fr, u[None], uvec)
+        aphiu = weingarten_apply(patch, fr, u[None], fr.phi(uvec))
         assert np.max(np.abs(au)) < 1e-4
         assert np.max(np.abs(aphiu)) < 1e-4
-        assert rep.form is ShapeForm.LIGHTLIKE_U
+        assert rep.form == [ShapeForm.LIGHTLIKE_U]
 
     def test_geodesic_sphere_control_is_not_ruled(self):
         patch = _sphere_patch()
         rep = shape_operator_at(patch, np.zeros(patch.n_params))
-        assert rep.dd_block_max > 1e-1
-        assert abs(rep.mu) > 1e-2
+        assert rep.dd_block_max[0] > 1e-1
+        assert abs(rep.mu[0]) > 1e-2
 
     def test_geodesic_sphere_rows_read_other(self):
         """The sphere is Hopf (U = 0) with a shape operator of full rank, so
         its form is neither of the paper's two families."""
         patch = _sphere_patch()
         rows = 0.05 * np.arange(6)[:, None] * np.ones(patch.n_params)
-        for rep in shape_operators(patch, rows):
-            assert rep.rank == patch.n_params
-            assert rep.u_character is CausalCharacter.ZERO
-            assert rep.form is ShapeForm.OTHER
+        rep = shape_operators(patch, rows)
+        assert rep.rank.tolist() == [patch.n_params] * len(rows)
+        assert rep.u_character == [CausalCharacter.ZERO] * len(rows)
+        assert rep.form == [ShapeForm.OTHER] * len(rows)
 
     @pytest.mark.parametrize("example_id", EXAMPLE_IDS)
     def test_default_family_grid_reads_rank_two_non_null_u(self, example_id):
         par = _par(example_id)
         reports = shape_operators(RHSPatch(par), leaf_coordinate_grid(par, 5, 4))
-        assert len(reports) == 20
-        assert {(rep.rank, rep.form) for rep in reports} == {(2, ShapeForm.RANK_TWO_NON_NULL_U)}
+        assert reports.matrix.shape[0] == 20
+        assert set(zip(reports.rank.tolist(), reports.form)) == {(2, ShapeForm.RANK_TWO_NON_NULL_U)}
 
 
 class TestVerifyAndMinimality:
@@ -273,29 +282,29 @@ class TestVerifyAndMinimality:
         rows = leaf_coordinate_grid(family1_par, 3, 2)
         patch = RHSPatch(family1_par)
         reports = shape_operators(patch, rows)
-        assert len(reports) == 6
-        assert max(rep.dd_block_max for rep in reports) < 1e-4
+        assert reports.dd_block_max.shape == (6,)
+        assert np.max(reports.dd_block_max) < 1e-4
         assert codazzi_residual(patch, rows[0], np.random.default_rng(7)) < 1e-4
 
     def test_control_fails(self):
         patch = _sphere_patch()
         rows = np.array([0.1 * np.ones(patch.n_params), np.zeros(patch.n_params)])
-        assert max(rep.dd_block_max for rep in shape_operators(patch, rows)) > 1e-4
+        assert np.max(shape_operators(patch, rows).dd_block_max) > 1e-4
 
     def test_single_point_grid(self, family1_par):
         patch = RHSPatch(family1_par)
         reports = shape_operators(patch, np.zeros((1, patch.n_params)))
-        assert len(reports) == 1
-        assert reports[0].dd_block_max < 1e-4
+        assert reports.dd_block_max.shape == (1,)
+        assert reports.dd_block_max[0] < 1e-4
 
     def test_minimality_family_one(self, family1_par):
         rows = leaf_coordinate_grid(family1_par, 3, 2)
-        worst = max(abs(rep.mu) for rep in shape_operators(RHSPatch(family1_par), rows))
+        worst = np.max(np.abs(shape_operators(RHSPatch(family1_par), rows).mu))
         assert worst < 1e-4
 
     def test_minimality_control_false(self):
         patch = _sphere_patch()
-        assert abs(shape_operator_at(patch, np.zeros(patch.n_params)).mu) > 1e-2
+        assert abs(shape_operator_at(patch, np.zeros(patch.n_params)).mu[0]) > 1e-2
 
 
 class TestErrorPaths:

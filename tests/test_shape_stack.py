@@ -19,7 +19,6 @@ from pseudocp.ruled import (
     TransformedPatch,
     codazzi_residual,
     hypersurface_frames,
-    leaf_coordinate_axes,
     leaf_coordinate_grid,
     shape_operator_at,
     shape_operators,
@@ -61,23 +60,25 @@ CASES = {
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_stacked_shape_operators_equal_the_pointwise_loop(name):
-    """Every report of one stacked call equals ``shape_operator_at`` at its
+    """Every row of one stacked call equals ``shape_operator_at`` at its
     row bit for bit; its matrix and mu are within 1e-6 of the nested
-    reference on the report's own adapted basis."""
+    reference on the row's own adapted basis."""
     patch, rows = CASES[name]()
     reports = shape_operators(patch, rows)
-    assert len(reports) == len(rows)
-    for u, rep in zip(rows, reports):
+    assert reports.matrix.shape[0] == len(rows)
+    for i, u in enumerate(rows):
         one = shape_operator_at(patch, u)
-        for field in ("matrix", "basis", "basis_signs", "u_vec"):
-            assert np.array_equal(getattr(one, field), getattr(rep, field))
-        for field in ("mu", "lam", "dd_block_max", "rank", "form", "u_character"):
-            assert getattr(one, field) == getattr(rep, field)
-        want = _ref_shape_matrix(patch, u, rep.basis, rep.basis_signs)
-        assert np.max(np.abs(rep.matrix - want)) < 1e-6
-        xi = rep.frame.xi
-        mu = gdot_rows(patch.sig.signs, _nested_weingarten(patch, rep.frame, u, xi), xi)
-        assert abs(rep.mu - mu) < 1e-6
+        for field in ("matrix", "basis", "basis_signs", "u_vec", "mu", "lam", "dd_block_max", "rank"):
+            assert np.array_equal(getattr(one, field), getattr(reports, field)[[i]])
+        for field in ("form", "u_character"):
+            assert getattr(one, field) == getattr(reports, field)[i : i + 1]
+        for field in ("lift", "tangents", "normal", "epsilon"):
+            assert np.array_equal(getattr(one.frame, field), getattr(reports.frame, field)[[i]])
+        want = _ref_shape_matrix(patch, u, reports.basis[i], reports.basis_signs[i])
+        assert np.max(np.abs(reports.matrix[i] - want)) < 1e-6
+        xi = one.frame.xi
+        mu = gdot_rows(patch.sig.signs, _nested_weingarten(patch, one.frame, u, xi), xi)
+        assert abs(reports.mu[i] - mu[0]) < 1e-6
 
 
 @pytest.mark.parametrize("name", ["family1_3_1", "family3_4_2", "family2_boost_t0.4"])
@@ -88,8 +89,8 @@ def test_structure_field_identity_equals_the_pointwise_loop(name):
     x = frames.unit_tangents(np.random.default_rng(2).standard_normal(rows.shape))
     got = structure_field_identity(patch, frames, rows, x)
     assert got.shape == (len(rows),)
-    for i, u in enumerate(rows):
-        assert got[i] == structure_field_identity(patch, frames.row(i), u, x[i])
+    for i in range(len(rows)):
+        assert np.array_equal(got[[i]], structure_field_identity(patch, frames.row([i]), rows[[i]], x[[i]]))
 
 
 @pytest.mark.parametrize("name", list(CASES))
@@ -104,7 +105,7 @@ def test_gauss_formula_matches_the_nested_normal_difference(name):
                    frames.unit_tangents(rng.standard_normal(rows.shape))], axis=1)
     got = weingarten_apply(patch, frames, rows, xs)
     for i, u in enumerate(rows):
-        want = _nested_weingarten(patch, frames.row(i), u, xs[i])
+        want = _nested_weingarten(patch, frames.row([i]), u, xs[i])
         scale = max(1.0, float(np.max(np.sqrt(np.sum(np.abs(want) ** 2, axis=-1)))))
         assert np.max(np.abs(got[i] - want)) <= 1e-6 * scale
 
@@ -116,7 +117,6 @@ def test_codazzi_holds_under_a_boost(example_id, t):
     within 1e-4 at the cross-check point of ``verify``: s = 0.05 and the
     leaf coordinates of the first grid row, rng seed 11."""
     par = _par(example_id)
-    _, coords = leaf_coordinate_axes(par, 5, 4, radius=0.25)
-    u = np.concatenate([[0.05], coords[0]])
+    u = np.concatenate([[0.05], leaf_coordinate_grid(par, 5, 4, radius=0.25)[0, 1:]])
     patch = TransformedPatch(boost(par.sig, t), RHSPatch(par))
     assert codazzi_residual(patch, u, np.random.default_rng(11)) <= 1e-4

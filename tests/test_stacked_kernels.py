@@ -2,7 +2,7 @@
 and the seeded draws.
 
 The adapted bases are compared with the list-based real-metric Gram-Schmidt
-and the one-point adapted basis built on it (``oracles``): the stacked
+and the one-row adapted basis built on it (``oracles``): the stacked
 kernel runs the same arithmetic row by row, so those comparisons ask for
 equality. The tangent coordinates come from another factorization and are
 compared to ``np.linalg.lstsq`` within a tolerance. The almost contact
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import _oracle_adapted_basis, _oracle_orthonormalize, _par, _realify
+from oracles import _oracle_adapted_basis, _oracle_orthonormalize, _par, _realify, random_unit_tangent
 from pseudocp import ruled, verification
 from pseudocp.errors import FrameError
 from pseudocp.examples import EXAMPLE_IDS, example_spec, ruling_isometry
@@ -66,9 +66,9 @@ def _degenerate_tangents(frames, i, kind):
     t = frames.tangents[i]
     if kind == "dependent":
         return np.array([(k + 1.0) * t[1] for k in range(len(t))])
-    basis, signs = _oracle_adapted_basis(frames.row(i))
+    basis, signs = _oracle_adapted_basis(frames.row([i]))
     null = basis[1 + int(np.argmax(signs[1:] > 0))] + basis[1 + int(np.argmax(signs[1:] < 0))]
-    return np.array([frames.row(i).xi] + [(k + 1.0) * null for k in range(len(t) - 1)])
+    return np.array([frames.xi[i]] + [(k + 1.0) * null for k in range(len(t) - 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -78,14 +78,14 @@ def _degenerate_tangents(frames, i, kind):
 
 @pytest.mark.parametrize("example_id", EXAMPLE_IDS)
 def test_adapted_bases_equal_the_list_oracle(example_id):
-    """Pinned and unpinned rows of one stacked call equal the one-point
+    """Pinned and unpinned rows of one stacked call equal the one-row
     list-based basis bit for bit."""
     _, _, frames, uvec, pinned = _mixed_stack(example_id)
     assert pinned.any() and not pinned.all()
     bases, signs = adapted_bases(frames, uvec, pinned)
     for i in range(len(pinned)):
         pin = uvec[i] if pinned[i] else None
-        want, want_signs = _oracle_adapted_basis(frames.row(i), first=pin)
+        want, want_signs = _oracle_adapted_basis(frames.row([i]), first=pin)
         assert np.array_equal(bases[i], want)
         assert np.array_equal(signs[i], want_signs)
 
@@ -102,7 +102,7 @@ def test_first_degenerate_row_decides_the_adapted_basis_error(order):
     messages = {}
     for i, kind in zip((2, 5), order):
         with pytest.raises(FrameError) as info:
-            _oracle_adapted_basis(stack.row(i))
+            _oracle_adapted_basis(stack.row([i]))
         messages[kind] = str(info.value)
     assert messages["dependent"] != messages["lightlike"]
     with pytest.raises(FrameError) as info:
@@ -148,7 +148,7 @@ def test_tangent_coords_match_lstsq_and_the_one_point_call(example_id):
         for i in range(len(x)):
             a, *_ = np.linalg.lstsq(_realify(frames.tangents[i]).T, _realify(x[i]).T, rcond=None)
             assert np.max(np.abs(got[i] - a.T)) < 1e-12
-            assert np.array_equal(frames.row(i).tangent_coords(x[i]), got[i])
+            assert np.array_equal(frames.row([i]).tangent_coords(x[[i]])[0], got[i])
     assert np.max(np.abs(frames.tangent_coords(xs) - coeff)) < 1e-12
 
 
@@ -178,8 +178,8 @@ def test_horizontal_draws_are_seeded_unit_horizontal_vectors(sig, count, seed):
 
 def test_almost_contact_lines_equal_the_pointwise_loop():
     """Each family's lines equal the loop of one-row calls at the suite's
-    own draws: one frame, two ``random_tangent`` draws and one structure
-    identity per point."""
+    own draws: one frame, two ``random_unit_tangent`` draws and one
+    structure identity per point."""
     pars = {ex: _par(ex) for ex in EXAMPLE_IDS}
     rng = np.random.default_rng(verification.ALMOST_CONTACT_SEED)
     want = []
@@ -192,13 +192,13 @@ def test_almost_contact_lines_equal_the_pointwise_loop():
             c = rng.standard_normal(par.leaf_dim)
             u[1:] = c / np.sqrt(np.sum(c**2)) * rng.uniform(0.02, 0.25)
             fr = hypersurface_frame(patch, u)
-            x, y = fr.random_tangent(rng), fr.random_tangent(rng)
-            res = fr.phi(fr.phi(x)) + x - fr.epsilon * fr.eta(x) * fr.xi
+            x, y = random_unit_tangent(fr, rng), random_unit_tangent(fr, rng)
+            res = fr.phi(fr.phi(x)) + x - (fr.epsilon * fr.eta(x))[:, None] * fr.xi
             residuals = [
                 np.max(np.abs(fr.phi(fr.xi))),
-                abs(fr.eta(fr.xi) - fr.epsilon),
+                abs(fr.eta(fr.xi) - fr.epsilon)[0],
                 np.max(np.abs(res)),
-                structure_field_identity(patch, fr, u, y),
+                structure_field_identity(patch, fr, u[None], y)[0],
             ]
             worst = np.maximum(worst, residuals)
         want.extend(worst.tolist())
