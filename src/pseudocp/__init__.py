@@ -56,7 +56,6 @@ from .ruled import (
     ClassificationReport,
     GeodesicSpherePatch,
     RHSParametrization,
-    RHSPatch,
     ShapeForm,
     ShapeReport,
     MinimalCase,

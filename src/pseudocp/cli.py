@@ -8,8 +8,10 @@ precondition, such as a curve that matches no minimal case); 2 a
 ``builtin_flow`` curve file's ``seed_r``, with a family other than 1, a
 configuration that cannot be read or holds a non-finite or
 mistyped value, a curve file that cannot be parsed, whose ``n``, ``p`` or
-``example`` is no JSON integer, whose ``example`` is no family id or whose
-circle ``timelike`` is no JSON boolean); 3 one
+``example`` is no JSON integer, whose ``example`` is no family id, whose
+circle ``timelike`` is no JSON boolean, or whose ``samples`` ``s`` is no
+flat list of numbers or ``lifts`` no rows of [re, im] pairs, the message
+naming the field); 3 one
 of ``_PRECONDITION_ERRORS`` (lightlike data, a seed or ``t0`` outside its
 family's domain, a seed whose open slot is below
 ``examples.OPEN_SLOT_FLOOR`` included, a circle curvature that is not
@@ -92,7 +94,6 @@ from .linalg import (
 )
 from .projective import canonical_rows, sphere_geodesic
 from .ruled import (  # noqa: F401  (rhs_lift: perfbench/selftest.py traces this binding)
-    RHSPatch,
     classify_generating_curve,
     leaf_coordinate_grid,
     rhs_lift,
@@ -292,16 +293,29 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _complex_vector(raw, dim: int, rows: bool = False) -> np.ndarray:
+def _complex_vector(raw, dim: int, name: str, rows: bool = False) -> np.ndarray:
     """Complex vector (dim,) from [re, im] pairs; with ``rows``, a list of
-    such vectors as rows (m, dim), converted in one array operation."""
+    such vectors as rows (m, dim), converted in one array operation. A
+    wrong shape raises ValueError naming the field ``name``."""
     try:
         arr = np.asarray(raw, dtype=float)
     except ValueError as exc:  # ragged nesting is a wrong shape too
-        raise ValueError(f"expected {dim} [re, im] pairs") from exc
+        raise ValueError(f"{name}: expected {dim} [re, im] pairs") from exc
     if arr.ndim != (3 if rows else 2) or arr.shape[-2:] != (dim, 2):
-        raise ValueError(f"expected {dim} [re, im] pairs")
+        raise ValueError(f"{name}: expected {dim} [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
+
+
+def _flat_numbers(raw, name: str) -> np.ndarray:
+    """A field that must be a flat list of numbers, as a float array: a
+    number, a nested list or a non-number entry raises ValueError."""
+    try:
+        arr = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be a flat list of numbers") from exc
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be a flat list of numbers")
+    return arr
 
 
 def _json_int(value, name: str) -> int:
@@ -326,8 +340,8 @@ def _curve_from_file(doc: dict) -> SampledCurve:
     step = float(doc.get("step", 1e-3))
     kind = doc["kind"]
     if kind == "samples":
-        params = np.asarray(doc["data"]["s"], dtype=float)
-        lifts = _complex_vector(doc["data"]["lifts"], sig.ambient_dim, rows=True)
+        params = _flat_numbers(doc["data"]["s"], "s")
+        lifts = _complex_vector(doc["data"]["lifts"], sig.ambient_dim, "lifts", rows=True)
         if not (np.all(np.isfinite(params)) and np.all(np.isfinite(lifts))):
             raise SamplingError("samples document holds a non-finite s or lift entry")
         if params.shape[0] < 2:  # no step to read; SampledCurve checks every other grid
@@ -338,8 +352,8 @@ def _curve_from_file(doc: dict) -> SampledCurve:
     data = doc["data"]
     family = data["family"]
     if family == "geodesic":
-        q = _complex_vector(data["point"], sig.ambient_dim)
-        v = _complex_vector(data["velocity"], sig.ambient_dim)
+        q = _complex_vector(data["point"], sig.ambient_dim, "point")
+        v = _complex_vector(data["velocity"], sig.ambient_dim, "velocity")
         if abs(real_metric(sig, q, q) - 1.0) > 1e-8:
             raise FrameError("geodesic start point is not on the sphere")
         if abs(hermitian_product(sig, v, q)) > 1e-8:
@@ -353,9 +367,9 @@ def _curve_from_file(doc: dict) -> SampledCurve:
         builder = case_c1_curve if family == "case_c1" else case_c2_curve
         crv = builder(
             sig,
-            _complex_vector(data["p0"], sig.ambient_dim),
-            _complex_vector(data["v0"], sig.ambient_dim),
-            _complex_vector(data["f2"], sig.ambient_dim),
+            _complex_vector(data["p0"], sig.ambient_dim, "p0"),
+            _complex_vector(data["v0"], sig.ambient_dim, "v0"),
+            _complex_vector(data["f2"], sig.ambient_dim, "f2"),
         )
         return crv.sample(s_lo, s_hi, step)
     if family == "circle":
@@ -372,7 +386,7 @@ def _curve_from_file(doc: dict) -> SampledCurve:
             raise ValueError(f"unknown example id {ex}")
         seed = _seeds([ex], sig, float(data["seed_r"]) if "seed_r" in data else None).get(ex)
         if seed is None and "z" in data:
-            seed = _complex_vector(data["z"], sig.n)
+            seed = _complex_vector(data["z"], sig.n, "z")
         spec = example_spec(ex, sig=sig, seed_z=seed)
         return example_integral_curve(
             spec, t=float(data.get("t0", 0.0)), step=step, s_range=(s_lo, s_hi)
@@ -447,7 +461,7 @@ def cmd_sample(args) -> int:
     spec = example_spec(ex, seed_z=_seeds([ex], None, args.seed_r).get(ex))
     par = transport_basis(example_integral_curve(spec).curve)
     rows = leaf_coordinate_grid(par, cfg.grid_s, cfg.grid_leaf, radius=cfg.leaf_radius)
-    lifts = RHSPatch(par).lifts_at(rows).reshape(cfg.grid_s, cfg.grid_leaf, -1)
+    lifts = par.lifts_at(rows).reshape(cfg.grid_s, cfg.grid_leaf, -1)
     t_values = np.linspace(T_RANGE[0], T_RANGE[1], cfg.grid_t).tolist()
     slice_reps = [
         canonical_rows(par.sig, lifts @ ruling_isometry(spec, tv).entries.T) for tv in t_values

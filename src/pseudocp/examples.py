@@ -38,7 +38,6 @@ from .isometries import IndefiniteUnitaryMatrix, boost
 from .linalg import Signature, gdot_rows, metric_signs, real_metric
 from .projective import canonicalize
 from .ruled import (
-    RHSPatch,
     MinimalCase,
     TransformedPatch,
     classify_minimal_ruled,
@@ -161,7 +160,7 @@ class _Ruling:
         self.cos, self.sin = (np.cosh, np.sinh) if self.sigma > 0 else (np.cos, np.sin)
 
     def validate(self, z: np.ndarray):
-        g = float(np.real(np.sum(self.seed_signs * z * np.conj(z))))
+        g = float(gdot_rows(self.seed_signs, z, z))
         if abs(g - 1.0) > 1e-10:
             raise DomainError(f"seed is not on its sphere: g(z,z) = {g!r}")
         if abs(z[self.omega]) < OPEN_SLOT_FLOOR:
@@ -423,17 +422,16 @@ def generator_lines(
     """
     par = transport_basis(curve)
     ov, ojv = par.orthogonality_defect()
-    base = RHSPatch(par)
     rows = ruled.leaf_coordinate_grid(par, cfg.grid_s, cfg.grid_leaf, radius=cfg.leaf_radius)
     # (lam, mu, leaf block) of every row on both patches; each report is
     # dropped once they are read, before the next sweep
     swept, moved = (
         np.array(_SWEEP_NUMBERS(ruled.shape_operators(patch, rows)))
-        for patch in (base, TransformedPatch(boost(curve.sig, INVARIANCE_RAPIDITY), base))
+        for patch in (par, TransformedPatch(boost(curve.sig, INVARIANCE_RAPIDITY), par))
     )
     base_point = canonicalize(curve.sig, curve.lift_fn(0.12))
     cod_at = np.concatenate([[0.05], rows[0, 1:]])
-    cod = ruled.codazzi_residual(base, cod_at, np.random.default_rng(11))
+    cod = ruled.codazzi_residual(par, cod_at, np.random.default_rng(11))
     lines = [
         IdentityLine("curve_horizontal", curve.horizontality_defect(), 1e-10),
         IdentityLine("curve_unit_speed", curve.speed_defect(), SPEED_TOL),
@@ -474,8 +472,7 @@ def family_lines(
     accels = map(data.accel, np.linspace(*S_RANGE, 7))
     ff_err = max(abs(g(f, f) - data.accel_square) for f in accels)
 
-    patch = RHSPatch(par)
-    rep = ruled.shape_operator_at(patch, np.zeros(patch.n_params))
+    rep = ruled.shape_operator_at(par, np.zeros(par.n_params))
     frame = rep.frame
     hor = fields.a_xi_hat - g(fields.a_xi_hat, 1j * psi0) * (1j * psi0)
     ph = np.sum(frame.lift[0] * np.conj(psi0))

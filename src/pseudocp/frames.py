@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, FrameError
-from .linalg import Signature, as_ambient, gdot_rows
+from .linalg import Signature, as_ambient, gdot_rows, hermitian_rows
 
 #: a pivot with |g(u,u)| below this (relative to the Euclidean norm) triggers a restart
 PIVOT_TOL = 1e-10
@@ -49,21 +49,16 @@ def _validate_fixed(sig: Signature, fixed: dict[int, np.ndarray], tol: float = 1
         if not 0 <= slot < sig.ambient_dim:
             raise FrameError(f"slot {slot} out of range")
         want = -1.0 if slot < sig.p else 1.0
-        g = _hermitian_rows(sig.signs, vec, vec)
+        g = hermitian_rows(sig.signs, vec, vec)
         bad = np.hypot(g.real - want, g.imag) > tol
         if np.any(bad):
             g0 = complex(g[int(np.argmax(bad))])
             raise FrameError(f"fixed column for slot {slot} has g(v,v) = {g0:.3e}, expected {want:+.0f}")
     for i, (_, a) in enumerate(items):
         for _, b in items[i + 1 :]:
-            g = _hermitian_rows(sig.signs, a, b)
+            g = hermitian_rows(sig.signs, a, b)
             if np.any(np.hypot(g.real, g.imag) > tol):
                 raise FrameError("fixed columns are not mutually g_C-orthogonal")
-
-
-def _hermitian_rows(signs: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Row-wise ``hermitian_product``; broadcasts over leading axes."""
-    return np.sum(signs * z * np.conj(w), axis=-1)
 
 
 def _pivot_steps(sig: Signature, fixed: dict[int, np.ndarray], start: np.ndarray, count: int):
@@ -81,7 +76,7 @@ def _pivot_steps(sig: Signature, fixed: dict[int, np.ndarray], start: np.ndarray
     cand = np.repeat(start[None], count, axis=0)  # row k of cand[i] is candidate k
     for slot, v in fixed.items():
         mats[:, :, slot] = v
-        hp = _hermitian_rows(signs, cand, v[:, None, :])
+        hp = hermitian_rows(signs, cand, v[:, None, :])
         cand = cand - (signs[slot] * hp)[..., None] * v[:, None, :]
     minus = [c for c in range(sig.p) if c not in fixed]
     plus = [c for c in range(sig.p, dim) if c not in fixed]
@@ -114,7 +109,7 @@ def _pivot_steps(sig: Signature, fixed: dict[int, np.ndarray], start: np.ndarray
         mats[live, :, np.choose(side, (slot_of[0][taken[0]], slot_of[1][taken[1]]))] = u
         taken[side, rows] += 1
         used[rows, best] = True
-        hp = _hermitian_rows(signs, cand, u[:, None, :])
+        hp = hermitian_rows(signs, cand, u[:, None, :])
         cand = cand - (np.where(side == 1, 1.0, -1.0)[:, None] * hp)[..., None] * u[:, None, :]
     det = np.linalg.det(mats[live])
     on_circle = ~(np.abs(np.hypot(det.real, det.imag) - 1.0) > 1e-9)

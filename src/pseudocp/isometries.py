@@ -23,6 +23,7 @@ from .linalg import (
     causal_characters,
     check_sphere_rows,
     gdot_rows,
+    hermitian_rows,
     metric_signs,
 )
 
@@ -88,7 +89,7 @@ def frame_to_isometries(sig: Signature, q, eta_hat) -> np.ndarray:
     if any(c in (CausalCharacter.LIGHTLIKE, CausalCharacter.ZERO) for c in chars):
         raise CausalCharacterError("marked direction must be spacelike or timelike")
     ev = ev / np.sqrt(np.abs(gdot_rows(sig.signs, ev, ev)))[:, None]
-    hp = np.sum(sig.signs * ev * np.conj(q), axis=-1)
+    hp = hermitian_rows(sig.signs, ev, q)
     if np.any(np.hypot(hp.real, hp.imag) > 1e-8):
         raise FrameError("marked direction is not horizontal at q")
     spacelike = np.array([c is CausalCharacter.SPACELIKE for c in chars], dtype=bool)

@@ -77,26 +77,29 @@ def as_ambient(sig: Signature, z) -> np.ndarray:
     return v
 
 
+def hermitian_rows(signs: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Row-wise indefinite Hermitian product sum signs z conj(w) of stacked
+    vectors; broadcasts over leading axes. Every Hermitian product and
+    metric below is built on it."""
+    return np.sum(signs * z * np.conj(w), axis=-1)
+
+
 def hermitian_product(sig: Signature, z, w) -> complex:
     """Indefinite Hermitian product: minus on the first p slots, plus after.
 
     Conjugate symmetric: ``hermitian_product(z, w) == conj(hermitian_product(w, z))``.
     """
-    zv = as_ambient(sig, z)
-    wv = as_ambient(sig, w)
-    return complex(np.sum(sig.signs * zv * np.conj(wv)))
+    return complex(hermitian_rows(sig.signs, as_ambient(sig, z), as_ambient(sig, w)))
 
 
 def real_metric(sig: Signature, z, w) -> float:
     """Real part of the Hermitian product: the ambient semi-Riemannian metric."""
-    zv = as_ambient(sig, z)
-    wv = as_ambient(sig, w)
-    return float(np.real(np.sum(sig.signs * zv * np.conj(wv))))
+    return float(gdot_rows(sig.signs, as_ambient(sig, z), as_ambient(sig, w)))
 
 
 def gdot_rows(signs: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise real metric for stacked vectors; broadcasts over leading axes."""
-    return np.real(np.sum(signs * a * np.conj(b), axis=-1))
+    return np.real(hermitian_rows(signs, a, b))
 
 
 def jmul(z) -> np.ndarray:

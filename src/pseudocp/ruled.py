@@ -6,17 +6,22 @@ that keeps the covariant derivative inside that span (gluing the hyperplane
 leaves along the curve without rotations). The ODE is linear in the frame:
 the curve states on the half-step grid and the real propagator matrices of
 the RK4 steps are formed one block of steps at a time, so each step is one
-matrix product and the temporaries of the transport stay bounded.
-Evaluation composes the transported frame with the exponential map over
-stacked patch parameters (``RHSPatch.lifts_at``); a single point
-(``rhs_lift``) is its one-row case.
+matrix product and the temporaries of the transport stay bounded. The
+parametrization is itself the patch of its hypersurface: its ``lifts_at``
+composes the transported frame with the exponential map over stacked patch
+parameters u = (s, leaf coordinates); a single point (``rhs_lift``) is its
+one-row case. Any object with ``sig``, ``n_params`` and ``lifts_at`` is a
+patch (``TransformedPatch``, ``GeodesicSpherePatch``).
 
 Every kernel below takes a stack of points, and a point is a stack of one
 row. Almost contact frames come from one batched kernel,
 ``hypersurface_frames``: for a stack of patch parameters it evaluates the
 lifts of the central-difference stencils (``lifts_at``), aligns phases,
 projects to the horizontal space and takes one SVD per row as stacked array
-operations. It returns one ``AlmostContactFrame`` holding the stack. Both
+operations. It returns one ``AlmostContactFrame`` holding the stack, which
+carries its patch and parameter rows, so the kernels that differentiate
+the patch further (``second_forms``, ``weingarten_apply``,
+``structure_field_identity``) take the frames alone. Both
 kernels run their rows in fixed blocks (``_ROW_BLOCK`` lift rows), so their
 memory stays bounded however large the stack; every step is row-wise, so the
 results are bit-identical to a single block, and the chart, rank and
@@ -83,6 +88,7 @@ from .linalg import (
     causal_character,
     causal_characters,
     gdot_rows,
+    hermitian_rows,
     real_metric,
 )
 from .projective import (
@@ -102,7 +108,7 @@ OUTER_FD_STEP = 2e-3
 CHART_RADIUS = np.pi / 2
 #: relative lightlike threshold for numerically measured vectors
 NUMERIC_LIGHT_TOL = 1e-5
-#: patch lift rows evaluated per block by ``RHSPatch.lifts_at``; a
+#: patch lift rows evaluated per block by ``RHSParametrization.lifts_at``; a
 #: ``hypersurface_frames`` block holds the stencils of _ROW_BLOCK // (2P + 1)
 #: points. It bounds the temporaries of a stack, whatever its size
 _ROW_BLOCK = 1024
@@ -183,7 +189,8 @@ def _curve_states(curve: SampledCurve, lift: Callable, lo: int, hi: int):
 
 @dataclass(frozen=True)
 class RHSParametrization:
-    """Transported leaf frame along a unit base curve, with evaluators."""
+    """Transported leaf frame along a unit base curve, with evaluators; it is
+    the patch of its ruled hypersurface, u = (s, leaf coordinates)."""
 
     base: SampledCurve
     eps1: float
@@ -201,6 +208,11 @@ class RHSParametrization:
     def leaf_dim(self) -> int:
         return self.frame_samples.shape[1]
 
+    @property
+    def n_params(self) -> int:
+        """Patch parameters u = (s, leaf coordinates)."""
+        return 1 + self.leaf_dim
+
     def s_range(self) -> tuple[float, float]:
         return float(self.base.params[0]), float(self.base.params[-1])
 
@@ -216,6 +228,39 @@ class RHSParametrization:
         gram = np.real(np.einsum("mkd,mld,d->mkl", z, np.conj(z), signs))
         i0 = int(np.argmin(np.abs(self.base.params)))
         return float(np.max(np.abs(gram - gram[i0])))
+
+    def lifts_at(self, rows: np.ndarray) -> np.ndarray:
+        """Sphere lifts at stacked patch parameter rows (M, 1 + k): the
+        geodesic from the base lift at s along the transported frame applied
+        to the leaf coordinates.
+
+        All rows are checked against the chart first: rows of k leaf
+        coordinates, inside ``CHART_RADIUS``, with s inside the curve range;
+        ChartError otherwise. The rows are then evaluated in blocks of
+        ``_ROW_BLOCK``, so the Hermite frame gathered for each row is held
+        for one block at a time. Within a block the frame and the base lift
+        are evaluated once per distinct s (a frame stencil moves s in only
+        three of its rows), the geodesics in one batch. Stacked matrix
+        products keep each row independent of the batch, so the lifts are
+        bit-identical to those of a single block.
+        """
+        rows = np.asarray(rows, dtype=float)
+        leaf = rows[:, 1:]
+        if leaf.ndim != 2 or leaf.shape[1] != self.leaf_dim:
+            raise ChartError(f"expected rows of {self.leaf_dim} leaf coordinates")
+        if np.any(np.sqrt(np.sum(leaf**2, axis=1)) >= CHART_RADIUS):
+            raise ChartError("leaf coordinates outside the chart radius")
+        s_lo, s_hi = self.s_range()
+        if np.any((rows[:, 0] < s_lo - 1e-12) | (rows[:, 0] > s_hi + 1e-12)):
+            raise ChartError("base parameter outside the curve range")
+        out = np.empty((rows.shape[0], self.sig.ambient_dim), dtype=complex)
+        for lo in range(0, rows.shape[0], _ROW_BLOCK):
+            s, coords = rows[lo : lo + _ROW_BLOCK, 0], rows[lo : lo + _ROW_BLOCK, 1:]
+            s_distinct, inverse = np.unique(s, return_inverse=True)
+            v = np.matmul(coords[:, None, :], self.frames_at(s_distinct)[inverse])[:, 0]
+            base = self.lift(s_distinct)[inverse]
+            out[lo : lo + _ROW_BLOCK] = quadric_geodesic(self.sig.signs, base, v, 1.0)
+        return out
 
     def orthogonality_defect(self) -> tuple[float, float]:
         """Worst defects of the frame against velocity and J velocity."""
@@ -374,59 +419,13 @@ def transport_basis(curve: SampledCurve) -> RHSParametrization:
 
 def rhs_lift(par: RHSParametrization, s: float, coords) -> np.ndarray:
     """Smooth (non-canonicalized) sphere lift of the parametrization point:
-    the one-row case of ``RHSPatch.lifts_at``."""
-    return RHSPatch(par).lifts_at(np.concatenate([[s], np.asarray(coords, dtype=float)])[None])[0]
-
-
-def _check_chart(par: RHSParametrization, s_values: np.ndarray, coords: np.ndarray) -> None:
-    """Raise ChartError unless every base parameter and leaf coordinate row
-    lies inside the chart of the parametrization."""
-    if coords.ndim != 2 or coords.shape[1] != par.leaf_dim:
-        raise ChartError(f"expected rows of {par.leaf_dim} leaf coordinates")
-    if np.any(np.sqrt(np.sum(coords**2, axis=1)) >= CHART_RADIUS):
-        raise ChartError("leaf coordinates outside the chart radius")
-    lo, hi = par.s_range()
-    if np.any((s_values < lo - 1e-12) | (s_values > hi + 1e-12)):
-        raise ChartError("base parameter outside the curve range")
+    the one-row case of ``RHSParametrization.lifts_at``."""
+    return par.lifts_at(np.concatenate([[s], np.asarray(coords, dtype=float)])[None])[0]
 
 
 def rhs_evaluate(par: RHSParametrization, s: float, coords) -> ProjectivePoint:
     """Point of the ruled hypersurface at base parameter s and leaf coordinates."""
     return canonicalize(par.sig, rhs_lift(par, s, coords))
-
-
-class RHSPatch:
-    """Patch interface over a parametrization: u = (s, leaf coordinates)."""
-
-    def __init__(self, par: RHSParametrization):
-        self.par = par
-        self.sig = par.sig
-        self.n_params = 1 + par.leaf_dim
-
-    def lifts_at(self, rows: np.ndarray) -> np.ndarray:
-        """Sphere lifts at stacked parameter rows (M, 1 + k): the geodesic
-        from the base lift at s along the transported frame applied to the
-        leaf coordinates.
-
-        All rows are checked against the chart first. The rows are then
-        evaluated in blocks of ``_ROW_BLOCK``, so the Hermite frame gathered
-        for each row is held for one block at a time. Within a block the
-        frame and the base lift are evaluated once per distinct s (a frame
-        stencil moves s in only three of its rows), the geodesics in one
-        batch. Stacked matrix products keep each row independent of the
-        batch, so the lifts are bit-identical to those of a single block.
-        """
-        rows = np.asarray(rows, dtype=float)
-        par = self.par
-        _check_chart(par, rows[:, 0], rows[:, 1:])
-        out = np.empty((rows.shape[0], par.sig.ambient_dim), dtype=complex)
-        for lo in range(0, rows.shape[0], _ROW_BLOCK):
-            s, coords = rows[lo : lo + _ROW_BLOCK, 0], rows[lo : lo + _ROW_BLOCK, 1:]
-            s_distinct, inverse = np.unique(s, return_inverse=True)
-            v = np.matmul(coords[:, None, :], par.frames_at(s_distinct)[inverse])[:, 0]
-            base = par.lift(s_distinct)[inverse]
-            out[lo : lo + _ROW_BLOCK] = quadric_geodesic(par.sig.signs, base, v, 1.0)
-        return out
 
 
 class TransformedPatch:
@@ -487,7 +486,7 @@ def _phase_factor(signs: np.ndarray, w: np.ndarray, ref: np.ndarray) -> np.ndarr
     turns parameter lines into horizontal curves to first order, so finite
     differences of horizontal fields need no vertical correction.
     """
-    a = np.sum(signs * w * np.conj(ref), axis=-1)
+    a = hermitian_rows(signs, w, ref)
     # rounds like abs() of a Python complex; np.abs can differ by an ulp
     mod = np.hypot(a.real, a.imag)
     small = mod < 1e-12
@@ -501,19 +500,26 @@ def _realify(z: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class AlmostContactFrame:
     """Unit normal data N, epsilon, xi and phi at a stack of hypersurface
-    points; a point is a stack of one row.
+    points of a patch; a point is a stack of one row.
 
-    The fields hold one row per point on a leading axis: lift (N, d),
-    tangents (N, P, d), normal (N, d) and epsilon (N,). A vector argument x
-    holds one vector per point, (N, d), or an axis of several vectors per
-    point, (N, m, d).
+    ``patch`` is the patch the frames were measured on and ``rows`` (N, P)
+    its parameters at the points, so the kernels that differentiate the
+    patch further take the frames alone. The other fields hold one row per
+    point on a leading axis: lift (N, d), tangents (N, P, d), normal (N, d)
+    and epsilon (N,). A vector argument x holds one vector per point,
+    (N, d), or an axis of several vectors per point, (N, m, d).
     """
 
-    sig: Signature
+    patch: object
+    rows: np.ndarray
     lift: np.ndarray
     tangents: np.ndarray
     normal: np.ndarray
     epsilon: np.ndarray
+
+    @property
+    def sig(self) -> Signature:
+        return self.patch.sig
 
     @property
     def xi(self) -> np.ndarray:
@@ -521,7 +527,9 @@ class AlmostContactFrame:
 
     def row(self, i) -> "AlmostContactFrame":
         """The stack of the rows that the slice or index array i selects."""
-        return AlmostContactFrame(self.sig, self.lift[i], self.tangents[i], self.normal[i], self.epsilon[i])
+        return AlmostContactFrame(
+            self.patch, self.rows[i], self.lift[i], self.tangents[i], self.normal[i], self.epsilon[i]
+        )
 
     def _spread(self, x: np.ndarray):
         """lift, normal and epsilon broadcast against the vectors x."""
@@ -617,7 +625,9 @@ def hypersurface_frames(
     ``ref`` the lift, tangents and normal are then phase-aligned to the
     reference lift and the normal's sign is taken against the reference
     normal; a reference of one row serves every row, one of N rows holds
-    the reference frame of each row.
+    the reference frame of each row. The frames carry ``patch`` and a
+    float copy of the rows, so a caller that reuses its array later does
+    not move them.
 
     The tangents are horizontal, hence g-orthogonal to the g-orthonormal w0
     and i w0, so the constraints lose rank exactly when the tangents do: a
@@ -630,7 +640,7 @@ def hypersurface_frames(
     sig = patch.sig
     signs = sig.signs
     dim = sig.ambient_dim
-    rows = np.asarray(rows, dtype=float)
+    rows = np.array(rows, dtype=float)
     count, p = rows.shape
     w0 = np.empty((count, dim), dtype=complex)
     t = np.empty((count, p, dim), dtype=complex)
@@ -652,7 +662,7 @@ def hypersurface_frames(
         flip = np.real(np.sum(nu * np.conj(ref.normal), axis=-1)) < 0
         nu = np.where(flip[:, None], -nu, nu)
     return AlmostContactFrame(
-        sig=sig, lift=w0, tangents=t, normal=nu, epsilon=np.where(gn > 0, 1.0, -1.0)
+        patch=patch, rows=rows, lift=w0, tangents=t, normal=nu, epsilon=np.where(gn > 0, 1.0, -1.0)
     )
 
 
@@ -675,10 +685,10 @@ def _extrapolated_difference(values: np.ndarray, h: float) -> np.ndarray:
     return (4.0 * d2 - d1) / 3.0
 
 
-def second_forms(patch, frames: AlmostContactFrame, rows: np.ndarray) -> np.ndarray:
+def second_forms(frames: AlmostContactFrame) -> np.ndarray:
     """Second fundamental forms H (N, P, P) in the coordinate tangents at
-    the stacked patch parameters rows (N, P), ``frames`` holding the frames
-    there: the Gauss formula H_kl = g(d_k d_l f, N).
+    the points of a stacked frame, on its patch at its parameter rows
+    (N, P): the Gauss formula H_kl = g(d_k d_l f, N).
 
     Each row u gets the stencil u, u +- s e_k and u +- s (e_k + e_l) (k < l)
     at s = h and s = h/2, h = ``OUTER_FD_STEP``: 1 + 4 (P + P (P - 1) / 2)
@@ -694,8 +704,8 @@ def second_forms(patch, frames: AlmostContactFrame, rows: np.ndarray) -> np.ndar
     combined over both steps as (4 D(h/2) - D(h)) / 3; the mixed terms are
     (D_{k+l} - D_k - D_l) / 2, so H is symmetric by construction.
     """
-    signs = patch.sig.signs
-    rows = np.asarray(rows, dtype=float)
+    signs = frames.sig.signs
+    rows = frames.rows
     count, p = rows.shape
     k, l = np.triu_indices(p, 1)
     eye = np.eye(p)
@@ -708,7 +718,7 @@ def second_forms(patch, frames: AlmostContactFrame, rows: np.ndarray) -> np.ndar
         u = rows[lo : lo + block]
         n = u.shape[0]
         stencil = np.concatenate([u[:, None], (u[:, None, None] + moves).reshape(n, -1, p)], axis=1)
-        w = _patch_lifts(patch, stencil.reshape(-1, p)).reshape(n, stencil.shape[1], -1)
+        w = _patch_lifts(frames.patch, stencil.reshape(-1, p)).reshape(n, stencil.shape[1], -1)
         w = w * _phase_factor(signs, w, frames.lift[lo : lo + block, None])[..., None]
         pair = gdot_rows(signs, w, frames.normal[lo : lo + block, None])
         center = pair[:, :1]
@@ -739,35 +749,32 @@ def _shape_images(frames: AlmostContactFrame, forms: np.ndarray, x: np.ndarray) 
     return np.sum(c[..., None] * t[:, None], axis=-2).reshape(x.shape)
 
 
-def weingarten_apply(patch, frame: AlmostContactFrame, u: np.ndarray, x: np.ndarray) -> np.ndarray:
+def weingarten_apply(frames: AlmostContactFrame, x: np.ndarray) -> np.ndarray:
     """Shape operator A X applied to tangent vectors, from the Gauss formula.
 
-    ``frame`` holds the frames at the stacked patch parameters u (N, P); x
-    holds one vector per point or an axis of several vectors per point (as
-    for ``AlmostContactFrame``). The Weingarten equation gives
+    ``frames`` is a stack of frames of a patch; x holds one vector per point
+    or an axis of several vectors per point (as for
+    ``AlmostContactFrame``). The Weingarten equation gives
     g(A X, Y) = H(X, Y) with H the second fundamental form, so
     A x = sum_k c_k t_k with c = G^-1 H a: G_kl = g(t_k, t_l) on the
     frame's tangents, H from one ``second_forms`` call and a the tangent
     coordinates of x.
     """
-    return _shape_images(frame, second_forms(patch, frame, u), x)
+    return _shape_images(frames, second_forms(frames), x)
 
 
-def _normal_difference(patch, frame: AlmostContactFrame, u, x, h: float) -> np.ndarray:
+def _normal_difference(frames: AlmostContactFrame, x, h: float) -> np.ndarray:
     """``_extrapolated_difference`` at step h of the unit normal moved from
-    the patch parameters u along the tangents x (shaped as for
-    ``weingarten_apply``), each moved frame aligned to the frame at its own
-    point; all moved frames come from one ``hypersurface_frames`` call, in
+    the points of a stacked frame along one tangent x (N, d) each, each
+    moved frame aligned to the frame at its own point; all moved frames
+    come from one ``hypersurface_frames`` call on the frames' patch, in
     offset-major order. Only the structure identity uses it, so its left
     side stays independent of the Gauss formula."""
     x = np.asarray(x, dtype=complex)
-    u = np.asarray(u, dtype=float)
-    a = frame.tangent_coords(x)
-    if a.ndim > u.ndim:
-        u = np.expand_dims(u, -2)
-    steps = (h * _FD_OFFSETS).reshape((4,) + (1,) * a.ndim)
-    owner = np.broadcast_to(np.arange(a.shape[0]).reshape((-1,) + (1,) * (a.ndim - 2)), (4,) + a.shape[:-1])
-    moved = hypersurface_frames(patch, (u + steps * a).reshape(-1, a.shape[-1]), ref=frame.row(owner.ravel()))
+    a = frames.tangent_coords(x)
+    centers = (frames.rows + (h * _FD_OFFSETS)[:, None, None] * a).reshape(-1, a.shape[-1])
+    owner = np.tile(np.arange(a.shape[0]), 4)
+    moved = hypersurface_frames(frames.patch, centers, ref=frames.row(owner))
     return _extrapolated_difference(moved.normal.reshape((4,) + x.shape), h)
 
 
@@ -845,7 +852,7 @@ def shape_operators(patch, rows: np.ndarray) -> ShapeReport:
     for lo in range(0, count, block):
         part = slice(lo, lo + block)
         fr = frames.row(part)
-        forms = second_forms(patch, fr, rows[part])
+        forms = second_forms(fr)
         xi = fr.xi
         axi = _shape_images(fr, forms, xi)
         mu[part] = gdot_rows(sig.signs, axi, xi)
@@ -923,11 +930,11 @@ def codazzi_residual(patch, u: np.ndarray, rng: np.random.Generator) -> float:
     fields = np.tile(np.concatenate([ay_dir, ax_dir]), (4, 1))
     moved = hypersurface_frames(patch, centers, ref=frame)
     vecs = np.einsum("mp,mpd->md", fields, moved.tangents)
-    images = weingarten_apply(patch, moved, centers, vecs)
+    images = weingarten_apply(moved, vecs)
     # the two differences are two vectors at the one point u
     d_a = frame.tangential(_extrapolated_difference(images.reshape(4, 1, 2, -1), h))
     d_v = frame.tangential(_extrapolated_difference(vecs.reshape(4, 1, 2, -1), h))
-    cov_x_ay, cov_y_ax = (d_a - weingarten_apply(patch, frame, u[None], d_v))[0]
+    cov_x_ay, cov_y_ax = (d_a - weingarten_apply(frame, d_v))[0]
     phi_y = frame.phi(y)
     rhs = (
         frame.eta(x)[:, None] * phi_y
@@ -938,10 +945,9 @@ def codazzi_residual(patch, u: np.ndarray, rng: np.random.Generator) -> float:
     return float(np.sqrt(np.sum(np.abs(res) ** 2)))
 
 
-def structure_field_identity(patch, frame: AlmostContactFrame, u: np.ndarray, x: np.ndarray) -> np.ndarray:
+def structure_field_identity(frames: AlmostContactFrame, x: np.ndarray) -> np.ndarray:
     """Residuals (N,) of the derived identity relating the structure field
-    to phi A at the stacked patch parameters u (N, P) along the tangents
-    x (N, d), ``frame`` holding the frames at u.
+    to phi A at the points of a stacked frame along the tangents x (N, d).
 
     Differentiates the structure field along x (``_extrapolated_difference``
     at h = ``OUTER_FD_STEP``) and compares the tangential covariant
@@ -949,8 +955,8 @@ def structure_field_identity(patch, frame: AlmostContactFrame, u: np.ndarray, x:
     xi = -i N is -i times ``_normal_difference``; the shape images come
     from one ``weingarten_apply`` call.
     """
-    nxi = frame.tangential(-1j * _normal_difference(patch, frame, u, x, OUTER_FD_STEP))
-    return np.max(np.abs(nxi - frame.phi(weingarten_apply(patch, frame, u, x))), axis=-1)
+    nxi = frames.tangential(-1j * _normal_difference(frames, x, OUTER_FD_STEP))
+    return np.max(np.abs(nxi - frames.phi(weingarten_apply(frames, x))), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -997,7 +1003,6 @@ def regenerate_integral_curve(par: RHSParametrization) -> tuple[SampledCurve, fl
     between the curve's unit velocity and the measured structure field at
     about 30 interior samples.
     """
-    patch = RHSPatch(par)
     sig = par.sig
     step = LINE_STEP
     lo, hi = par.s_range()
@@ -1006,10 +1011,10 @@ def regenerate_integral_curve(par: RHSParametrization) -> tuple[SampledCurve, fl
         raise ClassificationError("base curve range too small to regenerate")
     count = int(round(half_span / step))
     params = step * np.arange(-count, count + 1) + 0.0
-    rows = np.zeros((params.shape[0], patch.n_params))
+    rows = np.zeros((params.shape[0], par.n_params))
     rows[:, 0] = params
 
-    frames = hypersurface_frames(patch, rows)
+    frames = hypersurface_frames(par, rows)
     lifts, xi = frames.lift, frames.xi
     a = frames.tangent_coords(xi)
     tangency = max(np.max(np.abs(a[:, 1:]), initial=0.0), np.max(np.abs(np.abs(a[:, 0]) - 1.0)))

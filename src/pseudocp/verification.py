@@ -26,7 +26,7 @@ from .examples import IdentityLine
 from .isometries import frame_to_isometries
 from .linalg import Signature, gdot_rows, jmul, metric_signs
 from .projective import canonical_phases, curvature_tensor_rows, random_horizontal_units, random_sphere_points
-from .ruled import RHSPatch, hypersurface_frames
+from .ruled import hypersurface_frames
 
 ACCEPTANCE_SIGNATURES = (Signature(2, 1), Signature(3, 1), Signature(3, 2), Signature(4, 2))
 
@@ -132,21 +132,20 @@ def almost_contact_lines(pars) -> list[IdentityLine]:
     rng = np.random.default_rng(ALMOST_CONTACT_SEED)
     lines = []
     for ex, par in pars.items():
-        patch = RHSPatch(par)
-        rows = np.zeros((ALMOST_CONTACT_POINTS, patch.n_params))
-        coeffs = np.empty((2, ALMOST_CONTACT_POINTS, patch.n_params))
+        rows = np.zeros((ALMOST_CONTACT_POINTS, par.n_params))
+        coeffs = np.empty((2, ALMOST_CONTACT_POINTS, par.n_params))
         for k in range(ALMOST_CONTACT_POINTS):
             rows[k, 0] = rng.uniform(-0.35, 0.35)
             c = rng.standard_normal(par.leaf_dim)
             rows[k, 1:] = c / np.sqrt(np.sum(c**2)) * rng.uniform(0.02, 0.25)
-            coeffs[:, k] = rng.standard_normal((2, patch.n_params))
-        fr = hypersurface_frames(patch, rows)
+            coeffs[:, k] = rng.standard_normal((2, par.n_params))
+        fr = hypersurface_frames(par, rows)
         x = fr.unit_tangents(coeffs[0])
         phi_xi = float(np.max(np.abs(fr.phi(fr.xi))))
         eta_xi = float(np.max(np.abs(fr.eta(fr.xi) - fr.epsilon)))
         res = fr.phi(fr.phi(x)) + x - (fr.epsilon * fr.eta(x))[:, None] * fr.xi
         phi_sq = float(np.max(np.abs(res)))
-        nabla = float(np.max(ruled.structure_field_identity(patch, fr, rows, fr.unit_tangents(coeffs[1]))))
+        nabla = float(np.max(ruled.structure_field_identity(fr, fr.unit_tangents(coeffs[1]))))
         lines.append(IdentityLine(f"example{ex}_phi_xi", phi_xi, ALGEBRAIC_TOL))
         lines.append(IdentityLine(f"example{ex}_eta_xi", eta_xi, ALGEBRAIC_TOL))
         lines.append(IdentityLine(f"example{ex}_phi_square", phi_sq, ALGEBRAIC_TOL))

@@ -88,7 +88,6 @@ from pseudocp.ruled import (
     AlmostContactFrame,
     GeodesicSpherePatch,
     MinimalCase,
-    RHSPatch,
     TransformedPatch,
     _phase_factor,
     horizontal_lift,
@@ -197,12 +196,12 @@ def _par(example_id, sig=None):
 
 
 def _family_patch(example_id, sig=None, t=None):
-    """The patch of a default family at ``sig``, moved by its ruling
-    isometry at t when t is given."""
-    patch = RHSPatch(_par(example_id, sig))
+    """The patch of a default family at ``sig`` (its parametrization),
+    moved by its ruling isometry at t when t is given."""
+    par = _par(example_id, sig)
     if t is None:
-        return patch
-    return TransformedPatch(ruling_isometry(example_spec(example_id, sig=sig), t), patch)
+        return par
+    return TransformedPatch(ruling_isometry(example_spec(example_id, sig=sig), t), par)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +261,8 @@ def _ref_frame(patch, u, h=INNER_FD_STEP):
     j = int(np.argmax(np.abs(nu)))
     if np.real(nu[j]) < 0 or (np.real(nu[j]) == 0 and np.imag(nu[j]) < 0):
         nu = -nu
-    return AlmostContactFrame(sig, w0[None], t[None], nu[None], np.array([1.0 if gn > 0 else -1.0]))
+    u = np.asarray(u, dtype=float)[None]
+    return AlmostContactFrame(patch, u, w0[None], t[None], nu[None], np.array([1.0 if gn > 0 else -1.0]))
 
 
 def _ref_aligned(patch, u, ref):
@@ -272,7 +272,7 @@ def _ref_aligned(patch, u, ref):
     nu = fr.normal * ph
     if float(np.real(np.sum(nu * np.conj(ref.normal)))) < 0:
         nu = -nu
-    return AlmostContactFrame(fr.sig, fr.lift * ph, fr.tangents * ph, nu, fr.epsilon)
+    return replace(fr, lift=fr.lift * ph, tangents=fr.tangents * ph, normal=nu)
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +280,10 @@ def _ref_aligned(patch, u, ref):
 # ---------------------------------------------------------------------------
 
 
-def _nested_weingarten(patch, frame0, u, x):
-    """The Weingarten map at the patch parameters u (P,), whose frame is the
-    one-row frame0, on the vectors x (..., d): the extrapolated difference
-    of numeric unit normals at ``INNER_FD_STEP`` along x, each moved frame
+def _nested_weingarten(frame0, x):
+    """The Weingarten map at the one point of the one-row frame0 on the
+    vectors x (..., d): the extrapolated difference of numeric unit normals
+    at ``INNER_FD_STEP`` along x on frame0's patch, each moved frame
     aligned to frame0, an independent reference for the Gauss formula. The
     central differences D at steps h and h/2 are combined as
     (4 D(h/2) - D(h)) / 3."""
@@ -291,7 +291,8 @@ def _nested_weingarten(patch, frame0, u, x):
     x = np.asarray(x, dtype=complex)
     a = frame0.tangent_coords(x.reshape(1, -1, x.shape[-1]))[0]
     offsets = np.array([h, -h, 0.5 * h, -0.5 * h])[:, None, None] * a
-    nu = hypersurface_frames(patch, (u + offsets).reshape(-1, a.shape[1]), ref=frame0).normal
+    centers = (frame0.rows[0] + offsets).reshape(-1, a.shape[1])
+    nu = hypersurface_frames(frame0.patch, centers, ref=frame0).normal
     plus, minus, half_plus, half_minus = nu.reshape(4, 1, a.shape[0], -1)
     d_h = (plus - minus) / (2.0 * h)
     d_half = (half_plus - half_minus) / h
@@ -302,7 +303,7 @@ def _ref_shape_matrix(patch, u, basis, signs):
     """The shape matrix at u in a given adapted basis (xi first) with its
     signs: entry (a, b) is signs[a] g(A e_b, e_a), each image A e_b from
     ``_nested_weingarten`` at the scalar frame ``_ref_frame``."""
-    images = _nested_weingarten(patch, _ref_frame(patch, u), u, basis)
+    images = _nested_weingarten(_ref_frame(patch, u), basis)
     bil = np.array([[real_metric(patch.sig, img, b) for img in images] for b in basis])
     return signs[:, None] * bil
 
@@ -631,7 +632,7 @@ def _ref_sample_text(example_id, grid_s, grid_t, grid_leaf, fmt, seed_r=None, le
     par = transport_basis(example_integral_curve(spec).curve)
     grid = leaf_coordinate_grid(par, grid_s, grid_leaf, radius=leaf_radius)
     s_values, coords = grid[::grid_leaf, 0], grid[:grid_leaf, 1:]
-    lifts = RHSPatch(par).lifts_at(grid).reshape(grid_s, grid_leaf, -1)
+    lifts = par.lifts_at(grid).reshape(grid_s, grid_leaf, -1)
     leaf_dim = coords.shape[1]
     rows = []
     for tv in np.linspace(T_RANGE[0], T_RANGE[1], grid_t).tolist():
@@ -664,25 +665,24 @@ def _ref_sample_text(example_id, grid_s, grid_t, grid_leaf, fmt, seed_r=None, le
 def _ref_regenerate(par, half_span=0.35, step=2e-3):
     """The +step chain to its end, then the -step chain, one frame per stage;
     returns the re-lifted curve, its xi defect and the RK4 parameter path."""
-    patch = RHSPatch(par)
     sig = par.sig
     lo, hi = par.s_range()
     half_span = min(half_span, 0.0 - lo - 5 * step, hi - 0.0 - 5 * step)
-    u0 = np.zeros(patch.n_params)
+    u0 = np.zeros(par.n_params)
     u0[0] = 0.0
-    frame0 = hypersurface_frame(patch, u0)
+    frame0 = hypersurface_frame(par, u0)
     if real_metric(sig, frame0.xi[0], frame0.tangents[0, 0]) * par.eps1 < 0:
         frame0 = replace(frame0, normal=-frame0.normal)
     state = {}
 
     def velocity(uu):
-        fr = hypersurface_frames(patch, uu[None], ref=state["ref"])
+        fr = hypersurface_frames(par, uu[None], ref=state["ref"])
         state["ref"] = fr
         return fr.tangent_coords(fr.xi)[0]
 
     count = int(round(half_span / step))
     params = step * np.arange(-count, count + 1) + 0.0
-    upath = np.empty((params.shape[0], patch.n_params))
+    upath = np.empty((params.shape[0], par.n_params))
     upath[count] = u0
     for direction in (+1, -1):
         u = u0.copy()
@@ -695,10 +695,10 @@ def _ref_regenerate(par, half_span=0.35, step=2e-3):
             k4 = velocity(u + hstep * k3)
             u = u + hstep * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
             upath[count + direction * (i + 1)] = u
-    reps = patch.lifts_at(upath)
+    reps = par.lifts_at(upath)
     curve = horizontal_lift(sig, reps, reps[count], params=params, anchor=count)
     idx = np.arange(4, params.shape[0] - 4, max(1, params.shape[0] // 30))
-    frames = hypersurface_frames(patch, upath[idx])
+    frames = hypersurface_frames(par, upath[idx])
     xi = frames.xi * _phase_factor(sig.signs, frames.lift, curve.lifts[idx])[:, None]
     vel = curve.velocity[idx]
     vel = vel / np.sqrt(np.abs(gdot_rows(sig.signs, vel, vel)))[:, None]

@@ -408,6 +408,30 @@ class TestClassify:
         assert "need at least 3 samples" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("s", 0.5, "s must be a flat list of numbers"),
+            ("s", [[1e-3 * k] for k in range(5)], "s must be a flat list of numbers"),
+            ("s", [0.0, [1e-3], 2e-3, 3e-3, 4e-3], "s must be a flat list of numbers"),
+            ("s", ["0", "a", "b", "c", "d"], "s must be a flat list of numbers"),
+            ("lifts", [[0, 0], [0, 0], [0, 0], [1, 0]], "lifts: expected 4 [re, im] pairs"),
+            ("lifts", [[[0, 0], [0, 0], [1, 0]]] * 5, "lifts: expected 4 [re, im] pairs"),
+        ],
+        ids=["s_number", "s_nested", "s_ragged", "s_strings", "lifts_one_row", "lifts_short_rows"],
+    )
+    def test_malformed_samples_field_is_named(self, tmp_path, capsys, field, value, message):
+        """A ``samples`` document whose ``s`` is no flat list of numbers, or
+        whose ``lifts`` are no rows of [re, im] pairs, is a parse error, exit
+        2, whose message names the field."""
+        data = {"s": [1e-3 * k for k in range(5)], "lifts": [[[0, 0], [0, 0], [0, 0], [1, 0]]] * 5}
+        doc = {"signature": {"n": 3, "p": 1}, "kind": "samples", "data": {**data, field: value}}
+        path = write_json(tmp_path / "samples.json", doc)
+        assert run_cli("classify", path) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot parse curve file: {message}\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
     def test_circle_timelike_must_be_a_json_boolean(self, tmp_path, capsys, value):
         """``timelike`` is never coerced: the string "false" would read as
@@ -884,8 +908,8 @@ class TestVerify:
         family and the structure derivative lines, and no other line."""
         second_forms = ruled.second_forms
 
-        def slipped(patch, frames, rows):
-            forms = second_forms(patch, frames, rows)
+        def slipped(frames):
+            forms = second_forms(frames)
             return np.where(np.eye(forms.shape[-1], dtype=bool), forms, 1.002 * forms)
 
         monkeypatch.setattr(ruled, "second_forms", slipped)

@@ -23,7 +23,6 @@ from pseudocp.linalg import Signature, jmul, metric_signs, real_metric
 from pseudocp.projective import sphere_geodesic
 from pseudocp.ruled import (
     MinimalCase,
-    RHSPatch,
     TransformedPatch,
     shape_operator_at,
     transport_basis,
@@ -158,7 +157,7 @@ class TestExampleFields:
         t = 0.33
         sig = spec.sig
         par = transport_basis(example_integral_curve(spec).curve)
-        patch = TransformedPatch(ruling_isometry(spec, t), RHSPatch(par))
+        patch = TransformedPatch(ruling_isometry(spec, t), par)
         rep = shape_operator_at(patch, np.zeros(patch.n_params))
         mu, uvec, frame = rep.mu[0], rep.u_vec[0], rep.frame
         psi = example_map(spec, t)

@@ -11,6 +11,7 @@ nested difference of numeric normals (``oracles._ref_shape_matrix``) within
 """
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -94,6 +95,30 @@ def test_aligned_frames_match_scalar(name):
         assert np.max(np.abs(got.normal[[i]] - want.normal)) < 1e-12
 
 
+@pytest.mark.parametrize("name", ["family1", "family2_t", "sphere"])
+def test_frames_carry_their_patch_and_rows(name):
+    """A stack of frames holds the patch it was measured on and a copy of
+    its parameter rows, through ``row``, through a ``ref`` call and on a
+    moved patch; the second forms of selected rows equal those rows of the
+    stacked call bit for bit."""
+    patch = PATCHES[name]()
+    rows = np.array([_point(patch, seed) for seed in range(4)])
+    reused = rows.copy()
+    frames = hypersurface_frames(patch, reused)
+    reused += 1.0
+    assert frames.patch is patch and frames.sig is patch.sig
+    assert np.array_equal(frames.rows, rows)
+    moved = rows + 1e-3
+    aligned = hypersurface_frames(patch, moved, ref=frames.row([0]))
+    assert aligned.patch is patch and np.array_equal(aligned.rows, moved)
+    forms = second_forms(frames)
+    for idx in ([2], [3, 1], slice(1, 3)):
+        part = frames.row(idx)
+        assert part.patch is patch
+        assert np.array_equal(part.rows, rows[idx])
+        assert np.array_equal(second_forms(part), forms[idx])
+
+
 @pytest.mark.parametrize("name", sorted(PATCHES))
 def test_weingarten_stack_matches_scalar(name, rng):
     """Each image of a stacked call, three vectors at each of two points,
@@ -103,11 +128,11 @@ def test_weingarten_stack_matches_scalar(name, rng):
     frames = hypersurface_frames(patch, rows)
     coeff = rng.standard_normal((2,) + rows.shape)
     xs = np.stack([frames.xi, frames.unit_tangents(coeff[0]), frames.unit_tangents(coeff[1])], axis=1)
-    got = weingarten_apply(patch, frames, rows, xs)
+    got = weingarten_apply(frames, xs)
     assert got.shape == xs.shape
-    for i, u in enumerate(rows):
+    for i in range(len(rows)):
         for x, ax in zip(xs[i], got[i]):
-            assert np.array_equal(ax, weingarten_apply(patch, frames.row([i]), u[None], x[None])[0])
+            assert np.array_equal(ax, weingarten_apply(frames.row([i]), x[None])[0])
 
 
 @pytest.mark.parametrize("name", sorted(PATCHES))
@@ -130,14 +155,14 @@ def test_rhs_lift_is_row_zero_of_lifts_at(example_id):
     rows = np.array([_point(patch, seed) for seed in range(4)])
     batch = patch.lifts_at(rows)
     for k, u in enumerate(rows):
-        one = rhs_lift(patch.par, u[0], u[1:])
+        one = rhs_lift(patch, u[0], u[1:])
         assert np.array_equal(one, patch.lifts_at(rows[k:])[0])
         assert np.array_equal(one, batch[k])
-    grid = leaf_coordinate_grid(patch.par, 2, 3)
+    grid = leaf_coordinate_grid(patch, 2, 3)
     lifts = patch.lifts_at(grid).reshape(2, 3, -1)
     for i, s in enumerate(grid[::3, 0]):
         for j, c in enumerate(grid[:3, 1:]):
-            assert np.array_equal(lifts[i, j], rhs_lift(patch.par, s, c))
+            assert np.array_equal(lifts[i, j], rhs_lift(patch, s, c))
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +289,10 @@ def test_non_finite_lift_raises_lift_error_first(monkeypatch, block):
 
 
 def test_second_forms_refuse_a_non_finite_lift():
-    """The Gauss-formula stencil takes its lifts from the same place."""
+    """The Gauss-formula stencil takes its lifts from the same place: frames
+    measured at good rows, then moved to rows whose stencils reach a
+    non-finite lift (a frame there would raise first)."""
     patch = _Regions(GOOD, RANK_DEFICIENT, DEGENERATE, _NonFinite())
     frames = hypersurface_frames(patch, _rows(0, 0))
     with pytest.raises(LiftError, match=_first_non_finite(_rows(3)[0])):
-        second_forms(patch, frames, _rows(0, 3))
+        second_forms(replace(frames, rows=_rows(0, 3)))

@@ -1,4 +1,4 @@
-"""Row blocks of the patch kernels: ``RHSPatch.lifts_at`` and
+"""Row blocks of the patch kernels: ``RHSParametrization.lifts_at`` and
 ``hypersurface_frames`` evaluate a stack in blocks of ``ruled._ROW_BLOCK``
 lift rows, ``second_forms`` and ``shape_operators`` in blocks of points
 (``ruled._points_per_block``), and the transport forms its curve states
@@ -23,7 +23,7 @@ from pseudocp.errors import ChartError, LiftError
 from pseudocp.examples import example_integral_curve, example_spec, gamma_seed
 from pseudocp.linalg import Signature
 from pseudocp.ruled import (
-    RHSPatch,
+    RHSParametrization,
     hypersurface_frames,
     leaf_coordinate_grid,
     regenerate_integral_curve,
@@ -38,19 +38,19 @@ BLOCKS = [1, 7, 10**9]
 
 def _outputs(patch):
     """Every array the blocked kernels return on one family patch."""
-    rows = leaf_coordinate_grid(patch.par, 5, 4)
+    rows = leaf_coordinate_grid(patch, 5, 4)
     moved = rows + 2e-3
     frames = hypersurface_frames(patch, rows)
     stacked_ref = hypersurface_frames(patch, moved, ref=frames)
     point_ref = hypersurface_frames(patch, moved, ref=frames.row([0]))
     reports = shape_operators(patch, rows)
-    curve, defect = regenerate_integral_curve(patch.par)
+    curve, defect = regenerate_integral_curve(patch)
     return [
         patch.lifts_at(np.concatenate([rows, moved])),
         *(
             getattr(f, name)
             for f in (frames, stacked_ref, point_ref)
-            for name in ("lift", "tangents", "normal", "epsilon")
+            for name in ("rows", "lift", "tangents", "normal", "epsilon")
         ),
         reports.matrix,
         reports.basis,
@@ -114,7 +114,7 @@ class _NanNearPatch:
     base parameter ``s_nan``: the second-form stencils of a row at
     ``s_nan`` reach them, its frame stencils (1e-4 off) do not."""
 
-    def __init__(self, inner: RHSPatch, s_nan: float):
+    def __init__(self, inner: RHSParametrization, s_nan: float):
         self.inner = inner
         self.sig = inner.sig
         self.n_params = inner.n_params
@@ -135,7 +135,7 @@ def test_second_form_failures_raise_from_the_first_failing_block(monkeypatch):
     inner = _family_patch(1)
     patch = _NanNearPatch(inner, 0.1)
     lift_bad = np.array([0.1, 0.05, 0.0, 0.0, 0.0])
-    chart_bad = np.array([inner.par.s_range()[1] - 5e-4, 0.05, 0.0, 0.0, 0.0])
+    chart_bad = np.array([inner.s_range()[1] - 5e-4, 0.05, 0.0, 0.0, 0.0])
     good = np.array([[0.0, 0.05, 0.0, 0.0, 0.0], [-0.1, 0.0, 0.05, 0.0, 0.0]])
     monkeypatch.setattr(ruled, "_points_per_block", lambda width, blocks=1: 1)
     with pytest.raises(LiftError, match=re.escape("u = [0.10")):
@@ -169,7 +169,7 @@ def test_shape_sweep_peak_memory_is_bounded():
     rows = leaf_coordinate_grid(par, 40, 12)
     tracemalloc.start()
     try:
-        shape_operators(RHSPatch(par), rows)
+        shape_operators(par, rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

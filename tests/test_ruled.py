@@ -23,7 +23,6 @@ from pseudocp.examples import (
 from pseudocp.linalg import CausalCharacter, Signature, gdot_rows, hermitian_product, real_metric
 from pseudocp.projective import canonicalize
 from pseudocp.ruled import (
-    RHSPatch,
     ShapeForm,
     MinimalCase,
     classify_minimal_ruled,
@@ -43,7 +42,7 @@ SIG = Signature(3, 1)
 
 
 def _frame_at(par, s, coords):
-    return hypersurface_frame(RHSPatch(par), np.concatenate([[s], coords]))
+    return hypersurface_frame(par, np.concatenate([[s], coords]))
 
 
 class TestTransportBasis:
@@ -168,16 +167,16 @@ class TestAlmostContact:
         structure covector: (nabla_X phi)Y = eps g(Y,xi) AX - eps g(AX,Y) xi."""
         from pseudocp.ruled import hypersurface_frames
 
-        patch = RHSPatch(family1_par)
+        par = family1_par
         u = np.array([0.07, 0.04, -0.06, 0.03, 0.08])
-        fr = hypersurface_frame(patch, u)
+        fr = hypersurface_frame(par, u)
         x = random_unit_tangent(fr, rng)
         y_coeff = rng.standard_normal(fr.tangents.shape[1])
         y = y_coeff @ fr.tangents
         ax_dir = fr.tangent_coords(x)[0]
         h = 1e-3
         def field_values(uu):
-            f2 = hypersurface_frames(patch, uu[None], ref=fr)
+            f2 = hypersurface_frames(par, uu[None], ref=fr)
             yv = y_coeff @ f2.tangents
             return f2.phi(yv), yv
 
@@ -186,7 +185,7 @@ class TestAlmostContact:
         d_phi_y = fr.tangential((pp - pm) / (2.0 * h))
         d_y = fr.tangential((yp - ym) / (2.0 * h))
         lhs = (d_phi_y - fr.phi(d_y))[0]
-        ax = weingarten_apply(patch, fr, u[None], x)[0]
+        ax = weingarten_apply(fr, x)[0]
         eps = fr.epsilon[0]
         rhs = eps * fr.eta(y)[0] * ax - eps * real_metric(SIG, ax, y[0]) * fr.xi[0]
         assert np.max(np.abs(lhs - rhs)) < 1e-4
@@ -195,7 +194,7 @@ class TestAlmostContact:
 class TestShapeOperator:
     def test_leaf_block_vanishes_and_pattern(self, family1_par):
         """Rank two, symmetric, with the leaf vector paired to the structure."""
-        rep = shape_operator_at(RHSPatch(family1_par), np.array([0.1, 0.1, 0.05, -0.08, 0.02]))
+        rep = shape_operator_at(family1_par, np.array([0.1, 0.1, 0.05, -0.08, 0.02]))
         assert rep.dd_block_max[0] < 1e-6
         assert abs(rep.mu[0]) < 1e-6
         assert rep.rank[0] == 2
@@ -209,12 +208,11 @@ class TestShapeOperator:
 
     def test_self_adjointness(self, family1_par, rng):
         u = np.array([0.12, 0.03, -0.1, 0.02, 0.06])
-        patch = RHSPatch(family1_par)
-        fr = hypersurface_frame(patch, u)
+        fr = hypersurface_frame(family1_par, u)
         x = random_unit_tangent(fr, rng)
         y = random_unit_tangent(fr, rng)
-        ax = weingarten_apply(patch, fr, u[None], x)
-        ay = weingarten_apply(patch, fr, u[None], y)
+        ax = weingarten_apply(fr, x)
+        ay = weingarten_apply(fr, y)
         assert real_metric(SIG, ax[0], y[0]) == pytest.approx(
             real_metric(SIG, x[0], ay[0]), abs=1e-6
         )
@@ -222,11 +220,10 @@ class TestShapeOperator:
     def test_rank_two_cross_relation(self, family1_par):
         """Structure image pairs back: g(A W, xi) equals g(W, A xi)."""
         u = np.array([0.0, 0.1, 0.1, -0.05, 0.0])
-        patch = RHSPatch(family1_par)
-        rep = shape_operator_at(patch, u)
+        rep = shape_operator_at(family1_par, u)
         fr = rep.frame
         w = rep.u_vec / rep.lam[:, None]
-        aw = weingarten_apply(patch, fr, u[None], w)
+        aw = weingarten_apply(fr, w)
         # A W should be parallel to xi with coefficient eps * lam
         expected = (fr.epsilon * rep.lam)[:, None] * fr.xi
         sign = np.sign(real_metric(SIG, rep.u_vec[0], w[0]))
@@ -236,15 +233,14 @@ class TestShapeOperator:
         """At the unit-modulus seed, U is null and A kills U and phi U."""
         spec = example_spec(1, seed_z=gamma_seed(example_spec(1).sig, np.pi / 4))
         par = transport_basis(example_integral_curve(spec).curve)
-        patch = RHSPatch(par)
-        u = np.zeros(patch.n_params)
+        u = np.zeros(par.n_params)
         u[0] = 0.12
-        rep = shape_operator_at(patch, u)
+        rep = shape_operator_at(par, u)
         uvec, fr = rep.u_vec, rep.frame
         assert abs(real_metric(SIG, uvec[0], uvec[0])) < 1e-6
         assert float(np.sqrt(np.sum(np.abs(uvec) ** 2))) > 0.5
-        au = weingarten_apply(patch, fr, u[None], uvec)
-        aphiu = weingarten_apply(patch, fr, u[None], fr.phi(uvec))
+        au = weingarten_apply(fr, uvec)
+        aphiu = weingarten_apply(fr, fr.phi(uvec))
         assert np.max(np.abs(au)) < 1e-4
         assert np.max(np.abs(aphiu)) < 1e-4
         assert rep.form == [ShapeForm.LIGHTLIKE_U]
@@ -268,7 +264,7 @@ class TestShapeOperator:
     @pytest.mark.parametrize("example_id", EXAMPLE_IDS)
     def test_default_family_grid_reads_rank_two_non_null_u(self, example_id):
         par = _par(example_id)
-        reports = shape_operators(RHSPatch(par), leaf_coordinate_grid(par, 5, 4))
+        reports = shape_operators(par, leaf_coordinate_grid(par, 5, 4))
         assert reports.matrix.shape[0] == 20
         assert set(zip(reports.rank.tolist(), reports.form)) == {(2, ShapeForm.RANK_TWO_NON_NULL_U)}
 
@@ -280,11 +276,10 @@ class TestVerifyAndMinimality:
 
     def test_family_one_grid_passes(self, family1_par):
         rows = leaf_coordinate_grid(family1_par, 3, 2)
-        patch = RHSPatch(family1_par)
-        reports = shape_operators(patch, rows)
+        reports = shape_operators(family1_par, rows)
         assert reports.dd_block_max.shape == (6,)
         assert np.max(reports.dd_block_max) < 1e-4
-        assert codazzi_residual(patch, rows[0], np.random.default_rng(7)) < 1e-4
+        assert codazzi_residual(family1_par, rows[0], np.random.default_rng(7)) < 1e-4
 
     def test_control_fails(self):
         patch = _sphere_patch()
@@ -292,14 +287,13 @@ class TestVerifyAndMinimality:
         assert np.max(shape_operators(patch, rows).dd_block_max) > 1e-4
 
     def test_single_point_grid(self, family1_par):
-        patch = RHSPatch(family1_par)
-        reports = shape_operators(patch, np.zeros((1, patch.n_params)))
+        reports = shape_operators(family1_par, np.zeros((1, family1_par.n_params)))
         assert reports.dd_block_max.shape == (1,)
         assert reports.dd_block_max[0] < 1e-4
 
     def test_minimality_family_one(self, family1_par):
         rows = leaf_coordinate_grid(family1_par, 3, 2)
-        worst = np.max(np.abs(shape_operators(RHSPatch(family1_par), rows).mu))
+        worst = np.max(np.abs(shape_operators(family1_par, rows).mu))
         assert worst < 1e-4
 
     def test_minimality_control_false(self):

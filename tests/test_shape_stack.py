@@ -15,7 +15,6 @@ from oracles import _family_patch, _nested_weingarten, _par, _ref_shape_matrix, 
 from pseudocp.isometries import boost
 from pseudocp.linalg import Signature, gdot_rows
 from pseudocp.ruled import (
-    RHSPatch,
     TransformedPatch,
     codazzi_residual,
     hypersurface_frames,
@@ -33,7 +32,7 @@ from pseudocp.ruled import (
 
 def _family(example_id, sig, t=None):
     patch = _family_patch(example_id, sig, t)
-    par = (patch if t is None else patch.inner).par
+    par = patch if t is None else patch.inner
     return patch, leaf_coordinate_grid(par, 2, 2)[:3]
 
 
@@ -72,12 +71,12 @@ def test_stacked_shape_operators_equal_the_pointwise_loop(name):
             assert np.array_equal(getattr(one, field), getattr(reports, field)[[i]])
         for field in ("form", "u_character"):
             assert getattr(one, field) == getattr(reports, field)[i : i + 1]
-        for field in ("lift", "tangents", "normal", "epsilon"):
+        for field in ("rows", "lift", "tangents", "normal", "epsilon"):
             assert np.array_equal(getattr(one.frame, field), getattr(reports.frame, field)[[i]])
         want = _ref_shape_matrix(patch, u, reports.basis[i], reports.basis_signs[i])
         assert np.max(np.abs(reports.matrix[i] - want)) < 1e-6
         xi = one.frame.xi
-        mu = gdot_rows(patch.sig.signs, _nested_weingarten(patch, one.frame, u, xi), xi)
+        mu = gdot_rows(patch.sig.signs, _nested_weingarten(one.frame, xi), xi)
         assert abs(reports.mu[i] - mu[0]) < 1e-6
 
 
@@ -87,10 +86,10 @@ def test_structure_field_identity_equals_the_pointwise_loop(name):
     patch, rows = CASES[name]()
     frames = hypersurface_frames(patch, rows)
     x = frames.unit_tangents(np.random.default_rng(2).standard_normal(rows.shape))
-    got = structure_field_identity(patch, frames, rows, x)
+    got = structure_field_identity(frames, x)
     assert got.shape == (len(rows),)
     for i in range(len(rows)):
-        assert np.array_equal(got[[i]], structure_field_identity(patch, frames.row([i]), rows[[i]], x[[i]]))
+        assert np.array_equal(got[[i]], structure_field_identity(frames.row([i]), x[[i]]))
 
 
 @pytest.mark.parametrize("name", list(CASES))
@@ -103,9 +102,9 @@ def test_gauss_formula_matches_the_nested_normal_difference(name):
     rng = np.random.default_rng(5)
     xs = np.stack([frames.xi, frames.unit_tangents(rng.standard_normal(rows.shape)),
                    frames.unit_tangents(rng.standard_normal(rows.shape))], axis=1)
-    got = weingarten_apply(patch, frames, rows, xs)
-    for i, u in enumerate(rows):
-        want = _nested_weingarten(patch, frames.row([i]), u, xs[i])
+    got = weingarten_apply(frames, xs)
+    for i in range(len(rows)):
+        want = _nested_weingarten(frames.row([i]), xs[i])
         scale = max(1.0, float(np.max(np.sqrt(np.sum(np.abs(want) ** 2, axis=-1)))))
         assert np.max(np.abs(got[i] - want)) <= 1e-6 * scale
 
@@ -118,5 +117,5 @@ def test_codazzi_holds_under_a_boost(example_id, t):
     leaf coordinates of the first grid row, rng seed 11."""
     par = _par(example_id)
     u = np.concatenate([[0.05], leaf_coordinate_grid(par, 5, 4, radius=0.25)[0, 1:]])
-    patch = TransformedPatch(boost(par.sig, t), RHSPatch(par))
+    patch = TransformedPatch(boost(par.sig, t), par)
     assert codazzi_residual(patch, u, np.random.default_rng(11)) <= 1e-4

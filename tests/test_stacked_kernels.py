@@ -10,18 +10,19 @@ lines equal the loop of one-row calls over the suite's own draws. The
 seeded draws of the frame suites are checked for their properties.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import _oracle_adapted_basis, _oracle_orthonormalize, _par, _realify, random_unit_tangent
-from pseudocp import ruled, verification
+from pseudocp import verification
 from pseudocp.errors import FrameError
 from pseudocp.examples import EXAMPLE_IDS, example_spec, ruling_isometry
 from pseudocp.frames import orthonormalize_real_metric
 from pseudocp.linalg import gdot_rows
 from pseudocp.ruled import (
-    RHSPatch,
     TransformedPatch,
     adapted_bases,
     hypersurface_frame,
@@ -42,21 +43,22 @@ def _mixed_stack(example_id):
     part U of A xi and a mask pinning it on every other row."""
     spec = example_spec(example_id)
     par = _par(example_id)
-    patch = TransformedPatch(ruling_isometry(spec, 0.3), RHSPatch(par))
+    patch = TransformedPatch(ruling_isometry(spec, 0.3), par)
     rows = leaf_coordinate_grid(par, 3, 3)
     frames = hypersurface_frames(patch, rows)
-    axi = weingarten_apply(patch, frames, rows, frames.xi)
+    axi = weingarten_apply(frames, frames.xi)
     mu = np.sum(frames.sig.signs * axi * np.conj(frames.xi), axis=-1).real
     uvec = axi - (frames.epsilon * mu)[:, None] * frames.xi
     return patch, rows, frames, uvec, np.arange(len(rows)) % 2 == 0
 
 
-def _with_tangents(frames, replace):
-    """The stack with the tangents of some rows replaced."""
+def _with_tangents(frames, tangents):
+    """The stack with the tangents of some rows replaced: ``tangents`` maps
+    a row index to its new tangents."""
     t = frames.tangents.copy()
-    for i, rows in replace.items():
+    for i, rows in tangents.items():
         t[i] = rows
-    return ruled.AlmostContactFrame(frames.sig, frames.lift, t, frames.normal, frames.epsilon)
+    return replace(frames, tangents=t)
 
 
 def _degenerate_tangents(frames, i, kind):
@@ -184,21 +186,20 @@ def test_almost_contact_lines_equal_the_pointwise_loop():
     rng = np.random.default_rng(verification.ALMOST_CONTACT_SEED)
     want = []
     for par in pars.values():
-        patch = RHSPatch(par)
         worst = np.zeros(4)
         for _ in range(verification.ALMOST_CONTACT_POINTS):
-            u = np.zeros(patch.n_params)
+            u = np.zeros(par.n_params)
             u[0] = rng.uniform(-0.35, 0.35)
             c = rng.standard_normal(par.leaf_dim)
             u[1:] = c / np.sqrt(np.sum(c**2)) * rng.uniform(0.02, 0.25)
-            fr = hypersurface_frame(patch, u)
+            fr = hypersurface_frame(par, u)
             x, y = random_unit_tangent(fr, rng), random_unit_tangent(fr, rng)
             res = fr.phi(fr.phi(x)) + x - (fr.epsilon * fr.eta(x))[:, None] * fr.xi
             residuals = [
                 np.max(np.abs(fr.phi(fr.xi))),
                 abs(fr.eta(fr.xi) - fr.epsilon)[0],
                 np.max(np.abs(res)),
-                structure_field_identity(patch, fr, u[None], y)[0],
+                structure_field_identity(fr, y)[0],
             ]
             worst = np.maximum(worst, residuals)
         want.extend(worst.tolist())
