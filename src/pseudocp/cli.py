@@ -9,9 +9,11 @@ precondition, such as a curve that matches no minimal case); 2 a
 configuration that cannot be read or holds a non-finite or
 mistyped value, a curve file that cannot be parsed, whose ``n``, ``p`` or
 ``example`` is no JSON integer, whose ``example`` is no family id, whose
-circle ``timelike`` is no JSON boolean, or whose ``samples`` ``s`` is no
-flat list of numbers or ``lifts`` no rows of [re, im] pairs, the message
-naming the field); 3 one
+circle ``timelike`` is no JSON boolean, whose ``s_range`` is no list of
+two JSON numbers, whose ``step``, ``kappa1``, ``seed_r`` or ``t0`` is no
+JSON number, or whose ``samples`` ``s`` is no flat list of numbers,
+``lifts`` no rows of [re, im] pairs, or ``lifts`` a row count other than
+that of ``s``, the message naming the field); 3 one
 of ``_PRECONDITION_ERRORS`` (lightlike data, a seed or ``t0`` outside its
 family's domain, a seed whose open slot is below
 ``examples.OPEN_SLOT_FLOOR`` included, a circle curvature that is not
@@ -334,14 +336,31 @@ def _json_bool(value, name: str) -> bool:
     return value
 
 
+def _json_number(value, name: str) -> float:
+    """A field that must be a JSON number, as a float: a string, a boolean,
+    a list, null or an integer beyond the float range raises ValueError.
+    NaN and the infinities pass, for the grid and family checks to refuse."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValueError(f"{name} is beyond the float range") from exc
+
+
 def _curve_from_file(doc: dict) -> SampledCurve:
     sig = Signature(_json_int(doc["signature"]["n"], "n"), _json_int(doc["signature"]["p"], "p"))
-    s_lo, s_hi = doc.get("s_range", (-0.5, 0.5))
-    step = float(doc.get("step", 1e-3))
+    s_range = doc.get("s_range", [-0.5, 0.5])
+    if not (isinstance(s_range, list) and len(s_range) == 2):
+        raise ValueError(f"s_range must be a list of two numbers, got {s_range!r}")
+    s_lo, s_hi = (_json_number(x, "s_range") for x in s_range)
+    step = _json_number(doc.get("step", 1e-3), "step")
     kind = doc["kind"]
     if kind == "samples":
         params = _flat_numbers(doc["data"]["s"], "s")
         lifts = _complex_vector(doc["data"]["lifts"], sig.ambient_dim, "lifts", rows=True)
+        if lifts.shape[0] != params.shape[0]:
+            raise ValueError(f"lifts holds {lifts.shape[0]} rows for the {params.shape[0]} entries of s")
         if not (np.all(np.isfinite(params)) and np.all(np.isfinite(lifts))):
             raise SamplingError("samples document holds a non-finite s or lift entry")
         if params.shape[0] < 2:  # no step to read; SampledCurve checks every other grid
@@ -376,7 +395,7 @@ def _curve_from_file(doc: dict) -> SampledCurve:
         crv = model_circle_curve(
             sig,
             data["model"],
-            float(data["kappa1"]),
+            _json_number(data["kappa1"], "kappa1"),
             _json_bool(data.get("timelike", False), "timelike"),
         )
         return crv.sample(s_lo, s_hi, step)
@@ -384,12 +403,13 @@ def _curve_from_file(doc: dict) -> SampledCurve:
         ex = _json_int(data["example"], "example")
         if ex not in EXAMPLE_IDS:
             raise ValueError(f"unknown example id {ex}")
-        seed = _seeds([ex], sig, float(data["seed_r"]) if "seed_r" in data else None).get(ex)
+        seed_r = _json_number(data["seed_r"], "seed_r") if "seed_r" in data else None
+        seed = _seeds([ex], sig, seed_r).get(ex)
         if seed is None and "z" in data:
             seed = _complex_vector(data["z"], sig.n, "z")
         spec = example_spec(ex, sig=sig, seed_z=seed)
         return example_integral_curve(
-            spec, t=float(data.get("t0", 0.0)), step=step, s_range=(s_lo, s_hi)
+            spec, t=_json_number(data.get("t0", 0.0), "t0"), step=step, s_range=(s_lo, s_hi)
         ).curve
     raise ValueError(f"unknown closed form family {family!r}")
 

@@ -4,7 +4,9 @@ A curve in the quotient is handled through phase-coherent horizontal lifts
 sampled on a uniform grid; an exact lift evaluator is attached when the
 curve comes from a closed form. Covariant derivatives go through the
 ambient derivative, the sphere-tangential split and the horizontal
-projection, which realizes the quotient connection on lifts.
+projection, which realizes the quotient connection on lifts. The Frenet
+data stop at stage two (F1, F2 and the covariant derivative of F2), which
+tells the three minimal cases apart.
 
 Row arithmetic runs on float64 views of the complex rows (``real_view``):
 an (m, d) complex stack is an (m, 2d) float stack with each entry's (re, im)
@@ -331,63 +333,52 @@ class FrenetResult:
 
 
 def frenet_apparatus(curve: SampledCurve) -> FrenetResult:
-    """Iteratively build the orthonormal frame fields along a unit curve.
+    """The first two Frenet stages of a unit curve, which tell the three
+    minimal cases apart.
 
-    Each stage differentiates the last frame field, removes the back term,
-    and normalizes the remainder into the next frame vector. Iteration stops
-    at a vanishing remainder (the order is reached; order one is the
-    geodesic, order two possibly the totally real circle), at a lightlike
-    one, which is the non-Frenet case when the remainder is parallel, or
-    at the full order 2n.
+    Stage one differentiates F1 = alpha': a vanishing remainder is the
+    geodesic (order one); a lightlike one is the non-Frenet case when it is
+    parallel, else OTHER; a remainder that changes sign is OTHER; any other
+    is normalized into F2, with kappa1 and eps2. Stage two differentiates F2
+    and removes the back term: a vanishing remainder gives order two and
+    the totally real circle test, and any other remainder is OTHER.
     """
     defect = curve.speed_defect()
     if defect > CURVE_TOL:
         raise SpeedError(f"unit speed defect {defect:.3e} exceeds {CURVE_TOL:.1e}")
     s2 = curve.real_signs
-    frames = [real_view(curve.velocity) * (1.0 / np.sqrt(np.abs(curve.speed2)))[:, None]]
-    curv: list = []
-    eps = [curve.eps1]
+    f1 = real_view(curve.velocity) * (1.0 / np.sqrt(np.abs(curve.speed2)))[:, None]
 
-    def result(cls: CurveClass, detail: dict, f2=None) -> FrenetResult:
-        views = [f.view(complex) for f in frames]
-        return FrenetResult(len(frames), views, curv, eps, cls, detail, f2)
+    def order_one(cls: CurveClass, detail: dict, f2=None) -> FrenetResult:
+        return FrenetResult(1, [f1.view(complex)], [], [curve.eps1], cls, detail, f2)
 
-    stage = 1
-    while True:
-        d = _covariant_rows(curve, frames[-1])
-        if len(curv) >= 1:
-            d = d + eps[-2] * curv[-1][:, None] * frames[-2]
-        stage += 1
-        ecore = norm2_real(_interior(d, stage))
-        rnorm = float(np.sqrt(np.max(ecore)))
-        if rnorm <= FRENET_TOL:
-            fr = result(CurveClass.OTHER, {"residual": rnorm})
-            if fr.order == 1:
-                return replace(fr, classification=CurveClass.GEODESIC)
-            ok, report = is_totally_real_circle(fr, curve)
-            if ok:
-                return replace(fr, classification=CurveClass.TOTALLY_REAL_CIRCLE, detail=report)
-            return fr
-        g = gdot_real(s2, d, d)
-        gcore = _interior(g, stage)
-        if np.all(np.abs(gcore) <= LIGHT_TOL * ecore):
-            if len(frames) == 1:
-                dd = _covariant_rows(curve, d)
-                par = float(np.sqrt(np.max(norm2_real(_interior(dd, stage + 1)))))
-                cls = (
-                    CurveClass.CASE_C_NON_FRENET if par <= 10 * FRENET_TOL else CurveClass.OTHER
-                )
-                return result(cls, {"lightlike_parallel_defect": par}, d.view(complex))
-            return result(CurveClass.OTHER, {"lightlike_stage": stage})
-        sgn = 1.0 if median_is_positive(gcore) else -1.0
-        if np.any(sgn * gcore <= 0):
-            return result(CurveClass.OTHER, {"sign_change": True})
-        kappa = np.sqrt(np.abs(g))
-        frames.append(d * (sgn / kappa)[:, None])
-        curv.append(kappa)
-        eps.append(sgn)
-        if len(frames) >= 2 * curve.sig.n:
-            return result(CurveClass.OTHER, {"max_order": True})
+    d = _covariant_rows(curve, f1)
+    ecore = norm2_real(_interior(d, 2))
+    rnorm = float(np.sqrt(np.max(ecore)))
+    if rnorm <= FRENET_TOL:
+        return order_one(CurveClass.GEODESIC, {"residual": rnorm})
+    g = gdot_real(s2, d, d)
+    gcore = _interior(g, 2)
+    if np.all(np.abs(gcore) <= LIGHT_TOL * ecore):
+        dd = _covariant_rows(curve, d)
+        par = float(np.sqrt(np.max(norm2_real(_interior(dd, 3)))))
+        cls = CurveClass.CASE_C_NON_FRENET if par <= 10 * FRENET_TOL else CurveClass.OTHER
+        return order_one(cls, {"lightlike_parallel_defect": par}, d.view(complex))
+    eps2 = 1.0 if median_is_positive(gcore) else -1.0
+    if np.any(eps2 * gcore <= 0):
+        return order_one(CurveClass.OTHER, {"sign_change": True})
+    kappa = np.sqrt(np.abs(g))
+    f2 = d * (eps2 / kappa)[:, None]
+
+    d = _covariant_rows(curve, f2) + curve.eps1 * kappa[:, None] * f1
+    rnorm = float(np.sqrt(np.max(norm2_real(_interior(d, 3)))))
+    frames = [f1.view(complex), f2.view(complex)]
+    fr = FrenetResult(2, frames, [kappa], [curve.eps1, eps2], CurveClass.OTHER, {"residual": rnorm})
+    if rnorm <= FRENET_TOL:
+        ok, report = is_totally_real_circle(fr, curve)
+        if ok:
+            return replace(fr, classification=CurveClass.TOTALLY_REAL_CIRCLE, detail=report)
+    return fr
 
 
 def is_totally_real_circle(fr: FrenetResult, curve: SampledCurve):
@@ -524,59 +515,58 @@ def model_circle_curve(
     curvature; the mixed model carries spacelike circles only below
     curvature one (use ``timelike`` for the complementary family); the
     negative definite model needs curvature above one and p >= 2.
+
+    Every model is a circle of radius r on two slots and a constant b on a
+    third, trigonometric (C, S = cos, sin; sigma = -1) or hyperbolic (cosh,
+    sinh; sigma = +1): the point (r C(s/r), r S(s/r), b), the velocity
+    (sigma S, C, 0) and the acceleration sigma (C, S, 0) / r.
     """
     if not (kappa1 > 0 and np.isfinite(kappa1 * kappa1)):  # NaN fails too
         raise FrameError(f"circle curvature must be positive with a finite square, got {kappa1!r}")
     n = sig.n
+    hyperbolic = False
     if model == "rp2":
         if sig.p > n - 2:
             raise FrameError("round surface model needs p <= n-2")
         slots = (n - 2, n - 1, n)
-        a = 1.0 / np.sqrt(1.0 + kappa1**2)
-        b = kappa1 * a
-        coords = lambda s: (a * np.cos(s / a), a * np.sin(s / a), b)
-        dcoords = lambda s: (-np.sin(s / a), np.cos(s / a), 0.0)
-        ddcoords = lambda s: (-np.cos(s / a) / a, -np.sin(s / a) / a, 0.0)
+        r = 1.0 / np.sqrt(1.0 + kappa1**2)
+        b = kappa1 * r
     elif model == "s2_1" and not timelike:
         if kappa1 >= 1.0:
             raise FrameError("spacelike mixed-model circles need curvature below one")
-        slots = (0, n - 1, n)
+        slots = (n - 1, n, 0)
         b = kappa1 / np.sqrt(1.0 - kappa1**2)
-        c = np.sqrt(1.0 + b * b)
-        coords = lambda s: (b, c * np.cos(s / c), c * np.sin(s / c))
-        dcoords = lambda s: (0.0, -np.sin(s / c), np.cos(s / c))
-        ddcoords = lambda s: (0.0, -np.cos(s / c) / c, -np.sin(s / c) / c)
+        r = np.sqrt(1.0 + b * b)
     elif model == "s2_1":
-        slots = (0, n - 1, n)
+        slots = (n, 0, n - 1)
         b = kappa1 / np.sqrt(1.0 + kappa1**2)
-        c = np.sqrt(1.0 - b * b)
-        coords = lambda s: (c * np.sinh(s / c), b, c * np.cosh(s / c))
-        dcoords = lambda s: (np.cosh(s / c), 0.0, np.sinh(s / c))
-        ddcoords = lambda s: (np.sinh(s / c) / c, 0.0, np.cosh(s / c) / c)
+        r = np.sqrt(1.0 - b * b)
+        hyperbolic = True
     elif model == "h2_2":
         if sig.p < 2:
             raise FrameError("negative definite surface model needs p >= 2")
         if kappa1 <= 1.0:
             raise FrameError("negative definite model circles need curvature above one")
         slots = (0, 1, n)
-        a = 1.0 / np.sqrt(kappa1**2 - 1.0)
-        b = np.sqrt(1.0 + a * a)
-        coords = lambda s: (a * np.cos(s / a), a * np.sin(s / a), b)
-        dcoords = lambda s: (-np.sin(s / a), np.cos(s / a), 0.0)
-        ddcoords = lambda s: (-np.cos(s / a) / a, -np.sin(s / a) / a, 0.0)
+        r = 1.0 / np.sqrt(kappa1**2 - 1.0)
+        b = np.sqrt(1.0 + r * r)
     else:
         raise FrameError(f"unknown surface model {model!r}")
+    C, S, sigma = (np.cosh, np.sinh, 1.0) if hyperbolic else (np.cos, np.sin, -1.0)
 
-    def place(values) -> np.ndarray:
-        values = np.broadcast_arrays(*values)
-        out = np.zeros(values[0].shape + (sig.ambient_dim,), dtype=complex)
-        out[..., list(slots)] = np.stack(values, axis=-1)
+    def place(x, y, z=0.0) -> np.ndarray:
+        x, y, z = np.broadcast_arrays(x, y, z)
+        out = np.zeros(x.shape + (sig.ambient_dim,), dtype=complex)
+        out[..., list(slots)] = np.stack((x, y, z), axis=-1)
         return out
 
-    point = lambda s: place(coords(s))
-    vel = lambda s: place(dcoords(s))
-    acc = lambda s: place(ddcoords(s))
-    return ClosedFormCurve(sig, point=point, vel=vel, acc=acc, label=f"circle_{model}")
+    return ClosedFormCurve(
+        sig,
+        point=lambda s: place(r * C(s / r), r * S(s / r), b),
+        vel=lambda s: place(sigma * S(s / r), C(s / r)),
+        acc=lambda s: place(sigma * C(s / r) / r, sigma * S(s / r) / r),
+        label=f"circle_{model}",
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from .errors import BasePointError, NotProjectablePoint
 from .frames import complete_unitary_frames
 from .linalg import (
     LIGHT_TOL,
-    CausalCharacter,
     Signature,
     as_ambient,
     check_sphere_rows,
@@ -199,55 +198,13 @@ def _accepted(keep, width: int, count: int, rng: np.random.Generator) -> np.ndar
     return out[:count]
 
 
-def sphere_candidates(sig: Signature, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Square norms g(z,z) (...) of candidate points z (..., d) and whether
-    ``random_sphere_points`` keeps each: g(z,z) > 0.2, which keeps the
-    normalized point away from the null cone."""
-    g = linalg.gdot_rows(sig.signs, z, z)
-    return g, g > 0.2
-
-
 def random_sphere_points(sig: Signature, count: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` random points (count, d) of the pseudo-sphere: the complex
-    normal candidates that ``sphere_candidates`` keeps, normalized."""
-    z = _accepted(lambda c: sphere_candidates(sig, c)[1], sig.ambient_dim, count, rng)
-    return z / np.sqrt(sphere_candidates(sig, z)[0])[:, None]
-
-
-def horizontal_unitary_bases(sig: Signature, q) -> tuple[np.ndarray, np.ndarray]:
-    """Complex g_C-orthonormal bases (N, n, d) of the horizontal spaces at
-    the sphere points q (N, d), with their common signs.
-
-    All frames come from one stacked completion with q in slot n-1.
-    """
-    qv = check_sphere_rows(sig, q, tol=1e-8)
-    mats = complete_unitary_frames(sig, {sig.n - 1: qv})
-    cols = [c for c in range(sig.ambient_dim) if c != sig.n - 1]
-    return mats[:, :, cols].transpose(0, 2, 1), horizontal_signs(sig)
-
-
-def horizontal_signs(sig: Signature) -> np.ndarray:
-    """Signs of every horizontal unitary basis: the frame columns other than
-    the spacelike slot n-1, so -1 on the first p."""
-    return np.array([-1.0 if c < sig.p else 1.0 for c in range(sig.ambient_dim) if c != sig.n - 1])
-
-
-def coefficient_candidates(
-    signs: np.ndarray, coeff: np.ndarray, character: CausalCharacter
-) -> tuple[np.ndarray, np.ndarray]:
-    """Square norms g (...) of candidate coefficients (..., n) over a
-    horizontal basis with these signs, and whether
-    ``random_horizontal_units`` keeps each for the wanted causal character:
-    g of its sign, with |g| above 0.05 of the Euclidean square norm."""
-    want = 1.0 if character is CausalCharacter.SPACELIKE else -1.0
-    g = np.sum(signs * np.abs(coeff) ** 2, axis=-1)
-    return g, want * g > 0.05 * np.sum(np.abs(coeff) ** 2, axis=-1)
-
-
-def horizontal_units(bases: np.ndarray, coeffs: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Unit horizontal vectors (N, d) from bases (N, n, d) and drawn
-    coefficients (N, n) with their square norms g (N,)."""
-    return np.matmul(coeffs[:, None, :], bases)[:, 0] / np.sqrt(np.abs(g))[:, None]
+    normal candidates z with g(z,z) > 0.2, which keeps the normalized point
+    away from the null cone, normalized."""
+    g = lambda z: linalg.gdot_rows(sig.signs, z, z)
+    z = _accepted(lambda c: g(c) > 0.2, sig.ambient_dim, count, rng)
+    return z / np.sqrt(g(z))[:, None]
 
 
 def random_horizontal_units(
@@ -256,17 +213,22 @@ def random_horizontal_units(
     """Random unit horizontal vectors (N, d) at the sphere points q (N, d),
     timelike where ``timelike`` (N,) is set and spacelike elsewhere.
 
-    The coefficients over each point's g-orthonormal horizontal basis are
-    the complex normal candidates that ``coefficient_candidates`` keeps,
-    drawn for the spacelike rows first, so the acceptance probability does
-    not degrade for boosted points. The draws depend on the signs alone,
-    not on the bases, which come from one stacked completion.
+    Each vector is drawn by its complex coefficients over the g-orthonormal
+    horizontal basis at its point: the frame columns other than slot n-1 of
+    one stacked completion with q in that slot, whose signs are -1 on the
+    first p. A candidate is kept when its square norm g has the wanted sign
+    and |g| is above 0.05 of its Euclidean square norm. The spacelike rows
+    are drawn first, so the acceptance probability does not degrade for
+    boosted points; the draws depend on the signs alone, not on the bases.
     """
-    bases, signs = horizontal_unitary_bases(sig, q)
+    qv = check_sphere_rows(sig, q, tol=1e-8)
+    cols = [c for c in range(sig.ambient_dim) if c != sig.n - 1]
+    bases = complete_unitary_frames(sig, {sig.n - 1: qv})[:, :, cols].transpose(0, 2, 1)
+    signs = sig.signs[cols]
     timelike = np.asarray(timelike, dtype=bool)
     coeffs = np.empty(bases.shape[:2], dtype=complex)
-    for character, rows in ((CausalCharacter.SPACELIKE, ~timelike), (CausalCharacter.TIMELIKE, timelike)):
-        keep = lambda c: coefficient_candidates(signs, c, character)[1]
+    g = lambda c: np.sum(signs * np.abs(c) ** 2, axis=-1)
+    for want, rows in ((1.0, ~timelike), (-1.0, timelike)):
+        keep = lambda c: want * g(c) > 0.05 * np.sum(np.abs(c) ** 2, axis=-1)
         coeffs[rows] = _accepted(keep, sig.n, int(np.sum(rows)), rng)
-    g, _ = coefficient_candidates(signs, coeffs, CausalCharacter.SPACELIKE)
-    return horizontal_units(bases, coeffs, g)
+    return np.matmul(coeffs[:, None, :], bases)[:, 0] / np.sqrt(np.abs(g(coeffs)))[:, None]

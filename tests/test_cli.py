@@ -156,8 +156,9 @@ class TestClassify:
 
     def test_nan_circle_curvature_is_a_precondition(self, tmp_path, capsys):
         """A NaN curvature, or one whose square is not finite, is refused
-        like a non-positive one: exit 3."""
-        for kappa1 in (float("nan"), 1e300, float("inf"), "inf"):
+        like a non-positive one: exit 3. (The string "inf" is no JSON
+        number: ``test_numeric_fields_must_be_json_numbers``.)"""
+        for kappa1 in (float("nan"), 1e300, float("inf")):
             doc = {**CIRCLE_DOC, "data": {**CIRCLE_DOC["data"], "kappa1": kappa1}}
             path = write_json(tmp_path / "circ.json", doc)
             assert run_cli("classify", path) == 3, kappa1
@@ -185,6 +186,56 @@ class TestClassify:
         assert run_cli("classify", path) == 2
         captured = capsys.readouterr()
         assert f"{field} must be an integer" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("kappa1", True),
+            ("kappa1", "1.25"),
+            ("kappa1", "inf"),
+            ("seed_r", "0.5"),
+            ("t0", "0.0"),
+            ("step", "0.001"),
+            ("step", True),
+            ("step", 10**400),
+            ("s_range", 5),
+            ("s_range", [0, 1, 2]),
+            ("s_range", ["-0.5", "0.5"]),
+        ],
+        ids=[
+            "kappa1_true",
+            "kappa1_string",
+            "kappa1_string_inf",
+            "seed_r_string",
+            "t0_string",
+            "step_string",
+            "step_true",
+            "step_beyond_float",
+            "s_range_number",
+            "s_range_three",
+            "s_range_strings",
+        ],
+    )
+    def test_numeric_fields_must_be_json_numbers(self, tmp_path, capsys, field, value):
+        """``s_range`` (a list of exactly two), ``step``, ``kappa1``,
+        ``seed_r`` and ``t0`` are never coerced: a string, a boolean, a
+        list of another length or an integer beyond the float range is a
+        parse error, exit 2, whose message names the field."""
+        if field in ("seed_r", "t0"):
+            doc = {
+                "signature": {"n": 3, "p": 1},
+                "kind": "closed_form",
+                "data": {"family": "builtin_flow", "example": 1, field: value},
+            }
+        elif field == "kappa1":
+            doc = {**CIRCLE_DOC, "data": {**CIRCLE_DOC["data"], "kappa1": value}}
+        else:
+            doc = {**CIRCLE_DOC, field: value}
+        path = write_json(tmp_path / "numbers.json", doc)
+        assert run_cli("classify", path) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot parse curve file: {field} ")
         assert captured.out == ""
 
     @pytest.mark.parametrize("t0", [float("inf"), float("-inf"), float("nan")], ids=str)
@@ -417,13 +468,27 @@ class TestClassify:
             ("s", ["0", "a", "b", "c", "d"], "s must be a flat list of numbers"),
             ("lifts", [[0, 0], [0, 0], [0, 0], [1, 0]], "lifts: expected 4 [re, im] pairs"),
             ("lifts", [[[0, 0], [0, 0], [1, 0]]] * 5, "lifts: expected 4 [re, im] pairs"),
+            ("lifts", [[[0, 0], [0, 0], [0, 0], [1, 0]]] * 7, "lifts holds 7 rows for the 5 entries of s"),
+            ("lifts", [[[0, 0], [0, 0], [0, 0], [1, 0]]] * 4, "lifts holds 4 rows for the 5 entries of s"),
+            ("s", [1e-3 * k for k in range(2)], "lifts holds 5 rows for the 2 entries of s"),
         ],
-        ids=["s_number", "s_nested", "s_ragged", "s_strings", "lifts_one_row", "lifts_short_rows"],
+        ids=[
+            "s_number",
+            "s_nested",
+            "s_ragged",
+            "s_strings",
+            "lifts_one_row",
+            "lifts_short_rows",
+            "lifts_more_rows",
+            "lifts_fewer_rows",
+            "s_fewer_entries",
+        ],
     )
     def test_malformed_samples_field_is_named(self, tmp_path, capsys, field, value, message):
-        """A ``samples`` document whose ``s`` is no flat list of numbers, or
-        whose ``lifts`` are no rows of [re, im] pairs, is a parse error, exit
-        2, whose message names the field."""
+        """A ``samples`` document whose ``s`` is no flat list of numbers,
+        whose ``lifts`` are no rows of [re, im] pairs, or whose ``lifts``
+        row count differs from the count of ``s``, is a parse error, exit 2,
+        whose message names the field."""
         data = {"s": [1e-3 * k for k in range(5)], "lifts": [[[0, 0], [0, 0], [0, 0], [1, 0]]] * 5}
         doc = {"signature": {"n": 3, "p": 1}, "kind": "samples", "data": {**data, field: value}}
         path = write_json(tmp_path / "samples.json", doc)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import _e, _geodesic_curve, _ref_case_c_report, covariant_derivative
+from pseudocp import curves
 from pseudocp.curves import (
     MAX_SAMPLES,
     CurveClass,
@@ -177,6 +178,38 @@ class TestFrenetApparatus:
         assert np.max(np.abs(r1[8:-8])) < 5e-6
         assert np.max(np.abs(r2[8:-8])) < 5e-6
 
+    def test_two_stages_classify_every_case(self, monkeypatch):
+        """The classifier differentiates at most twice per curve: once on a
+        geodesic, twice on a circle, on ``case_c1`` (F2, then its parallel
+        defect) and on a two-curvature helix, which is OTHER at order two."""
+        calls = []
+        covariant_rows = curves._covariant_rows
+        monkeypatch.setattr(
+            curves, "_covariant_rows", lambda curve, rows: calls.append(1) or covariant_rows(curve, rows)
+        )
+        a, w = 0.3, 1.0
+        b = np.sqrt(1 - a * a)
+        c = np.sqrt((1 + a * a * w * w) / (b * b))
+
+        def helix(s):
+            return np.stack(
+                [a * np.sinh(w * s), a * np.cosh(w * s), b * np.cos(c * s), b * np.sin(c * s)], axis=-1
+            ).astype(complex)
+
+        e = np.eye(4)
+        circle = model_circle_curve(SIG, "rp2", 1.3).sample(-0.4, 0.4, 1e-3)
+        case_c1 = case_c1_curve(SIG, e[1], e[2], e[0] + e[3]).sample(-0.5, 0.5, 1e-3)
+        cases = [
+            (_geodesic_curve(), CurveClass.GEODESIC, 1, 1),
+            (circle, CurveClass.TOTALLY_REAL_CIRCLE, 2, 2),
+            (case_c1, CurveClass.CASE_C_NON_FRENET, 1, 2),
+            (sampled_curve_from_fn(SIG, helix, -0.5, 0.5, 1e-3), CurveClass.OTHER, 2, 2),
+        ]
+        for curve, cls, order, count in cases:
+            calls.clear()
+            fr = frenet_apparatus(curve)
+            assert (fr.classification, fr.order, len(calls)) == (cls, order, count)
+
     def test_frame_orthonormality(self):
         data = _family1_curve(np.pi / 2)
         fr = frenet_apparatus(data.curve)
@@ -239,14 +272,19 @@ class TestTotallyRealCircle:
             assert report["torsion_max"] < 1e-8
 
     def test_model_circle_acceleration_is_exact(self):
-        """``acc`` is the second derivative of the closed form: it matches a
-        difference of the exact velocity far below the 2e-8 of a second
-        difference of the point at h = 1e-4."""
+        """``vel`` is the derivative of ``point`` and ``acc`` that of
+        ``vel``, each within 1e-9 of a five-point difference (a second
+        difference of the point at h = 1e-4 is good to 2e-8 only), and
+        |g(vel, vel)| = 1: a sign flip shared by ``vel`` and ``acc`` fails."""
         s = np.linspace(-0.4, 0.4, 9)
         for model, kappa, timelike, sig in self.MODEL_CIRCLES:
             crv = model_circle_curve(sig, model, kappa, timelike)
+            gap = np.max(np.abs(crv.vel(s) - fd_derivative(crv.point, s, 1e-3)))
+            assert gap < 1e-9, (model, timelike, "vel", gap)
             gap = np.max(np.abs(crv.acc(s) - fd_derivative(crv.vel, s, 1e-3)))
-            assert gap < 1e-9, (model, timelike, gap)
+            assert gap < 1e-9, (model, timelike, "acc", gap)
+            speed = np.abs(gdot_rows(sig.signs, crv.vel(s), crv.vel(s)))
+            assert np.max(np.abs(speed - 1.0)) < 1e-12, (model, timelike, speed)
 
 
 class TestCaseCVerify:
