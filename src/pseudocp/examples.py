@@ -415,8 +415,11 @@ def generator_lines(
     Checks the curve (which needs its closed form ``lift_fn``), the frame
     transport and the patch; the leaf block and minimality over ``cfg``'s
     leaf grid; that the shape operator on that grid is isometry invariant
-    (lam = |U|, mu and the leaf block on the patch moved by ``boost`` at
-    ``INVARIANCE_RAPIDITY``, against the patch itself row by row); the
+    (lam = |U|, signed mu and the leaf block on the patch moved by
+    ``boost`` at ``INVARIANCE_RAPIDITY``, against the patch itself row by
+    row; the normals of both are oriented by ``ruled.hypersurface_frames``,
+    so mu keeps its sign under the boost, and xi = +alpha'/|alpha'| on the
+    base line); the
     Codazzi identity; and the classification against ``expected`` = (case,
     kind, kappa1), a kind or kappa1 of None going unchecked.
     """
@@ -465,7 +468,9 @@ def family_lines(
     """The lines that compare one family with its closed forms: the slice
     at ``T0``, the structure field's normal and shape image, the constant
     acceleration square along ``data``, and the numeric shape image of the
-    structure field on the patch of ``par`` (sign free)."""
+    structure field on the patch of ``par``, signed: A and xi both change
+    sign with the normal, so A xi does not, and the oriented xi is the
+    closed form's +alpha'/|alpha'| on the base line."""
     g = lambda a, b: real_metric(spec.sig, a, b)
     fields = example_fields(spec, T0)
     psi0 = example_map(spec, T0)
@@ -478,7 +483,7 @@ def family_lines(
     ph = np.sum(frame.lift[0] * np.conj(psi0))
     axi = (frame.epsilon * rep.mu)[:, None] * frame.xi + rep.u_vec
     axi_num = axi[0] * (np.conj(ph) / abs(ph))
-    gap = min(float(np.max(np.abs(axi_num - hor))), float(np.max(np.abs(axi_num + hor))))
+    gap = float(np.max(np.abs(axi_num - hor)))
     return [
         IdentityLine("lift_on_sphere", abs(g(psi0, psi0) - 1.0), 1e-12),
         IdentityLine("normal_unit", abs(g(fields.n_hat, fields.n_hat) - fields.epsilon), 1e-12),

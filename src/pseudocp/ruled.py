@@ -18,9 +18,16 @@ row. Almost contact frames come from one batched kernel,
 ``hypersurface_frames``: for a stack of patch parameters it evaluates the
 lifts of the central-difference stencils (``lifts_at``), aligns phases,
 projects to the horizontal space and takes one SVD per row as stacked array
-operations. It returns one ``AlmostContactFrame`` holding the stack, which
-carries its patch and parameter rows, so the kernels that differentiate
-the patch further (``second_forms``, ``weingarten_apply``,
+operations. It orients each unit normal N by one determinant: the rows
+[w0, i w0, t_1, ..., t_P, N], viewed as real (re, im) pairs, are square
+(P = 2n - 1) and have a positive determinant. A holomorphic isometry or a
+phase of the lift multiplies that determinant by |det_C|^2 > 0, so the
+orientation, and with it the signs of mu = g(A xi, xi) and of the leaf
+vector U, is invariant under both and continuous wherever the frame is; on
+the base line of a parametrization it gives xi = +alpha'/|alpha'|. It
+returns one ``AlmostContactFrame`` holding the stack, which carries its
+patch and parameter rows, so the kernels that differentiate the patch
+further (``second_forms``, ``weingarten_apply``,
 ``structure_field_identity``) take the frames alone. Both
 kernels run their rows in fixed blocks (``_ROW_BLOCK`` lift rows), so their
 memory stays bounded however large the stack; every step is row-wise, so the
@@ -47,9 +54,9 @@ side stays independent of the Gauss formula. The ruled characterization
 (vanishing leaf block) and minimality (mu = g(A xi, xi) = 0) are read off
 the shape reports.
 
-The classifier checks that the structure field is tangent to the base line
-(leaf coordinate 0) at unit parameter speed, so that the base curve is its
-integral curve, then sorts that curve into the three minimal cases.
+The classifier checks that the structure field is the unit velocity of the
+base line (leaf coordinate 0), xi = +alpha'/|alpha'|, so that the base curve
+is its integral curve, then sorts that curve into the three minimal cases.
 """
 
 from __future__ import annotations
@@ -194,7 +201,6 @@ class RHSParametrization:
 
     base: SampledCurve
     eps1: float
-    frame_signs: np.ndarray
     frame_samples: np.ndarray  # (m, k, d)
     frame_derivs: np.ndarray  # (m, k, d)
     velocity: np.ndarray  # (m, d) horizontal velocity of the base curve
@@ -281,17 +287,9 @@ def default_initial_basis(sig: Signature, q: np.ndarray, dq: np.ndarray):
     """
     g = real_metric(sig, dq, dq)
     iso = frame_to_isometry(sig, q, dq / np.sqrt(abs(g)))
-    n, p = sig.n, sig.p
-    used = {n - 1, n if g > 0 else 0}
-    basis, signs = [], []
-    for col in range(sig.ambient_dim):
-        if col in used:
-            continue
-        w = iso.entries[:, col]
-        sgn = -1.0 if col < p else 1.0
-        basis.extend([w, 1j * w])
-        signs.extend([sgn, sgn])
-    return np.array(basis), np.array(signs)
+    used = {sig.n - 1, sig.n if g > 0 else 0}
+    columns = [iso.entries[:, col] for col in range(sig.ambient_dim) if col not in used]
+    return np.array([v for w in columns for v in (w, 1j * w)])
 
 
 def _transport_generators(sig: Signature, eps1: float, q, dq, f) -> np.ndarray:
@@ -381,7 +379,7 @@ def transport_basis(curve: SampledCurve) -> RHSParametrization:
         raise CausalCharacterError("base curve velocity must not be lightlike")
     eps1 = curve.eps1
 
-    basis, signs = default_initial_basis(sig, q0, dq0)
+    basis = default_initial_basis(sig, q0, dq0)
     if abs(float(grid[i0])) > 1e-9:
         raise FrameError("s = 0 must be a sample of the base curve")
 
@@ -404,7 +402,6 @@ def transport_basis(curve: SampledCurve) -> RHSParametrization:
     return RHSParametrization(
         base=curve,
         eps1=eps1,
-        frame_signs=np.asarray(signs, dtype=float),
         frame_samples=frames,
         frame_derivs=derivs,
         velocity=velocity,
@@ -453,7 +450,7 @@ class GeodesicSpherePatch:
         self.radius = radius
         rng = np.random.default_rng(seed)
         self.v0 = random_horizontal_units(self.sig, self.q0[None], rng, [False])[0]
-        leaf, _ = default_initial_basis(self.sig, self.q0, self.v0)
+        leaf = default_initial_basis(self.sig, self.q0, self.v0)
         self.dirs = np.concatenate([[1j * self.v0], leaf])
 
     def lifts_at(self, rows: np.ndarray) -> np.ndarray:
@@ -573,14 +570,6 @@ class AlmostContactFrame:
         return x / np.sqrt(np.sum(np.abs(x) ** 2, axis=-1))[:, None]
 
 
-def _fix_sign(v: np.ndarray) -> np.ndarray:
-    """Rows of v with their largest-modulus entry in the closed right half
-    plane (positive imaginary part on its boundary)."""
-    piv = np.take_along_axis(v, np.argmax(np.abs(v), axis=-1)[:, None], axis=-1)[:, 0]
-    flip = (np.real(piv) < 0) | ((np.real(piv) == 0) & (np.imag(piv) < 0))
-    return np.where(flip[:, None], -v, v)
-
-
 def _frame_block(patch, rows: np.ndarray):
     """Lifts w0 (B, d), horizontal tangents (B, P, d), unnormalized
     normals (B, d) and the largest and smallest singular values of the
@@ -621,21 +610,27 @@ def hypersurface_frames(
     stencil lifts phase-aligned to the lift at u, made horizontal. The
     normal is the g-orthogonal complement of the tangent space inside the
     horizontal space: the null vector of the constraints [w0; i w0; t] on
-    the realified rows, from one SVD; its largest entry fixes its sign. With
+    the realified rows, from one SVD. Its sign makes the real rows
+    [w0, i w0, t, N] ((re, im) pairs, 2d of them, since P = 2n - 1) a
+    positively oriented basis, from one batched determinant: invariant
+    under every holomorphic isometry and every phase of the lift, whose
+    real determinant is |det_C|^2 > 0, and continuous wherever the frame
+    is. On a base line (leaf coordinates 0) the transported leaf frame
+    comes in (w, i w) pairs, so the determinant has the sign of eps when
+    xi = eps alpha'/|alpha'|: the rule gives xi = +alpha'/|alpha'|. With
     ``ref`` the lift, tangents and normal are then phase-aligned to the
-    reference lift and the normal's sign is taken against the reference
-    normal; a reference of one row serves every row, one of N rows holds
-    the reference frame of each row. The frames carry ``patch`` and a
-    float copy of the rows, so a caller that reuses its array later does
-    not move them.
+    reference lift, which keeps the orientation; a reference of one row
+    serves every row, one of N rows holds the reference frame of each row.
+    The frames carry ``patch`` and a float copy of the rows, so a caller
+    that reuses its array later does not move them.
 
     The tangents are horizontal, hence g-orthogonal to the g-orthonormal w0
     and i w0, so the constraints lose rank exactly when the tangents do: a
     row whose smallest singular value is at most 1e-8 max(1, largest)
     raises ImmersionError, a lightlike normal DegenerateHypersurfaceError,
     in that order over every row (the error policy of ``frames``). These
-    checks, the sign fix and the reference alignment run over all rows once
-    every block is done.
+    checks, the orientation and the reference alignment run over all rows
+    once every block is done.
     """
     sig = patch.sig
     signs = sig.signs
@@ -655,12 +650,12 @@ def hypersurface_frames(
         raise ImmersionError("parametrization is rank deficient here")
     if np.any(np.abs(gn) <= LIGHT_TOL * np.sum(np.abs(nu) ** 2, axis=-1)):
         raise DegenerateHypersurfaceError("normal is lightlike: degenerate point")
-    nu = _fix_sign(nu / np.sqrt(np.abs(gn))[:, None])
+    nu = nu / np.sqrt(np.abs(gn))[:, None]
+    frame = np.concatenate([w0[:, None], 1j * w0[:, None], t, nu[:, None]], axis=1)
+    nu = np.where((np.linalg.det(frame.view(float)) < 0)[:, None], -nu, nu)
     if ref is not None:
         ph = _phase_factor(signs, w0, ref.lift)[:, None]
         w0, t, nu = w0 * ph, t * ph[..., None], nu * ph
-        flip = np.real(np.sum(nu * np.conj(ref.normal), axis=-1)) < 0
-        nu = np.where(flip[:, None], -nu, nu)
     return AlmostContactFrame(
         patch=patch, rows=rows, lift=w0, tangents=t, normal=nu, epsilon=np.where(gn > 0, 1.0, -1.0)
     )
@@ -987,11 +982,12 @@ def regenerate_integral_curve(par: RHSParametrization) -> tuple[SampledCurve, fl
     """Re-derive the integral curve of the structure field from the patch.
 
     The leaves are glued along the base curve, so at leaf coordinate 0 the
-    structure field should be +-alpha'. This is checked at every sample
+    structure field of the oriented normal (``hypersurface_frames``) should
+    be +alpha'/|alpha'|. This is checked at every sample
     u_k = (k step, 0, ..., 0), step = ``LINE_STEP``, k = -count..count,
     |k step| at most ``LINE_HALF_SPAN`` and inside the curve range: the
-    tangent coordinates of xi must be (+-1, 0, ..., 0), so xi is tangent to
-    the base line at unit parameter speed. By uniqueness of ODE solutions
+    tangent coordinates of xi must be (1, 0, ..., 0), so xi is the base
+    line's velocity at unit parameter speed. By uniqueness of ODE solutions
     the integral curve of xi through (0, 0) is then the base line itself,
     and its lifts are the patch lifts at the samples; no integration is
     needed. The lifts are used as they are when they are horizontal (to
@@ -1001,7 +997,7 @@ def regenerate_integral_curve(par: RHSParametrization) -> tuple[SampledCurve, fl
 
     The reported defect is the worse of the tangency defect and the gap
     between the curve's unit velocity and the measured structure field at
-    about 30 interior samples.
+    about 30 interior samples, both signed.
     """
     sig = par.sig
     step = LINE_STEP
@@ -1017,7 +1013,7 @@ def regenerate_integral_curve(par: RHSParametrization) -> tuple[SampledCurve, fl
     frames = hypersurface_frames(par, rows)
     lifts, xi = frames.lift, frames.xi
     a = frames.tangent_coords(xi)
-    tangency = max(np.max(np.abs(a[:, 1:]), initial=0.0), np.max(np.abs(np.abs(a[:, 0]) - 1.0)))
+    tangency = max(np.max(np.abs(a[:, 1:]), initial=0.0), np.max(np.abs(a[:, 0] - 1.0)))
 
     curve = SampledCurve(sig, params, lifts, step)
     if curve.horizontality_defect() > CURVE_TOL:
@@ -1026,8 +1022,7 @@ def regenerate_integral_curve(par: RHSParametrization) -> tuple[SampledCurve, fl
     idx = np.arange(4, params.shape[0] - 4, max(1, params.shape[0] // 30))
     xi = xi[idx] * _phase_factor(sig.signs, lifts[idx], curve.lifts[idx])[:, None]
     vel = curve.velocity[idx] / np.sqrt(np.abs(curve.speed2[idx]))[:, None]
-    gap = np.minimum(np.max(np.abs(vel - xi), axis=1), np.max(np.abs(vel + xi), axis=1))
-    return curve, float(max(np.max(gap), tangency))
+    return curve, float(max(np.max(np.abs(vel - xi)), tangency))
 
 
 _SURFACE_BY_SIGNS = {
@@ -1082,7 +1077,7 @@ def classify_minimal_ruled(par: RHSParametrization) -> ClassificationReport:
 
     The integral curve of the structure field is re-derived from the
     parametrization (``regenerate_integral_curve``: the base line, once xi
-    is checked tangent to it at unit speed, to ``XI_TOL``), then classified.
+    is checked to be its unit velocity, to ``XI_TOL``), then classified.
     """
     curve, defect = regenerate_integral_curve(par)
     if defect > XI_TOL:

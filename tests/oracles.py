@@ -3,7 +3,8 @@ inputs that several modules share.
 
 Each reference computes its quantity another way than the program does:
 
-- the hypersurface frame by the scalar stencil and SVD, one lift per call;
+- the hypersurface frame by the scalar stencil and SVD, one lift per call,
+  its normal oriented by the determinant of its own (re | im) realification;
 - the Weingarten map by the nested difference of numeric unit normals (the
   program uses the Gauss formula), and the shape matrix built on it;
 - the real-metric Gram-Schmidt and the adapted bases on Python lists;
@@ -174,6 +175,24 @@ class _SyntheticPatch:
         return np.array([sphere_geodesic(self.sig, self.q0, u @ self.dirs, 1.0) for u in rows])
 
 
+def helix_lift(s):
+    """Lifts of the two-curvature helix of (3,1) at the parameters s,
+    (a sinh s, a cosh s, b cos cs, b sin cs) with a = 0.3, b = sqrt(1 - a^2)
+    and c = sqrt((1 + a^2) / b^2): a unit horizontal curve whose ruled
+    hypersurface is not minimal, and which matches no minimal case."""
+    a = 0.3
+    b = np.sqrt(1 - a * a)
+    c = np.sqrt((1 + a * a) / (b * b))
+    s = np.asarray(s, dtype=float)
+    rows = np.stack([a * np.sinh(s), a * np.cosh(s), b * np.cos(c * s), b * np.sin(c * s)], axis=-1)
+    return rows.astype(complex)
+
+
+def helix_curve():
+    """``helix_lift`` sampled at step 1e-3 on [-0.5, 0.5]."""
+    return sampled_curve_from_fn(Signature(3, 1), helix_lift, -0.5, 0.5, 1e-3)
+
+
 def _geodesic_curve(half_span=0.5):
     """The geodesic of (3,1) from e_3 along e_2, sampled at step 1e-3 on
     [-half_span, half_span]."""
@@ -258,21 +277,21 @@ def _ref_frame(patch, u, h=INNER_FD_STEP):
     if abs(gn) <= LIGHT_TOL * float(np.sum(np.abs(nu) ** 2)):
         raise DegenerateHypersurfaceError("normal is lightlike: degenerate point")
     nu = nu / np.sqrt(abs(gn))
-    j = int(np.argmax(np.abs(nu)))
-    if np.real(nu[j]) < 0 or (np.real(nu[j]) == 0 and np.imag(nu[j]) < 0):
+    # [w0, i w0, t, nu] as real rows (re | im) is positively oriented; the
+    # (re, im) interleaving differs from (re | im) by d (d - 1) / 2 swaps
+    d = sig.ambient_dim
+    rows = np.vstack([w0, 1j * w0, t, nu])
+    if np.linalg.det(_realify(rows)) * (-1) ** (d * (d - 1) // 2) < 0:
         nu = -nu
     u = np.asarray(u, dtype=float)[None]
     return AlmostContactFrame(patch, u, w0[None], t[None], nu[None], np.array([1.0 if gn > 0 else -1.0]))
 
 
 def _ref_aligned(patch, u, ref):
-    """``_ref_frame`` at u aligned to the one-row frame ref."""
+    """``_ref_frame`` at u phase-aligned to the one-row frame ref."""
     fr = _ref_frame(patch, u)
     ph = _ref_phase(fr.sig.signs, fr.lift[0], ref.lift[0])
-    nu = fr.normal * ph
-    if float(np.real(np.sum(nu * np.conj(ref.normal)))) < 0:
-        nu = -nu
-    return replace(fr, lift=fr.lift * ph, tangents=fr.tangents * ph, normal=nu)
+    return replace(fr, lift=fr.lift * ph, tangents=fr.tangents * ph, normal=fr.normal * ph)
 
 
 # ---------------------------------------------------------------------------
@@ -671,8 +690,6 @@ def _ref_regenerate(par, half_span=0.35, step=2e-3):
     u0 = np.zeros(par.n_params)
     u0[0] = 0.0
     frame0 = hypersurface_frame(par, u0)
-    if real_metric(sig, frame0.xi[0], frame0.tangents[0, 0]) * par.eps1 < 0:
-        frame0 = replace(frame0, normal=-frame0.normal)
     state = {}
 
     def velocity(uu):
@@ -702,8 +719,7 @@ def _ref_regenerate(par, half_span=0.35, step=2e-3):
     xi = frames.xi * _phase_factor(sig.signs, frames.lift, curve.lifts[idx])[:, None]
     vel = curve.velocity[idx]
     vel = vel / np.sqrt(np.abs(gdot_rows(sig.signs, vel, vel)))[:, None]
-    gap = np.minimum(np.max(np.abs(vel - xi), axis=1), np.max(np.abs(vel + xi), axis=1))
-    return curve, float(np.max(gap)), upath
+    return curve, float(np.max(np.abs(vel - xi))), upath
 
 
 # ---------------------------------------------------------------------------

@@ -241,13 +241,14 @@ def test_criterion_10_round_trip_and_determinism(family_pars, tmp_path):
     worst = 0.0
     for s in np.linspace(-0.35, 0.35, 10):
         frame = par.frames_at(s)
+        frame_signs = np.sign(gdot_rows(sig.signs, frame, frame))
         x_s = canonicalize(sig, par.base.lift_fn(float(s)))
         done = 0
         while done < 10:
             z = seed_sphere_neighbor()
             target = canonicalize(sig, spec.ruling.slice_map(T0 + s / mod, z))
             vec = log_in_leaf(x_s, target)
-            coords = par.frame_signs * gdot_rows(sig.signs, frame, vec.vec)
+            coords = frame_signs * gdot_rows(sig.signs, frame, vec.vec)
             if float(np.sqrt(np.sum(coords**2))) > 1.2:
                 continue  # stay inside the evaluation chart
             got = rhs_evaluate(par, float(s), coords)

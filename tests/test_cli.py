@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import _ref_sample_text
+from oracles import _ref_sample_text, helix_lift
 from pseudocp import cli, ruled, verification
 from pseudocp.cli import main
 from pseudocp.errors import ChartError, NotProjectablePoint
@@ -510,14 +510,8 @@ class TestClassify:
 
     def test_unclassifiable_curve_reports_failure(self, tmp_path, capsys):
         """A two-curvature helix matches no minimal case: exit code one."""
-        a, p = 0.3, 1.0
-        b = np.sqrt(1 - a * a)
-        q = np.sqrt((1 + a * a * p * p) / (b * b))
         s_grid = np.arange(-0.5, 0.5 + 1e-12, 1e-3)
-        rows = []
-        for s in s_grid:
-            lift = [a * np.sinh(p * s), a * np.cosh(p * s), b * np.cos(q * s), b * np.sin(q * s)]
-            rows.append([[float(x), 0.0] for x in lift])
+        rows = [[[float(x.real), 0.0] for x in lift] for lift in helix_lift(s_grid)]
         doc = {
             "signature": {"n": 3, "p": 1},
             "kind": "samples",

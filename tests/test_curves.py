@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import _e, _geodesic_curve, _ref_case_c_report, covariant_derivative
+from oracles import _e, _geodesic_curve, _ref_case_c_report, covariant_derivative, helix_curve
 from pseudocp import curves
 from pseudocp.curves import (
     MAX_SAMPLES,
@@ -187,15 +187,6 @@ class TestFrenetApparatus:
         monkeypatch.setattr(
             curves, "_covariant_rows", lambda curve, rows: calls.append(1) or covariant_rows(curve, rows)
         )
-        a, w = 0.3, 1.0
-        b = np.sqrt(1 - a * a)
-        c = np.sqrt((1 + a * a * w * w) / (b * b))
-
-        def helix(s):
-            return np.stack(
-                [a * np.sinh(w * s), a * np.cosh(w * s), b * np.cos(c * s), b * np.sin(c * s)], axis=-1
-            ).astype(complex)
-
         e = np.eye(4)
         circle = model_circle_curve(SIG, "rp2", 1.3).sample(-0.4, 0.4, 1e-3)
         case_c1 = case_c1_curve(SIG, e[1], e[2], e[0] + e[3]).sample(-0.5, 0.5, 1e-3)
@@ -203,7 +194,7 @@ class TestFrenetApparatus:
             (_geodesic_curve(), CurveClass.GEODESIC, 1, 1),
             (circle, CurveClass.TOTALLY_REAL_CIRCLE, 2, 2),
             (case_c1, CurveClass.CASE_C_NON_FRENET, 1, 2),
-            (sampled_curve_from_fn(SIG, helix, -0.5, 0.5, 1e-3), CurveClass.OTHER, 2, 2),
+            (helix_curve(), CurveClass.OTHER, 2, 2),
         ]
         for curve, cls, order, count in cases:
             calls.clear()

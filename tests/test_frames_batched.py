@@ -83,7 +83,7 @@ def test_frames_match_scalar_stencils(name):
 
 @pytest.mark.parametrize("name", ["family1", "family3", "family2_t"])
 def test_aligned_frames_match_scalar(name):
-    """Frames aligned to a reference (phase and normal sign) match too."""
+    """Frames phase-aligned to a reference match too."""
     patch = PATCHES[name]()
     u = _point(patch, 5)
     ref = _ref_frame(patch, u)

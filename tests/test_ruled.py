@@ -6,12 +6,15 @@ import pytest
 from oracles import (
     _geodesic_curve,
     _par,
+    _ref_frame,
     _sphere_patch,
     _SyntheticPatch,
     covariant_derivative,
+    helix_curve,
     log_in_leaf,
     random_unit_tangent,
 )
+from pseudocp import ruled
 from pseudocp.curves import sampled_curve_from_fn
 from pseudocp.errors import ChartError, ClassificationError
 from pseudocp.examples import (
@@ -23,6 +26,8 @@ from pseudocp.examples import (
 from pseudocp.linalg import CausalCharacter, Signature, gdot_rows, hermitian_product, real_metric
 from pseudocp.projective import canonicalize
 from pseudocp.ruled import (
+    XI_TOL,
+    GeodesicSpherePatch,
     ShapeForm,
     MinimalCase,
     classify_minimal_ruled,
@@ -39,6 +44,14 @@ from pseudocp.ruled import (
 )
 
 SIG = Signature(3, 1)
+
+#: the default families at every admitted signature with 3 <= n <= 6 whose
+#: default seed lies on its seed sphere
+BASE_LINES = (
+    [(1, n, p) for n in range(3, 7) for p in range(1, n - 1)]
+    + [(2, n, 1) for n in range(4, 7)]
+    + [(example_id, n, 2) for example_id in (3, 4) for n in range(3, 7)]
+)
 
 
 def _frame_at(par, s, coords):
@@ -127,7 +140,8 @@ class TestEvaluation:
         c *= 0.25 / np.linalg.norm(c)
         y = rhs_evaluate(par, 0.0, c)
         v = log_in_leaf(x0, y)
-        coords = par.frame_signs * gdot_rows(SIG.signs, frame0, v.vec)
+        signs = np.sign(gdot_rows(SIG.signs, frame0, frame0))
+        coords = signs * gdot_rows(SIG.signs, frame0, v.vec)
         assert np.max(np.abs(coords - c)) < 1e-8
 
 
@@ -140,16 +154,14 @@ class TestAlmostContact:
         fr = _frame_at(_par(3), 0.05, np.array([0.1, 0.05, -0.02, 0.08]))
         assert fr.epsilon == -1.0
 
-    def test_normal_matches_closed_form_up_to_sign(self, family1_par):
+    def test_normal_matches_closed_form(self, family1_par):
+        """The oriented normal is the closed form's i xi_hat, sign included:
+        xi_hat is the unit velocity of the base curve."""
         from pseudocp.examples import example_fields
 
         fields = example_fields(example_spec(1), 0.0)
         fr = _frame_at(family1_par, 0.0, np.zeros(family1_par.leaf_dim))
-        gap = min(
-            float(np.max(np.abs(fr.normal - fields.n_hat))),
-            float(np.max(np.abs(fr.normal + fields.n_hat))),
-        )
-        assert gap < 1e-7
+        assert float(np.max(np.abs(fr.normal - fields.n_hat))) < 1e-7
 
     def test_structure_identities_random_tangent(self, family1_par, rng):
         fr = _frame_at(family1_par, -0.2, np.array([0.05, 0.1, 0.02, -0.07]))
@@ -261,6 +273,21 @@ class TestShapeOperator:
         assert rep.u_character == [CausalCharacter.ZERO] * len(rows)
         assert rep.form == [ShapeForm.OTHER] * len(rows)
 
+    @pytest.mark.parametrize(
+        "sig", [Signature(3, 1), Signature(4, 1), Signature(4, 2), Signature(5, 2)], ids=str
+    )
+    def test_geodesic_sphere_reads_the_signed_hopf_mu(self, sig):
+        """The distance sphere of radius r around e_n has mu = g(A xi, xi) =
+        2 cot 2r at every point, with that sign at every signature, radius
+        and seed: the orientation is the patch's, not a coordinate pivot's."""
+        center = canonicalize(sig, np.eye(sig.ambient_dim, dtype=complex)[sig.n])
+        for r in (0.4, 0.7):
+            for seed in range(3):
+                patch = GeodesicSpherePatch(center, r, seed=seed)
+                rows = 0.1 * np.random.default_rng(seed).standard_normal((4, patch.n_params))
+                mu = shape_operators(patch, rows).mu
+                assert np.max(np.abs(mu - 2.0 / np.tan(2.0 * r))) <= 1e-6
+
     @pytest.mark.parametrize("example_id", EXAMPLE_IDS)
     def test_default_family_grid_reads_rank_two_non_null_u(self, example_id):
         par = _par(example_id)
@@ -333,28 +360,10 @@ class TestErrorPaths:
 
     def test_order_three_curve_matches_no_case(self):
         """A helix with two curvatures falls outside the three minimal cases."""
-        from pseudocp.errors import ClassificationError
         from pseudocp.ruled import classify_generating_curve
 
-        a = 0.3
-        b = np.sqrt(1 - a * a)
-        p = 1.0
-        q = np.sqrt((1 + a * a * p * p) / (b * b))
-
-        def helix(s):
-            return np.stack(
-                [
-                    a * np.sinh(p * s),
-                    a * np.cosh(p * s),
-                    b * np.cos(q * s),
-                    b * np.sin(q * s),
-                ],
-                axis=-1,
-            ).astype(complex)
-
-        curve = sampled_curve_from_fn(SIG, helix, -0.5, 0.5, 1e-3)
         with pytest.raises(ClassificationError):
-            classify_generating_curve(curve)
+            classify_generating_curve(helix_curve())
 
 
 class TestClassification:
@@ -399,8 +408,30 @@ class TestClassification:
         assert report.kind == kind
         assert report.kappa1 == pytest.approx(np.sqrt(abs(data.accel_square)), abs=1e-6)
 
+    @pytest.mark.parametrize("example_id,n,p", BASE_LINES)
+    def test_structure_field_is_the_unit_velocity_on_the_base_line(self, example_id, n, p, monkeypatch):
+        """xi = +alpha'/|alpha'| on the base line: in
+        ``regenerate_integral_curve`` the tangent coordinates of xi are
+        (1, 0, ..., 0) within ``XI_TOL``, sign included. The normal at s = 0
+        is the oracle's, whose orientation factor (-1)^(d(d-1)/2) is -1 at
+        d = 6 and 7."""
+        par = transport_basis(example_integral_curve(example_spec(example_id, sig=Signature(n, p))).curve)
+        measured = []
+        kernel = ruled.hypersurface_frames
+        spy = lambda *args, **kw: measured.append(kernel(*args, **kw)) or measured[-1]
+        monkeypatch.setattr(ruled, "hypersurface_frames", spy)
+        _, defect = regenerate_integral_curve(par)
+        (frames,) = measured
+        coords = frames.tangent_coords(frames.xi)
+        assert np.max(np.abs(coords - np.eye(par.n_params)[0])) <= XI_TOL
+        assert defect <= XI_TOL
+        center = coords.shape[0] // 2
+        assert not np.any(frames.rows[center])
+        want = _ref_frame(par, frames.rows[center])
+        assert np.max(np.abs(frames.normal[center] - want.normal[0])) < 1e-12
+
     def test_base_curve_off_unit_speed_is_not_an_integral_curve(self):
-        """At speed 1.01 xi has base-line coordinate 1/1.01, not +-1."""
+        """At speed 1.01 xi has base-line coordinate 1/1.01, not 1."""
         fn = example_integral_curve(example_spec(2)).curve.lift_fn
         sig = example_spec(2).sig
         curve = sampled_curve_from_fn(sig, lambda s: fn(1.01 * s), -0.495, 0.495, 1e-3)

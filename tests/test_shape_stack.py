@@ -11,9 +11,10 @@ numerical method and is compared within 1e-6 (the worst measured gap is
 import numpy as np
 import pytest
 
-from oracles import _family_patch, _nested_weingarten, _par, _ref_shape_matrix, _sphere_patch
-from pseudocp.isometries import boost
+from oracles import _family_patch, _nested_weingarten, _par, _ref_shape_matrix, _sphere_patch, helix_curve
+from pseudocp.isometries import boost, frame_to_isometry
 from pseudocp.linalg import Signature, gdot_rows
+from pseudocp.projective import random_horizontal_units, random_sphere_points
 from pseudocp.ruled import (
     TransformedPatch,
     codazzi_residual,
@@ -22,6 +23,7 @@ from pseudocp.ruled import (
     shape_operator_at,
     shape_operators,
     structure_field_identity,
+    transport_basis,
     weingarten_apply,
 )
 
@@ -119,3 +121,21 @@ def test_codazzi_holds_under_a_boost(example_id, t):
     u = np.concatenate([[0.05], leaf_coordinate_grid(par, 5, 4, radius=0.25)[0, 1:]])
     patch = TransformedPatch(boost(par.sig, t), par)
     assert codazzi_residual(patch, u, np.random.default_rng(11)) <= 1e-4
+
+
+def test_random_isometries_keep_the_signed_mu_of_a_non_minimal_patch():
+    """mu = g(A xi, xi) changes sign with the normal, so it is an invariant
+    of the oriented hypersurface only. On the helix patch, which is not
+    minimal, ten random holomorphic isometries (``frame_to_isometry`` at
+    random sphere points and horizontal directions) keep mu on the 5x4 leaf
+    grid row by row within 1e-6."""
+    par = transport_basis(helix_curve())
+    rows = leaf_coordinate_grid(par, 5, 4)
+    mu = shape_operators(par, rows).mu
+    assert np.max(np.abs(mu)) > 1e-2
+    rng = np.random.default_rng(0)
+    for _ in range(10):
+        q = random_sphere_points(par.sig, 1, rng)
+        iso = frame_to_isometry(par.sig, q[0], random_horizontal_units(par.sig, q, rng, [False])[0])
+        moved = shape_operators(TransformedPatch(iso, par), rows).mu
+        assert np.max(np.abs(moved - mu)) <= 1e-6

@@ -222,9 +222,10 @@ def test_regeneration_is_the_oracles_base_line(example_id, seed_r):
     par = transport_basis(data.curve)
     step = 2e-3
     want_curve, _, upath = _ref_regenerate(par, step=step)
-    # the RK4 path through (0, 0) is the base line at unit parameter speed
+    # the RK4 path through (0, 0) is the base line at unit parameter speed, run
+    # in the direction of s
     assert np.max(np.abs(upath[:, 1:])) <= 1e-10
-    assert np.max(np.abs(np.abs(np.diff(upath[:, 0])) - step)) <= 1e-10
+    assert np.max(np.abs(np.diff(upath[:, 0]) - step)) <= 1e-10
 
     curve, defect = regenerate_integral_curve(par)
     assert defect < 1e-6
