@@ -46,7 +46,6 @@ from .linalg import (
 )
 from .projective import (
     ProjectivePoint,
-    ProjectiveTangent,
     canonicalize,
     curvature_tensor,
     sphere_geodesic,
@@ -56,7 +55,6 @@ from .ruled import (
     ClassificationReport,
     GeodesicSpherePatch,
     RHSParametrization,
-    ShapeForm,
     ShapeReport,
     MinimalCase,
     classify_generating_curve,

@@ -20,8 +20,11 @@ family's domain, a seed whose open slot is below
 positive or has no finite square, a curve grid without a finite
 positive step, a finite range, 3 samples or at most ``curves.MAX_SAMPLES``
 samples, a ``samples`` document with a non-finite s or lift entry, a
-patch lift that is not finite); 4 an ``OSError`` (a curve file that
-cannot be opened, an output that cannot be written).
+closed-form vector (geodesic ``point`` or ``velocity``, case-c ``p0``,
+``v0`` or ``f2``, ``builtin_flow`` ``z``) with a non-finite entry, the
+message naming the field, a patch lift that is not finite); 4 an
+``OSError`` (a curve file that cannot be opened, an output that cannot be
+written).
 
 Curve files for ``classify`` are JSON objects::
 
@@ -308,6 +311,17 @@ def _complex_vector(raw, dim: int, name: str, rows: bool = False) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
+def _finite(error: type, **fields: np.ndarray) -> tuple:
+    """The parsed vectors ``fields`` of a closed-form curve file, in order,
+    once every entry is finite: the first field with a NaN or an infinite
+    entry raises ``error`` naming it, before any check does arithmetic on
+    it (a NaN passes every ``abs(x - 1) > tol`` check)."""
+    for name, vec in fields.items():
+        if not np.all(np.isfinite(vec)):
+            raise error(f"{name} holds a non-finite entry")
+    return tuple(fields.values())
+
+
 def _flat_numbers(raw, name: str) -> np.ndarray:
     """A field that must be a flat list of numbers, as a float array: a
     number, a nested list or a non-number entry raises ValueError."""
@@ -371,8 +385,11 @@ def _curve_from_file(doc: dict) -> SampledCurve:
     data = doc["data"]
     family = data["family"]
     if family == "geodesic":
-        q = _complex_vector(data["point"], sig.ambient_dim, "point")
-        v = _complex_vector(data["velocity"], sig.ambient_dim, "velocity")
+        q, v = _finite(
+            FrameError,
+            point=_complex_vector(data["point"], sig.ambient_dim, "point"),
+            velocity=_complex_vector(data["velocity"], sig.ambient_dim, "velocity"),
+        )
         if abs(real_metric(sig, q, q) - 1.0) > 1e-8:
             raise FrameError("geodesic start point is not on the sphere")
         if abs(hermitian_product(sig, v, q)) > 1e-8:
@@ -384,12 +401,8 @@ def _curve_from_file(doc: dict) -> SampledCurve:
         return sampled_curve_from_fn(sig, lambda s: sphere_geodesic(sig, q, v, s), s_lo, s_hi, step)
     if family in ("case_c1", "case_c2"):
         builder = case_c1_curve if family == "case_c1" else case_c2_curve
-        crv = builder(
-            sig,
-            _complex_vector(data["p0"], sig.ambient_dim, "p0"),
-            _complex_vector(data["v0"], sig.ambient_dim, "v0"),
-            _complex_vector(data["f2"], sig.ambient_dim, "f2"),
-        )
+        vectors = {name: _complex_vector(data[name], sig.ambient_dim, name) for name in ("p0", "v0", "f2")}
+        crv = builder(sig, *_finite(FrameError, **vectors))
         return crv.sample(s_lo, s_hi, step)
     if family == "circle":
         crv = model_circle_curve(
@@ -406,7 +419,7 @@ def _curve_from_file(doc: dict) -> SampledCurve:
         seed_r = _json_number(data["seed_r"], "seed_r") if "seed_r" in data else None
         seed = _seeds([ex], sig, seed_r).get(ex)
         if seed is None and "z" in data:
-            seed = _complex_vector(data["z"], sig.n, "z")
+            (seed,) = _finite(DomainError, z=_complex_vector(data["z"], sig.n, "z"))
         spec = example_spec(ex, sig=sig, seed_z=seed)
         return example_integral_curve(
             spec, t=_json_number(data.get("t0", 0.0), "t0"), step=step, s_range=(s_lo, s_hi)

@@ -17,10 +17,6 @@ class NotProjectablePoint(GeometryError):
     """Ambient vector has non-positive squared norm, so it has no point class."""
 
 
-class BasePointError(GeometryError):
-    """Tangent vectors were expected at a common base point."""
-
-
 class CausalCharacterError(GeometryError):
     """A vector has the wrong causal character for the requested operation."""
 

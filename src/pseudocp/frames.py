@@ -14,10 +14,9 @@ stack, and the perturbation of each restart is the one a one-row call
 draws, so stacking changes no result.
 
 The real-metric Gram-Schmidt is stacked the same way:
-``orthonormalize_real_rows`` runs the pivoted process over the candidate
+``orthonormalize_real_metric`` runs the pivoted process over the candidate
 vectors of many rows at once (the adapted tangent bases of a stack of
-hypersurface points), and ``orthonormalize_real_metric`` is its one-row
-case.
+hypersurface points); one row is a stack of one.
 
 Stacked checks follow one error policy, here as in ``isometries`` and
 ``ruled.hypersurface_frames``: the checks run in the order a one-row call
@@ -32,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, FrameError
-from .linalg import Signature, as_ambient, gdot_rows, hermitian_rows
+from .linalg import Signature, gdot_rows, hermitian_rows
 
 #: a pivot with |g(u,u)| below this (relative to the Euclidean norm) triggers a restart
 PIVOT_TOL = 1e-10
@@ -161,7 +160,7 @@ def complete_unitary_frames(sig: Signature, fixed: dict[int, np.ndarray]) -> np.
     return mats
 
 
-def orthonormalize_real_rows(
+def orthonormalize_real_metric(
     sig: Signature,
     pool: np.ndarray,
     count: int,
@@ -169,7 +168,8 @@ def orthonormalize_real_rows(
     pinned: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gram-Schmidt over the real span of each row's candidates, pivoting on
-    |g(v,v)|, run on all rows as stacked array operations.
+    |g(v,v)|, run on all rows as stacked array operations; the vectors of
+    one point are a stack of one.
 
     ``pool`` (N, m, d) holds the candidates of each row. Each step first
     drops the candidates of Euclidean square norm below 1e-18, then takes
@@ -212,16 +212,3 @@ def orthonormalize_real_rows(
         gone[at[free], best[free]] = True
         cand = cand - (sgn[:, None] * gdot_rows(signs, cand, u[:, None]))[..., None] * u[:, None]
     return out, out_signs
-
-
-def orthonormalize_real_metric(sig: Signature, vectors) -> tuple[np.ndarray, np.ndarray]:
-    """Gram-Schmidt over the real span of ambient vectors, pivoting on
-    |g(v,v)|: the one-row case of ``orthonormalize_real_rows``.
-
-    Returns the unit vectors (count, d) together with their signs
-    g(v,v) = +-1. Raises FrameError when the span is degenerate (a pivot is
-    relatively lightlike) or the input is linearly dependent.
-    """
-    pool = np.array([as_ambient(sig, v) for v in vectors], dtype=complex).reshape(-1, sig.ambient_dim)
-    vecs, signs = orthonormalize_real_rows(sig, pool[None], len(pool))
-    return vecs[0], signs[0]

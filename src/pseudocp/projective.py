@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import BasePointError, NotProjectablePoint
+from .errors import NotProjectablePoint
 from .frames import complete_unitary_frames
 from .linalg import (
     LIGHT_TOL,
@@ -22,9 +22,6 @@ from .linalg import (
     check_sphere_rows,
     jmul,
 )
-
-#: tolerance used when checking that two tangents share a base point
-BASE_POINT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -42,22 +39,6 @@ class ProjectivePoint:
     def gap(self, other: "ProjectivePoint") -> float:
         """Sup-norm distance between canonical representatives."""
         return float(np.max(np.abs(self.rep - other.rep)))
-
-    def close_to(self, other: "ProjectivePoint", tol: float = 1e-9) -> bool:
-        return self.gap(other) <= tol
-
-
-@dataclass(frozen=True)
-class ProjectiveTangent:
-    """Horizontal lift of a tangent vector at a point of the quotient."""
-
-    at: ProjectivePoint
-    vec: np.ndarray
-
-    def __post_init__(self):
-        vec = as_ambient(self.at.sig, self.vec)
-        vec.setflags(write=False)
-        object.__setattr__(self, "vec", vec)
 
 
 def canonical_phases(z: np.ndarray) -> np.ndarray:
@@ -144,29 +125,15 @@ def quadric_geodesic(signs: np.ndarray, q, v, t) -> np.ndarray:
     return cos[..., None] * q + sin[..., None] * v / w[..., None]
 
 
-def curvature_tensor(
-    sig: Signature,
-    x_t: ProjectiveTangent,
-    y_t: ProjectiveTangent,
-    z_t: ProjectiveTangent,
-) -> ProjectiveTangent:
-    """Curvature tensor of the quotient applied to horizontal lifts: the
-    one-row case of ``curvature_tensor_rows``."""
-    base = x_t.at
-    for other in (y_t, z_t):
-        if not other.at.close_to(base, BASE_POINT_TOL):
-            raise BasePointError("curvature tensor arguments at different points")
-    out = curvature_tensor_rows(sig, x_t.vec[None], y_t.vec[None], z_t.vec[None])[0]
-    return ProjectiveTangent(base, out)
-
-
-def curvature_tensor_rows(sig: Signature, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """R(X, Y)Z for stacked horizontal lifts (N, d) at common base points.
+def curvature_tensor(sig: Signature, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Curvature tensor R(X, Y)Z of the quotient, applied to the rows of
+    stacked horizontal lifts u, v, w (N, d); one row is a stack of one.
 
     Evaluates g(Y,Z)X - g(X,Z)Y + g(JY,Z)JX - g(JX,Z)JY + 2g(X,JY)JZ, the
     constant holomorphic sectional curvature 4 tensor, with J acting as
-    multiplication by i inside the horizontal space. Row i of the inputs
-    must share a base point; the caller guarantees it.
+    multiplication by i inside the horizontal space. Row i of the three
+    inputs must be lifted at one base point; nothing checks it, so the
+    caller guarantees it.
     """
     signs = sig.signs
     ju, jv, jw = jmul(u), jmul(v), jmul(w)

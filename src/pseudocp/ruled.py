@@ -86,7 +86,7 @@ from .errors import (
     ImmersionError,
     LiftError,
 )
-from .frames import orthonormalize_real_rows
+from .frames import orthonormalize_real_metric
 from .isometries import IndefiniteUnitaryMatrix, frame_to_isometry
 from .linalg import (
     LIGHT_TOL,
@@ -129,16 +129,6 @@ def _points_per_block(width: int, blocks: int = 1) -> int:
     """Points per block of a kernel whose points take ``width`` stencil
     lifts each: ``blocks`` times ``_ROW_BLOCK`` lifts, at least one point."""
     return max(1, blocks * _ROW_BLOCK // width)
-
-
-class ShapeForm(Enum):
-    """Form of a shape operator: the paper's two families (rank two with a
-    non-null leaf vector U, and a lightlike U), zero, or any other."""
-
-    RANK_TWO_NON_NULL_U = "rank_two_non_null_u"
-    LIGHTLIKE_U = "lightlike_u"
-    VANISHING = "vanishing"
-    OTHER = "other"
 
 
 class MinimalCase(Enum):
@@ -777,16 +767,13 @@ def _normal_difference(frames: AlmostContactFrame, x, h: float) -> np.ndarray:
 class ShapeReport:
     """Shape operators of a stack of N points in adapted bases
     {xi, e_1, ...}, one row per point on a leading axis as in
-    ``AlmostContactFrame``: matrix (N, P, P); mu, lam, dd_block_max and
-    rank (N,); u_vec (N, d); basis (N, P, d) and basis_signs (N, P); the
-    frames; u_character and form as lists of N."""
+    ``AlmostContactFrame``: matrix (N, P, P); mu, lam and dd_block_max
+    (N,); u_vec (N, d); basis (N, P, d) and basis_signs (N, P); the
+    frames."""
 
     matrix: np.ndarray
     mu: np.ndarray
     u_vec: np.ndarray
-    u_character: list
-    rank: np.ndarray
-    form: list
     lam: np.ndarray
     dd_block_max: np.ndarray
     basis: np.ndarray
@@ -801,7 +788,7 @@ def adapted_bases(frames: AlmostContactFrame, first: np.ndarray, pinned: np.ndar
 
     The rows with ``pinned`` (N,) set pin their row of ``first`` (N, d), a
     leaf vector (the U of a rank-two shape operator), normalized, to the
-    slot right after xi. One ``orthonormalize_real_rows`` call completes
+    slot right after xi. One ``orthonormalize_real_metric`` call completes
     every row, pinned or not, and raises its FrameError at the first step
     where some row cannot be completed.
     """
@@ -810,7 +797,7 @@ def adapted_bases(frames: AlmostContactFrame, first: np.ndarray, pinned: np.ndar
     eps = frames.epsilon
     t = frames.tangents
     pool = t - (eps[:, None] * gdot_rows(signs, t, xi[:, None]))[..., None] * xi[:, None]
-    vecs, vsigns = orthonormalize_real_rows(frames.sig, pool, t.shape[1] - 1, pin=first, pinned=pinned)
+    vecs, vsigns = orthonormalize_real_metric(frames.sig, pool, t.shape[1] - 1, pin=first, pinned=pinned)
     return np.concatenate([xi[:, None], vecs], axis=1), np.concatenate([eps[:, None], vsigns], axis=1)
 
 
@@ -819,8 +806,9 @@ def shape_operators(patch, rows: np.ndarray) -> ShapeReport:
     stacked patch parameters (N, P).
 
     The structure vector comes first; when the leaf part U of A xi is
-    non-null, its normalization occupies the second slot, so the rank-two
-    pattern is visible directly in the matrix. The frames of every row come
+    non-null by ``causal_characters`` at ``NUMERIC_LIGHT_TOL``, its
+    normalization occupies the second slot, so the rank-two pattern is
+    visible directly in the matrix. The frames of every row come
     first, from one ``hypersurface_frames`` call, so its checks run over all
     rows before any shape operator. The points then run in the blocks of
     that call (``_ROW_BLOCK`` // (2P + 1) points), each block taking one
@@ -829,8 +817,7 @@ def shape_operators(patch, rows: np.ndarray) -> ShapeReport:
     (``adapted_bases``) for the bases of its rows; the first block with a
     failing row raises. The temporaries held at once are bounded whatever
     N is, and every step is row-wise, so a row is bit-identical whatever
-    the block size. The ranks come from one stacked SVD of the matrices,
-    the leaf block and the form from their entries.
+    the block size.
     """
     rows = np.asarray(rows, dtype=float)
     sig = patch.sig
@@ -841,7 +828,6 @@ def shape_operators(patch, rows: np.ndarray) -> ShapeReport:
     uvec = np.empty((count, sig.ambient_dim), dtype=complex)
     bases = np.empty((count, p, sig.ambient_dim), dtype=complex)
     bsigns = np.empty((count, p))
-    uchar = []
     non_null = (CausalCharacter.SPACELIKE, CausalCharacter.TIMELIKE)
     block = _points_per_block(2 * p + 1)
     for lo in range(0, count, block):
@@ -857,35 +843,16 @@ def shape_operators(patch, rows: np.ndarray) -> ShapeReport:
         lam[part] = np.sqrt(np.abs(gdot_rows(sig.signs, u, u)))
         images = np.concatenate([axi[:, None], _shape_images(fr, forms, bases[part, 1:])], 1)
         matrix[part] = bsigns[part, :, None] * gdot_rows(sig.signs, images[:, None], bases[part, :, None])
-        uchar += chars
-    svals = np.linalg.svd(matrix, compute_uv=False)
-    rank = np.sum(svals > 1e-3 * np.maximum(1.0, svals[:, :1]), axis=1)
-    size = np.abs(matrix)
     return ShapeReport(
         matrix=matrix,
         mu=mu,
         u_vec=uvec,
-        u_character=uchar,
-        rank=rank,
-        form=[_shape_form(*args) for args in zip(np.max(size, axis=(1, 2)).tolist(), uchar, rank.tolist())],
         lam=lam,
-        dd_block_max=np.max(size[:, 1:, 1:], axis=(1, 2)),
+        dd_block_max=np.max(np.abs(matrix[:, 1:, 1:]), axis=(1, 2)),
         basis=bases,
         basis_signs=bsigns,
         frame=frames,
     )
-
-
-def _shape_form(size: float, uchar: CausalCharacter, rank: int) -> ShapeForm:
-    """The form of a shape operator from its largest matrix entry in
-    modulus, the causal character of its leaf vector U and its rank."""
-    if size <= 1e-4:
-        return ShapeForm.VANISHING
-    if uchar is CausalCharacter.LIGHTLIKE:
-        return ShapeForm.LIGHTLIKE_U
-    if rank == 2 and uchar in (CausalCharacter.SPACELIKE, CausalCharacter.TIMELIKE):
-        return ShapeForm.RANK_TWO_NON_NULL_U
-    return ShapeForm.OTHER
 
 
 def shape_operator_at(patch, u: np.ndarray) -> ShapeReport:

@@ -25,7 +25,7 @@ from .curves import case_c1_curve, case_c2_curve, fd_derivative
 from .examples import IdentityLine
 from .isometries import frame_to_isometries
 from .linalg import Signature, gdot_rows, jmul, metric_signs
-from .projective import canonical_phases, curvature_tensor_rows, random_horizontal_units, random_sphere_points
+from .projective import canonical_phases, curvature_tensor, random_horizontal_units, random_sphere_points
 from .ruled import hypersurface_frames
 
 ACCEPTANCE_SIGNATURES = (Signature(2, 1), Signature(3, 1), Signature(3, 2), Signature(4, 2))
@@ -59,7 +59,7 @@ def curvature_lines() -> list[IdentityLine]:
         q, xv = _horizontal_draws(sig, CURVATURE_POINTS, rng)
         x = xv * canonical_phases(q)[:, None]  # the tangents at the canonical representatives
         jx = jmul(x)
-        r = curvature_tensor_rows(sig, x, jx, jx)
+        r = curvature_tensor(sig, x, jx, jx)
         gx = gdot_rows(sig.signs, x, x)
         value = gdot_rows(sig.signs, r, x) / (gx * gx)
         worst = float(np.max(np.abs(value - 4.0), initial=0.0))

@@ -51,6 +51,23 @@ CASE_C1_DOC = {
     },
 }
 
+CASE_C2_DOC = {
+    "signature": {"n": 3, "p": 2},
+    "kind": "closed_form",
+    "data": {
+        "family": "case_c2",
+        "p0": [[0, 0], [0, 0], [1, 0], [0, 0]],
+        "v0": [[0, 0], [1, 0], [0, 0], [0, 0]],
+        "f2": [[1, 0], [0, 0], [0, 0], [1, 0]],
+    },
+}
+
+FLOW_SEED_DOC = {
+    "signature": {"n": 3, "p": 1},
+    "kind": "closed_form",
+    "data": {"family": "builtin_flow", "example": 1, "z": [[0, 0], [0, 0], [1, 0]]},
+}
+
 #: the identity lines of one family's cross check: the generating curve's,
 #: then the closed forms'
 CROSS_CHECK_NAMES = {
@@ -144,6 +161,44 @@ class TestClassify:
         assert set(doc["detail"]) == {
             "f2_min_norm", "g(F2,F2)", "parallel_defect", "g(F1,F2)", "g(F1,JF2)"
         }
+
+    def test_case_c2_file(self, tmp_path, capsys):
+        """The timelike non-Frenet generator at (3,2) reads case c, kind
+        b3_2, with a timelike velocity."""
+        path = write_json(tmp_path / "c2.json", CASE_C2_DOC)
+        assert run_cli("classify", path) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["case"] == "c"
+        assert doc["kind"] == "b3_2"
+        assert doc["signs"]["eps1"] == -1.0
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "base,field",
+        [
+            (GEODESIC_DOC, "point"),
+            (GEODESIC_DOC, "velocity"),
+            (CASE_C1_DOC, "p0"),
+            (CASE_C1_DOC, "v0"),
+            (CASE_C1_DOC, "f2"),
+            (CASE_C2_DOC, "p0"),
+            (CASE_C2_DOC, "v0"),
+            (CASE_C2_DOC, "f2"),
+            (FLOW_SEED_DOC, "z"),
+        ],
+        ids=lambda x: x if isinstance(x, str) else x["data"]["family"],
+    )
+    def test_non_finite_closed_form_vector_is_a_precondition(self, tmp_path, capsys, base, field, value):
+        """A NaN or infinite entry in a vector of a closed-form curve file
+        is refused before any check does arithmetic on it: exit 3, the
+        message naming the field."""
+        doc = json.loads(json.dumps(base))
+        doc["data"][field][-1][0] = value
+        path = write_json(tmp_path / "curve.json", doc)
+        assert run_cli("classify", path) == 3
+        captured = capsys.readouterr()
+        assert f"error: {field} holds a non-finite entry" in captured.err
+        assert captured.out == ""
 
     def test_circle_file(self, tmp_path, capsys):
         path = write_json(tmp_path / "circ.json", CIRCLE_DOC)
@@ -981,12 +1036,12 @@ class TestVerify:
     def test_a_curvature_slip_fails_its_lines(self, monkeypatch, capsys, verify_all):
         """The last term of the curvature tensor at 1.0 instead of 2.0 fails
         the four holomorphic curvature lines, and no other line."""
-        curvature = verification.curvature_tensor_rows
+        curvature = verification.curvature_tensor
 
         def slipped(sig, u, v, w):
             return curvature(sig, u, v, w) - gdot_rows(sig.signs, u, jmul(v))[:, None] * jmul(w)
 
-        monkeypatch.setattr(verification, "curvature_tensor_rows", slipped)
+        monkeypatch.setattr(verification, "curvature_tensor", slipped)
         assert run_cli("verify", "all") == 1
         want = {("curvature", f"holomorphic_curvature_n{sig.n}_p{sig.p}") for sig in ACCEPTANCE_SIGNATURES}
         assert self._failing_lines(capsys, verify_all) == want

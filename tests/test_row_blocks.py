@@ -55,7 +55,6 @@ def _outputs(patch):
         reports.matrix,
         reports.basis,
         np.stack([reports.mu, reports.lam, reports.dd_block_max]),
-        reports.rank,
         reports.frame.normal,
         curve.lifts,
         np.array([defect]),

@@ -23,12 +23,19 @@ from pseudocp.examples import (
     example_spec,
     gamma_seed,
 )
-from pseudocp.linalg import CausalCharacter, Signature, gdot_rows, hermitian_product, real_metric
+from pseudocp.linalg import (
+    CausalCharacter,
+    Signature,
+    causal_characters,
+    gdot_rows,
+    hermitian_product,
+    real_metric,
+)
 from pseudocp.projective import canonicalize
 from pseudocp.ruled import (
+    NUMERIC_LIGHT_TOL,
     XI_TOL,
     GeodesicSpherePatch,
-    ShapeForm,
     MinimalCase,
     classify_minimal_ruled,
     codazzi_residual,
@@ -52,6 +59,19 @@ BASE_LINES = (
     + [(2, n, 1) for n in range(4, 7)]
     + [(example_id, n, 2) for example_id in (3, 4) for n in range(3, 7)]
 )
+
+
+def _ranks(matrix):
+    """Ranks of stacked shape matrices (N, P, P): the singular values above
+    1e-3 times the largest, or above 1e-3 when the largest is below one."""
+    svals = np.linalg.svd(matrix, compute_uv=False)
+    return np.sum(svals > 1e-3 * np.maximum(1.0, svals[:, :1]), axis=1)
+
+
+def _u_characters(rep):
+    """Causal characters of the leaf vectors U of a shape report, at the
+    relative threshold that pins U in the adapted bases."""
+    return causal_characters(rep.frame.sig, rep.u_vec, NUMERIC_LIGHT_TOL)
 
 
 def _frame_at(par, s, coords):
@@ -209,8 +229,8 @@ class TestShapeOperator:
         rep = shape_operator_at(family1_par, np.array([0.1, 0.1, 0.05, -0.08, 0.02]))
         assert rep.dd_block_max[0] < 1e-6
         assert abs(rep.mu[0]) < 1e-6
-        assert rep.rank[0] == 2
-        assert rep.form == [ShapeForm.RANK_TWO_NON_NULL_U]
+        assert _ranks(rep.matrix).tolist() == [2]
+        assert _u_characters(rep)[0] in (CausalCharacter.SPACELIKE, CausalCharacter.TIMELIKE)
         # matrix pattern: only the (xi, W) pair carries weight
         m = rep.matrix[0]
         assert abs(m[1, 0]) > 0.1
@@ -255,7 +275,8 @@ class TestShapeOperator:
         aphiu = weingarten_apply(fr, fr.phi(uvec))
         assert np.max(np.abs(au)) < 1e-4
         assert np.max(np.abs(aphiu)) < 1e-4
-        assert rep.form == [ShapeForm.LIGHTLIKE_U]
+        assert np.max(np.abs(rep.matrix)) > 1e-4
+        assert _u_characters(rep) == [CausalCharacter.LIGHTLIKE]
 
     def test_geodesic_sphere_control_is_not_ruled(self):
         patch = _sphere_patch()
@@ -263,15 +284,14 @@ class TestShapeOperator:
         assert rep.dd_block_max[0] > 1e-1
         assert abs(rep.mu[0]) > 1e-2
 
-    def test_geodesic_sphere_rows_read_other(self):
+    def test_geodesic_sphere_rows_are_hopf_of_full_rank(self):
         """The sphere is Hopf (U = 0) with a shape operator of full rank, so
-        its form is neither of the paper's two families."""
+        it is neither of the paper's two families."""
         patch = _sphere_patch()
         rows = 0.05 * np.arange(6)[:, None] * np.ones(patch.n_params)
         rep = shape_operators(patch, rows)
-        assert rep.rank.tolist() == [patch.n_params] * len(rows)
-        assert rep.u_character == [CausalCharacter.ZERO] * len(rows)
-        assert rep.form == [ShapeForm.OTHER] * len(rows)
+        assert _ranks(rep.matrix).tolist() == [patch.n_params] * len(rows)
+        assert _u_characters(rep) == [CausalCharacter.ZERO] * len(rows)
 
     @pytest.mark.parametrize(
         "sig", [Signature(3, 1), Signature(4, 1), Signature(4, 2), Signature(5, 2)], ids=str
@@ -293,7 +313,9 @@ class TestShapeOperator:
         par = _par(example_id)
         reports = shape_operators(par, leaf_coordinate_grid(par, 5, 4))
         assert reports.matrix.shape[0] == 20
-        assert set(zip(reports.rank.tolist(), reports.form)) == {(2, ShapeForm.RANK_TWO_NON_NULL_U)}
+        assert _ranks(reports.matrix).tolist() == [2] * 20
+        assert set(_u_characters(reports)) <= {CausalCharacter.SPACELIKE, CausalCharacter.TIMELIKE}
+        assert np.min(np.max(np.abs(reports.matrix), axis=(1, 2))) > 1e-4
 
 
 class TestVerifyAndMinimality:

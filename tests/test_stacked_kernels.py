@@ -118,19 +118,22 @@ def test_first_degenerate_row_decides_the_adapted_basis_error(order):
 
 
 @pytest.mark.parametrize("example_id", [1, 2])
-def test_orthonormalize_real_metric_is_the_one_row_case(example_id):
+def test_orthonormalize_real_metric_rows_match_the_oracle(example_id):
+    """The stacked Gram-Schmidt of the tangents of three rows equals the
+    list-based oracle row by row, and both refuse a dependent pair."""
     frames = _mixed_stack(example_id)[2]
     sig = frames.sig
+    pool = frames.tangents[:3]
+    got, got_signs = orthonormalize_real_metric(sig, pool, pool.shape[1])
     for i in range(3):
-        want, want_signs = _oracle_orthonormalize(sig, frames.tangents[i])
-        got, got_signs = orthonormalize_real_metric(sig, frames.tangents[i])
-        assert np.array_equal(got, np.array(want))
-        assert np.array_equal(got_signs, np.array(want_signs))
+        want, want_signs = _oracle_orthonormalize(sig, pool[i])
+        assert np.array_equal(got[i], np.array(want))
+        assert np.array_equal(got_signs[i], np.array(want_signs))
     t = frames.tangents[0][1]
     with pytest.raises(FrameError, match="linearly dependent"):
         _oracle_orthonormalize(sig, [t, 2.0 * t])
     with pytest.raises(FrameError, match="linearly dependent"):
-        orthonormalize_real_metric(sig, [t, 2.0 * t])
+        orthonormalize_real_metric(sig, np.array([[t, 2.0 * t]]), 2)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@ method that is not a dunder of ``src/pseudocp`` (``__init__.py`` left out,
 since a re-export is no use) is named somewhere else in the package: as a
 name, an attribute or a string, outside its own body. The check runs to a
 fixpoint, so a name used only by dead code is dead too (two dead functions
-that name each other still escape it). ``PINNED`` lists the functions kept
-without a caller in the package, each with its pin; they count as live.
+that name each other still escape it). Every function that the per-layer
+tracer wraps (``LAYERS`` of ``perfbench/tracing.py``, read with ``ast``
+without importing it) resolves in its module and is live by that check, so
+no traced layer can read 0 calls because its name went dead.
 
 The test suite keeps one independent reference per quantity in
 ``tests/oracles.py``: no other test module defines a function whose name
@@ -20,6 +22,7 @@ starts with one of ``REFERENCE_PREFIXES``.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -33,11 +36,6 @@ MODULES = sorted(
 )
 REFERENCE_PREFIXES = ("_ref_", "_oracle_", "_scalar_", "_nested_", "_reference_")
 PACKAGE = sorted(path for path in (ROOT / "src" / "pseudocp").glob("*.py") if path.name != "__init__.py")
-#: functions of the package that no package code calls, and why each stays
-PINNED = {
-    "curvature_tensor": "a perfbench/tracing.py LAYERS name",
-    "orthonormalize_real_metric": "a perfbench/tracing.py LAYERS name",
-}
 FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -107,6 +105,15 @@ def dead_functions(sources: list, keep=()) -> list:
         dead = found
 
 
+def traced_layers(source: str) -> dict:
+    """The ``LAYERS`` mapping (module -> function names) that the tracer
+    source assigns at module level, read without running it."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "LAYERS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("no LAYERS assignment")
+
+
 def reference_definitions(source: str) -> list:
     """(line, name) of each function, at any depth, named as a reference."""
     return [
@@ -144,8 +151,27 @@ def test_the_check_sees_a_reference_definition():
 
 def test_no_dead_functions_in_the_package():
     sources = [path.read_text(encoding="utf-8") for path in PACKAGE]
-    assert dead_functions(sources, keep=PINNED) == []
-    assert set(PINNED) <= set(dead_functions(sources)), "a pin whose function has a caller now"
+    assert dead_functions(sources) == []
+
+
+def test_every_traced_layer_resolves_and_is_live():
+    """Each ``LAYERS`` name is bound in its ``pseudocp`` module and is not
+    dead code; ``pseudocp.cli`` binds ``rhs_lift``, the binding the tracer
+    self-test checks it rewraps."""
+    layers = traced_layers((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    names = [(mod, fn) for mod, fns in layers.items() for fn in fns]
+    assert names
+    bound = {(mod, fn): getattr(importlib.import_module(f"pseudocp.{mod}"), fn, None) for mod, fn in names}
+    assert [f"{mod}.{fn}" for (mod, fn), value in bound.items() if not callable(value)] == []
+    dead = dead_functions([path.read_text(encoding="utf-8") for path in PACKAGE])
+    assert [f"{mod}.{fn}" for mod, fn in names if fn in dead] == []
+    cli, ruled = importlib.import_module("pseudocp.cli"), importlib.import_module("pseudocp.ruled")
+    assert cli.rhs_lift is ruled.rhs_lift
+
+
+def test_the_check_reads_layers_without_running_them():
+    source = 'import missing_module\n\nLAYERS = {"a": ("f", "g")}\nOTHER = 1\n'
+    assert traced_layers(source) == {"a": ("f", "g")}
 
 
 def test_the_check_sees_dead_code_through_a_chain():
