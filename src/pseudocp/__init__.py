@@ -13,8 +13,8 @@ frame spans it, which ``verify`` checks as ``transport_orth_velocity`` and
 from .config import RunConfig
 from .curves import (
     ClosedFormCurve,
-    CurveClass,
     FrenetResult,
+    MinimalCase,
     SampledCurve,
     case_c1_curve,
     case_c2_curve,
@@ -56,7 +56,6 @@ from .ruled import (
     GeodesicSpherePatch,
     RHSParametrization,
     ShapeReport,
-    MinimalCase,
     classify_generating_curve,
     classify_minimal_ruled,
     rhs_evaluate,

@@ -11,9 +11,12 @@ mistyped value, a curve file that cannot be parsed, whose ``n``, ``p`` or
 ``example`` is no JSON integer, whose ``example`` is no family id, whose
 circle ``timelike`` is no JSON boolean, whose ``s_range`` is no list of
 two JSON numbers, whose ``step``, ``kappa1``, ``seed_r`` or ``t0`` is no
-JSON number, or whose ``samples`` ``s`` is no flat list of numbers,
+JSON number, whose ``samples`` ``s`` is no flat list of numbers,
 ``lifts`` no rows of [re, im] pairs, or ``lifts`` a row count other than
-that of ``s``, the message naming the field); 3 one
+that of ``s``, or with an array entry (``samples`` ``s`` or ``lifts``, a
+closed-form ``point``, ``velocity``, ``p0``, ``v0``, ``f2`` or ``z``) that
+is no JSON number or beyond the float range, the message naming the
+field); 3 one
 of ``_PRECONDITION_ERRORS`` (lightlike data, a seed or ``t0`` outside its
 family's domain, a seed whose open slot is below
 ``examples.OPEN_SLOT_FLOOR`` included, a circle curvature that is not
@@ -45,14 +48,17 @@ For ``closed_form`` the data block selects a family:
 
 ``seed_r`` (family 1 only) or ``z`` (any family) sets the seed.
 
-For ``samples`` the data block carries the grid and phase-coherent
-horizontal lifts: {"s": [...], "lifts": [[[re, im], ...], ...]}.
+For ``samples`` the data block carries the grid and phase-coherent lifts:
+{"s": [...], "lifts": [[[re, im], ...], ...]}. The lifts need not be
+horizontal: lifts off the horizontal are re-lifted before the Frenet
+stages (``ruled.classify_generating_curve``).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import stat
@@ -298,17 +304,30 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _complex_vector(raw, dim: int, name: str, rows: bool = False) -> np.ndarray:
-    """Complex vector (dim,) from [re, im] pairs; with ``rows``, a list of
-    such vectors as rows (m, dim), converted in one array operation. A
-    wrong shape raises ValueError naming the field ``name``."""
+def _number_array(raw, name: str, pairs: int = 0, rows: bool = False) -> np.ndarray:
+    """A field of JSON numbers, converted in one array operation: a flat
+    list as a float array (``pairs`` 0), else a complex vector (pairs,) of
+    [re, im] pairs or, with ``rows``, a list of such vectors as rows
+    (m, pairs). A wrong shape, or an entry that is no JSON number (a
+    string, a boolean, null) or an integer beyond the float range, raises
+    ValueError naming the field ``name``. NaN and the infinities pass, for
+    the finiteness checks to refuse."""
+    ndim = 3 if rows else 2 if pairs else 1
+    shape_error = f"{name}: expected {pairs} [re, im] pairs" if pairs else f"{name} must be a flat list of numbers"
     try:
         arr = np.asarray(raw, dtype=float)
-    except ValueError as exc:  # ragged nesting is a wrong shape too
-        raise ValueError(f"{name}: expected {dim} [re, im] pairs") from exc
-    if arr.ndim != (3 if rows else 2) or arr.shape[-2:] != (dim, 2):
-        raise ValueError(f"{name}: expected {dim} [re, im] pairs")
-    return arr[..., 0] + 1j * arr[..., 1]
+    except OverflowError as exc:
+        raise ValueError(f"{name} holds an entry beyond the float range") from exc
+    except (TypeError, ValueError) as exc:  # ragged nesting is a wrong shape too
+        raise ValueError(shape_error) from exc
+    if arr.ndim != ndim or (pairs and arr.shape[-2:] != (pairs, 2)):
+        raise ValueError(shape_error)
+    entries = raw  # nested lists of the checked shape; numpy parsed "1" and true
+    for _ in range(ndim - 1):
+        entries = itertools.chain.from_iterable(entries)
+    if not set(map(type, entries)) <= {int, float}:
+        raise ValueError(f"{name} holds an entry that is no JSON number")
+    return arr[..., 0] + 1j * arr[..., 1] if pairs else arr
 
 
 def _finite(error: type, **fields: np.ndarray) -> tuple:
@@ -320,18 +339,6 @@ def _finite(error: type, **fields: np.ndarray) -> tuple:
         if not np.all(np.isfinite(vec)):
             raise error(f"{name} holds a non-finite entry")
     return tuple(fields.values())
-
-
-def _flat_numbers(raw, name: str) -> np.ndarray:
-    """A field that must be a flat list of numbers, as a float array: a
-    number, a nested list or a non-number entry raises ValueError."""
-    try:
-        arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{name} must be a flat list of numbers") from exc
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be a flat list of numbers")
-    return arr
 
 
 def _json_int(value, name: str) -> int:
@@ -371,8 +378,8 @@ def _curve_from_file(doc: dict) -> SampledCurve:
     step = _json_number(doc.get("step", 1e-3), "step")
     kind = doc["kind"]
     if kind == "samples":
-        params = _flat_numbers(doc["data"]["s"], "s")
-        lifts = _complex_vector(doc["data"]["lifts"], sig.ambient_dim, "lifts", rows=True)
+        params = _number_array(doc["data"]["s"], "s")
+        lifts = _number_array(doc["data"]["lifts"], "lifts", sig.ambient_dim, rows=True)
         if lifts.shape[0] != params.shape[0]:
             raise ValueError(f"lifts holds {lifts.shape[0]} rows for the {params.shape[0]} entries of s")
         if not (np.all(np.isfinite(params)) and np.all(np.isfinite(lifts))):
@@ -387,8 +394,8 @@ def _curve_from_file(doc: dict) -> SampledCurve:
     if family == "geodesic":
         q, v = _finite(
             FrameError,
-            point=_complex_vector(data["point"], sig.ambient_dim, "point"),
-            velocity=_complex_vector(data["velocity"], sig.ambient_dim, "velocity"),
+            point=_number_array(data["point"], "point", sig.ambient_dim),
+            velocity=_number_array(data["velocity"], "velocity", sig.ambient_dim),
         )
         if abs(real_metric(sig, q, q) - 1.0) > 1e-8:
             raise FrameError("geodesic start point is not on the sphere")
@@ -401,7 +408,7 @@ def _curve_from_file(doc: dict) -> SampledCurve:
         return sampled_curve_from_fn(sig, lambda s: sphere_geodesic(sig, q, v, s), s_lo, s_hi, step)
     if family in ("case_c1", "case_c2"):
         builder = case_c1_curve if family == "case_c1" else case_c2_curve
-        vectors = {name: _complex_vector(data[name], sig.ambient_dim, name) for name in ("p0", "v0", "f2")}
+        vectors = {name: _number_array(data[name], name, sig.ambient_dim) for name in ("p0", "v0", "f2")}
         crv = builder(sig, *_finite(FrameError, **vectors))
         return crv.sample(s_lo, s_hi, step)
     if family == "circle":
@@ -419,7 +426,7 @@ def _curve_from_file(doc: dict) -> SampledCurve:
         seed_r = _json_number(data["seed_r"], "seed_r") if "seed_r" in data else None
         seed = _seeds([ex], sig, seed_r).get(ex)
         if seed is None and "z" in data:
-            (seed,) = _finite(DomainError, z=_complex_vector(data["z"], sig.n, "z"))
+            (seed,) = _finite(DomainError, z=_number_array(data["z"], "z", sig.n))
         spec = example_spec(ex, sig=sig, seed_z=seed)
         return example_integral_curve(
             spec, t=_json_number(data.get("t0", 0.0), "t0"), step=step, s_range=(s_lo, s_hi)

@@ -1,4 +1,4 @@
-"""Covariant differentiation along curves, Frenet data, and curve classes.
+"""Covariant differentiation along curves, Frenet data, and minimal cases.
 
 A curve in the quotient is handled through phase-coherent horizontal lifts
 sampled on a uniform grid; an exact lift evaluator is attached when the
@@ -6,7 +6,8 @@ curve comes from a closed form. Covariant derivatives go through the
 ambient derivative, the sphere-tangential split and the horizontal
 projection, which realizes the quotient connection on lifts. The Frenet
 data stop at stage two (F1, F2 and the covariant derivative of F2), which
-tells the three minimal cases apart.
+tells the three minimal cases apart; ``frenet_apparatus`` tags its result
+with the ``MinimalCase`` of the curve, or None.
 
 Row arithmetic runs on float64 views of the complex rows (``real_view``):
 an (m, d) complex stack is an (m, 2d) float stack with each entry's (re, im)
@@ -23,7 +24,7 @@ in the last bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Callable, Optional
@@ -43,11 +44,12 @@ EDGE_MARGIN = 4
 MAX_SAMPLES = 100_000
 
 
-class CurveClass(Enum):
-    GEODESIC = "geodesic"
-    TOTALLY_REAL_CIRCLE = "totally_real_circle"
-    CASE_C_NON_FRENET = "case_c_non_frenet"
-    OTHER = "other"
+class MinimalCase(Enum):
+    """The three cases of the classification theorem, by generating curve."""
+
+    CASE_A_GEODESIC = "a"
+    CASE_B_TOTALLY_REAL_CIRCLE = "b"
+    CASE_C_NON_FRENET = "c"
 
 
 # ---------------------------------------------------------------------------
@@ -316,20 +318,24 @@ def _covariant_rows(curve: SampledCurve, rows: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FrenetResult:
-    """Frame fields, curvature functions, signs and a classification tag.
+    """The two Frenet stages of a unit curve, tagged with its minimal case.
 
-    ``detail`` holds the measurements behind the tag: for a totally real
-    circle the report of ``is_totally_real_circle``. When the first stage
-    is lightlike, ``f2`` holds its rows F2, the covariant derivative of
-    F1, and ``detail`` the parallel defect of F2, for ``case_c_verify``."""
+    ``f1`` holds the unit velocity rows F1. When stage one normalizes, ``f2``
+    holds the rows F2, ``kappa1`` the curvature function and ``eps2`` the
+    sign g(F2, F2). When the first stage is lightlike, ``f2`` holds its rows
+    F2, the covariant derivative of F1, ``kappa1`` stays None and ``detail``
+    holds the parallel defect of F2, for ``case_c_verify``. ``case`` is the
+    ``MinimalCase`` the stages single out, or None when they match no case;
+    ``detail`` holds the measurements behind it: for a totally real circle
+    the report of ``is_totally_real_circle``. The non-Frenet tag still
+    awaits ``case_c_verify``."""
 
-    order: int
-    frames: list
-    curvatures: list
-    signs: list
-    classification: CurveClass
+    f1: np.ndarray
+    case: Optional[MinimalCase]
     detail: dict
     f2: Optional[np.ndarray] = None
+    kappa1: Optional[np.ndarray] = None
+    eps2: Optional[float] = None
 
 
 def frenet_apparatus(curve: SampledCurve) -> FrenetResult:
@@ -337,62 +343,60 @@ def frenet_apparatus(curve: SampledCurve) -> FrenetResult:
     minimal cases apart.
 
     Stage one differentiates F1 = alpha': a vanishing remainder is the
-    geodesic (order one); a lightlike one is the non-Frenet case when it is
-    parallel, else OTHER; a remainder that changes sign is OTHER; any other
-    is normalized into F2, with kappa1 and eps2. Stage two differentiates F2
-    and removes the back term: a vanishing remainder gives order two and
-    the totally real circle test, and any other remainder is OTHER.
+    geodesic (case a); a lightlike one is the non-Frenet case (c) when it is
+    parallel, else no case; a remainder that changes sign is no case; any
+    other is normalized into F2, with kappa1 and eps2. Stage two
+    differentiates F2 and removes the back term: a vanishing remainder on a
+    totally real circle of constant curvature is case b, and anything else
+    is no case.
     """
     defect = curve.speed_defect()
     if defect > CURVE_TOL:
         raise SpeedError(f"unit speed defect {defect:.3e} exceeds {CURVE_TOL:.1e}")
     s2 = curve.real_signs
     f1 = real_view(curve.velocity) * (1.0 / np.sqrt(np.abs(curve.speed2)))[:, None]
-
-    def order_one(cls: CurveClass, detail: dict, f2=None) -> FrenetResult:
-        return FrenetResult(1, [f1.view(complex)], [], [curve.eps1], cls, detail, f2)
+    f1c = f1.view(complex)
 
     d = _covariant_rows(curve, f1)
     ecore = norm2_real(_interior(d, 2))
     rnorm = float(np.sqrt(np.max(ecore)))
     if rnorm <= FRENET_TOL:
-        return order_one(CurveClass.GEODESIC, {"residual": rnorm})
+        return FrenetResult(f1c, MinimalCase.CASE_A_GEODESIC, {"residual": rnorm})
     g = gdot_real(s2, d, d)
     gcore = _interior(g, 2)
     if np.all(np.abs(gcore) <= LIGHT_TOL * ecore):
         dd = _covariant_rows(curve, d)
         par = float(np.sqrt(np.max(norm2_real(_interior(dd, 3)))))
-        cls = CurveClass.CASE_C_NON_FRENET if par <= 10 * FRENET_TOL else CurveClass.OTHER
-        return order_one(cls, {"lightlike_parallel_defect": par}, d.view(complex))
+        case = MinimalCase.CASE_C_NON_FRENET if par <= 10 * FRENET_TOL else None
+        return FrenetResult(f1c, case, {"lightlike_parallel_defect": par}, d.view(complex))
     eps2 = 1.0 if median_is_positive(gcore) else -1.0
     if np.any(eps2 * gcore <= 0):
-        return order_one(CurveClass.OTHER, {"sign_change": True})
+        return FrenetResult(f1c, None, {"sign_change": True})
     kappa = np.sqrt(np.abs(g))
     f2 = d * (eps2 / kappa)[:, None]
 
     d = _covariant_rows(curve, f2) + curve.eps1 * kappa[:, None] * f1
     rnorm = float(np.sqrt(np.max(norm2_real(_interior(d, 3)))))
-    frames = [f1.view(complex), f2.view(complex)]
-    fr = FrenetResult(2, frames, [kappa], [curve.eps1, eps2], CurveClass.OTHER, {"residual": rnorm})
+    fr = FrenetResult(f1c, None, {"residual": rnorm}, f2.view(complex), kappa, eps2)
     if rnorm <= FRENET_TOL:
         ok, report = is_totally_real_circle(fr, curve)
         if ok:
-            return replace(fr, classification=CurveClass.TOTALLY_REAL_CIRCLE, detail=report)
+            return FrenetResult(f1c, MinimalCase.CASE_B_TOTALLY_REAL_CIRCLE, report, fr.f2, kappa, eps2)
     return fr
 
 
 def is_totally_real_circle(fr: FrenetResult, curve: SampledCurve):
-    """Order 2, constant curvature, and vanishing holomorphic torsion, away
-    from the rows the three differentiation stages of order 2 reach."""
-    report = {"order": fr.order}
-    if fr.order != 2:
-        return False, report
-    k = _interior(fr.curvatures[0], 3)
+    """Both stages normalized, constant curvature, and vanishing holomorphic
+    torsion, away from the rows the three differentiation stages of stage
+    two reach. The report's ``order`` is 2, or 1 when stage one stopped."""
+    if fr.kappa1 is None:
+        return False, {"order": 1}
+    k = _interior(fr.kappa1, 3)
     mean = float(np.mean(k))
     spread = float(np.std(k) / mean)
-    tau = gdot_real(curve.real_signs, real_view(fr.frames[0]), jmul_real(real_view(fr.frames[1])))
+    tau = gdot_real(curve.real_signs, real_view(fr.f1), jmul_real(real_view(fr.f2)))
     tau_max = float(np.max(np.abs(_interior(tau, 3))))
-    report.update({"kappa1": mean, "kappa1_rel_spread": spread, "torsion_max": tau_max})
+    report = {"order": 2, "kappa1": mean, "kappa1_rel_spread": spread, "torsion_max": tau_max}
     ok = spread <= 1e-4 and tau_max <= CURVE_TOL
     return ok, report
 
@@ -400,11 +404,12 @@ def is_totally_real_circle(fr: FrenetResult, curve: SampledCurve):
 def case_c_verify(fr: FrenetResult, curve: SampledCurve):
     """Check the non-Frenet system on the lightlike first stage of ``fr``:
     F2 lightlike, parallel, totally real against F1, each to ``CURVE_TOL``.
-    A result without a lightlike first stage fails with its order."""
-    if fr.f2 is None:
-        return False, {"order": fr.order}
+    A result without a lightlike first stage fails with the number of its
+    stages as ``order``."""
+    if fr.f2 is None or fr.kappa1 is not None:
+        return False, {"order": 1 if fr.f2 is None else 2}
     s2 = curve.real_signs
-    f1, f2 = real_view(fr.frames[0]), real_view(fr.f2)
+    f1, f2 = real_view(fr.f1), real_view(fr.f2)
     nonzero = float(np.sqrt(np.min(norm2_real(_interior(f2, 2)))))
     gf2 = float(np.max(np.abs(_interior(gdot_real(s2, f2, f2), 2))))
     par = fr.detail["lightlike_parallel_defect"]

@@ -57,19 +57,22 @@ the shape reports.
 The classifier checks that the structure field is the unit velocity of the
 base line (leaf coordinate 0), xi = +alpha'/|alpha'|, so that the base curve
 is its integral curve, then sorts that curve into the three minimal cases.
+``classify_generating_curve`` is the one path from a sampled curve to its
+case, for the ruled classifier and the ``classify`` command alike: it
+re-lifts lifts off the horizontal, and ``curves.frenet_apparatus`` tags the
+case with ``MinimalCase`` (defined in ``curves``, importable from here).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
 
 from .curves import (
     CURVE_TOL,
-    CurveClass,
+    MinimalCase,
     SampledCurve,
     case_c_verify,
     deriv_rows,
@@ -129,12 +132,6 @@ def _points_per_block(width: int, blocks: int = 1) -> int:
     """Points per block of a kernel whose points take ``width`` stencil
     lifts each: ``blocks`` times ``_ROW_BLOCK`` lifts, at least one point."""
     return max(1, blocks * _ROW_BLOCK // width)
-
-
-class MinimalCase(Enum):
-    CASE_A_GEODESIC = "a"
-    CASE_B_TOTALLY_REAL_CIRCLE = "b"
-    CASE_C_NON_FRENET = "c"
 
 
 # ---------------------------------------------------------------------------
@@ -933,7 +930,6 @@ class ClassificationReport:
     eps1: float
     eps2: Optional[float]
     kind: Optional[str]
-    xi_defect: float
     detail: dict
 
 
@@ -956,17 +952,16 @@ def regenerate_integral_curve(par: RHSParametrization) -> tuple[SampledCurve, fl
     tangent coordinates of xi must be (1, 0, ..., 0), so xi is the base
     line's velocity at unit parameter speed. By uniqueness of ODE solutions
     the integral curve of xi through (0, 0) is then the base line itself,
-    and its lifts are the patch lifts at the samples; no integration is
-    needed. The lifts are used as they are when they are horizontal (to
-    ``CURVE_TOL``), as for every closed-form family; otherwise they are
-    re-lifted by ``horizontal_lift``. The frames of every sample come from
-    one ``hypersurface_frames`` call.
+    and the returned curve holds the patch lifts at the samples, as they
+    are; no integration is needed. The frames of every sample come from one
+    ``hypersurface_frames`` call. Lifts off the horizontal are left to
+    ``classify_generating_curve``: a phase of the lift turns the velocity
+    and xi alike, so the comparison below reads the same on either lift.
 
     The reported defect is the worse of the tangency defect and the gap
     between the curve's unit velocity and the measured structure field at
     about 30 interior samples, both signed.
     """
-    sig = par.sig
     step = LINE_STEP
     lo, hi = par.s_range()
     half_span = min(LINE_HALF_SPAN, -lo - 5 * step, hi - 5 * step)
@@ -978,18 +973,13 @@ def regenerate_integral_curve(par: RHSParametrization) -> tuple[SampledCurve, fl
     rows[:, 0] = params
 
     frames = hypersurface_frames(par, rows)
-    lifts, xi = frames.lift, frames.xi
-    a = frames.tangent_coords(xi)
+    a = frames.tangent_coords(frames.xi)
     tangency = max(np.max(np.abs(a[:, 1:]), initial=0.0), np.max(np.abs(a[:, 0] - 1.0)))
 
-    curve = SampledCurve(sig, params, lifts, step)
-    if curve.horizontality_defect() > CURVE_TOL:
-        curve = horizontal_lift(sig, lifts, lifts[count], params=params, anchor=count)
-
+    curve = SampledCurve(par.sig, params, frames.lift, step)
     idx = np.arange(4, params.shape[0] - 4, max(1, params.shape[0] // 30))
-    xi = xi[idx] * _phase_factor(sig.signs, lifts[idx], curve.lifts[idx])[:, None]
     vel = curve.velocity[idx] / np.sqrt(np.abs(curve.speed2[idx]))[:, None]
-    return curve, float(max(np.max(np.abs(vel - xi)), tangency))
+    return curve, float(max(np.max(np.abs(vel - frames.xi[idx])), tangency))
 
 
 _SURFACE_BY_SIGNS = {
@@ -1000,43 +990,35 @@ _SURFACE_BY_SIGNS = {
 }
 
 
-def classify_generating_curve(curve: SampledCurve, xi_defect: float = 0.0) -> ClassificationReport:
+def classify_generating_curve(curve: SampledCurve) -> ClassificationReport:
     """Sort a unit generating curve into geodesic, totally real circle, or
     the non-Frenet lightlike-acceleration case.
 
-    Order one is the geodesic case; order two with constant curvature and no
-    holomorphic torsion is the totally real circle, with the surface kind
-    read off the frame signs; a lightlike parallel acceleration is the
-    non-Frenet case, with the threefold kind set by the causal type of the
-    curve itself.
+    The case is a property of the projective curve, and the quotient
+    connection acts on horizontal lifts: a curve whose
+    ``horizontality_defect`` exceeds ``CURVE_TOL`` is first re-lifted by
+    ``horizontal_lift``, anchored at its middle sample. ``frenet_apparatus``
+    then tags the case. A circle's surface kind is read off the two frame
+    signs; the non-Frenet case must pass ``case_c_verify``, and its
+    threefold kind is set by the causal type of the curve itself.
     """
+    if curve.horizontality_defect() > CURVE_TOL:
+        mid = len(curve) // 2
+        curve = horizontal_lift(curve.sig, curve.lifts, curve.lifts[mid], curve.params, mid)
     fr = frenet_apparatus(curve)
     eps1 = curve.eps1
-    if fr.classification is CurveClass.GEODESIC:
-        return ClassificationReport(
-            MinimalCase.CASE_A_GEODESIC, None, eps1, None, None, xi_defect, fr.detail
-        )
-    if fr.classification is CurveClass.TOTALLY_REAL_CIRCLE:
-        kind = _SURFACE_BY_SIGNS[(fr.signs[0], fr.signs[1])]
-        return ClassificationReport(
-            MinimalCase.CASE_B_TOTALLY_REAL_CIRCLE,
-            fr.detail["kappa1"],
-            eps1,
-            fr.signs[1],
-            kind,
-            xi_defect,
-            fr.detail,
-        )
-    if fr.classification is CurveClass.CASE_C_NON_FRENET:
+    if fr.case is MinimalCase.CASE_A_GEODESIC:
+        return ClassificationReport(fr.case, None, eps1, None, None, fr.detail)
+    if fr.case is MinimalCase.CASE_B_TOTALLY_REAL_CIRCLE:
+        kind = _SURFACE_BY_SIGNS[(eps1, fr.eps2)]
+        return ClassificationReport(fr.case, fr.detail["kappa1"], eps1, fr.eps2, kind, fr.detail)
+    if fr.case is MinimalCase.CASE_C_NON_FRENET:
         ok, rep = case_c_verify(fr, curve)
         if ok:
             kind = "b3_1" if eps1 > 0 else "b3_2"
-            return ClassificationReport(
-                MinimalCase.CASE_C_NON_FRENET, None, eps1, None, kind, xi_defect, rep
-            )
-    raise ClassificationError(
-        f"curve matches no minimal case (frenet: {fr.classification.value})"
-    )
+            return ClassificationReport(fr.case, None, eps1, None, kind, rep)
+    frenet = "other" if fr.case is None else "case_c_non_frenet"
+    raise ClassificationError(f"curve matches no minimal case (frenet: {frenet})")
 
 
 def classify_minimal_ruled(par: RHSParametrization) -> ClassificationReport:
@@ -1051,7 +1033,7 @@ def classify_minimal_ruled(par: RHSParametrization) -> ClassificationReport:
         raise ClassificationError(
             f"regenerated curve is not an integral curve of xi (defect {defect:.3e})"
         )
-    return classify_generating_curve(curve, xi_defect=defect)
+    return classify_generating_curve(curve)
 
 
 #: seed of the leaf coordinate directions of the sampling grid

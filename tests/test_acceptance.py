@@ -175,13 +175,13 @@ def test_criterion_07_timelike_family_invariants():
         g_num = gdot_rows(sig.signs, rows, rows)[8:-8]
         ff_gap = float(np.max(np.abs(g_num - data.accel_square)))
         fr = frenet_apparatus(data.curve)
-        kappa_num = float(np.mean(fr.curvatures[0][8:-8]))
+        kappa_num = float(np.mean(fr.kappa1[8:-8]))
         kappa_gap = abs(kappa_num - data.kappa1)
         good = (
             f2_unit <= 1e-8
             and ff_gap <= 1e-8
             and kappa_gap <= 1e-5
-            and fr.signs[1] == -1.0
+            and fr.eps2 == -1.0
         )
         if ex == 2:
             good = good and abs(data.kappa1 - np.sqrt(2.0)) <= 1e-12

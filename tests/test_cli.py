@@ -14,6 +14,7 @@ import pytest
 from oracles import _ref_sample_text, helix_lift
 from pseudocp import cli, ruled, verification
 from pseudocp.cli import main
+from pseudocp.curves import model_circle_curve, sample_params
 from pseudocp.errors import ChartError, NotProjectablePoint
 from pseudocp.examples import EXAMPLE_IDS
 from pseudocp.frames import complete_unitary_frames
@@ -90,6 +91,13 @@ CROSS_CHECK_NAMES = {
     "shape_xi_component",
     "accel_square_constant",
     "shape_xi_matches_closed_form",
+}
+
+#: five samples of the constant curve e3 of (3,1), a well-formed document
+SAMPLES_DOC = {
+    "signature": {"n": 3, "p": 1},
+    "kind": "samples",
+    "data": {"s": [1e-3 * k for k in range(5)], "lifts": [[[0, 0], [0, 0], [0, 0], [1, 0]]] * 5},
 }
 
 CIRCLE_DOC = {
@@ -551,6 +559,72 @@ class TestClassify:
         captured = capsys.readouterr()
         assert captured.err == f"error: cannot parse curve file: {message}\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "value,message",
+        [
+            ("text", "holds an entry that is no JSON number"),
+            ("bool", "holds an entry that is no JSON number"),
+            (None, "holds an entry that is no JSON number"),
+            (10**400, "holds an entry beyond the float range"),
+        ],
+        ids=["string", "boolean", "null", "beyond_float"],
+    )
+    @pytest.mark.parametrize(
+        "base,field",
+        [
+            (SAMPLES_DOC, "s"),
+            (SAMPLES_DOC, "lifts"),
+            (GEODESIC_DOC, "point"),
+            (GEODESIC_DOC, "velocity"),
+            (CASE_C1_DOC, "p0"),
+            (CASE_C1_DOC, "v0"),
+            (CASE_C1_DOC, "f2"),
+            (CASE_C2_DOC, "p0"),
+            (CASE_C2_DOC, "v0"),
+            (CASE_C2_DOC, "f2"),
+            (FLOW_SEED_DOC, "z"),
+        ],
+        ids=lambda x: x if isinstance(x, str) else x["kind"] if "family" not in x["data"] else x["data"]["family"],
+    )
+    def test_array_entries_must_be_json_numbers(self, tmp_path, capsys, base, field, value, message):
+        """An entry of a curve-file array that is no JSON number is a parse
+        error, exit 2, whose message names the field. The string and the
+        boolean read as the entry they replace ("1" for 1, false for 0),
+        which an array conversion would accept; null would read as NaN."""
+        doc = json.loads(json.dumps(base))
+        entries = doc["data"][field] if field == "s" else doc["data"][field][-1]
+        if field == "lifts":
+            entries = entries[-1]
+        old = entries[0]
+        entries[0] = {"text": str(old), "bool": bool(old)}.get(value, value)
+        path = write_json(tmp_path / "curve.json", doc)
+        assert run_cli("classify", path) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot parse curve file: {field} {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("w", [0.3, 1.0, 5.0])
+    @pytest.mark.parametrize("kappa1,step", [(1.25, 1e-3), (0.6, 5e-4)])
+    def test_phase_rotated_lifts_classify_like_horizontal_ones(self, tmp_path, capsys, kappa1, step, w):
+        """The case is a property of the projective curve: an rp2 circle
+        held by the lifts e^{iws} alpha(s), which are not horizontal, reads
+        case b, kind rp2 and the kappa1 of its horizontal lifts alpha(s)."""
+        crv = model_circle_curve(Signature(3, 1), "rp2", kappa1)
+        s_grid = sample_params(-0.5, 0.5, step)
+        out = []
+        for phase in (0.0, w):
+            lifts = np.exp(1j * phase * s_grid)[:, None] * crv.point(s_grid)
+            doc = {
+                "signature": {"n": 3, "p": 1},
+                "kind": "samples",
+                "data": {"s": s_grid.tolist(), "lifts": np.stack([lifts.real, lifts.imag], axis=-1).tolist()},
+            }
+            assert run_cli("classify", write_json(tmp_path / f"circle_{phase}.json", doc)) == 0
+            out.append(json.loads(capsys.readouterr().out))
+        horizontal, rotated = out
+        assert (rotated["case"], rotated["kind"]) == ("b", "rp2")
+        assert abs(rotated["kappa1"] - horizontal["kappa1"]) <= 1e-10
 
     @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
     def test_circle_timelike_must_be_a_json_boolean(self, tmp_path, capsys, value):

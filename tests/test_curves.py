@@ -7,7 +7,7 @@ from oracles import _e, _geodesic_curve, _ref_case_c_report, covariant_derivativ
 from pseudocp import curves
 from pseudocp.curves import (
     MAX_SAMPLES,
-    CurveClass,
+    MinimalCase,
     SampledCurve,
     case_c1_curve,
     case_c2_curve,
@@ -126,24 +126,23 @@ class TestCovariantDerivative:
 class TestFrenetApparatus:
     def test_geodesic_is_order_one(self):
         fr = frenet_apparatus(_geodesic_curve())
-        assert fr.order == 1
-        assert fr.classification is CurveClass.GEODESIC
-        assert fr.curvatures == []
+        assert fr.case is MinimalCase.CASE_A_GEODESIC
+        assert (fr.f2, fr.kappa1, fr.eps2) == (None, None, None)
 
     def test_family_two_signature_and_curvature(self):
         """Second family: order two, spacelike then timelike frame vectors."""
         data = example_integral_curve(example_spec(2))
         fr = frenet_apparatus(data.curve)
-        assert fr.order == 2
-        assert fr.signs[0] == 1.0
-        assert fr.signs[1] == -1.0
-        kappa = float(np.mean(fr.curvatures[0][8:-8]))
+        assert fr.kappa1 is not None
+        assert data.curve.eps1 == 1.0
+        assert fr.eps2 == -1.0
+        kappa = float(np.mean(fr.kappa1[8:-8]))
         assert kappa == pytest.approx(data.kappa1, abs=1e-6)
 
     def test_family_one_lightlike_acceleration(self):
         data = _family1_curve(np.pi / 4)
         fr = frenet_apparatus(data.curve)
-        assert fr.classification is CurveClass.CASE_C_NON_FRENET
+        assert fr.case is MinimalCase.CASE_C_NON_FRENET
 
     def test_non_unit_speed_rejected(self):
         q, v = _e(3), _e(2)
@@ -160,28 +159,29 @@ class TestFrenetApparatus:
         fr = frenet_apparatus(curve)
         reversed_curve = SampledCurve(curve.sig, -curve.params[::-1], curve.lifts[::-1], curve.step)
         rev = frenet_apparatus(reversed_curve)
-        assert rev.order == fr.order == 2
-        a = float(np.mean(fr.curvatures[0][8:-8]))
-        b = float(np.mean(rev.curvatures[0][8:-8]))
+        assert fr.kappa1 is not None and rev.kappa1 is not None
+        a = float(np.mean(fr.kappa1[8:-8]))
+        b = float(np.mean(rev.kappa1[8:-8]))
         assert a == pytest.approx(b, rel=1e-8)
-        assert np.max(np.abs(fr.frames[0][10] + rev.frames[0][::-1][10])) < 1e-9
+        assert np.max(np.abs(fr.f1[10] + rev.f1[::-1][10])) < 1e-9
 
     def test_frenet_system_residual(self):
         """Full system residual for an order-two curve stays tiny."""
         data = _family1_curve(np.pi / 8)
         curve = data.curve
         fr = frenet_apparatus(curve)
-        d1 = covariant_derivative(curve, fr.frames[0])
-        r1 = d1 - fr.signs[1] * fr.curvatures[0][:, None] * fr.frames[1]
-        d2 = covariant_derivative(curve, fr.frames[1])
-        r2 = d2 + fr.signs[0] * fr.curvatures[0][:, None] * fr.frames[0]
+        d1 = covariant_derivative(curve, fr.f1)
+        r1 = d1 - fr.eps2 * fr.kappa1[:, None] * fr.f2
+        d2 = covariant_derivative(curve, fr.f2)
+        r2 = d2 + curve.eps1 * fr.kappa1[:, None] * fr.f1
         assert np.max(np.abs(r1[8:-8])) < 5e-6
         assert np.max(np.abs(r2[8:-8])) < 5e-6
 
     def test_two_stages_classify_every_case(self, monkeypatch):
         """The classifier differentiates at most twice per curve: once on a
         geodesic, twice on a circle, on ``case_c1`` (F2, then its parallel
-        defect) and on a two-curvature helix, which is OTHER at order two."""
+        defect) and on a two-curvature helix, which matches no case after
+        both stages."""
         calls = []
         covariant_rows = curves._covariant_rows
         monkeypatch.setattr(
@@ -191,23 +191,24 @@ class TestFrenetApparatus:
         circle = model_circle_curve(SIG, "rp2", 1.3).sample(-0.4, 0.4, 1e-3)
         case_c1 = case_c1_curve(SIG, e[1], e[2], e[0] + e[3]).sample(-0.5, 0.5, 1e-3)
         cases = [
-            (_geodesic_curve(), CurveClass.GEODESIC, 1, 1),
-            (circle, CurveClass.TOTALLY_REAL_CIRCLE, 2, 2),
-            (case_c1, CurveClass.CASE_C_NON_FRENET, 1, 2),
-            (helix_curve(), CurveClass.OTHER, 2, 2),
+            (_geodesic_curve(), MinimalCase.CASE_A_GEODESIC, False, 1),
+            (circle, MinimalCase.CASE_B_TOTALLY_REAL_CIRCLE, True, 2),
+            (case_c1, MinimalCase.CASE_C_NON_FRENET, False, 2),
+            (helix_curve(), None, True, 2),
         ]
-        for curve, cls, order, count in cases:
+        for curve, case, stage_two, count in cases:
             calls.clear()
             fr = frenet_apparatus(curve)
-            assert (fr.classification, fr.order, len(calls)) == (cls, order, count)
+            assert (fr.case, fr.kappa1 is not None, len(calls)) == (case, stage_two, count)
 
     def test_frame_orthonormality(self):
         data = _family1_curve(np.pi / 2)
         fr = frenet_apparatus(data.curve)
         signs = SIG.signs
-        for i, ei in enumerate(fr.frames):
-            for j, ej in enumerate(fr.frames):
-                want = fr.signs[i] if i == j else 0.0
+        frames, eps = (fr.f1, fr.f2), (data.curve.eps1, fr.eps2)
+        for i, ei in enumerate(frames):
+            for j, ej in enumerate(frames):
+                want = eps[i] if i == j else 0.0
                 vals = gdot_rows(signs, ei, ej)
                 assert np.max(np.abs(vals[8:-8] - want)) < 1e-6
 
@@ -238,7 +239,7 @@ class TestTotallyRealCircle:
         params = np.arange(-0.4, 0.4 + 1e-12, 1e-3)
         curve = horizontal_lift(SIG, rep, rep(float(params[0])), params=params)
         fr = frenet_apparatus(curve)
-        assert fr.order == 2
+        assert fr.kappa1 is not None
         ok, report = is_totally_real_circle(fr, curve)
         assert not ok
         assert report["torsion_max"] > 0.5
@@ -321,7 +322,7 @@ class TestCaseCReport:
         roundoff-level products. Both sides agree on pass or fail."""
         curve = _case_c_closed_form(n, p, boosted).sample(-0.5, 0.5, step)
         fr = frenet_apparatus(curve)
-        assert fr.classification is CurveClass.CASE_C_NON_FRENET
+        assert fr.case is MinimalCase.CASE_C_NON_FRENET
         ok, report = case_c_verify(fr, curve)
         ref = _ref_case_c_report(curve)
         assert report.keys() == ref.keys()
@@ -340,7 +341,7 @@ class TestCaseCReport:
         bit for bit those a fresh covariant derivative gives."""
         curve = _case_c_closed_form(n, p, True).sample(-0.5, 0.5, 1e-3)
         fr = frenet_apparatus(curve)
-        assert np.array_equal(fr.f2, covariant_derivative(curve, fr.frames[0]))
+        assert np.array_equal(fr.f2, covariant_derivative(curve, fr.f1))
         dd = covariant_derivative(curve, fr.f2)[12:-12]
         par = float(np.sqrt(np.max(norm2_real(real_view(dd)))))
         assert case_c_verify(fr, curve)[1]["parallel_defect"] == par
@@ -446,7 +447,7 @@ class TestCaseCClosedForms:
     def test_c1_pipeline_classification(self):
         curve = case_c1_curve(SIG, self.P0, self.V0, self.F2).sample(-0.5, 0.5, 1e-3)
         fr = frenet_apparatus(curve)
-        assert fr.classification is CurveClass.CASE_C_NON_FRENET
+        assert fr.case is MinimalCase.CASE_C_NON_FRENET
         ok, _ = case_c_verify(fr, curve)
         assert ok
 

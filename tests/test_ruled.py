@@ -410,7 +410,7 @@ class TestClassification:
         assert report.kind == kind
         if kappa is not None:
             assert report.kappa1 == pytest.approx(kappa, abs=1e-4)
-        assert report.xi_defect < 1e-6
+        assert regenerate_integral_curve(par)[1] < 1e-6
 
     def test_family_four_negative_definite_kind(self):
         data = example_integral_curve(example_spec(4))
@@ -461,8 +461,10 @@ class TestClassification:
         with pytest.raises(ClassificationError, match="not an integral curve"):
             classify_minimal_ruled(par)
 
-    def test_non_horizontal_base_lifts_are_re_lifted(self):
-        """A base curve held by phase-rotated lifts regenerates horizontally."""
+    def test_non_horizontal_base_lifts_are_re_lifted(self, monkeypatch):
+        """A base curve held by phase-rotated lifts is classified on its
+        horizontal lift: ``classify_generating_curve`` re-lifts it before
+        the Frenet stages."""
         data = example_integral_curve(example_spec(2))
         fn = data.curve.lift_fn
         curve = sampled_curve_from_fn(
@@ -470,9 +472,13 @@ class TestClassification:
         )
         assert curve.horizontality_defect() > 0.5
         par = transport_basis(curve)
-        regenerated, defect = regenerate_integral_curve(par)
-        assert regenerated.horizontality_defect() < 1e-9
+        _, defect = regenerate_integral_curve(par)
         assert defect < 1e-6
+        classified = []
+        frenet = ruled.frenet_apparatus
+        monkeypatch.setattr(ruled, "frenet_apparatus", lambda c: classified.append(c) or frenet(c))
         report = classify_minimal_ruled(par)
+        (lifted,) = classified
+        assert lifted.horizontality_defect() < 1e-9
         assert (report.case, report.kind) == (data.predicted_case, data.kind)
         assert report.kappa1 == pytest.approx(data.kappa1, abs=1e-6)
